@@ -710,6 +710,30 @@ let socket_arg =
         ~doc:"Unix-domain socket the service listens on (default \
               \\$XDG_RUNTIME_DIR/kfused.sock).")
 
+let exec_sandbox_arg =
+  let policy_conv =
+    Arg.conv
+      ( (fun s ->
+          match Exec.Supervisor.policy_of_string s with
+          | Some p -> Ok p
+          | None -> Error (`Msg "expected on or dlopen-trusted")),
+        fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
+  in
+  Arg.(
+    value
+    & opt policy_conv Exec.Supervisor.Sandboxed
+    & info [ "exec-sandbox" ] ~docv:"POLICY"
+        ~doc:
+          "How fuse_exec and stream sessions run generated native code.  \
+           $(b,on) (default): every execution is a supervised fork/exec \
+           subprocess under rlimits and a deadline watchdog — a plan that \
+           segfaults, loops or exhausts memory yields a typed \
+           KF0905/KF0906/KF0907 reply and never harms the daemon.  \
+           $(b,dlopen-trusted): allow the fast in-process dlopen path \
+           (trusts codegen); subprocess runs keep their rlimits.  Both keep \
+           the per-plan circuit breaker.  Under $(b,shard-serve) the policy \
+           applies to every shard.")
+
 let serve_cmd =
   let doc = "Run kfused: serve fusion plans over a Unix-domain socket." in
   let man =
@@ -769,28 +793,6 @@ let serve_cmd =
              in-flight requests finish for up to MS milliseconds, then \
              forcibly close the stragglers and remove the socket.")
   in
-  let sandbox_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s ->
-            match Exec.Supervisor.policy_of_string s with
-            | Some p -> Ok p
-            | None -> Error (`Msg "expected on, off or dlopen-trusted")),
-          fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
-    in
-    Arg.(
-      value
-      & opt policy_conv Exec.Supervisor.Sandboxed
-      & info [ "exec-sandbox" ] ~docv:"POLICY"
-          ~doc:
-            "How fuse_exec runs generated native code.  $(b,on) (default): \
-             every execution is a supervised fork/exec subprocess under \
-             rlimits and a deadline watchdog — a plan that segfaults, loops \
-             or exhausts memory yields a typed KF0905/KF0906/KF0907 reply \
-             and never harms the daemon.  $(b,dlopen-trusted): allow the \
-             fast in-process dlopen path (trusts codegen); subprocess runs \
-             keep their rlimits.  $(b,off): no sandbox, no circuit breaker.")
-  in
   let crash_dir_arg =
     Arg.(
       value
@@ -808,8 +810,9 @@ let serve_cmd =
       value & opt int 64
       & info [ "max-streams" ] ~docv:"N"
           ~doc:
-            "Concurrently open stream sessions; a stream_open beyond this is \
-             shed with a typed KF0803 reply.")
+            "Concurrently open sessions of each kind: at most N stream and, \
+             separately, N lazy sessions.  An open beyond the bound is shed \
+             with a typed KF0803 reply.")
   in
   let stream_queue_arg =
     Arg.(
@@ -870,7 +873,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ common_term $ socket_arg $ capacity_arg $ max_conns_arg $ queue_arg
-      $ request_timeout_arg $ drain_timeout_arg $ sandbox_arg $ crash_dir_arg
+      $ request_timeout_arg $ drain_timeout_arg $ exec_sandbox_arg $ crash_dir_arg
       $ max_streams_arg $ stream_queue_arg $ stream_idle_arg)
 
 (* ---- shard-serve: the sharded fleet ---- *)
@@ -1020,21 +1023,6 @@ let shard_serve_cmd =
       & info [ "max-ping-misses" ] ~docv:"N"
           ~doc:"Consecutive missed pings before a hung shard is killed.")
   in
-  let sandbox_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s ->
-            match Exec.Supervisor.policy_of_string s with
-            | Some p -> Ok p
-            | None -> Error (`Msg "expected on, off or dlopen-trusted")),
-          fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
-    in
-    Arg.(
-      value
-      & opt policy_conv Exec.Supervisor.Sandboxed
-      & info [ "exec-sandbox" ] ~docv:"POLICY"
-          ~doc:"Per-shard fuse_exec sandbox policy (see $(b,kfusec serve)).")
-  in
   let run socket shard_dir shards cache_dir capacity max_conns queue request_timeout_ms
       forward_timeout_ms drain_timeout_ms shard_grace_ms health_interval_ms
       health_timeout_ms storm_threshold storm_window_ms restart_backoff_ms
@@ -1100,7 +1088,7 @@ let shard_serve_cmd =
       $ max_conns_arg $ queue_arg $ request_timeout_arg $ forward_timeout_arg
       $ drain_timeout_arg $ shard_grace_arg $ health_interval_arg $ health_timeout_arg
       $ storm_threshold_arg $ storm_window_arg $ backoff_arg $ max_backoff_arg
-      $ cooldown_arg $ ping_misses_arg $ sandbox_arg)
+      $ cooldown_arg $ ping_misses_arg $ exec_sandbox_arg)
 
 let query_cmd =
   let doc = "Send one request to a running kfused and print the reply." in

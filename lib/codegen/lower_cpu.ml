@@ -69,13 +69,18 @@ let kernel_func ?tile ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
         ])
     | Kernel.Reduce { init; combine; arg } ->
       let v = C.lower ~prec ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") arg in
-      let clause, fold =
+      let omp clause = [ Pragma ("omp parallel for collapse(2) reduction(" ^ clause ^ ":acc)") ] in
+      let pragma, fold =
         match combine with
-        | Expr.Add -> ("+", Assign (ident "acc", ident "acc" +: v))
+        | Expr.Add ->
+          (* Float addition is not associative: a team-split sum depends on
+             the thread count.  Stay serial, in the interpreter's row-major
+             order, so the result is bit-exact on every host. *)
+          ([], Assign (ident "acc", ident "acc" +: v))
         | Expr.Min ->
-          ("min", Assign (ident "acc", call (fn_prec "fminf") [ ident "acc"; v ]))
+          (omp "min", Assign (ident "acc", call (fn_prec "fminf") [ ident "acc"; v ]))
         | Expr.Max ->
-          ("max", Assign (ident "acc", call (fn_prec "fmaxf") [ ident "acc"; v ]))
+          (omp "max", Assign (ident "acc", call (fn_prec "fmaxf") [ ident "acc"; v ]))
         | Expr.Sub | Expr.Mul | Expr.Div | Expr.Pow ->
           invalid_arg
             (Printf.sprintf
@@ -83,9 +88,9 @@ let kernel_func ?tile ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
                k.Kernel.name)
       in
       let inner = C.take_stmts ctx @ [ fold ] in
-      [
-        Decl { ctype = C.scalar_ctype prec; name = "acc"; init = Some (scalar_lit init) };
-        Pragma (Printf.sprintf "omp parallel for collapse(2) reduction(%s:acc)" clause);
+      Decl { ctype = C.scalar_ctype prec; name = "acc"; init = Some (scalar_lit init) }
+      :: pragma
+      @ [
         For
           {
             var = "y";

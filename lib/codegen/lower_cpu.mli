@@ -3,8 +3,10 @@
     The paper's conclusion lists CPU targets as future work; this backend
     provides it.  Each kernel lowers to a plain C function that iterates
     the image under an OpenMP [parallel for] (collapsed over both loop
-    dimensions); global reductions use OpenMP reduction clauses instead
-    of the CUDA backend's float atomics.  Expression lowering — including
+    dimensions); global [min]/[max] reductions use OpenMP reduction
+    clauses instead of the CUDA backend's float atomics, while [+]
+    reductions run serially in row-major order, so their float sum does
+    not depend on the thread count.  Expression lowering — including
     fusion's registers and index exchange — is shared with the CUDA
     backend via {!Lower_common}. *)
 

@@ -139,9 +139,24 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
 
 typedef void (*kfuse_entry_fn)(const double **, double **, const double *);
 
+/* Pin libgomp for the life of the process before the first artifact is
+ * loaded.  An OpenMP artifact otherwise pulls libgomp in as its own
+ * dependency, and its dlclose can unmap libgomp while the idle pool
+ * threads still execute its code: the next instruction fetch faults.
+ * RTLD_NODELETE keeps the mapping; a host without libgomp (no OpenMP
+ * toolchain) simply has nothing to pin. */
+static void kfuse_pin_libgomp(void)
+{
+  static int pinned = 0;
+  if (pinned) return;
+  pinned = 1;
+  (void)dlopen("libgomp.so.1", RTLD_NOW | RTLD_GLOBAL | RTLD_NODELETE);
+}
+
 value kfuse_dl_open(value vpath)
 {
   CAMLparam1(vpath);
+  kfuse_pin_libgomp();
   void *h = dlopen(String_val(vpath), RTLD_NOW | RTLD_LOCAL);
   if (h == NULL) {
     const char *err = dlerror();

@@ -106,10 +106,9 @@ val compile :
     that is exactly why [kfused] defaults to the sandboxed subprocess
     path.
 
-    When [mode] is omitted the backend tries {!Dlopen} and falls back
-    to {!Subprocess} if the shared object cannot be loaded, recording
-    the load failure in [warnings]; an explicit [mode] never falls
-    back. *)
+    [mode] selects the backend as in {!prepare}, including the
+    {!Dlopen}-to-{!Subprocess} fallback when it is omitted.  A run is
+    {!prepare}, one {!run_plan} and {!release}. *)
 val run :
   ?mode:mode ->
   ?tile:int * int ->
@@ -136,14 +135,16 @@ type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
     {!Dlopen} mode, the loaded handle and resolved entry point. *)
 
-(** [prepare ?tile ?cache_dir ~mode p] compiles (or reuses) the artifact
+(** [prepare ?tile ?cache_dir ?mode p] compiles (or reuses) the artifact
     for [p] and pins it.  In {!Dlopen} mode the shared object is loaded
     and the entry point resolved immediately; a load failure is
-    [KF0904], letting callers retry with [~mode:Subprocess]. *)
+    [KF0904].  When [mode] is omitted, {!Dlopen} is tried first and a
+    [KF0904] load failure falls back to {!Subprocess}, recording the
+    failure in {!plan_warnings}; an explicit [mode] never falls back. *)
 val prepare :
   ?tile:int * int ->
   ?cache_dir:string ->
-  mode:mode ->
+  ?mode:mode ->
   Pipeline.t ->
   (plan, Diag.t) result
 
@@ -155,6 +156,9 @@ val plan_cached : plan -> bool
 
 val plan_compile_ms : plan -> float
 (** Wall-clock the C compiler took at {!prepare} time; [0] on a hit. *)
+
+val plan_warnings : plan -> Diag.t list
+(** The [KF0904] that made {!prepare} fall back to {!Subprocess}, if any. *)
 
 val plan_pipeline : plan -> Pipeline.t
 

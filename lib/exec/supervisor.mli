@@ -40,12 +40,11 @@ module Pipeline = Kfuse_ir.Pipeline
       with rlimits and the watchdog; in-process dlopen is never used.
     - {!Dlopen_trusted}: the fast in-process dlopen path is allowed
       (trusting codegen); subprocess executions are still supervised.
-    - {!Unsandboxed}: PR 6 behaviour — no rlimits, no circuit breaker;
-      subprocess executions still use fork/exec and honor deadlines. *)
-type policy = Sandboxed | Dlopen_trusted | Unsandboxed
+    Both keep the per-plan circuit breaker. *)
+type policy = Sandboxed | Dlopen_trusted
 
 val policy_to_string : policy -> string
-(** ["on"], ["dlopen-trusted"], ["off"]. *)
+(** ["on"], ["dlopen-trusted"]. *)
 
 val policy_of_string : string -> policy option
 

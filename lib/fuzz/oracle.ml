@@ -576,14 +576,7 @@ let stream_exec ~cache_dir config p =
                (Kfuse_util.Diag.to_string d))
         | Ok native_session -> (
           let native_dir = Option.map (fun d -> Filename.concat d "native") cache_dir in
-          let plan =
-            match Native.prepare ?cache_dir:native_dir ~mode:Native.Dlopen r.Driver.fused with
-            | Ok _ as ok -> ok
-            | Error d when d.Kfuse_util.Diag.code = Kfuse_util.Diag.Exec_failed ->
-              Native.prepare ?cache_dir:native_dir ~mode:Native.Subprocess r.Driver.fused
-            | Error _ as e -> e
-          in
-          match plan with
+          match Native.prepare ?cache_dir:native_dir r.Driver.fused with
           | Error d ->
             Error
               (Printf.sprintf "pinning the stream plan failed: %s"

@@ -181,6 +181,21 @@ type request =
   | Ping
   | Shutdown
 
+let op_name = function
+  | Fuse _ -> "fuse"
+  | Fuse_exec _ -> "fuse_exec"
+  | Stream_open _ -> "stream_open"
+  | Stream_push _ -> "stream_push"
+  | Stream_close _ -> "stream_close"
+  | Lazy_open _ -> "lazy_open"
+  | Lazy_edit _ -> "lazy_edit"
+  | Lazy_flush _ -> "lazy_flush"
+  | Lazy_close _ -> "lazy_close"
+  | Stats -> "stats"
+  | Metrics -> "metrics"
+  | Ping -> "ping"
+  | Shutdown -> "shutdown"
+
 let fuse_fields (f : fuse_request) =
   let opt name conv v fields =
     match v with None -> fields | Some v -> (name, conv v) :: fields

@@ -55,8 +55,10 @@
       ["width"]/["height"] (optional ["channels"] and ["inputs"], an
       array of input-image names).  Optional ["c_mshared"], ["gamma"],
       ["tg"] configure the session's fusion model.  Replies with the
-      session ["id"].  Lazy sessions count against [--max-streams] and
-      idle-expire like streams.
+      session ["id"].  [--max-streams] bounds lazy sessions separately
+      from streams: at most that many of each kind are open, and a
+      [lazy_open] beyond it is shed with [KF0803].  Lazy sessions
+      idle-expire like streams, but never while an edit or flush runs.
     - [{"op":"lazy_edit", "id":..., "command":...}] — apply one edit
       command (the [kfusec repl] grammar: [add <name> = <expr>],
       [del <name>], [retarget <kernel> <from> <to>],
@@ -201,6 +203,10 @@ type request =
   | Shutdown
 
 val request_to_json : request -> Jsonx.t
+
+(** [op_name r] is [r]'s wire ["op"], e.g. ["stream_push"]; the servers
+    key their per-op metrics by it. *)
+val op_name : request -> string
 
 (** [request_of_json v] validates shape and field types; unknown ops and
     malformed fields are {!Kfuse_util.Diag.Protocol_error}s. *)

@@ -4,7 +4,6 @@ module Faults = Kfuse_util.Faults
 module Plan_cache = Kfuse_cache.Plan_cache
 module Fingerprint = Kfuse_cache.Fingerprint
 module Ir = Kfuse_ir
-module F = Kfuse_fusion
 
 (* Single-flight bookkeeping: concurrent identical fuse requests (same
    plan key) become one upstream computation.  Waiters hold the entry
@@ -202,15 +201,6 @@ let single_flight t key compute =
 
 (* ---- per-op handling ---- *)
 
-let config_of (f : Protocol.fuse_request) =
-  let default = F.Config.default in
-  {
-    default with
-    F.Config.c_mshared = Option.value ~default:default.F.Config.c_mshared f.Protocol.c_mshared;
-    gamma = Option.value ~default:default.F.Config.gamma f.Protocol.gamma;
-    tg = Option.value ~default:default.F.Config.tg f.Protocol.tg;
-  }
-
 let pipeline_of (f : Protocol.fuse_request) =
   Result.bind (Server.load_pipeline f) Ir.Validate.result
 
@@ -225,8 +215,12 @@ let handle_fuse t req (f : Protocol.fuse_request) =
          config + strategy + flags) plus the knobs the cache key
          deliberately excludes but which shape {e this} reply: strict
          mode and the search budget. *)
+      let config =
+        Server.request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma
+          ~tg:f.Protocol.tg
+      in
       let key =
-        Fingerprint.plan_key ~config:(config_of f) ~strategy:f.Protocol.strategy
+        Fingerprint.plan_key ~config ~strategy:f.Protocol.strategy
           ~optimize:f.Protocol.optimize ~inline:f.Protocol.inline p
       in
       let sf_key =
@@ -382,22 +376,7 @@ let dispatch t v =
   match Protocol.request_of_json v with
   | Error d -> ("invalid", Protocol.error d, false)
   | Ok req -> (
-    let op =
-      match req with
-      | Protocol.Fuse _ -> "fuse"
-      | Protocol.Fuse_exec _ -> "fuse_exec"
-      | Protocol.Stream_open _ -> "stream_open"
-      | Protocol.Stream_push _ -> "stream_push"
-      | Protocol.Stream_close _ -> "stream_close"
-      | Protocol.Lazy_open _ -> "lazy_open"
-      | Protocol.Lazy_edit _ -> "lazy_edit"
-      | Protocol.Lazy_flush _ -> "lazy_flush"
-      | Protocol.Lazy_close _ -> "lazy_close"
-      | Protocol.Stats -> "stats"
-      | Protocol.Metrics -> "metrics"
-      | Protocol.Ping -> "ping"
-      | Protocol.Shutdown -> "shutdown"
-    in
+    let op = Protocol.op_name req in
     let guarded f =
       match f () with
       | resp -> (op, resp, false)

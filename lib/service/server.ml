@@ -16,37 +16,20 @@ module Frames = Kfuse_stream.Frames
 module Lz = Kfuse_lazy
 
 (* One open stream: the per-stream temporal state plus the pinned
-   compiled plan.  [in_flight] (under the server's [streams_lock]) is
-   the bounded per-session frame queue — pushes beyond [stream_queue]
-   are shed with [KF0805] before touching any state.  [s_lock]
-   serializes frame execution so the temporal window advances exactly
-   once per processed frame.  [closed] marks a stream removed from the
-   table while pushes are still draining; the last one out releases the
-   pinned plan. *)
+   compiled plan.  Its session table serializes pushes, so the temporal
+   window advances exactly once per processed frame, and releases the
+   plan exactly once. *)
 type stream = {
-  stream_id : string;
   session : Session.t;
   stream_seed : int;
   stream_fp : string;  (* exact fingerprint, the breaker's key *)
   stream_plan : Native.plan option;  (* None = interpreter-only stream *)
-  s_lock : Mutex.t;
-  mutable seq_hint : int;  (* frames processed; informational *)
-  mutable last_used : float;
-  mutable in_flight : int;
-  mutable closed : bool;
 }
 
 (* One open lazy-pipeline editing session: a mutable builder plus its
-   incremental replanning memos.  [lz_lock] serializes edits and flushes
-   (builders are not thread-safe).  Unlike streams, a lazy session pins
-   no native plan, so close and idle-expiry are pure table removals. *)
-type lazy_session = {
-  lz_id : string;
-  builder : Lz.Lazy_pipeline.t;
-  lz_lock : Mutex.t;
-  mutable lz_last_used : float;
-  mutable lz_flushes : int;
-}
+   incremental replanning memos.  Its session table serializes edits
+   and flushes (builders are not thread-safe); it pins no native plan. *)
+type lazy_session = { builder : Lz.Lazy_pipeline.t; mutable flushes : int }
 
 type t = {
   socket_path : string;
@@ -85,22 +68,15 @@ type t = {
   queue : Unix.file_descr Queue.t;
   mutable busy : int;
   active : Unix.file_descr option array;
-  (* Stream sessions, under [streams_lock].  [max_streams] bounds open
-     sessions ([KF0803] beyond it), [stream_queue] bounds each session's
-     in-flight pushes ([KF0805] beyond it), [stream_idle_ms] is the lazy
-     idle-expiry horizon (<= 0 disables). *)
-  streams_lock : Mutex.t;
-  streams : (string, stream) Hashtbl.t;
-  next_stream : int Atomic.t;
+  (* Sessions, one table per kind.  [max_streams] bounds each kind's
+     open sessions ([KF0803] beyond it), [stream_queue] bounds each
+     stream's in-flight pushes ([KF0805] beyond it), [stream_idle_ms]
+     is both kinds' idle-expiry horizon (<= 0 disables). *)
+  streams : stream Session_table.t;
+  lazies : lazy_session Session_table.t;
   max_streams : int;
   stream_queue : int;
   stream_idle_ms : float;
-  (* Lazy editing sessions, under [lazies_lock].  They share the
-     [max_streams] bound (each table bounded independently) and the
-     [stream_idle_ms] idle-expiry horizon. *)
-  lazies_lock : Mutex.t;
-  lazies : (string, lazy_session) Hashtbl.t;
-  next_lazy : int Atomic.t;
 }
 
 let socket t = t.socket_path
@@ -138,6 +114,20 @@ let load_pipeline ?size (f : Protocol.fuse_request) =
 let validated p =
   match Ir.Validate.result p with Ok p -> Ok p | Error d -> Error d
 
+let size_of width height =
+  match (width, height) with Some w, Some h -> Some (w, h) | _ -> None
+
+(* The per-request fusion model: the defaults under the request's
+   overrides. *)
+let request_config ~c_mshared ~gamma ~tg =
+  let d = F.Config.default in
+  {
+    d with
+    F.Config.c_mshared = Option.value ~default:d.F.Config.c_mshared c_mshared;
+    gamma = Option.value ~default:d.F.Config.gamma gamma;
+    tg = Option.value ~default:d.F.Config.tg tg;
+  }
+
 let block_names (p : Ir.Pipeline.t) block =
   List.map (fun i -> Jsonx.Str (Ir.Pipeline.kernel p i).Ir.Kernel.name) (Iset.elements block)
 
@@ -157,20 +147,15 @@ let report_fields (r : F.Driver.report) =
       Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) r.F.Driver.warnings) );
   ]
 
-(* Shared planning path of [fuse] and [fuse_exec]: load, validate,
-   budget against the deadline, serve from the plan cache. *)
+(* Shared planning path of [fuse], [fuse_exec] and [stream_open]: load,
+   validate, budget against the deadline, serve from the plan cache. *)
 let plan t ~deadline ?size (f : Protocol.fuse_request) =
   match Result.bind (load_pipeline ?size f) validated with
   | Error _ as e -> e
   | Ok p ->
-    let default = F.Config.default in
     let config =
-      {
-        default with
-        F.Config.c_mshared = Option.value ~default:default.F.Config.c_mshared f.Protocol.c_mshared;
-        gamma = Option.value ~default:default.F.Config.gamma f.Protocol.gamma;
-        tg = Option.value ~default:default.F.Config.tg f.Protocol.tg;
-      }
+      request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma
+        ~tg:f.Protocol.tg
     in
     let strategy = f.Protocol.strategy in
     let optimize = f.Protocol.optimize and inline = f.Protocol.inline in
@@ -226,6 +211,17 @@ let handle_fuse t ~deadline (f : Protocol.fuse_request) =
   | Error d -> Protocol.error d
   | Ok served -> Protocol.ok (plan_fields served)
 
+(* Planning may have eaten the whole request budget (cache miss on a
+   slow search): fail typed before paying for a compile. *)
+let check_deadline t deadline ~before =
+  match Deadline.check deadline with
+  | () -> Ok ()
+  | exception Deadline.Expired _ ->
+    Metrics.incr t.metrics "requests_timed_out";
+    Error
+      (Diag.errorf Diag.Request_timeout "request deadline expired after planning, before %s"
+         before)
+
 let output_json ~return_pixels (name, img) =
   let w = Image.width img and h = Image.height img in
   let n = w * h in
@@ -260,6 +256,38 @@ let output_json ~return_pixels (name, img) =
   in
   Jsonx.Obj (base @ pixels)
 
+let warnings_json warns =
+  Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
+
+(* Both sides sort outputs by name, so positional zip holds. *)
+let max_diff reference outputs =
+  List.fold_left2
+    (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
+    0.0 reference outputs
+
+(* ---- native execution policy ---- *)
+
+(* The one place [--exec-sandbox] meets a request's [exec_mode].  Only
+   the supervised subprocess can be resource-capped or killed, so the
+   sandbox overrides a requested dlopen (visibly: ["sandboxed": true] in
+   the reply).  A trusted daemon honours the request; [None] lets
+   {!Native.prepare} try dlopen with a subprocess fallback. *)
+let exec_mode t requested =
+  match t.exec_sandbox with
+  | Supervisor.Sandboxed -> Some Native.Subprocess
+  | Supervisor.Dlopen_trusted -> requested
+
+let native_cache_dir t =
+  Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
+
+let sandboxed_field t = ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed))
+
+let quarantine_warning t qd ~served =
+  Diag.warningf Diag.Exec_failed
+    "plan quarantined after %d consecutive native failures (last: %s); %s by the interpreter"
+    (Supervisor.Breaker.threshold t.breaker)
+    (Diag.to_string qd) served
+
 (* A quarantined plan still answers: the interpreter computes the
    pixels, the reply carries ["mode" = "interpreter"] plus a warning, so
    degradation is visible but not fatal — PR 2's degradation contract
@@ -282,7 +310,7 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
               ("compile_ms", Jsonx.Num 0.0);
               ("exec_ms", Jsonx.Num ms);
               ("samples_ms", Jsonx.Arr [ Jsonx.Num ms ]);
-              ("warnings", Jsonx.Arr [ Jsonx.Str (Diag.to_string warning) ]);
+              ("warnings", warnings_json [ warning ]);
             ] );
         ("outputs", Jsonx.Arr (List.map (output_json ~return_pixels) outputs));
       ]
@@ -291,9 +319,9 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
     @ if verify then [ ("max_abs_diff", Jsonx.Num 0.0) ] else [])
 
 (* Account a supervised-execution failure: counters, a crash artifact
-   for the fuzzer to shrink, and (when the breaker is in play) a strike
-   that may quarantine the fingerprint. *)
-let record_exec_failure t ~use_breaker ~fp ~seed p (d : Diag.t) =
+   for the fuzzer to shrink, and a breaker strike that may quarantine
+   the fingerprint. *)
+let record_exec_failure t ~fp ~seed p (d : Diag.t) =
   (match d.Diag.code with
   | Diag.Exec_timeout -> Metrics.incr t.metrics "native_exec_timeouts"
   | Diag.Exec_crashed -> Metrics.incr t.metrics "native_exec_crashes"
@@ -304,8 +332,12 @@ let record_exec_failure t ~use_breaker ~fp ~seed p (d : Diag.t) =
   in
   (match Supervisor.save_crash_artifact ~dir:t.crash_dir ~seed ~toolchain ~diag:d p with
   | Ok _ | Error _ -> ());
-  if use_breaker && Supervisor.Breaker.record_failure t.breaker fp d then
+  if Supervisor.Breaker.record_failure t.breaker fp d then
     Metrics.incr_gauge t.metrics "quarantined_plans"
+
+let record_exec_success t fp =
+  if Supervisor.Breaker.record_success t.breaker fp then
+    Metrics.decr_gauge t.metrics "quarantined_plans"
 
 let is_supervised_failure (d : Diag.t) =
   match d.Diag.code with
@@ -313,12 +345,7 @@ let is_supervised_failure (d : Diag.t) =
   | _ -> false
 
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
-  let size =
-    match (e.Protocol.width, e.Protocol.height) with
-    | Some w, Some h -> Some (w, h)
-    | _ -> None
-  in
-  match plan t ~deadline ?size e.Protocol.fuse with
+  match plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse with
   | Error d -> Protocol.error d
   | Ok ((r, _, _) as served) -> (
     let p = r.F.Driver.fused in
@@ -329,74 +356,30 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
         (fun n -> (n, Image.random rng ~width ~height ~lo:0.0 ~hi:1.0))
         p.Ir.Pipeline.inputs
     in
-    (* Planning may have eaten the whole request budget (cache miss on a
-       slow search): fail typed before paying for a compile. *)
-    match Deadline.check deadline with
-    | exception Deadline.Expired _ ->
-      Metrics.incr t.metrics "requests_timed_out";
-      Protocol.error
-        (Diag.errorf Diag.Request_timeout
-           "request deadline expired after planning, before native execution")
-    | () -> (
-      let cache_dir =
-        Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
-      in
+    match check_deadline t deadline ~before:"native execution" with
+    | Error d -> Protocol.error d
+    | Ok () -> (
       let fp = Fingerprint.exact p in
-      let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
-      let verdict =
-        if use_breaker then Supervisor.Breaker.check t.breaker fp
-        else Supervisor.Breaker.Allow
-      in
-      match verdict with
+      match Supervisor.Breaker.check t.breaker fp with
       | Supervisor.Breaker.Quarantined qd ->
-        let warning =
-          Diag.warningf Diag.Exec_failed
-            "plan quarantined after %d consecutive native failures (last: %s); served by \
-             the interpreter"
-            (Supervisor.Breaker.threshold t.breaker)
-            (Diag.to_string qd)
-        in
-        interpreter_fallback t ~served ~warning ~verify:e.Protocol.verify
-          ~return_pixels:e.Protocol.return_pixels p inputs
+        interpreter_fallback t ~served
+          ~warning:(quarantine_warning t qd ~served:"served")
+          ~verify:e.Protocol.verify ~return_pixels:e.Protocol.return_pixels p inputs
       | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
-        let result =
-          match t.exec_sandbox with
-          | Supervisor.Sandboxed ->
-            (* The only sandboxable mode is the supervised subprocess:
-               an in-process dlopen cannot be resource-capped or killed.
-               A requested dlopen mode is overridden, visibly
-               ("sandboxed": true in the reply). *)
-            Native.run ~mode:Native.Subprocess ~deadline ~limits:t.exec_limits ?cache_dir
-              ~repeat:e.Protocol.repeat p inputs
-          | Supervisor.Dlopen_trusted ->
-            (* Codegen is trusted in-process; subprocess runs (explicit
-               or fallback) still get the supervisor's rlimits. *)
-            Native.run ?mode:e.Protocol.exec_mode ~deadline ~limits:t.exec_limits
-              ?cache_dir ~repeat:e.Protocol.repeat p inputs
-          | Supervisor.Unsandboxed ->
-            Native.run ?mode:e.Protocol.exec_mode ~deadline ?cache_dir
-              ~repeat:e.Protocol.repeat p inputs
-        in
-        match result with
-        | Error d when is_supervised_failure d ->
-          record_exec_failure t ~use_breaker ~fp ~seed:e.Protocol.seed p d;
+        match
+          Native.run ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
+            ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p inputs
+        with
+        | Error d ->
+          if is_supervised_failure d then record_exec_failure t ~fp ~seed:e.Protocol.seed p d;
           Protocol.error d
-        | Error d -> Protocol.error d
         | Ok res ->
-          if use_breaker && Supervisor.Breaker.record_success t.breaker fp then
-            Metrics.decr_gauge t.metrics "quarantined_plans";
+          record_exec_success t fp;
           let verify_fields =
             if not e.Protocol.verify then []
-            else begin
-              (* Both sides sort outputs by name, so positional zip holds. *)
+            else
               let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
-              let diff =
-                List.fold_left2
-                  (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
-                  0.0 reference res.Native.outputs
-              in
-              [ ("max_abs_diff", Jsonx.Num diff) ]
-            end
+              [ ("max_abs_diff", Jsonx.Num (max_diff reference res.Native.outputs)) ]
           in
           Protocol.ok
             (plan_fields served
@@ -405,8 +388,7 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
                   Jsonx.Obj
                     [
                       ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
-                      ( "sandboxed",
-                        Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed) );
+                      sandboxed_field t;
                       ("quarantined", Jsonx.Bool false);
                       ("artifact", Jsonx.Str res.Native.artifact);
                       ("artifact_cached", Jsonx.Bool res.Native.cached);
@@ -415,11 +397,7 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
                       ( "samples_ms",
                         Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms)
                       );
-                      ( "warnings",
-                        Jsonx.Arr
-                          (List.map
-                             (fun d -> Jsonx.Str (Diag.to_string d))
-                             res.Native.warnings) );
+                      ("warnings", warnings_json res.Native.warnings);
                     ] );
                 ( "outputs",
                   Jsonx.Arr
@@ -429,409 +407,183 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
               ]
             @ verify_fields))))
 
-(* ---- streams ---- *)
+(* ---- sessions ---- *)
 
-let streams_active t =
-  Mutex.lock t.streams_lock;
-  let n = Hashtbl.length t.streams in
-  Mutex.unlock t.streams_lock;
-  n
-
-(* Exactly-once plan release: the transition to [closed && in_flight = 0]
-   is observed under [streams_lock] by exactly one thread — the closer
-   (or expirer) when no push is draining, else the last draining push. *)
-let stream_done t st =
-  Mutex.lock t.streams_lock;
-  st.in_flight <- st.in_flight - 1;
-  let release_now = st.closed && st.in_flight = 0 in
-  Mutex.unlock t.streams_lock;
-  if release_now then Option.iter Native.release st.stream_plan
-
-(* Lazy idle expiry, run from every stream/stats/metrics op: no reaper
-   thread to leak, and an idle daemon holds no pinned plans forever. *)
-let expire_idle_streams t =
-  if t.stream_idle_ms > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.streams_lock;
-    let doomed =
-      Hashtbl.fold
-        (fun id st acc ->
-          if st.in_flight = 0 && (now -. st.last_used) *. 1000.0 > t.stream_idle_ms then
-            (id, st) :: acc
-          else acc)
-        t.streams []
-    in
-    List.iter
-      (fun (id, st) ->
-        st.closed <- true;
-        Hashtbl.remove t.streams id)
-      doomed;
-    Mutex.unlock t.streams_lock;
-    List.iter
-      (fun (_, st) ->
-        Option.iter Native.release st.stream_plan;
-        Metrics.incr t.metrics "streams_expired";
-        Metrics.decr_gauge t.metrics "streams_active")
-      doomed
-  end
-
-(* Orderly shutdown: by the time this runs the workers are joined, so
-   every [in_flight] is 0 and every pinned plan can be dropped. *)
-let release_all_streams t =
-  Mutex.lock t.streams_lock;
-  let all = Hashtbl.fold (fun _ st acc -> st :: acc) t.streams [] in
-  List.iter (fun st -> st.closed <- true) all;
-  Hashtbl.reset t.streams;
-  Mutex.unlock t.streams_lock;
-  List.iter
-    (fun st ->
-      if st.in_flight = 0 then Option.iter Native.release st.stream_plan;
-      Metrics.decr_gauge t.metrics "streams_active")
-    all
-
-(* Pick and pin the native backend for a new stream under the server's
-   sandbox policy.  [Ok (None, warns)] is an interpreter-only stream —
-   the daemon stays useful on hosts without a C toolchain. *)
-let prepare_stream_plan t ~requested ~cache_dir p =
-  let prepare mode = Native.prepare ?cache_dir ~mode p in
-  let pinned =
-    match t.exec_sandbox with
-    | Supervisor.Sandboxed ->
-      (* Same rule as [fuse_exec]: only the supervised subprocess can be
-         resource-capped, so a requested dlopen mode is overridden. *)
-      Result.map (fun pl -> (pl, [])) (prepare Native.Subprocess)
-    | Supervisor.Dlopen_trusted | Supervisor.Unsandboxed -> (
-      match requested with
-      | Some m -> Result.map (fun pl -> (pl, [])) (prepare m)
-      | None -> (
-        match prepare Native.Dlopen with
-        | Ok pl -> Ok (pl, [])
-        | Error d when d.Diag.code = Diag.Exec_failed ->
-          Result.map
-            (fun pl -> (pl, [ { d with Diag.severity = Diag.Warning } ]))
-            (prepare Native.Subprocess)
-        | Error _ as e -> e))
-  in
-  match pinned with
-  | Ok (pl, warns) -> Ok (Some pl, warns)
-  | Error d when d.Diag.code = Diag.Toolchain_missing ->
-    Ok
-      ( None,
-        [ Diag.warningf Diag.Toolchain_missing "%s; stream served by the interpreter" d.Diag.message ] )
-  | Error _ as e -> e
-
-let warnings_json warns =
-  Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
+let unknown kind id =
+  Protocol.error
+    (Diag.errorf Diag.Stream_unknown
+       "unknown %s %S (never opened, already closed, or idle-expired)" kind id)
 
 let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
-  expire_idle_streams t;
-  let size =
-    match (o.Protocol.width, o.Protocol.height) with
-    | Some w, Some h -> Some (w, h)
-    | _ -> None
-  in
-  match plan t ~deadline ?size o.Protocol.fuse with
-  | Error d -> Protocol.error d
-  | Ok ((r, _, _) as served) -> (
+  let opened =
+    Session_table.open_ t.streams
+      ~shed:
+        (Diag.errorf Diag.Overloaded
+           "server at --max-streams (%d): close a stream or retry with backoff")
+    @@ fun () ->
+    let ( let* ) = Result.bind in
+    let* ((r, _, _) as served) =
+      plan t ~deadline ?size:(size_of o.Protocol.width o.Protocol.height) o.Protocol.fuse
+    in
     let p = r.F.Driver.fused in
-    match Session.create p with
-    | Error d -> Protocol.error d
-    | Ok session -> (
-      match Deadline.check deadline with
-      | exception Deadline.Expired _ ->
-        Metrics.incr t.metrics "requests_timed_out";
-        Protocol.error
-          (Diag.errorf Diag.Request_timeout
-             "request deadline expired after planning, before the stream compile")
-      | () ->
-        if streams_active t >= t.max_streams then begin
-          Metrics.incr t.metrics "streams_shed";
-          Protocol.error
-            (Diag.errorf Diag.Overloaded
-               "server at --max-streams (%d): close a stream or retry with backoff"
-               t.max_streams)
-        end
-        else begin
-          let cache_dir =
-            Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
-          in
-          match prepare_stream_plan t ~requested:o.Protocol.exec_mode ~cache_dir p with
-          | Error d -> Protocol.error d
-          | Ok (plan_opt, warns) ->
-            let id = Printf.sprintf "st-%d" (Atomic.fetch_and_add t.next_stream 1) in
-            let st =
-              {
-                stream_id = id;
-                session;
-                stream_seed = o.Protocol.seed;
-                stream_fp = Fingerprint.exact p;
-                stream_plan = plan_opt;
-                s_lock = Mutex.create ();
-                seq_hint = 0;
-                last_used = Unix.gettimeofday ();
-                in_flight = 0;
-                closed = false;
-              }
-            in
-            Mutex.lock t.streams_lock;
-            Hashtbl.replace t.streams id st;
-            Mutex.unlock t.streams_lock;
-            Metrics.incr t.metrics "streams_opened";
-            Metrics.incr_gauge t.metrics "streams_active";
-            let mode, artifact, cached, compile_ms =
-              match plan_opt with
-              | None -> ("interpreter", "", false, 0.0)
-              | Some pl ->
-                ( Native.mode_to_string (Native.plan_mode pl),
-                  Native.plan_artifact pl,
-                  Native.plan_cached pl,
-                  Native.plan_compile_ms pl )
-            in
-            Protocol.ok
-              (plan_fields served
-              @ [
-                  ("id", Jsonx.Str id);
-                  ( "depth",
-                    Jsonx.Num (float_of_int (Session.depth session)) );
-                  ("width", Jsonx.Num (float_of_int p.Ir.Pipeline.width));
-                  ("height", Jsonx.Num (float_of_int p.Ir.Pipeline.height));
-                  ("seed", Jsonx.Num (float_of_int o.Protocol.seed));
-                  ( "exec",
-                    Jsonx.Obj
-                      [
-                        ("mode", Jsonx.Str mode);
-                        ( "sandboxed",
-                          Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed) );
-                        ("artifact", Jsonx.Str artifact);
-                        ("artifact_cached", Jsonx.Bool cached);
-                        ("compile_ms", Jsonx.Num compile_ms);
-                        ("warnings", warnings_json warns);
-                      ] );
-                ])
-        end))
+    let* session = Session.create p in
+    let* () = check_deadline t deadline ~before:"the stream compile" in
+    (* An interpreter-only stream keeps the daemon useful on hosts
+       without a C toolchain. *)
+    let* stream_plan, warns =
+      match
+        Native.prepare ?cache_dir:(native_cache_dir t)
+          ?mode:(exec_mode t o.Protocol.exec_mode) p
+      with
+      | Ok pl -> Ok (Some pl, Native.plan_warnings pl)
+      | Error d when d.Diag.code = Diag.Toolchain_missing ->
+        Ok
+          ( None,
+            [
+              Diag.warningf Diag.Toolchain_missing "%s; stream served by the interpreter"
+                d.Diag.message;
+            ] )
+      | Error d -> Error d
+    in
+    let st =
+      { session; stream_seed = o.Protocol.seed; stream_fp = Fingerprint.exact p; stream_plan }
+    in
+    Ok (st, (served, st, warns))
+  in
+  match opened with
+  | Error d -> Protocol.error d
+  | Ok (id, (served, st, warns)) ->
+    let p = Session.pipeline st.session in
+    let mode, artifact, cached, compile_ms =
+      match st.stream_plan with
+      | None -> ("interpreter", "", false, 0.0)
+      | Some pl ->
+        ( Native.mode_to_string (Native.plan_mode pl),
+          Native.plan_artifact pl,
+          Native.plan_cached pl,
+          Native.plan_compile_ms pl )
+    in
+    Protocol.ok
+      (plan_fields served
+      @ [
+          ("id", Jsonx.Str id);
+          ("depth", Jsonx.Num (float_of_int (Session.depth st.session)));
+          ("width", Jsonx.Num (float_of_int p.Ir.Pipeline.width));
+          ("height", Jsonx.Num (float_of_int p.Ir.Pipeline.height));
+          ("seed", Jsonx.Num (float_of_int o.Protocol.seed));
+          ( "exec",
+            Jsonx.Obj
+              [
+                ("mode", Jsonx.Str mode);
+                sandboxed_field t;
+                ("artifact", Jsonx.Str artifact);
+                ("artifact_cached", Jsonx.Bool cached);
+                ("compile_ms", Jsonx.Num compile_ms);
+                ("warnings", warnings_json warns);
+              ] );
+        ])
 
-let unknown_stream id =
-  Protocol.error
-    (Diag.errorf Diag.Stream_unknown
-       "unknown stream %S (never opened, already closed, or idle-expired)" id)
+(* One frame of stream [s], run under the stream's session lock. *)
+let push_frame t ~deadline (s : Protocol.stream_push_request) st =
+  let session = st.session in
+  let p = Session.pipeline session in
+  let params = Session.params session in
+  let seq = Session.frames session in
+  let frame =
+    Frames.synthetic ~seed:st.stream_seed ~width:p.Ir.Pipeline.width
+      ~height:p.Ir.Pipeline.height ~index:seq
+  in
+  let bindings = Session.bindings session frame in
+  let interp () =
+    let t0 = Unix.gettimeofday () in
+    let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
+    (outs, (Unix.gettimeofday () -. t0) *. 1000.)
+  in
+  let verdict =
+    match st.stream_plan with
+    | None -> Supervisor.Breaker.Allow
+    | Some _ -> Supervisor.Breaker.check t.breaker st.stream_fp
+  in
+  (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
+     max_abs_diff when verify). *)
+  let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
+    match (verdict, st.stream_plan) with
+    | _, None ->
+      let outs, ms = interp () in
+      (outs, "interpreter", false, false, ms, [], Some 0.0)
+    | Supervisor.Breaker.Quarantined qd, Some _ ->
+      Metrics.incr t.metrics "native_exec_fallbacks";
+      let outs, ms = interp () in
+      ( outs, "interpreter", true, true, ms,
+        [ quarantine_warning t qd ~served:"frame served" ], Some 0.0 )
+    | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
+      match Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings with
+      | Ok res ->
+        record_exec_success t st.stream_fp;
+        let diff =
+          if not s.Protocol.verify then None
+          else Some (max_diff (fst (interp ())) res.Native.outputs)
+        in
+        ( res.Native.outputs,
+          Native.mode_to_string res.Native.mode_used,
+          false, false, res.Native.exec_ms, [], diff )
+      | Error d ->
+        (* The frame still ships: fall back to the interpreter on the
+           SAME bindings, then advance — the stream's pixel history is
+           identical to an all-interpreter run, which is exactly what
+           the chaos oracle asserts. *)
+        if is_supervised_failure d then
+          record_exec_failure t ~fp:st.stream_fp ~seed:st.stream_seed p d;
+        Metrics.incr t.metrics "native_exec_fallbacks";
+        let outs, ms = interp () in
+        (outs, "interpreter", false, true, ms,
+         [ { d with Diag.severity = Diag.Warning } ], Some 0.0))
+  in
+  Session.advance session frame;
+  Metrics.incr t.metrics "frames_pushed";
+  Protocol.ok
+    ([
+       ("id", Jsonx.Str s.Protocol.id);
+       ("seq", Jsonx.Num (float_of_int seq));
+       ("frames", Jsonx.Num (float_of_int (seq + 1)));
+       ( "exec",
+         Jsonx.Obj
+           [
+             ("mode", Jsonx.Str mode);
+             sandboxed_field t;
+             ("quarantined", Jsonx.Bool quarantined);
+             ("fallback", Jsonx.Bool fallback);
+             ("exec_ms", Jsonx.Num exec_ms);
+             ("warnings", warnings_json warns);
+           ] );
+       ( "outputs",
+         Jsonx.Arr (List.map (output_json ~return_pixels:s.Protocol.return_pixels) outputs) );
+     ]
+    @ match diff with
+      | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]
+      | _ -> [])
 
 let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
-  expire_idle_streams t;
-  let forced_shed =
-    match Faults.hit "stream.shed" with
-    | () -> false
-    | exception Faults.Fault _ -> true
+  let busy =
+    match Faults.hit "stream.shed" with () -> false | exception Faults.Fault _ -> true
   in
-  Mutex.lock t.streams_lock;
-  let admitted =
-    match Hashtbl.find_opt t.streams s.Protocol.id with
-    | None ->
-      Mutex.unlock t.streams_lock;
-      Error (unknown_stream s.Protocol.id)
-    | Some st ->
-      if forced_shed || st.in_flight >= t.stream_queue then begin
-        Mutex.unlock t.streams_lock;
-        (* Shed BEFORE touching temporal state: the frame was not
-           processed and the stream did not advance, so the client can
-           retry the push verbatim. *)
-        Metrics.incr t.metrics "frames_shed";
-        Error
-          (Protocol.error
-             (Diag.errorf Diag.Stream_backpressure
-                "stream %S frame queue full (%d in flight of %d): frame dropped, retry \
-                 with backoff"
-                s.Protocol.id st.in_flight t.stream_queue))
-      end
-      else begin
-        st.in_flight <- st.in_flight + 1;
-        Mutex.unlock t.streams_lock;
-        Ok st
-      end
-  in
-  match admitted with
-  | Error resp -> resp
-  | Ok st ->
-    Fun.protect ~finally:(fun () -> stream_done t st) @@ fun () ->
-    Mutex.lock st.s_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock st.s_lock) @@ fun () ->
-    if st.closed then unknown_stream s.Protocol.id
-    else begin
-      st.last_used <- Unix.gettimeofday ();
-      let session = st.session in
-      let p = Session.pipeline session in
-      let params = Session.params session in
-      let seq = Session.frames session in
-      let frame =
-        Frames.synthetic ~seed:st.stream_seed ~width:p.Ir.Pipeline.width
-          ~height:p.Ir.Pipeline.height ~index:seq
-      in
-      let bindings = Session.bindings session frame in
-      let interp () =
-        let t0 = Unix.gettimeofday () in
-        let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
-        (outs, (Unix.gettimeofday () -. t0) *. 1000.)
-      in
-      let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
-      let verdict =
-        match st.stream_plan with
-        | None -> Supervisor.Breaker.Allow
-        | Some _ ->
-          if use_breaker then Supervisor.Breaker.check t.breaker st.stream_fp
-          else Supervisor.Breaker.Allow
-      in
-      (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
-         max_abs_diff when verify). *)
-      let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
-        match (verdict, st.stream_plan) with
-        | _, None ->
-          let outs, ms = interp () in
-          (outs, "interpreter", false, false, ms, [], Some 0.0)
-        | Supervisor.Breaker.Quarantined qd, Some _ ->
-          Metrics.incr t.metrics "native_exec_fallbacks";
-          let warning =
-            Diag.warningf Diag.Exec_failed
-              "plan quarantined after %d consecutive native failures (last: %s); frame \
-               served by the interpreter"
-              (Supervisor.Breaker.threshold t.breaker)
-              (Diag.to_string qd)
-          in
-          let outs, ms = interp () in
-          (outs, "interpreter", true, true, ms, [ warning ], Some 0.0)
-        | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
-          match
-            Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings
-          with
-          | Ok res ->
-            if use_breaker && Supervisor.Breaker.record_success t.breaker st.stream_fp
-            then Metrics.decr_gauge t.metrics "quarantined_plans";
-            let diff =
-              if not s.Protocol.verify then None
-              else begin
-                let reference, _ = interp () in
-                Some
-                  (List.fold_left2
-                     (fun acc (_, want) (_, got) ->
-                       Float.max acc (Image.max_abs_diff want got))
-                     0.0 reference res.Native.outputs)
-              end
-            in
-            ( res.Native.outputs,
-              Native.mode_to_string res.Native.mode_used,
-              false, false, res.Native.exec_ms, [], diff )
-          | Error d ->
-            (* The frame still ships: fall back to the interpreter on
-               the SAME bindings, then advance — the stream's pixel
-               history is identical to an all-interpreter run, which is
-               exactly what the chaos oracle asserts. *)
-            if is_supervised_failure d then
-              record_exec_failure t ~use_breaker ~fp:st.stream_fp ~seed:st.stream_seed p d;
-            Metrics.incr t.metrics "native_exec_fallbacks";
-            let outs, ms = interp () in
-            (outs, "interpreter", false, true, ms,
-             [ { d with Diag.severity = Diag.Warning } ], Some 0.0)
-        )
-      in
-      Session.advance session frame;
-      st.seq_hint <- seq + 1;
-      st.last_used <- Unix.gettimeofday ();
-      Metrics.incr t.metrics "frames_pushed";
-      Protocol.ok
-        ([
-           ("id", Jsonx.Str st.stream_id);
-           ("seq", Jsonx.Num (float_of_int seq));
-           ("frames", Jsonx.Num (float_of_int (seq + 1)));
-           ( "exec",
-             Jsonx.Obj
-               [
-                 ("mode", Jsonx.Str mode);
-                 ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
-                 ("quarantined", Jsonx.Bool quarantined);
-                 ("fallback", Jsonx.Bool fallback);
-                 ("exec_ms", Jsonx.Num exec_ms);
-                 ("warnings", warnings_json warns);
-               ] );
-           ( "outputs",
-             Jsonx.Arr
-               (List.map (output_json ~return_pixels:s.Protocol.return_pixels) outputs)
-           );
-         ]
-        @ match diff with
-          | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]
-          | _ -> [])
-    end
+  match Session_table.use t.streams ~busy s.Protocol.id (push_frame t ~deadline s) with
+  | Ok resp -> resp
+  | Error Session_table.Unknown -> unknown "stream" s.Protocol.id
+  | Error (Session_table.Busy n) ->
+    (* Shed BEFORE touching temporal state: the frame was not processed
+       and the stream did not advance, so the client can retry the push
+       verbatim. *)
+    Metrics.incr t.metrics "frames_shed";
+    Protocol.error
+      (Diag.errorf Diag.Stream_backpressure
+         "stream %S frame queue full (%d in flight of %d): frame dropped, retry with backoff"
+         s.Protocol.id n t.stream_queue)
 
 let handle_stream_close t id =
-  expire_idle_streams t;
-  Mutex.lock t.streams_lock;
-  match Hashtbl.find_opt t.streams id with
-  | None ->
-    Mutex.unlock t.streams_lock;
-    unknown_stream id
-  | Some st ->
-    Hashtbl.remove t.streams id;
-    st.closed <- true;
-    let release_now = st.in_flight = 0 in
-    Mutex.unlock t.streams_lock;
-    (* Wait for a draining push before reading the frame count; the
-       plan itself is released by the last push out ([stream_done]). *)
-    Mutex.lock st.s_lock;
-    let frames = Session.frames st.session in
-    Mutex.unlock st.s_lock;
-    if release_now then Option.iter Native.release st.stream_plan;
-    Metrics.incr t.metrics "streams_closed";
-    Metrics.decr_gauge t.metrics "streams_active";
-    Protocol.ok
-      [ ("id", Jsonx.Str id); ("frames", Jsonx.Num (float_of_int frames)) ]
-
-(* ---- lazy sessions ---- *)
-
-let lazies_active t =
-  Mutex.lock t.lazies_lock;
-  let n = Hashtbl.length t.lazies in
-  Mutex.unlock t.lazies_lock;
-  n
-
-(* Same lazy expiry discipline as streams: no reaper thread, run from
-   every lazy/stats op.  Nothing to release — builders are plain heap. *)
-let expire_idle_lazies t =
-  if t.stream_idle_ms > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.lazies_lock;
-    let doomed =
-      Hashtbl.fold
-        (fun id lz acc ->
-          if (now -. lz.lz_last_used) *. 1000.0 > t.stream_idle_ms then (id, lz) :: acc
-          else acc)
-        t.lazies []
-    in
-    List.iter (fun (id, _) -> Hashtbl.remove t.lazies id) doomed;
-    Mutex.unlock t.lazies_lock;
-    List.iter
-      (fun _ ->
-        Metrics.incr t.metrics "lazy_expired";
-        Metrics.decr_gauge t.metrics "lazy_active")
-      doomed
-  end
-
-let release_all_lazies t =
-  Mutex.lock t.lazies_lock;
-  let n = Hashtbl.length t.lazies in
-  Hashtbl.reset t.lazies;
-  Mutex.unlock t.lazies_lock;
-  for _ = 1 to n do
-    Metrics.decr_gauge t.metrics "lazy_active"
-  done
-
-let find_lazy t id =
-  Mutex.lock t.lazies_lock;
-  let r = Hashtbl.find_opt t.lazies id in
-  Mutex.unlock t.lazies_lock;
-  r
-
-let unknown_lazy id =
-  Protocol.error
-    (Diag.errorf Diag.Stream_unknown
-       "unknown lazy session %S (never opened, already closed, or idle-expired)" id)
+  match Session_table.close t.streams id (fun st -> Session.frames st.session) with
+  | None -> unknown "stream" id
+  | Some frames -> Protocol.ok [ ("id", Jsonx.Str id); ("frames", Jsonx.Num (float_of_int frames)) ]
 
 let lazy_state_fields builder =
   [
@@ -858,119 +610,80 @@ let valid_ident s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-let handle_lazy_open t (o : Protocol.lazy_open_request) =
-  expire_idle_lazies t;
-  let default = F.Config.default in
-  let config =
-    {
-      default with
-      F.Config.c_mshared =
-        Option.value ~default:default.F.Config.c_mshared o.Protocol.c_mshared;
-      gamma = Option.value ~default:default.F.Config.gamma o.Protocol.gamma;
-      tg = Option.value ~default:default.F.Config.tg o.Protocol.tg;
-    }
-  in
-  match F.Config.validate_result config with
-  | Error d -> Protocol.error d
-  | Ok () -> (
-    let seeded =
-      match (o.Protocol.app, o.Protocol.source) with
-      | None, None -> (
-        (* The codec guarantees width/height for an empty builder. *)
-        let width = Option.get o.Protocol.width
-        and height = Option.get o.Protocol.height in
-        let rec dup = function
-          | [] -> None
-          | x :: rest -> if List.mem x rest then Some x else dup rest
-        in
-        match
-          ( List.find_opt (fun i -> not (valid_ident i)) o.Protocol.inputs,
-            dup o.Protocol.inputs )
-        with
-        | Some bad, _ ->
-          Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
-        | None, Some d ->
-          Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" d)
-        | None, None ->
-          Ok
-            (Lz.Lazy_pipeline.create
-               ~channels:(Option.value ~default:1 o.Protocol.channels)
-               ~inputs:o.Protocol.inputs ~width ~height config))
-      | _ -> (
-        let fr =
-          {
-            Protocol.app = o.Protocol.app;
-            source = o.Protocol.source;
-            strategy = F.Driver.Mincut;
-            c_mshared = None;
-            gamma = None;
-            tg = None;
-            optimize = false;
-            inline = false;
-            strict = false;
-            budget_ms = None;
-            no_cache = false;
-          }
-        in
-        let size =
-          match (o.Protocol.width, o.Protocol.height) with
-          | Some w, Some h -> Some (w, h)
-          | _ -> None
-        in
-        match Result.bind (load_pipeline ?size fr) validated with
-        | Error _ as e -> e
-        | Ok p -> Ok (Lz.Lazy_pipeline.of_pipeline config p))
+let seed_builder config (o : Protocol.lazy_open_request) =
+  match (o.Protocol.app, o.Protocol.source) with
+  | None, None -> (
+    (* The codec guarantees width/height for an empty builder. *)
+    let width = Option.get o.Protocol.width and height = Option.get o.Protocol.height in
+    let rec dup = function
+      | [] -> None
+      | x :: rest -> if List.mem x rest then Some x else dup rest
     in
-    match seeded with
-    | Error d -> Protocol.error d
-    | Ok builder ->
-      if lazies_active t >= t.max_streams then begin
-        Metrics.incr t.metrics "lazy_shed";
-        Protocol.error
-          (Diag.errorf Diag.Overloaded
-             "server at --max-streams (%d) lazy sessions: close one or retry with backoff"
-             t.max_streams)
-      end
-      else begin
-        let id = Printf.sprintf "lz-%d" (Atomic.fetch_and_add t.next_lazy 1) in
-        let lz =
-          {
-            lz_id = id;
-            builder;
-            lz_lock = Mutex.create ();
-            lz_last_used = Unix.gettimeofday ();
-            lz_flushes = 0;
-          }
-        in
-        Mutex.lock t.lazies_lock;
-        Hashtbl.replace t.lazies id lz;
-        Mutex.unlock t.lazies_lock;
-        Metrics.incr t.metrics "lazy_opened";
-        Metrics.incr_gauge t.metrics "lazy_active";
-        Protocol.ok (("id", Jsonx.Str id) :: lazy_state_fields builder)
-      end)
+    match
+      (List.find_opt (fun i -> not (valid_ident i)) o.Protocol.inputs, dup o.Protocol.inputs)
+    with
+    | Some bad, _ -> Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
+    | None, Some d -> Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" d)
+    | None, None ->
+      Ok
+        (Lz.Lazy_pipeline.create
+           ~channels:(Option.value ~default:1 o.Protocol.channels)
+           ~inputs:o.Protocol.inputs ~width ~height config))
+  | app, source ->
+    let fr =
+      {
+        Protocol.app;
+        source;
+        strategy = F.Driver.Mincut;
+        c_mshared = None;
+        gamma = None;
+        tg = None;
+        optimize = false;
+        inline = false;
+        strict = false;
+        budget_ms = None;
+        no_cache = false;
+      }
+    in
+    Result.map (Lz.Lazy_pipeline.of_pipeline config)
+      (Result.bind
+         (load_pipeline ?size:(size_of o.Protocol.width o.Protocol.height) fr)
+         validated)
+
+let handle_lazy_open t (o : Protocol.lazy_open_request) =
+  let opened =
+    Session_table.open_ t.lazies
+      ~shed:
+        (Diag.errorf Diag.Overloaded
+           "server at --max-streams (%d) lazy sessions: close one or retry with backoff")
+    @@ fun () ->
+    let config =
+      request_config ~c_mshared:o.Protocol.c_mshared ~gamma:o.Protocol.gamma ~tg:o.Protocol.tg
+    in
+    Result.bind (F.Config.validate_result config) @@ fun () ->
+    Result.map (fun builder -> ({ builder; flushes = 0 }, builder)) (seed_builder config o)
+  in
+  match opened with
+  | Error d -> Protocol.error d
+  | Ok (id, builder) -> Protocol.ok (("id", Jsonx.Str id) :: lazy_state_fields builder)
+
+let with_lazy t id f =
+  match Session_table.use t.lazies id f with
+  | Ok resp -> resp
+  | Error (Session_table.Unknown | Session_table.Busy _) -> unknown "lazy session" id
 
 let handle_lazy_edit t (e : Protocol.lazy_edit_request) =
-  expire_idle_lazies t;
-  match find_lazy t e.Protocol.id with
-  | None -> unknown_lazy e.Protocol.id
-  | Some lz -> (
-    Mutex.lock lz.lz_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lz.lz_lock) @@ fun () ->
-    lz.lz_last_used <- Unix.gettimeofday ();
-    let applied =
-      Result.bind
-        (Lz.Command.parse lz.builder e.Protocol.command)
-        (Lz.Command.apply lz.builder)
-    in
-    match applied with
-    | Error d -> Protocol.error d
-    | Ok description ->
-      Metrics.incr t.metrics "lazy_edits";
-      Protocol.ok
-        (("id", Jsonx.Str lz.lz_id)
-        :: ("applied", Jsonx.Str description)
-        :: lazy_state_fields lz.builder))
+  with_lazy t e.Protocol.id @@ fun lz ->
+  match
+    Result.bind (Lz.Command.parse lz.builder e.Protocol.command) (Lz.Command.apply lz.builder)
+  with
+  | Error d -> Protocol.error d
+  | Ok description ->
+    Metrics.incr t.metrics "lazy_edits";
+    Protocol.ok
+      (("id", Jsonx.Str e.Protocol.id)
+      :: ("applied", Jsonx.Str description)
+      :: lazy_state_fields lz.builder)
 
 let lazy_plan_fields ~id ~scratch ~replan_ms (pl : Lz.Replan.plan) =
   let s = pl.Lz.Replan.stats in
@@ -1000,46 +713,31 @@ let lazy_plan_fields ~id ~scratch ~replan_ms (pl : Lz.Replan.plan) =
   ]
 
 let handle_lazy_flush t (f : Protocol.lazy_flush_request) =
-  expire_idle_lazies t;
-  match find_lazy t f.Protocol.id with
-  | None -> unknown_lazy f.Protocol.id
-  | Some lz -> (
-    Mutex.lock lz.lz_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lz.lz_lock) @@ fun () ->
-    lz.lz_last_used <- Unix.gettimeofday ();
-    let t0 = Unix.gettimeofday () in
-    let planned =
-      if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch ~pool:t.pool lz.builder
-      else Lz.Lazy_pipeline.flush ~pool:t.pool lz.builder
-    in
-    match planned with
-    | Error d -> Protocol.error d
-    | Ok plan ->
-      lz.lz_flushes <- lz.lz_flushes + 1;
-      Metrics.incr t.metrics "lazy_flushes";
-      Protocol.ok
-        (lazy_plan_fields ~id:lz.lz_id ~scratch:f.Protocol.scratch
-           ~replan_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-           plan))
+  with_lazy t f.Protocol.id @@ fun lz ->
+  let t0 = Unix.gettimeofday () in
+  let planned =
+    if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch ~pool:t.pool lz.builder
+    else Lz.Lazy_pipeline.flush ~pool:t.pool lz.builder
+  in
+  match planned with
+  | Error d -> Protocol.error d
+  | Ok plan ->
+    lz.flushes <- lz.flushes + 1;
+    Metrics.incr t.metrics "lazy_flushes";
+    Protocol.ok
+      (lazy_plan_fields ~id:f.Protocol.id ~scratch:f.Protocol.scratch
+         ~replan_ms:((Unix.gettimeofday () -. t0) *. 1000.)
+         plan)
 
 let handle_lazy_close t id =
-  expire_idle_lazies t;
-  Mutex.lock t.lazies_lock;
-  match Hashtbl.find_opt t.lazies id with
-  | None ->
-    Mutex.unlock t.lazies_lock;
-    unknown_lazy id
-  | Some lz ->
-    Hashtbl.remove t.lazies id;
-    Mutex.unlock t.lazies_lock;
-    Metrics.incr t.metrics "lazy_closed";
-    Metrics.decr_gauge t.metrics "lazy_active";
-    Protocol.ok
-      [ ("id", Jsonx.Str id); ("flushes", Jsonx.Num (float_of_int lz.lz_flushes)) ]
+  match Session_table.close t.lazies id (fun lz -> lz.flushes) with
+  | None -> unknown "lazy session" id
+  | Some flushes ->
+    Protocol.ok [ ("id", Jsonx.Str id); ("flushes", Jsonx.Num (float_of_int flushes)) ]
 
 let stats_json t =
-  expire_idle_streams t;
-  expire_idle_lazies t;
+  Session_table.expire t.streams;
+  Session_table.expire t.lazies;
   let c = Plan_cache.stats t.cache in
   let latency_json op =
     match Metrics.latency t.metrics op with
@@ -1066,6 +764,7 @@ let stats_json t =
       ]
   in
   let count name = Jsonx.Num (float_of_int (Metrics.counter t.metrics name)) in
+  let gauge name = Jsonx.Num (float_of_int (Metrics.gauge t.metrics name)) in
   Protocol.ok
     [
       ("uptime_s", Jsonx.Num (Unix.gettimeofday () -. t.started_at));
@@ -1090,8 +789,7 @@ let stats_json t =
           [
             ("accepted", count "connections_accepted");
             ("dropped", count "connections_dropped");
-            ( "active",
-              Jsonx.Num (float_of_int (Metrics.gauge t.metrics "connections_active")) );
+            ("active", gauge "connections_active");
             ("shed", count "requests_shed");
             ("timed_out", count "requests_timed_out");
           ] );
@@ -1111,15 +809,13 @@ let stats_json t =
             ("timeouts", count "native_exec_timeouts");
             ("limit_hits", count "native_exec_limits");
             ("fallbacks", count "native_exec_fallbacks");
-            ( "quarantined",
-              Jsonx.Num (float_of_int (Metrics.gauge t.metrics "quarantined_plans")) );
+            ("quarantined", gauge "quarantined_plans");
             ("crash_dir", Jsonx.Str t.crash_dir);
           ] );
       ( "streams",
         Jsonx.Obj
           [
-            ( "active",
-              Jsonx.Num (float_of_int (Metrics.gauge t.metrics "streams_active")) );
+            ("active", gauge "streams_active");
             ("opened", count "streams_opened");
             ("closed", count "streams_closed");
             ("expired", count "streams_expired");
@@ -1133,8 +829,7 @@ let stats_json t =
       ( "lazy",
         Jsonx.Obj
           [
-            ( "active",
-              Jsonx.Num (float_of_int (Metrics.gauge t.metrics "lazy_active")) );
+            ("active", gauge "lazy_active");
             ("opened", count "lazy_opened");
             ("closed", count "lazy_closed");
             ("expired", count "lazy_expired");
@@ -1150,77 +845,32 @@ let dispatch t ~deadline v =
   match Protocol.request_of_json v with
   | Error d -> ("invalid", Protocol.error d, false)
   | Ok req -> (
-    let op =
+    let op = Protocol.op_name req in
+    let handle () =
       match req with
-      | Protocol.Fuse _ -> "fuse"
-      | Protocol.Fuse_exec _ -> "fuse_exec"
-      | Protocol.Stream_open _ -> "stream_open"
-      | Protocol.Stream_push _ -> "stream_push"
-      | Protocol.Stream_close _ -> "stream_close"
-      | Protocol.Lazy_open _ -> "lazy_open"
-      | Protocol.Lazy_edit _ -> "lazy_edit"
-      | Protocol.Lazy_flush _ -> "lazy_flush"
-      | Protocol.Lazy_close _ -> "lazy_close"
-      | Protocol.Stats -> "stats"
-      | Protocol.Metrics -> "metrics"
-      | Protocol.Ping -> "ping"
-      | Protocol.Shutdown -> "shutdown"
+      | Protocol.Ping -> Protocol.ok [ ("pong", Jsonx.Bool true) ]
+      | Protocol.Shutdown -> Protocol.ok [ ("stopping", Jsonx.Bool true) ]
+      | Protocol.Stats -> stats_json t
+      | Protocol.Metrics ->
+        let text =
+          Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
+            ~uptime_s:(Unix.gettimeofday () -. t.started_at)
+        in
+        Protocol.ok [ ("text", Jsonx.Str text) ]
+      | Protocol.Fuse f -> handle_fuse t ~deadline f
+      | Protocol.Fuse_exec e -> handle_fuse_exec t ~deadline e
+      | Protocol.Stream_open o -> handle_stream_open t ~deadline o
+      | Protocol.Stream_push s -> handle_stream_push t ~deadline s
+      | Protocol.Stream_close id -> handle_stream_close t id
+      | Protocol.Lazy_open o -> handle_lazy_open t o
+      | Protocol.Lazy_edit e -> handle_lazy_edit t e
+      | Protocol.Lazy_flush f -> handle_lazy_flush t f
+      | Protocol.Lazy_close id -> handle_lazy_close t id
     in
-    match req with
-    | Protocol.Ping -> (op, Protocol.ok [ ("pong", Jsonx.Bool true) ], false)
-    | Protocol.Shutdown -> (op, Protocol.ok [ ("stopping", Jsonx.Bool true) ], true)
-    | Protocol.Stats -> (op, stats_json t, false)
-    | Protocol.Metrics ->
-      let text =
-        Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
-          ~uptime_s:(Unix.gettimeofday () -. t.started_at)
-      in
-      (op, Protocol.ok [ ("text", Jsonx.Str text) ], false)
-    | Protocol.Fuse f -> (
-      match handle_fuse t ~deadline f with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Fuse_exec e -> (
-      match handle_fuse_exec t ~deadline e with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_open o -> (
-      match handle_stream_open t ~deadline o with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_push s -> (
-      match handle_stream_push t ~deadline s with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_close id -> (
-      match handle_stream_close t id with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_open o -> (
-      match handle_lazy_open t o with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_edit e -> (
-      match handle_lazy_edit t e with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_flush f -> (
-      match handle_lazy_flush t f with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_close id -> (
-      match handle_lazy_close t id with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false)))
+    match handle () with
+    | resp -> (op, resp, req = Protocol.Shutdown)
+    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+    | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
 
 let is_ok resp = match Jsonx.mem_str "status" resp with Some "ok" -> true | _ -> false
 
@@ -1471,14 +1121,14 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
             "connections_accepted"; "connections_dropped"; "requests_shed";
             "requests_timed_out"; "protocol_errors"; "native_exec_crashes";
             "native_exec_timeouts"; "native_exec_limits"; "native_exec_fallbacks";
-            "streams_opened"; "streams_closed"; "streams_expired"; "streams_shed";
-            "frames_pushed"; "frames_shed"; "lazy_opened"; "lazy_closed";
-            "lazy_expired"; "lazy_shed"; "lazy_edits"; "lazy_flushes";
+            "frames_pushed"; "frames_shed"; "lazy_edits"; "lazy_flushes";
           ];
         Metrics.adjust_gauge metrics "connections_active" 0;
         Metrics.adjust_gauge metrics "quarantined_plans" 0;
-        Metrics.adjust_gauge metrics "streams_active" 0;
-        Metrics.adjust_gauge metrics "lazy_active" 0;
+        let sessions ~prefix ~id_prefix ?max_in_flight release =
+          Session_table.create ~metrics ~prefix ~id_prefix ~max_sessions:max_streams
+            ?max_in_flight ~idle_ms:stream_idle_ms ~release ()
+        in
         let t =
           {
             socket_path = path;
@@ -1508,15 +1158,13 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
             queue = Queue.create ();
             busy = 0;
             active = Array.make max_conns None;
-            streams_lock = Mutex.create ();
-            streams = Hashtbl.create 16;
-            next_stream = Atomic.make 0;
+            streams =
+              sessions ~prefix:"streams" ~id_prefix:"st" ~max_in_flight:stream_queue
+                (fun st -> Option.iter Native.release st.stream_plan);
+            lazies = sessions ~prefix:"lazy" ~id_prefix:"lz" ignore;
             max_streams;
             stream_queue;
             stream_idle_ms;
-            lazies_lock = Mutex.create ();
-            lazies = Hashtbl.create 16;
-            next_lazy = Atomic.make 0;
           }
         in
         t.workers <- Array.init max_conns (fun slot -> Thread.create (worker_loop t) slot);
@@ -1566,10 +1214,10 @@ let wait t =
   in
   drain ();
   Array.iter Thread.join t.workers;
-  (* Workers are joined, so no push is in flight: every stream's pinned
-     plan can be released before the process exits. *)
-  release_all_streams t;
-  release_all_lazies t;
+  (* Workers are joined, so no session is in use: every stream's pinned
+     plan is released before the process exits. *)
+  Session_table.drain t.streams;
+  Session_table.drain t.lazies;
   (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
 
 let stop t =

@@ -67,7 +67,7 @@ type t
     connections down.
 
     [exec_sandbox] (default {!Supervisor.Sandboxed}) selects how
-    [fuse_exec] runs generated code; [exec_limits] (default
+    [fuse_exec] and stream sessions run generated code; [exec_limits] (default
     {!Supervisor.default_limits}) are the rlimits for sandboxed
     children.  [crash_dir] (default [crash-corpus] under
     {!Kfuse_cache.Plan_cache.default_dir}) receives crash artifacts.
@@ -75,15 +75,18 @@ type t
     failures quarantine a plan fingerprint; [breaker_cooldown_ms]
     (default 60s) is the quarantine period before a half-open probe.
 
-    Streaming ([stream_open]/[stream_push]/[stream_close], see
-    {!Protocol}): [max_streams] (default 64, >= 1) bounds concurrently
-    open sessions — an open beyond it is shed with [KF0803].
-    [stream_queue] (default 4, >= 1) bounds each session's in-flight
+    Sessions ([stream_*] and [lazy_*], see {!Protocol}) live in one
+    {!Session_table} per kind.  [max_streams] (default 64, >= 1) bounds
+    the open sessions of each kind — at most that many streams and,
+    separately, that many lazy sessions; an open beyond it is shed with
+    [KF0803], and concurrent opens cannot overshoot it.
+    [stream_queue] (default 4, >= 1) bounds each stream's in-flight
     pushes — a push beyond it is shed with [KF0805] {e before} touching
     the session's temporal state, so the client can retry it verbatim.
-    [stream_idle_ms] (default 60s; <= 0 disables) is the idle-expiry
-    horizon: sessions untouched for longer are reaped lazily (on the
-    next stream/stats/metrics op), releasing their pinned native plan.
+    [stream_idle_ms] (default 60s; <= 0 disables) is both kinds'
+    idle-expiry horizon: sessions untouched for longer, and with no
+    request in flight, are reaped lazily (on the next op of their kind
+    or [stats]), releasing any pinned native plan.
     Each stream compiles its plan exactly once at [stream_open] and
     reuses the pinned artifact for every frame
     ({!Kfuse_exec.Native.prepare}/{!Kfuse_exec.Native.run_plan});
@@ -145,6 +148,13 @@ val metrics : t -> Metrics.t
     — as the shard that will serve it. *)
 val load_pipeline :
   ?size:int * int -> Protocol.fuse_request -> (Kfuse_ir.Pipeline.t, Diag.t) result
+
+(** [request_config ~c_mshared ~gamma ~tg] is the fusion model a request
+    plans under: {!Kfuse_fusion.Config.default} with the request's
+    optional overrides.  Exposed so the sharded router keys its
+    coalescing on the same config as the shard. *)
+val request_config :
+  c_mshared:float option -> gamma:float option -> tg:float option -> Kfuse_fusion.Config.t
 
 (** [claim_socket path] prepares [path] for a fresh [bind]: absent is
     fine; an existing socket file is probed with a connect — no listener

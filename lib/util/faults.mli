@@ -28,6 +28,10 @@
     - ["service.shed"] — at [kfused] admission; a triggered fault sheds
       that connection with a [KF0803] reply as if the admission queue
       were full, exercising the client's retry path
+    - ["stream.shed"] — at each [kfused] [stream_push] to an open
+      stream; a triggered fault sheds that push with a [KF0805] reply as
+      if the stream's frame queue were full, without advancing the
+      stream, exercising the client's verbatim push retry
     - ["proto.torn_frame"] — at each [kfused] reply; a triggered fault
       writes a deliberately truncated frame and drops the connection,
       so the client must surface a typed mid-frame error

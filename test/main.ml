@@ -37,6 +37,7 @@ let () =
       ("validate", Test_validate.suite);
       ("faults", Test_faults.suite);
       ("cache", Test_cache.suite);
+      ("session-table", Test_session_table.suite);
       ("service", Test_service.suite);
       ("topology", Test_topology.suite);
       ("chaos", Test_chaos.suite);

@@ -60,7 +60,6 @@ let test_emit_golden_map_reduce () =
       (* neg of a negative literal must not paste into the "--" token *)
       "(- -0.25f)";
       "float acc = 0.0f;";
-      "reduction(+:acc)";
       (* the reduction broadcast-fills its whole output buffer *)
       "for (int i = 0; i < (width * height); ++i)";
       "out[i] = acc;";
@@ -69,7 +68,10 @@ let test_emit_golden_map_reduce () =
       "free(neg);";
     ];
   if contains "(--" src then
-    Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src
+    Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src;
+  (* a + reduction sums serially: a team-split float sum is order-dependent *)
+  if contains "reduction(+" src then
+    Alcotest.failf "+ reduction emitted with an OpenMP clause:\n%s" src
 
 let test_emit_golden_double_tiled () =
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -268,6 +270,43 @@ let test_native_pow_faithful () =
   in
   ignore (run_exact ~mode:Exec.Native.Dlopen p);
   ignore (run_exact ~mode:Exec.Native.Subprocess p)
+
+(* Shrunk from [kfusec fuzz --cases 2 --seed 3 --native]: a global +
+   reduction summed by an OpenMP team drifted from the interpreter's
+   row-major sum (|diff| = 5.7e-14 on a 2-core host).  The inputs are
+   built so any other summation order shows: 1e16 swallows the 0.5s
+   that follow it, and the -1e16 halfway through cancels it, so only the
+   row-major order ends at 22.5. *)
+let test_native_sum_reduce_order () =
+  let width = 13 and height = 7 in
+  let p =
+    Ir.Pipeline.create ~name:"fuzz_3_0" ~width ~height ~inputs:[ "frame"; "prev" ]
+      [
+        Ir.Kernel.reduce ~name:"k5" ~inputs:[ "prev" ] ~init:0.0 ~combine:Ir.Expr.Add
+          (Ir.Expr.input "prev");
+      ]
+  in
+  let half = width * height / 2 in
+  let prev =
+    Img.Image.init ~width ~height (fun x y ->
+        match (y * width) + x with 0 -> 1e16 | i when i = half -> -1e16 | _ -> 0.5)
+  in
+  let inputs = [ ("frame", Img.Image.const ~width ~height 0.25); ("prev", prev) ] in
+  let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+  Alcotest.(check (float 0.0)) "row-major sum" 22.5
+    (Img.Image.get (List.assoc "k5" reference) 0 0);
+  List.iter
+    (fun mode ->
+      let _ = require_toolchain () in
+      with_cache_dir @@ fun cache_dir ->
+      match Exec.Native.run ~mode ~cache_dir p inputs with
+      | Error d -> Alcotest.failf "native run failed: %s" (Kfuse_util.Diag.to_string d)
+      | Ok r ->
+        Alcotest.(check (float 0.0))
+          (Exec.Native.mode_to_string mode ^ ": bit-exact sum")
+          0.0
+          (max_diff reference r.Exec.Native.outputs))
+    [ Exec.Native.Dlopen; Exec.Native.Subprocess ]
 
 let test_native_bad_calls_raise () =
   let _ = require_toolchain () in
@@ -604,8 +643,10 @@ let test_policy_string_roundtrip () =
     (fun p ->
       Alcotest.(check bool) "policy_of_string inverts policy_to_string" true
         (Sup.policy_of_string (Sup.policy_to_string p) = Some p))
-    [ Sup.Sandboxed; Sup.Dlopen_trusted; Sup.Unsandboxed ];
-  Alcotest.(check bool) "unknown policy rejected" true (Sup.policy_of_string "chroot" = None)
+    [ Sup.Sandboxed; Sup.Dlopen_trusted ];
+  Alcotest.(check bool) "unknown policy rejected" true (Sup.policy_of_string "chroot" = None);
+  Alcotest.(check bool) "the removed \"off\" policy is rejected" true
+    (Sup.policy_of_string "off" = None)
 
 (* ---- the opt-in fuzz oracle ---- *)
 
@@ -652,6 +693,8 @@ let suite =
     Alcotest.test_case "native compile cache hits" `Slow test_native_compile_cache;
     Alcotest.test_case "pow(x,2) stays on libm (regression)" `Slow
       test_native_pow_faithful;
+    Alcotest.test_case "+ reduction sums in row-major order (regression)" `Slow
+      test_native_sum_reduce_order;
     Alcotest.test_case "malformed native calls raise" `Slow test_native_bad_calls_raise;
     Alcotest.test_case "exec mode string roundtrip" `Quick test_mode_string_roundtrip;
     Alcotest.test_case "supervisor: crash classifies KF0906" `Slow

@@ -299,39 +299,110 @@ let test_stream_unknown_id () =
       Ok ())
   |> expect_ok
 
-let test_stream_capacity_shed () =
+(* The two session kinds the capacity and idle-expiry tests run over:
+   how to open one, use it, close it, and its metric prefix. *)
+type kind = {
+  prefix : string;
+  open_ : Svc.Client.t -> (Jsonx.t, Diag.t) result;
+  use : Svc.Client.t -> string -> (Jsonx.t, Diag.t) result;
+  close : Svc.Client.t -> string -> (Jsonx.t, Diag.t) result;
+}
+
+let stream_kind =
+  {
+    prefix = "streams";
+    open_ = (fun c -> Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion"));
+    use = (fun c id -> Svc.Client.stream_push c (push_req id));
+    close = Svc.Client.stream_close;
+  }
+
+let lazy_kind =
+  {
+    prefix = "lazy";
+    open_ =
+      (fun c ->
+        Svc.Client.request c
+          (Protocol.Lazy_open
+             {
+               Protocol.app = Some "harris";
+               source = None;
+               width = Some 16;
+               height = Some 12;
+               channels = None;
+               inputs = [];
+               c_mshared = None;
+               gamma = None;
+               tg = None;
+             }));
+    use = (fun c id -> Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = false }));
+    close = (fun c id -> Svc.Client.request c (Protocol.Lazy_close id));
+  }
+
+let test_capacity_shed kind () =
   with_server ~max_streams:1 @@ fun socket server ->
   Svc.Client.with_connection ~socket (fun c ->
-      let first = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      (match Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion") with
+      let first = expect_ok (kind.open_ c) in
+      (match kind.open_ c with
       | Ok _ -> Alcotest.fail "second open must be shed at --max-streams 1"
       | Error d -> Alcotest.(check string) "shed typed KF0803" "KF0803" (code_of d));
-      Alcotest.(check int) "shed counted" 1 (counter server "streams_shed");
+      Alcotest.(check int) "shed counted" 1 (counter server (kind.prefix ^ "_shed"));
       (* Closing frees the slot: the next open is admitted. *)
-      ignore (expect_ok (Svc.Client.stream_close c (stream_id first)));
-      let third = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      ignore (expect_ok (Svc.Client.stream_close c (stream_id third)));
+      ignore (expect_ok (kind.close c (stream_id first)));
+      let third = expect_ok (kind.open_ c) in
+      ignore (expect_ok (kind.close c (stream_id third)));
       Ok ())
   |> expect_ok;
-  Alcotest.(check int) "gauge back to zero" 0 (gauge server "streams_active")
+  Alcotest.(check int) "gauge back to zero" 0 (gauge server (kind.prefix ^ "_active"))
 
-let test_stream_idle_expiry () =
+let test_idle_expiry kind () =
   with_server ~stream_idle_ms:40.0 @@ fun socket server ->
   Svc.Client.with_connection ~socket (fun c ->
-      let opened = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      let id = stream_id opened in
-      ignore (expect_ok (Svc.Client.stream_push c (push_req id)));
+      let id = stream_id (expect_ok (kind.open_ c)) in
+      ignore (expect_ok (kind.use c id));
       Thread.delay 0.12;
-      (* Reaping is lazy: any stream/stats op sweeps the idle table. *)
+      (* Reaping is lazy: any session/stats op sweeps the idle table. *)
       ignore (expect_ok (Svc.Client.stats c));
-      Alcotest.(check int) "expiry counted" 1 (counter server "streams_expired");
-      Alcotest.(check int) "gauge back to zero" 0 (gauge server "streams_active");
+      Alcotest.(check int) "expiry counted" 1 (counter server (kind.prefix ^ "_expired"));
+      Alcotest.(check int) "gauge back to zero" 0 (gauge server (kind.prefix ^ "_active"));
       (* The id is gone, not resurrect-able. *)
-      (match Svc.Client.stream_push c (push_req id) with
-      | Ok _ -> Alcotest.fail "push to an expired stream must fail"
+      (match kind.use c id with
+      | Ok _ -> Alcotest.fail "use of an expired session must fail"
       | Error d -> Alcotest.(check string) "expired id typed KF0806" "KF0806" (code_of d));
       Ok ())
   |> expect_ok
+
+(* N concurrent cold opens against --max-streams 1: the slot is
+   reserved before the plan compiles, so exactly one open wins even
+   though all of them arrive inside the compile window. *)
+let test_concurrent_open_bound () =
+  let cache_dir = temp_dir "kfuse-stream-race" in
+  with_server ~cache_dir ~max_streams:1 @@ fun socket server ->
+  let n = 4 in
+  let ready = Atomic.make 0 in
+  let results = Array.make n (Ok Jsonx.Null) in
+  let opener i =
+    Thread.create
+      (fun () ->
+        results.(i) <-
+          Svc.Client.with_connection ~socket (fun c ->
+              Atomic.incr ready;
+              while Atomic.get ready < n do
+                Thread.yield ()
+              done;
+              Svc.Client.stream_open c (open_req ~width:64 ~height:48 "motion")))
+      ()
+  in
+  List.iter Thread.join (List.init n opener);
+  let ok = Array.to_list results |> List.filter Result.is_ok |> List.length in
+  let shed =
+    Array.to_list results
+    |> List.filter (function Error d -> code_of d = "KF0803" | Ok _ -> false)
+    |> List.length
+  in
+  Alcotest.(check int) "exactly one open admitted" 1 ok;
+  Alcotest.(check int) "the rest shed with KF0803" (n - 1) shed;
+  Alcotest.(check int) "one stream active" 1 (gauge server "streams_active");
+  Alcotest.(check int) "sheds counted" (n - 1) (counter server "streams_shed")
 
 let test_stream_backpressure_retry () =
   with_server @@ fun socket server ->
@@ -505,9 +576,15 @@ let suite =
     Alcotest.test_case "stream: unknown id is a typed KF0806" `Quick
       test_stream_unknown_id;
     Alcotest.test_case "stream: capacity shed with KF0803, slot freed on close" `Quick
-      test_stream_capacity_shed;
+      (test_capacity_shed stream_kind);
     Alcotest.test_case "stream: idle sessions are reaped lazily" `Quick
-      test_stream_idle_expiry;
+      (test_idle_expiry stream_kind);
+    Alcotest.test_case "lazy: capacity shed with KF0803, slot freed on close" `Quick
+      (test_capacity_shed lazy_kind);
+    Alcotest.test_case "lazy: idle sessions are reaped lazily" `Quick
+      (test_idle_expiry lazy_kind);
+    Alcotest.test_case "stream: concurrent cold opens respect --max-streams" `Slow
+      test_concurrent_open_bound;
     Alcotest.test_case "stream: backpressure shed retried exactly once" `Quick
       test_stream_backpressure_retry;
     Alcotest.test_case "stream: stop drains and releases live streams" `Quick
