@@ -61,14 +61,21 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* Names unique within the process (pid + counter), so concurrent
+   workers never race for a temp dir or an artifact's tmp path. *)
+let unique_seq = Atomic.make 0
+let unique_suffix () = Printf.sprintf "%d.%d" (Unix.getpid ()) (Atomic.fetch_and_add unique_seq 1)
+
 let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-exec-%d-%x" (Unix.getpid ())
-         (Hashtbl.hash (Unix.gettimeofday ())))
+  (* EEXIST can only be a leftover of a killed process whose pid we
+     reuse: skip to the next name. *)
+  let rec make () =
+    let dir = Filename.concat (Filename.get_temp_dir_name ()) ("kfuse-exec-" ^ unique_suffix ()) in
+    match Unix.mkdir dir 0o700 with
+    | () -> dir
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make ()
   in
-  Unix.mkdir dir 0o700;
+  let dir = make () in
   Fun.protect
     ~finally:(fun () ->
       Array.iter
@@ -145,59 +152,56 @@ let subprocess_wrapper (p : Pipeline.t) =
   let b = Buffer.create 1024 in
   let w fmt = Printf.bprintf b fmt in
   let n = C.sanitize p.Pipeline.name in
-  let inputs = p.Pipeline.inputs and outputs = Pipeline.outputs p in
+  let n_in = List.length p.Pipeline.inputs and n_out = List.length (Pipeline.outputs p) in
   let np = List.length p.Pipeline.params in
-  w "#include <stdio.h>\n\n";
+  w "#include <fcntl.h>\n#include <stdio.h>\n#include <sys/mman.h>\n";
+  w "#include <sys/stat.h>\n#include <unistd.h>\n\n";
   w "// Standalone runner: argv[1] holds the packed native-endian float64\n";
   w "// inputs (in declaration order) followed by %d parameter value%s;\n" np
     (if np = 1 then "" else "s");
-  w "// the outputs are written to argv[2] in the same packed format.\n";
-  w "// The pipeline computes in kf_scalar; the float64 scratch buffer\n";
-  w "// converts after reading and before writing.\n";
+  w "// the outputs go to argv[2] in the same packed format.  Both files\n";
+  w "// are mapped and the pipeline runs on the maps in place, which\n";
+  w "// needs kf_scalar to be float64:\n";
+  w "typedef char kf_runner_needs_f64[sizeof(kf_scalar) == sizeof(double) ? 1 : -1];\n\n";
   w "int main(int argc, char** argv) {\n";
   w "  if (argc != 3) { fprintf(stderr, \"usage: %%s IN OUT\\n\", argv[0]); return 2; }\n";
   w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
-  w "  size_t i;\n";
-  w "  double* kf_f64 = (double*)kf_malloc(npix * sizeof(double));\n";
-  w "  FILE* f = fopen(argv[1], \"rb\");\n";
-  w "  if (!f) { perror(argv[1]); return 3; }\n";
-  List.iter
-    (fun i ->
-      let v = "kf_in_" ^ C.sanitize i in
-      w "  kf_scalar* %s = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" v;
-      w "  if (fread(kf_f64, sizeof(double), npix, f) != npix) { fprintf(stderr, \
-         \"truncated input\\n\"); return 3; }\n";
-      w "  for (i = 0; i < npix; i++) %s[i] = (kf_scalar)kf_f64[i];\n" v)
-    inputs;
-  if np > 0 then begin
-    w "  double kf_params[%d];\n" np;
-    w "  if (fread(kf_params, sizeof(double), %d, f) != %d) { fprintf(stderr, \
-       \"truncated parameters\\n\"); return 3; }\n"
-      np np
+  (* An empty input file has nothing to map (mmap rejects length 0). *)
+  if n_in + np > 0 then begin
+    w "  struct stat st;\n";
+    w "  int in_fd = open(argv[1], O_RDONLY);\n";
+    w "  if (in_fd < 0 || fstat(in_fd, &st) != 0) { perror(argv[1]); return 3; }\n";
+    if n_in > 0 then
+      w "  if ((size_t)st.st_size < %d * npix * sizeof(double)) { fprintf(stderr, \
+         \"truncated input\\n\"); return 3; }\n"
+        n_in;
+    let in_bytes = Printf.sprintf "(%d * npix + %d) * sizeof(double)" n_in np in
+    if np > 0 then
+      w "  if ((size_t)st.st_size < %s) { fprintf(stderr, \"truncated parameters\\n\"); \
+         return 3; }\n"
+        in_bytes;
+    w "  void* in_map = mmap(NULL, %s, PROT_READ, MAP_PRIVATE, in_fd, 0);\n" in_bytes;
+    w "  if (in_map == MAP_FAILED) { perror(argv[1]); return 3; }\n";
+    w "  close(in_fd);\n";
+    w "  const kf_scalar* kf_in = (const kf_scalar*)in_map;\n"
   end;
-  w "  fclose(f);\n";
-  List.iter
-    (fun o ->
-      w "  kf_scalar* %s = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n"
-        ("kf_out_" ^ C.sanitize o))
-    outputs;
+  (* RLIMIT_FSIZE stops an oversized output at the ftruncate (SIGXFSZ,
+     classified KF0907). *)
+  w "  const size_t out_bytes = %d * npix * sizeof(double);\n" n_out;
+  w "  int out_fd = open(argv[2], O_RDWR | O_CREAT | O_TRUNC, 0600);\n";
+  w "  if (out_fd < 0 || ftruncate(out_fd, (off_t)out_bytes) != 0) { perror(argv[2]); \
+     return 4; }\n";
+  w "  void* out_map = mmap(NULL, out_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, out_fd, 0);\n";
+  w "  if (out_map == MAP_FAILED) { perror(argv[2]); return 4; }\n";
+  w "  close(out_fd);\n";
+  w "  kf_scalar* kf_out = (kf_scalar*)out_map;\n";
   let args =
     runner_args p
-      ~input:(fun _ name -> "kf_in_" ^ C.sanitize name)
-      ~output:(fun _ name -> "kf_out_" ^ C.sanitize name)
-      ~param:(fun i _ -> Printf.sprintf "(kf_scalar)kf_params[%d]" i)
+      ~input:(fun i name -> Printf.sprintf "kf_in + %d * npix /* %s */" i name)
+      ~output:(fun i name -> Printf.sprintf "kf_out + %d * npix /* %s */" i name)
+      ~param:(fun i name -> Printf.sprintf "kf_in[%d * npix + %d] /* %s */" n_in i name)
   in
   w "  run_%s(%s);\n" n (String.concat ", " args);
-  w "  f = fopen(argv[2], \"wb\");\n";
-  w "  if (!f) { perror(argv[2]); return 4; }\n";
-  List.iter
-    (fun o ->
-      let v = "kf_out_" ^ C.sanitize o in
-      w "  for (i = 0; i < npix; i++) kf_f64[i] = (double)%s[i];\n" v;
-      w "  if (fwrite(kf_f64, sizeof(double), npix, f) != npix) { perror(argv[2]); \
-         return 4; }\n")
-    outputs;
-  w "  if (fclose(f) != 0) { perror(argv[2]); return 4; }\n";
   w "  return 0;\n}\n";
   Buffer.contents b
 
@@ -250,7 +254,6 @@ let compiles () = Atomic.get compile_count
    tmp name and the atomic rename. *)
 let compile_lock = Mutex.create ()
 let compile_inflight : (string, Condition.t) Hashtbl.t = Hashtbl.create 8
-let compile_attempt = Atomic.make 0
 
 let single_flight ~dest build =
   Mutex.lock compile_lock;
@@ -295,9 +298,9 @@ let compile ?cache_dir ?tile ~mode (p : Pipeline.t) =
          point at a file a human can feed to the compiler by hand. *)
       let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
       write_file src_path src;
-      let attempt = Atomic.fetch_and_add compile_attempt 1 in
-      let tmp = Printf.sprintf "%s.tmp.%d.%d" dest (Unix.getpid ()) attempt in
-      let err_path = Printf.sprintf "%s.log.%d.%d" dest (Unix.getpid ()) attempt in
+      let attempt = unique_suffix () in
+      let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
+      let err_path = Printf.sprintf "%s.log.%s" dest attempt in
       let argv =
         (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
         @ [ "-o"; tmp; src_path; "-lm" ]
@@ -451,22 +454,84 @@ let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals 
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
   else Ok (finish_outputs p out_names outs, List.rev !samples)
 
-let pack_float64 buf f = Buffer.add_int64_ne buf (Int64.bits_of_float f)
+(* The runner's files are packed native-endian float64.  Only the child
+   maps them: the parent moves them with plain fd I/O through one 64 KiB
+   chunk, so nothing it touches outlives the request, and a full temp
+   filesystem is an ENOSPC error here rather than a SIGBUS on a page of
+   a sparse mapping. *)
+let chunk_floats = 8192
+
+let write_runner_input path arrays pvals =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let chunk = Bytes.create (8 * chunk_floats) in
+  let put a =
+    let n = Array.length a and i = ref 0 in
+    while !i < n do
+      let k = min chunk_floats (n - !i) in
+      for j = 0 to k - 1 do
+        Bytes.set_int64_ne chunk (8 * j) (Int64.bits_of_float (Array.unsafe_get a (!i + j)))
+      done;
+      (* Unix.write returns only once all [8 * k] bytes are written. *)
+      ignore (Unix.write fd chunk 0 (8 * k));
+      i := !i + k
+    done
+  in
+  List.iter put arrays;
+  put (Array.of_list pvals)
+
+let rec read_exactly fd b off len =
+  if len > 0 then
+    match Unix.read fd b off len with
+    | 0 -> raise End_of_file
+    | k -> read_exactly fd b (off + k) (len - k)
+
+(* Called only once the child is reaped, so the size [fstat] gives is
+   final: a short output is a typed KF0904. *)
+let read_runner_output ~artifact ~npix ~n_out path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let expected = 8 * npix * n_out in
+  let size = (Unix.fstat fd).Unix.st_size in
+  if size <> expected then
+    Error
+      (Diag.errorf Diag.Exec_failed "compiled plan %s wrote %d bytes, expected %d" artifact size
+         expected)
+  else
+    let chunk = Bytes.create (8 * chunk_floats) in
+    let get () =
+      let buf = Array.create_float npix and i = ref 0 in
+      while !i < npix do
+        let k = min chunk_floats (npix - !i) in
+        read_exactly fd chunk 0 (8 * k);
+        for j = 0 to k - 1 do
+          Array.unsafe_set buf (!i + j) (Int64.float_of_bits (Bytes.get_int64_ne chunk (8 * j)))
+        done;
+        i := !i + k
+      done;
+      buf
+    in
+    Ok (Array.init n_out (fun _ -> get ()))
+
+(* I/O errors on the runner's files (ENOSPC on a full temp filesystem,
+   say) are typed KF0904 replies, not exceptions out of the request. *)
+let runner_io what f =
+  try f () with
+  | Unix.Unix_error (e, _, _) ->
+    Error (Diag.errorf Diag.Exec_failed "cannot %s: %s" what (Unix.error_message e))
+  | End_of_file -> Error (Diag.errorf Diag.Exec_failed "cannot %s: unexpected end of file" what)
 
 let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs pvals =
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
-  let n_out = List.length out_names in
   with_temp_dir (fun dir ->
       let in_path = Filename.concat dir "in.f64" in
       let out_path = Filename.concat dir "out.f64" in
       let err_path = Filename.concat dir "stderr" in
-      let buf = Buffer.create (8 * ((npix * List.length p.Pipeline.inputs) + List.length pvals)) in
-      List.iter
-        (fun n -> Array.iter (pack_float64 buf) (flatten (List.assoc n inputs)))
-        p.Pipeline.inputs;
-      List.iter (pack_float64 buf) pvals;
-      write_file in_path (Buffer.contents buf);
+      let ins = List.map (fun n -> flatten (List.assoc n inputs)) p.Pipeline.inputs in
+      Result.bind
+        (runner_io "write plan input" (fun () -> Ok (write_runner_input in_path ins pvals)))
+      @@ fun () ->
       (* Each sample is a supervised fork/exec child (no shell): rlimits
          between fork and exec, a watchdog on the request deadline, and
          typed KF0905/KF0906/KF0907 classification when it dies. *)
@@ -489,28 +554,11 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
       done;
       match !failed with
       | Some d -> Error d
-      | None -> (
-        let expected = 8 * npix * n_out in
-        match open_in_bin out_path with
-        | exception Sys_error msg ->
-          Error (Diag.errorf Diag.Exec_failed "cannot read plan output: %s" msg)
-        | ic ->
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-              if in_channel_length ic <> expected then
-                Error
-                  (Diag.errorf Diag.Exec_failed
-                     "compiled plan %s wrote %d bytes, expected %d" artifact
-                     (in_channel_length ic) expected)
-              else begin
-                let bytes = really_input_string ic expected |> Bytes.of_string in
-                let bufs =
-                  Array.init n_out (fun o ->
-                      Array.init npix (fun i ->
-                          Int64.float_of_bits
-                            (Bytes.get_int64_ne bytes (8 * ((o * npix) + i)))))
-                in
-                Ok (finish_outputs p out_names bufs, List.rev !samples)
-              end)))
+      | None ->
+        Result.map
+          (fun bufs -> (finish_outputs p out_names bufs, List.rev !samples))
+          (runner_io "read plan output" (fun () ->
+               read_runner_output ~artifact ~npix ~n_out:(List.length out_names) out_path)))
 
 (* {1 Pinned plans} *)
 

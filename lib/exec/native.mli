@@ -13,12 +13,20 @@
       small C stub against the fixed entry point
       [void kfuse_entry(const double** ins, double** outs, const double* params)]
       (ABI v2, appended to the generated source).  Cheapest per call.
-    - {!Subprocess}: build a standalone executable whose [main] reads
-      packed native-endian float64 inputs+parameters from a file and
-      writes the outputs to another; run it as a child process.  Slower
-      (process spawn + file I/O per run) but survives environments where
-      loading untrusted-at-build-time objects into the host process is
-      unwanted.
+    - {!Subprocess}: build a standalone executable [artifact IN OUT]
+      and run it as a child process.  [IN] holds packed native-endian
+      float64: the inputs in declaration order, then the parameter
+      values.  [OUT] receives the outputs in {!Kfuse_ir.Pipeline.outputs}
+      order in the same format.  The child maps [IN] read-only, sizes
+      [OUT] with [ftruncate] and maps it shared, so the kernels read and
+      write the maps in place; the parent writes [IN] and reads [OUT]
+      with plain reads and writes, so an I/O error there (a full temp
+      filesystem, say) is a [KF0904], never a fault in the caller.  A
+      short [IN] fails the child ("truncated input"/"truncated
+      parameters", [KF0904]); an [OUT] of the wrong size is a [KF0904]
+      found before the parent reads it.  Slower than {!Dlopen} (a process spawn per
+      run) but survives environments where loading
+      untrusted-at-build-time objects into the host process is unwanted.
 
     Artifacts are content-addressed in a cache directory: the key folds
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),

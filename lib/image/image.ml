@@ -101,7 +101,9 @@ let equal_eps ~eps a b =
   a.width = b.width && a.height = b.height && max_abs_diff a b <= eps
 
 let random rng ~width ~height ~lo ~hi =
-  init ~width ~height (fun _ _ -> lo +. Kfuse_util.Rng.float rng (hi -. lo))
+  let img = create ~width ~height () in
+  Kfuse_util.Rng.fill_float rng ~lo ~span:(hi -. lo) img.data;
+  img
 
 let pp ppf img =
   Format.fprintf ppf "@[<v>";

@@ -87,7 +87,9 @@ val max_abs_diff : t -> t -> float
 val equal_eps : eps:float -> t -> t -> bool
 
 (** [random rng ~width ~height ~lo ~hi] fills an image with uniform
-    samples in [\[lo, hi)] from the deterministic generator [rng]. *)
+    samples in [\[lo, hi)] from the deterministic generator [rng]:
+    [lo +. Rng.float rng (hi -. lo)] per pixel, drawn in row-major
+    order ({!Kfuse_util.Rng.fill_float}). *)
 val random : Kfuse_util.Rng.t -> width:int -> height:int -> lo:float -> hi:float -> t
 
 (** [pp ppf img] prints small images as a grid (intended for tests and

@@ -226,13 +226,15 @@ let output_json ~return_pixels (name, img) =
   let w = Image.width img and h = Image.height img in
   let n = w * h in
   let lo = ref Float.infinity and hi = ref Float.neg_infinity and sum = ref 0.0 in
-  for y = 0 to h - 1 do
-    for x = 0 to w - 1 do
-      let v = Image.get img x y in
-      if v < !lo then lo := v;
-      if v > !hi then hi := v;
-      sum := !sum +. v
-    done
+  (* The backing array is row-major, so [sum] adds in the same order as
+     a y-then-x walk and [mean] keeps its bits.  A plain loop (no
+     closure) keeps the float refs unboxed. *)
+  let data = Image.unsafe_data img in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get data i in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v;
+    sum := !sum +. v
   done;
   let base =
     [

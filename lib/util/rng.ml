@@ -47,6 +47,32 @@ let float t x =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. x
 
+(* [bits64] and [float] inlined over local refs: ocamlopt keeps
+   non-escaping int64/float refs unboxed, while every write to a mutable
+   int64 field of [t] allocates a box.  The step must stay identical to
+   [bits64]; the test suite checks the stream and the final state
+   against per-draw [float] calls. *)
+let fill_float t ~lo ~span a =
+  let open Int64 in
+  let s0 = ref t.s0 and s1 = ref t.s1 and s2 = ref t.s2 and s3 = ref t.s3 in
+  for i = 0 to Array.length a - 1 do
+    let x = mul !s1 5L in
+    let r = mul (logor (shift_left x 7) (shift_right_logical x 57)) 9L in
+    let tmp = shift_left !s1 17 in
+    s2 := logxor !s2 !s0;
+    s3 := logxor !s3 !s1;
+    s1 := logxor !s1 !s2;
+    s0 := logxor !s0 !s3;
+    s2 := logxor !s2 tmp;
+    s3 := logor (shift_left !s3 45) (shift_right_logical !s3 19);
+    Array.unsafe_set a i
+      (lo +. (to_float (shift_right_logical r 11) /. 9007199254740992.0 *. span))
+  done;
+  t.s0 <- !s0;
+  t.s1 <- !s1;
+  t.s2 <- !s2;
+  t.s3 <- !s3
+
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let gaussian t =

@@ -28,6 +28,11 @@ val int : t -> int -> int
 (** [float t x] is uniform in [\[0, x)]. *)
 val float : t -> float -> float
 
+(** [fill_float t ~lo ~span a] sets [a.(i)] to [lo +. float t span] for
+    every [i] in increasing order: the same values, and the same state
+    left in [t], as that many {!float} calls, without allocating. *)
+val fill_float : t -> lo:float -> span:float -> float array -> unit
+
 (** [gaussian t] is a standard normal sample (Box-Muller). *)
 val gaussian : t -> float
 

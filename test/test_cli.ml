@@ -193,7 +193,23 @@ let test_run_native_e2e () =
   in
   Alcotest.(check int) "subprocess run exits 0" 0 code;
   Alcotest.(check bool) "subprocess diff 0" true
-    (contains "native max-abs-diff vs interpreter: 0" text)
+    (contains "native max-abs-diff vs interpreter: 0" text);
+  (* A failed write of the runner's input file (here EFBIG under a file
+     size cap of 1024 blocks, at most 1 MiB, as ENOSPC on a full disk)
+     is a typed KF0904, not a signal.  The cap leaves room to compile;
+     a 640x480 input needs 2.4 MB. *)
+  let big = Filename.concat dir "big.pgm" in
+  Kfuse_image.Pgm.write big (Kfuse_image.Image.const ~width:640 ~height:480 0.5);
+  let code, text =
+    run_capture ~env:"trap '' XFSZ; ulimit -f 1024; KFUSE_FAULTS="
+      [
+        "run"; Filename.concat pipelines_dir "sobel.pipe"; "--native"; "--cache-dir"; dir;
+        "-i"; big; "--exec-mode"; "subprocess";
+      ]
+  in
+  Alcotest.(check bool) "capped run fails" true (code <> 0);
+  Alcotest.(check bool) "typed KF0904 on the input write" true
+    (contains "KF0904" text && contains "cannot write plan input" text)
 
 let test_run_native_no_toolchain () =
   (* KFUSE_CC pointing nowhere must surface as a typed KF0902, not a

@@ -212,12 +212,12 @@ let max_diff reference outputs =
     (fun acc (_, a) (_, b) -> Float.max acc (Img.Image.max_abs_diff a b))
     0.0 reference outputs
 
-let run_exact ~mode ?(repeat = 1) p =
+let run_exact ~mode ?(repeat = 1) ?params p =
   let _ = require_toolchain () in
   with_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for p in
-  let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
-  match Exec.Native.run ~mode ~cache_dir ~repeat p inputs with
+  let reference = Ir.Eval.run_outputs ?params p (Ir.Eval.env_of_list inputs) in
+  match Exec.Native.run ~mode ~cache_dir ~repeat ?params p inputs with
   | Error d -> Alcotest.failf "native run failed: %s" (Kfuse_util.Diag.to_string d)
   | Ok r ->
     Alcotest.(check bool)
@@ -236,6 +236,30 @@ let test_native_dlopen_exact () =
 let test_native_subprocess_exact () =
   let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
   ignore (run_exact ~mode:Exec.Native.Subprocess ~repeat:3 fused)
+
+(* The sandbox runner maps its files and runs the kernels on the maps:
+   every input and output sits at an offset of one shared map, and the
+   parameters trail the inputs. *)
+let test_runner_layouts_exact () =
+  let _, night_rgb =
+    let p = Kfuse_apps.Extra.night_rgb_pipeline ~width:17 ~height:13 () in
+    (p, (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused)
+  in
+  Alcotest.(check (pair int int)) "night_rgb is 3-in/3-out" (3, 3)
+    (List.length night_rgb.Ir.Pipeline.inputs, List.length (Ir.Pipeline.outputs night_rgb));
+  let r = run_exact ~mode:Exec.Native.Subprocess night_rgb in
+  Alcotest.(check int) "three outputs" 3 (List.length r.Exec.Native.outputs);
+  (* no params, and a reduction output *)
+  ignore (run_exact ~mode:Exec.Native.Subprocess (neg_reduce_pipeline ()));
+  (* a param override lands in the file's tail *)
+  let _, harris = fused_app "harris" ~width:15 ~height:11 in
+  ignore (run_exact ~mode:Exec.Native.Subprocess ~params:[ ("k", 0.07) ] harris);
+  (* no inputs and no params: an empty input file, never mapped *)
+  let constant =
+    Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
+      [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const 2.5) ]
+  in
+  ignore (run_exact ~mode:Exec.Native.Subprocess constant)
 
 let test_native_compile_cache () =
   let _ = require_toolchain () in
@@ -487,6 +511,93 @@ let test_supervisor_stderr_tail () =
   Alcotest.(check bool) "marked truncated" true (contains "truncated" tail);
   Alcotest.(check bool) "keeps the end of the stream" true (contains "THE-END" tail)
 
+(* ---- the sandbox runner's failure paths ---- *)
+
+let diag_id (d : Kfuse_util.Diag.t) = Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code
+
+let test_runner_truncated_input () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
+  Alcotest.(check (pair int int)) "one input, one param" (1, 1)
+    (List.length fused.Ir.Pipeline.inputs, List.length fused.Ir.Pipeline.params);
+  with_cache_dir @@ fun cache_dir ->
+  let artifact =
+    match Exec.Native.compile ~cache_dir ~mode:Exec.Native.Subprocess fused with
+    | Ok (path, _, _) -> path
+    | Error d -> Alcotest.failf "compile failed: %s" (Kfuse_util.Diag.to_string d)
+  in
+  let run_on ~doubles =
+    let in_path = Filename.concat cache_dir "in.f64" in
+    Out_channel.with_open_bin in_path (fun oc ->
+        output_string oc (String.make (8 * doubles) '\000'));
+    Sup.run ~fault_injection:false
+      ~argv:[ artifact; in_path; Filename.concat cache_dir "out.f64" ]
+      ()
+  in
+  let npix = 16 * 12 in
+  let r = run_on ~doubles:(npix - 1) in
+  Alcotest.(check string) "short image is KF0904" "KF0904" (diag_code r);
+  Alcotest.(check bool) "says truncated input" true (contains "truncated input" r.Sup.stderr_tail);
+  let r = run_on ~doubles:npix in
+  Alcotest.(check string) "missing param is KF0904" "KF0904" (diag_code r);
+  Alcotest.(check bool) "says truncated parameters" true
+    (contains "truncated parameters" r.Sup.stderr_tail);
+  let r = run_on ~doubles:(npix + 1) in
+  match r.Sup.status with
+  | Ok () -> ()
+  | Error _ -> Alcotest.failf "a complete input failed: %s" r.Sup.stderr_tail
+
+(* The runner sizes its output with ftruncate: RLIMIT_FSIZE must stop it
+   there. *)
+let test_runner_fsize_limit () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  let inputs = inputs_for fused in
+  let out_bytes = 8 * 16 * 12 * List.length (Ir.Pipeline.outputs fused) in
+  let run fsize =
+    Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir
+      ~limits:{ Sup.no_limits with Sup.wall_ms = Some 30_000.; Sup.fsize_bytes = Some fsize }
+      fused inputs
+  in
+  (match run (out_bytes - 8) with
+  | Ok _ -> Alcotest.fail "an output past RLIMIT_FSIZE was accepted"
+  | Error d ->
+    Alcotest.(check string) "typed KF0907" "KF0907" (diag_id d);
+    Alcotest.(check bool) "names RLIMIT_FSIZE" true
+      (contains "RLIMIT_FSIZE" (Kfuse_util.Diag.to_string d)));
+  match run out_bytes with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "an output at the limit failed: %s" (Kfuse_util.Diag.to_string d)
+
+(* The parent checks the output's size before reading it: a child that
+   exits 0 with a short file is a typed KF0904. *)
+let test_runner_short_output () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
+  | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok plan -> (
+    Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+    let fixture =
+      compile_fixture "shortout"
+        "#include <stdio.h>\n\
+         int main(int argc, char** argv) {\n\
+        \  double d = 1.0;\n\
+        \  FILE* f = argc == 3 ? fopen(argv[2], \"wb\") : NULL;\n\
+        \  if (!f || fwrite(&d, sizeof d, 1, f) != 1) return 1;\n\
+        \  return fclose(f) != 0;\n\
+         }\n"
+    in
+    Sys.rename fixture (Exec.Native.plan_artifact plan);
+    match Exec.Native.run_plan plan (inputs_for fused) with
+    | Ok _ -> Alcotest.fail "a short output file was accepted"
+    | Error d ->
+      Alcotest.(check string) "typed KF0904" "KF0904" (diag_id d);
+      Alcotest.(check bool) "reports the short size" true
+        (contains "wrote 8 bytes" (Kfuse_util.Diag.to_string d)))
+
 let test_exec_fault_points () =
   (* The exec.* chaos points misbehave in the child, so no toolchain and
      no real crashing binary are needed: the victim argv is /bin/true. *)
@@ -690,6 +801,8 @@ let suite =
       test_native_dlopen_exact;
     Alcotest.test_case "native subprocess matches interpreter bitwise" `Slow
       test_native_subprocess_exact;
+    Alcotest.test_case "sandbox runner: 3-in/3-out, params, reduction, no inputs" `Slow
+      test_runner_layouts_exact;
     Alcotest.test_case "native compile cache hits" `Slow test_native_compile_cache;
     Alcotest.test_case "pow(x,2) stays on libm (regression)" `Slow
       test_native_pow_faithful;
@@ -711,6 +824,12 @@ let suite =
       test_supervisor_expired_deadline;
     Alcotest.test_case "supervisor: stderr tail captured and capped" `Quick
       test_supervisor_stderr_tail;
+    Alcotest.test_case "sandbox runner: truncated input is KF0904" `Slow
+      test_runner_truncated_input;
+    Alcotest.test_case "sandbox runner: RLIMIT_FSIZE at ftruncate is KF0907" `Slow
+      test_runner_fsize_limit;
+    Alcotest.test_case "sandbox runner: short output is KF0904, no SIGBUS" `Slow
+      test_runner_short_output;
     Alcotest.test_case "supervisor: exec.* chaos fault points" `Quick
       test_exec_fault_points;
     Alcotest.test_case "supervisor: circuit breaker lifecycle" `Quick

@@ -228,6 +228,45 @@ let test_convolve_at_outside () =
   Alcotest.check (Helpers.float_close ~eps:1e-12 ()) "outside clamp" 2.0
     (Convolve.at ~border:Border.Clamp Mask.gaussian_3x3 img (-5) (-5))
 
+(* ---- Image.random ---- *)
+
+module Rng = Kfuse_util.Rng
+
+(* The per-draw reference for [Image.random]: [Rng.fill_float] keeps its
+   own copy of the xoshiro step, trusted only because the property below
+   holds. *)
+let random_per_draw rng ~width ~height ~lo ~hi =
+  Image.init ~width ~height (fun _ _ -> lo +. Rng.float rng (hi -. lo))
+
+let prop_random_per_draw =
+  let extent = QCheck.Gen.(frequency [ (1, return 1); (3, int_range 1 40) ]) in
+  let bound = QCheck.Gen.float_range (-1e3) 1e3 in
+  QCheck.Test.make ~count:300 ~name:"Image.random = per-draw Rng.float, then same state"
+    (QCheck.make
+       ~print:(fun (seed, w, h, lo, hi) -> Printf.sprintf "seed %d, %dx%d, [%h, %h)" seed w h lo hi)
+       QCheck.Gen.(map (fun ((seed, w, h), (lo, hi)) -> (seed, w, h, lo, hi))
+                     (pair (triple int extent extent) (pair bound bound))))
+    (fun (seed, width, height, lo, hi) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let got = Image.random a ~width ~height ~lo ~hi in
+      let want = random_per_draw b ~width ~height ~lo ~hi in
+      (* bits64's output reads only s1: a few draws reach the whole state *)
+      let next rng = List.init 8 (fun _ -> Rng.bits64 rng) in
+      Image.equal got want && next a = next b)
+
+(* Pinned from the per-draw definition, so neither side of the property
+   can drift together with the other. *)
+let test_random_golden () =
+  let img = Image.random (Rng.create 20261016) ~width:64 ~height:48 ~lo:(-1.0) ~hi:3.0 in
+  let checksum =
+    Image.fold
+      (fun acc v -> Int64.(add (mul acc 1_000_003L) (bits_of_float v)))
+      0L img
+  in
+  Alcotest.(check string) "checksum" "da2451c8b3617ec1" (Printf.sprintf "%016Lx" checksum);
+  let one = Image.random (Rng.create 7) ~width:1 ~height:1 ~lo:0.0 ~hi:1.0 in
+  Alcotest.(check string) "1x1" "0x1.66b1f5ee9df2ep-1" (Printf.sprintf "%h" (Image.get one 0 0))
+
 let suite =
   [
     Alcotest.test_case "Border inside" `Quick test_border_inside;
@@ -258,4 +297,6 @@ let suite =
     Alcotest.test_case "Convolve matches Figure 4a" `Quick test_convolve_matches_figure4;
     Alcotest.test_case "Convolve interior-only" `Quick test_convolve_interior_only;
     Alcotest.test_case "Convolve.at outside" `Quick test_convolve_at_outside;
+    Alcotest.test_case "Image.random golden checksum" `Quick test_random_golden;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261016 |]) prop_random_per_draw;
   ]
