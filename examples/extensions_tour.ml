@@ -7,7 +7,8 @@
       model must keep (Figure 2c);
    4. cleanup passes       - simplify + CSE over the fused bodies;
    5. launch autotuning    - pick thread-block shapes under the GPU model;
-   6. CPU backend          - emit tiled C + OpenMP for the result.
+   6. CPU backend          - emit C + OpenMP for the result, split into
+                             a clamp-free interior and a bordered halo.
 
    Run with: dune exec examples/extensions_tour.exe *)
 
@@ -85,11 +86,9 @@ let () =
         c.G.Autotune.best_ms)
     choices;
 
-  (* 6. Tiled CPU code for the final pipeline. *)
-  print_endline "\n--- C + OpenMP (64x16 tiles), first 40 lines ---";
-  let c_source =
-    Kfuse_codegen.Lower_cpu.emit_pipeline ~tile:(64, 16) report.F.Driver.fused
-  in
+  (* 6. CPU code for the final pipeline. *)
+  print_endline "\n--- C + OpenMP, first 40 lines ---";
+  let c_source = Kfuse_codegen.Lower_cpu.emit_pipeline report.F.Driver.fused in
   String.split_on_char '\n' c_source
   |> List.filteri (fun i _ -> i < 40)
   |> List.iter print_endline

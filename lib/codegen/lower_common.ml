@@ -79,8 +79,20 @@ let cmp_c = function Expr.Lt -> "<" | Expr.Le -> "<=" | Expr.Eq -> "=="
 let width_e = ident "width"
 let height_e = ident "height"
 
-let rec lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
-  let lower ?(bounded = bounded) ctx = lower ~prec ~bounded ctx in
+(* Where an expression is evaluated.  [Resolved] coordinates go through
+   border handling and index exchange; [bounded] records that they are
+   known inside the iteration space.  [Interior] is the base coordinate
+   [(cx, cy)] plus a constant offset, for pixels at least the kernel's
+   reach from every border: every coordinate the body evaluates is then
+   inside the image, so reads are raw loads and exchanges the identity. *)
+type pos =
+  | Resolved of { cx : expr; cy : expr; bounded : bool }
+  | Interior of { cx : expr; cy : expr; ox : int; oy : int }
+
+let plus e d = if d = 0 then e else e +: int_lit d
+
+let rec lower_at ~prec ctx ~vars pos e =
+  let lower ctx ~vars pos e = lower_at ~prec ctx ~vars pos e in
   match e with
   | Expr.Const c -> scalar_lit prec c
   | Expr.Param p -> ident ("p_" ^ sanitize p)
@@ -89,92 +101,106 @@ let rec lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
     | Some c -> ident c
     | None -> invalid_arg (Printf.sprintf "Lower: unbound variable %%%s" v))
   | Expr.Let { var; value; body } ->
-    let ce = lower ctx ~vars ~cx ~cy value in
+    let ce = lower ctx ~vars pos value in
     let name = fresh ctx ("r_" ^ sanitize var ^ "_") in
     emit ctx (Decl { ctype = "const " ^ scalar_ctype prec; name; init = Some ce });
-    lower ctx ~vars:((var, name) :: vars) ~cx ~cy body
-  | Expr.Input { image; dx; dy; border } ->
-    if bounded && dx = 0 && dy = 0 then
-      (* The coordinates are known in-bounds (iteration variables, or
-         already remapped by an index exchange), so every border mode
-         degenerates to the raw load — skip the per-read re-clamp on
-         the kernel's hottest path. *)
-      index (ident ("img_" ^ sanitize image)) ((cy *: width_e) +: cx)
-    else
-      let x = if dx = 0 then cx else cx +: int_lit dx in
-      let y = if dy = 0 then cy else cy +: int_lit dy in
-      let base = [ ident ("img_" ^ sanitize image); x; y; width_e; height_e ] in
-      let args =
-        match border with
-        | Border.Constant c -> base @ [ scalar_lit prec c ]
-        | Border.Clamp | Border.Mirror | Border.Repeat | Border.Undefined -> base
-      in
-      call (read_fn border) args
+    lower ctx ~vars:((var, name) :: vars) pos body
+  | Expr.Input { image; dx; dy; border } -> (
+    let img = ident ("img_" ^ sanitize image) in
+    match pos with
+    | Interior { cx; cy; ox; oy } ->
+      index img ((plus cy (oy + dy) *: width_e) +: plus cx (ox + dx))
+    | Resolved { cx; cy; bounded } ->
+      if bounded && dx = 0 && dy = 0 then
+        (* The coordinates are known in-bounds (iteration variables, or
+           already remapped by an index exchange), so every border mode
+           degenerates to the raw load — skip the per-read re-clamp on
+           the kernel's hottest path. *)
+        index img ((cy *: width_e) +: cx)
+      else
+        let base = [ img; plus cx dx; plus cy dy; width_e; height_e ] in
+        let args =
+          match border with
+          | Border.Constant c -> base @ [ scalar_lit prec c ]
+          | Border.Clamp | Border.Mirror | Border.Repeat | Border.Undefined -> base
+        in
+        call (read_fn border) args)
   | Expr.Unop (op, a) -> (
-    let ca = lower ctx ~vars ~cx ~cy a in
+    let ca = lower ctx ~vars pos a in
     match unop_c prec op with `Prefix s -> Unop (s, ca) | `Fn f -> call f [ ca ])
   | Expr.Binop (op, a, b) -> (
-    let ca = lower ctx ~vars ~cx ~cy a in
-    let cb = lower ctx ~vars ~cx ~cy b in
+    let ca = lower ctx ~vars pos a in
+    let cb = lower ctx ~vars pos b in
     match binop_c prec op with `Infix s -> Binop (s, ca, cb) | `Fn f -> call f [ ca; cb ])
   | Expr.Select { cmp; lhs; rhs; if_true; if_false } ->
-    let cl = lower ctx ~vars ~cx ~cy lhs in
-    let cr = lower ctx ~vars ~cx ~cy rhs in
-    let ct = lower ctx ~vars ~cx ~cy if_true in
-    let cf = lower ctx ~vars ~cx ~cy if_false in
+    let cl = lower ctx ~vars pos lhs in
+    let cr = lower ctx ~vars pos rhs in
+    let ct = lower ctx ~vars pos if_true in
+    let cf = lower ctx ~vars pos if_false in
     Ternary (Binop (cmp_c cmp, cl, cr), ct, cf)
   | Expr.Shift { dx; dy; exchange; body } -> (
-    let sx = cx +: int_lit dx and sy = cy +: int_lit dy in
-    match exchange with
-    | None | Some Border.Undefined ->
-      let nx = fresh ctx "sx" and ny = fresh ctx "sy" in
-      emit ctx (Decl { ctype = "const int"; name = nx; init = Some sx });
-      emit ctx (Decl { ctype = "const int"; name = ny; init = Some sy });
-      (* The unexchanged shift may leave the iteration space: reads at
-         these coordinates keep their border handling. *)
-      lower ~bounded:(bounded && dx = 0 && dy = 0) ctx ~vars ~cx:(ident nx)
-        ~cy:(ident ny) body
-    | Some ((Border.Clamp | Border.Mirror | Border.Repeat) as mode) ->
-      (* Index exchange: remap the shifted coordinate into the iteration
-         space before evaluating the inlined producer. *)
-      let f = Option.get (idx_fn mode) in
-      let nx = fresh ctx "ex" and ny = fresh ctx "ey" in
-      emit ctx
-        (Decl { ctype = "const int"; name = nx; init = Some (call f [ sx; width_e ]) });
-      emit ctx
-        (Decl { ctype = "const int"; name = ny; init = Some (call f [ sy; height_e ]) });
-      (* The exchange remapped both coordinates into the iteration
-         space, so the inlined producer's central reads are bounded. *)
-      lower ~bounded:true ctx ~vars ~cx:(ident nx) ~cy:(ident ny) body
-    | Some (Border.Constant c) ->
-      (* The exchanged intermediate pixel is the padding constant outside
-         the iteration space; guard the inlined producer. *)
-      let nx = fresh ctx "gx" and ny = fresh ctx "gy" in
-      let result = fresh ctx "ge" in
-      emit ctx (Decl { ctype = "const int"; name = nx; init = Some sx });
-      emit ctx (Decl { ctype = "const int"; name = ny; init = Some sy });
-      emit ctx (Decl { ctype = scalar_ctype prec; name = result; init = None });
-      let saved = ctx.stmts in
-      ctx.stmts <- [];
-      (* The guard below only evaluates the producer inside the
-         iteration space, so its central reads are bounded. *)
-      let inner = lower ~bounded:true ctx ~vars ~cx:(ident nx) ~cy:(ident ny) body in
-      let inner_stmts = List.rev (Assign (ident result, inner) :: ctx.stmts) in
-      ctx.stmts <- saved;
-      let inside =
-        Binop (">=", ident nx, int_lit 0)
-        &&: (ident nx <: width_e)
-        &&: Binop (">=", ident ny, int_lit 0)
-        &&: (ident ny <: height_e)
-      in
-      emit ctx
-        (If
-           {
-             cond = inside;
-             then_ = inner_stmts;
-             else_ = [ Assign (ident result, scalar_lit prec c) ];
-           });
-      ident result)
+    match pos with
+    | Interior i ->
+      (* Every exchange, the Constant guard included, is the identity. *)
+      lower ctx ~vars (Interior { i with ox = i.ox + dx; oy = i.oy + dy }) body
+    | Resolved { cx; cy; bounded } -> (
+      let sx = cx +: int_lit dx and sy = cy +: int_lit dy in
+      let resolved ~bounded nx ny = Resolved { cx = ident nx; cy = ident ny; bounded } in
+      match exchange with
+      | None | Some Border.Undefined ->
+        let nx = fresh ctx "sx" and ny = fresh ctx "sy" in
+        emit ctx (Decl { ctype = "const int"; name = nx; init = Some sx });
+        emit ctx (Decl { ctype = "const int"; name = ny; init = Some sy });
+        (* The unexchanged shift may leave the iteration space: reads at
+           these coordinates keep their border handling. *)
+        lower ctx ~vars (resolved ~bounded:(bounded && dx = 0 && dy = 0) nx ny) body
+      | Some ((Border.Clamp | Border.Mirror | Border.Repeat) as mode) ->
+        (* Index exchange: remap the shifted coordinate into the iteration
+           space before evaluating the inlined producer. *)
+        let f = Option.get (idx_fn mode) in
+        let nx = fresh ctx "ex" and ny = fresh ctx "ey" in
+        emit ctx
+          (Decl { ctype = "const int"; name = nx; init = Some (call f [ sx; width_e ]) });
+        emit ctx
+          (Decl { ctype = "const int"; name = ny; init = Some (call f [ sy; height_e ]) });
+        (* The exchange remapped both coordinates into the iteration
+           space, so the inlined producer's central reads are bounded. *)
+        lower ctx ~vars (resolved ~bounded:true nx ny) body
+      | Some (Border.Constant c) ->
+        (* The exchanged intermediate pixel is the padding constant outside
+           the iteration space; guard the inlined producer. *)
+        let nx = fresh ctx "gx" and ny = fresh ctx "gy" in
+        let result = fresh ctx "ge" in
+        emit ctx (Decl { ctype = "const int"; name = nx; init = Some sx });
+        emit ctx (Decl { ctype = "const int"; name = ny; init = Some sy });
+        emit ctx (Decl { ctype = scalar_ctype prec; name = result; init = None });
+        let saved = ctx.stmts in
+        ctx.stmts <- [];
+        (* The guard below only evaluates the producer inside the
+           iteration space, so its central reads are bounded. *)
+        let inner = lower ctx ~vars (resolved ~bounded:true nx ny) body in
+        let inner_stmts = List.rev (Assign (ident result, inner) :: ctx.stmts) in
+        ctx.stmts <- saved;
+        let inside =
+          Binop (">=", ident nx, int_lit 0)
+          &&: (ident nx <: width_e)
+          &&: Binop (">=", ident ny, int_lit 0)
+          &&: (ident ny <: height_e)
+        in
+        emit ctx
+          (If
+             {
+               cond = inside;
+               then_ = inner_stmts;
+               else_ = [ Assign (ident result, scalar_lit prec c) ];
+             });
+        ident result))
+
+let lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
+  lower_at ~prec ctx ~vars (Resolved { cx; cy; bounded }) e
+
+let lower_interior ?(prec = Single) ctx ~vars ~cx ~cy e =
+  lower_at ~prec ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
 
 type features = {
   read_modes : Border.mode list;

@@ -36,12 +36,29 @@ val scalar_ctype : precision -> string
     to C identifiers; auxiliary declarations go through [ctx].  [prec]
     (default [Single]) selects the arithmetic width.  [bounded]
     (default [true]) records that [(cx, cy)] is known inside the
-    iteration space — kernel launches and tile loops guarantee it —
+    iteration space — kernel launches and halo calls guarantee it —
     letting zero-offset reads skip their border remap; shifts clear it,
     index exchanges restore it. *)
 val lower :
   ?prec:precision ->
   ?bounded:bool ->
+  ctx ->
+  vars:(string * string) list ->
+  cx:Cuda_ast.expr ->
+  cy:Cuda_ast.expr ->
+  Kfuse_ir.Expr.t ->
+  Cuda_ast.expr
+
+(** [lower_interior ?prec ctx ~vars ~cx ~cy e] lowers [e] for an
+    interior pixel [(cx, cy)]: one at least [Expr.reach e] from every
+    border, so that every coordinate [e] evaluates lies inside the
+    image.  Each [Input] becomes a raw load at its composed offset and
+    each [Shift] only adds its offset — every index exchange, the
+    [Constant] guard included, is the identity there.  The arithmetic
+    and its order are those of {!lower}, so the two agree bit for bit
+    on such pixels. *)
+val lower_interior :
+  ?prec:precision ->
   ctx ->
   vars:(string * string) list ->
   cx:Cuda_ast.expr ->

@@ -15,8 +15,10 @@ module Lower_cpu = Kfuse_codegen.Lower_cpu
    interpreter-vs-native diff reduces to the compiler's own liberties.
    v3: when kf_scalar is float64 the entry point runs on the ABI
    buffers in place instead of allocating + converting per call — the
-   streaming per-frame path must not copy multi-megabyte images. *)
-let abi_version = 3
+   streaming per-frame path must not copy multi-megabyte images.
+   v4: kf_scalar is always float64, so the entry point is only the
+   in-place call; the never-taken converting branch is gone. *)
+let abi_version = 4
 
 type mode = Dlopen | Subprocess
 
@@ -94,57 +96,21 @@ let runner_args (p : Pipeline.t) ~input ~output ~param =
 let dlopen_wrapper (p : Pipeline.t) =
   let b = Buffer.create 512 in
   let w fmt = Printf.bprintf b fmt in
-  let n = C.sanitize p.Pipeline.name in
-  let n_in = List.length p.Pipeline.inputs in
-  let n_out = List.length (Pipeline.outputs p) in
   w
-    "// ABI v2 entry point for the kfuse loader stub: one fixed signature\n\
-     // covers every pipeline shape, so a single dlsym suffices.  The ABI\n\
-     // carries float64 images (lossless against the host's arrays); the\n\
-     // pipeline computes in kf_scalar, so buffers convert at the edge —\n\
-     // except when kf_scalar *is* float64, where the conversion is the\n\
-     // identity and the ABI buffers are used in place.  That branch is\n\
-     // decided on sizeof(kf_scalar), which the compiler folds away; it\n\
-     // is the per-frame streaming path, so it must not allocate.\n";
+    "// Entry point for the kfuse loader stub: one fixed signature covers\n\
+     // every pipeline shape, so a single dlsym suffices.  The pipeline\n\
+     // runs on the caller's float64 buffers in place; this is the\n\
+     // per-frame streaming path, so it must not allocate.\n";
   w "void kfuse_entry(const double** ins, double** outs, const double* params) {\n";
   if p.Pipeline.inputs = [] then w "  (void)ins;\n";
   if p.Pipeline.params = [] then w "  (void)params;\n";
-  w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
-  w "  size_t i;\n";
-  w "  (void)npix; (void)i;\n";
-  w "  if (sizeof(kf_scalar) == sizeof(double)) {\n";
-  let direct_args =
-    runner_args p
-      ~input:(fun i name -> Printf.sprintf "(const kf_scalar*)ins[%d] /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "(kf_scalar*)outs[%d] /* %s */" i name)
-      ~param:(fun i name -> Printf.sprintf "params[%d] /* %s */" i name)
-  in
-  w "    run_%s(%s);\n" n (String.concat ", " direct_args);
-  w "    return;\n";
-  w "  }\n";
-  for j = 0 to n_in - 1 do
-    w "  kf_scalar* b_in%d = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" j;
-    w "  for (i = 0; i < npix; i++) b_in%d[i] = (kf_scalar)ins[%d][i];\n" j j
-  done;
-  for j = 0 to n_out - 1 do
-    w "  kf_scalar* b_out%d = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" j
-  done;
   let args =
     runner_args p
-      ~input:(fun i name -> Printf.sprintf "b_in%d /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "b_out%d /* %s */" i name)
+      ~input:(fun i name -> Printf.sprintf "ins[%d] /* %s */" i name)
+      ~output:(fun i name -> Printf.sprintf "outs[%d] /* %s */" i name)
       ~param:(fun i name -> Printf.sprintf "params[%d] /* %s */" i name)
   in
-  w "  run_%s(%s);\n" n (String.concat ", " args);
-  for j = 0 to n_out - 1 do
-    w "  for (i = 0; i < npix; i++) outs[%d][i] = (double)b_out%d[i];\n" j j
-  done;
-  for j = 0 to n_in - 1 do
-    w "  free(b_in%d);\n" j
-  done;
-  for j = 0 to n_out - 1 do
-    w "  free(b_out%d);\n" j
-  done;
+  w "  run_%s(%s);\n" (C.sanitize p.Pipeline.name) (String.concat ", " args);
   w "}\n";
   Buffer.contents b
 
@@ -160,9 +126,7 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "// inputs (in declaration order) followed by %d parameter value%s;\n" np
     (if np = 1 then "" else "s");
   w "// the outputs go to argv[2] in the same packed format.  Both files\n";
-  w "// are mapped and the pipeline runs on the maps in place, which\n";
-  w "// needs kf_scalar to be float64:\n";
-  w "typedef char kf_runner_needs_f64[sizeof(kf_scalar) == sizeof(double) ? 1 : -1];\n\n";
+  w "// are mapped and the pipeline runs on the maps in place.\n\n";
   w "int main(int argc, char** argv) {\n";
   w "  if (argc != 3) { fprintf(stderr, \"usage: %%s IN OUT\\n\", argv[0]); return 2; }\n";
   w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
@@ -205,27 +169,29 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "  return 0;\n}\n";
   Buffer.contents b
 
-let source ?tile ~mode (p : Pipeline.t) =
+let source ~mode (p : Pipeline.t) =
   (* Double precision throughout the pipeline: every operation and every
-     inter-kernel store matches the float64 interpreter, so the
-     interpreter-vs-native diff reduces to the float32 ABI boundary
-     (input quantization + final output store), orders of magnitude
-     inside the tolerance gate even for numerically touchy kernels. *)
-  let base = Lower_cpu.emit_pipeline ?tile ~prec:C.Double p in
-  let wrapper = match mode with Dlopen -> dlopen_wrapper p | Subprocess -> subprocess_wrapper p in
-  base ^ "\n" ^ wrapper
+     inter-kernel store matches the float64 interpreter bit for bit.
+     Both wrappers hand the pipeline float64 buffers in place, so this
+     is the one place that fixes kf_scalar, and the typedef refuses to
+     compile if it ever disagrees. *)
+  String.concat "\n"
+    [
+      Lower_cpu.emit_pipeline ~prec:C.Double p;
+      "// Both entry points pass float64 buffers through as kf_scalar.";
+      "typedef char kf_scalar_is_f64[sizeof(kf_scalar) == sizeof(double) ? 1 : -1];";
+      "";
+      (match mode with Dlopen -> dlopen_wrapper p | Subprocess -> subprocess_wrapper p);
+    ]
 
 (* {1 Compile cache} *)
 
 (* The generated source itself is folded into the key (alongside the
    pipeline fingerprint, which keeps keys distinct even if two
    pipelines ever emitted identical C): any codegen change — lowering,
-   wrapper, tiling — automatically invalidates stale artifacts without
+   wrapper — automatically invalidates stale artifacts without
    relying on a version bump someone must remember. *)
-let artifact_key ~tc ~mode ~tile ~src (p : Pipeline.t) =
-  let tile_s =
-    match tile with None -> "untiled" | Some (tx, ty) -> Printf.sprintf "tile:%dx%d" tx ty
-  in
+let artifact_key ~tc ~mode ~src (p : Pipeline.t) =
   Digest.to_hex
     (Digest.string
        (String.concat "\n"
@@ -233,7 +199,6 @@ let artifact_key ~tc ~mode ~tile ~src (p : Pipeline.t) =
             Printf.sprintf "kfuse-native-abi-v%d" abi_version;
             Fingerprint.exact p;
             mode_to_string mode;
-            tile_s;
             "prec:double";
             Toolchain.id tc;
             src;
@@ -281,14 +246,14 @@ let single_flight ~dest build =
   in
   acquire ()
 
-let compile ?cache_dir ?tile ~mode (p : Pipeline.t) =
+let compile ?cache_dir ~mode (p : Pipeline.t) =
   match Toolchain.find () with
   | Error d -> Error d
   | Ok tc ->
     let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
     mkdir_p dir;
-    let src = source ?tile ~mode p in
-    let key = artifact_key ~tc ~mode ~tile ~src p in
+    let src = source ~mode p in
+    let key = artifact_key ~tc ~mode ~src p in
     let ext = match mode with Dlopen -> ".so" | Subprocess -> ".bin" in
     let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
     if Sys.file_exists dest then Ok (dest, 0., true)
@@ -573,8 +538,8 @@ type plan = {
   mutable plan_released : bool;
 }
 
-let pin ?tile ?cache_dir ~mode (p : Pipeline.t) =
-  match compile ?cache_dir ?tile ~mode p with
+let pin ?cache_dir ~mode (p : Pipeline.t) =
+  match compile ?cache_dir ~mode p with
   | Error d -> Error d
   | Ok (artifact, compile_ms, cached) -> (
     let make loaded =
@@ -596,17 +561,17 @@ let pin ?tile ?cache_dir ~mode (p : Pipeline.t) =
       | Error d -> Error d
       | Ok l -> Ok (make (Some l))))
 
-let prepare ?tile ?cache_dir ?mode (p : Pipeline.t) =
+let prepare ?cache_dir ?mode (p : Pipeline.t) =
   match mode with
-  | Some mode -> pin ?tile ?cache_dir ~mode p
+  | Some mode -> pin ?cache_dir ~mode p
   | None -> (
-    match pin ?tile ?cache_dir ~mode:Dlopen p with
+    match pin ?cache_dir ~mode:Dlopen p with
     | Error d when d.Diag.code = Diag.Exec_failed ->
       (* In-process load failed; the subprocess runner shares no process
          state with us, so it may still work.  Keep the evidence. *)
       Result.map
         (fun plan -> { plan with plan_warnings = [ { d with Diag.severity = Diag.Warning } ] })
-        (pin ?tile ?cache_dir ~mode:Subprocess p)
+        (pin ?cache_dir ~mode:Subprocess p)
     | r -> r)
 
 let plan_mode plan = plan.plan_mode
@@ -654,8 +619,8 @@ let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
 
 (* {1 One-shot runs} *)
 
-let run ?mode ?tile ?cache_dir ?params ?repeat ?deadline ?limits (p : Pipeline.t) inputs =
-  match prepare ?tile ?cache_dir ?mode p with
+let run ?mode ?cache_dir ?params ?repeat ?deadline ?limits (p : Pipeline.t) inputs =
+  match prepare ?cache_dir ?mode p with
   | Error d -> Error d
   | Ok plan ->
     Fun.protect ~finally:(fun () -> release plan) @@ fun () ->

@@ -12,7 +12,7 @@
     - {!Dlopen}: build a shared object, load it in-process through a
       small C stub against the fixed entry point
       [void kfuse_entry(const double** ins, double** outs, const double* params)]
-      (ABI v2, appended to the generated source).  Cheapest per call.
+      (appended to the generated source).  Cheapest per call.
     - {!Subprocess}: build a standalone executable [artifact IN OUT]
       and run it as a child process.  [IN] holds packed native-endian
       float64: the inputs in declaration order, then the parameter
@@ -77,24 +77,25 @@ type run_result = {
           to {!Subprocess} *)
 }
 
-(** [source ?tile ~mode p] is the complete C translation unit compiled
-    for [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline}
-    output plus the ABI-v2 [kfuse_entry] wrapper ({!Dlopen}) or the
-    file-marshalling [main] ({!Subprocess}). *)
-val source : ?tile:int * int -> mode:mode -> Pipeline.t -> string
+(** [source ~mode p] is the complete C translation unit compiled for
+    [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline} output
+    in double precision, a file-scope typedef that refuses to compile
+    unless [kf_scalar] is float64, and the [kfuse_entry] wrapper
+    ({!Dlopen}) or the file-marshalling [main] ({!Subprocess}).  Both
+    wrappers pass float64 buffers to the pipeline in place. *)
+val source : mode:mode -> Pipeline.t -> string
 
-(** [compile ?cache_dir ?tile ~mode p] ensures a compiled artifact for
+(** [compile ?cache_dir ~mode p] ensures a compiled artifact for
     [p] exists and returns [(path, compile_ms, cached)].  [cache_dir]
     defaults to a [native] directory under
     {!Kfuse_cache.Plan_cache.default_dir}. *)
 val compile :
   ?cache_dir:string ->
-  ?tile:int * int ->
   mode:mode ->
   Pipeline.t ->
   (string * float * bool, Diag.t) result
 
-(** [run ?mode ?tile ?cache_dir ?params ?repeat ?deadline ?limits p
+(** [run ?mode ?cache_dir ?params ?repeat ?deadline ?limits p
     inputs] compiles (or reuses) the artifact and executes it on
     [inputs].
 
@@ -119,7 +120,6 @@ val compile :
     {!prepare}, one {!run_plan} and {!release}. *)
 val run :
   ?mode:mode ->
-  ?tile:int * int ->
   ?cache_dir:string ->
   ?params:(string * float) list ->
   ?repeat:int ->
@@ -143,14 +143,13 @@ type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
     {!Dlopen} mode, the loaded handle and resolved entry point. *)
 
-(** [prepare ?tile ?cache_dir ?mode p] compiles (or reuses) the artifact
+(** [prepare ?cache_dir ?mode p] compiles (or reuses) the artifact
     for [p] and pins it.  In {!Dlopen} mode the shared object is loaded
     and the entry point resolved immediately; a load failure is
     [KF0904].  When [mode] is omitted, {!Dlopen} is tried first and a
     [KF0904] load failure falls back to {!Subprocess}, recording the
     failure in {!plan_warnings}; an explicit [mode] never falls back. *)
 val prepare :
-  ?tile:int * int ->
   ?cache_dir:string ->
   ?mode:mode ->
   Pipeline.t ->

@@ -103,6 +103,26 @@ let radius e =
     (fun acc (_, dx, dy) -> Stdlib.max acc (Stdlib.max (Stdlib.abs dx) (Stdlib.abs dy)))
     0 (accesses e)
 
+(* Unlike [radius], every Shift's own (cumulative) offset counts too:
+   [Shift(+r){Input(-r)}] reads at total offset 0, yet evaluating it
+   first moves to offset r, where an index exchange may remap. *)
+let reach e =
+  let cheb dx dy = Stdlib.max (Stdlib.abs dx) (Stdlib.abs dy) in
+  let rec go (sx, sy) acc e =
+    match e with
+    | Const _ | Param _ | Var _ -> acc
+    | Input { dx; dy; _ } -> Stdlib.max acc (cheb Stdlib.(sx + dx) Stdlib.(sy + dy))
+    | Let { value; body; _ } -> go (sx, sy) (go (sx, sy) acc value) body
+    | Unop (_, a) -> go (sx, sy) acc a
+    | Binop (_, a, b) -> go (sx, sy) (go (sx, sy) acc a) b
+    | Select { lhs; rhs; if_true; if_false; _ } ->
+      List.fold_left (go (sx, sy)) acc [ lhs; rhs; if_true; if_false ]
+    | Shift { dx; dy; body; _ } ->
+      let sx = Stdlib.(sx + dx) and sy = Stdlib.(sy + dy) in
+      go (sx, sy) (Stdlib.max acc (cheb sx sy)) body
+  in
+  go (0, 0) 0 e
+
 let radius_of_image e img =
   let hits = List.filter (fun (i, _, _) -> String.equal i img) (accesses e) in
   match hits with

@@ -116,6 +116,16 @@ val images : t -> string list
     [e]; [0] for expressions without input reads. *)
 val radius : t -> int
 
+(** [reach e] is the largest Chebyshev offset, from the current
+    position, of any coordinate [e] evaluates: every [Input] read and
+    every [Shift]'s shifted position, with enclosing shifts composed.
+    It bounds [radius e] from above and can exceed it:
+    [Shift(+r){Input(-r)}] has radius 0 but reach r.  A pixel at least
+    [reach e] from every border evaluates [e] without leaving the image,
+    so its reads need no border handling and its index exchanges are
+    the identity. *)
+val reach : t -> int
+
 (** [radius_of_image e img] is the largest absolute total offset of
     accesses to [img], or [None] if [img] is not read. *)
 val radius_of_image : t -> string -> int option

@@ -52,7 +52,7 @@ let emit_main buf (p : Ir.Pipeline.t) inputs =
     (List.sort String.compare outputs);
   b "  return 0;\n}\n"
 
-let run_generated ?tile (p : Ir.Pipeline.t) inputs =
+let run_generated (p : Ir.Pipeline.t) inputs =
   let dir = Filename.temp_file "kfuse_cc" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -60,7 +60,7 @@ let run_generated ?tile (p : Ir.Pipeline.t) inputs =
   let exe = Filename.concat dir "gen.exe" in
   let out_file = Filename.concat dir "out.txt" in
   let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Kfuse_codegen.Lower_cpu.emit_pipeline ?tile p);
+  Buffer.add_string buf (Kfuse_codegen.Lower_cpu.emit_pipeline p);
   emit_main buf p inputs;
   let oc = open_out src in
   output_string oc (Buffer.contents buf);
@@ -84,10 +84,10 @@ let run_generated ?tile (p : Ir.Pipeline.t) inputs =
   in
   values
 
-let compare_with_interpreter ?tile ?(tol = 1e-4) p inputs =
+let compare_with_interpreter ?(tol = 1e-4) p inputs =
   let env = Ir.Eval.env_of_list inputs in
   let expected = Ir.Eval.run_outputs p env in
-  let actual = run_generated ?tile p inputs in
+  let actual = run_generated p inputs in
   let expected_flat =
     List.concat_map
       (fun (_, img) ->
@@ -152,21 +152,6 @@ let test_cpu_exec_forced_local_chain () =
   let fused = F.Transform.apply p [ Iset.of_list [ 0; 1 ] ] in
   compare_with_interpreter fused (input_for p)
 
-let test_cpu_exec_tiled () =
-  (* Tiled lowering covers exactly the same pixels, including ragged
-     edges where the image is not a multiple of the tile size. *)
-  require_cc ();
-  let p =
-    Ir.Pipeline.create ~name:"tiled" ~width:37 ~height:23 ~inputs:[ "src" ]
-      [
-        Ir.Kernel.map ~name:"g" ~inputs:[ "src" ]
-          (Ir.Expr.conv ~border:Img.Border.Clamp Img.Mask.gaussian_3x3 "src");
-        Ir.Kernel.map ~name:"s" ~inputs:[ "g"; "src" ]
-          Ir.Expr.(input "src" + (input "g" * Const 0.5));
-      ]
-  in
-  compare_with_interpreter ~tile:(16, 8) p (input_for p)
-
 let test_cpu_exec_reduction () =
   require_cc ();
   let p =
@@ -197,6 +182,5 @@ let suite =
     Alcotest.test_case "compiled fused apps match interpreter" `Slow test_cpu_exec_fused_apps;
     Alcotest.test_case "compiled local chain with exchange" `Slow
       test_cpu_exec_forced_local_chain;
-    Alcotest.test_case "compiled tiled lowering" `Slow test_cpu_exec_tiled;
     Alcotest.test_case "compiled reduction" `Slow test_cpu_exec_reduction;
   ]

@@ -73,27 +73,79 @@ let test_emit_golden_map_reduce () =
   if contains "reduction(+" src then
     Alcotest.failf "+ reduction emitted with an OpenMP clause:\n%s" src
 
-let test_emit_golden_double_tiled () =
-  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
-  let src =
-    Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double ~tile:(8, 4) fused
+let rec index_from text needle i =
+  if i + String.length needle > String.length text then None
+  else if String.sub text i (String.length needle) = needle then Some i
+  else index_from text needle (i + 1)
+
+let occurrences text needle =
+  let rec go i n =
+    match index_from text needle i with None -> n | Some j -> go (j + 1) (n + 1)
   in
-  check_fragments "double tiled emission" src
+  go 0 0
+
+(* The brace-balanced text that starts at the first [header] in [text]. *)
+let block_after text header =
+  match index_from text header 0 with
+  | None -> Alcotest.failf "no %S in:\n%s" header text
+  | Some start ->
+    let rec close i depth =
+      match text.[i] with
+      | '{' -> close (i + 1) (depth + 1)
+      | '}' -> if depth = 1 then i + 1 else close (i + 1) (depth - 1)
+      | _ -> close (i + 1) depth
+    in
+    String.sub text start (close start 0 - start)
+
+let test_emit_golden_region_split () =
+  let _, fused = fused_app "harris" ~width:16 ~height:12 in
+  let src = Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused in
+  check_fragments "double emission" src
     [
       "typedef double kf_scalar;";
       (* helpers and buffers follow the precision *)
       "static inline double read_clamp(const double* img";
-      (* double mode drops the f-suffix from both functions and literals *)
-      "sqrt(";
+      (* double mode drops the f-suffix from literals *)
       "-1.0 *";
-      (* tile loops with ragged-edge clamping *)
-      "yy += 4";
-      "xx += 8";
-      "const int y_end";
-      "const int x_end";
     ];
-  if contains "sqrtf(" src || contains "0.25f" src then
-    Alcotest.failf "double-precision emission leaked a float32 spelling:\n%s" src
+  if contains "0.0625f" src || contains "1.0f" src then
+    Alcotest.failf "double-precision emission leaked a float32 spelling:\n%s" src;
+  let stencils = ref 0 in
+  Array.iter
+    (fun (k : Ir.Kernel.t) ->
+      let name = Cg.Lower_common.func_name fused k in
+      let halo = name ^ "_halo" in
+      let entry = block_after src ("void " ^ name ^ "(") in
+      match k.Ir.Kernel.op with
+      | Ir.Kernel.Map body when Ir.Expr.reach body > 0 ->
+        incr stencils;
+        let r = Ir.Expr.reach body in
+        Alcotest.(check int)
+          (halo ^ " defined once")
+          1
+          (occurrences src ("static __attribute__((noinline)) void " ^ halo ^ "("));
+        check_fragments (name ^ " loop shape") entry
+          [
+            "#pragma omp parallel for schedule(static)";
+            Printf.sprintf "if ((((y < %d) || (y >= (height - %d))) || (width <= %d))) {" r r
+              (2 * r);
+          ];
+        if contains "collapse" entry then Alcotest.failf "%s still collapses:\n%s" name entry;
+        let interior =
+          block_after entry (Printf.sprintf "for (int x = %d; x < (width - %d); ++x) {" r r)
+        in
+        List.iter
+          (fun bad ->
+            if contains bad interior then
+              Alcotest.failf "%s: interior loop calls %s:\n%s" name bad interior)
+          [ "idx_"; "read_"; "_halo" ];
+        check_fragments (name ^ " interior") interior [ "img_"; "out[((y * width) + x)] =" ]
+      | Ir.Kernel.Map _ | Ir.Kernel.Reduce _ ->
+        Alcotest.(check int) (name ^ " has no halo function") 0 (occurrences src halo);
+        check_fragments (name ^ " loop shape") entry
+          [ "#pragma omp parallel for collapse(2) schedule(static)" ])
+    fused.Ir.Pipeline.kernels;
+  if !stencils = 0 then Alcotest.fail "fused harris has no stencil kernel"
 
 let test_emit_border_helpers () =
   let p =
@@ -167,14 +219,14 @@ let test_emit_compiles_warning_free () =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
       List.iteri
-        (fun i (name, tile) ->
+        (fun i name ->
           let _, fused = fused_app name ~width:32 ~height:24 in
           let src_path = Filename.concat dir (Printf.sprintf "gen%d.c" i) in
           let obj_path = Filename.concat dir (Printf.sprintf "gen%d.o" i) in
           let log = Filename.concat dir (Printf.sprintf "cc%d.log" i) in
           Out_channel.with_open_text src_path (fun oc ->
               output_string oc
-                (Cg.Lower_cpu.emit_pipeline ?tile ~prec:Cg.Lower_common.Double fused));
+                (Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused));
           let cmd =
             Printf.sprintf "%s -Wall -Werror -O2 %s -c -o %s %s > %s 2>&1"
               (Filename.quote t.Exec.Toolchain.cc)
@@ -185,7 +237,7 @@ let test_emit_compiles_warning_free () =
             Alcotest.failf "%s: generated C does not compile under -Wall -Werror:\n%s"
               name
               (In_channel.with_open_text log In_channel.input_all))
-        [ ("harris", None); ("night", Some (16, 8)); ("shitomasi", None) ])
+        [ "harris"; "night"; "shitomasi" ])
 
 (* ---- native execution end to end ---- *)
 
@@ -294,6 +346,39 @@ let test_native_pow_faithful () =
   in
   ignore (run_exact ~mode:Exec.Native.Dlopen p);
   ignore (run_exact ~mode:Exec.Native.Subprocess p)
+
+(* [Shift(+2, exchange){Input(-2)}] reads at total offset 0, but it
+   first evaluates the position 2 away, where the exchange remaps: its
+   reach is 2, not its radius.  The extra tap gives the kernel radius 1,
+   so a lowering that took the interior margin from [Expr.radius] would
+   run the raw body on pixels 1 from a border and read the wrong pixel
+   at widths and heights 5 and 6.  One output per border mode; each
+   extent from 2R to 2R+2 in both axes, and 1x1. *)
+let test_native_reach_beyond_radius () =
+  let open Ir.Expr in
+  let modes =
+    [ ("k_clamp", Img.Border.Clamp); ("k_mirror", Img.Border.Mirror);
+      ("k_repeat", Img.Border.Repeat); ("k_const", Img.Border.Constant 0.5) ]
+  in
+  let body border =
+    Shift
+      { dx = 2; dy = 2; exchange = Some border;
+        body = input ~border ~dx:(-2) ~dy:(-2) "a" }
+    + (Const 0.5 * input ~border ~dx:1 ~dy:(-1) "a")
+  in
+  Alcotest.(check (pair int int)) "reach 2, radius 1" (2, 1)
+    (reach (body Img.Border.Clamp), radius (body Img.Border.Clamp));
+  let extents = (1, 1) :: List.concat_map (fun w -> List.map (fun h -> (w, h)) [ 4; 5; 6 ]) [ 4; 5; 6 ] in
+  List.iter
+    (fun (width, height) ->
+      let p =
+        Ir.Pipeline.create ~name:"reach" ~width ~height ~inputs:[ "a" ]
+          (List.map
+             (fun (name, border) -> Ir.Kernel.map ~name ~inputs:[ "a" ] (body border))
+             modes)
+      in
+      ignore (run_exact ~mode:Exec.Native.Dlopen p))
+    extents
 
 (* Shrunk from [kfusec fuzz --cases 2 --seed 3 --native]: a global +
    reduction summed by an OpenMP team drifted from the interpreter's
@@ -788,8 +873,8 @@ let suite =
   [
     Alcotest.test_case "emit golden: map + reduce + broadcast" `Quick
       test_emit_golden_map_reduce;
-    Alcotest.test_case "emit golden: double precision, tiled" `Quick
-      test_emit_golden_double_tiled;
+    Alcotest.test_case "emit golden: region split, double" `Quick
+      test_emit_golden_region_split;
     Alcotest.test_case "emit golden: border helpers" `Quick test_emit_border_helpers;
     Alcotest.test_case "emit: non-finite and negative literals" `Quick
       test_emit_nonfinite_literals;
@@ -806,6 +891,8 @@ let suite =
     Alcotest.test_case "native compile cache hits" `Slow test_native_compile_cache;
     Alcotest.test_case "pow(x,2) stays on libm (regression)" `Slow
       test_native_pow_faithful;
+    Alcotest.test_case "interior margin is the reach, not the radius" `Slow
+      test_native_reach_beyond_radius;
     Alcotest.test_case "+ reduction sums in row-major order (regression)" `Slow
       test_native_sum_reduce_order;
     Alcotest.test_case "malformed native calls raise" `Slow test_native_bad_calls_raise;
