@@ -12,24 +12,37 @@ let node_shape (k : Kernel.t) =
   | Kernel.Local _ -> "box"
   | Kernel.Global -> "hexagon"
 
+(* Inside a DOT quoted string only the double quote and the backslash
+   are special. *)
+let escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      if c = '"' || c = '\\' then Buffer.add_char b '\\';
+      Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let quote s = "\"" ^ escape s ^ "\""
+let input_node name = quote ("input_" ^ name)
+let kernel_node i = quote (Printf.sprintf "k%d" i)
+
 let emit ?partition ?edge_labels (p : Pipeline.t) =
   let buf = Buffer.create 1024 in
   let b fmt = Printf.bprintf buf fmt in
   let g = Pipeline.dag p in
-  b "digraph %s {\n" (Lower_common.sanitize p.Pipeline.name);
+  b "digraph %s {\n" (quote p.Pipeline.name);
   b "  rankdir=TB;\n  node [fontname=\"Helvetica\", fontsize=11];\n";
   (* Pipeline inputs as plain sources. *)
   List.iter
     (fun i ->
-      b "  input_%s [label=\"%s\", shape=plaintext, fontcolor=gray40];\n"
-        (Lower_common.sanitize i) i)
+      b "  %s [label=%s, shape=plaintext, fontcolor=gray40];\n" (input_node i) (quote i))
     p.Pipeline.inputs;
-  let name i = (Pipeline.kernel p i).Kernel.name in
   let node_line i =
     let k = Pipeline.kernel p i in
-    Printf.sprintf
-      "    k%d [label=\"%s\\n%s\", shape=%s];\n" i k.Kernel.name
-      (Kernel.pattern_to_string (Kernel.pattern k))
+    Printf.sprintf "    %s [label=\"%s\\n%s\", shape=%s];\n" (kernel_node i)
+      (escape k.Kernel.name)
+      (escape (Kernel.pattern_to_string (Kernel.pattern k)))
       (node_shape k)
   in
   (match partition with
@@ -53,7 +66,7 @@ let emit ?partition ?edge_labels (p : Pipeline.t) =
       List.iter
         (fun img ->
           if Pipeline.producer p img = None then
-            b "  input_%s -> k%d [color=gray60];\n" (Lower_common.sanitize img) i)
+            b "  %s -> %s [color=gray60];\n" (input_node img) (kernel_node i))
         (Pipeline.kernel p i).Kernel.inputs)
     g ();
   (* Dependence edges. *)
@@ -61,11 +74,11 @@ let emit ?partition ?edge_labels (p : Pipeline.t) =
     (fun (u, v) ->
       let label =
         match edge_labels with
-        | Some f -> ( match f u v with Some l -> Printf.sprintf " [label=\"%s\"]" l | None -> "")
+        | Some f -> (
+          match f u v with Some l -> Printf.sprintf " [label=%s]" (quote l) | None -> "")
         | None -> ""
       in
-      ignore (name u);
-      b "  k%d -> k%d%s;\n" u v label)
+      b "  %s -> %s%s;\n" (kernel_node u) (kernel_node v) label)
     (Digraph.edges g);
   b "}\n";
   Buffer.contents buf

@@ -5,6 +5,7 @@ module C = Lower_common
 open Cuda_ast
 
 let kernel_func (p : Pipeline.t) (k : Kernel.t) =
+  let out = ident (C.ident C.Image k.Kernel.name) in
   let ctx = C.create_ctx () in
   C.emit ctx
     (Decl
@@ -33,14 +34,14 @@ let kernel_func (p : Pipeline.t) (k : Kernel.t) =
   | Kernel.Map body ->
     let result = C.lower ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") body in
     C.emit ctx
-      (Assign (index (ident "out") ((ident "y" *: ident "width") +: ident "x"), result))
+      (Assign (index out ((ident "y" *: ident "width") +: ident "x"), result))
   | Kernel.Reduce { combine; arg; _ } ->
     let v = C.lower ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") arg in
     let atomic =
       match combine with
-      | Expr.Add -> call "atomicAdd" [ ident "out"; v ]
-      | Expr.Min -> call "atomicMinFloat" [ ident "out"; v ]
-      | Expr.Max -> call "atomicMaxFloat" [ ident "out"; v ]
+      | Expr.Add -> call "atomicAdd" [ out; v ]
+      | Expr.Min -> call "atomicMinFloat" [ out; v ]
+      | Expr.Max -> call "atomicMaxFloat" [ out; v ]
       | Expr.Sub | Expr.Mul | Expr.Div | Expr.Pow ->
         invalid_arg
           (Printf.sprintf "Lower: reduction operator of kernel %s has no atomic lowering"
@@ -50,30 +51,22 @@ let kernel_func (p : Pipeline.t) (k : Kernel.t) =
   {
     qualifiers = [ "__global__" ];
     ret = "void";
-    name = C.func_name p k;
+    name = C.ident C.Kernel_fn k.Kernel.name;
     params = C.kernel_params p k;
     body = C.take_stmts ctx;
   }
 
 let emit_host_runner buf (p : Pipeline.t) =
   let b fmt = Printf.bprintf buf fmt in
-  let n = C.sanitize p.Pipeline.name in
+  let img = C.ident C.Image in
+  let params =
+    List.map (fun i -> "const float* " ^ img i) p.Pipeline.inputs
+    @ List.map (fun o -> "float* " ^ img o) (Pipeline.outputs p)
+    @ List.map (fun (name, _) -> "float " ^ C.ident C.Param name) p.Pipeline.params
+  in
   b "// Host-side runner: allocates intermediates and launches the kernels\n";
   b "// in topological order.  Inputs/outputs are device pointers.\n";
-  b "void run_%s(" n;
-  let input_params =
-    List.map (fun i -> Printf.sprintf "const float* d_%s" (C.sanitize i)) p.Pipeline.inputs
-  in
-  let output_params =
-    List.map (fun o -> Printf.sprintf "float* d_%s" (C.sanitize o)) (Pipeline.outputs p)
-  in
-  let param_params =
-    List.map
-      (fun (name, _) -> Printf.sprintf "float p_%s" (C.sanitize name))
-      p.Pipeline.params
-  in
-  b "%s" (String.concat ", " (input_params @ output_params @ param_params));
-  b ") {\n";
+  b "void %s(%s) {\n" (C.ident C.Runner p.Pipeline.name) (String.concat ", " params);
   b "  const int width = %d, height = %d;\n" p.Pipeline.width p.Pipeline.height;
   b "  const dim3 block(32, 4);\n";
   b "  const dim3 grid((width + block.x - 1) / block.x, (height + block.y - 1) / block.y);\n";
@@ -81,31 +74,27 @@ let emit_host_runner buf (p : Pipeline.t) =
   let intermediates =
     Array.to_list p.Pipeline.kernels
     |> List.filter_map (fun (k : Kernel.t) ->
-           if List.mem k.Kernel.name outputs then None else Some k.Kernel.name)
+           if List.mem k.Kernel.name outputs then None else Some (img k.Kernel.name))
   in
   List.iter
-    (fun name ->
-      let s = C.sanitize name in
-      b "  float* d_%s;\n" s;
-      b "  cudaMalloc(&d_%s, (size_t)width * height * sizeof(float));\n" s)
+    (fun d ->
+      b "  float* %s;\n" d;
+      b "  cudaMalloc(&%s, (size_t)width * height * sizeof(float));\n" d)
     intermediates;
   Array.iter
     (fun (k : Kernel.t) ->
-      let args =
-        [ "d_" ^ C.sanitize k.Kernel.name ]
-        @ List.map (fun i -> "d_" ^ C.sanitize i) k.Kernel.inputs
-        @ [ "width"; "height" ] @ C.scalar_args p k
-      in
-      b "  %s<<<grid, block>>>(%s);\n" (C.func_name p k) (String.concat ", " args))
+      let args = List.map (fun (q : param) -> q.name) (C.kernel_params p k) in
+      b "  %s<<<grid, block>>>(%s);\n" (C.ident C.Kernel_fn k.Kernel.name)
+        (String.concat ", " args))
     p.Pipeline.kernels;
-  List.iter (fun name -> b "  cudaFree(d_%s);\n" (C.sanitize name)) intermediates;
+  List.iter (b "  cudaFree(%s);\n") intermediates;
   b "}\n"
 
 let emit_pipeline (p : Pipeline.t) =
   let buf = Buffer.create 4096 in
   let b fmt = Printf.bprintf buf fmt in
-  b "// Generated by kfuse: pipeline %s (%dx%dx%d)\n" p.Pipeline.name p.Pipeline.width
-    p.Pipeline.height p.Pipeline.channels;
+  b "// Generated by kfuse: %s (%dx%dx%d)\n" (C.ident C.Runner p.Pipeline.name)
+    p.Pipeline.width p.Pipeline.height p.Pipeline.channels;
   b "// %d kernel(s); source-to-source output in the style of Hipacc's CUDA backend.\n\n"
     (Pipeline.num_kernels p);
   b "#include <cuda_runtime.h>\n#include <math.h>\n\n";

@@ -14,7 +14,7 @@
     performance model (see DESIGN.md). *)
 
 (** [kernel_func pipeline kernel] lowers one kernel to a [__global__]
-    function named [<pipeline>_<kernel>]. *)
+    function named by {!Lower_common.ident} [Kernel_fn]. *)
 val kernel_func : Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> Cuda_ast.func
 
 (** [emit_pipeline pipeline] renders a complete [.cu] translation unit:

@@ -4,21 +4,46 @@ module Pipeline = Kfuse_ir.Pipeline
 module Border = Kfuse_image.Border
 open Cuda_ast
 
-let sanitize name =
-  String.map
+(* Generated-C names.  Every user name reaches the C as [tag ^ escape
+   name ^ suffix]: the escape keeps [A-Za-z0-9], doubles ['_'] and
+   writes any other byte as ['_'] plus two lowercase hex digits.  That
+   code is prefix-free, so the escape is injective and can never end in
+   ["_halo"] ('h' is neither '_' nor hex).  The tags, with that suffix,
+   tell the kinds apart, and no name the generator spells itself carries
+   one. *)
+type kind = Image | Param | Kernel_fn | Halo_fn | Runner | Let_temp of int
+
+let escape name =
+  let b = Buffer.create (String.length name + 8) in
+  String.iter
     (fun c ->
-      if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') then c
-      else '_')
-    name
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> Buffer.add_char b c
+      | '_' -> Buffer.add_string b "__"
+      | c -> Printf.bprintf b "_%02x" (Char.code c))
+    name;
+  Buffer.contents b
+
+let mangle kind name =
+  let e = escape name in
+  match kind with
+  | Image -> "img_" ^ e
+  | Param -> "p_" ^ e
+  | Kernel_fn -> "k_" ^ e
+  | Halo_fn -> "k_" ^ e ^ "_halo"
+  | Runner -> "run_" ^ e
+  | Let_temp n -> Printf.sprintf "r%d_%s" n e
 
 type ctx = { mutable stmts : stmt list; mutable counter : int }
 
 let create_ctx () = { stmts = []; counter = 0 }
 let emit ctx s = ctx.stmts <- s :: ctx.stmts
 
-let fresh ctx prefix =
+let next ctx =
   ctx.counter <- ctx.counter + 1;
-  Printf.sprintf "%s%d" prefix ctx.counter
+  ctx.counter
+
+let fresh ctx prefix = Printf.sprintf "%s%d" prefix (next ctx)
 
 let take_stmts ctx =
   let s = List.rev ctx.stmts in
@@ -95,18 +120,18 @@ let rec lower_at ~prec ctx ~vars pos e =
   let lower ctx ~vars pos e = lower_at ~prec ctx ~vars pos e in
   match e with
   | Expr.Const c -> scalar_lit prec c
-  | Expr.Param p -> ident ("p_" ^ sanitize p)
+  | Expr.Param p -> ident (mangle Param p)
   | Expr.Var v -> (
     match List.assoc_opt v vars with
     | Some c -> ident c
     | None -> invalid_arg (Printf.sprintf "Lower: unbound variable %%%s" v))
   | Expr.Let { var; value; body } ->
     let ce = lower ctx ~vars pos value in
-    let name = fresh ctx ("r_" ^ sanitize var ^ "_") in
+    let name = mangle (Let_temp (next ctx)) var in
     emit ctx (Decl { ctype = "const " ^ scalar_ctype prec; name; init = Some ce });
     lower ctx ~vars:((var, name) :: vars) pos body
   | Expr.Input { image; dx; dy; border } -> (
-    let img = ident ("img_" ^ sanitize image) in
+    let img = ident (mangle Image image) in
     match pos with
     | Interior { cx; cy; ox; oy } ->
       index img ((plus cy (oy + dy) *: width_e) +: plus cx (ox + dx))
@@ -346,24 +371,14 @@ let body_expr (k : Kernel.t) =
 let kernel_params ?(prec = Single) (p : Pipeline.t) (k : Kernel.t) =
   let s = scalar_ctype prec in
   let used_params = Expr.params (body_expr k) in
-  [ { ctype = s ^ "*"; name = "out" } ]
-  @ List.map
-      (fun i -> { ctype = "const " ^ s ^ "*"; name = "img_" ^ sanitize i })
-      k.Kernel.inputs
+  [ { ctype = s ^ "*"; name = mangle Image k.Kernel.name } ]
+  @ List.map (fun i -> { ctype = "const " ^ s ^ "*"; name = mangle Image i }) k.Kernel.inputs
   @ [ { ctype = "const int"; name = "width" }; { ctype = "const int"; name = "height" } ]
   @ List.filter_map
       (fun (name, _) ->
-        if List.mem name used_params then
-          Some { ctype = "const " ^ s; name = "p_" ^ sanitize name }
+        if List.mem name used_params then Some { ctype = "const " ^ s; name = mangle Param name }
         else None)
       p.Pipeline.params
 
-let func_name (p : Pipeline.t) (k : Kernel.t) =
-  Printf.sprintf "%s_%s" (sanitize p.Pipeline.name) (sanitize k.Kernel.name)
-
-let scalar_args (p : Pipeline.t) (k : Kernel.t) =
-  let used_params = Expr.params (body_expr k) in
-  List.filter_map
-    (fun (name, _) ->
-      if List.mem name used_params then Some ("p_" ^ sanitize name) else None)
-    p.Pipeline.params
+(* Exported as [ident]; inside this module that name is Cuda_ast's. *)
+let ident = mangle

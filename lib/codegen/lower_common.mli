@@ -17,8 +17,24 @@ val take_stmts : ctx -> Cuda_ast.stmt list
 (** [emit ctx stmt] appends a statement. *)
 val emit : ctx -> Cuda_ast.stmt -> unit
 
-(** [sanitize name] maps an IR name to a C identifier. *)
-val sanitize : string -> string
+(** The kinds of C name a user name can become. *)
+type kind =
+  | Image  (** an image buffer, ["img_<n>"]: input, intermediate or output *)
+  | Param  (** a scalar parameter, ["p_<n>"] *)
+  | Kernel_fn  (** a kernel's entry point, ["k_<n>"] *)
+  | Halo_fn  (** a kernel's border-handling body, ["k_<n>_halo"] *)
+  | Runner  (** the pipeline's driver, ["run_<n>"] *)
+  | Let_temp of int  (** the [i]-th register of a [let] binding [n], ["r<i>_<n>"] *)
+
+(** [ident kind name] is the one C identifier [name] becomes as a
+    [kind]; every user name enters generated C through it, comments
+    included.  [<n>] above is [name] escaped: [A-Za-z0-9] kept, ['_']
+    doubled, any other byte ['_'] plus two lowercase hex digits.  The
+    map is injective over all kinds together, its results lex as C
+    identifiers, and it never yields a C keyword, a libc or math name,
+    or a name the generator spells itself ([width], [x], [acc], [kf_*],
+    helper functions, wrapper locals). *)
+val ident : kind -> string -> string
 
 (** Scalar precision of lowered code: the buffer element type, the
     per-pixel arithmetic, literals and temporaries all follow it.
@@ -88,15 +104,10 @@ val helper_sources : device_qualifier:string -> ?prec:precision -> features -> s
 val atomic_helper_sources : features -> string list
 
 (** [kernel_params ?prec pipeline kernel] is the shared C parameter
-    list: output, inputs, extents, scalar parameters.  Buffer and
-    scalar-parameter types follow [prec] (default [Single]). *)
+    list: the output image, the input images, the extents, then the
+    scalar parameters the body uses.  Every name is the one the runner
+    gives the same buffer or value, so a call passes each parameter its
+    own name.  Buffer and scalar-parameter types follow [prec] (default
+    [Single]). *)
 val kernel_params :
   ?prec:precision -> Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> Cuda_ast.param list
-
-(** [func_name pipeline kernel] is ["<pipeline>_<kernel>"]. *)
-val func_name : Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> string
-
-(** [scalar_args pipeline kernel] is the scalar-parameter argument names
-    (["p_<name>"]) the kernel's body actually uses, in declaration
-    order. *)
-val scalar_args : Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> string list

@@ -12,17 +12,17 @@ let pixel_loops inner =
   for_ ~var:"y" ~from_:zero ~below:height [ for_ ~var:"x" ~from_:zero ~below:width inner ]
 
 (* The per-pixel statements of a Map body at [(x, y)], ending in the
-   store to [out]. *)
-let map_stmts lower body =
+   store to the output buffer [out]. *)
+let map_stmts ~out lower body =
   let ctx = C.create_ctx () in
   let result = lower ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") body in
-  C.take_stmts ctx @ [ Assign (index (ident "out") ((ident "y" *: width) +: ident "x"), result) ]
+  C.take_stmts ctx @ [ Assign (index (ident out) ((ident "y" *: width) +: ident "x"), result) ]
 
 (* A stencil Map of reach [r] > 0 by the paper's region split: the
    interior pixels, at least [r] from every border, run the body with
    raw loads; every other pixel calls [halo], the body with full border
    handling, emitted once.  Rows are the parallel unit. *)
-let split_loops ~prec ~halo ~reach body =
+let split_loops ~prec ~out ~halo ~reach body =
   let r = int_lit reach in
   let call_halo =
     [ Expr_stmt (call halo.name (List.map (fun (q : param) -> ident q.name) halo.params)) ]
@@ -45,7 +45,7 @@ let split_loops ~prec ~halo ~reach body =
             else_ =
               [
                 columns zero r call_halo;
-                columns r (width -: r) (map_stmts (C.lower_interior ~prec) body);
+                columns r (width -: r) (map_stmts ~out (C.lower_interior ~prec) body);
                 columns (width -: r) width call_halo;
               ];
           };
@@ -57,11 +57,14 @@ let kernel_funcs ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
   let fn_prec single =
     match prec with C.Single -> single | C.Double -> Filename.chop_suffix single "f"
   in
+  let out = C.ident C.Image k.Kernel.name in
   let params = C.kernel_params ~prec p k in
-  let entry body = { qualifiers = []; ret = "void"; name = C.func_name p k; params; body } in
+  let entry body =
+    { qualifiers = []; ret = "void"; name = C.ident C.Kernel_fn k.Kernel.name; params; body }
+  in
   match k.Kernel.op with
   | Kernel.Map body ->
-    let clamped = map_stmts (fun ctx -> C.lower ~prec ctx) body in
+    let clamped = map_stmts ~out (fun ctx -> C.lower ~prec ctx) body in
     let reach = Expr.reach body in
     if reach = 0 then
       [ entry [ Pragma "omp parallel for collapse(2) schedule(static)"; pixel_loops clamped ] ]
@@ -70,13 +73,13 @@ let kernel_funcs ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
         {
           qualifiers = [ "static"; "__attribute__((noinline))" ];
           ret = "void";
-          name = C.func_name p k ^ "_halo";
+          name = C.ident C.Halo_fn k.Kernel.name;
           params =
             params @ [ { ctype = "const int"; name = "x" }; { ctype = "const int"; name = "y" } ];
           body = clamped;
         }
       in
-      [ halo; entry (split_loops ~prec ~halo ~reach body) ]
+      [ halo; entry (split_loops ~prec ~out ~halo ~reach body) ]
   | Kernel.Reduce { init; combine; arg } ->
     let ctx = C.create_ctx () in
     let v = C.lower ~prec ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") arg in
@@ -111,53 +114,43 @@ let kernel_funcs ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
                downstream (or caller) read.  Broadcast the scalar instead. *)
             Comment "Broadcast: every cell of the output buffer holds the scalar result.";
             for_ ~var:"i" ~from_:zero ~below:(width *: height)
-              [ Assign (index (ident "out") (ident "i"), ident "acc") ];
+              [ Assign (index (ident out) (ident "i"), ident "acc") ];
           ]);
     ]
 
 let emit_runner buf (p : Pipeline.t) =
   let b fmt = Printf.bprintf buf fmt in
-  let n = C.sanitize p.Pipeline.name in
-  b "// Driver: allocates intermediates and runs the kernels in topological order.\n";
-  b "void run_%s(" n;
+  let img = C.ident C.Image in
   let params =
-    List.map (fun i -> Printf.sprintf "const kf_scalar* %s" (C.sanitize i)) p.Pipeline.inputs
-    @ List.map (fun o -> Printf.sprintf "kf_scalar* %s" (C.sanitize o)) (Pipeline.outputs p)
-    @ List.map
-        (fun (name, _) -> Printf.sprintf "kf_scalar p_%s" (C.sanitize name))
-        p.Pipeline.params
+    List.map (fun i -> "const kf_scalar* " ^ img i) p.Pipeline.inputs
+    @ List.map (fun o -> "kf_scalar* " ^ img o) (Pipeline.outputs p)
+    @ List.map (fun (name, _) -> "kf_scalar " ^ C.ident C.Param name) p.Pipeline.params
   in
-  b "%s" (String.concat ", " params);
-  b ") {\n";
+  b "// Driver: allocates intermediates and runs the kernels in topological order.\n";
+  b "void %s(%s) {\n" (C.ident C.Runner p.Pipeline.name) (String.concat ", " params);
   b "  const int width = %d, height = %d;\n" p.Pipeline.width p.Pipeline.height;
   let outputs = Pipeline.outputs p in
   let intermediates =
     Array.to_list p.Pipeline.kernels
     |> List.filter_map (fun (k : Kernel.t) ->
-           if List.mem k.Kernel.name outputs then None else Some k.Kernel.name)
+           if List.mem k.Kernel.name outputs then None else Some (img k.Kernel.name))
   in
   List.iter
-    (fun name ->
-      b "  kf_scalar* %s = (kf_scalar*)kf_malloc((size_t)width * height * sizeof(kf_scalar));\n"
-        (C.sanitize name))
+    (b "  kf_scalar* %s = (kf_scalar*)kf_malloc((size_t)width * height * sizeof(kf_scalar));\n")
     intermediates;
   Array.iter
     (fun (k : Kernel.t) ->
-      let args =
-        [ C.sanitize k.Kernel.name ]
-        @ List.map C.sanitize k.Kernel.inputs
-        @ [ "width"; "height" ] @ C.scalar_args p k
-      in
-      b "  %s(%s);\n" (C.func_name p k) (String.concat ", " args))
+      let args = List.map (fun (q : param) -> q.name) (C.kernel_params p k) in
+      b "  %s(%s);\n" (C.ident C.Kernel_fn k.Kernel.name) (String.concat ", " args))
     p.Pipeline.kernels;
-  List.iter (fun name -> b "  free(%s);\n" (C.sanitize name)) intermediates;
+  List.iter (b "  free(%s);\n") intermediates;
   b "}\n"
 
 let emit_pipeline ?(prec = C.Single) (p : Pipeline.t) =
   let buf = Buffer.create 4096 in
   let b fmt = Printf.bprintf buf fmt in
-  b "// Generated by kfuse: pipeline %s (%dx%dx%d), C + OpenMP backend\n"
-    p.Pipeline.name p.Pipeline.width p.Pipeline.height p.Pipeline.channels;
+  b "// Generated by kfuse: %s (%dx%dx%d), C + OpenMP backend\n"
+    (C.ident C.Runner p.Pipeline.name) p.Pipeline.width p.Pipeline.height p.Pipeline.channels;
   b "// Compile with: cc -O2 -fopenmp -lm\n\n";
   b "#include <stdlib.h>\n#include <math.h>\n\n";
   b "// Scalar type of buffers and arithmetic alike.\n";

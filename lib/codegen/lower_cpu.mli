@@ -12,7 +12,7 @@
     rows [R <= y < height - R] the columns [R <= x < width - R] run a
     clamp-free interior body — raw loads at [(x + dx, y + dy)], every
     index exchange the identity — and every other pixel calls
-    [static __attribute__((noinline)) void <kernel>_halo(..., x, y)],
+    [static __attribute__((noinline)) void k_<kernel>_halo(..., x, y)],
     which holds the body with full border handling and is emitted once
     per kernel.  Both bodies perform the same arithmetic in the same
     order, so the output is the same bit for bit.
@@ -23,9 +23,9 @@
     the thread count.  Reductions always use the bordered body. *)
 
 (** [kernel_funcs pipeline kernel] lowers one kernel to C functions, in
-    definition order: for a [Map] of reach [R > 0], the
-    [<pipeline>_<kernel>_halo] function, then the entry point
-    [<pipeline>_<kernel>]; otherwise the entry point alone.
+    definition order: for a [Map] of reach [R > 0], the halo function,
+    then the entry point; otherwise the entry point alone.  Names come
+    from {!Lower_common.ident}.
 
     [prec] (default {!Lower_common.Single}) selects the scalar type of
     buffers and per-pixel arithmetic alike.  {!Lower_common.Double}
@@ -38,6 +38,7 @@ val kernel_funcs :
 
 (** [emit_pipeline ?prec pipeline] renders a complete [.c] translation
     unit: a [kf_scalar] typedef fixing the scalar type, helpers, the
-    functions of every kernel, and a [run_<name>] driver allocating
-    intermediates with an abort-on-OOM [malloc] wrapper. *)
+    functions of every kernel, and a driver ({!Lower_common.ident}
+    [Runner]) allocating intermediates with an abort-on-OOM [malloc]
+    wrapper. *)
 val emit_pipeline : ?prec:Lower_common.precision -> Kfuse_ir.Pipeline.t -> string

@@ -16,3 +16,7 @@ val expr : Kfuse_ir.Expr.t -> (string, string) result
 
 (** [pipeline p] renders a whole pipeline definition. *)
 val pipeline : Kfuse_ir.Pipeline.t -> (string, string) result
+
+(** The words that cannot name anything in a pipeline that should
+    unparse: [let], [reduce], [size], [param] and [pipeline]. *)
+val reserved : string list

@@ -88,10 +88,18 @@ let with_temp_dir f =
 
 (* {1 Source generation: generated pipeline + mode-specific wrapper} *)
 
-let runner_args (p : Pipeline.t) ~input ~output ~param =
-  List.mapi (fun i n -> input i n) p.Pipeline.inputs
-  @ List.mapi (fun i n -> output i n) (Pipeline.outputs p)
-  @ List.mapi (fun i (n, _) -> param i n) p.Pipeline.params
+(* The runner call, its [i]-th input, output and parameter argument
+   spelled by [input i], [output i] and [param i], each followed by the
+   generated name it binds. *)
+let runner_call (p : Pipeline.t) ~input ~output ~param =
+  let bind arg i n = Printf.sprintf "%s /* %s */" (arg i) n in
+  let img = C.ident C.Image in
+  let args =
+    List.mapi (fun i n -> bind input i (img n)) p.Pipeline.inputs
+    @ List.mapi (fun i n -> bind output i (img n)) (Pipeline.outputs p)
+    @ List.mapi (fun i (n, _) -> bind param i (C.ident C.Param n)) p.Pipeline.params
+  in
+  Printf.sprintf "%s(%s)" (C.ident C.Runner p.Pipeline.name) (String.concat ", " args)
 
 let dlopen_wrapper (p : Pipeline.t) =
   let b = Buffer.create 512 in
@@ -104,20 +112,17 @@ let dlopen_wrapper (p : Pipeline.t) =
   w "void kfuse_entry(const double** ins, double** outs, const double* params) {\n";
   if p.Pipeline.inputs = [] then w "  (void)ins;\n";
   if p.Pipeline.params = [] then w "  (void)params;\n";
-  let args =
-    runner_args p
-      ~input:(fun i name -> Printf.sprintf "ins[%d] /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "outs[%d] /* %s */" i name)
-      ~param:(fun i name -> Printf.sprintf "params[%d] /* %s */" i name)
-  in
-  w "  run_%s(%s);\n" (C.sanitize p.Pipeline.name) (String.concat ", " args);
+  w "  %s;\n"
+    (runner_call p
+       ~input:(Printf.sprintf "ins[%d]")
+       ~output:(Printf.sprintf "outs[%d]")
+       ~param:(Printf.sprintf "params[%d]"));
   w "}\n";
   Buffer.contents b
 
 let subprocess_wrapper (p : Pipeline.t) =
   let b = Buffer.create 1024 in
   let w fmt = Printf.bprintf b fmt in
-  let n = C.sanitize p.Pipeline.name in
   let n_in = List.length p.Pipeline.inputs and n_out = List.length (Pipeline.outputs p) in
   let np = List.length p.Pipeline.params in
   w "#include <fcntl.h>\n#include <stdio.h>\n#include <sys/mman.h>\n";
@@ -159,13 +164,11 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "  if (out_map == MAP_FAILED) { perror(argv[2]); return 4; }\n";
   w "  close(out_fd);\n";
   w "  kf_scalar* kf_out = (kf_scalar*)out_map;\n";
-  let args =
-    runner_args p
-      ~input:(fun i name -> Printf.sprintf "kf_in + %d * npix /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "kf_out + %d * npix /* %s */" i name)
-      ~param:(fun i name -> Printf.sprintf "kf_in[%d * npix + %d] /* %s */" n_in i name)
-  in
-  w "  run_%s(%s);\n" n (String.concat ", " args);
+  w "  %s;\n"
+    (runner_call p
+       ~input:(Printf.sprintf "kf_in + %d * npix")
+       ~output:(Printf.sprintf "kf_out + %d * npix")
+       ~param:(Printf.sprintf "kf_in[%d * npix + %d]" n_in));
   w "  return 0;\n}\n";
   Buffer.contents b
 

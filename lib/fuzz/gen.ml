@@ -6,6 +6,7 @@ module Pipeline = Kfuse_ir.Pipeline
 module Border = Kfuse_image.Border
 module Mask = Kfuse_image.Mask
 module Digraph = Kfuse_graph.Digraph
+module C_names = Kfuse_codegen.Lower_common
 
 let pick rng arr = arr.(Rng.int rng (Array.length arr))
 
@@ -102,7 +103,7 @@ let stencil_expr rng ~avail =
     None taps
   |> Option.get
 
-let body_expr rng ~params ~avail =
+let body_expr rng ~params ~avail ~let_var =
   match Rng.int rng 10 with
   | 0 | 1 | 2 -> point_expr rng ~params ~avail (2 + Rng.int rng 2)
   | 3 | 4 ->
@@ -115,7 +116,7 @@ let body_expr rng ~params ~avail =
   | 8 ->
     (* Explicit reuse through a let: exercises CSE and Let handling in
        every downstream pass. *)
-    let v = "t0" in
+    let v = let_var in
     let value = point_expr rng ~params ~avail 2 in
     Expr.(let_ v value (var v * (var v + const (quarter rng (-4) 4))))
   | _ ->
@@ -123,9 +124,62 @@ let body_expr rng ~params ~avail =
     let b = point_expr rng ~params ~avail 2 in
     Expr.(a + b)
 
+(* Names that clash with something in generated C unless every user
+   name is mangled apart: C keywords, libc and math functions, the
+   generator's locals and helpers, the subprocess wrapper's locals and
+   the CUDA launch names. *)
+let hostile_pool =
+  [ "const"; "int"; "float"; "double"; "void"; "static"; "return"; "for"; "while"; "if";
+    "else"; "char"; "struct"; "sizeof"; "inline"; "restrict"; "free"; "malloc"; "abort";
+    "sqrt"; "sqrtf"; "fabs"; "fminf"; "fmaxf"; "powf"; "expf"; "floor"; "sin"; "cos";
+    "open"; "close"; "mmap"; "width"; "height"; "x"; "y"; "i"; "out"; "acc"; "kf_malloc";
+    "kf_scalar"; "kf_in"; "kf_out"; "kfuse_entry"; "main"; "npix"; "st"; "in_fd";
+    "out_map"; "argc"; "argv"; "ins"; "outs"; "params"; "block"; "grid"; "read_clamp";
+    "idx_mirror"; "img"; "sx1"; "ge1" ]
+
+(* A name every persisted case must be able to carry: not a DSL keyword
+   (the corpus round-trips through the DSL) and not a temporal input
+   name (names alone mark a pipeline temporal). *)
+let neutral name =
+  let digits s = String.for_all (fun c -> c >= '0' && c <= '9') s in
+  let lagged =
+    String.starts_with ~prefix:"prev" name
+    && digits (String.sub name 4 (String.length name - 4))
+  in
+  (not (List.mem name Kfuse_dsl.Unparse.reserved)) && name <> "frame" && not lagged
+
+(* Where names come from: [None] keeps the plain [in%d]/[p%d]/[k%d]
+   scheme; [Some rng] draws most names from the hostile pool and from
+   lookalikes of the case's other names — the C names they become, and
+   [<k>_halo] beside a kernel [<k>].  [used] keeps them distinct. *)
+type namer = { hostile : Rng.t option; mutable used : string list }
+
+let name_as namer ~lookalikes plain =
+  let name =
+    match namer.hostile with
+    | Some rng when Rng.int rng 4 > 0 ->
+      let cand = pick rng (Array.of_list (hostile_pool @ lookalikes)) in
+      if neutral cand && not (List.mem cand namer.used) then cand else plain
+    | Some _ | None -> plain
+  in
+  namer.used <- name :: namer.used;
+  name
+
 let case ?(max_kernels = 10) ~seed index =
   if max_kernels < 2 then invalid_arg "Gen.case: max_kernels must be >= 2";
-  let rng = Rng.create ((seed * 1_000_003) lxor index) in
+  let case_seed = (seed * 1_000_003) lxor index in
+  let rng = Rng.create case_seed in
+  (* Names draw from their own generator, split off the case seed, so
+     the DAG of every [(seed, index)] does not depend on them. *)
+  let namer =
+    let names = Rng.split (Rng.create case_seed) in
+    { hostile = (if Rng.int names 3 = 0 then Some names else None); used = [] }
+  in
+  let pipeline_name = Printf.sprintf "fuzz_%d_%d" seed index in
+  let c_names kinds names =
+    List.concat_map (fun n -> List.map (fun k -> C_names.ident k n) kinds) names
+  in
+  let run_lookalike = c_names [ C_names.Runner ] [ pipeline_name ] in
   let width = 8 + Rng.int rng 9 in
   let height = 6 + Rng.int rng 8 in
   (* ~1 in 4 cases is a temporal stream: inputs named by the streaming
@@ -141,18 +195,32 @@ let case ?(max_kernels = 10) ~seed index =
              if i = 0 then "prev" else Printf.sprintf "prev%d" (i + 1))
     else
       let n_inputs = 1 + Rng.int rng 3 in
-      List.init n_inputs (Printf.sprintf "in%d")
+      List.init n_inputs (fun i ->
+          name_as namer ~lookalikes:run_lookalike (Printf.sprintf "in%d" i))
   in
   let params =
-    List.init (Rng.int rng 3) (fun i -> (Printf.sprintf "p%d" i, quarter rng 1 8))
+    List.init (Rng.int rng 3) (fun i ->
+        let lookalikes = run_lookalike @ c_names [ C_names.Image ] inputs in
+        (name_as namer ~lookalikes (Printf.sprintf "p%d" i), quarter rng 1 8))
   in
+  let let_var = name_as namer ~lookalikes:[] "t0" in
   let param_names = List.map fst params in
   let n = 2 + Rng.int rng (max_kernels - 1) in
   let with_reduce = n >= 3 && Rng.int rng 5 = 0 in
   let rec build i avail acc =
     if i >= n then List.rev acc
     else
-      let name = Printf.sprintf "k%d" i in
+      let name =
+        let earlier = List.map (fun (k : Kernel.t) -> k.Kernel.name) acc in
+        let lookalikes =
+          run_lookalike
+          @ c_names [ C_names.Image ] inputs
+          @ c_names [ C_names.Param ] param_names
+          @ c_names C_names.[ Kernel_fn; Halo_fn ] earlier
+          @ List.map (fun k -> k ^ "_halo") earlier
+        in
+        name_as namer ~lookalikes (Printf.sprintf "k%d" i)
+      in
       let k =
         if with_reduce && i = n - 1 then begin
           (* A global reduction sink.  The seed must be the DSL default
@@ -170,7 +238,7 @@ let case ?(max_kernels = 10) ~seed index =
           Kernel.reduce ~name ~inputs:(Expr.images arg) ~init ~combine arg
         end
         else begin
-          let body = body_expr rng ~params:param_names ~avail in
+          let body = body_expr rng ~params:param_names ~avail ~let_var in
           let body =
             if Expr.images body = [] then Expr.(body + input (pick_src rng avail))
             else body
@@ -181,9 +249,7 @@ let case ?(max_kernels = 10) ~seed index =
       build (i + 1) (avail @ [ name ]) (k :: acc)
   in
   let kernels = build 0 inputs [] in
-  Pipeline.create
-    ~name:(Printf.sprintf "fuzz_%d_%d" seed index)
-    ~width ~height ~params ~inputs kernels
+  Pipeline.create ~name:pipeline_name ~width ~height ~params ~inputs kernels
 
 (* ---- derived features (for the coverage summary) ---- *)
 

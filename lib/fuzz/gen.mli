@@ -11,6 +11,14 @@
     bit for bit, which is what makes failures replayable from nothing
     but the two integers.
 
+    About a third of the cases take hostile names: C keywords, libc and
+    math functions, the code generator's own locals and helpers, the C
+    names the case's other names become ({!Kfuse_codegen.Lower_common.ident})
+    and [<k>_halo] beside a kernel [<k>].  Names draw from a generator
+    of their own, split off the case seed, so a case's DAG is the one
+    the plain [in%d]/[p%d]/[k%d] naming gives.  No name is a DSL keyword
+    or a temporal input name, so every case still unparses.
+
     The generator stays inside the DSL-representable fragment (only
     [<] selects, no [Shift] nodes, reduction seeds at their DSL
     defaults, [Clamp] borders on zero-offset taps) so every generated

@@ -527,8 +527,11 @@ let incremental_replan config p =
    it on the same deterministic pixels {!eval_exact} sees, and demand
    bit-exact agreement with the interpreter on the original pipeline —
    double-precision buffers and marshalling (ABI v2) make exactness the
-   right bar, not a tolerance.  Skips cleanly (Ok) when the host has no
-   C compiler, so campaigns stay green on toolchain-less machines. *)
+   right bar, not a tolerance.  Both the unfused baseline and the
+   min-cut plan run: every intermediate, and so every user name, reaches
+   the generated C only where fusion keeps it apart.  Skips cleanly (Ok)
+   when the host has no C compiler, so campaigns stay green on
+   toolchain-less machines. *)
 let native_exec ~cache_dir config p =
   match Toolchain.find () with
   | Error _ -> Ok ()
@@ -536,14 +539,18 @@ let native_exec ~cache_dir config p =
     match
       let inputs = eval_inputs p in
       let ref_out = Eval.run_outputs p (Eval.env_of_list inputs) in
-      let r = Driver.run config Driver.Mincut p in
       let native_dir = Option.map (fun d -> Filename.concat d "native") cache_dir in
-      match Native.run ?cache_dir:native_dir r.Driver.fused inputs with
-      | Error d ->
-        Error
-          (Printf.sprintf "native execution failed: %s" (Kfuse_util.Diag.to_string d))
-      | Ok res ->
-        compare_outputs ~what:"native vs interpreter" ref_out res.Native.outputs
+      let check strategy =
+        let s = Driver.strategy_to_string strategy in
+        let r = Driver.run config strategy p in
+        match Native.run ?cache_dir:native_dir r.Driver.fused inputs with
+        | Error d ->
+          Error
+            (Printf.sprintf "%s: native execution failed: %s" s (Kfuse_util.Diag.to_string d))
+        | Ok res ->
+          compare_outputs ~what:(s ^ " native vs interpreter") ref_out res.Native.outputs
+      in
+      Result.bind (check Driver.Baseline) (fun () -> check Driver.Mincut)
     with
     | exception e -> Error (Printf.sprintf "native oracle raised: %s" (Printexc.to_string e))
     | r -> r)

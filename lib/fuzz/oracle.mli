@@ -46,11 +46,12 @@
       (plan fingerprint: partition, objective, fused pipeline) to
       planning the same state from scratch, without ever tripping the
       seam-check fallback.
-    - {!constructor:Native_exec}: the fused plan, compiled by
-      {!Kfuse_exec.Native} and executed natively, agrees {e bitwise}
-      with the {!Kfuse_ir.Eval} interpreter on the original pipeline
-      (double-precision buffers and marshalling make exactness the
-      right bar).  Skips cleanly when the host has no C toolchain.
+    - {!constructor:Native_exec}: the unfused baseline and the min-cut
+      plan, each compiled by {!Kfuse_exec.Native} and executed
+      natively, agree {e bitwise} with the {!Kfuse_ir.Eval} interpreter
+      on the original pipeline (double-precision buffers and
+      marshalling make exactness the right bar).  The baseline keeps
+      every intermediate, so every user name reaches the generated C.  Skips cleanly when the host has no C toolchain.
       Compiling every case is orders of magnitude slower than the rest
       of the bank, so this oracle is {e opt-in}: it is not in {!all}
       and runs only when [which] names it.

@@ -50,10 +50,10 @@ let test_fuse_dsl_file () =
 let test_emit_cuda_and_cpu () =
   check_contains "emit cuda"
     (run_capture [ "emit"; "--app"; "sobel" ])
-    [ "__global__ void sobel_mag"; "cuda_runtime.h" ];
+    [ "__global__ void k_mag"; "cuda_runtime.h" ];
   check_contains "emit cpu"
     (run_capture [ "emit"; "--app"; "sobel"; "--backend"; "cpu"; "-O" ])
-    [ "omp parallel for"; "void sobel_mag" ]
+    [ "omp parallel for"; "void k_mag" ]
 
 let test_estimate () =
   check_contains "estimate"
@@ -74,7 +74,7 @@ let test_explain_dot_unparse () =
     [ "Edge benefits"; "point-based"; "Algorithm 1 trace"; "Inlining verdicts" ];
   check_contains "dot"
     (run_capture [ "dot"; "--app"; "harris"; "-w" ])
-    [ "digraph harris"; "subgraph cluster_"; "label=\"328\"" ];
+    [ "digraph \"harris\""; "subgraph cluster_"; "label=\"328\"" ];
   check_contains "unparse"
     (run_capture [ "unparse"; "-a"; "sobel" ])
     [ "pipeline sobel(in)"; "sqrt" ]

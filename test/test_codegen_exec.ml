@@ -43,7 +43,9 @@ let emit_main buf (p : Ir.Pipeline.t) inputs =
     @ List.map (fun (name, _) -> Printf.sprintf "%.9ef" (List.assoc name p.Ir.Pipeline.params))
         p.Ir.Pipeline.params
   in
-  b "  run_%s(%s);\n" p.Ir.Pipeline.name (String.concat ", " args);
+  b "  %s(%s);\n"
+    Kfuse_codegen.Lower_common.(ident Runner p.Ir.Pipeline.name)
+    (String.concat ", " args);
   List.iter
     (fun o ->
       b "  for (int i = 0; i < %d; ++i) printf(\"%%.9e\\n\", %s_out[i]);\n"

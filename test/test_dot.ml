@@ -14,14 +14,14 @@ let test_plain_dag () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (contains needle dot))
     [
-      "digraph sobel";
+      "digraph \"sobel\"";
       "label=\"dx\\nlocal(r=1)\"";
       "label=\"mag\\npoint\"";
       "shape=box";
       "shape=ellipse";
-      "input_in";
-      "k0 -> k2";
-      "k1 -> k2";
+      "\"input_in\" [label=\"in\"";
+      "\"k0\" -> \"k2\"";
+      "\"k1\" -> \"k2\"";
     ]
 
 let test_partition_clusters () =
@@ -60,10 +60,35 @@ let test_global_kernel_shape () =
   in
   Alcotest.(check bool) "hexagon" true (contains "shape=hexagon" (Kfuse_codegen.Dot.emit p))
 
+(* Every ID and label is a quoted DOT string: inputs [a.b] and [a_b]
+   stay two nodes, and a quote or backslash in a name cannot end the
+   string early. *)
+let test_names_quoted () =
+  let p =
+    Kfuse_ir.Pipeline.create ~name:"q\"uote" ~width:8 ~height:8 ~inputs:[ "a.b"; "a_b" ]
+      [
+        Kfuse_ir.Kernel.map ~name:"say \"hi\" \\o/" ~inputs:[ "a.b"; "a_b" ]
+          Kfuse_ir.Expr.(input "a.b" + input "a_b");
+      ]
+  in
+  let dot = Kfuse_codegen.Dot.emit p in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (contains needle dot))
+    [
+      "digraph \"q\\\"uote\" {";
+      "\"input_a.b\" [label=\"a.b\"";
+      "\"input_a_b\" [label=\"a_b\"";
+      "\"input_a.b\" -> \"k0\"";
+      "\"input_a_b\" -> \"k0\"";
+      "label=\"say \\\"hi\\\" \\\\o/\\npoint\"";
+    ]
+
 let suite =
   [
     Alcotest.test_case "plain DAG" `Quick test_plain_dag;
     Alcotest.test_case "partition clusters" `Quick test_partition_clusters;
     Alcotest.test_case "edge labels" `Quick test_edge_labels;
     Alcotest.test_case "global kernel shape" `Quick test_global_kernel_shape;
+    Alcotest.test_case "names quoted and escaped" `Quick test_names_quoted;
   ]

@@ -62,10 +62,10 @@ let test_emit_golden_map_reduce () =
       "float acc = 0.0f;";
       (* the reduction broadcast-fills its whole output buffer *)
       "for (int i = 0; i < (width * height); ++i)";
-      "out[i] = acc;";
-      "void run_redsum(const kf_scalar* src, kf_scalar* total)";
+      "img_total[i] = acc;";
+      "void run_redsum(const kf_scalar* img_src, kf_scalar* img_total)";
       "kf_malloc((size_t)width * height * sizeof(kf_scalar))";
-      "free(neg);";
+      "free(img_neg);";
     ];
   if contains "(--" src then
     Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src;
@@ -113,8 +113,9 @@ let test_emit_golden_region_split () =
   let stencils = ref 0 in
   Array.iter
     (fun (k : Ir.Kernel.t) ->
-      let name = Cg.Lower_common.func_name fused k in
-      let halo = name ^ "_halo" in
+      let name = Cg.Lower_common.(ident Kernel_fn k.Ir.Kernel.name) in
+      let halo = Cg.Lower_common.(ident Halo_fn k.Ir.Kernel.name) in
+      let out = Cg.Lower_common.(ident Image k.Ir.Kernel.name) in
       let entry = block_after src ("void " ^ name ^ "(") in
       match k.Ir.Kernel.op with
       | Ir.Kernel.Map body when Ir.Expr.reach body > 0 ->
@@ -139,7 +140,7 @@ let test_emit_golden_region_split () =
             if contains bad interior then
               Alcotest.failf "%s: interior loop calls %s:\n%s" name bad interior)
           [ "idx_"; "read_"; "_halo" ];
-        check_fragments (name ^ " interior") interior [ "img_"; "out[((y * width) + x)] =" ]
+        check_fragments (name ^ " interior") interior [ out ^ "[((y * width) + x)] =" ]
       | Ir.Kernel.Map _ | Ir.Kernel.Reduce _ ->
         Alcotest.(check int) (name ^ " has no halo function") 0 (occurrences src halo);
         check_fragments (name ^ " loop shape") entry
@@ -869,6 +870,84 @@ let test_oracle_native_exec () =
   Alcotest.(check bool) "opt-in: not in the default bank" false
     (List.mem Fz.Oracle.Native_exec Fz.Oracle.all)
 
+(* ---- generated-C names ---- *)
+
+(* Pipelines whose user names collide in generated C unless every name
+   is mangled apart: a kernel named after a C keyword, a generator
+   local, a libc function, a generator helper or a parameter's C name
+   (these clash only under the baseline partition, where the
+   intermediate survives fusion); a kernel beside its halo suffix; a
+   kernel named like its pipeline or a parameter; and, through the
+   OCaml API, names that only an injective escape keeps apart or that
+   would close a C comment. *)
+let name_collision_rows () =
+  let dsl src =
+    match Kfuse_dsl.Elaborate.parse_pipeline src with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "%s:\n%s" e src
+  in
+  let clash name =
+    ( "kernel " ^ name,
+      dsl
+        (Printf.sprintf
+           "pipeline t(in) {\n\
+           \  size 16 16\n\
+           \  param gain = 2\n\
+           \  conv0 = conv(in, gauss3, clamp)\n\
+           \  %s = conv0 + 1\n\
+           \  res = %s * gain\n\
+            }"
+           name name) )
+  in
+  List.map clash [ "const"; "width"; "free"; "kf_malloc"; "p_gain" ]
+  @ [
+      ( "a -> a_halo -> b",
+        dsl
+          "pipeline t(src) {\n\
+          \  size 16 16\n\
+          \  a = conv(src, gauss5, clamp)\n\
+          \  a_halo = conv(a, gauss5, clamp)\n\
+          \  b = conv(a_halo, gauss5, clamp)\n\
+           }" );
+      ("pipeline run, kernel run", dsl "pipeline run(in) {\n  size 16 16\n  run = in * 2\n}");
+      ( "pipeline p_a, param a_b, kernel b",
+        dsl "pipeline p_a(in) {\n  size 16 16\n  param a_b = 3\n  b = in * a_b\n}" );
+      ( "images a.b and a_b",
+        Ir.Pipeline.create ~name:"dots" ~width:16 ~height:16 ~inputs:[ "a.b"; "a_b" ]
+          [
+            Ir.Kernel.map ~name:"d" ~inputs:[ "a.b"; "a_b" ]
+              Ir.Expr.(conv Img.Mask.gaussian_3x3 "a.b" - input "a_b");
+          ] );
+      ( "kernel x*/y",
+        Ir.Pipeline.create ~name:"comment" ~width:16 ~height:16 ~inputs:[ "in" ]
+          [ Ir.Kernel.map ~name:"x*/y" ~inputs:[ "in" ] Ir.Expr.(Const 2.0 * input "in") ] );
+    ]
+
+let test_name_collisions_exact () =
+  let _ = require_toolchain () in
+  with_cache_dir @@ fun cache_dir ->
+  List.iter
+    (fun (row, p) ->
+      let inputs = inputs_for p in
+      let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+      List.iter
+        (fun strategy ->
+          let fused = (F.Driver.run F.Config.default strategy p).F.Driver.fused in
+          List.iter
+            (fun mode ->
+              let what =
+                Printf.sprintf "%s, %s, %s" row
+                  (F.Driver.strategy_to_string strategy)
+                  (Exec.Native.mode_to_string mode)
+              in
+              match Exec.Native.run ~mode ~cache_dir fused inputs with
+              | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+              | Ok r ->
+                Alcotest.(check (float 0.0)) what 0.0 (max_diff reference r.Exec.Native.outputs))
+            [ Exec.Native.Dlopen; Exec.Native.Subprocess ])
+        [ F.Driver.Baseline; F.Driver.Mincut ])
+    (name_collision_rows ())
+
 let suite =
   [
     Alcotest.test_case "emit golden: map + reduce + broadcast" `Quick
@@ -893,6 +972,8 @@ let suite =
       test_native_pow_faithful;
     Alcotest.test_case "interior margin is the reach, not the radius" `Slow
       test_native_reach_beyond_radius;
+    Alcotest.test_case "hostile user names compile and run bit-exact (regression)" `Slow
+      test_name_collisions_exact;
     Alcotest.test_case "+ reduction sums in row-major order (regression)" `Slow
       test_native_sum_reduce_order;
     Alcotest.test_case "malformed native calls raise" `Slow test_native_bad_calls_raise;

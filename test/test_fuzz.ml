@@ -90,6 +90,78 @@ let test_max_kernels_respected () =
       (n >= 2 && n <= 4)
   done
 
+(* Every name a pipeline declares or binds: inputs, parameters,
+   kernels and let variables. *)
+let declared_names (p : Pipeline.t) =
+  let rec lets e =
+    match e with
+    | Expr.Let { var; value; body } -> (var :: lets value) @ lets body
+    | Expr.Const _ | Expr.Param _ | Expr.Input _ | Expr.Var _ -> []
+    | Expr.Unop (_, a) | Expr.Shift { body = a; _ } -> lets a
+    | Expr.Binop (_, a, b) -> lets a @ lets b
+    | Expr.Select { lhs; rhs; if_true; if_false; _ } ->
+      List.concat_map lets [ lhs; rhs; if_true; if_false ]
+  in
+  let kernels = Array.to_list p.Pipeline.kernels in
+  ( p.Pipeline.inputs,
+    List.map fst p.Pipeline.params,
+    List.map (fun (k : Kernel.t) -> k.Kernel.name) kernels,
+    List.sort_uniq compare
+      (List.concat_map
+         (fun (k : Kernel.t) ->
+           lets (match k.Kernel.op with Kernel.Map e -> e | Kernel.Reduce { arg; _ } -> arg))
+         kernels) )
+
+let plain_name n =
+  let numbered prefix =
+    String.starts_with ~prefix n
+    && String.length n > String.length prefix
+    && String.for_all
+         (fun c -> c >= '0' && c <= '9')
+         (String.sub n (String.length prefix) (String.length n - String.length prefix))
+  in
+  List.exists numbered [ "in"; "p"; "k"; "prev" ] || n = "t0" || n = "frame"
+
+(* About a third of the cases draw hostile names: C keywords, libc and
+   generator names, and lookalikes of the case's own names, among them
+   a kernel [k] beside a kernel [k_halo].  None is a DSL keyword. *)
+let test_hostile_names () =
+  let cases = List.init 60 (Fz.Gen.case ~seed:7) in
+  let hostile =
+    List.filter
+      (fun p ->
+        let i, ps, ks, ls = declared_names p in
+        not (List.for_all plain_name (i @ ps @ ks @ ls)))
+      cases
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a fraction of cases is hostile (%d of 60)" (List.length hostile))
+    true
+    (List.length hostile >= 10 && List.length hostile <= 40);
+  let some what pred =
+    Alcotest.(check bool) what true (List.exists pred hostile)
+  in
+  let kernels p = let _, _, ks, _ = declared_names p in ks in
+  let keywords = [ "const"; "int"; "if"; "for"; "while"; "static" ] in
+  some "a kernel named after a C keyword" (fun p ->
+      List.exists (fun k -> List.mem k keywords) (kernels p));
+  some "a kernel k beside a kernel k_halo" (fun p ->
+      List.exists (fun k -> List.mem (k ^ "_halo") (kernels p)) (kernels p));
+  some "a kernel named p_<param>" (fun p ->
+      List.exists (fun (n, _) -> List.mem ("p_" ^ n) (kernels p)) p.Pipeline.params);
+  List.iter
+    (fun p ->
+      let i, ps, ks, _ = declared_names p in
+      let all = i @ ps @ ks in
+      Alcotest.(check int) "names are distinct" (List.length all)
+        (List.length (List.sort_uniq compare all));
+      List.iter
+        (fun n ->
+          if List.mem n Kfuse_dsl.Unparse.reserved then
+            Alcotest.failf "%s: DSL keyword %S drawn as a name" p.Pipeline.name n)
+        all)
+    hostile
+
 (* ---- oracle bank ---- *)
 
 let test_oracle_bank_clean () =
@@ -136,6 +208,40 @@ let test_shrink_identity_when_minimal () =
   Alcotest.(check int) "result validates" 0 (List.length (Validate.pipeline shrunk));
   Alcotest.(check bool) "no growth" true
     (Pipeline.num_kernels shrunk <= Pipeline.num_kernels p)
+
+(* Shrinking drops and rewires, but never renames: every name the
+   shrunk pipeline declares or binds is one the original gave the same
+   role, so a hostile name that triggers a failure survives into the
+   reproducer. *)
+let test_shrink_keeps_names () =
+  let hostile =
+    List.filter
+      (fun p ->
+        let _, _, ks, _ = declared_names p in
+        not (List.for_all plain_name ks))
+      (List.init 30 (Fz.Gen.case ~seed:7))
+  in
+  Alcotest.(check bool) "some cases have hostile kernel names" true (hostile <> []);
+  List.iter
+    (fun p ->
+      let _, _, ks, _ = declared_names p in
+      let odd = List.filter (fun k -> not (plain_name k)) ks in
+      let still_fails q =
+        let _, _, ks', _ = declared_names q in
+        List.exists (fun k -> List.mem k odd) ks'
+      in
+      let shrunk = Fz.Shrink.run ~still_fails p in
+      let i, ps, ks, ls = declared_names p and i', ps', ks', ls' = declared_names shrunk in
+      List.iter
+        (fun (role, before, after) ->
+          List.iter
+            (fun n ->
+              if not (List.mem n before) then
+                Alcotest.failf "%s: shrinking introduced %s %S" p.Pipeline.name role n)
+            after)
+        [ ("input", i, i'); ("param", ps, ps'); ("kernel", ks, ks'); ("let variable", ls, ls') ];
+      Alcotest.(check bool) "a hostile kernel name survives" true (still_fails shrunk))
+    hostile
 
 (* ---- corpus ---- *)
 
@@ -337,12 +443,14 @@ let suite =
     Alcotest.test_case "generator: output validates" `Quick test_generated_validate;
     Alcotest.test_case "generator: DSL round-trip" `Quick test_generated_roundtrip;
     Alcotest.test_case "generator: max_kernels bound" `Quick test_max_kernels_respected;
+    Alcotest.test_case "generator: hostile names, DSL-safe" `Quick test_hostile_names;
     Alcotest.test_case "oracle bank: clean on generated cases" `Slow test_oracle_bank_clean;
     Alcotest.test_case "oracle names round-trip" `Quick test_oracle_names_roundtrip;
     Alcotest.test_case "shrinker: well-formed, still failing, minimal" `Quick
       test_shrink_well_formed_and_still_failing;
     Alcotest.test_case "shrinker: no growth on trivial predicate" `Quick
       test_shrink_identity_when_minimal;
+    Alcotest.test_case "shrinker: keeps every name" `Quick test_shrink_keeps_names;
     Alcotest.test_case "corpus: disk round-trip with provenance" `Quick test_corpus_roundtrip;
     Alcotest.test_case "corpus: save is idempotent" `Quick test_corpus_save_idempotent;
     Alcotest.test_case "runner: corpus replays before generation" `Quick
