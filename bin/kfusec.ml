@@ -393,8 +393,8 @@ let exec_mode_arg =
     & info [ "exec-mode" ] ~docv:"MODE"
         ~doc:
           "Native execution mode: $(b,dlopen) (load the compiled shared object \
-           in-process), $(b,subprocess) (standalone executable + file \
-           marshalling), or $(b,auto) (dlopen, falling back to subprocess if \
+           in-process), $(b,subprocess) (a persistent sandboxed runner \
+           fed through a memfd arena), or $(b,auto) (dlopen, falling back to subprocess if \
            the object cannot be loaded).")
 
 (* The native backend keeps compiled artifacts under a [native]
@@ -725,10 +725,11 @@ let exec_sandbox_arg =
     & info [ "exec-sandbox" ] ~docv:"POLICY"
         ~doc:
           "How fuse_exec and stream sessions run generated native code.  \
-           $(b,on) (default): every execution is a supervised fork/exec \
-           subprocess under rlimits and a deadline watchdog — a plan that \
-           segfaults, loops or exhausts memory yields a typed \
-           KF0905/KF0906/KF0907 reply and never harms the daemon.  \
+           $(b,on) (default): every execution is a request to a supervised, \
+           rlimited runner subprocess under a per-request deadline watchdog \
+           and CPU budget — a plan that segfaults, loops or exhausts memory \
+           yields a typed KF0905/KF0906/KF0907 reply, its runner is killed, \
+           and the daemon is unharmed.  \
            $(b,dlopen-trusted): allow the fast in-process dlopen path \
            (trusts codegen); subprocess runs keep their rlimits.  Both keep \
            the per-plan circuit breaker.  Under $(b,shard-serve) the policy \

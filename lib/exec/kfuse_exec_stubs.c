@@ -1,4 +1,7 @@
-/* Loader stubs for the native execution backend.
+/* Stubs for the native execution backend: the dlopen loader below, and
+ * the sandbox's spawn plus the fd-level primitives of its persistent
+ * runners (memfd arena, pwrite/pread on float arrays, a poll watchdog,
+ * the per-request RLIMIT_CPU re-arm).
  *
  * The generated C for every pipeline is wrapped behind one fixed entry
  * point (ABI v2):
@@ -17,6 +20,9 @@
  * kfused worker pool) keep making progress during a long kernel.
  */
 
+/* memfd_create, fallocate, prlimit, F_ADD_SEALS */
+#define _GNU_SOURCE
+
 #include <caml/alloc.h>
 #include <caml/fail.h>
 #include <caml/memory.h>
@@ -25,10 +31,15 @@
 
 #include <dlfcn.h>
 #include <errno.h>
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -37,21 +48,22 @@
  * OCaml 5 forbids Unix.fork once other domains exist — and both kfused
  * (its fusion-search Pool) and the test runner hold domain pools — so
  * the fork happens here, entirely in C: between fork and exec the
- * child runs only async-signal-safe libc calls (dup2, setrlimit,
- * sigprocmask, execvp), never the OCaml runtime.  Every OCaml value is
- * extracted into plain C memory *before* forking.
+ * child runs only async-signal-safe libc calls (dup2, fcntl, close,
+ * setrlimit, sigprocmask, execvp), never the OCaml runtime.  Every
+ * OCaml value is extracted into plain C memory *before* forking.
  *
  * Arguments:
- *   vargv     : string array        — argv; argv[0] resolved via PATH
- *   vfds      : fd * fd * fd        — stdin / stdout / stderr for the child
- *   vlimits   : int array [3]       — RLIMIT_CPU (s), RLIMIT_AS (bytes),
- *                                     RLIMIT_FSIZE (bytes); -1 = unlimited.
- *                                     Soft and hard are both set, so the
- *                                     child cannot raise them back.
- *   vmisbehave: int                 — chaos: 0 none, 1 die with SIGSEGV,
- *                                     2 hang forever, 3 exhaust a 64 MiB
- *                                     private RLIMIT_AS and abort (the
- *                                     generated kf_malloc's OOM signature)
+ *   vargv  : string array        — argv; argv[0] resolved via PATH
+ *   vfds   : fd * fd * fd        — stdin / stdout / stderr for the child
+ *   vlimits: int array [3]       — RLIMIT_CPU (s), RLIMIT_AS (bytes),
+ *                                  RLIMIT_FSIZE (bytes); -1 = unlimited.
+ *                                  Soft and hard are both set, so the
+ *                                  child cannot raise them back.
+ *   vextra : fd array            — handed to the child as fds 3, 4, ...
+ *                                  (a persistent runner's arena and
+ *                                  pipes); every other fd above 2 is
+ *                                  closed in the child, so it holds
+ *                                  nothing of the parent's but these.
  *
  * Returns the child pid; raises Failure when fork itself fails.  A
  * failed setrlimit is deliberately non-fatal in the child: the parent's
@@ -66,10 +78,16 @@ static void kfuse_child_rlimit(int resource, long lim)
   (void)setrlimit(resource, &rl);
 }
 
-value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
+#define KFUSE_MAX_EXTRA 8
+
+value kfuse_spawn(value vargv, value vfds, value vlimits, value vextra)
 {
-  CAMLparam4(vargv, vfds, vlimits, vmisbehave);
+  CAMLparam4(vargv, vfds, vlimits, vextra);
   mlsize_t nargs = Wosize_val(vargv);
+  mlsize_t nextra = Wosize_val(vextra);
+  if (nextra > KFUSE_MAX_EXTRA) caml_invalid_argument("kfuse_spawn: too many fds");
+  int extra[KFUSE_MAX_EXTRA];
+  for (mlsize_t i = 0; i < nextra; i++) extra[i] = Int_val(Field(vextra, i));
   char **argv = calloc(nargs + 1, sizeof(char *));
   if (argv == NULL) caml_failwith("kfuse_spawn: out of memory");
   for (mlsize_t i = 0; i < nargs; i++) {
@@ -86,16 +104,15 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
   long cpu_s = Long_val(Field(vlimits, 0));
   long mem_bytes = Long_val(Field(vlimits, 1));
   long fsize_bytes = Long_val(Field(vlimits, 2));
-  int misbehave = Int_val(vmisbehave);
 
   pid_t pid = fork();
   if (pid == 0) {
     /* Child.  The parent may have OCaml signal handlers (kfused's
-     * SIGTERM drain, the runtime's SIGSEGV stack-guard handler) and a
-     * thread signal mask; reset both so the watchdog's SIGTERM and the
-     * chaos signals behave as for a fresh process.  (exec would reset
-     * handlers anyway, but the misbehave paths never exec — and the
-     * blocked-signal mask *survives* exec.) */
+     * SIGTERM drain, the runtime's SIGSEGV stack-guard handler), an
+     * ignored SIGPIPE and a thread signal mask; reset them so the
+     * watchdog's SIGTERM behaves as for a fresh process.  exec resets
+     * handlers but not ignored signals, and the blocked-signal mask
+     * survives it. */
     sigset_t empty;
     sigemptyset(&empty);
     (void)sigprocmask(SIG_SETMASK, &empty, NULL);
@@ -106,22 +123,25 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
     (void)signal(SIGPIPE, SIG_DFL);
     if (dup2(fd_in, 0) < 0 || dup2(fd_out, 1) < 0 || dup2(fd_err, 2) < 0)
       _exit(127);
+    /* Extra fds land on 3, 4, ...: lift them above that range first so
+     * no dup2 clobbers a source still to be moved.  dup2 clears
+     * FD_CLOEXEC on the target, so the parent's O_CLOEXEC ends stay
+     * private to it. */
+    int base = 3 + (int)nextra;
+    for (mlsize_t i = 0; i < nextra; i++) {
+      extra[i] = fcntl(extra[i], F_DUPFD_CLOEXEC, base);
+      if (extra[i] < 0) _exit(127);
+    }
+    for (mlsize_t i = 0; i < nextra; i++)
+      if (dup2(extra[i], 3 + (int)i) < 0) _exit(127);
+#ifdef SYS_close_range
+    (void)syscall(SYS_close_range, (unsigned)base, ~0U, 0);
+#else
+    for (int fd = base; fd < 1024; fd++) (void)close(fd);
+#endif
     kfuse_child_rlimit(RLIMIT_CPU, cpu_s);
     kfuse_child_rlimit(RLIMIT_AS, mem_bytes);
     kfuse_child_rlimit(RLIMIT_FSIZE, fsize_bytes);
-    switch (misbehave) {
-    case 1:
-      raise(SIGSEGV);
-      _exit(0);
-    case 2:
-      for (;;) pause();
-    case 3:
-      kfuse_child_rlimit(RLIMIT_AS, 64L * 1024 * 1024);
-      for (;;)
-        if (malloc(4 * 1024 * 1024) == NULL) abort();
-    default:
-      break;
-    }
     execvp(argv[0], argv);
     _exit(127);
   }
@@ -135,6 +155,136 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
     caml_failwith(msg);
   }
   CAMLreturn(Val_long(pid));
+}
+
+/* {1 Persistent runners: arena, fd I/O on float arrays, CPU re-arm} */
+
+static void kfuse_fail_errno(const char *what, int err)
+{
+  char msg[256];
+  snprintf(msg, sizeof msg, "%s: %s", what, strerror(err));
+  caml_failwith(msg);
+}
+
+/* A memfd of [size] bytes, O_CLOEXEC.  A nonzero size is fallocate'd
+ * here, so a full shmem is a Failure now (the runner is never
+ * spawned) rather than a SIGBUS on some page of a sparse map later,
+ * then sealed against resizing: the runner that maps it can neither
+ * shrink it under the parent's pread nor grow it.  Size 0 is a plain,
+ * growable memfd (a runner's stderr). */
+value kfuse_memfd(value vname, value vsize)
+{
+  CAMLparam2(vname, vsize);
+  long size = Long_val(vsize);
+  int sealed = size > 0;
+  int fd = memfd_create(String_val(vname), MFD_CLOEXEC | (sealed ? MFD_ALLOW_SEALING : 0));
+  if (fd < 0) kfuse_fail_errno("memfd_create", errno);
+  if (sealed) {
+    int r;
+    caml_enter_blocking_section();
+    do r = fallocate(fd, 0, 0, (off_t)size); while (r != 0 && errno == EINTR);
+    int err = errno;
+    caml_leave_blocking_section();
+    if (r != 0) {
+      close(fd);
+      kfuse_fail_errno("fallocate", err);
+    }
+    if (fcntl(fd, F_ADD_SEALS, F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL) != 0) {
+      err = errno;
+      close(fd);
+      kfuse_fail_errno("F_ADD_SEALS", err);
+    }
+  }
+  CAMLreturn(Val_int(fd));
+}
+
+/* Float arrays above this length (in doubles = words) are guaranteed to
+ * live on the major heap (allocations over Max_young_wosize = 256 words
+ * never touch the minor heap, so no promotion can move them) and above
+ * the compactor's size-class pools (<= 128 words), so their data
+ * pointer is stable for the whole call even while the blocking section
+ * lets the GC run on other threads.  Those arrays are handed to the
+ * kernel (or the fd) in place — the per-frame streaming path and the
+ * sandbox arena, where the malloc + copy of multi-megabyte buffers used
+ * to dominate the kernel itself.  Smaller arrays are short enough to
+ * move without releasing the runtime. */
+#define KFUSE_STABLE_LEN 4096
+
+static mlsize_t float_array_length(value v)
+{
+  return Wosize_val(v) / Double_wosize;
+}
+
+/* pwrite (write = 1) or pread (write = 0) the whole of float array [va]
+ * at byte offset [voff] of [vfd].  Returns the bytes moved, short only
+ * when a read hits end of file; raises Failure on an I/O error. */
+static value kfuse_fd_floats(value vfd, value va, value voff, int write)
+{
+  CAMLparam3(vfd, va, voff);
+  int fd = Int_val(vfd);
+  char *p = (char *)Op_val(va);
+  size_t len = float_array_length(va) * sizeof(double);
+  off_t off = (off_t)Long_val(voff);
+  int release = float_array_length(va) > KFUSE_STABLE_LEN;
+  size_t done = 0;
+  int err = 0;
+  if (release) caml_enter_blocking_section();
+  while (done < len) {
+    ssize_t k = write ? pwrite(fd, p + done, len - done, off + (off_t)done)
+                      : pread(fd, p + done, len - done, off + (off_t)done);
+    if (k < 0 && errno == EINTR) continue;
+    if (k < 0) { err = errno; break; }
+    if (k == 0) break;
+    done += (size_t)k;
+  }
+  if (release) caml_leave_blocking_section();
+  if (err != 0) kfuse_fail_errno(write ? "pwrite" : "pread", err);
+  if (write && done < len) kfuse_fail_errno("pwrite", ENOSPC);
+  CAMLreturn(Val_long(done));
+}
+
+value kfuse_pwrite_floats(value vfd, value va, value voff)
+{
+  return kfuse_fd_floats(vfd, va, voff, 1);
+}
+
+value kfuse_pread_floats(value vfd, value va, value voff)
+{
+  return kfuse_fd_floats(vfd, va, voff, 0);
+}
+
+/* Wait until [vfd] is readable (data or hang-up) for at most
+ * [vtimeout_ms] (< 0: forever).  poll, not select: a daemon with many
+ * connections can hold fds past FD_SETSIZE. */
+value kfuse_wait_readable(value vfd, value vtimeout_ms)
+{
+  CAMLparam2(vfd, vtimeout_ms);
+  struct pollfd pfd = { .fd = Int_val(vfd), .events = POLLIN, .revents = 0 };
+  int timeout = Int_val(vtimeout_ms);
+  int r;
+  caml_enter_blocking_section();
+  r = poll(&pfd, 1, timeout);
+  int err = errno;
+  caml_leave_blocking_section();
+  if (r < 0 && err != EINTR) kfuse_fail_errno("poll", err);
+  CAMLreturn(Val_bool(r > 0));
+}
+
+/* Set the soft RLIMIT_CPU of [vpid] to [vsoft] seconds, clamped to its
+ * hard limit (raising a hard limit needs privilege; the soft one is
+ * ours to move).  Best effort: the watchdog still bounds the request
+ * when the kernel refuses. */
+value kfuse_set_cpu_soft(value vpid, value vsoft)
+{
+  CAMLparam2(vpid, vsoft);
+  struct rlimit rl;
+  pid_t pid = (pid_t)Long_val(vpid);
+  if (prlimit(pid, RLIMIT_CPU, NULL, &rl) == 0) {
+    rlim_t soft = (rlim_t)Long_val(vsoft);
+    rl.rlim_cur = (rl.rlim_max != RLIM_INFINITY && soft > rl.rlim_max) ? rl.rlim_max : soft;
+    (void)prlimit(pid, RLIMIT_CPU, &rl, NULL);
+  }
+  CAMLreturn(Val_unit);
 }
 
 typedef void (*kfuse_entry_fn)(const double **, double **, const double *);
@@ -185,22 +335,6 @@ value kfuse_dl_close(value vhandle)
   dlclose((void *)Nativeint_val(vhandle));
   CAMLreturn(Val_unit);
 }
-
-static mlsize_t float_array_length(value v)
-{
-  return Wosize_val(v) / Double_wosize;
-}
-
-/* Float arrays above this length (in doubles = words) are guaranteed to
- * live on the major heap (allocations over Max_young_wosize = 256 words
- * never touch the minor heap, so no promotion can move them) and above
- * the compactor's size-class pools (<= 128 words), so their data
- * pointer is stable for the whole call even while the blocking section
- * lets the GC run on other threads.  Those arrays are handed to the
- * kernel in place — this is the per-frame streaming path, where the
- * malloc + copy of multi-megabyte buffers used to dominate the kernel
- * itself.  Smaller arrays keep the conservative copy. */
-#define KFUSE_STABLE_LEN 4096
 
 /* Free only the buffers this call allocated (owned[i] != 0). */
 static void free_owned(double **bufs, const unsigned char *owned, mlsize_t n)

@@ -17,8 +17,10 @@ module Lower_cpu = Kfuse_codegen.Lower_cpu
    buffers in place instead of allocating + converting per call — the
    streaming per-frame path must not copy multi-megabyte images.
    v4: kf_scalar is always float64, so the entry point is only the
-   in-place call; the never-taken converting branch is gone. *)
-let abi_version = 4
+   in-place call; the never-taken converting branch is gone.
+   v5: the subprocess artifact is a persistent runner serving request
+   frames over pipes on a memfd arena, not a one-shot IN OUT program. *)
+let abi_version = 5
 
 type mode = Dlopen | Subprocess
 
@@ -63,29 +65,6 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Names unique within the process (pid + counter), so concurrent
-   workers never race for a temp dir or an artifact's tmp path. *)
-let unique_seq = Atomic.make 0
-let unique_suffix () = Printf.sprintf "%d.%d" (Unix.getpid ()) (Atomic.fetch_and_add unique_seq 1)
-
-let with_temp_dir f =
-  (* EEXIST can only be a leftover of a killed process whose pid we
-     reuse: skip to the next name. *)
-  let rec make () =
-    let dir = Filename.concat (Filename.get_temp_dir_name ()) ("kfuse-exec-" ^ unique_suffix ()) in
-    match Unix.mkdir dir 0o700 with
-    | () -> dir
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make ()
-  in
-  let dir = make () in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 (* {1 Source generation: generated pipeline + mode-specific wrapper} *)
 
 (* The runner call, its [i]-th input, output and parameter argument
@@ -120,56 +99,76 @@ let dlopen_wrapper (p : Pipeline.t) =
   w "}\n";
   Buffer.contents b
 
+(* The runner protocol, both sides: a request is [request_words]
+   native-endian int64s {ABI, input bytes, output bytes, fault code},
+   a reply [reply_words] {ABI, output bytes}. *)
+let request_words = 4
+let reply_words = 2
+
 let subprocess_wrapper (p : Pipeline.t) =
-  let b = Buffer.create 1024 in
+  let b = Buffer.create 2048 in
   let w fmt = Printf.bprintf b fmt in
   let n_in = List.length p.Pipeline.inputs and n_out = List.length (Pipeline.outputs p) in
   let np = List.length p.Pipeline.params in
-  w "#include <fcntl.h>\n#include <stdio.h>\n#include <sys/mman.h>\n";
-  w "#include <sys/stat.h>\n#include <unistd.h>\n\n";
-  w "// Standalone runner: argv[1] holds the packed native-endian float64\n";
-  w "// inputs (in declaration order) followed by %d parameter value%s;\n" np
+  w "#include <errno.h>\n#include <signal.h>\n#include <stdint.h>\n#include <stdio.h>\n";
+  w "#include <stdlib.h>\n#include <sys/mman.h>\n#include <sys/resource.h>\n";
+  w "#include <unistd.h>\n\n";
+  w "// Persistent runner (ABI v%d).  fd 3 is the arena: the packed\n" abi_version;
+  w "// native-endian float64 inputs in declaration order, %d parameter\n" np;
+  w "// value%s, then the outputs.  fd 4 carries requests {ABI, input\n"
     (if np = 1 then "" else "s");
-  w "// the outputs go to argv[2] in the same packed format.  Both files\n";
-  w "// are mapped and the pipeline runs on the maps in place.\n\n";
-  w "int main(int argc, char** argv) {\n";
-  w "  if (argc != 3) { fprintf(stderr, \"usage: %%s IN OUT\\n\", argv[0]); return 2; }\n";
+  w "// bytes, output bytes, fault}; the kernels run on the arena in place\n";
+  w "// and fd 5 gets the reply {ABI, output bytes}.  EOF on fd 4 ends it.\n\n";
+  w "static int kf_io(int fd, void* buf, size_t n, int out) {\n";
+  w "  size_t done = 0;\n";
+  w "  while (done < n) {\n";
+  w "    ssize_t k = out ? write(fd, (char*)buf + done, n - done)\n";
+  w "                    : read(fd, (char*)buf + done, n - done);\n";
+  w "    if (k < 0 && errno == EINTR) continue;\n";
+  w "    if (k <= 0) return (k == 0 && done == 0) ? 1 : -1;\n";
+  w "    done += (size_t)k;\n";
+  w "  }\n";
+  w "  return 0;\n";
+  w "}\n\n";
+  w "int main(void) {\n";
   w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
-  (* An empty input file has nothing to map (mmap rejects length 0). *)
-  if n_in + np > 0 then begin
-    w "  struct stat st;\n";
-    w "  int in_fd = open(argv[1], O_RDONLY);\n";
-    w "  if (in_fd < 0 || fstat(in_fd, &st) != 0) { perror(argv[1]); return 3; }\n";
-    if n_in > 0 then
-      w "  if ((size_t)st.st_size < %d * npix * sizeof(double)) { fprintf(stderr, \
-         \"truncated input\\n\"); return 3; }\n"
-        n_in;
-    let in_bytes = Printf.sprintf "(%d * npix + %d) * sizeof(double)" n_in np in
-    if np > 0 then
-      w "  if ((size_t)st.st_size < %s) { fprintf(stderr, \"truncated parameters\\n\"); \
-         return 3; }\n"
-        in_bytes;
-    w "  void* in_map = mmap(NULL, %s, PROT_READ, MAP_PRIVATE, in_fd, 0);\n" in_bytes;
-    w "  if (in_map == MAP_FAILED) { perror(argv[1]); return 3; }\n";
-    w "  close(in_fd);\n";
-    w "  const kf_scalar* kf_in = (const kf_scalar*)in_map;\n"
-  end;
-  (* RLIMIT_FSIZE stops an oversized output at the ftruncate (SIGXFSZ,
-     classified KF0907). *)
-  w "  const size_t out_bytes = %d * npix * sizeof(double);\n" n_out;
-  w "  int out_fd = open(argv[2], O_RDWR | O_CREAT | O_TRUNC, 0600);\n";
-  w "  if (out_fd < 0 || ftruncate(out_fd, (off_t)out_bytes) != 0) { perror(argv[2]); \
-     return 4; }\n";
-  w "  void* out_map = mmap(NULL, out_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, out_fd, 0);\n";
-  w "  if (out_map == MAP_FAILED) { perror(argv[2]); return 4; }\n";
-  w "  close(out_fd);\n";
-  w "  kf_scalar* kf_out = (kf_scalar*)out_map;\n";
-  w "  %s;\n"
+  w "  const size_t in_bytes = ((size_t)%d * npix + %d) * sizeof(double);\n" n_in np;
+  w "  const size_t out_bytes = (size_t)%d * npix * sizeof(double);\n" n_out;
+  w "  char* arena = mmap(NULL, in_bytes + out_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, 3, 0);\n";
+  w "  if (arena == MAP_FAILED) { perror(\"arena\"); return 3; }\n";
+  w "  close(3);\n";
+  if n_in + np > 0 then w "  const kf_scalar* kf_in = (const kf_scalar*)arena;\n";
+  w "  kf_scalar* kf_out = (kf_scalar*)(arena + in_bytes);\n";
+  w "  for (;;) {\n";
+  w "    int64_t req[%d];\n" request_words;
+  w "    int r = kf_io(4, req, sizeof req, 0);\n";
+  w "    if (r == 1) return 0;\n";
+  w "    if (r != 0) { fprintf(stderr, \"short request frame\\n\"); return 3; }\n";
+  w "    if (req[0] != %d || (size_t)req[1] != in_bytes || (size_t)req[2] != out_bytes) {\n"
+    abi_version;
+  w "      fprintf(stderr, \"request frame (ABI %%lld, %%lld input bytes, %%lld output \"\n";
+  w "              \"bytes) disagrees with the arena (ABI %d, %%zu, %%zu)\\n\",\n" abi_version;
+  w "              (long long)req[0], (long long)req[1], (long long)req[2], in_bytes, out_bytes);\n";
+  w "      return 3;\n";
+  w "    }\n";
+  (* The exec.* chaos points, drawn by the parent, acted out here so
+     they exercise the real kill-and-respawn path. *)
+  w "    if (req[3] == 1) raise(SIGSEGV);\n";
+  w "    if (req[3] == 2) for (;;) pause();\n";
+  w "    if (req[3] == 3) {\n";
+  w "      struct rlimit rl = { 64L << 20, 64L << 20 };\n";
+  w "      (void)setrlimit(RLIMIT_AS, &rl);\n";
+  w "      for (;;) if (!malloc((size_t)4 << 20)) abort();\n";
+  w "    }\n";
+  w "    %s;\n"
     (runner_call p
        ~input:(Printf.sprintf "kf_in + %d * npix")
        ~output:(Printf.sprintf "kf_out + %d * npix")
        ~param:(Printf.sprintf "kf_in[%d * npix + %d]" n_in));
-  w "  return 0;\n}\n";
+  w "    int64_t rep[%d] = { %d, (int64_t)out_bytes };\n" reply_words abi_version;
+  w "    if (kf_io(5, rep, sizeof rep, 1) != 0) return 0;\n";
+  w "  }\n";
+  w "}\n";
   Buffer.contents b
 
 let source ~mode (p : Pipeline.t) =
@@ -266,7 +265,7 @@ let compile ?cache_dir ~mode (p : Pipeline.t) =
          point at a file a human can feed to the compiler by hand. *)
       let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
       write_file src_path src;
-      let attempt = unique_suffix () in
+      let attempt = Toolchain.unique_suffix () in
       let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
       let err_path = Printf.sprintf "%s.log.%s" dest attempt in
       let argv =
@@ -275,13 +274,11 @@ let compile ?cache_dir ~mode (p : Pipeline.t) =
       in
       (* Supervised fork/exec — no shell — with a wall cap so a wedged
          compiler cannot hang the daemon.  No rlimits: compilers
-         legitimately need memory, and [fault_injection:false] keeps an
-         armed [exec.*] chaos point aimed at executions, not at the
-         compiler. *)
+         legitimately need memory. *)
       let r =
         Supervisor.run
           ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
-          ~fault_injection:false ~stderr_path:err_path ~argv ()
+          ~stderr_path:err_path ~argv ()
       in
       let log = r.Supervisor.stderr_tail in
       (try Sys.remove err_path with Sys_error _ -> ());
@@ -295,7 +292,7 @@ let compile ?cache_dir ~mode (p : Pipeline.t) =
             Printf.sprintf "timed out after %.0f ms" wall_ms
           | Supervisor.Crashed { signal } -> "crashed with " ^ signal
           | Supervisor.Limit { what; _ } -> "exceeded " ^ what
-          | Supervisor.Spawn_failed { reason } -> reason
+          | Supervisor.Spawn_failed { reason } | Supervisor.Protocol { reason } -> reason
         in
         Error
           (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
@@ -422,111 +419,219 @@ let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals 
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
   else Ok (finish_outputs p out_names outs, List.rev !samples)
 
-(* The runner's files are packed native-endian float64.  Only the child
-   maps them: the parent moves them with plain fd I/O through one 64 KiB
-   chunk, so nothing it touches outlives the request, and a full temp
-   filesystem is an ENOSPC error here rather than a SIGBUS on a page of
-   a sparse mapping. *)
-let chunk_floats = 8192
+(* {1 Persistent sandboxed runners} *)
 
-let write_runner_input path arrays pvals =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  let chunk = Bytes.create (8 * chunk_floats) in
-  let put a =
-    let n = Array.length a and i = ref 0 in
-    while !i < n do
-      let k = min chunk_floats (n - !i) in
-      for j = 0 to k - 1 do
-        Bytes.set_int64_ne chunk (8 * j) (Int64.bits_of_float (Array.unsafe_get a (!i + j)))
-      done;
-      (* Unix.write returns only once all [8 * k] bytes are written. *)
-      ignore (Unix.write fd chunk 0 (8 * k));
-      i := !i + k
-    done
+external pwrite_floats : Unix.file_descr -> float array -> int -> int = "kfuse_pwrite_floats"
+external pread_floats : Unix.file_descr -> float array -> int -> int = "kfuse_pread_floats"
+
+module Runner = Supervisor.Runner
+
+(* Idle runners are kept per artifact and rlimits (RLIMIT_AS and
+   RLIMIT_FSIZE are fixed at spawn), most recently used first, at most
+   [max_idle_runners] of them (enough to keep the paper's six apps
+   warm) holding at most [max_idle_arena_bytes] of arena between them:
+   an idle runner pins its whole arena in shmem.  The paper's six apps
+   at 1024² need 96 MiB.  [live] holds every runner not yet closed,
+   idle or checked out, for the stats. *)
+let max_idle_runners = 8
+let max_idle_arena_bytes = 256 * 1024 * 1024
+
+type pool = {
+  lock : Mutex.t;
+  mutable idle : (string * Runner.t) list;
+  mutable live : Runner.t list;
+  mutable spawns : int;
+  mutable kills : int;
+}
+
+let pool = { lock = Mutex.create (); idle = []; live = []; spawns = 0; kills = 0 }
+
+let locked f = Mutex.protect pool.lock f
+
+let forget r = pool.live <- List.filter (fun x -> x != r) pool.live
+
+let retire r =
+  locked (fun () -> forget r);
+  ignore (Runner.close r)
+
+(* Every runner failure ends here: the runner may hold state the failed
+   request corrupted, so it never serves again. *)
+let discard r =
+  locked (fun () ->
+      forget r;
+      pool.kills <- pool.kills + 1);
+  Runner.kill r
+
+let checkout ~key ~limits ~arena_bytes artifact =
+  let rec take acc = function
+    | [] -> (None, List.rev acc)
+    | (k, r) :: rest when k = key -> (Some r, List.rev_append acc rest)
+    | e :: rest -> take (e :: acc) rest
   in
-  List.iter put arrays;
-  put (Array.of_list pvals)
+  let rec idle () =
+    match locked (fun () ->
+        let r, rest = take [] pool.idle in
+        pool.idle <- rest;
+        r)
+    with
+    | Some r when Runner.alive r -> Some r
+    | Some r ->
+      (* Died while idle (killed from outside): not this request's
+         failure, just spawn afresh. *)
+      retire r;
+      idle ()
+    | None -> None
+  in
+  match idle () with
+  | Some r -> Ok r
+  | None -> (
+    match Runner.spawn ~limits ~arena_bytes ~argv:[ artifact ] with
+    | Error reason ->
+      Error (Diag.errorf Diag.Exec_failed "cannot start compiled plan %s: %s" artifact reason)
+    | Ok r ->
+      locked (fun () ->
+          pool.live <- r :: pool.live;
+          pool.spawns <- pool.spawns + 1);
+      Ok r)
 
-let rec read_exactly fd b off len =
-  if len > 0 then
-    match Unix.read fd b off len with
-    | 0 -> raise End_of_file
-    | k -> read_exactly fd b (off + k) (len - k)
-
-(* Called only once the child is reaped, so the size [fstat] gives is
-   final: a short output is a typed KF0904. *)
-let read_runner_output ~artifact ~npix ~n_out path =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  let expected = 8 * npix * n_out in
-  let size = (Unix.fstat fd).Unix.st_size in
-  if size <> expected then
-    Error
-      (Diag.errorf Diag.Exec_failed "compiled plan %s wrote %d bytes, expected %d" artifact size
-         expected)
+(* [r] joins the idle list in front; the least recently used runners
+   past either cap are retired.  A runner over the byte cap on its own
+   retires at once rather than emptying the pool. *)
+let checkin ~key r =
+  let rec split n bytes kept = function
+    | ((_, x) as e) :: rest as idle ->
+      let bytes = bytes + Runner.arena_bytes x in
+      if n < max_idle_runners && bytes <= max_idle_arena_bytes then
+        split (n + 1) bytes (e :: kept) rest
+      else (List.rev kept, idle)
+    | [] -> (List.rev kept, [])
+  in
+  if Runner.served r >= Runner.request_cap || Runner.arena_bytes r > max_idle_arena_bytes then
+    retire r
   else
-    let chunk = Bytes.create (8 * chunk_floats) in
-    let get () =
-      let buf = Array.create_float npix and i = ref 0 in
-      while !i < npix do
-        let k = min chunk_floats (npix - !i) in
-        read_exactly fd chunk 0 (8 * k);
-        for j = 0 to k - 1 do
-          Array.unsafe_set buf (!i + j) (Int64.float_of_bits (Bytes.get_int64_ne chunk (8 * j)))
-        done;
-        i := !i + k
-      done;
-      buf
+    let evicted =
+      locked (fun () ->
+          let kept, evicted = split 0 0 [] ((key, r) :: pool.idle) in
+          pool.idle <- kept;
+          evicted)
     in
-    Ok (Array.init n_out (fun _ -> get ()))
+    List.iter (fun (_, r) -> retire r) evicted
 
-(* I/O errors on the runner's files (ENOSPC on a full temp filesystem,
-   say) are typed KF0904 replies, not exceptions out of the request. *)
-let runner_io what f =
-  try f () with
-  | Unix.Unix_error (e, _, _) ->
-    Error (Diag.errorf Diag.Exec_failed "cannot %s: %s" what (Unix.error_message e))
-  | End_of_file -> Error (Diag.errorf Diag.Exec_failed "cannot %s: unexpected end of file" what)
+let shutdown_runners () =
+  let idle = locked (fun () -> let l = pool.idle in pool.idle <- []; l) in
+  List.iter (fun (_, r) -> retire r) idle
+
+let () = at_exit shutdown_runners
+
+type runner_stats = { runners : int; runner_spawns : int; runner_kills : int; runner_cpu_ms : float }
+
+let runner_stats () =
+  let live, spawns, kills =
+    locked (fun () -> (pool.live, pool.spawns, pool.kills))
+  in
+  {
+    runners = List.length live;
+    runner_spawns = spawns;
+    runner_kills = kills;
+    runner_cpu_ms = List.fold_left (fun acc r -> acc +. Runner.cpu_ms r) 0. live;
+  }
+
+(* Arena I/O errors are typed KF0904 replies, not exceptions out of the
+   request. *)
+let arena_io what f =
+  try Ok (f ()) with Failure e -> Error (Diag.errorf Diag.Exec_failed "cannot %s: %s" what e)
+
+let frame words =
+  let b = Bytes.create (8 * Array.length words) in
+  Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.of_int v)) words;
+  b
 
 let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs pvals =
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
-  with_temp_dir (fun dir ->
-      let in_path = Filename.concat dir "in.f64" in
-      let out_path = Filename.concat dir "out.f64" in
-      let err_path = Filename.concat dir "stderr" in
-      let ins = List.map (fun n -> flatten (List.assoc n inputs)) p.Pipeline.inputs in
-      Result.bind
-        (runner_io "write plan input" (fun () -> Ok (write_runner_input in_path ins pvals)))
-      @@ fun () ->
-      (* Each sample is a supervised fork/exec child (no shell): rlimits
-         between fork and exec, a watchdog on the request deadline, and
-         typed KF0905/KF0906/KF0907 classification when it dies. *)
-      let argv = [ artifact; in_path; out_path ] in
-      let samples = ref [] in
-      let failed = ref None in
-      for i = 1 to repeat do
-        if !failed = None then
-          if i > 1 && Deadline.expired deadline then
-            failed :=
-              Some (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
-          else begin
-            let r = Supervisor.run ~deadline ~limits ~stderr_path:err_path ~argv () in
-            match
-              Supervisor.failure_diag ~what:(Printf.sprintf "compiled plan %s" artifact) r
-            with
-            | Some d -> failed := Some d
-            | None -> samples := r.Supervisor.wall_ms :: !samples
-          end
-      done;
-      match !failed with
-      | Some d -> Error d
-      | None ->
-        Result.map
-          (fun bufs -> (finish_outputs p out_names bufs, List.rev !samples))
-          (runner_io "read plan output" (fun () ->
-               read_runner_output ~artifact ~npix ~n_out:(List.length out_names) out_path)))
+  let n_in = List.length p.Pipeline.inputs and n_out = List.length out_names in
+  let in_bytes = 8 * ((n_in * npix) + List.length pvals) and out_bytes = 8 * n_out * npix in
+  let what = Printf.sprintf "compiled plan %s" artifact in
+  match (limits.Supervisor.fsize_bytes, Supervisor.wall_cap ~deadline limits) with
+  | Some f, _ when out_bytes > f ->
+    Error
+      (Diag.errorf Diag.Exec_limit
+         "%s exceeded a resource limit: its %d output bytes are over RLIMIT_FSIZE (%d)" what
+         out_bytes f)
+  | _, Some w when w <= 0. ->
+    Error (Diag.errorf Diag.Exec_timeout "request deadline expired before %s ran" what)
+  | _ -> (
+    let key =
+      let lim = function None -> "-" | Some v -> string_of_int v in
+      String.concat " "
+        [ artifact; lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes ]
+    in
+    match checkout ~key ~limits ~arena_bytes:(in_bytes + out_bytes) artifact with
+    | Error d -> Error d
+    | Ok r -> (
+      let arena = Runner.arena r in
+      let written =
+        arena_io "write plan input" (fun () ->
+            List.iteri
+              (fun i n -> ignore (pwrite_floats arena (flatten (List.assoc n inputs)) (8 * i * npix)))
+              p.Pipeline.inputs;
+            ignore (pwrite_floats arena (Array.of_list pvals) (8 * n_in * npix)))
+      in
+      let reply = Bytes.create (8 * reply_words) in
+      let rec go i samples =
+        if i > repeat then Ok (List.rev samples)
+        else if i > 1 && Deadline.expired deadline then
+          Error (`Keep (sample_deadline_diag ~artifact ~done_:(List.length samples) ~repeat))
+        else
+          let misbehave = Supervisor.draw_fault () in
+          let request =
+            frame [| abi_version; in_bytes; out_bytes; Supervisor.misbehave_code misbehave |]
+          in
+          let run =
+            Runner.exchange r ~wall_ms:(Supervisor.wall_cap ~deadline limits) ~misbehave ~request
+              ~reply
+          in
+          match Supervisor.failure_diag ~what run with
+          | Some d -> Error (`Kill d)
+          | None ->
+            let abi = Int64.to_int (Bytes.get_int64_ne reply 0) in
+            let wrote = Int64.to_int (Bytes.get_int64_ne reply 8) in
+            if abi <> abi_version || wrote <> out_bytes then
+              Error
+                (`Kill
+                  (Diag.errorf Diag.Exec_failed "%s wrote %d bytes, expected %d (ABI %d)" what
+                     wrote out_bytes abi))
+            else go (i + 1) (run.Supervisor.wall_ms :: samples)
+      in
+      let read () =
+        arena_io "read plan output" (fun () ->
+            Array.init n_out (fun k ->
+                let buf = Array.create_float npix in
+                let got = pread_floats arena buf (in_bytes + (8 * k * npix)) in
+                if got <> 8 * npix then failwith (Printf.sprintf "short read: %d bytes" got);
+                buf))
+      in
+      (* [`Keep]: the runner is sound and goes back to the pool;
+         [`Kill]: it failed, or may hold a failed request's state. *)
+      match
+        match written with
+        | Error d -> Error (`Kill d)
+        | Ok () ->
+          Result.bind (go 1 []) (fun samples ->
+              match read () with Ok bufs -> Ok (bufs, samples) | Error d -> Error (`Kill d))
+      with
+      | exception e ->
+        discard r;
+        raise e
+      | Ok (bufs, samples) ->
+        checkin ~key r;
+        Ok (finish_outputs p out_names bufs, samples)
+      | Error (`Keep d) ->
+        checkin ~key r;
+        Error d
+      | Error (`Kill d) ->
+        discard r;
+        Error d))
 
 (* {1 Pinned plans} *)
 

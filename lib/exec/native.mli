@@ -13,20 +13,22 @@
       small C stub against the fixed entry point
       [void kfuse_entry(const double** ins, double** outs, const double* params)]
       (appended to the generated source).  Cheapest per call.
-    - {!Subprocess}: build a standalone executable [artifact IN OUT]
-      and run it as a child process.  [IN] holds packed native-endian
-      float64: the inputs in declaration order, then the parameter
-      values.  [OUT] receives the outputs in {!Kfuse_ir.Pipeline.outputs}
-      order in the same format.  The child maps [IN] read-only, sizes
-      [OUT] with [ftruncate] and maps it shared, so the kernels read and
-      write the maps in place; the parent writes [IN] and reads [OUT]
-      with plain reads and writes, so an I/O error there (a full temp
-      filesystem, say) is a [KF0904], never a fault in the caller.  A
-      short [IN] fails the child ("truncated input"/"truncated
-      parameters", [KF0904]); an [OUT] of the wrong size is a [KF0904]
-      found before the parent reads it.  Slower than {!Dlopen} (a process spawn per
-      run) but survives environments where loading
-      untrusted-at-build-time objects into the host process is unwanted.
+    - {!Subprocess}: build a standalone executable that runs as a
+      persistent, rlimited runner child ({!Supervisor.Runner}), one per
+      artifact, kept warm between requests.  Images travel through a
+      memfd arena: the inputs in declaration order, then the parameter
+      values, then the outputs in {!Kfuse_ir.Pipeline.outputs} order,
+      all packed native-endian float64.  The parent [pwrite]s the
+      inputs, sends a request frame over a pipe, and [pread]s the
+      outputs once the reply arrives; it never maps the arena, so an
+      I/O error there is a [KF0904], never a fault in the caller.  A
+      request frame whose byte counts disagree with the arena stops
+      the runner ([KF0904]); a reply that reports the wrong output size
+      or never arrives is a [KF0904] too.  Any failure kills the runner;
+      the next request spawns a fresh one.  Slower than {!Dlopen} (a
+      pipe round trip and two copies per run) but survives environments
+      where loading untrusted-at-build-time objects into the host
+      process is unwanted.
 
     Artifacts are content-addressed in a cache directory: the key folds
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),
@@ -34,7 +36,7 @@
     hit skips the compiler entirely.  The generated source is kept next
     to each artifact for debugging.
 
-    Both the compiler invocation and every {!Subprocess} execution are
+    Both the compiler invocation and every {!Subprocess} runner are
     supervised fork/exec children ({!Supervisor}) — no shell anywhere —
     so they can be killed on a deadline and, when [limits] are given,
     sandboxed with rlimits.
@@ -56,6 +58,13 @@ module Image := Kfuse_image.Image
 module Pipeline := Kfuse_ir.Pipeline
 
 type mode = Dlopen | Subprocess
+
+val abi_version : int
+(** Version of the generated entry points and the runner protocol,
+    folded into every artifact key.  A runner request is four
+    native-endian int64s [{abi_version; input bytes; output bytes;
+    fault code}] on its fd 4, a reply two [{abi_version; output bytes}]
+    on its fd 5. *)
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
@@ -81,7 +90,7 @@ type run_result = {
     [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline} output
     in double precision, a file-scope typedef that refuses to compile
     unless [kf_scalar] is float64, and the [kfuse_entry] wrapper
-    ({!Dlopen}) or the file-marshalling [main] ({!Subprocess}).  Both
+    ({!Dlopen}) or the runner's request loop ({!Subprocess}).  Both
     wrappers pass float64 buffers to the pipeline in place. *)
 val source : mode:mode -> Pipeline.t -> string
 
@@ -108,12 +117,14 @@ val compile :
     [deadline] (default {!Deadline.none}) bounds the whole execution:
     it is checked between [repeat] timing samples in both modes (a
     large [repeat] stops early with [KF0905] instead of overrunning),
-    and in {!Subprocess} mode it also feeds the supervisor's watchdog,
-    so a wedged child is killed rather than outlived.  [limits]
+    and in {!Subprocess} mode it also feeds each request's watchdog,
+    so a wedged runner is killed rather than outlived.  [limits]
     (default {!Supervisor.no_limits}) applies rlimits to {!Subprocess}
-    children; {!Dlopen} runs in-process and cannot be resource-capped —
-    that is exactly why [kfused] defaults to the sandboxed subprocess
-    path.
+    runners: RLIMIT_CPU per request, RLIMIT_AS and RLIMIT_FSIZE at
+    spawn, and an output larger than [fsize_bytes] is refused up front
+    ([KF0907]).  {!Dlopen} runs in-process and cannot be
+    resource-capped — that is exactly why [kfused] defaults to the
+    sandboxed subprocess path.
 
     [mode] selects the backend as in {!prepare}, including the
     {!Dlopen}-to-{!Subprocess} fallback when it is omitted.  A run is
@@ -135,9 +146,10 @@ val run :
     executions of the same pipeline — the unit of work of a stream
     session.  {!prepare} pays for the compile-cache lookup (and, in
     {!Dlopen} mode, the [dlopen]+[dlsym]) exactly once; {!run_plan} is
-    then a bare entry-point call ({!Dlopen}) or a supervised spawn of
-    the already-built executable ({!Subprocess}), with no cache lookup,
-    no loader traffic and no compiler anywhere on the per-frame path. *)
+    then a bare entry-point call ({!Dlopen}) or a request to a warm
+    runner of the already-built executable ({!Subprocess}), with no
+    cache lookup, no loader traffic and no compiler anywhere on the
+    per-frame path. *)
 
 type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
@@ -185,9 +197,33 @@ val run_plan :
   (run_result, Diag.t) result
 
 val release : plan -> unit
-(** Drop the pinned handle ([dlclose] in {!Dlopen} mode).  Idempotent. *)
+(** Drop the pinned handle ([dlclose] in {!Dlopen} mode).  Idempotent.
+    A {!Subprocess} plan's runners belong to the process-wide pool and
+    stay warm for the next plan of the same artifact. *)
 
 val compiles : unit -> int
 (** Process-wide count of real compiler invocations (compile-cache
     misses) since startup.  Tests assert per-stream compile counts as
     deltas of this counter. *)
+
+(** {1 The runner pool}
+
+    {!Subprocess} runs check a runner out of one process-wide pool,
+    keyed by artifact and rlimits, and check it back in when the run
+    succeeds.  At most 8 runners holding at most 256 MiB of arena
+    between them stay idle (least recently used ones are retired; a
+    runner whose arena alone is larger retires at once), and a runner
+    retires after {!Supervisor.Runner.request_cap} requests. *)
+
+type runner_stats = {
+  runners : int;  (** live now, idle or serving *)
+  runner_spawns : int;  (** since startup *)
+  runner_kills : int;  (** killed after a failed request, since startup *)
+  runner_cpu_ms : float;  (** utime + stime of the live runners *)
+}
+
+val runner_stats : unit -> runner_stats
+
+val shutdown_runners : unit -> unit
+(** Retire every idle runner (close its request pipe, reap it).  Also
+    runs [at_exit]. *)

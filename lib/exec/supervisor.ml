@@ -42,6 +42,7 @@ type failure =
   | Limit of { what : string; signal : string }
   | Nonzero_exit of { code : int }
   | Spawn_failed of { reason : string }
+  | Protocol of { reason : string }
 
 type run = {
   status : (unit, failure) result;
@@ -84,28 +85,13 @@ let read_tail ?(limit = stderr_tail_limit) path =
 
 type misbehave = No_fault | Fault_crash | Fault_hang | Fault_oom
 
-(* {1 Spawn + watchdog} *)
-
-(* The whole fork/dup2/setrlimit/exec sequence lives in a C stub
-   ([kfuse_spawn] in kfuse_exec_stubs.c): OCaml 5 forbids [Unix.fork]
-   once other domains exist — and both kfused's fusion pool and the
-   test runner create domains — while a C-side fork whose child runs
-   only async-signal-safe libc calls and never re-enters the OCaml
-   runtime is fine.  The chaos misbehaviours execute in the child, so
-   they are implemented in the stub too ([Fault_crash] = die with
-   SIGSEGV, [Fault_hang] = pause forever, [Fault_oom] = exhaust a
-   64 MiB private RLIMIT_AS and abort() the way the generated
-   kf_malloc does); the *decision* of which one fires is still drawn
-   in the parent (see [run]), because the Faults registry holds a
-   mutex.  Limits are [RLIMIT_CPU (s); RLIMIT_AS; RLIMIT_FSIZE], -1
-   for unlimited.  Returns the child pid; raises [Failure] when the
-   fork itself fails. *)
-external raw_spawn :
-  string array ->
-  Unix.file_descr * Unix.file_descr * Unix.file_descr ->
-  int array ->
-  int ->
-  int = "kfuse_spawn"
+(* Drawn in the parent: the Faults registry holds a mutex, and the
+   misbehaviour itself runs inside the runner. *)
+let draw_fault () =
+  if Faults.fires "exec.crash" then Fault_crash
+  else if Faults.fires "exec.hang" then Fault_hang
+  else if Faults.fires "exec.oom" then Fault_oom
+  else No_fault
 
 let misbehave_code = function
   | No_fault -> 0
@@ -113,57 +99,26 @@ let misbehave_code = function
   | Fault_hang -> 2
   | Fault_oom -> 3
 
-let spawn ~limits ~misbehave ~stdout_fd ~stderr_fd ~devnull argv =
-  match argv with
-  | [] -> Error "empty argv"
-  | _ -> (
-    let lim = function None -> -1 | Some v -> v in
-    let lims = [| lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes |] in
-    match
-      raw_spawn (Array.of_list argv)
-        (devnull, stdout_fd, stderr_fd)
-        lims (misbehave_code misbehave)
-    with
-    | pid -> Ok pid
-    | exception Failure reason -> Error reason)
+(* {1 Spawn} *)
 
-(* Wait for [pid], killing it when [wall_ms] elapses: SIGTERM first,
-   SIGKILL after [grace_ms] if it refuses to die.  Returns the status,
-   the observed wall time, and whether the watchdog fired/escalated. *)
-let wait_with_watchdog ~pid ~wall_ms ~grace_ms =
-  let t0 = Unix.gettimeofday () in
-  match wall_ms with
-  | None ->
-    let rec wait () =
-      match Unix.waitpid [] pid with
-      | _, st -> st
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-    in
-    let st = wait () in
-    (st, (Unix.gettimeofday () -. t0) *. 1000., false, false)
-  | Some wall ->
-    let kill_at = t0 +. (wall /. 1000.) in
-    let term_at = ref None in
-    let escalated = ref false in
-    let rec poll () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        let now = Unix.gettimeofday () in
-        (match !term_at with
-        | None when now >= kill_at ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          term_at := Some now
-        | Some t when (not !escalated) && now -. t >= grace_ms /. 1000. ->
-          escalated := true;
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-        | _ -> ());
-        Unix.sleepf 0.002;
-        poll ()
-      | _, st -> st
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
-    in
-    let st = poll () in
-    (st, (Unix.gettimeofday () -. t0) *. 1000., !term_at <> None, !escalated)
+(* The whole fork/dup2/setrlimit/exec sequence lives in a C stub
+   ([kfuse_spawn] in kfuse_exec_stubs.c): OCaml 5 forbids [Unix.fork]
+   once other domains exist — and both kfused's fusion pool and the
+   test runner create domains — while a C-side fork whose child runs
+   only async-signal-safe libc calls and never re-enters the OCaml
+   runtime is fine.  Limits are [RLIMIT_CPU (s); RLIMIT_AS;
+   RLIMIT_FSIZE], -1 for unlimited; the extra fds land on 3, 4, ... in
+   the child, which inherits no other fd above 2.  Returns the child
+   pid; raises [Failure] when the fork itself fails. *)
+external raw_spawn :
+  string array ->
+  Unix.file_descr * Unix.file_descr * Unix.file_descr ->
+  int array ->
+  Unix.file_descr array ->
+  int = "kfuse_spawn"
+
+(* SIGTERM→SIGKILL escalation delay of the watchdogs. *)
+let term_grace_ms = 500.
 
 (* {1 Classification} *)
 
@@ -196,56 +151,196 @@ let classify ~limits ~misbehave ~watchdog_fired ~escalated ~wall status =
            { what = "address space (RLIMIT_AS): allocation failed"; signal = signal_name s })
     else Error (Crashed { signal = signal_name s })
 
+(* {1 Supervised children} *)
+
+(* Every child — a compiler run, a shard server, a runner — is a
+   [Child]: the C-stub spawn, then non-blocking liveness polls,
+   best-effort signals and a bounded terminate-then-escalate teardown,
+   with its lifetime split across as many callers and ticks as need
+   it. *)
+module Child = struct
+  type t = {
+    pid : int;
+    mutable reaped : Unix.process_status option;
+    (* waitpid races: the monitor thread and the drain path may both
+       poll; the first reap latches the status for everyone else. *)
+    lock : Mutex.t;
+  }
+
+  let pid t = t.pid
+
+  let open_sink ~append = function
+    | None -> None
+    | Some path ->
+      let flags =
+        Unix.O_WRONLY :: Unix.O_CREAT :: Unix.O_CLOEXEC
+        :: (if append then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
+      in
+      Some (Unix.openfile path flags 0o600)
+
+  (* [stderr_fd] (kept by the caller) overrides [stderr_path]; [extra]
+     land on fds 3, 4, ... of the child.  Only [Runner] needs either. *)
+  let spawn_fds ?(limits = no_limits) ?stdout_path ?stderr_path ?stderr_fd ?(extra = [||])
+      ?(append = true) ~argv () =
+    match argv with
+    | [] -> Error "empty argv"
+    | _ -> (
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+      let close_all fds = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds in
+      match
+        let stdout_fd = open_sink ~append stdout_path in
+        let stderr_sink =
+          (* stderr may share stdout's sink: one shard log per shard. *)
+          if stderr_fd <> None then None
+          else if stderr_path = stdout_path then stdout_fd
+          else open_sink ~append stderr_path
+        in
+        (stdout_fd, stderr_sink)
+      with
+      | exception Unix.Unix_error (e, _, p) ->
+        close_all [ devnull ];
+        Error (Printf.sprintf "cannot open %s: %s" p (Unix.error_message e))
+      | stdout_fd, stderr_sink ->
+        let out = Option.value ~default:devnull stdout_fd in
+        let err =
+          match stderr_fd with Some fd -> fd | None -> Option.value ~default:out stderr_sink
+        in
+        let owned =
+          devnull
+          :: (Option.to_list stdout_fd
+             @ if stderr_sink <> None && stderr_sink <> stdout_fd then Option.to_list stderr_sink
+               else [])
+        in
+        let lim = function None -> -1 | Some v -> v in
+        let lims = [| lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes |] in
+        let r =
+          match raw_spawn (Array.of_list argv) (devnull, out, err) lims extra with
+          | pid -> Ok { pid; reaped = None; lock = Mutex.create () }
+          | exception Failure reason -> Error reason
+        in
+        close_all owned;
+        r)
+
+  let spawn ?limits ?stdout_path ?stderr_path ?append ~argv () =
+    spawn_fds ?limits ?stdout_path ?stderr_path ?append ~argv ()
+
+  (* Non-blocking reap: [None] while the child is still running, the
+     latched exit status once it is gone.  Never raises — an ECHILD
+     (someone else reaped it) degrades to a synthetic 0 exit. *)
+  let poll t =
+    Mutex.protect t.lock (fun () ->
+        match t.reaped with
+        | Some _ as s -> s
+        | None -> (
+          match Unix.waitpid [ Unix.WNOHANG ] t.pid with
+          | 0, _ -> None
+          | _, st ->
+            t.reaped <- Some st;
+            Some st
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+            let st = Unix.WEXITED 0 in
+            t.reaped <- Some st;
+            Some st))
+
+  (* The latched status, without reaping: while it is [None] the pid
+     still names this child (a zombie keeps its pid). *)
+  let latched t = Mutex.protect t.lock (fun () -> t.reaped)
+
+  let running t = poll t = None
+
+  let signal t s = if poll t = None then try Unix.kill t.pid s with Unix.Unix_error _ -> ()
+
+  let kill t = signal t Sys.sigkill
+
+  (* Blocking reap, latched like [poll]. *)
+  let wait t =
+    match poll t with
+    | Some st -> st
+    | None ->
+      let rec go () =
+        match Unix.waitpid [] t.pid with
+        | _, st -> st
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
+      in
+      let st = go () in
+      Mutex.protect t.lock (fun () ->
+          match t.reaped with
+          | Some s -> s
+          | None ->
+            t.reaped <- Some st;
+            st)
+
+  (* The status once the child exits within [ms], else [None]. *)
+  let await t ~ms =
+    let until = Unix.gettimeofday () +. (ms /. 1000.) in
+    let rec go () =
+      match poll t with
+      | Some _ as st -> st
+      | None when Unix.gettimeofday () >= until -> None
+      | None ->
+        Unix.sleepf 0.001;
+        go ()
+    in
+    go ()
+
+  let kill_and_wait t =
+    kill t;
+    wait t
+
+  (* SIGTERM, SIGKILL past [grace_ms], reap: the status and whether
+     SIGKILL was needed. *)
+  let stop t ~grace_ms =
+    signal t Sys.sigterm;
+    match await t ~ms:grace_ms with
+    | Some st -> (st, false)
+    | None -> (kill_and_wait t, true)
+
+  let terminate ?(grace_ms = 2_000.) t = fst (stop t ~grace_ms)
+end
+
 (* {1 Supervised run} *)
 
-let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = 500.)
-    ?(fault_injection = true) ?stdout_path ?stderr_path ~argv () =
-  let wall_ms =
-    match (Deadline.remaining_ms deadline, limits.wall_ms) with
-    | None, w -> w
-    | Some r, None -> Some r
-    | Some r, Some w -> Some (Float.min r w)
-  in
-  match wall_ms with
+(* The watchdog's cap: the tighter of the request deadline and the
+   configured wall limit. *)
+let wall_cap ~deadline (limits : limits) =
+  match (Deadline.remaining_ms deadline, limits.wall_ms) with
+  | None, w -> w
+  | Some r, None -> Some r
+  | Some r, Some w -> Some (Float.min r w)
+
+let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = term_grace_ms)
+    ?stdout_path ?stderr_path ~argv () =
+  match wall_cap ~deadline limits with
   | Some w when w <= 0. ->
     (* The deadline is already gone: don't even spawn. *)
     { status = Error (Timeout { wall_ms = 0.; escalated = false }); wall_ms = 0.; stderr_tail = "" }
-  | _ ->
-    (* Fault decisions happen in the parent: the Faults registry holds a
-       mutex, which must not be touched between fork and exec. *)
-    let misbehave =
-      if not fault_injection then No_fault
-      else if Faults.fires "exec.crash" then Fault_crash
-      else if Faults.fires "exec.hang" then Fault_hang
-      else if Faults.fires "exec.oom" then Fault_oom
-      else No_fault
-    in
+  | wall_ms ->
     let own_stderr = stderr_path = None in
     let err_path =
       match stderr_path with Some p -> p | None -> Filename.temp_file "kfuse-sup" ".err"
     in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let stdout_fd =
-      match stdout_path with
-      | None -> devnull
-      | Some p -> Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-    in
-    let stderr_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
     Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close devnull with Unix.Unix_error _ -> ());
-        (if stdout_fd != devnull then try Unix.close stdout_fd with Unix.Unix_error _ -> ());
-        (try Unix.close stderr_fd with Unix.Unix_error _ -> ());
-        if own_stderr then try Sys.remove err_path with Sys_error _ -> ())
+      ~finally:(fun () -> if own_stderr then try Sys.remove err_path with Sys_error _ -> ())
       (fun () ->
-        match spawn ~limits ~misbehave ~stdout_fd ~stderr_fd ~devnull argv with
+        match Child.spawn ~limits ?stdout_path ~stderr_path:err_path ~append:false ~argv () with
         | Error reason ->
           { status = Error (Spawn_failed { reason }); wall_ms = 0.; stderr_tail = "" }
-        | Ok pid ->
-          let status, wall, watchdog_fired, escalated =
-            wait_with_watchdog ~pid ~wall_ms ~grace_ms
+        | Ok c ->
+          let t0 = Unix.gettimeofday () in
+          let status, watchdog_fired, escalated =
+            match Option.map (fun ms -> Child.await c ~ms) wall_ms with
+            | None -> (Child.wait c, false, false)
+            | Some (Some st) -> (st, false, false)
+            | Some None ->
+              let st, escalated = Child.stop c ~grace_ms in
+              (st, true, escalated)
           in
-          let status = classify ~limits ~misbehave ~watchdog_fired ~escalated ~wall status in
+          let wall = (Unix.gettimeofday () -. t0) *. 1000. in
+          let status =
+            classify ~limits ~misbehave:No_fault ~watchdog_fired ~escalated ~wall status
+          in
           { status; wall_ms = wall; stderr_tail = read_tail err_path })
 
 let failure_diag ~what r =
@@ -266,127 +361,230 @@ let failure_diag ~what r =
         Diag.errorf Diag.Exec_limit "%s exceeded a resource limit: %s (%s)%s" what lim signal
           tail
       | Nonzero_exit { code } -> Diag.errorf Diag.Exec_failed "%s exited with %d%s" what code tail
-      | Spawn_failed { reason } -> Diag.errorf Diag.Exec_failed "%s: %s%s" what reason tail)
+      | Spawn_failed { reason } | Protocol { reason } ->
+        Diag.errorf Diag.Exec_failed "%s: %s%s" what reason tail)
 
-(* {1 Long-lived supervised children} *)
+(* {1 Persistent runners} *)
 
-(* [run] above is spawn-and-wait: right for a native plan execution that
-   is supposed to finish.  A shard of the sharded kfused topology is the
-   opposite — a server process that is supposed to *keep running* — so
-   the fleet supervisor needs the same C-stub spawn (no [Unix.fork] once
-   domains exist) but with ownership of the child's lifetime split
-   across many monitor ticks: non-blocking liveness polls, best-effort
-   signals, and a bounded terminate-then-escalate teardown. *)
-module Child = struct
+external memfd : string -> int -> Unix.file_descr = "kfuse_memfd"
+external wait_readable : Unix.file_descr -> int -> bool = "kfuse_wait_readable"
+external set_cpu_soft : int -> int -> unit = "kfuse_set_cpu_soft"
+
+(* Clock ticks per second of /proc/<pid>/stat times: USER_HZ, 100 on
+   every Linux architecture this runs on. *)
+let ticks_per_s = 100.
+
+(* utime + stime of [pid], in ms; 0 once the process is gone. *)
+let proc_cpu_ms pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> 0.
+  | s -> (
+    match String.rindex_opt s ')' with
+    | None -> 0.
+    | Some i ->
+      let fields = String.split_on_char ' ' (String.sub s (i + 2) (String.length s - i - 2)) in
+      (* fields.(0) is the state, field 3 of stat(5); utime is field 14. *)
+      let f n = try float_of_string (List.nth fields n) with _ -> 0. in
+      (f 11 +. f 12) *. 1000. /. ticks_per_s)
+
+(* [run] spawns per execution; a runner is a [Child] spawned once that
+   serves requests over a pipe until the parent closes it.  It shares a
+   sealed, pre-allocated memfd arena with the parent, which only
+   pwrite/preads it.  Each exchange has its own watchdog (a poll on the
+   reply pipe with the request's deadline), its own RLIMIT_CPU budget
+   and its own stderr; any failure is classified like a [run] child's
+   and the runner is killed. *)
+module Runner = struct
   type t = {
-    pid : int;
-    mutable reaped : Unix.process_status option;
-    (* waitpid races: the monitor thread and the drain path may both
-       poll; the first reap latches the status for everyone else. *)
-    lock : Mutex.t;
+    child : Child.t;
+    limits : limits;
+    arena : Unix.file_descr;
+    arena_bytes : int;
+    requests : Unix.file_descr;  (* parent's write end; EOF stops the runner *)
+    replies : Unix.file_descr;  (* parent's read end *)
+    stderr : Unix.file_descr;  (* memfd holding the runner's stderr *)
+    mutable served : int;
+    mutable closed : bool;
   }
 
-  let pid t = t.pid
+  let request_cap = 256
 
-  let open_sink ~append = function
-    | None -> None
-    | Some path ->
-      let flags =
-        Unix.O_WRONLY :: Unix.O_CREAT :: (if append then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-      in
-      Some (Unix.openfile path flags 0o600)
+  let pid t = Child.pid t.child
+  let arena t = t.arena
+  let arena_bytes t = t.arena_bytes
+  let served t = t.served
+  let alive t = Child.running t.child
+  let cpu_ms t = if Child.latched t.child = None then proc_cpu_ms (pid t) else 0.
 
-  let spawn ?(limits = no_limits) ?stdout_path ?stderr_path ?(append = true) ~argv () =
-    match argv with
-    | [] -> Error "empty argv"
-    | _ -> (
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let close_all fds = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds in
+  let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+  let spawn ~limits ~arena_bytes ~argv =
+    (* Writing to the pipe of a runner that just died must be an EPIPE,
+       not a fatal SIGPIPE. *)
+    Kfuse_util.Sigpipe.ignore ();
+    let opened = ref [] in
+    let own fd =
+      opened := fd :: !opened;
+      fd
+    in
+    let fail what e =
+      List.iter close_noerr !opened;
+      Error (what ^ ": " ^ e)
+    in
+    match own (memfd "kf-arena" arena_bytes) with
+    | exception Failure e -> fail "cannot allocate the runner arena" e
+    | arena -> (
       match
-        let stdout_fd = open_sink ~append stdout_path in
-        let stderr_fd =
-          (* stderr may share stdout's sink: one shard log per shard. *)
-          if stderr_path = stdout_path then stdout_fd else open_sink ~append stderr_path
-        in
-        (stdout_fd, stderr_fd)
+        let stderr = own (memfd "kf-stderr" 0) in
+        let req_r, req_w = Unix.pipe ~cloexec:true () in
+        let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+        List.iter (fun fd -> ignore (own fd)) [ req_r; req_w; rep_r; rep_w ];
+        (stderr, req_r, req_w, rep_r, rep_w)
       with
-      | exception Unix.Unix_error (e, _, p) ->
-        close_all [ devnull ];
-        Error (Printf.sprintf "cannot open %s: %s" p (Unix.error_message e))
-      | stdout_fd, stderr_fd -> (
-        let out = Option.value ~default:devnull stdout_fd in
-        let err = Option.value ~default:out stderr_fd in
-        let owned =
-          devnull
-          :: (Option.to_list stdout_fd
-             @ if stderr_fd <> None && stderr_fd <> stdout_fd then Option.to_list stderr_fd else [])
+      | exception Failure e -> fail "cannot set up the runner" e
+      | exception Unix.Unix_error (e, fn, _) ->
+        fail "cannot set up the runner" (fn ^ ": " ^ Unix.error_message e)
+      | stderr, req_r, req_w, rep_r, rep_w -> (
+        (* RLIMIT_CPU at spawn is the runner's lifetime backstop: a full
+           [cpu_s] for every request it may serve.  Each exchange lowers
+           the soft limit to one request's worth. *)
+        let spawn_limits =
+          { limits with cpu_s = Option.map (fun c -> c * (request_cap + 1)) limits.cpu_s }
         in
-        match spawn ~limits ~misbehave:No_fault ~stdout_fd:out ~stderr_fd:err ~devnull argv with
-        | Error _ as e ->
-          close_all owned;
-          e
-        | Ok pid ->
-          close_all owned;
-          Ok { pid; reaped = None; lock = Mutex.create () }))
+        let r =
+          Child.spawn_fds ~limits:spawn_limits ~stderr_fd:stderr
+            ~extra:[| arena; req_r; rep_w |] ~argv ()
+        in
+        List.iter close_noerr [ req_r; rep_w ];
+        match r with
+        | Error e ->
+          List.iter close_noerr [ arena; stderr; req_w; rep_r ];
+          Error e
+        | Ok child ->
+          Ok
+            {
+              child;
+              limits;
+              arena;
+              arena_bytes;
+              requests = req_w;
+              replies = rep_r;
+              stderr;
+              served = 0;
+              closed = false;
+            }))
 
-  (* Non-blocking reap: [None] while the child is still running, the
-     latched exit status once it is gone.  Never raises — an ECHILD
-     (someone else reaped it) degrades to a synthetic 0 exit. *)
-  let poll t =
-    Mutex.lock t.lock;
-    let r =
-      match t.reaped with
-      | Some _ as s -> s
-      | None -> (
-        match Unix.waitpid [ Unix.WNOHANG ] t.pid with
-        | 0, _ -> None
-        | _, st ->
-          t.reaped <- Some st;
-          Some st
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-          let st = Unix.WEXITED 0 in
-          t.reaped <- Some st;
-          Some st)
+  (* Read only once the runner is reaped: the memfd's file offset is
+     shared with the runner's fd 2. *)
+  let stderr_tail t =
+    match (Unix.fstat t.stderr).Unix.st_size with
+    | exception Unix.Unix_error _ -> ""
+    | n -> (
+      let keep = min n stderr_tail_limit in
+      let b = Bytes.create keep in
+      match
+        ignore (Unix.lseek t.stderr (n - keep) Unix.SEEK_SET);
+        Unix.read t.stderr b 0 keep
+      with
+      | exception Unix.Unix_error _ -> ""
+      | got ->
+        let s = Bytes.sub_string b 0 got in
+        if keep < n then "[... truncated ...]\n" ^ s else s)
+
+  (* Between requests, while the runner waits on its request pipe: a
+     failure's tail is then that request's stderr alone, and clean
+     requests never add up to RLIMIT_FSIZE.  The file offset is shared,
+     so this rewinds the runner's fd 2 too. *)
+  let reset_stderr t =
+    try
+      Unix.ftruncate t.stderr 0;
+      ignore (Unix.lseek t.stderr 0 Unix.SEEK_SET)
+    with Unix.Unix_error _ -> ()
+
+  (* Close the parent's ends once, the request pipe first: EOF on it
+     makes an idle runner exit. *)
+  let release t =
+    if not t.closed then begin
+      t.closed <- true;
+      List.iter close_noerr [ t.requests; t.arena; t.replies; t.stderr ]
+    end
+
+  let close t =
+    release t;
+    match Child.await t.child ~ms:1000. with Some st -> st | None -> Child.kill_and_wait t.child
+
+  let kill t =
+    ignore (Child.kill_and_wait t.child);
+    release t
+
+  (* One request's CPU budget: the runner's CPU so far, rounded up to
+     whole seconds, plus [cpu_s].  Clean requests therefore never add
+     up to a kill; a runaway one gets SIGXCPU after [cpu_s]. *)
+  let arm_cpu t =
+    match t.limits.cpu_s with
+    | None -> ()
+    | Some c ->
+      let used_s = int_of_float (Float.ceil (proc_cpu_ms (pid t) /. 1000.)) in
+      set_cpu_soft (pid t) (used_s + c)
+
+  let exchange t ~wall_ms ~misbehave ~request ~reply =
+    let t0 = Unix.gettimeofday () in
+    let elapsed () = (Unix.gettimeofday () -. t0) *. 1000. in
+    let reply_len = Bytes.length reply in
+    let finish ?(watchdog_fired = false) ?(escalated = false) st =
+      let wall = elapsed () in
+      let status = classify ~limits:t.limits ~misbehave ~watchdog_fired ~escalated ~wall st in
+      { status; wall_ms = wall; stderr_tail = stderr_tail t }
     in
-    Mutex.unlock t.lock;
-    r
-
-  let running t = poll t = None
-
-  let signal t s = if poll t = None then try Unix.kill t.pid s with Unix.Unix_error _ -> ()
-
-  let kill t = signal t Sys.sigkill
-
-  (* SIGTERM, wait up to [grace_ms] for a clean exit, SIGKILL past it,
-     then reap.  Idempotent; returns the (possibly latched) status. *)
-  let terminate ?(grace_ms = 2_000.) t =
-    signal t Sys.sigterm;
-    let deadline = Unix.gettimeofday () +. (grace_ms /. 1000.) in
-    let rec wait_grace () =
-      match poll t with
-      | Some st -> st
+    (* The reply pipe hit EOF (or the request pipe EPIPE): the runner is
+       exiting.  One that closed its end but keeps running is killed. *)
+    let died got =
+      match Child.await t.child ~ms:term_grace_ms with
       | None ->
-        if Unix.gettimeofday () >= deadline then begin
-          kill t;
-          let rec reap () =
-            match Unix.waitpid [] t.pid with
-            | _, st ->
-              Mutex.lock t.lock;
-              t.reaped <- Some st;
-              Mutex.unlock t.lock;
-              st
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
+        ignore (Child.kill_and_wait t.child);
+        {
+          status = Error (Protocol { reason = "closed its reply pipe without exiting" });
+          wall_ms = elapsed ();
+          stderr_tail = stderr_tail t;
+        }
+      | Some st -> (
+        match finish st with
+        | { status = Ok (); _ } as r ->
+          let reason =
+            Printf.sprintf "exited 0 mid-request after %d of %d reply bytes" got reply_len
           in
-          reap ()
-        end
-        else begin
-          Unix.sleepf 0.005;
-          wait_grace ()
-        end
+          { r with status = Error (Protocol { reason }) }
+        | r -> r)
     in
-    wait_grace ()
+    let timed_out () =
+      let st, escalated = Child.stop t.child ~grace_ms:term_grace_ms in
+      finish ~watchdog_fired:true ~escalated st
+    in
+    let kill_at = Option.map (fun w -> t0 +. (w /. 1000.)) wall_ms in
+    let rec read got =
+      if got = reply_len then { status = Ok (); wall_ms = elapsed (); stderr_tail = "" }
+      else
+        let timeout_ms =
+          match kill_at with
+          | None -> -1
+          | Some k -> max 0 (int_of_float (Float.ceil ((k -. Unix.gettimeofday ()) *. 1000.)))
+        in
+        if wait_readable t.replies timeout_ms then
+          match Unix.read t.replies reply got (reply_len - got) with
+          | 0 -> died got
+          | k -> read (got + k)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read got
+        else
+          match kill_at with
+          | Some k when Unix.gettimeofday () >= k -> timed_out ()
+          | _ -> read got
+    in
+    arm_cpu t;
+    if t.served > 0 then reset_stderr t;
+    t.served <- t.served + 1;
+    match Unix.write t.requests request 0 (Bytes.length request) with
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) -> died 0
+    | _ -> read 0
 end
 
 (* {1 Crash forensics} *)

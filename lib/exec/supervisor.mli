@@ -1,8 +1,9 @@
 (** Supervised, sandboxed execution of native artifacts.
 
-    PR 6 taught [kfused] to run {e generated machine code}; this module
-    is what keeps the daemon alive when that code is wrong.  Every
-    supervised execution is a [fork]/[exec] child — no shell — with:
+    [kfused] runs {e generated machine code}; this module is what keeps
+    the daemon alive when that code is wrong.  Every supervised child is
+    a [fork]/[exec] child — no shell, no fd of the parent's beyond the
+    ones it is handed — with:
 
     - [setrlimit] caps (CPU seconds, address space, output file size)
       applied between fork and exec via a C stub, so a runaway kernel is
@@ -22,12 +23,16 @@
     circuit {!Breaker} lets the service quarantine plans that keep
     failing, degrading them to the interpreter.
 
+    Native plans run in a persistent {!Runner}: spawned once, then
+    serving requests over a pipe, each under its own watchdog and CPU
+    budget.
+
     Chaos fault points (armed via [KFUSE_FAULTS], see
-    {!Kfuse_util.Faults}): ["exec.crash"] makes the child die with
+    {!Kfuse_util.Faults}): ["exec.crash"] makes the runner die with
     SIGSEGV, ["exec.hang"] makes it sleep forever (the watchdog must
     reap it), ["exec.oom"] makes it exhaust a tiny private RLIMIT_AS and
     abort like the generated [kf_malloc] does.  The fault decision is
-    drawn in the parent, before fork. *)
+    drawn in the parent ({!draw_fault}) and carried out by the runner. *)
 
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
@@ -76,6 +81,9 @@ type failure =
   | Limit of { what : string; signal : string }  (** hit an rlimit *)
   | Nonzero_exit of { code : int }
   | Spawn_failed of { reason : string }
+  | Protocol of { reason : string }
+      (** a {!Runner} broke its request/reply protocol, e.g. exited 0
+          mid-request *)
 
 type run = {
   status : (unit, failure) result;
@@ -83,11 +91,14 @@ type run = {
   stderr_tail : string;  (** last ≤4 KiB of the child's stderr *)
 }
 
+val wall_cap : deadline:Deadline.t -> limits -> float option
+(** The watchdog's cap in ms: the tighter of [Deadline.remaining_ms
+    deadline] and [limits.wall_ms]; [None] when neither bounds it. *)
+
 val run :
   ?deadline:Deadline.t ->
   ?limits:limits ->
   ?grace_ms:float ->
-  ?fault_injection:bool ->
   ?stdout_path:string ->
   ?stderr_path:string ->
   argv:string list ->
@@ -101,15 +112,15 @@ val run :
     (default 500) is the SIGTERM→SIGKILL escalation delay.  stdout goes
     to [stdout_path] (default [/dev/null]); stderr is captured to
     [stderr_path] (default: a private temp file, removed afterwards) and
-    returned as a capped tail.  [fault_injection] (default [true])
-    enables the [exec.*] chaos points — the compile path disables it so
-    an armed ["exec.crash"] hits executions, not compiler invocations.
-    Never raises: spawn problems come back as {!Spawn_failed}. *)
+    returned as a capped tail.  The [exec.*] chaos points never fire
+    here (they target {!Runner} requests, not the compiler).  Never
+    raises: spawn problems come back as {!Spawn_failed}. *)
 
 val failure_diag : what:string -> run -> Diag.t option
 (** [failure_diag ~what r] is [None] on success, otherwise the typed
     diagnostic for the failure — KF0905/KF0906/KF0907 for
-    timeout/crash/limit, KF0904 for nonzero exits and spawn failures —
+    timeout/crash/limit, KF0904 for nonzero exits, spawn failures and
+    protocol violations —
     with the capped stderr tail appended.  [what] names the subject
     (e.g. ["compiled plan /path/kf-....bin"]). *)
 
@@ -127,11 +138,12 @@ val read_tail : ?limit:int -> string -> string
 (** {1 Long-lived supervised children}
 
     {!run} is spawn-and-wait; a shard of the sharded [kfused] topology
-    is a server process that must {e keep} running.  {!Child} exposes
-    the same no-[Unix.fork] C-stub spawn with the lifetime split across
-    monitor ticks: non-blocking liveness polls, best-effort signals, and
-    a bounded SIGTERM→SIGKILL teardown.  Thread-safe: the first
-    successful reap latches the exit status for every later caller. *)
+    is a server process that must {e keep} running.  {!Child} is the
+    no-[Unix.fork] C-stub spawn with the lifetime split across monitor
+    ticks: non-blocking liveness polls, best-effort signals, and a
+    bounded SIGTERM→SIGKILL teardown.  {!run} and {!Runner} are built
+    on it.  Thread-safe: the first successful reap latches the exit
+    status for every later caller. *)
 module Child : sig
   type t
 
@@ -172,6 +184,102 @@ module Child : sig
   (** SIGTERM, wait up to [grace_ms] (default 2000) for a clean exit,
       SIGKILL past it, then reap.  Idempotent; returns the (possibly
       already latched) status. *)
+end
+
+(** {1 Chaos} *)
+
+type misbehave = No_fault | Fault_crash | Fault_hang | Fault_oom
+
+val draw_fault : unit -> misbehave
+(** Which armed [exec.*] point fires for this request, if any (crash,
+    then hang, then oom).  Each call counts as one hit of each point it
+    consults. *)
+
+val misbehave_code : misbehave -> int
+(** The wire code a runner request carries: 0 none, 1 crash, 2 hang,
+    3 oom. *)
+
+(** {1 Persistent runners}
+
+    A runner is a child spawned once per compiled artifact that serves
+    requests until its parent closes it.  Its fds 3, 4 and 5 are the
+    arena, the request pipe and the reply pipe; stdin and stdout are
+    [/dev/null] and stderr is a memfd the parent empties before each
+    request and reads on failure.
+
+    The arena is a memfd the parent [fallocate]s and seals at spawn, so
+    a full shmem fails the spawn rather than faulting a request later;
+    the parent moves data in and out with [pwrite]/[pread] and never
+    maps it.  Every parent-side fd is [O_CLOEXEC] and the child keeps
+    no other fd of the parent's, so a runner exits on EOF of its request
+    pipe once its parent is gone, and no runner holds another's pipe.
+
+    Isolation per request: the watchdog ({!Runner.exchange}'s [wall_ms],
+    SIGTERM then SIGKILL, {!Timeout}) and RLIMIT_CPU (the soft limit is
+    re-armed to CPU-so-far plus [cpu_s] before each request).
+    RLIMIT_AS and RLIMIT_FSIZE are set once at spawn.  Weaker than a
+    child per request: a silent out-of-bounds write can outlive the
+    request that made it.  Callers kill a runner after any failure and
+    retire it after {!Runner.request_cap} requests, which bounds that.
+    Not thread-safe: one owner at a time. *)
+module Runner : sig
+  type t
+
+  val request_cap : int
+  (** 256: requests one runner serves before its owner should retire
+      it.  Also scales the lifetime RLIMIT_CPU backstop set at spawn
+      ([cpu_s * (request_cap + 1)]). *)
+
+  val spawn :
+    limits:limits -> arena_bytes:int -> argv:string list -> (t, string) result
+  (** Allocate an [arena_bytes] arena, spawn [argv] on it, return at
+      once.  [Error] when the arena cannot be allocated (a full shmem)
+      or the spawn fails.  Sets SIGPIPE to ignored in this process
+      ({!Kfuse_util.Sigpipe}), so a write to a dead runner is an
+      [EPIPE]. *)
+
+  val pid : t -> int
+
+  val arena : t -> Unix.file_descr
+  (** The parent's handle on the arena, for [pwrite]/[pread]. *)
+
+  val arena_bytes : t -> int
+  (** The arena's size, as given to {!spawn}. *)
+
+  val served : t -> int
+  (** Requests exchanged so far. *)
+
+  val alive : t -> bool
+  (** Non-blocking: [false] once the runner has exited (and is reaped). *)
+
+  val cpu_ms : t -> float
+  (** utime + stime from [/proc/<pid>/stat]; 0 once reaped.  Safe to
+      call from a thread other than the owner's. *)
+
+  val exchange :
+    t ->
+    wall_ms:float option ->
+    misbehave:misbehave ->
+    request:Bytes.t ->
+    reply:Bytes.t ->
+    run
+  (** Re-arm the CPU budget, write [request], and fill [reply] from the
+      reply pipe within [wall_ms] (no cap when [None]).  [Ok ()] once
+      all of [reply] arrived.  Otherwise the runner is dead and reaped,
+      its death classified as for {!run} ([misbehave] tells an injected
+      OOM apart), with the stderr it wrote during this request alone:
+      {!Timeout} when the watchdog killed it (SIGTERM, then SIGKILL
+      500 ms later), {!Protocol} when it exited 0 or closed its reply
+      pipe mid-request.  After a failure, only {!kill} is meaningful. *)
+
+  val close : t -> Unix.process_status
+  (** Graceful retirement: close the request pipe, reap the runner
+      (SIGKILL if it has not exited within 1 s), release every fd, and
+      return its exit status.  Idempotent. *)
+
+  val kill : t -> unit
+  (** SIGKILL unless already reaped, reap, release every fd.
+      Idempotent. *)
 end
 
 (** {1 Crash forensics} *)

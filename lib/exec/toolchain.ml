@@ -10,13 +10,21 @@ let probe_source =
   \  return s == 28 ? 0 : 1;\n\
    }\n"
 
+(* Names unique within the process (pid + counter), so concurrent
+   workers never race for a probe dir or an artifact's tmp path. *)
+let unique_seq = Atomic.make 0
+let unique_suffix () = Printf.sprintf "%d.%d" (Unix.getpid ()) (Atomic.fetch_and_add unique_seq 1)
+
 let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-probe-%d-%x" (Unix.getpid ()) (Hashtbl.hash (Unix.gettimeofday ())))
+  (* EEXIST can only be a leftover of a killed process whose pid we
+     reuse: skip to the next name. *)
+  let rec make () =
+    let dir = Filename.concat (Filename.get_temp_dir_name ()) ("kfuse-probe-" ^ unique_suffix ()) in
+    match Unix.mkdir dir 0o700 with
+    | () -> dir
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> make ()
   in
-  Unix.mkdir dir 0o700;
+  let dir = make () in
   Fun.protect
     ~finally:(fun () ->
       Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
@@ -49,14 +57,24 @@ let compiles cc extra_flags =
 let core_count () =
   match Domain.recommended_domain_count () with n when n >= 1 -> n | _ -> 1
 
+let probe_count = Atomic.make 0
+let probes () = Atomic.get probe_count
+
 let probe cc =
+  Atomic.incr probe_count;
   if core_count () > 1 && compiles cc [ "-O2"; "-fopenmp" ] then Some { cc; openmp = true }
   else if compiles cc [ "-O2" ] then Some { cc; openmp = false }
   else None
 
+(* Single-flight: kfused's worker threads all reach [find], and the
+   whole probe runs under the lock, so a cold memo is probed once. *)
 let memo : (string option, (t, Diag.t) result) Hashtbl.t = Hashtbl.create 4
+let memo_lock = Mutex.create ()
+
+let forget () = Mutex.protect memo_lock (fun () -> Hashtbl.reset memo)
 
 let find () =
+  Mutex.protect memo_lock @@ fun () ->
   let pinned = Sys.getenv_opt "KFUSE_CC" in
   match Hashtbl.find_opt memo pinned with
   | Some r -> r

@@ -9,7 +9,8 @@
     the compiler and execution is sequential.
 
     Probe results are memoized per [KFUSE_CC] value: discovery runs at
-    most one compile per candidate per process. *)
+    most one compile per candidate per process, also when several
+    threads ask at once. *)
 
 type t = {
   cc : string;  (** compiler command, e.g. ["cc"] or [$KFUSE_CC] *)
@@ -21,6 +22,16 @@ type t = {
     usable on [PATH], or [KFUSE_CC] names a compiler that cannot build a
     trivial program. *)
 val find : unit -> (t, Kfuse_util.Diag.t) result
+
+val forget : unit -> unit
+(** Drop the memo: the next {!find} probes again (tests). *)
+
+val probes : unit -> int
+(** Process-wide count of candidate compilers probed so far. *)
+
+val unique_suffix : unit -> string
+(** A name part unique within this process ([pid.counter]), for temp
+    files that concurrent threads create side by side. *)
 
 (** [flags t ~shared] is the flag set used for building fused plans:
     [-O2], [-fopenmp] when supported, plus [-shared -fPIC] when

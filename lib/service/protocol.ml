@@ -6,13 +6,6 @@ let max_frame = 16 * 1024 * 1024
 
 (* ---- framing ---- *)
 
-(* A write to a vanished peer must surface as [Unix_error EPIPE] — which
-   the server's send guard and the client's [request] already turn into a
-   dropped connection / Service_error — not as a process-killing SIGPIPE.
-   Forced on first [send], so both kfused and the client CLI are covered. *)
-let ignore_sigpipe =
-  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-
 (* EINTR always retries: a signal landing mid-frame must not kill the
    request.  EAGAIN/EWOULDBLOCK only arrives when an [SO_SNDTIMEO] is
    armed on the socket, i.e. the kernel already blocked for one full
@@ -71,14 +64,18 @@ let encode v =
   Bytes.set_int32_be header 0 (Int32.of_int len);
   (header, payload)
 
+(* A write to a vanished peer must surface as [Unix_error EPIPE] — which
+   the server's send guard and the client's [request] already turn into a
+   dropped connection / Service_error.  Set on first [send], so both
+   kfused and the client CLI are covered. *)
 let send ?deadline fd v =
-  Lazy.force ignore_sigpipe;
+  Kfuse_util.Sigpipe.ignore ();
   let header, payload = encode v in
   write_all ?deadline fd header;
   write_all ?deadline fd payload
 
 let send_torn fd v =
-  Lazy.force ignore_sigpipe;
+  Kfuse_util.Sigpipe.ignore ();
   let header, payload = encode v in
   write_all fd header;
   write_all fd (Bytes.sub payload 0 (Bytes.length payload / 2))

@@ -804,9 +804,14 @@ let stats_json t =
             ("drain_timeout_ms", Jsonx.Num t.drain_timeout_ms);
           ] );
       ( "native_exec",
+        let rs = Native.runner_stats () in
         Jsonx.Obj
           [
             ("sandbox", Jsonx.Str (Supervisor.policy_to_string t.exec_sandbox));
+            ("runners", Jsonx.Num (float_of_int rs.Native.runners));
+            ("runner_spawns", Jsonx.Num (float_of_int rs.Native.runner_spawns));
+            ("runner_kills", Jsonx.Num (float_of_int rs.Native.runner_kills));
+            ("runner_cpu_ms", Jsonx.Num rs.Native.runner_cpu_ms);
             ("crashes", count "native_exec_crashes");
             ("timeouts", count "native_exec_timeouts");
             ("limit_hits", count "native_exec_limits");
@@ -854,9 +859,14 @@ let dispatch t ~deadline v =
       | Protocol.Shutdown -> Protocol.ok [ ("stopping", Jsonx.Bool true) ]
       | Protocol.Stats -> stats_json t
       | Protocol.Metrics ->
+        let rs = Native.runner_stats () in
         let text =
           Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
             ~uptime_s:(Unix.gettimeofday () -. t.started_at)
+          ^ Printf.sprintf
+              "kfused_native_runners %d\nkfused_native_runner_spawns_total %d\n\
+               kfused_native_runner_kills_total %d\n"
+              rs.Native.runners rs.Native.runner_spawns rs.Native.runner_kills
         in
         Protocol.ok [ ("text", Jsonx.Str text) ]
       | Protocol.Fuse f -> handle_fuse t ~deadline f
@@ -1220,6 +1230,9 @@ let wait t =
      plan is released before the process exits. *)
   Session_table.drain t.streams;
   Session_table.drain t.lazies;
+  (* No request is in flight: every sandbox runner is idle, and none
+     outlives the server. *)
+  Native.shutdown_runners ();
   (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
 
 let stop t =

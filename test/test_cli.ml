@@ -194,10 +194,11 @@ let test_run_native_e2e () =
   Alcotest.(check int) "subprocess run exits 0" 0 code;
   Alcotest.(check bool) "subprocess diff 0" true
     (contains "native max-abs-diff vs interpreter: 0" text);
-  (* A failed write of the runner's input file (here EFBIG under a file
-     size cap of 1024 blocks, at most 1 MiB, as ENOSPC on a full disk)
-     is a typed KF0904, not a signal.  The cap leaves room to compile;
-     a 640x480 input needs 2.4 MB. *)
+  (* A runner arena that cannot be allocated (here EFBIG from fallocate
+     under a file size cap of 1024 blocks, at most 1 MiB, as ENOSPC on
+     a full shmem) is a typed KF0904 before any runner starts, not a
+     signal.  The cap leaves room to compile; a 640x480 input and
+     output need 4.9 MB. *)
   let big = Filename.concat dir "big.pgm" in
   Kfuse_image.Pgm.write big (Kfuse_image.Image.const ~width:640 ~height:480 0.5);
   let code, text =
@@ -208,8 +209,61 @@ let test_run_native_e2e () =
       ]
   in
   Alcotest.(check bool) "capped run fails" true (code <> 0);
-  Alcotest.(check bool) "typed KF0904 on the input write" true
-    (contains "KF0904" text && contains "cannot write plan input" text)
+  Alcotest.(check bool) "typed KF0904 on the arena allocation" true
+    (contains "KF0904" text && contains "cannot allocate the runner arena" text)
+
+(* A daemon killed with SIGKILL cannot retire its sandbox runners, yet
+   none may outlive it: each sees EOF on its request pipe and exits. *)
+let test_serve_killed_leaves_no_runner () =
+  require_cc ();
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "d.sock" in
+  let daemon =
+    match
+      (* [exec] keeps the daemon at the child's pid; the empty
+         KFUSE_FAULTS keeps a fault-matrix run's faults out of it. *)
+      Kfuse_exec.Supervisor.Child.spawn
+        ~argv:
+          [
+            "sh"; "-c";
+            Printf.sprintf "KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s" kfusec
+              (Filename.quote socket) (Filename.quote dir);
+          ]
+        ()
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
+  in
+  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
+  @@ fun () ->
+  let rec wait_socket n =
+    if not (Sys.file_exists socket) then
+      if n = 0 then Alcotest.fail "kfusec serve never listened"
+      else (Unix.sleepf 0.05; wait_socket (n - 1))
+  in
+  wait_socket 200;
+  let code, text =
+    run_capture [ "query"; "--socket"; socket; "--exec"; "-a"; "sobel"; "--width"; "8"; "--height"; "6" ]
+  in
+  Alcotest.(check int) "sandboxed exec answers" 0 code;
+  Alcotest.(check bool) "through a runner" true (contains "\"mode\":\"subprocess\"" text);
+  let native = Filename.concat dir "native" in
+  let runners () =
+    Array.to_list (Sys.readdir "/proc")
+    |> List.filter (fun pid ->
+           match In_channel.with_open_bin ("/proc/" ^ pid ^ "/cmdline") In_channel.input_all with
+           | cmd -> String.starts_with ~prefix:native cmd
+           | exception Sys_error _ -> false)
+  in
+  Alcotest.(check int) "one warm runner" 1 (List.length (runners ()));
+  Kfuse_exec.Supervisor.Child.kill daemon;
+  let rec gone n =
+    match runners () with
+    | [] -> ()
+    | l when n = 0 -> Alcotest.failf "runner(s) %s outlived the daemon" (String.concat ", " l)
+    | _ -> Unix.sleepf 0.05; gone (n - 1)
+  in
+  gone 100
 
 let test_run_native_no_toolchain () =
   (* KFUSE_CC pointing nowhere must surface as a typed KF0902, not a
@@ -359,6 +413,8 @@ let suite =
     Alcotest.test_case "bench-native snapshot gate" `Quick test_bench_snapshot_gate;
     Alcotest.test_case "repl --script end-to-end" `Quick test_repl_script;
     Alcotest.test_case "run --native end-to-end" `Slow test_run_native_e2e;
+    Alcotest.test_case "serve: a killed daemon leaves no runner" `Slow
+      test_serve_killed_leaves_no_runner;
     Alcotest.test_case "run --native without a toolchain" `Quick
       test_run_native_no_toolchain;
     Alcotest.test_case "fuzz --native smoke" `Slow test_fuzz_native_smoke;

@@ -203,8 +203,8 @@ let c11_keywords =
 
 (* Library functions the generated C and its wrappers call. *)
 let library_names =
-  [ "malloc"; "free"; "abort"; "open"; "close"; "fstat"; "stat"; "mmap"; "perror";
-    "fprintf"; "stderr"; "ftruncate"; "sqrt"; "sqrtf"; "fabs"; "fabsf"; "exp"; "expf";
+  [ "malloc"; "free"; "abort"; "read"; "write"; "close"; "mmap"; "perror"; "raise";
+    "pause"; "setrlimit"; "fprintf"; "stderr"; "sqrt"; "sqrtf"; "fabs"; "fabsf"; "exp"; "expf";
     "log"; "logf"; "sin"; "sinf"; "cos"; "cosf"; "floor"; "floorf"; "fmin"; "fminf";
     "fmax"; "fmaxf"; "pow"; "powf"; "cudaMalloc"; "cudaFree"; "atomicAdd"; "atomicCAS";
     "__float_as_int"; "__int_as_float" ]
@@ -214,8 +214,9 @@ let library_names =
    subprocess wrapper's locals and the CUDA launch names. *)
 let generator_names =
   [ "width"; "height"; "x"; "y"; "i"; "out"; "acc"; "kf_malloc"; "kf_scalar";
-    "kf_scalar_is_f64"; "kfuse_entry"; "main"; "ins"; "outs"; "params"; "argc"; "argv";
-    "npix"; "st"; "in_fd"; "in_map"; "kf_in"; "out_bytes"; "out_fd"; "out_map"; "kf_out";
+    "kf_scalar_is_f64"; "kfuse_entry"; "main"; "ins"; "outs"; "params"; "kf_io"; "fd";
+    "buf"; "done"; "k"; "npix"; "in_bytes"; "out_bytes"; "arena"; "kf_in"; "kf_out"; "req";
+    "r"; "rl"; "rep";
     "read_clamp"; "read_mirror"; "read_repeat"; "read_constant"; "read_raw"; "idx_clamp";
     "idx_mirror"; "idx_repeat"; "atomicMinFloat"; "atomicMaxFloat"; "img"; "w"; "h"; "c";
     "n"; "p"; "period"; "m"; "addr"; "iaddr"; "old"; "assumed"; "value"; "block"; "grid";

@@ -472,7 +472,7 @@ let compile_fixture name source =
   let bin = Filename.concat dir name in
   Out_channel.with_open_text src (fun oc -> output_string oc source);
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:{ Sup.no_limits with Sup.wall_ms = Some 60_000. }
       ~argv:[ t.Exec.Toolchain.cc; "-O0"; "-o"; bin; src ]
       ()
@@ -487,7 +487,7 @@ let test_supervisor_crash_kf0906 () =
     compile_fixture "crasher"
       "int main(void) { volatile int *p = 0; *p = 1; return 0; }\n"
   in
-  let r = Sup.run ~fault_injection:false ~argv:[ bin ] () in
+  let r = Sup.run ~argv:[ bin ] () in
   (match expect_failure r with
   | Sup.Crashed { signal } ->
     Alcotest.(check string) "crash signal named" "SIGSEGV" signal
@@ -497,7 +497,7 @@ let test_supervisor_crash_kf0906 () =
 let test_supervisor_timeout_kf0905 () =
   let bin = compile_fixture "looper" "int main(void) { for (;;); return 0; }\n" in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:{ Sup.no_limits with Sup.wall_ms = Some 300. }
       ~argv:[ bin ] ()
   in
@@ -517,7 +517,7 @@ let test_supervisor_oom_kf0907 () =
        }\n"
   in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:
         {
           Sup.no_limits with
@@ -536,7 +536,7 @@ let test_supervisor_oom_kf0907 () =
 let test_supervisor_cpu_limit_kf0907 () =
   let bin = compile_fixture "spinner" "int main(void) { for (;;); return 0; }\n" in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:
         { Sup.no_limits with Sup.wall_ms = Some 30_000.; Sup.cpu_s = Some 1 }
       ~argv:[ bin ] ()
@@ -550,16 +550,16 @@ let test_supervisor_cpu_limit_kf0907 () =
 let test_supervisor_exit_and_spawn () =
   (* No toolchain needed: exit codes and spawn failures classify without
      compiling anything. *)
-  let r = Sup.run ~fault_injection:false ~argv:[ "false" ] () in
+  let r = Sup.run ~argv:[ "false" ] () in
   (match expect_failure r with
   | Sup.Nonzero_exit { code } -> Alcotest.(check int) "exit code" 1 code
   | _ -> Alcotest.fail "expected Nonzero_exit");
   Alcotest.(check string) "nonzero exit stays KF0904" "KF0904" (diag_code r);
-  let r = Sup.run ~fault_injection:false ~argv:[ "/nonexistent/kfuse-no-such" ] () in
+  let r = Sup.run ~argv:[ "/nonexistent/kfuse-no-such" ] () in
   (match expect_failure r with
   | Sup.Spawn_failed _ -> ()
   | _ -> Alcotest.fail "expected Spawn_failed");
-  let r = Sup.run ~fault_injection:false ~argv:[] () in
+  let r = Sup.run ~argv:[] () in
   match expect_failure r with
   | Sup.Spawn_failed { reason } ->
     Alcotest.(check string) "empty argv refused" "empty argv" reason
@@ -568,7 +568,7 @@ let test_supervisor_exit_and_spawn () =
 let test_supervisor_expired_deadline () =
   (* An already-expired deadline must not even spawn the child. *)
   let r =
-    Sup.run ~fault_injection:false ~deadline:(Deadline.after_ms 0.) ~argv:[ "false" ] ()
+    Sup.run ~deadline:(Deadline.after_ms 0.) ~argv:[ "false" ] ()
   in
   (match expect_failure r with
   | Sup.Timeout { wall_ms; escalated } ->
@@ -579,7 +579,7 @@ let test_supervisor_expired_deadline () =
 
 let test_supervisor_stderr_tail () =
   (* A real child's stderr is captured... *)
-  let r = Sup.run ~fault_injection:false ~argv:[ "ls"; "/nonexistent/kfuse-tail" ] () in
+  let r = Sup.run ~argv:[ "ls"; "/nonexistent/kfuse-tail" ] () in
   (match r.Sup.status with
   | Error (Sup.Nonzero_exit _) -> ()
   | _ -> Alcotest.fail "expected ls to fail");
@@ -597,44 +597,72 @@ let test_supervisor_stderr_tail () =
   Alcotest.(check bool) "marked truncated" true (contains "truncated" tail);
   Alcotest.(check bool) "keeps the end of the stream" true (contains "THE-END" tail)
 
-(* ---- the sandbox runner's failure paths ---- *)
+(* ---- the sandbox runner ---- *)
 
 let diag_id (d : Kfuse_util.Diag.t) = Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code
 
+let compile_runner ~cache_dir p =
+  match Exec.Native.compile ~cache_dir ~mode:Exec.Native.Subprocess p with
+  | Ok (path, _, _) -> path
+  | Error d -> Alcotest.failf "compile failed: %s" (Kfuse_util.Diag.to_string d)
+
+let int64s words =
+  let b = Bytes.create (8 * List.length words) in
+  List.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.of_int v)) words;
+  b
+
+let with_runner ?(limits = Sup.no_limits) ~arena_bytes argv f =
+  match Sup.Runner.spawn ~limits ~arena_bytes ~argv with
+  | Error e -> Alcotest.failf "runner spawn failed: %s" e
+  | Ok r -> Fun.protect ~finally:(fun () -> Sup.Runner.kill r) (fun () -> f r)
+
+(* One request frame straight to a compiled runner; its reply's output
+   byte count on success. *)
+let exchange_frame r ~abi ~in_bytes ~out_bytes =
+  let reply = Bytes.create 16 in
+  let run =
+    Sup.Runner.exchange r ~wall_ms:(Some 30_000.) ~misbehave:Sup.No_fault
+      ~request:(int64s [ abi; in_bytes; out_bytes; 0 ])
+      ~reply
+  in
+  (run, Int64.to_int (Bytes.get_int64_ne reply 8))
+
+(* A request frame whose byte counts disagree with the arena stops the
+   runner: a short image, a missing parameter, a short output region
+   and a stale ABI are each a typed KF0904 that names the mismatch. *)
 let test_runner_truncated_input () =
   let _ = require_toolchain () in
   let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
   Alcotest.(check (pair int int)) "one input, one param" (1, 1)
     (List.length fused.Ir.Pipeline.inputs, List.length fused.Ir.Pipeline.params);
   with_cache_dir @@ fun cache_dir ->
-  let artifact =
-    match Exec.Native.compile ~cache_dir ~mode:Exec.Native.Subprocess fused with
-    | Ok (path, _, _) -> path
-    | Error d -> Alcotest.failf "compile failed: %s" (Kfuse_util.Diag.to_string d)
-  in
-  let run_on ~doubles =
-    let in_path = Filename.concat cache_dir "in.f64" in
-    Out_channel.with_open_bin in_path (fun oc ->
-        output_string oc (String.make (8 * doubles) '\000'));
-    Sup.run ~fault_injection:false
-      ~argv:[ artifact; in_path; Filename.concat cache_dir "out.f64" ]
-      ()
-  in
+  let artifact = compile_runner ~cache_dir fused in
   let npix = 16 * 12 in
-  let r = run_on ~doubles:(npix - 1) in
-  Alcotest.(check string) "short image is KF0904" "KF0904" (diag_code r);
-  Alcotest.(check bool) "says truncated input" true (contains "truncated input" r.Sup.stderr_tail);
-  let r = run_on ~doubles:npix in
-  Alcotest.(check string) "missing param is KF0904" "KF0904" (diag_code r);
-  Alcotest.(check bool) "says truncated parameters" true
-    (contains "truncated parameters" r.Sup.stderr_tail);
-  let r = run_on ~doubles:(npix + 1) in
-  match r.Sup.status with
+  let in_bytes = 8 * (npix + 1) and out_bytes = 8 * npix in
+  let abi = Exec.Native.abi_version in
+  let frame ?(abi = abi) ?(in_bytes = in_bytes) ?(out_bytes = out_bytes) () =
+    with_runner ~arena_bytes:(8 * ((2 * npix) + 1)) [ artifact ] (fun r ->
+        exchange_frame r ~abi ~in_bytes ~out_bytes)
+  in
+  List.iter
+    (fun (what, (run, _)) ->
+      Alcotest.(check string) (what ^ " is KF0904") "KF0904" (diag_code run);
+      Alcotest.(check bool) (what ^ ": names the mismatch") true
+        (contains "disagrees with the arena" run.Sup.stderr_tail))
+    [
+      ("short image", frame ~in_bytes:(8 * (npix - 1)) ());
+      ("missing param", frame ~in_bytes:(8 * npix) ());
+      ("short output", frame ~out_bytes:(out_bytes - 8) ());
+      ("stale ABI", frame ~abi:(abi - 1) ());
+    ];
+  let run, wrote = frame () in
+  (match run.Sup.status with
   | Ok () -> ()
-  | Error _ -> Alcotest.failf "a complete input failed: %s" r.Sup.stderr_tail
+  | Error _ -> Alcotest.failf "a complete frame failed: %s" run.Sup.stderr_tail);
+  Alcotest.(check int) "reply reports the output region" out_bytes wrote
 
-(* The runner sizes its output with ftruncate: RLIMIT_FSIZE must stop it
-   there. *)
+(* RLIMIT_FSIZE is checked against the arena's output region before any
+   runner is spawned. *)
 let test_runner_fsize_limit () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -646,73 +674,338 @@ let test_runner_fsize_limit () =
       ~limits:{ Sup.no_limits with Sup.wall_ms = Some 30_000.; Sup.fsize_bytes = Some fsize }
       fused inputs
   in
+  let spawns () = (Exec.Native.runner_stats ()).Exec.Native.runner_spawns in
+  let before = spawns () in
   (match run (out_bytes - 8) with
   | Ok _ -> Alcotest.fail "an output past RLIMIT_FSIZE was accepted"
   | Error d ->
     Alcotest.(check string) "typed KF0907" "KF0907" (diag_id d);
     Alcotest.(check bool) "names RLIMIT_FSIZE" true
       (contains "RLIMIT_FSIZE" (Kfuse_util.Diag.to_string d)));
+  Alcotest.(check int) "refused before spawning" before (spawns ());
   match run out_bytes with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "an output at the limit failed: %s" (Kfuse_util.Diag.to_string d)
 
-(* The parent checks the output's size before reading it: a child that
-   exits 0 with a short file is a typed KF0904. *)
+(* The parent never maps the arena and trusts no reply it did not get
+   in full: a runner that reports a short output, or exits 0 in the
+   middle of a request, is a typed KF0904. *)
 let test_runner_short_output () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   with_cache_dir @@ fun cache_dir ->
   match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
   | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
-  | Ok plan -> (
+  | Ok plan ->
     Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
-    let fixture =
-      compile_fixture "shortout"
-        "#include <stdio.h>\n\
-         int main(int argc, char** argv) {\n\
-        \  double d = 1.0;\n\
-        \  FILE* f = argc == 3 ? fopen(argv[2], \"wb\") : NULL;\n\
-        \  if (!f || fwrite(&d, sizeof d, 1, f) != 1) return 1;\n\
-        \  return fclose(f) != 0;\n\
-         }\n"
+    let fixture name body =
+      compile_fixture name
+        (Printf.sprintf
+           "#include <stdint.h>\n#include <unistd.h>\n\
+            int main(void) {\n\
+           \  int64_t req[4];\n\
+           \  if (read(4, req, sizeof req) != (ssize_t)sizeof req) return 1;\n\
+           \  %s\n\
+            }\n"
+           body)
     in
-    Sys.rename fixture (Exec.Native.plan_artifact plan);
-    match Exec.Native.run_plan plan (inputs_for fused) with
-    | Ok _ -> Alcotest.fail "a short output file was accepted"
-    | Error d ->
-      Alcotest.(check string) "typed KF0904" "KF0904" (diag_id d);
-      Alcotest.(check bool) "reports the short size" true
-        (contains "wrote 8 bytes" (Kfuse_util.Diag.to_string d)))
+    List.iter
+      (fun (name, body, expect) ->
+        Sys.rename (fixture name body) (Exec.Native.plan_artifact plan);
+        match Exec.Native.run_plan plan (inputs_for fused) with
+        | Ok _ -> Alcotest.failf "%s: a short reply was accepted" name
+        | Error d ->
+          Alcotest.(check string) (name ^ ": typed KF0904") "KF0904" (diag_id d);
+          Alcotest.(check bool) (name ^ ": says why") true
+            (contains expect (Kfuse_util.Diag.to_string d)))
+      [
+        ( "shortout",
+          Printf.sprintf
+            "int64_t rep[2] = { %d, 8 };\n\
+            \  if (write(5, rep, sizeof rep) != (ssize_t)sizeof rep) return 1;\n\
+            \  while (read(4, req, sizeof req) > 0) {}\n\
+            \  return 0;"
+            Exec.Native.abi_version,
+          "wrote 8 bytes" );
+        ("quitter", "return 0;", "exited 0 mid-request");
+      ]
 
+(* The exec.* chaos points are drawn by the parent and acted out by the
+   runner, so they exercise the real kill-and-respawn path: each is its
+   typed failure, and the next request succeeds on a fresh runner. *)
 let test_exec_fault_points () =
-  (* The exec.* chaos points misbehave in the child, so no toolchain and
-     no real crashing binary are needed: the victim argv is /bin/true. *)
+  let _ = require_toolchain () in
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  let inputs = inputs_for fused in
+  let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+  let limits = { Sup.default_limits with Sup.wall_ms = Some 300. } in
+  let run () = Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir ~limits fused inputs in
+  let stats () = Exec.Native.runner_stats () in
+  let clean what =
+    match run () with
+    | Ok r -> Alcotest.(check (float 0.0)) what 0.0 (max_diff reference r.Exec.Native.outputs)
+    | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+  in
+  clean "warm runner";
+  List.iter
+    (fun (spec, code) ->
+      let before = stats () in
+      Faults.with_spec spec (fun () ->
+          match run () with
+          | Ok _ -> Alcotest.failf "%s: expected a typed failure" spec
+          | Error d -> Alcotest.(check string) spec code (diag_id d));
+      Alcotest.(check int) (spec ^ ": runner killed") (before.Exec.Native.runner_kills + 1)
+        (stats ()).Exec.Native.runner_kills;
+      clean (spec ^ ": next request exact");
+      Alcotest.(check int) (spec ^ ": on a respawned runner")
+        (before.Exec.Native.runner_spawns + 1)
+        (stats ()).Exec.Native.runner_spawns)
+    [ ("exec.crash@1", "KF0906"); ("exec.hang@1", "KF0905"); ("exec.oom@1", "KF0907") ];
+  (* The compiler runs through [Sup.run], which never draws a fault. *)
   Faults.with_spec "exec.crash@1" (fun () ->
       let r = Sup.run ~argv:[ "true" ] () in
-      match expect_failure r with
-      | Sup.Crashed { signal } -> Alcotest.(check string) "chaos crash" "SIGSEGV" signal
-      | _ -> Alcotest.fail "exec.crash: expected Crashed");
-  Faults.with_spec "exec.hang@1" (fun () ->
-      let r =
-        Sup.run ~limits:{ Sup.no_limits with Sup.wall_ms = Some 200. } ~argv:[ "true" ] ()
-      in
-      (match expect_failure r with
-      | Sup.Timeout _ -> ()
-      | _ -> Alcotest.fail "exec.hang: expected Timeout");
-      Alcotest.(check string) "typed KF0905" "KF0905" (diag_code r));
-  Faults.with_spec "exec.oom@1" (fun () ->
-      let r = Sup.run ~argv:[ "true" ] () in
-      (match expect_failure r with
-      | Sup.Limit _ -> ()
-      | _ -> Alcotest.fail "exec.oom: expected Limit");
-      Alcotest.(check string) "typed KF0907" "KF0907" (diag_code r));
-  (* The compile path runs with fault injection off: an armed point must
-     not fire there. *)
-  Faults.with_spec "exec.crash@1" (fun () ->
-      let r = Sup.run ~fault_injection:false ~argv:[ "true" ] () in
       match r.Sup.status with
       | Ok () -> ()
-      | Error _ -> Alcotest.fail "fault_injection:false must ignore armed points")
+      | Error _ -> Alcotest.fail "Sup.run must ignore armed exec.* points")
+
+(* One runner serves two requests with different inputs (and, for
+   harris, different parameters), each bit-exact against the
+   interpreter: nothing of the first request leaks into the second. *)
+let test_runner_reuse_exact () =
+  let _ = require_toolchain () in
+  with_cache_dir @@ fun cache_dir ->
+  let night_rgb =
+    let p = Kfuse_apps.Extra.night_rgb_pipeline ~width:17 ~height:13 () in
+    (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused
+  in
+  let constant =
+    Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
+      [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const 2.5) ]
+  in
+  let cases =
+    [
+      ("sobel", snd (fused_app "sobel" ~width:16 ~height:12), [ []; [] ]);
+      ("night_rgb", night_rgb, [ []; [] ]);
+      ("harris", snd (fused_app "harris" ~width:15 ~height:11), [ [ ("k", 0.04) ]; [ ("k", 0.07) ] ]);
+      ("reduction", neg_reduce_pipeline (), [ []; [] ]);
+      ("no inputs", constant, [ []; [] ]);
+    ]
+  in
+  List.iter
+    (fun (name, p, params_per_request) ->
+      let before = (Exec.Native.runner_stats ()).Exec.Native.runner_spawns in
+      List.iteri
+        (fun seed params ->
+          let rng = Kfuse_util.Rng.create (100 + seed) in
+          let inputs =
+            List.map
+              (fun n ->
+                ( n,
+                  Img.Image.random rng ~width:p.Ir.Pipeline.width ~height:p.Ir.Pipeline.height
+                    ~lo:0.0 ~hi:1.0 ))
+              p.Ir.Pipeline.inputs
+          in
+          let reference = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list inputs) in
+          match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir ~params p inputs with
+          | Error d -> Alcotest.failf "%s: %s" name (Kfuse_util.Diag.to_string d)
+          | Ok r ->
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "%s request %d bit-exact" name (seed + 1))
+              0.0
+              (max_diff reference r.Exec.Native.outputs))
+        params_per_request;
+      Alcotest.(check int) (name ^ ": one runner served both") (before + 1)
+        (Exec.Native.runner_stats ()).Exec.Native.runner_spawns)
+    cases
+
+(* A fixture runner that burns the CPU milliseconds each request asks
+   for (forever when negative), replying with the request. *)
+let burner_source =
+  "#include <stdint.h>\n#include <time.h>\n#include <unistd.h>\n\
+   static double cpu(void) {\n\
+  \  struct timespec ts;\n\
+  \  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);\n\
+  \  return ts.tv_sec + ts.tv_nsec * 1e-9;\n\
+   }\n\
+   int main(void) {\n\
+  \  int64_t ms;\n\
+  \  while (read(4, &ms, sizeof ms) == (ssize_t)sizeof ms) {\n\
+  \    double until = cpu() + ms / 1000.0;\n\
+  \    volatile double x = 0;\n\
+  \    while (ms < 0 || cpu() < until) x += 1;\n\
+  \    if (write(5, &ms, sizeof ms) != (ssize_t)sizeof ms) return 1;\n\
+  \  }\n\
+  \  return 0;\n\
+   }\n"
+
+let test_runner_cpu_per_request () =
+  let bin = compile_fixture "burner" burner_source in
+  let limits = { Sup.no_limits with Sup.cpu_s = Some 1 } in
+  with_runner ~limits ~arena_bytes:8 [ bin ] @@ fun r ->
+  let burn ms =
+    Sup.Runner.exchange r ~wall_ms:(Some 30_000.) ~misbehave:Sup.No_fault
+      ~request:(int64s [ ms ]) ~reply:(Bytes.create 8)
+  in
+  (* 4 x 400 ms: well past the 1 s cap in total, never within one request. *)
+  for i = 1 to 4 do
+    match (burn 400).Sup.status with
+    | Ok () -> ()
+    | Error _ -> Alcotest.failf "clean request %d was killed" i
+  done;
+  let run = burn (-1) in
+  (match expect_failure run with
+  | Sup.Limit { what; _ } ->
+    Alcotest.(check bool) "names the CPU limit" true (contains "RLIMIT_CPU" what)
+  | _ -> Alcotest.fail "a runaway request must hit RLIMIT_CPU");
+  Alcotest.(check string) "typed KF0907" "KF0907" (diag_code run)
+
+(* A fixture runner that writes 64 KiB of stderr per clean request and
+   aborts on request 0, naming each request on stderr. *)
+let chatter_source =
+  "#include <stdint.h>\n#include <stdio.h>\n#include <stdlib.h>\n\
+   #include <string.h>\n#include <unistd.h>\n\
+   int main(void) {\n\
+  \  static char noise[65536];\n\
+  \  int64_t n;\n\
+  \  memset(noise, '.', sizeof noise);\n\
+  \  while (read(4, &n, sizeof n) == (ssize_t)sizeof n) {\n\
+  \    if (n == 0) { dprintf(2, \"request-0\\n\"); abort(); }\n\
+  \    if (write(2, noise, sizeof noise) != (ssize_t)sizeof noise) return 1;\n\
+  \    dprintf(2, \"request-%lld\\n\", (long long)n);\n\
+  \    if (write(5, &n, sizeof n) != (ssize_t)sizeof n) return 1;\n\
+  \  }\n\
+  \  return 0;\n\
+   }\n"
+
+(* A runner's stderr is emptied before each request: a failure reports
+   its own request's output alone, and clean requests whose stderr adds
+   up past RLIMIT_FSIZE are not killed for it. *)
+let test_runner_stderr_per_request () =
+  let bin = compile_fixture "chatter" chatter_source in
+  let limits = { Sup.no_limits with Sup.fsize_bytes = Some 100_000 } in
+  with_runner ~limits ~arena_bytes:8 [ bin ] @@ fun r ->
+  let send n =
+    Sup.Runner.exchange r ~wall_ms:(Some 30_000.) ~misbehave:Sup.No_fault
+      ~request:(int64s [ n ]) ~reply:(Bytes.create 8)
+  in
+  for n = 1 to 4 do
+    match (send n).Sup.status with
+    | Ok () -> ()
+    | Error _ -> Alcotest.failf "clean request %d failed" n
+  done;
+  let run = send 0 in
+  (match expect_failure run with
+  | Sup.Crashed { signal } -> Alcotest.(check string) "the abort itself" "SIGABRT" signal
+  | _ -> Alcotest.fail "expected the runner's own abort");
+  Alcotest.(check string) "only the failed request's stderr" "request-0\n" run.Sup.stderr_tail
+
+let proc_links pid =
+  let dir = Printf.sprintf "/proc/%d/fd" pid in
+  Array.to_list (Sys.readdir dir)
+  |> List.filter_map (fun fd ->
+         try Some (int_of_string fd, Unix.readlink (Filename.concat dir fd))
+         with Unix.Unix_error _ | Failure _ -> None)
+  |> List.sort compare
+
+(* No runner outlives its purpose: it exits 0 once its request pipe
+   closes, holds no fd of its parent's beyond its own three (so not a
+   sibling's pipe), the idle pool is capped, and a pool shutdown leaves
+   none alive. *)
+let test_runner_no_leaks () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  let artifact = compile_runner ~cache_dir fused in
+  let npix = 16 * 12 in
+  let n_out = List.length (Ir.Pipeline.outputs fused) in
+  let in_bytes = 8 * npix and out_bytes = 8 * n_out * npix in
+  let spawn () =
+    match
+      Sup.Runner.spawn ~limits:Sup.no_limits ~arena_bytes:(in_bytes + out_bytes)
+        ~argv:[ artifact ]
+    with
+    | Error e -> Alcotest.failf "runner spawn failed: %s" e
+    | Ok r ->
+      (* One exchange: past it, the runner has certainly exec'd. *)
+      let run, _ = exchange_frame r ~abi:Exec.Native.abi_version ~in_bytes ~out_bytes in
+      (match run.Sup.status with
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "warm-up request failed: %s" run.Sup.stderr_tail);
+      r
+  in
+  let first = spawn () in
+  let second = spawn () in
+  let pipes r =
+    List.filter_map
+      (fun (fd, target) -> if fd = 4 || fd = 5 then Some target else None)
+      (proc_links (Sup.Runner.pid r))
+  in
+  let second_fds = proc_links (Sup.Runner.pid second) in
+  Alcotest.(check (list int)) "the second runner holds fds 0-2, 4 and 5 only"
+    [ 0; 1; 2; 4; 5 ] (List.map fst second_fds);
+  List.iter
+    (fun target ->
+      Alcotest.(check bool) ("not the first runner's " ^ target) false
+        (List.mem target (List.map snd second_fds)))
+    (pipes first);
+  (match Sup.Runner.close first with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "a runner must exit 0 on EOF of its request pipe");
+  ignore (Sup.Runner.close second);
+  (* Through the pool: two artifacts served, then shutdown. *)
+  let _, unsharp = fused_app "unsharp" ~width:16 ~height:12 in
+  List.iter
+    (fun p ->
+      match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir p (inputs_for p) with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "pooled run failed: %s" (Kfuse_util.Diag.to_string d))
+    [ fused; unsharp ];
+  Alcotest.(check bool) "runners live while pooled" true
+    ((Exec.Native.runner_stats ()).Exec.Native.runners >= 2);
+  (* Nine more plans, each its own artifact: the least recently used
+     idle runners retire, and 8 stay. *)
+  for i = 1 to 9 do
+    let p =
+      Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
+        [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const (float_of_int i)) ]
+    in
+    match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir p [] with
+    | Ok _ -> ()
+    | Error d -> Alcotest.failf "pooled run failed: %s" (Kfuse_util.Diag.to_string d)
+  done;
+  Alcotest.(check int) "idle runners are capped" 8
+    (Exec.Native.runner_stats ()).Exec.Native.runners;
+  Exec.Native.shutdown_runners ();
+  Alcotest.(check int) "no runner after shutdown" 0
+    (Exec.Native.runner_stats ()).Exec.Native.runners
+
+(* Toolchain discovery is single-flight: threads racing on a cold memo
+   probe exactly as often as one caller does, and agree. *)
+let test_toolchain_find_single_flight () =
+  Exec.Toolchain.forget ();
+  let p0 = Exec.Toolchain.probes () in
+  let serial = Exec.Toolchain.find () in
+  let per_find = Exec.Toolchain.probes () - p0 in
+  Exec.Toolchain.forget ();
+  let p1 = Exec.Toolchain.probes () in
+  let results = Array.make 8 None in
+  List.iter Thread.join
+    (List.init 8 (fun i ->
+         Thread.create
+           (fun () ->
+             results.(i) <-
+               Some (try Ok (Exec.Toolchain.find ()) with e -> Error (Printexc.to_string e)))
+           ()));
+  Alcotest.(check int) "probed once, not once per thread" per_find (Exec.Toolchain.probes () - p1);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Ok found) ->
+        Alcotest.(check bool) (Printf.sprintf "thread %d agrees" i) true (found = serial)
+      | Some (Error e) -> Alcotest.failf "thread %d raised %s" i e
+      | None -> Alcotest.failf "thread %d never finished" i)
+    results
 
 let test_breaker_lifecycle () =
   let b = Sup.Breaker.create ~threshold:2 ~cooldown_ms:50. () in
@@ -992,14 +1285,23 @@ let suite =
       test_supervisor_expired_deadline;
     Alcotest.test_case "supervisor: stderr tail captured and capped" `Quick
       test_supervisor_stderr_tail;
-    Alcotest.test_case "sandbox runner: truncated input is KF0904" `Slow
+    Alcotest.test_case "sandbox runner: truncated input frame is KF0904" `Slow
       test_runner_truncated_input;
-    Alcotest.test_case "sandbox runner: RLIMIT_FSIZE at ftruncate is KF0907" `Slow
-      test_runner_fsize_limit;
+    Alcotest.test_case "sandbox runner: RLIMIT_FSIZE above the output region is KF0907"
+      `Slow test_runner_fsize_limit;
     Alcotest.test_case "sandbox runner: short output is KF0904, no SIGBUS" `Slow
       test_runner_short_output;
-    Alcotest.test_case "supervisor: exec.* chaos fault points" `Quick
-      test_exec_fault_points;
+    Alcotest.test_case "supervisor: exec.* chaos fault points kill and respawn the runner"
+      `Slow test_exec_fault_points;
+    Alcotest.test_case "sandbox runner: reuse is bit-exact" `Slow test_runner_reuse_exact;
+    Alcotest.test_case "sandbox runner: the CPU cap is per request" `Slow
+      test_runner_cpu_per_request;
+    Alcotest.test_case "sandbox runner: no leaked runner, pipe or fd" `Slow
+      test_runner_no_leaks;
+    Alcotest.test_case "sandbox runner: a failure's stderr is its own request's" `Slow
+      test_runner_stderr_per_request;
+    Alcotest.test_case "toolchain: find is single-flight across threads" `Slow
+      test_toolchain_find_single_flight;
     Alcotest.test_case "supervisor: circuit breaker lifecycle" `Quick
       test_breaker_lifecycle;
     Alcotest.test_case "supervisor: crash artifact is a corpus entry" `Quick

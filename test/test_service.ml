@@ -387,6 +387,72 @@ let test_fuse_exec_end_to_end () =
   | Error d ->
     Alcotest.(check string) "typed protocol error" "KF0801" (Diag.code_id d.Diag.code)
 
+(* Sandboxed fuse_exec reuses one warm runner per artifact; stats and
+   metrics count it, and stopping the server leaves no runner alive. *)
+let test_sandbox_runners_accounted () =
+  (match Kfuse_exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok _ -> ());
+  let spawns () = (Kfuse_exec.Native.runner_stats ()).Kfuse_exec.Native.runner_spawns in
+  let before = spawns () in
+  let socket = temp_socket () in
+  let cache = Cache.Plan_cache.create () in
+  Kfuse_util.Pool.with_pool 2 (fun pool ->
+      match Svc.Server.start ~socket ~cache ~pool () with
+      | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
+      | Ok server ->
+        Fun.protect ~finally:(fun () -> Svc.Server.stop server) (fun () ->
+            let req =
+              {
+                Protocol.fuse = fuse_req "sobel";
+                exec_mode = None;
+                (* An extent no other test runs: a fresh artifact. *)
+                width = Some 21;
+                height = Some 13;
+                seed = 5;
+                repeat = 1;
+                verify = true;
+                return_pixels = false;
+              }
+            in
+            for i = 1 to 2 do
+              let reply =
+                expect_ok
+                  (Svc.Client.with_connection ~socket (fun c ->
+                       Svc.Client.fuse_exec c { req with Protocol.seed = i }))
+              in
+              Alcotest.(check bool) "verified exactly" true
+                (field "max_abs_diff" reply = Jsonx.Num 0.0);
+              Alcotest.(check bool) "sandboxed subprocess" true
+                (field "mode" (field "exec" reply) = Jsonx.Str "subprocess"
+                && field "sandboxed" (field "exec" reply) = Jsonx.Bool true)
+            done;
+            Alcotest.(check int) "two requests, one runner" (before + 1) (spawns ());
+            let stats =
+              expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.stats c))
+            in
+            let ne = field "native_exec" stats in
+            let num name = match field name ne with Jsonx.Num v -> v | _ -> -1.0 in
+            Alcotest.(check bool) "a live runner" true (num "runners" >= 1.0);
+            Alcotest.(check bool) "spawns counted" true
+              (num "runner_spawns" >= float_of_int (before + 1));
+            Alcotest.(check bool) "kills counted" true (num "runner_kills" >= 0.0);
+            Alcotest.(check bool) "runner CPU reported" true (num "runner_cpu_ms" >= 0.0);
+            let text =
+              expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.metrics c))
+            in
+            List.iter
+              (fun name ->
+                Alcotest.(check bool) ("metrics has " ^ name) true
+                  (List.exists
+                     (fun line -> String.starts_with ~prefix:(name ^ " ") line)
+                     (String.split_on_char '\n' text)))
+              [
+                "kfused_native_runners";
+                "kfused_native_runner_spawns_total";
+                "kfused_native_runner_kills_total";
+              ]));
+  Alcotest.(check int) "no runner outlives the server" 0
+    (Kfuse_exec.Native.runner_stats ()).Kfuse_exec.Native.runners
+
 let test_accept_fault_degrades () =
   with_server @@ fun socket server ->
   Faults.with_spec "service.accept@1" (fun () ->
@@ -696,6 +762,8 @@ let suite =
       test_error_responses_keep_serving;
     Alcotest.test_case "kfused: fuse_exec plans, compiles and executes" `Slow
       test_fuse_exec_end_to_end;
+    Alcotest.test_case "kfused: sandbox runners reused, counted, stopped" `Slow
+      test_sandbox_runners_accounted;
     Alcotest.test_case "kfused: service.accept fault drops one connection" `Quick
       test_accept_fault_degrades;
     Alcotest.test_case "kfused: stale socket replaced, live refused" `Quick
