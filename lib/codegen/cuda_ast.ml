@@ -15,6 +15,7 @@ type stmt =
   | If of { cond : expr; then_ : stmt list; else_ : stmt list }
   | For of { var : string; from_ : expr; below : expr; step : int; body : stmt list }
   | Pragma of string
+  | Block of stmt list
   | Expr_stmt of expr
   | Return
   | Comment of string

@@ -23,6 +23,7 @@ type stmt =
   | For of { var : string; from_ : expr; below : expr; step : int; body : stmt list }
       (** [for (int var = from_; var < below; var += step) { body }] *)
   | Pragma of string  (** [#pragma ...] on its own line *)
+  | Block of stmt list  (** [{ ... }]: a compound statement, e.g. after [omp parallel] *)
   | Expr_stmt of expr
   | Return
   | Comment of string

@@ -58,6 +58,10 @@ let rec stmt_indent ppf (ind, s) =
     if String.length text >= 4 && String.sub text 0 4 = "omp " then
       Format.fprintf ppf "%s#ifdef _OPENMP@,%s#pragma %s@,%s#endif@," pad pad text pad
     else Format.fprintf ppf "%s#pragma %s@," pad text
+  | Block body ->
+    Format.fprintf ppf "%s{@," pad;
+    List.iter (fun s -> stmt_indent ppf (ind + 2, s)) body;
+    Format.fprintf ppf "%s}@," pad
   | For { var; from_; below; step; body } ->
     (* Backstop for AST values built without {!Cuda_ast.for_}: a
        nonpositive step would print as a loop that never terminates. *)

@@ -116,8 +116,12 @@ type pos =
 
 let plus e d = if d = 0 then e else e +: int_lit d
 
-let rec lower_at ~prec ctx ~vars pos e =
-  let lower ctx ~vars pos e = lower_at ~prec ctx ~vars pos e in
+let rec lower_at ~prec ~tap ctx ~vars pos e =
+  let lower ctx ~vars pos e = lower_at ~prec ~tap ctx ~vars pos e in
+  let tapped = match pos with Interior { ox; oy; _ } -> tap e ~ox ~oy | Resolved _ -> None in
+  match tapped with
+  | Some c -> c
+  | None -> (
   match e with
   | Expr.Const c -> scalar_lit prec c
   | Expr.Param p -> ident (mangle Param p)
@@ -219,13 +223,15 @@ let rec lower_at ~prec ctx ~vars pos e =
                then_ = inner_stmts;
                else_ = [ Assign (ident result, scalar_lit prec c) ];
              });
-        ident result))
+        ident result)))
+
+let no_tap _ ~ox:_ ~oy:_ = None
 
 let lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
-  lower_at ~prec ctx ~vars (Resolved { cx; cy; bounded }) e
+  lower_at ~prec ~tap:no_tap ctx ~vars (Resolved { cx; cy; bounded }) e
 
-let lower_interior ?(prec = Single) ctx ~vars ~cx ~cy e =
-  lower_at ~prec ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
+let lower_interior ?(prec = Single) ?(tap = no_tap) ctx ~vars ~cx ~cy e =
+  lower_at ~prec ~tap ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
 
 type features = {
   read_modes : Border.mode list;

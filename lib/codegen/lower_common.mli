@@ -72,9 +72,15 @@ val lower :
     each [Shift] only adds its offset — every index exchange, the
     [Constant] guard included, is the identity there.  The arithmetic
     and its order are those of {!lower}, so the two agree bit for bit
-    on such pixels. *)
+    on such pixels.
+
+    [tap] (default: never) is consulted at every node the lowering
+    reaches, with the node's offset [(ox, oy)] from [(cx, cy)]; where it
+    returns [Some c], [c] stands for the node's value and the lowering
+    does not descend.  A line buffer hands back its load this way. *)
 val lower_interior :
   ?prec:precision ->
+  ?tap:(Kfuse_ir.Expr.t -> ox:int -> oy:int -> Cuda_ast.expr option) ->
   ctx ->
   vars:(string * string) list ->
   cx:Cuda_ast.expr ->

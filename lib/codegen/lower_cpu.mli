@@ -17,6 +17,17 @@
     per kernel.  Both bodies perform the same arithmetic in the same
     order, so the output is the same bit for bit.
 
+    Where {!Line_buffer} hoists repeated costly taps out of a stencil's
+    interior body, the entry point instead opens one [omp parallel]
+    region in which each thread takes a contiguous strip of rows
+    ([kf_strip]) and a line buffer of [2R + 1] rows per hoisted
+    subexpression.  Before an interior row runs, the thread computes the
+    buffer rows it reads and has not computed yet; the interior body
+    then loads them.  The buffer cell holds the value the body would
+    have computed inline, by the same operations in the same order, so
+    the output is still the same bit for bit.  The halo function does
+    not change.
+
     Global [min]/[max] reductions use OpenMP reduction clauses instead
     of the CUDA backend's float atomics, while [+] reductions run
     serially in row-major order, so their float sum does not depend on
@@ -36,9 +47,21 @@
 val kernel_funcs :
   ?prec:Lower_common.precision -> Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> Cuda_ast.func list
 
+(** [cc_flags] are the compiler flags generated C needs to agree with the
+    interpreter bit for bit ([-O2], no builtin [pow], no FP
+    contraction), without the OpenMP and linking flags. *)
+val cc_flags : string list
+
+(** [workspace_scalars pipeline] is the driver's workspace size in
+    scalars: [width * height] for every kernel output that is not a
+    pipeline output. *)
+val workspace_scalars : Kfuse_ir.Pipeline.t -> int
+
 (** [emit_pipeline ?prec pipeline] renders a complete [.c] translation
     unit: a [kf_scalar] typedef fixing the scalar type, helpers, the
     functions of every kernel, and a driver ({!Lower_common.ident}
-    [Runner]) allocating intermediates with an abort-on-OOM [malloc]
-    wrapper. *)
+    [Runner]).  The driver takes the inputs, the outputs, the
+    parameters and last a workspace [kf_scalar* kf_ws] of
+    {!workspace_scalars}; it carves the intermediates out of it and
+    allocates nothing.  A workspace serves one call at a time. *)
 val emit_pipeline : ?prec:Lower_common.precision -> Kfuse_ir.Pipeline.t -> string

@@ -4,9 +4,10 @@
  * the per-request RLIMIT_CPU re-arm).
  *
  * The generated C for every pipeline is wrapped behind one fixed entry
- * point (ABI v2):
+ * point (ABI v6):
  *
- *   void kfuse_entry(const double** ins, double** outs, const double* params);
+ *   void kfuse_entry(const double** ins, double** outs, const double* params,
+ *                    double* workspace);
  *
  * so a single dlopen/dlsym/call stub covers every pipeline shape — no
  * ctypes/libffi dependency, no per-signature code.  The OCaml side
@@ -287,7 +288,26 @@ value kfuse_set_cpu_soft(value vpid, value vsoft)
   CAMLreturn(Val_unit);
 }
 
-typedef void (*kfuse_entry_fn)(const double **, double **, const double *);
+typedef void (*kfuse_entry_fn)(const double **, double **, const double *, double *);
+
+/* A pinned plan's workspace for its intermediates: [vbytes] bytes of
+ * malloc'd memory (NULL for none), freed by kfuse_ws_free.  A large
+ * block is a fresh mapping whose pages fault in on the first call
+ * only; later calls of the plan find them resident. */
+value kfuse_ws_alloc(value vbytes)
+{
+  CAMLparam1(vbytes);
+  size_t n = (size_t)Long_val(vbytes);
+  void *p = NULL;
+  if (n > 0 && (p = malloc(n)) == NULL) caml_failwith("out of memory");
+  CAMLreturn(caml_copy_nativeint((intnat)p));
+}
+
+value kfuse_ws_free(value vws)
+{
+  free((void *)Nativeint_val(vws));
+  return Val_unit;
+}
 
 /* Pin libgomp for the life of the process before the first artifact is
  * loaded.  An OpenMP artifact otherwise pulls libgomp in as its own
@@ -345,10 +365,11 @@ static void free_owned(double **bufs, const unsigned char *owned, mlsize_t n)
   free(bufs);
 }
 
-value kfuse_dl_call(value vfn, value vins, value vouts, value vparams)
+value kfuse_dl_call(value vfn, value vins, value vouts, value vparams, value vws)
 {
-  CAMLparam4(vfn, vins, vouts, vparams);
+  CAMLparam5(vfn, vins, vouts, vparams, vws);
   kfuse_entry_fn fn = (kfuse_entry_fn)Nativeint_val(vfn);
+  double *ws = (double *)Nativeint_val(vws);
   mlsize_t nin = Wosize_val(vins);
   mlsize_t nout = Wosize_val(vouts);
   mlsize_t npar = float_array_length(vparams);
@@ -397,7 +418,7 @@ value kfuse_dl_call(value vfn, value vins, value vouts, value vparams)
     par[j] = Double_field(vparams, j);
 
   caml_enter_blocking_section();
-  fn((const double **)ins, outs, par);
+  fn((const double **)ins, outs, par, ws);
   caml_leave_blocking_section();
 
   for (mlsize_t i = 0; i < nout; i++) {

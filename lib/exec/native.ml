@@ -19,8 +19,11 @@ module Lower_cpu = Kfuse_codegen.Lower_cpu
    v4: kf_scalar is always float64, so the entry point is only the
    in-place call; the never-taken converting branch is gone.
    v5: the subprocess artifact is a persistent runner serving request
-   frames over pipes on a memfd arena, not a one-shot IN OUT program. *)
-let abi_version = 5
+   frames over pipes on a memfd arena, not a one-shot IN OUT program.
+   v6: the driver takes a workspace for its intermediates instead of
+   allocating them per call: the runner allocates it at start-up, a
+   pinned dlopen plan at [prepare], and kfuse_entry takes it last. *)
+let abi_version = 6
 
 type mode = Dlopen | Subprocess
 
@@ -48,8 +51,12 @@ external dl_open : string -> nativeint = "kfuse_dl_open"
 external dl_sym : nativeint -> string -> nativeint = "kfuse_dl_sym"
 external dl_close : nativeint -> unit = "kfuse_dl_close"
 
-external dl_call : nativeint -> float array array -> float array array -> float array -> unit
+external dl_call :
+  nativeint -> float array array -> float array array -> float array -> nativeint -> unit
   = "kfuse_dl_call"
+
+external ws_alloc : int -> nativeint = "kfuse_ws_alloc"
+external ws_free : nativeint -> unit = "kfuse_ws_free"
 
 (* {1 Small helpers} *)
 
@@ -69,7 +76,7 @@ let rec mkdir_p dir =
 
 (* The runner call, its [i]-th input, output and parameter argument
    spelled by [input i], [output i] and [param i], each followed by the
-   generated name it binds. *)
+   generated name it binds, and the workspace [kf_ws] last. *)
 let runner_call (p : Pipeline.t) ~input ~output ~param =
   let bind arg i n = Printf.sprintf "%s /* %s */" (arg i) n in
   let img = C.ident C.Image in
@@ -77,6 +84,7 @@ let runner_call (p : Pipeline.t) ~input ~output ~param =
     List.mapi (fun i n -> bind input i (img n)) p.Pipeline.inputs
     @ List.mapi (fun i n -> bind output i (img n)) (Pipeline.outputs p)
     @ List.mapi (fun i (n, _) -> bind param i (C.ident C.Param n)) p.Pipeline.params
+    @ [ "kf_ws" ]
   in
   Printf.sprintf "%s(%s)" (C.ident C.Runner p.Pipeline.name) (String.concat ", " args)
 
@@ -86,9 +94,11 @@ let dlopen_wrapper (p : Pipeline.t) =
   w
     "// Entry point for the kfuse loader stub: one fixed signature covers\n\
      // every pipeline shape, so a single dlsym suffices.  The pipeline\n\
-     // runs on the caller's float64 buffers in place; this is the\n\
-     // per-frame streaming path, so it must not allocate.\n";
-  w "void kfuse_entry(const double** ins, double** outs, const double* params) {\n";
+     // runs on the caller's float64 buffers in place, its intermediates\n\
+     // in the caller's workspace; this is the per-frame streaming path,\n\
+     // so the only allocation left is a line-buffered kernel's per-thread\n\
+     // ring of (2R+1) rows per hoisted subexpression.\n";
+  w "void kfuse_entry(const double** ins, double** outs, const double* params, double* kf_ws) {\n";
   if p.Pipeline.inputs = [] then w "  (void)ins;\n";
   if p.Pipeline.params = [] then w "  (void)params;\n";
   w "  %s;\n"
@@ -118,7 +128,8 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "// value%s, then the outputs.  fd 4 carries requests {ABI, input\n"
     (if np = 1 then "" else "s");
   w "// bytes, output bytes, fault}; the kernels run on the arena in place\n";
-  w "// and fd 5 gets the reply {ABI, output bytes}.  EOF on fd 4 ends it.\n\n";
+  w "// and fd 5 gets the reply {ABI, output bytes}.  EOF on fd 4 ends it.\n";
+  w "// The intermediates live in one workspace allocated at start-up.\n\n";
   w "static int kf_io(int fd, void* buf, size_t n, int out) {\n";
   w "  size_t done = 0;\n";
   w "  while (done < n) {\n";
@@ -137,6 +148,13 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "  char* arena = mmap(NULL, in_bytes + out_bytes, PROT_READ | PROT_WRITE, MAP_SHARED, 3, 0);\n";
   w "  if (arena == MAP_FAILED) { perror(\"arena\"); return 3; }\n";
   w "  close(3);\n";
+  let ws = Lower_cpu.workspace_scalars p in
+  if ws = 0 then w "  kf_scalar* kf_ws = NULL;\n"
+  else begin
+    (* kf_malloc abort()s when the workspace does not fit, which the
+       supervisor types as an RLIMIT_AS failure (KF0907). *)
+    w "  kf_scalar* kf_ws = kf_malloc((size_t)%d * sizeof(kf_scalar));\n" ws
+  end;
   if n_in + np > 0 then w "  const kf_scalar* kf_in = (const kf_scalar*)arena;\n";
   w "  kf_scalar* kf_out = (kf_scalar*)(arena + in_bytes);\n";
   w "  for (;;) {\n";
@@ -382,10 +400,15 @@ let sample_deadline_diag ~artifact ~done_ ~repeat =
 (* A pinned dlopen handle: one dlopen + dlsym at open time, then a bare
    function call per execution.  This is what makes per-frame streaming
    cheap — sessions keep the handle alive across pushes instead of
-   paying the loader per call. *)
-type loaded = { handle : nativeint; entry : nativeint }
+   paying the loader per call.  The workspace for the driver's
+   intermediates comes with it, so repeated calls reuse warm pages
+   instead of faulting fresh ones in; [ws_lock] is held by the one call
+   using it. *)
+type loaded = { handle : nativeint; entry : nativeint; ws : nativeint; ws_lock : Mutex.t }
 
-let load_artifact artifact =
+let workspace_bytes p = 8 * Lower_cpu.workspace_scalars p
+
+let load_artifact artifact p =
   match dl_open artifact with
   | exception Failure msg ->
     Error (Diag.errorf Diag.Exec_failed "dlopen(%s): %s" artifact msg)
@@ -394,9 +417,14 @@ let load_artifact artifact =
     | exception Failure msg ->
       dl_close handle;
       Error (Diag.errorf Diag.Exec_failed "dlsym(%s, kfuse_entry): %s" artifact msg)
-    | entry -> Ok { handle; entry })
+    | entry -> (
+      match ws_alloc (workspace_bytes p) with
+      | exception Failure msg ->
+        dl_close handle;
+        Error (Diag.errorf Diag.Exec_failed "workspace of compiled plan %s: %s" artifact msg)
+      | ws -> Ok { handle; entry; ws; ws_lock = Mutex.create () }))
 
-let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals =
+let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pvals =
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
   let ins =
@@ -411,7 +439,7 @@ let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals 
       if i > 1 && Deadline.expired deadline then expired := true
       else begin
         let t0 = now_ms () in
-        dl_call entry ins outs pars;
+        dl_call entry ins outs pars ws;
         samples := (now_ms () -. t0) :: !samples
       end
   done;
@@ -429,16 +457,21 @@ module Runner = Supervisor.Runner
 (* Idle runners are kept per artifact and rlimits (RLIMIT_AS and
    RLIMIT_FSIZE are fixed at spawn), most recently used first, at most
    [max_idle_runners] of them (enough to keep the paper's six apps
-   warm) holding at most [max_idle_arena_bytes] of arena between them:
-   an idle runner pins its whole arena in shmem.  The paper's six apps
-   at 1024² need 96 MiB.  [live] holds every runner not yet closed,
+   warm) holding at most [max_idle_arena_bytes] between them: an idle
+   runner pins its whole arena in shmem, and its workspace once a
+   request has run.  The paper's six apps at 1024² need 96 MiB of arena
+   and 88 MiB of workspace.  [live] holds every runner not yet closed,
    idle or checked out, for the stats. *)
 let max_idle_runners = 8
 let max_idle_arena_bytes = 256 * 1024 * 1024
 
+(* An idle runner under its pool key, with its arena plus workspace
+   bytes. *)
+type idle = { key : string; runner : Runner.t; bytes : int }
+
 type pool = {
   lock : Mutex.t;
-  mutable idle : (string * Runner.t) list;
+  mutable idle : idle list;
   mutable live : Runner.t list;
   mutable spawns : int;
   mutable kills : int;
@@ -465,7 +498,7 @@ let discard r =
 let checkout ~key ~limits ~arena_bytes artifact =
   let rec take acc = function
     | [] -> (None, List.rev acc)
-    | (k, r) :: rest when k = key -> (Some r, List.rev_append acc rest)
+    | e :: rest when e.key = key -> (Some e.runner, List.rev_append acc rest)
     | e :: rest -> take (e :: acc) rest
   in
   let rec idle () =
@@ -495,31 +528,31 @@ let checkout ~key ~limits ~arena_bytes artifact =
       Ok r)
 
 (* [r] joins the idle list in front; the least recently used runners
-   past either cap are retired.  A runner over the byte cap on its own
-   retires at once rather than emptying the pool. *)
-let checkin ~key r =
-  let rec split n bytes kept = function
-    | ((_, x) as e) :: rest as idle ->
-      let bytes = bytes + Runner.arena_bytes x in
-      if n < max_idle_runners && bytes <= max_idle_arena_bytes then
-        split (n + 1) bytes (e :: kept) rest
+   past either cap are retired.  [bytes] is [r]'s arena plus workspace;
+   a runner over the byte cap on its own retires at once rather than
+   emptying the pool. *)
+let checkin ~key ~bytes r =
+  let rec split n total kept = function
+    | e :: rest as idle ->
+      let total = total + e.bytes in
+      if n < max_idle_runners && total <= max_idle_arena_bytes then
+        split (n + 1) total (e :: kept) rest
       else (List.rev kept, idle)
     | [] -> (List.rev kept, [])
   in
-  if Runner.served r >= Runner.request_cap || Runner.arena_bytes r > max_idle_arena_bytes then
-    retire r
+  if Runner.served r >= Runner.request_cap || bytes > max_idle_arena_bytes then retire r
   else
     let evicted =
       locked (fun () ->
-          let kept, evicted = split 0 0 [] ((key, r) :: pool.idle) in
+          let kept, evicted = split 0 0 [] ({ key; runner = r; bytes } :: pool.idle) in
           pool.idle <- kept;
           evicted)
     in
-    List.iter (fun (_, r) -> retire r) evicted
+    List.iter (fun e -> retire e.runner) evicted
 
 let shutdown_runners () =
   let idle = locked (fun () -> let l = pool.idle in pool.idle <- []; l) in
-  List.iter (fun (_, r) -> retire r) idle
+  List.iter (fun e -> retire e.runner) idle
 
 let () = at_exit shutdown_runners
 
@@ -566,6 +599,7 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
       String.concat " "
         [ artifact; lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes ]
     in
+    let bytes = in_bytes + out_bytes + workspace_bytes p in
     match checkout ~key ~limits ~arena_bytes:(in_bytes + out_bytes) artifact with
     | Error d -> Error d
     | Ok r -> (
@@ -624,10 +658,10 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
         discard r;
         raise e
       | Ok (bufs, samples) ->
-        checkin ~key r;
+        checkin ~key ~bytes r;
         Ok (finish_outputs p out_names bufs, samples)
       | Error (`Keep d) ->
-        checkin ~key r;
+        checkin ~key ~bytes r;
         Error d
       | Error (`Kill d) ->
         discard r;
@@ -665,7 +699,7 @@ let pin ?cache_dir ~mode (p : Pipeline.t) =
     match mode with
     | Subprocess -> Ok (make None)
     | Dlopen -> (
-      match load_artifact artifact with
+      match load_artifact artifact p with
       | Error d -> Error d
       | Ok l -> Ok (make (Some l))))
 
@@ -692,7 +726,11 @@ let plan_pipeline plan = plan.plan_pipeline
 let release plan =
   if not plan.plan_released then begin
     plan.plan_released <- true;
-    match plan.plan_loaded with None -> () | Some l -> dl_close l.handle
+    match plan.plan_loaded with
+    | None -> ()
+    | Some l ->
+      Mutex.protect l.ws_lock (fun () -> ws_free l.ws);
+      dl_close l.handle
   end
 
 let min_sample = function [] -> 0. | s :: rest -> List.fold_left min s rest
@@ -707,7 +745,11 @@ let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
   let artifact = plan.plan_artifact in
   let exec =
     match plan.plan_loaded with
-    | Some l -> exec_entry ~deadline ~entry:l.entry ~artifact ~repeat p inputs pvals
+    | Some l ->
+      (* Calls on one plan queue for its workspace: two in flight never
+         share one. *)
+      Mutex.protect l.ws_lock (fun () ->
+          exec_entry ~deadline ~entry:l.entry ~ws:l.ws ~artifact ~repeat p inputs pvals)
     | None -> exec_subprocess ~deadline ~limits ~artifact ~repeat p inputs pvals
   in
   match exec with

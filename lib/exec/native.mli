@@ -11,8 +11,9 @@
 
     - {!Dlopen}: build a shared object, load it in-process through a
       small C stub against the fixed entry point
-      [void kfuse_entry(const double** ins, double** outs, const double* params)]
-      (appended to the generated source).  Cheapest per call.
+      [void kfuse_entry(const double** ins, double** outs, const double* params,
+      double* workspace)] (appended to the generated source).  Cheapest
+      per call.
     - {!Subprocess}: build a standalone executable that runs as a
       persistent, rlimited runner child ({!Supervisor.Runner}), one per
       artifact, kept warm between requests.  Images travel through a
@@ -29,6 +30,14 @@
       pipe round trip and two copies per run) but survives environments
       where loading untrusted-at-build-time objects into the host
       process is unwanted.
+
+    Neither mode allocates the driver's intermediates per call: they
+    live in a workspace ({!Kfuse_codegen.Lower_cpu.workspace_scalars})
+    that a runner allocates once at start-up and a pinned {!Dlopen}
+    plan at {!prepare}, freeing it at {!release}.  A one-shot {!run}
+    is a {!prepare}, a call and a {!release}, so it gets one of its
+    own.  Two calls in flight never share a workspace: {!run_plan}
+    calls on one plan from several threads take turns on it.
 
     Artifacts are content-addressed in a cache directory: the key folds
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),
@@ -153,12 +162,13 @@ val run :
 
 type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
-    {!Dlopen} mode, the loaded handle and resolved entry point. *)
+    {!Dlopen} mode, the loaded handle, the resolved entry point and the
+    workspace for its intermediates. *)
 
 (** [prepare ?cache_dir ?mode p] compiles (or reuses) the artifact
-    for [p] and pins it.  In {!Dlopen} mode the shared object is loaded
-    and the entry point resolved immediately; a load failure is
-    [KF0904].  When [mode] is omitted, {!Dlopen} is tried first and a
+    for [p] and pins it.  In {!Dlopen} mode the shared object is loaded,
+    the entry point resolved and the workspace allocated immediately; a
+    load or allocation failure is [KF0904].  When [mode] is omitted, {!Dlopen} is tried first and a
     [KF0904] load failure falls back to {!Subprocess}, recording the
     failure in {!plan_warnings}; an explicit [mode] never falls back. *)
 val prepare :
@@ -197,7 +207,8 @@ val run_plan :
   (run_result, Diag.t) result
 
 val release : plan -> unit
-(** Drop the pinned handle ([dlclose] in {!Dlopen} mode).  Idempotent.
+(** Drop the pinned handle ([dlclose] and free the workspace in
+    {!Dlopen} mode, after any call using it returns).  Idempotent.
     A {!Subprocess} plan's runners belong to the process-wide pool and
     stay warm for the next plan of the same artifact. *)
 
@@ -210,9 +221,10 @@ val compiles : unit -> int
 
     {!Subprocess} runs check a runner out of one process-wide pool,
     keyed by artifact and rlimits, and check it back in when the run
-    succeeds.  At most 8 runners holding at most 256 MiB of arena
-    between them stay idle (least recently used ones are retired; a
-    runner whose arena alone is larger retires at once), and a runner
+    succeeds.  At most 8 runners holding at most 256 MiB of arena and
+    workspace between them stay idle (least recently used ones are
+    retired; a runner whose arena plus workspace alone is larger
+    retires at once), and a runner
     retires after {!Supervisor.Runner.request_cap} requests. *)
 
 type runner_stats = {

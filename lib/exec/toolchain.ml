@@ -102,16 +102,10 @@ let find () =
     Hashtbl.replace memo pinned r;
     r
 
-(* Interpreter faithfulness at -O2: [-fno-builtin-pow] stops the
-   compiler from strength-reducing [pow(x, 2.0)] into [x*x] — glibc's
-   pow is not correctly rounded for squares, so the rewrite diverges
-   from the interpreter's libm call by 1 ulp on ~0.1% of inputs —
-   and [-ffp-contract=off] forbids fusing [a*b+c] into fma on targets
-   that have one (free on baseline x86-64, load-bearing on aarch64). *)
-let faithful_flags = [ "-fno-builtin-pow"; "-fno-builtin-powf"; "-ffp-contract=off" ]
-
+(* The codegen's own flag list: the header of every emitted file quotes
+   the same one. *)
 let flags t ~shared =
-  [ "-O2" ] @ faithful_flags
+  Kfuse_codegen.Lower_cpu.cc_flags
   @ (if t.openmp then [ "-fopenmp" ] else [])
   @ if shared then [ "-shared"; "-fPIC" ] else []
 

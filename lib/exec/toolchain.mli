@@ -36,7 +36,8 @@ val unique_suffix : unit -> string
 (** [flags t ~shared] is the flag set used for building fused plans:
     [-O2], [-fopenmp] when supported, plus [-shared -fPIC] when
     [shared].  Always includes the interpreter-faithfulness flags
-    [-fno-builtin-pow -fno-builtin-powf -ffp-contract=off]: without
+    {!Kfuse_codegen.Lower_cpu.cc_flags}, the same list every emitted
+    file quotes in its header: without
     them the optimizer strength-reduces [pow(x, 2.0)] to [x*x] (1 ulp
     off glibc's pow) or contracts [a*b+c] into fma on targets that
     have one, and native output stops being bit-comparable with the

@@ -124,6 +124,25 @@ let body_expr rng ~params ~avail ~let_var =
     let b = point_expr rng ~params ~avail 2 in
     Expr.(a + b)
 
+(* Costly reads: about one Map body in four reads every pixel through
+   one [log] or [exp].  A stencil then repeats a transcendental at every
+   tap, and a point kernel becomes a log/exp producer that min-cut may
+   fuse into a stencil consumer: both reach the native backend's line
+   buffer.  Only reads change, never which images a kernel reads, so the
+   DAG stays the one the case's own generator drew. *)
+let costly_reads rng body =
+  if Rng.int rng 4 <> 0 then body
+  else
+    let costly =
+      if Rng.bool rng then fun e -> Expr.(log (abs e + const 0.5))
+      else fun e -> Expr.(exp (neg (abs e)))
+    in
+    if Expr.reach body = 0 then costly body
+    else
+      Expr.subst_inputs
+        (fun ~image ~dx ~dy ~border -> costly (Expr.input ~border ~dx ~dy image))
+        body
+
 (* Names that clash with something in generated C unless every user
    name is mangled apart: C keywords, libc and math functions, the
    generator's locals and helpers, the subprocess wrapper's locals and
@@ -165,7 +184,7 @@ let name_as namer ~lookalikes plain =
   namer.used <- name :: namer.used;
   name
 
-let case ?(max_kernels = 10) ~seed index =
+let case ?(max_kernels = 10) ?(costly = false) ~seed index =
   if max_kernels < 2 then invalid_arg "Gen.case: max_kernels must be >= 2";
   let case_seed = (seed * 1_000_003) lxor index in
   let rng = Rng.create case_seed in
@@ -175,6 +194,8 @@ let case ?(max_kernels = 10) ~seed index =
     let names = Rng.split (Rng.create case_seed) in
     { hostile = (if Rng.int names 3 = 0 then Some names else None); used = [] }
   in
+  (* Costly reads draw from a third generator, for the same reason. *)
+  let costly = if costly then Some (Rng.create (case_seed lxor 0x2545f491)) else None in
   let pipeline_name = Printf.sprintf "fuzz_%d_%d" seed index in
   let c_names kinds names =
     List.concat_map (fun n -> List.map (fun k -> C_names.ident k n) kinds) names
@@ -243,6 +264,7 @@ let case ?(max_kernels = 10) ~seed index =
             if Expr.images body = [] then Expr.(body + input (pick_src rng avail))
             else body
           in
+          let body = match costly with Some c -> costly_reads c body | None -> body in
           Kernel.map ~name ~inputs:(Expr.images body) body
         end
       in
@@ -266,6 +288,7 @@ type features = {
   diamond : bool;
   border_kinds : int;
   temporal : bool;
+  line_buffer : bool;
 }
 
 let rec iter_expr f e =
@@ -378,6 +401,13 @@ let features (p : Pipeline.t) =
     diamond = has_diamond p;
     border_kinds = Hashtbl.length borders;
     temporal = (Kfuse_ir.Temporal.analyze p).Kfuse_ir.Temporal.temporal <> [];
+    line_buffer =
+      List.exists
+        (fun (k : Kernel.t) ->
+          match k.Kernel.op with
+          | Kernel.Map body -> Kfuse_codegen.Line_buffer.(hoists (analyse body)) <> []
+          | Kernel.Reduce _ -> false)
+        ks;
   }
 
 let feature_flags f =
@@ -392,4 +422,5 @@ let feature_flags f =
     ("diamond", f.diamond);
     ("multi-border", f.border_kinds >= 2);
     ("temporal", f.temporal);
+    ("line-buffer", f.line_buffer);
   ]

@@ -23,16 +23,28 @@
     [<] selects, no [Shift] nodes, reduction seeds at their DSL
     defaults, [Clamp] borders on zero-offset taps) so every generated
     and every shrunk pipeline can be persisted to a corpus as DSL text.
-    It also avoids NaN sources — no division, logarithm, or
-    exponential, and [pow] only with a constant exponent — because the
-    evaluation oracles demand {e bitwise} equality, and a NaN produced
-    on both sides would compare unequal. *)
+    It also avoids NaN sources — no division, [pow] only with a
+    constant exponent, and logarithms and exponentials only as
+    [log(abs e + 0.5)] and [exp(-abs e)] — because the evaluation
+    oracles demand {e bitwise} equality, and a NaN produced on both
+    sides would compare unequal.
+
+    With [costly], about one Map body in four reads every pixel through
+    one of those two: a stencil then repeats a transcendental at each
+    tap, and a point kernel becomes a log/exp producer that fusion may
+    inline at each tap of a stencil consumer.  Both are the repeated
+    costly taps the native backend line-buffers
+    ({!Kfuse_codegen.Line_buffer}).  They draw from a third generator
+    and change only reads, so the DAG stays the same. *)
 
 (** [case ~seed index] is the [index]-th pipeline of the campaign seeded
     with [seed]; deterministic in [(seed, index)].  [max_kernels]
     (default 10) bounds the DAG size; pipelines have at least 2
-    kernels. *)
-val case : ?max_kernels:int -> seed:int -> int -> Kfuse_ir.Pipeline.t
+    kernels.  [costly] (default [false]) turns on the costly reads
+    above; [kfusec fuzz] sets it.  Without it a case is the one earlier
+    versions drew, which keeps the DAG pools built from these cases
+    (kfbench's plan-mix) the same work across versions. *)
+val case : ?max_kernels:int -> ?costly:bool -> seed:int -> int -> Kfuse_ir.Pipeline.t
 
 (** Structural features of a generated pipeline, derived (not tracked),
     for the runner's coverage summary. *)
@@ -51,6 +63,9 @@ type features = {
   temporal : bool;
       (** inputs follow the streaming convention ([prev]/[prevN] lags,
           see {!Kfuse_ir.Temporal}) — roughly a quarter of cases *)
+  line_buffer : bool;
+      (** some kernel, before fusion, has repeated costly taps to
+          line-buffer *)
 }
 
 val features : Kfuse_ir.Pipeline.t -> features

@@ -165,7 +165,7 @@ let run ?(log = fun _ -> ()) (o : options) =
        if List.length !failures >= o.max_failures then raise Exit;
        incr cases_run;
        if i > 0 && i mod 500 = 0 then log (Printf.sprintf "... %d/%d cases" i o.cases);
-       match Gen.case ~max_kernels:o.max_kernels ~seed:o.seed i with
+       match Gen.case ~max_kernels:o.max_kernels ~costly:true ~seed:o.seed i with
        | exception e ->
          record ~origin:(Generated i)
            ~failure:

@@ -265,6 +265,52 @@ let test_serve_killed_leaves_no_runner () =
   in
   gone 100
 
+(* Line-buffered kernels give each OpenMP thread one contiguous strip of
+   rows.  Sandboxed runs with one and three threads (the runner inherits
+   OMP_NUM_THREADS from kfusec), at extents whose strips are tiny or
+   uneven, stay bit-exact: enhance, and a log under a 3x3 box that
+   min-cut fuses point-to-local. *)
+let test_run_native_strips () =
+  require_cc ();
+  with_temp_dir @@ fun dir ->
+  let logbox = Filename.concat dir "logbox.pipe" in
+  Out_channel.with_open_text logbox (fun oc ->
+      output_string oc
+        "pipeline logbox(in) {\n\
+        \  size 64 64\n\
+        \  l   = log(in + 0.5)\n\
+        \  out = conv(l, mean3, mirror)\n\
+         }\n");
+  List.iter
+    (fun (width, height) ->
+      let input = Filename.concat dir (Printf.sprintf "in%dx%d.pgm" width height) in
+      Kfuse_image.Pgm.write input
+        (Kfuse_image.Image.init ~width ~height (fun x y ->
+             0.05 +. (0.9 *. float_of_int (((7 * x) + (13 * y)) mod 17) /. 17.0)));
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun target ->
+              let code, text =
+                run_capture
+                  ~env:(Printf.sprintf "KFUSE_FAULTS= OMP_NUM_THREADS=%d" threads)
+                  (("run" :: target)
+                  @ [
+                      "--native"; "--exec-mode"; "subprocess"; "--cache-dir"; dir; "-i"; input;
+                      "-o"; Filename.concat dir "out.pgm";
+                    ])
+              in
+              let what =
+                Printf.sprintf "%s %dx%d, %d thread(s)" (List.hd (List.rev target)) width height
+                  threads
+              in
+              Alcotest.(check int) (what ^ " exits 0") 0 code;
+              if not (contains "native max-abs-diff vs interpreter: 0\n" text) then
+                Alcotest.failf "%s is not bit-exact:\n%s" what text)
+            [ [ "-a"; "enhance" ]; [ logbox ] ])
+        [ 1; 3 ])
+    [ (3, 3); (5, 17); (1023, 7) ]
+
 let test_run_native_no_toolchain () =
   (* KFUSE_CC pointing nowhere must surface as a typed KF0902, not a
      crash.  The subprocess env keeps the probe isolated from the
@@ -413,6 +459,8 @@ let suite =
     Alcotest.test_case "bench-native snapshot gate" `Quick test_bench_snapshot_gate;
     Alcotest.test_case "repl --script end-to-end" `Quick test_repl_script;
     Alcotest.test_case "run --native end-to-end" `Slow test_run_native_e2e;
+    Alcotest.test_case "run --native: line buffers on uneven strips, 1 and 3 threads" `Slow
+      test_run_native_strips;
     Alcotest.test_case "serve: a killed daemon leaves no runner" `Slow
       test_serve_killed_leaves_no_runner;
     Alcotest.test_case "run --native without a toolchain" `Quick

@@ -216,7 +216,8 @@ let generator_names =
   [ "width"; "height"; "x"; "y"; "i"; "out"; "acc"; "kf_malloc"; "kf_scalar";
     "kf_scalar_is_f64"; "kfuse_entry"; "main"; "ins"; "outs"; "params"; "kf_io"; "fd";
     "buf"; "done"; "k"; "npix"; "in_bytes"; "out_bytes"; "arena"; "kf_in"; "kf_out"; "req";
-    "r"; "rl"; "rep";
+    "r"; "rl"; "rep"; "kf_ws"; "kf_strip"; "kf_lb"; "kf_y0"; "kf_y1"; "kf_yy"; "kf_row";
+    "kf_next0"; "kf_t0_0"; "lo"; "hi"; "t"; "nt"; "q"; "rem";
     "read_clamp"; "read_mirror"; "read_repeat"; "read_constant"; "read_raw"; "idx_clamp";
     "idx_mirror"; "idx_repeat"; "atomicMinFloat"; "atomicMaxFloat"; "img"; "w"; "h"; "c";
     "n"; "p"; "period"; "m"; "addr"; "iaddr"; "old"; "assumed"; "value"; "block"; "grid";

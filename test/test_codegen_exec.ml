@@ -36,12 +36,15 @@ let emit_main buf (p : Ir.Pipeline.t) inputs =
   List.iter
     (fun o -> b "static float %s_out[%d];\n" o (p.Ir.Pipeline.width * p.Ir.Pipeline.height))
     outputs;
+  (* The driver's workspace for its intermediates. *)
+  b "static float workspace[%d];\n" (max 1 (Kfuse_codegen.Lower_cpu.workspace_scalars p));
   b "\nint main(void) {\n";
   let args =
     List.map (fun (name, _) -> name ^ "_data") inputs
     @ List.map (fun o -> o ^ "_out") outputs
     @ List.map (fun (name, _) -> Printf.sprintf "%.9ef" (List.assoc name p.Ir.Pipeline.params))
         p.Ir.Pipeline.params
+    @ [ "workspace" ]
   in
   b "  %s(%s);\n"
     Kfuse_codegen.Lower_common.(ident Runner p.Ir.Pipeline.name)

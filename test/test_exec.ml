@@ -63,10 +63,16 @@ let test_emit_golden_map_reduce () =
       (* the reduction broadcast-fills its whole output buffer *)
       "for (int i = 0; i < (width * height); ++i)";
       "img_total[i] = acc;";
-      "void run_redsum(const kf_scalar* img_src, kf_scalar* img_total)";
-      "kf_malloc((size_t)width * height * sizeof(kf_scalar))";
-      "free(img_neg);";
+      (* the intermediate is carved out of the caller's workspace *)
+      "void run_redsum(const kf_scalar* img_src, kf_scalar* img_total, kf_scalar* kf_ws)";
+      "kf_scalar* img_neg = kf_ws;";
     ];
+  (* no line buffer here, so kf_malloc is defined but never called and
+     nothing is freed *)
+  List.iter
+    (fun bad ->
+      if contains bad src then Alcotest.failf "emitted C allocates (%s):\n%s" bad src)
+    [ "kf_malloc(("; "free(" ];
   if contains "(--" src then
     Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src;
   (* a + reduction sums serially: a team-split float sum is order-dependent *)
@@ -238,7 +244,7 @@ let test_emit_compiles_warning_free () =
             Alcotest.failf "%s: generated C does not compile under -Wall -Werror:\n%s"
               name
               (In_channel.with_open_text log In_channel.input_all))
-        [ "harris"; "night"; "shitomasi" ])
+        [ "harris"; "night"; "shitomasi"; "enhance" ])
 
 (* ---- native execution end to end ---- *)
 
@@ -686,6 +692,38 @@ let test_runner_fsize_limit () =
   match run out_bytes with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "an output at the limit failed: %s" (Kfuse_util.Diag.to_string d)
+
+(* A runner whose workspace does not fit under RLIMIT_AS dies at
+   start-up as an allocation inside a kernel would: kf_malloc's abort,
+   typed KF0907.  Sixteen 8 MiB intermediates make a 128 MiB workspace
+   beside a 16 MiB arena. *)
+let test_runner_workspace_limit () =
+  let _ = require_toolchain () in
+  let stage i = if i = 0 then "src" else Printf.sprintf "k%d" (i - 1) in
+  let p =
+    Ir.Pipeline.create ~name:"deep" ~width:1024 ~height:1024 ~inputs:[ "src" ]
+      (List.init 17 (fun i ->
+           Ir.Kernel.map ~name:(Printf.sprintf "k%d" i) ~inputs:[ stage i ]
+             Ir.Expr.(Binop (Add, input (stage i), Const 1.0))))
+  in
+  Alcotest.(check int) "workspace scalars" (16 * 1024 * 1024)
+    (Cg.Lower_cpu.workspace_scalars p);
+  with_cache_dir @@ fun cache_dir ->
+  match
+    Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir
+      ~limits:
+        {
+          Sup.no_limits with
+          Sup.wall_ms = Some 30_000.;
+          Sup.mem_bytes = Some (96 * 1024 * 1024);
+        }
+      p (inputs_for p)
+  with
+  | Ok _ -> Alcotest.fail "a workspace past RLIMIT_AS was allocated"
+  | Error d ->
+    Alcotest.(check string) "typed KF0907" "KF0907" (diag_id d);
+    Alcotest.(check bool) "names RLIMIT_AS" true
+      (contains "RLIMIT_AS" (Kfuse_util.Diag.to_string d))
 
 (* The parent never maps the arena and trusts no reply it did not get
    in full: a runner that reports a short output, or exits 0 in the
@@ -1138,6 +1176,163 @@ let test_policy_string_roundtrip () =
   Alcotest.(check bool) "the removed \"off\" policy is rejected" true
     (Sup.policy_of_string "off" = None)
 
+(* ---- line-buffered taps ---- *)
+
+(* [l = log(in + c)] under a 3x3 box: min-cut fuses the point producer
+   into the box, so its log lands at nine taps of one kernel. *)
+let logbox ~border ~width ~height =
+  let src =
+    Printf.sprintf
+      "pipeline logbox(in) {\n  size 64 64\n  l   = log(in + 0.5)\n  out = conv(l, mean3, %s)\n}\n"
+      border
+  in
+  match Kfuse_dsl.Elaborate.parse_pipeline ~width ~height src with
+  | Error e -> Alcotest.failf "logbox (%s): %s" border e
+  | Ok p -> (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused
+
+let logbox_borders = [ "clamp"; "mirror"; "repeat"; "constant(0.25)" ]
+
+(* Extents whose rows split into tiny or uneven strips. *)
+let strip_sizes = [ (3, 3); (5, 17); (1023, 7) ]
+
+let hoists (p : Ir.Pipeline.t) =
+  Array.to_list p.Ir.Pipeline.kernels
+  |> List.concat_map (fun (k : Ir.Kernel.t) ->
+         match k.Ir.Kernel.op with
+         | Ir.Kernel.Map body -> Cg.Line_buffer.hoists (Cg.Line_buffer.analyse body)
+         | Ir.Kernel.Reduce _ -> [])
+
+(* The rule fires on enhance's nine log taps and nowhere in the other
+   paper apps: their stencil interiors keep the one parallel-for loop. *)
+let test_line_buffer_fires () =
+  let _, enhance = fused_app "enhance" ~width:64 ~height:48 in
+  (match hoists enhance with
+  | [ h ] ->
+    Alcotest.(check int) "nine tap positions" 9 (List.length h.Cg.Line_buffer.positions)
+  | hs -> Alcotest.failf "enhance: expected one hoist, got %d" (List.length hs));
+  let src = Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double enhance in
+  check_fragments "enhance line buffer" src
+    [
+      "static inline void* kf_malloc(size_t n)";
+      "if (!p) abort();";
+      "static inline void kf_strip(int n, int* lo, int* hi)";
+      "kf_strip(height, (&kf_y0), (&kf_y1));";
+      "double* kf_lb = kf_malloc(((sizeof(double) * 3) * width));";
+      "kf_row[x] = log((img_in[((kf_yy * width) + x)] + 9.9999999999999995e-07));";
+      "kf_t0_0[(x - 1)]";
+      "free(kf_lb);";
+    ];
+  if contains "img_in[(((y - 1) * width)" src then
+    Alcotest.failf "enhance interior still loads its taps:\n%s" src;
+  List.iter
+    (fun name ->
+      let _, fused = fused_app name ~width:64 ~height:48 in
+      Alcotest.(check int) (name ^ ": nothing hoisted") 0 (List.length (hoists fused));
+      let src = Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused in
+      List.iter
+        (fun bad -> if contains bad src then Alcotest.failf "%s emits %s:\n%s" name bad src)
+        [ "kf_strip(height"; "kf_lb"; "kf_malloc((" ])
+    [ "sobel"; "unsharp"; "motion"; "night"; "harris"; "shitomasi" ];
+  List.iter
+    (fun border ->
+      Alcotest.(check int) ("logbox " ^ border ^ ": one hoist") 1
+        (List.length (hoists (logbox ~border ~width:16 ~height:12))))
+    logbox_borders
+
+(* Enhance and the fused log-box under every border mode, at extents
+   whose strips are tiny or uneven, bit-exact in process. *)
+let test_line_buffer_exact () =
+  let _ = require_toolchain () in
+  List.iter
+    (fun (width, height) ->
+      let _, enhance = fused_app "enhance" ~width ~height in
+      ignore (run_exact ~mode:Exec.Native.Dlopen enhance);
+      List.iter
+        (fun border -> ignore (run_exact ~mode:Exec.Native.Dlopen (logbox ~border ~width ~height)))
+        logbox_borders)
+    strip_sizes
+
+(* ---- the driver's workspace ---- *)
+
+let seeded_inputs seed (p : Ir.Pipeline.t) =
+  let rng = Kfuse_util.Rng.create seed in
+  List.map
+    (fun n ->
+      ( n,
+        Img.Image.random rng ~width:p.Ir.Pipeline.width ~height:p.Ir.Pipeline.height ~lo:0.0
+          ~hi:1.0 ))
+    p.Ir.Pipeline.inputs
+
+let prepare_dlopen ~cache_dir p =
+  match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Dlopen p with
+  | Ok plan -> plan
+  | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
+
+let run_plan_diff plan inputs reference =
+  match Exec.Native.run_plan plan inputs with
+  | Error d -> Error (Kfuse_util.Diag.to_string d)
+  | Ok r ->
+    Ok
+      (List.fold_left2
+         (fun acc (_, a) (_, b) -> Float.max acc (Img.Image.max_abs_diff a b))
+         0.0 reference r.Exec.Native.outputs)
+
+(* A pinned plan keeps its intermediates in one workspace across calls:
+   a second call on other inputs must not see the first call's state. *)
+let test_workspace_calls_independent () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "harris" ~width:40 ~height:30 in
+  Alcotest.(check bool) "harris keeps intermediates" true
+    (Cg.Lower_cpu.workspace_scalars fused > 0);
+  with_cache_dir @@ fun cache_dir ->
+  let plan = prepare_dlopen ~cache_dir fused in
+  Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+  List.iter
+    (fun seed ->
+      let inputs = seeded_inputs seed fused in
+      let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+      match run_plan_diff plan inputs reference with
+      | Error e -> Alcotest.failf "seed %d: %s" seed e
+      | Ok d -> Alcotest.(check (float 0.0)) (Printf.sprintf "seed %d bit-exact" seed) 0.0 d)
+    [ 11; 12 ]
+
+(* Two threads interleave 20 runs each, first on a pinned plan of their
+   own (one artifact, two workspaces), then both on one shared plan,
+   whose calls take turns on its workspace. *)
+let test_workspace_threads () =
+  let _ = require_toolchain () in
+  (* Large enough that the two threads' calls overlap. *)
+  let _, fused = fused_app "harris" ~width:384 ~height:256 in
+  with_cache_dir @@ fun cache_dir ->
+  let cases =
+    Array.init 4 (fun i ->
+        let inputs = seeded_inputs (100 + i) fused in
+        (inputs, Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs)))
+  in
+  let hammer plans =
+    let failures = ref [] and lock = Mutex.create () in
+    let worker t =
+      for i = 1 to 20 do
+        let inputs, reference = cases.((i + t) mod Array.length cases) in
+        let verdict =
+          match run_plan_diff plans.(t) inputs reference with
+          | Ok 0.0 -> None
+          | Ok d -> Some (Printf.sprintf "thread %d run %d differs by %g" t i d)
+          | Error e -> Some (Printf.sprintf "thread %d run %d: %s" t i e)
+        in
+        Option.iter (fun f -> Mutex.protect lock (fun () -> failures := f :: !failures)) verdict
+      done
+    in
+    List.iter Thread.join (List.init 2 (Thread.create worker));
+    match !failures with [] -> () | fs -> Alcotest.fail (String.concat "\n" fs)
+  in
+  let a = prepare_dlopen ~cache_dir fused and b = prepare_dlopen ~cache_dir fused in
+  Fun.protect
+    ~finally:(fun () -> List.iter Exec.Native.release [ a; b ])
+    (fun () ->
+      hammer [| a; b |];
+      hammer [| a; a |])
+
 (* ---- the opt-in fuzz oracle ---- *)
 
 let test_oracle_native_exec () =
@@ -1289,6 +1484,8 @@ let suite =
       test_runner_truncated_input;
     Alcotest.test_case "sandbox runner: RLIMIT_FSIZE above the output region is KF0907"
       `Slow test_runner_fsize_limit;
+    Alcotest.test_case "sandbox runner: a workspace past RLIMIT_AS is KF0907" `Slow
+      test_runner_workspace_limit;
     Alcotest.test_case "sandbox runner: short output is KF0904, no SIGBUS" `Slow
       test_runner_short_output;
     Alcotest.test_case "supervisor: exec.* chaos fault points kill and respawn the runner"
@@ -1311,4 +1508,12 @@ let suite =
     Alcotest.test_case "sandbox policy string roundtrip" `Quick
       test_policy_string_roundtrip;
     Alcotest.test_case "fuzz oracle: native-exec" `Slow test_oracle_native_exec;
+    Alcotest.test_case "line buffer: fires on enhance and the log-box only" `Quick
+      test_line_buffer_fires;
+    Alcotest.test_case "line buffer: bit-exact on tiny and uneven strips" `Slow
+      test_line_buffer_exact;
+    Alcotest.test_case "workspace: a pinned plan's calls are independent" `Slow
+      test_workspace_calls_independent;
+    Alcotest.test_case "workspace: two threads never share one" `Slow
+      test_workspace_threads;
   ]
