@@ -1,8 +1,8 @@
 (* Benchmark harness entry point.
 
    Usage: main.exe [-j N] [experiment ...]
-   Experiments: fig3 fig4 fig6 tab1 tab2 ablate eventsim cache shard replan micro
-   With no experiment argument, everything runs in paper order.
+   Experiments: fig3 fig4 fig6 fig6-csv tab1 tab2 ablate eventsim cache micro
+   With no experiment argument, everything but fig6-csv runs in paper order.
 
    -j N sets the domain-pool size used for the fusion search, the
    500-run measurement simulation, and the app x device x impl grid
@@ -20,8 +20,6 @@ let experiments =
     ("ablate", Exp_ablate.run);
     ("eventsim", Exp_eventsim.run);
     ("cache", Exp_cache.run);
-    ("shard", Exp_shard.run);
-    ("replan", Exp_replan.run);
     ("micro", Micro.run);
   ]
 
@@ -68,9 +66,8 @@ let () =
   let requested =
     match requested with
     | [] ->
-      (* Everything except the CSV variant (exists for piping) and the
-         shard topology bench (spawns real server subprocesses). *)
-      List.filter (fun n -> n <> "fig6-csv" && n <> "shard") (List.map fst experiments)
+      (* Everything except the CSV variant, which exists for piping. *)
+      List.filter (fun n -> n <> "fig6-csv") (List.map fst experiments)
     | names -> names
   in
   Kfuse_util.Pool.with_pool jobs (fun pool ->

@@ -12,7 +12,9 @@
      shard-serve - run a supervised fleet of kfused shards behind a router
      query     - send one request to a running kfused
      repl      - edit a lazy pipeline; fusion is (re)planned on each flush
+     stream    - drive concurrent synthetic frame streams against kfused
      fuzz      - differential fuzzing campaign over generated pipelines
+     bench-native - fused vs. unfused native wall-clock, checked bit for bit
 
    Exit codes: 0 success, 1 a diagnostic error (printed to stderr as
    "kfusec: error[KFxxxx]: ..."), 2 a malformed KFUSE_FAULTS spec, plus
@@ -1895,183 +1897,6 @@ let stream_cmd =
       $ fps_arg $ width_arg $ height_arg $ seed_arg $ verify_arg $ timeout_arg
       $ retries_arg $ retry_backoff_arg $ strategy_arg)
 
-let bench_stream_cmd =
-  let doc = "Benchmark sustained streaming throughput, fused vs. unfused." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Starts an in-process kfused on a private socket, then for each \
-         stream count in $(b,--stream-counts) and each fusion variant \
-         (min-cut and unfused baseline) drives that many concurrent \
-         synthetic streams of $(b,--frames) frames at $(b,--fps), reporting \
-         the sustained frame rate and per-frame latency quantiles.  Results \
-         are written as a $(b,kfuse-bench-stream/v1) JSON document.";
-      `P
-        "The server runs with the $(b,dlopen-trusted) sandbox policy: frames \
-         execute in-process on the pinned artifact, which is the \
-         steady-state streaming configuration being measured.";
-    ]
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_stream.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"JSON output path ($(b,-) for stdout).")
-  in
-  let counts_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 4; 16 ]
-      & info [ "stream-counts" ] ~docv:"N,..." ~doc:"Stream counts to sweep.")
-  in
-  let frames_arg =
-    Arg.(value & opt int 60 & info [ "frames" ] ~docv:"N" ~doc:"Frames per stream.")
-  in
-  let fps_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "fps" ] ~docv:"FPS" ~doc:"Target frame rate per stream; 0 pushes unpaced.")
-  in
-  let size_arg =
-    Arg.(
-      value & opt int 512
-      & info [ "size" ] ~docv:"PX" ~doc:"Square frame extent (default 512).")
-  in
-  let app_arg =
-    Arg.(
-      value & opt string "motion"
-      & info [ "bench-app" ] ~docv:"NAME" ~doc:"Registry application to stream.")
-  in
-  let run common out counts frames fps size app =
-    if List.exists (fun n -> n < 1) counts || counts = [] then begin
-      Format.eprintf "kfusec: --stream-counts must be a nonempty list of >= 1@.";
-      1
-    end
-    else
-      with_jobs common.jobs @@ fun pool ->
-      let socket =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "kfuse-bench-stream-%d.sock" (Unix.getpid ()))
-      in
-      let cache = Cache.Plan_cache.create ~capacity:64 () in
-      let max_streams = List.fold_left max 1 counts in
-      match
-        Svc.Server.start ~socket ~cache ~pool ~max_conns:(max_streams + 2)
-          ~exec_sandbox:Exec.Supervisor.Dlopen_trusted ~max_streams ()
-      with
-      | Error d -> fail_diag d
-      | Ok server ->
-        let finally () =
-          Svc.Server.stop server;
-          try Sys.remove socket with Sys_error _ -> ()
-        in
-        Fun.protect ~finally @@ fun () ->
-        let variants = [ ("mincut", F.Driver.Mincut); ("baseline", F.Driver.Baseline) ] in
-        let failures = ref 0 in
-        let configs =
-          List.concat_map
-            (fun streams ->
-              List.map
-                (fun (vname, strategy) ->
-                  let fuse =
-                    stream_fuse_request common ~strategy ~app:(Some app) ~source:None
-                  in
-                  let open_req i =
-                    {
-                      Svc.Protocol.fuse;
-                      exec_mode = None;
-                      width = Some size;
-                      height = Some size;
-                      seed = 42 + i;
-                    }
-                  in
-                  let r =
-                    drive_streams ~socket ~timeout_ms:(Some 30_000.0) ~retries:8
-                      ~backoff_ms:10.0 ~fps ~frames ~streams ~verify:false open_req
-                  in
-                  (match r.sr_error with
-                  | Some d ->
-                    incr failures;
-                    pp_diag d
-                  | None -> if r.sr_failed > 0 then incr failures);
-                  let aggregate =
-                    if r.sr_wall_s > 0.0 then float_of_int r.sr_ok /. r.sr_wall_s
-                    else 0.0
-                  in
-                  Format.printf "@[<v>%s, %d streams:@,  %a@]@." vname streams
-                    (fun ppf r -> pp_stream_report ppf r ~frames ~fps)
-                    r;
-                  let latency =
-                    match r.sr_quantiles with
-                    | None -> Svc.Jsonx.Null
-                    | Some q ->
-                      Svc.Jsonx.Obj
-                        [
-                          ("samples", Svc.Jsonx.Num (float_of_int q.Kfuse_util.Stats.samples));
-                          ("p50_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.p50);
-                          ("p90_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.p90);
-                          ("p95_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.p95);
-                          ("p99_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.p99);
-                          ("max_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.q_max);
-                          ("mean_ms", Svc.Jsonx.Num q.Kfuse_util.Stats.q_mean);
-                        ]
-                  in
-                  Svc.Jsonx.Obj
-                    [
-                      ("streams", Svc.Jsonx.Num (float_of_int streams));
-                      ("variant", Svc.Jsonx.Str vname);
-                      ("frames_per_stream", Svc.Jsonx.Num (float_of_int frames));
-                      ("frames_pushed", Svc.Jsonx.Num (float_of_int r.sr_ok));
-                      ("frames_retried", Svc.Jsonx.Num (float_of_int r.sr_retried));
-                      ("frames_failed", Svc.Jsonx.Num (float_of_int r.sr_failed));
-                      ("wall_s", Svc.Jsonx.Num r.sr_wall_s);
-                      ("aggregate_fps", Svc.Jsonx.Num aggregate);
-                      ( "fps_per_stream",
-                        Svc.Jsonx.Num (aggregate /. float_of_int (max 1 streams)) );
-                      ("latency", latency);
-                    ])
-                variants)
-            counts
-        in
-        let json =
-          Svc.Jsonx.Obj
-            [
-              ("schema", Svc.Jsonx.Str "kfuse-bench-stream/v1");
-              ("app", Svc.Jsonx.Str app);
-              ("width", Svc.Jsonx.Num (float_of_int size));
-              ("height", Svc.Jsonx.Num (float_of_int size));
-              ("fps_target", Svc.Jsonx.Num fps);
-              ("configs", Svc.Jsonx.Arr configs);
-            ]
-        in
-        let text = Svc.Jsonx.to_string json in
-        let write_failed =
-          if out = "-" then begin
-            print_string text;
-            None
-          end
-          else
-            match
-              let oc = open_out out in
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc text)
-            with
-            | () ->
-              Format.printf "wrote %s@." out;
-              None
-            | exception Sys_error msg -> Some (Diag.v ~file:out Diag.Io_error msg)
-        in
-        match write_failed with
-        | Some d -> fail_diag d
-        | None -> if !failures > 0 then 1 else 0
-  in
-  Cmd.v
-    (Cmd.info "bench-stream" ~doc ~man)
-    Term.(
-      const run $ common_term $ out_arg $ counts_arg $ frames_arg $ fps_arg $ size_arg
-      $ app_arg)
-
 (* ---- fuzz: the differential fuzzing campaign ---- *)
 
 let fuzz_cmd =
@@ -2206,21 +2031,24 @@ let fuzz_cmd =
       const run $ cases_arg $ seed_arg $ shrink_arg $ corpus_arg $ max_kernels_arg
       $ strict_optimal_arg $ max_failures_arg $ native_arg $ oracle_arg $ jobs_arg)
 
-(* ---- bench-native: fused vs unfused wall-clock on the paper apps ---- *)
+(* ---- bench-native: fused vs unfused wall-clock on the registry apps ---- *)
 
 let bench_native_cmd =
-  let doc = "Benchmark fused vs. unfused native execution on the paper applications." in
+  let doc = "Benchmark fused vs. unfused native execution on the registry applications." in
   let man =
     [
       `S Manpage.s_description;
       `P
         "For each application the pipeline is fused twice — baseline (no \
          fusion) and min-cut — compiled to C + OpenMP, and executed on \
-         identical deterministic random inputs.  The fastest of $(b,--runs) \
-         executions per variant is reported, both as a summary table and as \
-         a $(b,kfuse-bench-native/v1) JSON document (see EXPERIMENTS.md).  \
-         Unless $(b,--no-verify) is given, both variants are also checked \
-         against the reference interpreter.";
+         identical deterministic random inputs.  The median and \
+         interquartile range of $(b,--runs) executions per variant are \
+         reported, both as a summary table and as a \
+         $(b,kfuse-bench-native/v2) JSON document (see EXPERIMENTS.md).";
+      `P
+        "Both variants are also run through the reference interpreter.  The \
+         native backend is bit-exact by design, so the command exits 1 unless \
+         every output of every application matches it exactly.";
     ]
   in
   let out_arg =
@@ -2231,7 +2059,7 @@ let bench_native_cmd =
   let runs_arg =
     Arg.(
       value & opt int 5
-      & info [ "runs" ] ~docv:"N" ~doc:"Executions per variant; the fastest is reported.")
+      & info [ "runs" ] ~docv:"N" ~doc:"Executions per variant; the median is reported.")
   in
   let width_arg =
     Arg.(
@@ -2249,25 +2077,7 @@ let bench_native_cmd =
       value
       & opt (some (list string)) None
       & info [ "apps" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subset of applications (default: all six).")
-  in
-  let no_verify_arg =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ] ~doc:"Skip the interpreter cross-check (and its timing).")
-  in
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit nonzero unless every interpreter-vs-native difference is \
-             within $(b,--tol).  Implies verification.")
-  in
-  let tol_arg =
-    Arg.(
-      value & opt float 1e-5
-      & info [ "tol" ] ~docv:"EPS" ~doc:"Tolerance for $(b,--check) (default 1e-5).")
+          ~doc:"Comma-separated subset of applications (default: all eight).")
   in
   let cache_dir_arg =
     Arg.(
@@ -2277,37 +2087,8 @@ let bench_native_cmd =
           ~doc:"Compiled-artifact cache directory (default: the plan cache's \
                 $(b,native) subdirectory).")
   in
-  let snapshots_arg =
-    Arg.(
-      value
-      & opt (list string) []
-      & info [ "snapshots" ] ~docv:"FILES"
-          ~doc:
-            "With $(b,--check): comma-separated benchmark snapshot files that \
-             must exist (the committed $(b,BENCH_*.json) documents CI \
-             archives next to this run's output).  A missing one fails the \
-             gate before any benchmark runs, so a snapshot silently dropped \
-             from the tree cannot pass.")
-  in
-  let run out runs width height apps exec_mode no_verify check tol cache_dir snapshots =
-    let verify = (not no_verify) || check in
-    (* The snapshot gate runs first: it is a presence check on committed
-       artifacts, and there is no point benchmarking for minutes only to
-       fail on it afterwards. *)
-    let missing =
-      if check then List.filter (fun f -> not (Sys.file_exists f)) snapshots else []
-    in
-    if missing <> [] then begin
-      List.iter
-        (Format.eprintf "kfusec: bench-native --check: snapshot %s is absent@.")
-        missing;
-      1
-    end
-    else
-    match
-      Exec.Bench_native.run ?mode:exec_mode ?cache_dir ~runs ?width ?height ?apps ~verify
-        ()
-    with
+  let run out runs width height apps exec_mode cache_dir =
+    match Exec.Bench_native.run ?mode:exec_mode ?cache_dir ~runs ?width ?height ?apps () with
     | Error d -> fail_diag d
     | Ok bench -> (
       Format.printf "@[<v>%a@]@." Exec.Bench_native.pp_summary bench;
@@ -2332,25 +2113,19 @@ let bench_native_cmd =
       match write_failed with
       | Some d -> fail_diag d
       | None ->
-        if not check then 0
+        let worst = Exec.Bench_native.max_diff bench in
+        if worst = 0.0 then 0
         else begin
-          match Exec.Bench_native.max_diff bench with
-          | Some worst when worst <= tol -> 0
-          | Some worst ->
-            Format.eprintf
-              "kfusec: bench-native --check: max-abs-diff %g exceeds tolerance %g@."
-              worst tol;
-            1
-          | None ->
-            Format.eprintf "kfusec: bench-native --check: nothing was verified@.";
-            1
+          Format.eprintf "kfusec: bench-native: max-abs-diff %g against the interpreter@."
+            worst;
+          1
         end)
   in
   Cmd.v
     (Cmd.info "bench-native" ~doc ~man)
     Term.(
       const run $ out_arg $ runs_arg $ width_arg $ height_arg $ apps_arg $ exec_mode_arg
-      $ no_verify_arg $ check_arg $ tol_arg $ cache_dir_arg $ snapshots_arg)
+      $ cache_dir_arg)
 
 let main =
   let doc = "min-cut kernel fusion for image-processing pipelines (CGO 2019 reproduction)" in
@@ -2359,7 +2134,7 @@ let main =
     [
       list_cmd; fuse_cmd; emit_cmd; estimate_cmd; run_cmd; explain_cmd; dot_cmd;
       unparse_cmd; check_cmd; dsl_check_cmd; serve_cmd; shard_serve_cmd; query_cmd;
-      repl_cmd; stream_cmd; bench_stream_cmd; fuzz_cmd; bench_native_cmd;
+      repl_cmd; stream_cmd; fuzz_cmd; bench_native_cmd;
     ]
 
 let () =

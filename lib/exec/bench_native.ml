@@ -1,4 +1,5 @@
 module Diag = Kfuse_util.Diag
+module Stats = Kfuse_util.Stats
 module Image = Kfuse_image.Image
 module Pipeline = Kfuse_ir.Pipeline
 module Eval = Kfuse_ir.Eval
@@ -17,11 +18,13 @@ type app_report = {
   compile_ms_fused : float;
   exec_ms_unfused : float;
   exec_ms_fused : float;
+  exec_iqr_ms_unfused : float;
+  exec_iqr_ms_fused : float;
   samples_unfused : float list;
   samples_fused : float list;
-  interp_ms : float option;
-  diff_unfused : float option;
-  diff_fused : float option;
+  interp_ms : float;
+  diff_unfused : float;
+  diff_fused : float;
 }
 
 type t = {
@@ -29,23 +32,17 @@ type t = {
   openmp : bool;
   mode : Native.mode;
   runs : int;
+  host_cores : int;
   generated_at : float;
   apps : app_report list;
 }
 
+let ( let* ) = Result.bind
 let speedup r = r.exec_ms_unfused /. r.exec_ms_fused
 
 let max_diff t =
-  List.fold_left
-    (fun acc r ->
-      List.fold_left
-        (fun acc d -> match (acc, d) with
-          | acc, None -> acc
-          | None, Some d -> Some d
-          | Some a, Some d -> Some (Float.max a d))
-        acc
-        [ r.diff_unfused; r.diff_fused ])
-    None t.apps
+  List.fold_left (fun acc r -> Float.max acc (Float.max r.diff_unfused r.diff_fused)) 0.0
+    t.apps
 
 (* Every variant sees the same pixels: one deterministic generator per
    app, seeded by a fixed constant, consumed input-by-input. *)
@@ -60,7 +57,7 @@ let inputs_for (p : Pipeline.t) =
 
 (* Interpreter-vs-native: worst absolute difference over all outputs,
    matched by name.  A missing name is an infinite difference — it can
-   only mean fusion renamed a sink, which the tolerance gate must not
+   only mean fusion renamed a sink, which the exactness gate must not
    silently pass. *)
 let diff_against reference outputs =
   List.fold_left
@@ -72,59 +69,73 @@ let diff_against reference outputs =
         else Float.max acc (Image.max_abs_diff ref_img img))
     0.0 outputs
 
-let bench_app ~mode ~cache_dir ~runs ~size ~verify (entry : Registry.entry) =
+let median_iqr samples =
+  let s = Stats.summarize (Array.of_list samples) in
+  (s.Stats.median, s.Stats.p75 -. s.Stats.p25)
+
+let bench_app ~mode ~cache_dir ~runs ~size (entry : Registry.entry) =
   let p =
     match size with
     | Some (width, height) -> entry.Registry.small ~width ~height
     | None -> entry.Registry.pipeline ()
   in
   let inputs = inputs_for p in
-  match Driver.run_result Config.default Driver.Baseline p with
-  | Error d -> Error d
-  | Ok base -> (
-    match Driver.run_result ~optimize:true Config.default Driver.Mincut p with
-    | Error d -> Error d
-    | Ok mincut -> (
-      let unfused = base.Driver.fused and fused = mincut.Driver.fused in
-      match Native.run ~mode ?cache_dir ~repeat:runs unfused inputs with
-      | Error d -> Error d
-      | Ok run_unfused -> (
-        match Native.run ~mode ?cache_dir ~repeat:runs fused inputs with
-        | Error d -> Error d
-        | Ok run_fused ->
-          let interp_ms, diff_unfused, diff_fused =
-            if not verify then (None, None, None)
-            else begin
-              let t0 = Unix.gettimeofday () in
-              let reference = Eval.run_outputs p (Eval.env_of_list inputs) in
-              let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-              ( Some dt,
-                Some (diff_against reference run_unfused.Native.outputs),
-                Some (diff_against reference run_fused.Native.outputs) )
-            end
-          in
-          Ok
-            {
-              app = entry.Registry.name;
-              width = p.Pipeline.width;
-              height = p.Pipeline.height;
-              channels = p.Pipeline.channels;
-              kernels_unfused = Pipeline.num_kernels unfused;
-              kernels_fused = Pipeline.num_kernels fused;
-              compile_ms_unfused = run_unfused.Native.compile_ms;
-              compile_ms_fused = run_fused.Native.compile_ms;
-              exec_ms_unfused = run_unfused.Native.exec_ms;
-              exec_ms_fused = run_fused.Native.exec_ms;
-              samples_unfused = run_unfused.Native.samples_ms;
-              samples_fused = run_fused.Native.samples_ms;
-              interp_ms;
-              diff_unfused;
-              diff_fused;
-            })))
+  let* base = Driver.run_result Config.default Driver.Baseline p in
+  let* mincut = Driver.run_result ~optimize:true Config.default Driver.Mincut p in
+  let unfused = base.Driver.fused and fused = mincut.Driver.fused in
+  let* run_unfused = Native.run ~mode ?cache_dir ~repeat:runs unfused inputs in
+  let* run_fused = Native.run ~mode ?cache_dir ~repeat:runs fused inputs in
+  let t0 = Unix.gettimeofday () in
+  let reference = Eval.run_outputs p (Eval.env_of_list inputs) in
+  let interp_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let exec_ms_unfused, exec_iqr_ms_unfused = median_iqr run_unfused.Native.samples_ms in
+  let exec_ms_fused, exec_iqr_ms_fused = median_iqr run_fused.Native.samples_ms in
+  Ok
+    {
+      app = entry.Registry.name;
+      width = p.Pipeline.width;
+      height = p.Pipeline.height;
+      channels = p.Pipeline.channels;
+      kernels_unfused = Pipeline.num_kernels unfused;
+      kernels_fused = Pipeline.num_kernels fused;
+      compile_ms_unfused = run_unfused.Native.compile_ms;
+      compile_ms_fused = run_fused.Native.compile_ms;
+      exec_ms_unfused;
+      exec_ms_fused;
+      exec_iqr_ms_unfused;
+      exec_iqr_ms_fused;
+      samples_unfused = run_unfused.Native.samples_ms;
+      samples_fused = run_fused.Native.samples_ms;
+      interp_ms;
+      diff_unfused = diff_against reference run_unfused.Native.outputs;
+      diff_fused = diff_against reference run_fused.Native.outputs;
+    }
 
-let run ?(mode = Native.Dlopen) ?cache_dir ?(runs = 5) ?width ?height ?apps
-    ?(verify = true) () =
-  if runs < 1 then invalid_arg "Bench_native.run: runs must be positive";
+let at_least_one code what = function
+  | Some n when n < 1 -> Error (Diag.errorf code "%s must be >= 1, got %d" what n)
+  | _ -> Ok ()
+
+let select = function
+  | None -> Ok Registry.all
+  | Some names ->
+    List.fold_left
+      (fun acc n ->
+        let* l = acc in
+        match Registry.find n with
+        | None ->
+          Error
+            (Diag.errorf Diag.Io_error "unknown application %s (known: %s)" n
+               (String.concat ", " Registry.names))
+        | Some e -> Ok (l @ [ e ]))
+      (Ok []) names
+
+(* Arguments are checked before the toolchain is probed, so a bad
+   command line fails the same way on a host without a C compiler. *)
+let run ?(mode = Native.Dlopen) ?cache_dir ?(runs = 5) ?width ?height ?apps () =
+  let* () = at_least_one Diag.Config_invalid "runs" (Some runs) in
+  let* () = at_least_one Diag.Empty_iteration_space "width" width in
+  let* () = at_least_one Diag.Empty_iteration_space "height" height in
+  let* entries = select apps in
   let size =
     match (width, height) with
     | None, None -> None
@@ -133,52 +144,29 @@ let run ?(mode = Native.Dlopen) ?cache_dir ?(runs = 5) ?width ?height ?apps
       let h = Option.value h ~default:w in
       Some (w, h)
   in
-  match Toolchain.find () with
-  | Error d -> Error d
-  | Ok tc -> (
-    let selected =
-      match apps with
-      | None -> Ok Registry.all
-      | Some names ->
-        List.fold_left
-          (fun acc n ->
-            match (acc, Registry.find n) with
-            | Error d, _ -> Error d
-            | Ok _, None ->
-              Error
-                (Diag.errorf Diag.Io_error "unknown application %s (known: %s)" n
-                   (String.concat ", " Registry.names))
-            | Ok l, Some e -> Ok (l @ [ e ]))
-          (Ok []) names
-    in
-    match selected with
-    | Error d -> Error d
-    | Ok entries -> (
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest -> (
-          match bench_app ~mode ~cache_dir ~runs ~size ~verify e with
-          | Error d -> Error d
-          | Ok r -> go (r :: acc) rest)
-      in
-      match go [] entries with
-      | Error d -> Error d
-      | Ok apps ->
-        Ok
-          {
-            cc = tc.Toolchain.cc;
-            openmp = tc.Toolchain.openmp;
-            mode;
-            runs;
-            generated_at = Unix.time ();
-            apps;
-          }))
+  let* tc = Toolchain.find () in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest ->
+      let* r = bench_app ~mode ~cache_dir ~runs ~size e in
+      go (r :: acc) rest
+  in
+  let* apps = go [] entries in
+  Ok
+    {
+      cc = tc.Toolchain.cc;
+      openmp = tc.Toolchain.openmp;
+      mode;
+      runs;
+      host_cores = Domain.recommended_domain_count ();
+      generated_at = Unix.time ();
+      apps;
+    }
 
 (* {1 JSON rendering} — flat enough that hand-rolled emission beats a
    dependency; floats render as %.6g (finite) or null. *)
 
 let jf f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-let jopt = function None -> "null" | Some f -> jf f
 let jlist fs = "[" ^ String.concat ", " (List.map jf fs) ^ "]"
 
 let app_to_json r =
@@ -194,12 +182,14 @@ let app_to_json r =
       Printf.sprintf "\"compile_ms_fused\": %s" (jf r.compile_ms_fused);
       Printf.sprintf "\"exec_ms_unfused\": %s" (jf r.exec_ms_unfused);
       Printf.sprintf "\"exec_ms_fused\": %s" (jf r.exec_ms_fused);
+      Printf.sprintf "\"exec_iqr_ms_unfused\": %s" (jf r.exec_iqr_ms_unfused);
+      Printf.sprintf "\"exec_iqr_ms_fused\": %s" (jf r.exec_iqr_ms_fused);
       Printf.sprintf "\"samples_ms_unfused\": %s" (jlist r.samples_unfused);
       Printf.sprintf "\"samples_ms_fused\": %s" (jlist r.samples_fused);
       Printf.sprintf "\"speedup\": %s" (jf (speedup r));
-      Printf.sprintf "\"interp_ms\": %s" (jopt r.interp_ms);
-      Printf.sprintf "\"max_abs_diff_unfused\": %s" (jopt r.diff_unfused);
-      Printf.sprintf "\"max_abs_diff_fused\": %s" (jopt r.diff_fused);
+      Printf.sprintf "\"interp_ms\": %s" (jf r.interp_ms);
+      Printf.sprintf "\"max_abs_diff_unfused\": %s" (jf r.diff_unfused);
+      Printf.sprintf "\"max_abs_diff_fused\": %s" (jf r.diff_fused);
     ]
 
 let to_json t =
@@ -207,11 +197,12 @@ let to_json t =
   String.concat "\n"
     [
       "{";
-      "  \"schema\": \"kfuse-bench-native/v1\",";
+      "  \"schema\": \"kfuse-bench-native/v2\",";
       Printf.sprintf "  \"generated_at_unix\": %.0f," t.generated_at;
       Printf.sprintf "  \"toolchain\": { \"cc\": %S, \"openmp\": %b }," t.cc t.openmp;
       Printf.sprintf "  \"mode\": %S," (Native.mode_to_string t.mode);
       Printf.sprintf "  \"runs\": %d," t.runs;
+      Printf.sprintf "  \"host_cores\": %d," t.host_cores;
       "  \"apps\": [";
       String.concat ",\n" apps;
       "  ]";
@@ -220,17 +211,19 @@ let to_json t =
     ]
 
 let pp_summary ppf t =
-  Format.fprintf ppf "native bench: %s%s, %d run%s per variant@," t.cc
+  Format.fprintf ppf "native bench: %s%s, %d core%s, median (IQR) of %d run%s per variant@,"
+    t.cc
     (if t.openmp then " (openmp)" else " (no openmp)")
+    t.host_cores
+    (if t.host_cores = 1 then "" else "s")
     t.runs
     (if t.runs = 1 then "" else "s");
   List.iter
     (fun r ->
-      Format.fprintf ppf "  %-10s %4dx%-4d  %d -> %d kernels  unfused %8.2f ms  fused \
-                          %8.2f ms  speedup %.2fx%s@,"
+      Format.fprintf ppf
+        "  %-10s %4dx%-4d  %2d -> %-2d kernels  unfused %8.2f (%.2f) ms  fused %8.2f \
+         (%.2f) ms  speedup %.2fx  max-abs-diff %.2e@,"
         r.app r.width r.height r.kernels_unfused r.kernels_fused r.exec_ms_unfused
-        r.exec_ms_fused (speedup r)
-        (match r.diff_fused with
-        | None -> ""
-        | Some d -> Printf.sprintf "  max-abs-diff %.2e" d))
+        r.exec_iqr_ms_unfused r.exec_ms_fused r.exec_iqr_ms_fused (speedup r)
+        (Float.max r.diff_unfused r.diff_fused))
     t.apps

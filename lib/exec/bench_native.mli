@@ -1,16 +1,17 @@
-(** Native fused-vs-unfused benchmark over the paper's six applications.
+(** Native fused-vs-unfused benchmark over the registry applications.
 
     For each selected {!Kfuse_apps.Registry} entry this builds the
     pipeline, runs the fusion driver twice — [Baseline] (every kernel
     its own launch) and [Mincut] with [optimize] (the paper's
     algorithm) — compiles both through {!Native}, executes them on
-    identical deterministic random inputs, and optionally checks both
-    against the {!Kfuse_ir.Eval} interpreter.  The result serializes to
-    the [BENCH_native.json] schema documented in [EXPERIMENTS.md].
+    identical deterministic random inputs, and checks both against the
+    {!Kfuse_ir.Eval} interpreter.  The result serializes to the
+    [BENCH_native.json] schema documented in [EXPERIMENTS.md].
 
-    Wall-clocks are the fastest of [runs] executions of the compiled
-    plan (compile time reported separately), so the fused/unfused ratio
-    isolates the memory-traffic effect kernel fusion exists to buy. *)
+    Wall-clocks are the median of [runs] executions of the compiled
+    plan, with their interquartile range (compile time reported
+    separately), so the fused/unfused ratio isolates the memory-traffic
+    effect kernel fusion exists to buy. *)
 
 module Diag := Kfuse_util.Diag
 
@@ -23,13 +24,15 @@ type app_report = {
   kernels_fused : int;
   compile_ms_unfused : float;
   compile_ms_fused : float;
-  exec_ms_unfused : float;  (** fastest sample *)
-  exec_ms_fused : float;  (** fastest sample *)
+  exec_ms_unfused : float;  (** median sample *)
+  exec_ms_fused : float;  (** median sample *)
+  exec_iqr_ms_unfused : float;  (** 75th minus 25th percentile of the samples *)
+  exec_iqr_ms_fused : float;
   samples_unfused : float list;
   samples_fused : float list;
-  interp_ms : float option;  (** interpreter reference; [None] without [verify] *)
-  diff_unfused : float option;  (** max abs diff vs. interpreter over all outputs *)
-  diff_fused : float option;
+  interp_ms : float;  (** interpreter reference *)
+  diff_unfused : float;  (** max abs diff vs. interpreter over all outputs *)
+  diff_fused : float;
 }
 
 type t = {
@@ -37,21 +40,24 @@ type t = {
   openmp : bool;
   mode : Native.mode;
   runs : int;
+  host_cores : int;  (** [Domain.recommended_domain_count ()] *)
   generated_at : float;  (** unix seconds *)
   apps : app_report list;
 }
 
-(** [speedup r] is [exec_ms_unfused /. exec_ms_fused]. *)
+(** [speedup r] is [exec_ms_unfused /. exec_ms_fused], median over median. *)
 val speedup : app_report -> float
 
 (** [max_diff t] is the worst interpreter-vs-native difference across
-    every app and variant, or [None] when nothing was verified. *)
-val max_diff : t -> float option
+    every app and variant.  The backend is bit-exact by design, so
+    anything but [0.] is a bug. *)
+val max_diff : t -> float
 
-(** [run ()] benchmarks [apps] (default: all six, at the paper's
-    evaluation sizes; [width]/[height] override the iteration space for
-    quicker runs).  [runs] (default 5) executions per variant; [verify]
-    (default [true]) also times the interpreter and reports differences.
+(** [run ()] benchmarks [apps] (default: every registry application,
+    at the paper's evaluation sizes; [width]/[height] override the
+    iteration space for quicker runs).  [runs] (default 5) executions
+    per variant.  Nonpositive [runs], [width] or [height] and unknown
+    application names are rejected before the toolchain is probed.
     Fails with the first toolchain/compile/exec diagnostic. *)
 val run :
   ?mode:Native.mode ->
@@ -60,11 +66,10 @@ val run :
   ?width:int ->
   ?height:int ->
   ?apps:string list ->
-  ?verify:bool ->
   unit ->
   (t, Diag.t) result
 
-(** [to_json t] renders the [kfuse-bench-native/v1] document. *)
+(** [to_json t] renders the [kfuse-bench-native/v2] document. *)
 val to_json : t -> string
 
 val pp_summary : Format.formatter -> t -> unit

@@ -338,48 +338,46 @@ let test_bench_native_small () =
   require_cc ();
   with_temp_dir @@ fun dir ->
   let out = Filename.concat dir "bench.json" in
-  (* A present snapshot passes the gate; its content is not inspected. *)
-  let snapshot = Filename.concat dir "BENCH_prev.json" in
-  Out_channel.with_open_text snapshot (fun oc -> output_string oc "{}\n");
   let code, text =
     run_capture
       [
-        "bench-native"; "-o"; out; "--runs"; "1"; "--width"; "32"; "--height"; "24";
-        "--apps"; "sobel,unsharp"; "--check"; "--cache-dir"; dir;
-        "--snapshots"; snapshot;
+        "bench-native"; "-o"; out; "--runs"; "3"; "--width"; "32"; "--height"; "24";
+        "--apps"; "sobel,unsharp"; "--cache-dir"; dir;
       ]
   in
-  Alcotest.(check int) "bench-native --check exits 0" 0 code;
+  (* Exit 0 means every output matched the interpreter exactly. *)
+  Alcotest.(check int) "bench-native exits 0" 0 code;
   Alcotest.(check bool) "summary table printed" true (contains "sobel" text);
   let json = In_channel.with_open_text out In_channel.input_all in
-  Alcotest.(check bool) "versioned schema" true (contains "kfuse-bench-native/v1" json);
+  Alcotest.(check bool) "versioned schema" true (contains "kfuse-bench-native/v2" json);
   Alcotest.(check bool) "both apps present" true
-    (contains "\"sobel\"" json && contains "\"unsharp\"" json)
+    (contains "\"sobel\"" json && contains "\"unsharp\"" json);
+  Alcotest.(check bool) "spread reported" true (contains "\"exec_iqr_ms_fused\"" json);
+  Alcotest.(check bool) "exact difference recorded" true
+    (contains "\"max_abs_diff_fused\": 0\n" json)
 
-let test_bench_snapshot_gate () =
-  (* The --snapshots presence gate fires before any benchmark runs, so a
-     missing committed snapshot fails fast (no toolchain needed). *)
-  with_temp_dir @@ fun dir ->
-  let present = Filename.concat dir "BENCH_present.json" in
-  Out_channel.with_open_text present (fun oc -> output_string oc "{}\n");
-  let ghost = Filename.concat dir "BENCH_ghost.json" in
-  let code, text =
-    run_capture
-      [ "bench-native"; "--check"; "--snapshots"; present ^ "," ^ ghost ]
-  in
-  Alcotest.(check int) "missing snapshot exits 1" 1 code;
-  Alcotest.(check bool) "names the absentee" true (contains "BENCH_ghost.json" text);
-  Alcotest.(check bool) "fails before benchmarking" false (contains "sobel" text);
-  (* Without --check the flag is inert: the gate belongs to the gate. *)
-  let code, text =
-    run_capture
-      [
-        "bench-native"; "--snapshots"; ghost; "--runs"; "0"; "--apps"; "nosuchapp";
-        "-o"; "-";
-      ]
-  in
-  Alcotest.(check bool) "no gate without --check" false
-    (code = 1 && contains "snapshot" text)
+let test_bench_native_bad_args () =
+  (* Bad sizes and names are rejected before the toolchain is probed:
+     a broken compiler must not mask them, and they are typed
+     diagnostics with exit 1, never cmdliner's internal-error 125. *)
+  List.iter
+    (fun (args, id) ->
+      let what = String.concat " " args in
+      let code, text =
+        run_capture ~env:"KFUSE_FAULTS= KFUSE_CC=/definitely/not/a/compiler"
+          ([ "bench-native"; "-o"; "-" ] @ args)
+      in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      Alcotest.(check bool)
+        (what ^ " is " ^ id)
+        true
+        (contains ("kfusec: error[" ^ id ^ "]") text))
+    [
+      ([ "--runs"; "0"; "--apps"; "sobel" ], "KF0401");
+      ([ "--width"; "0"; "--apps"; "sobel" ], "KF0504");
+      ([ "--height"; "0"; "--apps"; "sobel" ], "KF0504");
+      ([ "--apps"; "nosuchapp" ], "KF0101");
+    ]
 
 let test_repl_script () =
   (* The lazy-pipeline repl, batch mode: build a two-chain DAG, flush
@@ -456,7 +454,7 @@ let suite =
     Alcotest.test_case "read_file diagnostic" `Quick test_read_file_diagnostic;
     Alcotest.test_case "fault injection end-to-end" `Quick test_fault_injection_e2e;
     Alcotest.test_case "budget end-to-end" `Quick test_budget_e2e;
-    Alcotest.test_case "bench-native snapshot gate" `Quick test_bench_snapshot_gate;
+    Alcotest.test_case "bench-native rejects bad arguments" `Quick test_bench_native_bad_args;
     Alcotest.test_case "repl --script end-to-end" `Quick test_repl_script;
     Alcotest.test_case "run --native end-to-end" `Slow test_run_native_e2e;
     Alcotest.test_case "run --native: line buffers on uneven strips, 1 and 3 threads" `Slow
@@ -466,5 +464,5 @@ let suite =
     Alcotest.test_case "run --native without a toolchain" `Quick
       test_run_native_no_toolchain;
     Alcotest.test_case "fuzz --native smoke" `Slow test_fuzz_native_smoke;
-    Alcotest.test_case "bench-native --check" `Slow test_bench_native_small;
+    Alcotest.test_case "bench-native is bit-exact" `Slow test_bench_native_small;
   ]

@@ -243,6 +243,57 @@ let test_of_pipeline_roundtrip () =
     (Option.map (fun (pl : Lz.Replan.plan) -> pl.Lz.Replan.fingerprint)
        (Lz.Lazy_pipeline.last lp))
 
+(* The 48-kernel replan DAG: 8 disconnected 6-kernel chains, each
+   mixing stencils and pointwise kernels so it fuses non-trivially on
+   its own, built through the repl command grammar.  Every one of the
+   32 single-kernel edits (param, retarget, append, delete on each
+   chain) dirties at most one chain, so the other seven must replay
+   from the memo, and every incremental flush must equal scratch. *)
+let test_chains_edit_round () =
+  let chains = 8 in
+  let lp = Lz.Lazy_pipeline.create ~name:"replan" ~width:64 ~height:48 config in
+  let exec line =
+    ignore
+      (ok line (Result.bind (Lz.Command.parse lp line) (Lz.Command.apply lp)))
+  in
+  for c = 0 to chains - 1 do
+    let k j = Printf.sprintf "c%d_%d" c j and inp = Printf.sprintf "in%d" c in
+    List.iter exec
+      [
+        Printf.sprintf "input %s" inp;
+        Printf.sprintf "add %s = conv(%s, gauss3, mirror)" (k 0) inp;
+        Printf.sprintf "add %s = %s * 2.0" (k 1) (k 0);
+        Printf.sprintf "add %s = conv(%s, gauss5, mirror)" (k 2) (k 1);
+        Printf.sprintf "add %s = %s + %s" (k 3) (k 2) (k 0);
+        Printf.sprintf "add %s = conv(%s, sobelx, mirror)" (k 4) (k 3);
+        Printf.sprintf "add %s = %s * 0.5 + %s" (k 5) (k 4) (k 2);
+      ]
+  done;
+  let _ = ok "cold flush" (Lz.Lazy_pipeline.flush lp) in
+  let edits =
+    List.concat_map
+      (fun c ->
+        let k j = Printf.sprintf "c%d_%d" c j in
+        [
+          Printf.sprintf "param gain%d %.1f" c (1.0 +. (0.1 *. float_of_int c));
+          Printf.sprintf "retarget %s %s %s" (k 5) (k 2) (k 0);
+          Printf.sprintf "add x%d = %s * 1.1" c (k 5);
+          Printf.sprintf "del x%d" c;
+        ])
+      (List.init chains Fun.id)
+  in
+  Alcotest.(check int) "32 edits" 32 (List.length edits);
+  List.iter
+    (fun line ->
+      exec line;
+      let inc = ok (line ^ ": flush") (Lz.Lazy_pipeline.flush lp) in
+      let scr = ok (line ^ ": scratch") (Lz.Lazy_pipeline.flush_scratch lp) in
+      same_plan ~ctx:line inc scr;
+      Alcotest.(check bool) (line ^ ": untouched chains reused") true
+        (inc.stats.blocks_reused > 0);
+      Alcotest.(check bool) (line ^ ": no fallback") false inc.stats.fell_back)
+    edits
+
 let suite =
   [
     Alcotest.test_case "differential: seeded edit sequences" `Slow
@@ -262,4 +313,6 @@ let suite =
     Alcotest.test_case "retarget differential and revert" `Quick
       test_retarget_differential;
     Alcotest.test_case "of_pipeline roundtrip" `Quick test_of_pipeline_roundtrip;
+    Alcotest.test_case "48-kernel DAG: 32 edits equal scratch" `Slow
+      test_chains_edit_round;
   ]
