@@ -950,15 +950,6 @@ let shard_serve_cmd =
       & info [ "request-timeout-ms" ] ~docv:"MS"
           ~doc:"Per-request wall-clock deadline at the router.  0 disables.")
   in
-  let forward_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "forward-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Router-to-shard deadline per forwarded request (default: the \
-             request timeout).")
-  in
   let drain_timeout_arg =
     Arg.(
       value & opt float 5_000.0
@@ -1027,9 +1018,9 @@ let shard_serve_cmd =
           ~doc:"Consecutive missed pings before a hung shard is killed.")
   in
   let run socket shard_dir shards cache_dir capacity max_conns queue request_timeout_ms
-      forward_timeout_ms drain_timeout_ms shard_grace_ms health_interval_ms
-      health_timeout_ms storm_threshold storm_window_ms restart_backoff_ms
-      max_restart_backoff_ms dead_cooldown_ms max_ping_misses exec_sandbox =
+      drain_timeout_ms shard_grace_ms health_interval_ms health_timeout_ms storm_threshold
+      storm_window_ms restart_backoff_ms max_restart_backoff_ms dead_cooldown_ms
+      max_ping_misses exec_sandbox =
     if capacity < 1 then begin
       Format.eprintf "kfusec: --cache-capacity must be >= 1@.";
       1
@@ -1067,7 +1058,7 @@ let shard_serve_cmd =
       in
       match
         Svc.Router.start ~socket ~dir ~count:shards ~shard_argv ~shard_config
-          ~health_interval_ms ~health_timeout_ms ?forward_timeout_ms ~max_conns ~queue
+          ~health_interval_ms ~health_timeout_ms ~max_conns ~queue
           ~request_timeout_ms ~drain_timeout_ms ~shard_grace_ms ()
       with
       | Error d -> fail_diag d
@@ -1088,10 +1079,10 @@ let shard_serve_cmd =
     (Cmd.info "shard-serve" ~doc ~man)
     Term.(
       const run $ socket_arg $ shard_dir_arg $ shards_arg $ cache_dir_arg $ capacity_arg
-      $ max_conns_arg $ queue_arg $ request_timeout_arg $ forward_timeout_arg
-      $ drain_timeout_arg $ shard_grace_arg $ health_interval_arg $ health_timeout_arg
-      $ storm_threshold_arg $ storm_window_arg $ backoff_arg $ max_backoff_arg
-      $ cooldown_arg $ ping_misses_arg $ exec_sandbox_arg)
+      $ max_conns_arg $ queue_arg $ request_timeout_arg $ drain_timeout_arg
+      $ shard_grace_arg $ health_interval_arg $ health_timeout_arg $ storm_threshold_arg
+      $ storm_window_arg $ backoff_arg $ max_backoff_arg $ cooldown_arg $ ping_misses_arg
+      $ exec_sandbox_arg)
 
 let query_cmd =
   let doc = "Send one request to a running kfused and print the reply." in

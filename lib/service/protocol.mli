@@ -106,7 +106,7 @@ val send : ?deadline:Kfuse_util.Deadline.t -> Unix.file_descr -> Jsonx.t -> unit
 
 (** [send_torn fd v] deliberately writes a truncated frame — a full
     header announcing the payload length, then only half the payload —
-    for the protocol chaos harness (the ["proto.torn_frame"] fault).
+    for the protocol chaos harness (the torn-frame fault of {!Listener}).
     The peer must surface a typed mid-frame error, never hang. *)
 val send_torn : Unix.file_descr -> Jsonx.t -> unit
 

@@ -1,6 +1,5 @@
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
-module Faults = Kfuse_util.Faults
 module Plan_cache = Kfuse_cache.Plan_cache
 module Fingerprint = Kfuse_cache.Fingerprint
 module Ir = Kfuse_ir
@@ -13,48 +12,21 @@ module Ir = Kfuse_ir
    already in the shard's plan cache. *)
 type sf_entry = { mutable sf_reply : Jsonx.t option }
 
-type t = {
+(* Everything a request handler and the fleet monitor need; the
+   connection front end lives in {!Listener}. *)
+type fleet = {
   socket_path : string;
-  listen_fd : Unix.file_descr;
   shards : Shard.t array;
   shard_cfg : Shard.config;
   health_interval_ms : float;
   health_timeout_ms : float;
-  forward_timeout_ms : float;
-  request_timeout_ms : float;
-  drain_timeout_ms : float;
   shard_grace_ms : float;
   metrics : Metrics.t;
   started_at : float;
-  stopping : bool Atomic.t;
-  stop_requested : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  mutable monitor_thread : Thread.t option;
-  mutable workers : Thread.t array;
-  max_conns : int;
-  queue_bound : int;
-  (* Admission, mirroring {!Server}: accepted connections wait in
-     [queue] until one of [max_conns] workers picks them up; beyond
-     [queue_bound] they are shed with KF0803. *)
-  q_lock : Mutex.t;
-  q_cond : Condition.t;
-  queue : Unix.file_descr Queue.t;
-  mutable busy : int;
-  active : Unix.file_descr option array;
   sf_lock : Mutex.t;
   sf_cond : Condition.t;
   sf_inflight : (string, sf_entry) Hashtbl.t;
 }
-
-let socket t = t.socket_path
-let metrics t = t.metrics
-let shards t = t.shards
-
-let in_flight t =
-  Mutex.lock t.q_lock;
-  let n = t.busy + Queue.length t.queue in
-  Mutex.unlock t.q_lock;
-  n
 
 (* The router holds no plan cache of its own — plans live in the
    shards.  [Metrics.render] wants cache stats; give it honest zeros. *)
@@ -128,11 +100,25 @@ let unavailable t ~home =
        "no live shard for this request (home shard %d): all %d shards are down or restarting; retry with backoff"
        home (Array.length t.shards))
 
+(* One forward to shard [idx], bounded by what remains of the request's
+   deadline: a failover walk across the fleet cannot outlast the
+   client's deadline.  An expired deadline still gets a 1ms attempt,
+   since a timeout of 0 would disarm the socket timeouts instead.
+   [None] is a connection transient (the restart signature: refused or
+   reset connect, vanished peer without a typed verdict); any typed
+   shard reply, ok or error, is the shard's own verdict. *)
+let forward_to t ~deadline idx req =
+  let timeout_ms = Option.map (Float.max 1.0) (Deadline.remaining_ms deadline) in
+  match Client.call_once ~socket:(Shard.socket t.shards.(idx)) ?timeout_ms req with
+  | Error _, true -> None
+  | verdict, _ ->
+    Metrics.incr t.metrics "requests_routed";
+    Some verdict
+
 (* Forward to the home shard, failing over to the next routable one on
-   a connection transient (the restart signature: refused/reset connect,
-   vanished peer without a typed verdict).  A typed shard reply — ok or
-   error — ends the scan: it is the shard's own verdict and is relayed. *)
-let forward_routed t ~structural req =
+   a connection transient.  A typed reply ends the scan and is relayed,
+   after [rewrite] when ok. *)
+let forward_routed t ~deadline ?(rewrite = fun ~shard:_ reply -> reply) ~structural req =
   let n = Array.length t.shards in
   let home = home_index t structural in
   let rec go i =
@@ -141,19 +127,16 @@ let forward_routed t ~structural req =
       let idx = (home + i) mod n in
       if not (Shard.routable t.shards.(idx)) then go (i + 1)
       else
-        let socket = Shard.socket t.shards.(idx) in
-        match Client.call_once ~socket ~timeout_ms:t.forward_timeout_ms req with
-        | Ok reply, _ ->
-          Metrics.incr t.metrics "requests_routed";
+        match forward_to t ~deadline idx req with
+        | None -> go (i + 1)
+        | Some (Error d) -> Protocol.error d
+        | Some (Ok reply) ->
+          let reply = rewrite ~shard:idx reply in
           if idx <> home then begin
             Metrics.incr t.metrics "requests_rerouted";
             annotate_reroute ~home ~served:idx reply
           end
           else reply
-        | Error _, true -> go (i + 1)
-        | Error d, false ->
-          Metrics.incr t.metrics "requests_routed";
-          Protocol.error d
   in
   go 0
 
@@ -204,12 +187,12 @@ let single_flight t key compute =
 let pipeline_of (f : Protocol.fuse_request) =
   Result.bind (Server.load_pipeline f) Ir.Validate.result
 
-let handle_fuse t req (f : Protocol.fuse_request) =
+let handle_fuse t ~deadline req (f : Protocol.fuse_request) =
   match pipeline_of f with
   | Error d -> Protocol.error d
   | Ok p ->
     let structural = Fingerprint.structural p in
-    if f.Protocol.no_cache then forward_routed t ~structural req
+    if f.Protocol.no_cache then forward_routed t ~deadline ~structural req
     else begin
       (* The coalescing key is the full plan key (structural + exact +
          config + strategy + flags) plus the knobs the cache key
@@ -230,13 +213,13 @@ let handle_fuse t req (f : Protocol.fuse_request) =
           | None -> "-"
           | Some b -> string_of_float b)
       in
-      single_flight t sf_key (fun () -> forward_routed t ~structural req)
+      single_flight t sf_key (fun () -> forward_routed t ~deadline ~structural req)
     end
 
-let handle_by_fingerprint t req (f : Protocol.fuse_request) =
+let handle_by_fingerprint t ~deadline ?rewrite req (f : Protocol.fuse_request) =
   match pipeline_of f with
   | Error d -> Protocol.error d
-  | Ok p -> forward_routed t ~structural:(Fingerprint.structural p) req
+  | Ok p -> forward_routed t ~deadline ?rewrite ~structural:(Fingerprint.structural p) req
 
 (* Stream ids cross the router prefixed with their shard: the server's
    ["st-3"] becomes ["s1-st-3"].  Pushes and closes are pinned — a
@@ -264,37 +247,7 @@ let rewrite_reply_id ~shard reply =
          fields)
   | v -> v
 
-let handle_stream_open t req (o : Protocol.stream_open_request) =
-  match pipeline_of o.Protocol.fuse with
-  | Error d -> Protocol.error d
-  | Ok p ->
-    let structural = Fingerprint.structural p in
-    let n = Array.length t.shards in
-    let home = home_index t structural in
-    let rec go i =
-      if i >= n then unavailable t ~home
-      else
-        let idx = (home + i) mod n in
-        if not (Shard.routable t.shards.(idx)) then go (i + 1)
-        else
-          let socket = Shard.socket t.shards.(idx) in
-          match Client.call_once ~socket ~timeout_ms:t.forward_timeout_ms req with
-          | Ok reply, _ ->
-            Metrics.incr t.metrics "requests_routed";
-            let reply = rewrite_reply_id ~shard:idx reply in
-            if idx <> home then begin
-              Metrics.incr t.metrics "requests_rerouted";
-              annotate_reroute ~home ~served:idx reply
-            end
-            else reply
-          | Error _, true -> go (i + 1)
-          | Error d, false ->
-            Metrics.incr t.metrics "requests_routed";
-            Protocol.error d
-    in
-    go 0
-
-let handle_stream_op ?(kind = "stream") t ~id ~rebuild =
+let handle_stream_op ?(kind = "stream") t ~deadline ~id ~rebuild =
   match parse_stream_id t id with
   | None ->
     Protocol.error
@@ -307,24 +260,17 @@ let handle_stream_op ?(kind = "stream") t ~id ~rebuild =
         (Diag.errorf Diag.Shard_unavailable
            "%s %S lives on shard %d, which is down or restarting; reopen the %s" kind id
            idx kind)
-    else (
-      match
-        Client.call_once ~socket:(Shard.socket s) ~timeout_ms:t.forward_timeout_ms
-          (rebuild orig)
-      with
-      | Ok reply, _ ->
-        Metrics.incr t.metrics "requests_routed";
-        rewrite_reply_id ~shard:idx reply
-      | Error _, true ->
+    else
+      match forward_to t ~deadline idx (rebuild orig) with
+      | Some (Ok reply) -> rewrite_reply_id ~shard:idx reply
+      | Some (Error d) -> Protocol.error d
+      | None ->
         (* The shard died mid-request, taking the session's state with
            it: no retry can resurrect it. *)
         Protocol.error
           (Diag.errorf Diag.Shard_unavailable
              "%s %S: lost the connection to shard %d (it crashed or is restarting); reopen the %s"
              kind id idx kind)
-      | Error d, false ->
-        Metrics.incr t.metrics "requests_routed";
-        Protocol.error d)
 
 (* A lazy session, like a stream, lives in exactly one shard process —
    but an empty builder has no pipeline to fingerprint, so placement
@@ -372,7 +318,7 @@ let stats_json t =
 
 (* [dispatch] never raises: a failing handler becomes an error response,
    keeping the connection and the router alive. *)
-let dispatch t v =
+let dispatch t ~deadline v =
   match Protocol.request_of_json v with
   | Error d -> ("invalid", Protocol.error d, false)
   | Ok req -> (
@@ -383,6 +329,7 @@ let dispatch t v =
       | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
       | exception exn -> (op, Protocol.error (Diag.of_exn exn), false)
     in
+    let session_op ?kind id rebuild = handle_stream_op ?kind t ~deadline ~id ~rebuild in
     match req with
     | Protocol.Ping -> (op, Protocol.ok [ ("pong", Jsonx.Bool true) ], false)
     | Protocol.Shutdown -> (op, Protocol.ok [ ("stopping", Jsonx.Bool true) ], true)
@@ -393,185 +340,33 @@ let dispatch t v =
           ~uptime_s:(Unix.gettimeofday () -. t.started_at)
       in
       (op, Protocol.ok [ ("text", Jsonx.Str text) ], false)
-    | Protocol.Fuse f -> guarded (fun () -> handle_fuse t req f)
-    | Protocol.Fuse_exec e -> guarded (fun () -> handle_by_fingerprint t req e.Protocol.fuse)
-    | Protocol.Stream_open o -> guarded (fun () -> handle_stream_open t req o)
+    | Protocol.Fuse f -> guarded (fun () -> handle_fuse t ~deadline req f)
+    | Protocol.Fuse_exec e ->
+      guarded (fun () -> handle_by_fingerprint t ~deadline req e.Protocol.fuse)
+    | Protocol.Stream_open o ->
+      guarded (fun () ->
+          handle_by_fingerprint t ~deadline ~rewrite:rewrite_reply_id req o.Protocol.fuse)
     | Protocol.Stream_push s ->
       guarded (fun () ->
-          handle_stream_op t ~id:s.Protocol.id ~rebuild:(fun orig ->
+          session_op s.Protocol.id (fun orig ->
               Protocol.Stream_push { s with Protocol.id = orig }))
     | Protocol.Stream_close id ->
-      guarded (fun () ->
-          handle_stream_op t ~id ~rebuild:(fun orig -> Protocol.Stream_close orig))
+      guarded (fun () -> session_op id (fun orig -> Protocol.Stream_close orig))
     | Protocol.Lazy_open o ->
-      guarded (fun () -> forward_routed t ~structural:(lazy_affinity o) req)
+      guarded (fun () ->
+          forward_routed t ~deadline ~rewrite:rewrite_reply_id ~structural:(lazy_affinity o)
+            req)
     | Protocol.Lazy_edit e ->
       guarded (fun () ->
-          handle_stream_op ~kind:"lazy session" t ~id:e.Protocol.id ~rebuild:(fun orig ->
+          session_op ~kind:"lazy session" e.Protocol.id (fun orig ->
               Protocol.Lazy_edit { e with Protocol.id = orig }))
     | Protocol.Lazy_flush f ->
       guarded (fun () ->
-          handle_stream_op ~kind:"lazy session" t ~id:f.Protocol.id ~rebuild:(fun orig ->
+          session_op ~kind:"lazy session" f.Protocol.id (fun orig ->
               Protocol.Lazy_flush { f with Protocol.id = orig }))
     | Protocol.Lazy_close id ->
       guarded (fun () ->
-          handle_stream_op ~kind:"lazy session" t ~id ~rebuild:(fun orig ->
-              Protocol.Lazy_close orig)))
-
-(* ---- connection handling (mirrors Server) ---- *)
-
-let initiate_stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Mutex.lock t.q_lock;
-    Condition.broadcast t.q_cond;
-    Mutex.unlock t.q_lock;
-    (* Poke the accept loop: closing a listener from another thread does
-       not interrupt a blocked accept(2) on Linux. *)
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-      (try Unix.connect fd (Unix.ADDR_UNIX t.socket_path) with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  end
-
-let signal_stop t = Atomic.set t.stop_requested true
-
-let request_deadline t =
-  if t.request_timeout_ms > 0.0 then Deadline.after_ms t.request_timeout_ms
-  else Deadline.none
-
-let send_reply t fd ~deadline resp =
-  match Faults.hit "proto.drop_reply" with
-  | exception Faults.Fault _ -> false
-  | () -> (
-    (match Faults.hit "proto.slow_write" with
-    | () -> ()
-    | exception Faults.Fault _ -> Thread.delay 0.05);
-    match Faults.hit "proto.torn_frame" with
-    | exception Faults.Fault _ ->
-      (try Protocol.send_torn fd resp with _ -> ());
-      false
-    | () -> (
-      match Protocol.send ~deadline fd resp with
-      | () -> true
-      | exception Deadline.Expired _ ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Diag.Fatal d -> (
-        match Protocol.send ~deadline fd (Protocol.error d) with
-        | () -> true
-        | exception _ -> false)
-      | exception _ -> false))
-
-let handle_conn t fd =
-  let rec loop () =
-    match Protocol.recv fd with
-    | Ok None -> ()
-    | Error d when d.Diag.code = Diag.Request_timeout ->
-      Metrics.incr t.metrics "requests_timed_out";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Error d ->
-      Metrics.incr t.metrics "protocol_errors";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Ok (Some v) ->
-      let deadline = request_deadline t in
-      let t0 = Unix.gettimeofday () in
-      let op, resp, stop = dispatch t v in
-      Metrics.observe t.metrics ~op ~ok:(is_ok resp) ((Unix.gettimeofday () -. t0) *. 1000.);
-      let keep = send_reply t fd ~deadline resp in
-      if stop then initiate_stop t
-      else if keep && not (Atomic.get t.stopping) then loop ()
-  in
-  loop ()
-
-let set_conn_timeouts t fd =
-  if t.request_timeout_ms > 0.0 then begin
-    let s = t.request_timeout_ms /. 1000.0 in
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ());
-    try Unix.setsockopt_float fd Unix.SO_SNDTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ()
-  end
-
-let shed t fd ~busy ~queued =
-  Metrics.incr t.metrics "requests_shed";
-  let d =
-    Diag.errorf Diag.Overloaded
-      "router overloaded (%d connections in flight, %d queued of %d): retry with backoff"
-      busy queued t.queue_bound
-  in
-  (try Protocol.send fd (Protocol.error d) with _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let admit t fd =
-  let forced =
-    match Faults.hit "service.shed" with
-    | () -> false
-    | exception Faults.Fault _ -> true
-  in
-  Mutex.lock t.q_lock;
-  let busy = t.busy and queued = Queue.length t.queue in
-  if (not forced) && (busy < t.max_conns || queued < t.queue_bound) then begin
-    Queue.push fd t.queue;
-    Condition.signal t.q_cond;
-    Mutex.unlock t.q_lock
-  end
-  else begin
-    Mutex.unlock t.q_lock;
-    shed t fd ~busy ~queued
-  end
-
-let rec worker_loop t slot =
-  Mutex.lock t.q_lock;
-  while Queue.is_empty t.queue && not (Atomic.get t.stopping) do
-    Condition.wait t.q_cond t.q_lock
-  done;
-  match Queue.take_opt t.queue with
-  | None -> Mutex.unlock t.q_lock
-  | Some fd ->
-    t.busy <- t.busy + 1;
-    t.active.(slot) <- Some fd;
-    Mutex.unlock t.q_lock;
-    Metrics.incr_gauge t.metrics "connections_active";
-    (match handle_conn t fd with
-    | () -> ()
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception _ -> ());
-    Metrics.decr_gauge t.metrics "connections_active";
-    Mutex.lock t.q_lock;
-    t.busy <- t.busy - 1;
-    t.active.(slot) <- None;
-    Mutex.unlock t.q_lock;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    worker_loop t slot
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ when Atomic.get t.stopping -> (
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      | fd, _ -> (
-        match Faults.hit "service.accept" with
-        | () ->
-          Metrics.incr t.metrics "connections_accepted";
-          set_conn_timeouts t fd;
-          admit t fd;
-          loop ()
-        | exception Faults.Fault _ ->
-          Metrics.incr t.metrics "connections_dropped";
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping -> ()
-    end
-  in
-  loop ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+          session_op ~kind:"lazy session" id (fun orig -> Protocol.Lazy_close orig)))
 
 (* ---- fleet monitor ---- *)
 
@@ -599,9 +394,10 @@ let refresh_gauges t =
   set_gauge t "shards_up" !up;
   set_gauge t "shards_dead" !dead
 
-let monitor_loop t =
+let monitor_loop t listener =
+  let stopping () = Listener.stopping listener in
   let ping socket = Health.alive ~socket ~timeout_ms:t.health_timeout_ms in
-  while not (Atomic.get t.stopping) do
+  while not (stopping ()) do
     let now = Unix.gettimeofday () in
     Array.iter
       (fun s -> fold_events t (Shard.tick t.shard_cfg s ~now ~ping ()))
@@ -610,7 +406,7 @@ let monitor_loop t =
     (* Sleep in small slices so shutdown stays responsive even with a
        long health interval. *)
     let until = now +. (t.health_interval_ms /. 1000.) in
-    while (not (Atomic.get t.stopping)) && Unix.gettimeofday () < until do
+    while (not (stopping ())) && Unix.gettimeofday () < until do
       Thread.delay 0.01
     done
   done
@@ -623,103 +419,81 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error ((Unix.EEXIST | Unix.EPERM), _, _) -> ()
   end
 
+type t = { fleet : fleet; listener : Listener.t; monitor_thread : Thread.t }
+
+let socket t = Listener.socket t.listener
+let metrics t = t.fleet.metrics
+let shards t = t.fleet.shards
+let in_flight t = Listener.in_flight t.listener
+let signal_stop t = Listener.signal_stop t.listener
+
 let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_config)
-    ?(health_interval_ms = 250.) ?(health_timeout_ms = 1_000.) ?forward_timeout_ms
-    ?(max_conns = 16) ?(queue = 64) ?(request_timeout_ms = 30_000.)
-    ?(drain_timeout_ms = 5_000.) ?(shard_grace_ms = 2_000.) () =
+    ?(health_interval_ms = 250.) ?(health_timeout_ms = 1_000.) ?(max_conns = 16)
+    ?(queue = 64) ?(request_timeout_ms = 30_000.) ?(drain_timeout_ms = 5_000.)
+    ?(shard_grace_ms = 2_000.) () =
   if count < 1 then
     Error (Diag.errorf Diag.Config_invalid "shards must be >= 1 (got %d)" count)
-  else if max_conns < 1 then
-    Error (Diag.errorf Diag.Config_invalid "max_conns must be >= 1 (got %d)" max_conns)
-  else if queue < 0 then
-    Error (Diag.errorf Diag.Config_invalid "queue must be >= 0 (got %d)" queue)
   else begin
     mkdir_p dir;
     match
-      Result.bind (Server.claim_socket path) (fun () -> Shard.sweep_sockets ~dir ~count)
+      Result.bind (Listener.claim_socket path) (fun () -> Shard.sweep_sockets ~dir ~count)
     with
     | Error _ as e -> e
     | Ok () -> (
+      let metrics = Metrics.create () in
+      List.iter (Metrics.touch metrics)
+        [
+          "requests_routed"; "requests_rerouted"; "requests_coalesced";
+          "requests_unroutable"; "shard_restarts"; "shard_exits"; "shard_hung_kills";
+          "shard_deaths";
+        ];
+      Metrics.adjust_gauge metrics "shards_up" 0;
+      Metrics.adjust_gauge metrics "shards_dead" 0;
+      let shards =
+        Array.init count (fun i ->
+            Shard.create ~index:i ~socket:(Shard.socket_path ~dir i)
+              ~log:(Shard.log_path ~dir i)
+              ~argv:(shard_argv ~index:i ~socket:(Shard.socket_path ~dir i)))
+      in
+      let fleet =
+        {
+          socket_path = path;
+          shards;
+          shard_cfg = shard_config;
+          health_interval_ms;
+          health_timeout_ms;
+          shard_grace_ms;
+          metrics;
+          started_at = Unix.gettimeofday ();
+          sf_lock = Mutex.create ();
+          sf_cond = Condition.create ();
+          sf_inflight = Hashtbl.create 16;
+        }
+      in
       match
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 64
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
+        Listener.start ~socket:path ~metrics ~max_conns ~queue ~request_timeout_ms
+          ~drain_timeout_ms (dispatch fleet)
       with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Diag.errorf ~file:path Diag.Io_error "cannot listen: %s" (Unix.error_message e))
-      | listen_fd ->
-        let metrics = Metrics.create () in
-        List.iter (Metrics.touch metrics)
-          [
-            "connections_accepted"; "connections_dropped"; "requests_shed";
-            "requests_timed_out"; "protocol_errors"; "requests_routed";
-            "requests_rerouted"; "requests_coalesced"; "requests_unroutable";
-            "shard_restarts"; "shard_exits"; "shard_hung_kills"; "shard_deaths";
-          ];
-        Metrics.adjust_gauge metrics "connections_active" 0;
-        Metrics.adjust_gauge metrics "shards_up" 0;
-        Metrics.adjust_gauge metrics "shards_dead" 0;
-        let shards =
-          Array.init count (fun i ->
-              Shard.create ~index:i ~socket:(Shard.socket_path ~dir i)
-                ~log:(Shard.log_path ~dir i)
-                ~argv:(shard_argv ~index:i ~socket:(Shard.socket_path ~dir i)))
-        in
-        let t =
-          {
-            socket_path = path;
-            listen_fd;
-            shards;
-            shard_cfg = shard_config;
-            health_interval_ms;
-            health_timeout_ms;
-            forward_timeout_ms =
-              Option.value ~default:request_timeout_ms forward_timeout_ms;
-            request_timeout_ms;
-            drain_timeout_ms;
-            shard_grace_ms;
-            metrics;
-            started_at = Unix.gettimeofday ();
-            stopping = Atomic.make false;
-            stop_requested = Atomic.make false;
-            accept_thread = None;
-            monitor_thread = None;
-            workers = [||];
-            max_conns;
-            queue_bound = queue;
-            q_lock = Mutex.create ();
-            q_cond = Condition.create ();
-            queue = Queue.create ();
-            busy = 0;
-            active = Array.make max_conns None;
-            sf_lock = Mutex.create ();
-            sf_cond = Condition.create ();
-            sf_inflight = Hashtbl.create 16;
-          }
-        in
+      | Error _ as e -> e
+      | Ok listener ->
         (* First spawns, before the monitor exists: no pings yet, so a
            shard is [Starting] until the first monitor tick hears it. *)
         let now = Unix.gettimeofday () in
-        Array.iter (fun s -> fold_events t (Shard.tick t.shard_cfg s ~now ())) t.shards;
-        t.workers <- Array.init max_conns (fun slot -> Thread.create (worker_loop t) slot);
-        t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-        t.monitor_thread <- Some (Thread.create (fun () -> monitor_loop t) ());
-        Ok t)
+        Array.iter (fun s -> fold_events fleet (Shard.tick shard_config s ~now ())) shards;
+        let monitor_thread = Thread.create (monitor_loop fleet) listener in
+        Ok { fleet; listener; monitor_thread })
   end
 
 let await_ready ?(timeout_ms = 10_000.) t =
   let deadline = Unix.gettimeofday () +. (timeout_ms /. 1000.) in
   let all_up () =
-    Array.for_all (fun s -> match Shard.state s with Shard.Up -> true | _ -> false) t.shards
+    Array.for_all
+      (fun s -> match Shard.state s with Shard.Up -> true | _ -> false)
+      t.fleet.shards
   in
   let rec go () =
     if all_up () then true
-    else if Unix.gettimeofday () >= deadline || Atomic.get t.stopping then all_up ()
+    else if Unix.gettimeofday () >= deadline || Listener.stopping t.listener then all_up ()
     else begin
       Thread.delay 0.02;
       go ()
@@ -728,57 +502,28 @@ let await_ready ?(timeout_ms = 10_000.) t =
   go ()
 
 let wait t =
-  while not (Atomic.get t.stopping || Atomic.get t.stop_requested) do
-    Thread.delay 0.02
-  done;
-  initiate_stop t;
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
   (* Drain router workers first: in-flight requests finish against
      still-running shards, so the drain order is router edge → router
      workers → shard fleet. *)
-  let deadline = Deadline.after_ms t.drain_timeout_ms in
-  let forced = ref false in
-  let rec drain () =
-    Mutex.lock t.q_lock;
-    let pending = t.busy + Queue.length t.queue in
-    if pending > 0 && (not !forced) && Deadline.expired deadline then begin
-      forced := true;
-      Array.iter
-        (function
-          | Some fd -> (
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.active;
-      Queue.iter
-        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.queue
-    end;
-    Mutex.unlock t.q_lock;
-    if pending > 0 then begin
-      Thread.delay 0.005;
-      drain ()
-    end
-  in
-  drain ();
-  Array.iter Thread.join t.workers;
+  Listener.wait t.listener;
   (* The monitor must stop before the fleet is terminated, or it would
      dutifully respawn every shard we kill. *)
-  (match t.monitor_thread with Some th -> Thread.join th | None -> ());
+  Thread.join t.monitor_thread;
   (* Graceful fleet drain, in parallel: SIGTERM (each shard drains its
      own in-flight work), escalate to SIGKILL past the grace period. *)
   let stoppers =
     Array.map
-      (fun s -> Thread.create (fun () -> Shard.stop ~grace_ms:t.shard_grace_ms s) ())
-      t.shards
+      (fun s -> Thread.create (fun () -> Shard.stop ~grace_ms:t.fleet.shard_grace_ms s) ())
+      t.fleet.shards
   in
   Array.iter Thread.join stoppers;
-  (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ());
+  (try Unix.unlink (socket t) with Unix.Unix_error _ -> ());
   (* A SIGKILLed shard leaves its socket file behind; sweep so the next
      fleet starts clean even after a forced drain. *)
   Array.iter
     (fun s -> try Unix.unlink (Shard.socket s) with Unix.Unix_error _ -> ())
-    t.shards
+    t.fleet.shards
 
 let stop t =
-  initiate_stop t;
+  Listener.initiate_stop t.listener;
   wait t

@@ -26,9 +26,12 @@
       requests (same plan key + strict/budget knobs) are coalesced into
       one upstream plan search; followers share the leader's reply
       byte-for-byte and count into [requests_coalesced].
-    - {b Streams}: stream ids are prefixed with their shard
-      ([s<i>-<id>]) and pinned — temporal state lives in one process,
-      so a dead shard means "reopen the stream", not silent rebinding.
+    - {b Sessions}: stream and lazy-session ids are prefixed with their
+      shard ([s<i>-<id>]) and pinned — session state lives in one
+      process, so a dead shard means "reopen the session", not silent
+      rebinding.
+    - {b Front end}: connections, admission, deadlines and the first
+      drain step are {!Listener}'s, exactly as for a single server.
     - {b Drain}: {!stop} (or {!signal_stop} from a signal handler)
       stops accepting, drains router workers, halts the monitor (so it
       stops respawning), then SIGTERMs the fleet in parallel with a
@@ -46,7 +49,6 @@ val start :
   ?shard_config:Shard.config ->
   ?health_interval_ms:float ->
   ?health_timeout_ms:float ->
-  ?forward_timeout_ms:float ->
   ?max_conns:int ->
   ?queue:int ->
   ?request_timeout_ms:float ->
@@ -58,8 +60,10 @@ val start :
     shard socket under [dir] (stale files are reclaimed, live listeners
     are a typed refusal), spawns the [count] shards with
     [shard_argv ~index ~socket], and starts the accept loop, worker
-    pool, and health monitor.  [forward_timeout_ms] (default: the
-    request timeout) bounds each router→shard call;
+    pool, and health monitor.  [max_conns], [queue],
+    [request_timeout_ms] and [drain_timeout_ms] configure its
+    {!Listener}, with {!Server.start}'s defaults; each router→shard call
+    is bounded by what remains of the request deadline.
     [health_interval_ms]/[health_timeout_ms] pace the monitor's pings;
     [shard_grace_ms] is the per-shard SIGTERM grace during drain. *)
 

@@ -31,14 +31,12 @@ type stream = {
    and flushes (builders are not thread-safe); it pins no native plan. *)
 type lazy_session = { builder : Lz.Lazy_pipeline.t; mutable flushes : int }
 
-type t = {
-  socket_path : string;
-  listen_fd : Unix.file_descr;
+(* Everything a request handler needs; the connection front end lives
+   in {!Listener}. *)
+type state = {
   cache : Plan_cache.t;
   pool : Pool.t;
   default_budget_ms : float option;
-  request_timeout_ms : float;  (* <= 0. disables deadlines and socket timeouts *)
-  drain_timeout_ms : float;
   metrics : Metrics.t;
   (* Native-execution safety net: how generated code is run
      ([exec_sandbox]), the rlimits applied to sandboxed children, where
@@ -49,25 +47,6 @@ type t = {
   crash_dir : string;
   breaker : Supervisor.Breaker.t;
   started_at : float;
-  stopping : bool Atomic.t;
-  (* Set by [signal_stop] — possibly from a signal handler, so it must
-     stay a bare atomic store: [wait]'s polling loop notices it and runs
-     the real stop work (locks, broadcast, accept poke) in a normal
-     thread context. *)
-  stop_requested : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  mutable workers : Thread.t array;
-  max_conns : int;
-  queue_bound : int;
-  (* Admission state, all under [q_lock]: accepted connections wait in
-     [queue] until one of the [max_conns] workers picks them up.  [busy]
-     counts workers serving a connection; [active.(i)] is the fd worker
-     [i] is serving, so a forced drain can shut it down. *)
-  q_lock : Mutex.t;
-  q_cond : Condition.t;
-  queue : Unix.file_descr Queue.t;
-  mutable busy : int;
-  active : Unix.file_descr option array;
   (* Sessions, one table per kind.  [max_streams] bounds each kind's
      open sessions ([KF0803] beyond it), [stream_queue] bounds each
      stream's in-flight pushes ([KF0805] beyond it), [stream_idle_ms]
@@ -78,16 +57,6 @@ type t = {
   stream_queue : int;
   stream_idle_ms : float;
 }
-
-let socket t = t.socket_path
-let cache t = t.cache
-let metrics t = t.metrics
-
-let in_flight t =
-  Mutex.lock t.q_lock;
-  let n = t.busy + Queue.length t.queue in
-  Mutex.unlock t.q_lock;
-  n
 
 (* ---- request handling ---- *)
 
@@ -786,23 +755,6 @@ let stats_json t =
           ] );
       ( "requests",
         Jsonx.Obj (List.map (fun op -> (op, requests_json op)) (Metrics.ops t.metrics)) );
-      ( "connections",
-        Jsonx.Obj
-          [
-            ("accepted", count "connections_accepted");
-            ("dropped", count "connections_dropped");
-            ("active", gauge "connections_active");
-            ("shed", count "requests_shed");
-            ("timed_out", count "requests_timed_out");
-          ] );
-      ( "limits",
-        Jsonx.Obj
-          [
-            ("max_conns", Jsonx.Num (float_of_int t.max_conns));
-            ("queue", Jsonx.Num (float_of_int t.queue_bound));
-            ("request_timeout_ms", Jsonx.Num t.request_timeout_ms);
-            ("drain_timeout_ms", Jsonx.Num t.drain_timeout_ms);
-          ] );
       ( "native_exec",
         let rs = Native.runner_stats () in
         Jsonx.Obj
@@ -884,225 +836,22 @@ let dispatch t ~deadline v =
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
 
-let is_ok resp = match Jsonx.mem_str "status" resp with Some "ok" -> true | _ -> false
-
-let initiate_stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (* Wake idle workers so they drain the queue and exit. *)
-    Mutex.lock t.q_lock;
-    Condition.broadcast t.q_cond;
-    Mutex.unlock t.q_lock;
-    (* Wake the accept loop: on Linux, closing a listener from another
-       thread does not interrupt a blocked accept(2), so poke it with a
-       throwaway connection.  The loop rechecks [stopping] after every
-       accept and owns closing the listener. *)
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-      (try Unix.connect fd (Unix.ADDR_UNIX t.socket_path) with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  end
-
-let signal_stop t = Atomic.set t.stop_requested true
-
-let request_deadline t =
-  if t.request_timeout_ms > 0.0 then Deadline.after_ms t.request_timeout_ms
-  else Deadline.none
-
-(* One reply, chaos points included.  Returns [true] when the connection
-   is still good for another request; every failure mode frees the slot
-   rather than wedging it. *)
-let send_reply t fd ~deadline resp =
-  match Faults.hit "proto.drop_reply" with
-  | exception Faults.Fault _ ->
-    (* Chaos: the reply vanishes and the connection drops; the client
-       must time out or see a clean close. *)
-    false
-  | () -> (
-    (match Faults.hit "proto.slow_write" with
-    | () -> ()
-    | exception Faults.Fault _ -> Thread.delay 0.05);
-    match Faults.hit "proto.torn_frame" with
-    | exception Faults.Fault _ ->
-      (* Chaos: half a frame, then the connection drops; the client must
-         surface a typed mid-frame error. *)
-      (try Protocol.send_torn fd resp with _ -> ());
-      false
-    | () -> (
-      match Protocol.send ~deadline fd resp with
-      | () -> true
-      | exception Deadline.Expired _ ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Diag.Fatal d ->
-        (* The response overran [max_frame]; nothing was written, so the
-           slot is still good: answer with the typed error instead. *)
-        (match Protocol.send ~deadline fd (Protocol.error d) with
-        | () -> true
-        | exception _ -> false)
-      | exception _ -> false))
-
-let handle_conn t fd =
-  let rec loop () =
-    match Protocol.recv fd with
-    | Ok None -> ()
-    | Error d when d.Diag.code = Diag.Request_timeout ->
-      (* A slow-loris (or idle) peer ran out the receive timeout: free
-         the slot with a typed reply if the pipe still works. *)
-      Metrics.incr t.metrics "requests_timed_out";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Error d ->
-      (* Framing is broken; answer if the pipe still works, then
-         drop the connection. *)
-      Metrics.incr t.metrics "protocol_errors";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Ok (Some v) ->
-      let deadline = request_deadline t in
-      let t0 = Unix.gettimeofday () in
-      let op, resp, stop = dispatch t ~deadline v in
-      Metrics.observe t.metrics ~op ~ok:(is_ok resp) ((Unix.gettimeofday () -. t0) *. 1000.);
-      let keep = send_reply t fd ~deadline resp in
-      if stop then initiate_stop t
-      else if keep && not (Atomic.get t.stopping) then loop ()
-  in
-  loop ()
-
-(* ---- admission ---- *)
-
-let set_conn_timeouts t fd =
-  if t.request_timeout_ms > 0.0 then begin
-    let s = t.request_timeout_ms /. 1000.0 in
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ());
-    try Unix.setsockopt_float fd Unix.SO_SNDTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ()
-  end
-
-let shed t fd ~busy ~queued =
-  Metrics.incr t.metrics "requests_shed";
-  let d =
-    Diag.errorf Diag.Overloaded
-      "server overloaded (%d connections in flight, %d queued of %d): retry with backoff"
-      busy queued t.queue_bound
-  in
-  (* A one-frame reply fits the socket buffer; SO_SNDTIMEO bounds a
-     pathological peer so the accept thread cannot be pinned. *)
-  (try Protocol.send fd (Protocol.error d) with _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let admit t fd =
-  let forced =
-    match Faults.hit "service.shed" with
-    | () -> false
-    | exception Faults.Fault _ -> true
-  in
-  Mutex.lock t.q_lock;
-  let busy = t.busy and queued = Queue.length t.queue in
-  (* Admit while a worker is free to pick the connection up at once, or
-     while the bounded queue has room; shed otherwise (or when the
-     ["service.shed"] chaos point fires). *)
-  if (not forced) && (busy < t.max_conns || queued < t.queue_bound) then begin
-    Queue.push fd t.queue;
-    Condition.signal t.q_cond;
-    Mutex.unlock t.q_lock
-  end
-  else begin
-    Mutex.unlock t.q_lock;
-    shed t fd ~busy ~queued
-  end
-
-let rec worker_loop t slot =
-  Mutex.lock t.q_lock;
-  while Queue.is_empty t.queue && not (Atomic.get t.stopping) do
-    Condition.wait t.q_cond t.q_lock
-  done;
-  match Queue.take_opt t.queue with
-  | None ->
-    (* Stopping with a drained queue. *)
-    Mutex.unlock t.q_lock
-  | Some fd ->
-    t.busy <- t.busy + 1;
-    t.active.(slot) <- Some fd;
-    Mutex.unlock t.q_lock;
-    Metrics.incr_gauge t.metrics "connections_active";
-    (match handle_conn t fd with
-    | () -> ()
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception _ -> ());
-    Metrics.decr_gauge t.metrics "connections_active";
-    Mutex.lock t.q_lock;
-    t.busy <- t.busy - 1;
-    t.active.(slot) <- None;
-    Mutex.unlock t.q_lock;
-    (* Close after clearing the slot, under which a forced drain may
-       have issued a shutdown: the fd stays valid until this close. *)
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    worker_loop t slot
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ when Atomic.get t.stopping ->
-        (* The wake-up poke from [initiate_stop], or a client racing the
-           shutdown: either way, the server is closing. *)
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | fd, _ -> (
-        match Faults.hit "service.accept" with
-        | () ->
-          Metrics.incr t.metrics "connections_accepted";
-          set_conn_timeouts t fd;
-          admit t fd;
-          loop ()
-        | exception Faults.Fault _ ->
-          (* Degrade: this connection is lost, the server is not. *)
-          Metrics.incr t.metrics "connections_dropped";
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping -> ()
-    end
-  in
-  loop ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-
-(* ---- lifecycle ---- *)
-
-let claim_socket path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-    (* A socket file exists: stale (no listener) or live (refuse). *)
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect probe (Unix.ADDR_UNIX path) with
-    | () ->
-      Unix.close probe;
-      Error (Diag.errorf Diag.Service_error "another kfused is already serving on %s" path)
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      Error (Diag.errorf ~file:path Diag.Io_error "cannot probe socket: %s" (Unix.error_message e)))
-  | _ -> Error (Diag.errorf ~file:path Diag.Io_error "exists and is not a socket")
-
 let default_crash_dir () = Filename.concat (Plan_cache.default_dir ()) "crash-corpus"
+
+type t = { state : state; listener : Listener.t }
+
+let socket t = Listener.socket t.listener
+let cache t = t.state.cache
+let metrics t = t.state.metrics
+let in_flight t = Listener.in_flight t.listener
+let signal_stop t = Listener.signal_stop t.listener
 
 let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
     ?(request_timeout_ms = 30_000.0) ?(drain_timeout_ms = 5_000.0)
     ?(exec_sandbox = Supervisor.Sandboxed) ?(exec_limits = Supervisor.default_limits)
     ?crash_dir ?(breaker_threshold = 3) ?(breaker_cooldown_ms = 60_000.0)
     ?(max_streams = 64) ?(stream_queue = 4) ?(stream_idle_ms = 60_000.0) () =
-  if max_conns < 1 then
-    Error (Diag.errorf Diag.Config_invalid "max_conns must be >= 1 (got %d)" max_conns)
-  else if queue < 0 then
-    Error (Diag.errorf Diag.Config_invalid "queue must be >= 0 (got %d)" queue)
-  else if max_streams < 1 then
+  if max_streams < 1 then
     Error (Diag.errorf Diag.Config_invalid "max_streams must be >= 1 (got %d)" max_streams)
   else if stream_queue < 1 then
     Error (Diag.errorf Diag.Config_invalid "stream_queue must be >= 1 (got %d)" stream_queue)
@@ -1110,131 +859,56 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
     Error
       (Diag.errorf Diag.Config_invalid "breaker_threshold must be >= 1 (got %d)"
          breaker_threshold)
-  else
-    match claim_socket path with
-    | Error _ as e -> e
-    | Ok () -> (
-      match
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 64
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Diag.errorf ~file:path Diag.Io_error "cannot listen: %s" (Unix.error_message e))
-      | listen_fd ->
-        let metrics = Metrics.create () in
-        List.iter (Metrics.touch metrics)
-          [
-            "connections_accepted"; "connections_dropped"; "requests_shed";
-            "requests_timed_out"; "protocol_errors"; "native_exec_crashes";
-            "native_exec_timeouts"; "native_exec_limits"; "native_exec_fallbacks";
-            "frames_pushed"; "frames_shed"; "lazy_edits"; "lazy_flushes";
-          ];
-        Metrics.adjust_gauge metrics "connections_active" 0;
-        Metrics.adjust_gauge metrics "quarantined_plans" 0;
-        let sessions ~prefix ~id_prefix ?max_in_flight release =
-          Session_table.create ~metrics ~prefix ~id_prefix ~max_sessions:max_streams
-            ?max_in_flight ~idle_ms:stream_idle_ms ~release ()
-        in
-        let t =
-          {
-            socket_path = path;
-            listen_fd;
-            cache;
-            pool;
-            default_budget_ms = budget_ms;
-            request_timeout_ms;
-            drain_timeout_ms;
-            metrics;
-            exec_sandbox;
-            exec_limits;
-            crash_dir =
-              (match crash_dir with Some d -> d | None -> default_crash_dir ());
-            breaker =
-              Supervisor.Breaker.create ~threshold:breaker_threshold
-                ~cooldown_ms:breaker_cooldown_ms ();
-            started_at = Unix.gettimeofday ();
-            stopping = Atomic.make false;
-            stop_requested = Atomic.make false;
-            accept_thread = None;
-            workers = [||];
-            max_conns;
-            queue_bound = queue;
-            q_lock = Mutex.create ();
-            q_cond = Condition.create ();
-            queue = Queue.create ();
-            busy = 0;
-            active = Array.make max_conns None;
-            streams =
-              sessions ~prefix:"streams" ~id_prefix:"st" ~max_in_flight:stream_queue
-                (fun st -> Option.iter Native.release st.stream_plan);
-            lazies = sessions ~prefix:"lazy" ~id_prefix:"lz" ignore;
-            max_streams;
-            stream_queue;
-            stream_idle_ms;
-          }
-        in
-        t.workers <- Array.init max_conns (fun slot -> Thread.create (worker_loop t) slot);
-        t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-        Ok t)
+  else begin
+    let metrics = Metrics.create () in
+    List.iter (Metrics.touch metrics)
+      [
+        "native_exec_crashes"; "native_exec_timeouts"; "native_exec_limits";
+        "native_exec_fallbacks"; "frames_pushed"; "frames_shed"; "lazy_edits"; "lazy_flushes";
+      ];
+    Metrics.adjust_gauge metrics "quarantined_plans" 0;
+    let sessions ~prefix ~id_prefix ?max_in_flight release =
+      Session_table.create ~metrics ~prefix ~id_prefix ~max_sessions:max_streams
+        ?max_in_flight ~idle_ms:stream_idle_ms ~release ()
+    in
+    let state =
+      {
+        cache;
+        pool;
+        default_budget_ms = budget_ms;
+        metrics;
+        exec_sandbox;
+        exec_limits;
+        crash_dir = (match crash_dir with Some d -> d | None -> default_crash_dir ());
+        breaker =
+          Supervisor.Breaker.create ~threshold:breaker_threshold
+            ~cooldown_ms:breaker_cooldown_ms ();
+        started_at = Unix.gettimeofday ();
+        streams =
+          sessions ~prefix:"streams" ~id_prefix:"st" ~max_in_flight:stream_queue
+            (fun st -> Option.iter Native.release st.stream_plan);
+        lazies = sessions ~prefix:"lazy" ~id_prefix:"lz" ignore;
+        max_streams;
+        stream_queue;
+        stream_idle_ms;
+      }
+    in
+    Listener.start ~socket:path ~metrics ~max_conns ~queue ~request_timeout_ms
+      ~drain_timeout_ms (dispatch state)
+    |> Result.map (fun listener -> { state; listener })
+  end
 
 let wait t =
-  (* Poll instead of parking in [Thread.join] right away: every blocked
-     thread of this server sits in an uninterruptible C call (join,
-     cond-wait, accept), so a process signal is only guaranteed to run
-     its OCaml handler once some thread reaches a poll point — which
-     this loop is.  The handler itself ([signal_stop]) just flips an
-     atomic; the stop work that takes locks happens here, in a normal
-     thread context. *)
-  while not (Atomic.get t.stopping || Atomic.get t.stop_requested) do
-    Thread.delay 0.02
-  done;
-  initiate_stop t;
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (* The listener is closed; workers finish in-flight requests and drain
-     the admission queue.  Past the drain deadline, force the issue:
-     shut down every connection still being served or queued, so the
-     handlers' blocked reads and writes fail promptly and the workers
-     can be joined.  Zero leaked handler threads, bounded shutdown. *)
-  let deadline = Deadline.after_ms t.drain_timeout_ms in
-  let forced = ref false in
-  let rec drain () =
-    Mutex.lock t.q_lock;
-    let pending = t.busy + Queue.length t.queue in
-    if pending > 0 && (not !forced) && Deadline.expired deadline then begin
-      forced := true;
-      Array.iter
-        (function
-          | Some fd -> (
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.active;
-      Queue.iter
-        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.queue
-    end;
-    Mutex.unlock t.q_lock;
-    if pending > 0 then begin
-      Thread.delay 0.005;
-      drain ()
-    end
-  in
-  drain ();
-  Array.iter Thread.join t.workers;
+  Listener.wait t.listener;
   (* Workers are joined, so no session is in use: every stream's pinned
      plan is released before the process exits. *)
-  Session_table.drain t.streams;
-  Session_table.drain t.lazies;
+  Session_table.drain t.state.streams;
+  Session_table.drain t.state.lazies;
   (* No request is in flight: every sandbox runner is idle, and none
      outlives the server. *)
   Native.shutdown_runners ();
-  (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
+  try Unix.unlink (socket t) with Unix.Unix_error _ -> ()
 
 let stop t =
-  initiate_stop t;
+  Listener.initiate_stop t.listener;
   wait t

@@ -1,34 +1,17 @@
 (** The [kfused] server: fusion-as-a-service over a Unix-domain socket,
     built to stay correct under overload, slow peers, and kill signals.
 
-    One accept loop (its own thread) admits each connection into a
-    bounded worker model: [max_conns] long-lived worker threads serve
-    connections, and up to [queue] more wait in a bounded admission
-    queue.  When both are full the connection is {e shed} with a typed
-    [KF0803 overloaded] reply instead of queueing forever.  All workers
-    share one {!Kfuse_cache.Plan_cache} and one {!Kfuse_util.Pool}: the
-    pool is batch-exclusive, so concurrent plans degrade gracefully to
-    serial execution inside their own thread rather than queueing
-    behind each other.
-
-    Every request runs under a wall-clock deadline
-    ([request_timeout_ms], also armed as [SO_RCVTIMEO]/[SO_SNDTIMEO] on
-    the connection): a fusion search is budget-capped to the remaining
-    deadline, and a slow-loris or vanished peer frees its worker slot
-    with a [KF0804 request timeout] reply — counted as
-    [requests_timed_out].
-
-    Robustness: a failed request produces an error {e response}, not a
-    dead server; a connection failing mid-write is dropped; a response
-    that would overrun {!Protocol.max_frame} becomes a typed [KF0801]
-    error reply.  Chaos fault points ({!Kfuse_util.Faults.hit}) let
-    tests and CI prove each degradation: ["service.accept"] drops one
-    connection ([connections_dropped]), ["service.shed"] forces an
-    admission shed ([requests_shed]), ["proto.torn_frame"] /
-    ["proto.slow_write"] / ["proto.drop_reply"] corrupt, delay, or
-    swallow one reply without wedging the worker, and ["exec.crash"] /
-    ["exec.hang"] / ["exec.oom"] make a supervised native execution
-    misbehave.
+    Connections, admission ([max_conns] workers, a [queue]-bounded
+    admission queue, [KF0803] sheds), request deadlines, chaos fault
+    points and the drain are {!Listener}'s; this module is its request
+    handler.  All workers share one {!Kfuse_cache.Plan_cache} and one
+    {!Kfuse_util.Pool}: the pool is batch-exclusive, so concurrent plans
+    degrade gracefully to serial execution inside their own thread
+    rather than queueing behind each other.  A fusion search is
+    budget-capped to what remains of the request deadline.  A failed
+    request produces an error {e response}, not a dead server;
+    ["exec.crash"] / ["exec.hang"] / ["exec.oom"] make a supervised
+    native execution misbehave.
 
     Native execution is sandboxed by default
     ([exec_sandbox = Supervisor.Sandboxed]): generated code runs as a
@@ -57,14 +40,9 @@ type t
 
     [budget_ms] is the default per-request fusion budget; a request's
     own ["budget_ms"] overrides it, and both are capped by the
-    remaining request deadline.  [max_conns] (default 16, >= 1) bounds
-    concurrently served connections; [queue] (default 64, >= 0) bounds
-    the admission queue beyond which connections are shed with
-    [KF0803].  [request_timeout_ms] (default 30s; <= 0 disables) is the
-    per-request wall-clock deadline and socket timeout.
-    [drain_timeout_ms] (default 5s) bounds how long {!wait} lets
-    in-flight handlers finish before forcibly shutting their
-    connections down.
+    remaining request deadline.  [max_conns] (default 16),
+    [queue] (default 64), [request_timeout_ms] (default 30s) and
+    [drain_timeout_ms] (default 5s) configure its {!Listener}.
 
     [exec_sandbox] (default {!Supervisor.Sandboxed}) selects how
     [fuse_exec] and stream sessions run generated code; [exec_limits] (default
@@ -113,27 +91,18 @@ val start :
   unit ->
   (t, Diag.t) result
 
-(** [wait t] blocks until the server stops (a ["shutdown"] request,
-    {!stop}, or {!signal_stop}), drains in-flight handlers up to the
-    drain timeout — past it, their connections are forcibly shut down —
-    then joins every worker thread (zero leaked handler threads) and
-    removes the socket file. *)
+(** [wait t] runs {!Listener.wait}, then releases every session's
+    pinned plan and the sandbox runners, and removes the socket file. *)
 val wait : t -> unit
 
 (** [stop t] initiates shutdown and {!wait}s.  Idempotent. *)
 val stop : t -> unit
 
-(** [signal_stop t] requests shutdown without blocking.  It is a single
-    atomic store — no locks, no allocation — so it is safe to call from
-    an asynchronous signal handler; this is what [kfusec serve] installs
-    for SIGTERM/SIGINT.  The thread blocked in {!wait} notices the
-    request (within ~20ms), stops the accept loop, and performs the
-    drain. *)
+(** {!Listener.signal_stop}: safe from a signal handler, which is how
+    [kfusec serve] handles SIGTERM/SIGINT. *)
 val signal_stop : t -> unit
 
-(** [in_flight t] is the number of connections currently being served
-    plus those waiting in the admission queue — 0 after a clean drain
-    (exposed for the chaos harness's leak checks). *)
+(** {!Listener.in_flight}, exposed for the chaos harness's leak checks. *)
 val in_flight : t -> int
 
 val socket : t -> string
@@ -155,12 +124,3 @@ val load_pipeline :
     coalescing on the same config as the shard. *)
 val request_config :
   c_mshared:float option -> gamma:float option -> tg:float option -> Kfuse_fusion.Config.t
-
-(** [claim_socket path] prepares [path] for a fresh [bind]: absent is
-    fine; an existing socket file is probed with a connect — no listener
-    (stale leftover of a crashed server) is unlinked, a live listener is
-    a [KF0802] refusal, a non-socket file is a [KF0101].  {!start} runs
-    this itself for its own socket; it is exposed so the sharded
-    topology can sweep a whole fleet's [shard-<i>.sock] files before
-    respawning shards. *)
-val claim_socket : string -> (unit, Diag.t) result

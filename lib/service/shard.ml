@@ -8,11 +8,11 @@ let log_path ~dir i = Filename.concat dir (Printf.sprintf "shard-%d.log" i)
 
 (* A crashed fleet leaves one stale socket file per shard.  Claim every
    slot the new fleet will use, plus any [shard-<j>.sock] leftover from
-   a previously larger fleet: [Server.claim_socket] unlinks stale files
+   a previously larger fleet: [Listener.claim_socket] unlinks stale files
    and refuses live listeners, so two fleets can never fight over a
    directory. *)
 let sweep_sockets ~dir ~count =
-  let claim i = Server.claim_socket (socket_path ~dir i) in
+  let claim i = Listener.claim_socket (socket_path ~dir i) in
   let rec go i = if i >= count then Ok () else Result.bind (claim i) (fun () -> go (i + 1)) in
   Result.bind (go 0) (fun () ->
       match Sys.readdir dir with

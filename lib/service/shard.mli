@@ -36,7 +36,7 @@ val sweep_sockets : dir:string -> count:int -> (unit, Diag.t) result
 (** Reclaim every shard socket a [count]-shard fleet will use, plus any
     [shard-<j>.sock] leftover from a previously larger fleet in the same
     [dir]: stale files (no listener) are unlinked via
-    {!Server.claim_socket}, a live listener is a typed refusal — so a
+    {!Listener.claim_socket}, a live listener is a typed refusal — so a
     crashed fleet restarts cleanly and two fleets never share a
     directory. *)
 

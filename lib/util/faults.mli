@@ -22,25 +22,19 @@
     - ["cut.karger"]  — entry of [Karger.min_cut]
     - ["sim.sample"]  — per measurement sample in [Sim.measure]
     - ["driver.strategy"] — before the driver runs the chosen strategy
-    - ["service.accept"] — after each accepted [kfused] connection; a
-      triggered fault drops that one connection while the server keeps
-      serving
-    - ["service.shed"] — at [kfused] admission; a triggered fault sheds
-      that connection with a [KF0803] reply as if the admission queue
-      were full, exercising the client's retry path
+    - the [kfused] connection front end's points, fired by
+      [Kfuse_service.Listener] for the server and the router alike:
+      ["service.accept"] after each accepted connection (drops that one
+      connection, the listener keeps serving); one at admission (sheds
+      the connection with a [KF0803] reply, exercising the client's
+      retry path); and three at each reply, which swallow it (the client
+      sees a clean close), delay it (client receive timeouts, the
+      server's send deadline) or tear its frame (the client must surface
+      a typed mid-frame error)
     - ["stream.shed"] — at each [kfused] [stream_push] to an open
       stream; a triggered fault sheds that push with a [KF0805] reply as
       if the stream's frame queue were full, without advancing the
       stream, exercising the client's verbatim push retry
-    - ["proto.torn_frame"] — at each [kfused] reply; a triggered fault
-      writes a deliberately truncated frame and drops the connection,
-      so the client must surface a typed mid-frame error
-    - ["proto.slow_write"] — at each [kfused] reply; a triggered fault
-      delays the write, exercising client receive timeouts and the
-      server's send deadline
-    - ["proto.drop_reply"] — at each [kfused] reply; a triggered fault
-      swallows the reply and closes the connection, so the client must
-      time out or see a clean close, never hang
     - ["exec.crash"] — per supervised native execution ({!fires}, drawn
       in the parent before fork); a triggered fault makes the child die
       with SIGSEGV instead of exec'ing, so the supervisor must classify

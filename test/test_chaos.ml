@@ -103,6 +103,74 @@ let test_overload_shed () =
   wait_idle 400;
   expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.ping c))
 
+(* Thirty bursts of 16 raw connects that send nothing, into an idle
+   listener with one worker and no queue: each burst admits at most one
+   connection, and every other one gets a KF0803 reply.  Queued
+   connections that no worker has picked up yet count against the
+   bound, so a burst cannot slip in before a worker wakes. *)
+let burst_admission ~in_flight socket =
+  let shed_reply fd =
+    match Protocol.recv fd with
+    | Ok (Some v) -> (
+      match Protocol.result v with Error d -> code_of d = "KF0803" | Ok _ -> false)
+    | Ok None | Error _ -> false
+  in
+  let rec idle tries =
+    if in_flight () > 0 && tries > 0 then begin
+      Thread.delay 0.005;
+      idle (tries - 1)
+    end
+  in
+  for burst = 1 to 30 do
+    (* Start each burst idle: the last burst's admitted connection is
+       closed, but its worker may not have noticed yet. *)
+    idle 400;
+    let fds =
+      List.init 16 (fun _ ->
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          fd)
+    in
+    Fun.protect ~finally:(fun () ->
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    @@ fun () ->
+    let until = Unix.gettimeofday () +. 5.0 in
+    let rec collect pending shed =
+      let left = until -. Unix.gettimeofday () in
+      if shed = 15 || pending = [] || left <= 0.0 then shed
+      else
+        let ready, _, _ = Unix.select pending [] [] left in
+        collect
+          (List.filter (fun fd -> not (List.memq fd ready)) pending)
+          (shed + List.length (List.filter shed_reply ready))
+    in
+    let shed = collect fds 0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "burst %d: at most one admitted (in_flight)" burst)
+      true (in_flight () <= 1);
+    Alcotest.(check int) (Printf.sprintf "burst %d: the other 15 shed with KF0803" burst) 15
+      shed
+  done
+
+let test_burst_admission_server () =
+  with_server ~max_conns:1 ~queue:0 ~request_timeout_ms:0.0 @@ fun socket server ->
+  burst_admission ~in_flight:(fun () -> Svc.Server.in_flight server) socket
+
+let test_burst_admission_router () =
+  let dir = temp_dir "kfuse-chaos-fleet" in
+  let socket = temp_socket () in
+  let shard_argv ~index:_ ~socket =
+    [ "../bin/kfusec.exe"; "serve"; "--socket"; socket; "--cache-dir"; dir ]
+  in
+  match
+    Svc.Router.start ~socket ~dir ~count:1 ~shard_argv ~max_conns:1 ~queue:0
+      ~request_timeout_ms:0.0 ()
+  with
+  | Error d -> Alcotest.failf "router start failed: %s" (Diag.to_string d)
+  | Ok router ->
+    Fun.protect ~finally:(fun () -> Svc.Router.stop router) @@ fun () ->
+    burst_admission ~in_flight:(fun () -> Svc.Router.in_flight router) socket
+
 let test_forced_shed_retried () =
   (* The ["service.shed"] chaos point sheds an admission exactly as if
      the queue were full; the client's retry policy recovers. *)
@@ -545,6 +613,10 @@ let suite =
   [
     Alcotest.test_case "chaos: full slots + full queue shed with KF0803" `Quick
       test_overload_shed;
+    Alcotest.test_case "chaos: a connection burst admits at most max_conns + queue" `Quick
+      test_burst_admission_server;
+    Alcotest.test_case "chaos: a connection burst through a router admits at most one"
+      `Quick test_burst_admission_router;
     Alcotest.test_case "chaos: service.shed fault is retried away" `Quick
       test_forced_shed_retried;
     Alcotest.test_case "chaos: shutdown is never retried" `Quick test_shutdown_not_retried;

@@ -265,6 +265,61 @@ let test_serve_killed_leaves_no_runner () =
   in
   gone 100
 
+(* Descriptor exhaustion must not kill the accept loop.  Under a 24-fd
+   limit, 40 held connections drive accept(2) into EMFILE; once they are
+   closed, the daemon answers again and has counted the failed accepts. *)
+let test_serve_survives_emfile () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "d.sock" in
+  let daemon =
+    match
+      Kfuse_exec.Supervisor.Child.spawn
+        ~argv:
+          [
+            "sh"; "-c";
+            Printf.sprintf
+              "ulimit -n 24; KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s -j 1 \
+               --request-timeout-ms 0"
+              kfusec (Filename.quote socket) (Filename.quote dir);
+          ]
+        ()
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
+  in
+  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
+  @@ fun () ->
+  let rec wait_socket n =
+    if not (Sys.file_exists socket) then
+      if n = 0 then Alcotest.fail "kfusec serve never listened"
+      else (Unix.sleepf 0.05; wait_socket (n - 1))
+  in
+  wait_socket 200;
+  let held =
+    List.init 40 (fun _ ->
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        fd)
+  in
+  Unix.sleepf 0.3;
+  List.iter Unix.close held;
+  let code, text =
+    run_capture [ "query"; "--socket"; socket; "--timeout-ms"; "5000"; "--ping" ]
+  in
+  Alcotest.(check int) "ping answers after the burst" 0 code;
+  Alcotest.(check bool) "pong" true (contains "pong" text);
+  let code, text = run_capture [ "query"; "--socket"; socket; "--stats" ] in
+  Alcotest.(check int) "stats answers" 0 code;
+  let accept_errors =
+    match Kfuse_service.Jsonx.of_string text with
+    | Ok stats ->
+      Option.bind (Kfuse_service.Jsonx.member "connections" stats)
+        (Kfuse_service.Jsonx.mem_num "accept_errors")
+    | Error e -> Alcotest.failf "stats is not JSON (%s): %s" e text
+  in
+  Alcotest.(check bool) "failed accepts are counted" true
+    (match accept_errors with Some n -> n >= 1.0 | None -> false)
+
 (* Line-buffered kernels give each OpenMP thread one contiguous strip of
    rows.  Sandboxed runs with one and three threads (the runner inherits
    OMP_NUM_THREADS from kfusec), at extents whose strips are tiny or
@@ -461,6 +516,8 @@ let suite =
       test_run_native_strips;
     Alcotest.test_case "serve: a killed daemon leaves no runner" `Slow
       test_serve_killed_leaves_no_runner;
+    Alcotest.test_case "serve: accept survives descriptor exhaustion" `Quick
+      test_serve_survives_emfile;
     Alcotest.test_case "run --native without a toolchain" `Quick
       test_run_native_no_toolchain;
     Alcotest.test_case "fuzz --native smoke" `Slow test_fuzz_native_smoke;

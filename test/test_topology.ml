@@ -146,6 +146,42 @@ let test_fleet_basics () =
   Alcotest.(check bool) "6 fused kernels" true (field "kernels_out" reply = Jsonx.Num 6.0);
   let m = Svc.Router.metrics router in
   Alcotest.(check int) "one request routed" 1 (Svc.Metrics.counter m "requests_routed");
+  List.iter
+    (fun obj ->
+      match field obj stats with
+      | Jsonx.Obj _ -> ()
+      | v -> Alcotest.failf "router stats %s: %s" obj (Jsonx.to_string v))
+    [ "connections"; "limits" ];
+  (* A lazy session is pinned like a stream: its id comes back
+     shard-prefixed and routes later ops to the owning shard. *)
+  let call req =
+    match Svc.Client.call ~socket req with
+    | Ok v -> v
+    | Error d -> Alcotest.failf "%s: %s" (Protocol.op_name req) (Diag.to_string d)
+  in
+  let lazy_id =
+    match
+      Jsonx.mem_str "id"
+        (call
+           (Protocol.Lazy_open
+              {
+                Protocol.app = Some "harris";
+                source = None;
+                width = None;
+                height = None;
+                channels = None;
+                inputs = [];
+                c_mshared = None;
+                gamma = None;
+                tg = None;
+              }))
+    with
+    | Some id -> id
+    | None -> Alcotest.fail "lazy_open reply lacks id"
+  in
+  Alcotest.(check bool) "lazy id is shard-prefixed" true (lazy_id.[0] = 's');
+  ignore (call (Protocol.Lazy_flush { Protocol.id = lazy_id; scratch = false }));
+  ignore (call (Protocol.Lazy_close lazy_id));
   match Svc.Client.call ~socket Protocol.Metrics with
   | Error d -> Alcotest.failf "metrics: %s" (Diag.to_string d)
   | Ok v -> (
