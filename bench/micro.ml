@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the compiler itself (not a paper table):
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
-   and DSL parsing.  One Test.make per subject, all in one executable. *)
+   and DSL parsing, plus the daemon's half of a sandboxed fuse_exec.
+   One Test.make per subject, all in one executable. *)
 
 open Bechamel
 open Toolkit
@@ -62,11 +63,58 @@ let codegen_test =
   Test.make ~name:"codegen/harris"
     (Staged.stage (fun () -> ignore (Kfuse_codegen.Lower.emit_pipeline harris)))
 
+(* The daemon's data path for a 1024x1024 request with one input and
+   one output, alone, on a memfd like a runner's arena: what a sandboxed
+   fuse_exec that wants no pixels costs the daemon besides the runner.
+   [arena/images] is the path as it was: draw the input as an OCaml
+   image, pwrite it, pread the output into a fresh array and fold min,
+   max and sum over it in OCaml.  [arena/chunked] is the path as it is:
+   draw the input into the arena and fold the output out of it, 64 KiB
+   at a time. *)
+module Native = Kfuse_exec.Native
+module Image = Kfuse_image.Image
+
+external memfd : string -> int -> Unix.file_descr = "kfuse_memfd"
+external pwrite_floats : Unix.file_descr -> float array -> int -> unit = "kfuse_pwrite_floats"
+external pread_floats : Unix.file_descr -> float array -> int -> unit = "kfuse_pread_floats"
+
+let side = 1024
+let npix = side * side
+let arena = lazy (memfd "kfuse-micro-arena" (16 * npix))
+
+let arena_images_test =
+  Test.make ~name:"arena/images"
+    (Staged.stage (fun () ->
+         let fd = Lazy.force arena in
+         let input =
+           Image.random (Kfuse_util.Rng.create 1) ~width:side ~height:side ~lo:0.0 ~hi:1.0
+         in
+         pwrite_floats fd (Image.unsafe_data input) 0;
+         let out = Array.create_float npix in
+         pread_floats fd out (8 * npix);
+         let lo = ref Float.infinity and hi = ref Float.neg_infinity and sum = ref 0.0 in
+         for i = 0 to npix - 1 do
+           let v = Array.unsafe_get out i in
+           if v < !lo then lo := v;
+           if v > !hi then hi := v;
+           sum := !sum +. v
+         done;
+         ignore (Sys.opaque_identity (!lo, !hi, !sum))))
+
+let arena_chunked_test =
+  Test.make ~name:"arena/chunked"
+    (Staged.stage (fun () ->
+         let fd = Lazy.force arena in
+         Native.write_random fd ~off:0 ~count:npix (Kfuse_util.Rng.create 1) ~lo:0.0 ~hi:1.0;
+         ignore
+           (Sys.opaque_identity
+              (Native.read_summary fd ~off:(8 * npix) ~width:side ~height:side))))
+
 let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
-      benefit_test; dsl_test; codegen_test;
+      benefit_test; dsl_test; codegen_test; arena_images_test; arena_chunked_test;
     ]
 
 let run () =

@@ -1,5 +1,6 @@
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
+module Rng = Kfuse_util.Rng
 module Image = Kfuse_image.Image
 module Kernel = Kfuse_ir.Kernel
 module Pipeline = Kfuse_ir.Pipeline
@@ -34,8 +35,8 @@ let mode_of_string = function
   | "subprocess" -> Some Subprocess
   | _ -> None
 
-type run_result = {
-  outputs : (string * Image.t) list;
+type 'o ran = {
+  outputs : 'o;
   mode_used : mode;
   artifact : string;
   cached : bool;
@@ -44,6 +45,20 @@ type run_result = {
   samples_ms : float list;
   warnings : Diag.t list;
 }
+
+type run_result = (string * Image.t) list ran
+
+type summary = { width : int; height : int; min : float; max : float; sum : float }
+
+let mean s = s.sum /. float_of_int (max 1 (s.width * s.height))
+
+type input =
+  | Images of (string * Image.t) list
+  | Random of { rng : Rng.t; lo : float; hi : float }
+
+type _ output =
+  | Pixels : (string * Image.t) list output
+  | Summaries : (string * summary) list output
 
 (* {1 Loader stubs (kfuse_exec_stubs.c)} *)
 
@@ -374,6 +389,8 @@ let is_reduction (p : Pipeline.t) name =
     | Kernel.Reduce _ -> true
     | Kernel.Map _ -> false)
 
+let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
+
 let finish_outputs (p : Pipeline.t) out_names bufs =
   let width = p.Pipeline.width and height = p.Pipeline.height in
   List.map2
@@ -384,7 +401,47 @@ let finish_outputs (p : Pipeline.t) out_names bufs =
       in
       (name, img))
     out_names (Array.to_list bufs)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> by_name
+
+let materialize (p : Pipeline.t) = function
+  | Images inputs -> inputs
+  | Random { rng; lo; hi } ->
+    List.map
+      (fun n -> (n, Image.random rng ~width:p.Pipeline.width ~height:p.Pipeline.height ~lo ~hi))
+      p.Pipeline.inputs
+
+(* {1 Summaries and the streamed arena path (kfuse_exec_stubs.c)}
+
+   One C loop folds min, max and the row-major sum, over a float array
+   or over float64s streamed out of an fd; another draws
+   {!Rng.fill_float}'s values into an fd.  Neither holds more than a
+   64 KiB chunk. *)
+
+external synth_floats : Unix.file_descr -> Bytes.t -> float -> float -> int -> int -> unit
+  = "kfuse_synth_floats_byte" "kfuse_synth_floats"
+
+external fold_fd : Unix.file_descr -> int -> int -> float array = "kfuse_fold_fd"
+external fold_floats : float array -> float array = "kfuse_fold_floats"
+
+let summary ~width ~height acc = { width; height; min = acc.(0); max = acc.(1); sum = acc.(2) }
+
+let summarize img =
+  summary ~width:(Image.width img) ~height:(Image.height img)
+    (fold_floats (Image.unsafe_data img))
+
+let write_random fd ~off ~count rng ~lo ~hi =
+  let state = Rng.save rng in
+  synth_floats fd state lo (hi -. lo) off count;
+  Rng.restore rng state
+
+let read_summary fd ~off ~width ~height = summary ~width ~height (fold_fd fd off (width * height))
+
+let deliver : type o. Pipeline.t -> string list -> float array array -> o output -> o =
+ fun p out_names bufs want ->
+  let images = finish_outputs p out_names bufs in
+  match want with
+  | Pixels -> images
+  | Summaries -> List.map (fun (n, img) -> (n, summarize img)) images
 
 (* {1 Execution} *)
 
@@ -424,7 +481,7 @@ let load_artifact artifact p =
         Error (Diag.errorf Diag.Exec_failed "workspace of compiled plan %s: %s" artifact msg)
       | ws -> Ok { handle; entry; ws; ws_lock = Mutex.create () }))
 
-let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pvals =
+let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pvals want =
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
   let ins =
@@ -445,12 +502,12 @@ let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pv
   done;
   if !expired then
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
-  else Ok (finish_outputs p out_names outs, List.rev !samples)
+  else Ok (deliver p out_names outs want, List.rev !samples)
 
 (* {1 Persistent sandboxed runners} *)
 
-external pwrite_floats : Unix.file_descr -> float array -> int -> int = "kfuse_pwrite_floats"
-external pread_floats : Unix.file_descr -> float array -> int -> int = "kfuse_pread_floats"
+external pwrite_floats : Unix.file_descr -> float array -> int -> unit = "kfuse_pwrite_floats"
+external pread_floats : Unix.file_descr -> float array -> int -> unit = "kfuse_pread_floats"
 
 module Runner = Supervisor.Runner
 
@@ -579,18 +636,49 @@ let frame words =
   Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.of_int v)) words;
   b
 
-let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs pvals =
+(* The request's bytes in a runner: its arena's input and parameter
+   bytes, and its output bytes. *)
+let arena_bytes (p : Pipeline.t) =
+  let npix = p.Pipeline.width * p.Pipeline.height in
+  ( 8 * ((List.length p.Pipeline.inputs * npix) + List.length p.Pipeline.params),
+    8 * List.length (Pipeline.outputs p) * npix )
+
+let over_fsize ~what ~out_bytes f =
+  Diag.errorf Diag.Exec_limit
+    "%s exceeded a resource limit: its %d output bytes are over RLIMIT_FSIZE (%d)" what out_bytes
+    f
+
+let check_limits (limits : Supervisor.limits) (p : Pipeline.t) =
+  let in_bytes, out_bytes = arena_bytes p in
+  let what =
+    Printf.sprintf "pipeline %s at %dx%d" p.Pipeline.name p.Pipeline.width p.Pipeline.height
+  in
+  let held = in_bytes + out_bytes + workspace_bytes p in
+  match (limits.Supervisor.fsize_bytes, limits.Supervisor.mem_bytes) with
+  | Some f, _ when out_bytes > f -> Error (over_fsize ~what ~out_bytes f)
+  | _, Some m when held > m ->
+    Error
+      (Diag.errorf Diag.Exec_limit
+         "%s exceeded a resource limit: its %d bytes of arena and workspace are over RLIMIT_AS (%d)"
+         what held m)
+  | _ -> Ok ()
+
+(* The one runner exchange.  [input] reaches the arena as images
+   ([pwrite] of their arrays) or as a generator (drawn into it in
+   chunks); [want] leaves it as pixels ([pread] into fresh arrays) or
+   as summaries (folded out of it in chunks), so a request that wants
+   no pixels allocates nothing request-sized here. *)
+let exec_subprocess : type o.
+    deadline:Deadline.t -> limits:Supervisor.limits -> artifact:string -> repeat:int ->
+    Pipeline.t -> input -> float list -> o output -> (o * float list, Diag.t) result =
+ fun ~deadline ~limits ~artifact ~repeat p input pvals want ->
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
   let n_in = List.length p.Pipeline.inputs and n_out = List.length out_names in
-  let in_bytes = 8 * ((n_in * npix) + List.length pvals) and out_bytes = 8 * n_out * npix in
+  let in_bytes, out_bytes = arena_bytes p in
   let what = Printf.sprintf "compiled plan %s" artifact in
   match (limits.Supervisor.fsize_bytes, Supervisor.wall_cap ~deadline limits) with
-  | Some f, _ when out_bytes > f ->
-    Error
-      (Diag.errorf Diag.Exec_limit
-         "%s exceeded a resource limit: its %d output bytes are over RLIMIT_FSIZE (%d)" what
-         out_bytes f)
+  | Some f, _ when out_bytes > f -> Error (over_fsize ~what ~out_bytes f)
   | _, Some w when w <= 0. ->
     Error (Diag.errorf Diag.Exec_timeout "request deadline expired before %s ran" what)
   | _ -> (
@@ -606,10 +694,14 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
       let arena = Runner.arena r in
       let written =
         arena_io "write plan input" (fun () ->
-            List.iteri
-              (fun i n -> ignore (pwrite_floats arena (flatten (List.assoc n inputs)) (8 * i * npix)))
-              p.Pipeline.inputs;
-            ignore (pwrite_floats arena (Array.of_list pvals) (8 * n_in * npix)))
+            (match input with
+            | Images inputs ->
+              List.iteri
+                (fun i n ->
+                  pwrite_floats arena (flatten (List.assoc n inputs)) (8 * i * npix))
+                p.Pipeline.inputs
+            | Random { rng; lo; hi } -> write_random arena ~off:0 ~count:(n_in * npix) rng ~lo ~hi);
+            pwrite_floats arena (Array.of_list pvals) (8 * n_in * npix))
       in
       let reply = Bytes.create (8 * reply_words) in
       let rec go i samples =
@@ -637,13 +729,26 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
                      wrote out_bytes abi))
             else go (i + 1) (run.Supervisor.wall_ms :: samples)
       in
-      let read () =
-        arena_io "read plan output" (fun () ->
-            Array.init n_out (fun k ->
-                let buf = Array.create_float npix in
-                let got = pread_floats arena buf (in_bytes + (8 * k * npix)) in
-                if got <> 8 * npix then failwith (Printf.sprintf "short read: %d bytes" got);
-                buf))
+      let read () : (o, Diag.t) result =
+        let off k = in_bytes + (8 * k * npix) in
+        arena_io "read plan output" (fun () : o ->
+            match want with
+            | Pixels ->
+              finish_outputs p out_names
+                (Array.init n_out (fun k ->
+                     let buf = Array.create_float npix in
+                     pread_floats arena buf (off k);
+                     buf))
+            | Summaries ->
+              (* A reduction's value is cell 0 of its broadcast buffer. *)
+              List.mapi
+                (fun k name ->
+                  let width, height =
+                    if is_reduction p name then (1, 1) else (p.Pipeline.width, p.Pipeline.height)
+                  in
+                  (name, read_summary arena ~off:(off k) ~width ~height))
+                out_names
+              |> by_name)
       in
       (* [`Keep]: the runner is sound and goes back to the pool;
          [`Kill]: it failed, or may hold a failed request's state. *)
@@ -652,14 +757,14 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
         | Error d -> Error (`Kill d)
         | Ok () ->
           Result.bind (go 1 []) (fun samples ->
-              match read () with Ok bufs -> Ok (bufs, samples) | Error d -> Error (`Kill d))
+              match read () with Ok outs -> Ok (outs, samples) | Error d -> Error (`Kill d))
       with
       | exception e ->
         discard r;
         raise e
-      | Ok (bufs, samples) ->
+      | Ok (outs, samples) ->
         checkin ~key ~bytes r;
-        Ok (finish_outputs p out_names bufs, samples)
+        Ok (outs, samples)
       | Error (`Keep d) ->
         checkin ~key ~bytes r;
         Error d
@@ -735,22 +840,26 @@ let release plan =
 
 let min_sample = function [] -> 0. | s :: rest -> List.fold_left min s rest
 
-let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
-    ?(limits = Supervisor.no_limits) plan inputs =
+let execute_plan : type o.
+    ?params:(string * float) list -> ?repeat:int -> ?deadline:Deadline.t ->
+    ?limits:Supervisor.limits -> plan -> input -> o output -> (o ran, Diag.t) result =
+ fun ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none) ?(limits = Supervisor.no_limits)
+     plan input want ->
   if repeat < 1 then invalid_arg "Native.run_plan: repeat must be positive";
   if plan.plan_released then invalid_arg "Native.run_plan: plan already released";
   let p = plan.plan_pipeline in
-  check_inputs p inputs;
+  (match input with Images inputs -> check_inputs p inputs | Random _ -> ());
   let pvals = param_values p params in
   let artifact = plan.plan_artifact in
   let exec =
     match plan.plan_loaded with
     | Some l ->
+      let inputs = materialize p input in
       (* Calls on one plan queue for its workspace: two in flight never
          share one. *)
       Mutex.protect l.ws_lock (fun () ->
-          exec_entry ~deadline ~entry:l.entry ~ws:l.ws ~artifact ~repeat p inputs pvals)
-    | None -> exec_subprocess ~deadline ~limits ~artifact ~repeat p inputs pvals
+          exec_entry ~deadline ~entry:l.entry ~ws:l.ws ~artifact ~repeat p inputs pvals want)
+    | None -> exec_subprocess ~deadline ~limits ~artifact ~repeat p input pvals want
   in
   match exec with
   | Error d -> Error d
@@ -767,13 +876,19 @@ let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
         warnings = [];
       }
 
+let run_plan ?params ?repeat ?deadline ?limits plan inputs =
+  execute_plan ?params ?repeat ?deadline ?limits plan (Images inputs) Pixels
+
 (* {1 One-shot runs} *)
 
-let run ?mode ?cache_dir ?params ?repeat ?deadline ?limits (p : Pipeline.t) inputs =
+let execute ?mode ?cache_dir ?params ?repeat ?deadline ?limits (p : Pipeline.t) input want =
   match prepare ?cache_dir ?mode p with
   | Error d -> Error d
   | Ok plan ->
     Fun.protect ~finally:(fun () -> release plan) @@ fun () ->
     Result.map
       (fun r -> { r with compile_ms = plan.plan_compile_ms; warnings = plan.plan_warnings })
-      (run_plan ?params ?repeat ?deadline ?limits plan inputs)
+      (execute_plan ?params ?repeat ?deadline ?limits plan input want)
+
+let run ?mode ?cache_dir ?params ?repeat ?deadline ?limits (p : Pipeline.t) inputs =
+  execute ?mode ?cache_dir ?params ?repeat ?deadline ?limits p (Images inputs) Pixels

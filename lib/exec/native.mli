@@ -19,17 +19,21 @@
       artifact, kept warm between requests.  Images travel through a
       memfd arena: the inputs in declaration order, then the parameter
       values, then the outputs in {!Kfuse_ir.Pipeline.outputs} order,
-      all packed native-endian float64.  The parent [pwrite]s the
-      inputs, sends a request frame over a pipe, and [pread]s the
-      outputs once the reply arrives; it never maps the arena, so an
-      I/O error there is a [KF0904], never a fault in the caller.  A
-      request frame whose byte counts disagree with the arena stops
-      the runner ([KF0904]); a reply that reports the wrong output size
-      or never arrives is a [KF0904] too.  Any failure kills the runner;
-      the next request spawns a fresh one.  Slower than {!Dlopen} (a
-      pipe round trip and two copies per run) but survives environments
-      where loading untrusted-at-build-time objects into the host
-      process is unwanted.
+      all packed native-endian float64.  The parent writes the inputs,
+      sends a request frame over a pipe, and reads the outputs once the
+      reply arrives.  Images it [pwrite]s and [pread]s whole; a
+      {!Random} input it draws into the arena, and {!Summaries} it folds
+      out of it, through one reused 64 KiB buffer, so a request that
+      wants no pixels costs the caller no image-sized memory.  It never
+      maps the arena: an I/O error there is a [KF0904], never a fault in
+      the caller, and the arena never counts in the caller's resident
+      set.  A request frame whose byte counts disagree with the arena
+      stops the runner ([KF0904]); a reply that reports the wrong output
+      size or never arrives is a [KF0904] too.  Any failure kills the
+      runner; the next request spawns a fresh one.  Slower than
+      {!Dlopen} (a pipe round trip and a copy each way per run) but
+      survives environments where loading untrusted-at-build-time
+      objects into the host process is unwanted.
 
     Neither mode allocates the driver's intermediates per call: they
     live in a workspace ({!Kfuse_codegen.Lower_cpu.workspace_scalars})
@@ -78,12 +82,13 @@ val abi_version : int
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
-(** How and what a {!run} executed. *)
-type run_result = {
-  outputs : (string * Image.t) list;
-      (** sink images sorted by name — the same shape
+(** How and what a run executed; ['o] is what it returned of the
+    outputs, pixels or summaries ({!output}). *)
+type 'o ran = {
+  outputs : 'o;
+      (** per sink, sorted by name — the same shape
           {!Kfuse_ir.Eval.run_outputs} returns; reduction outputs are
-          1x1 images *)
+          1x1 *)
   mode_used : mode;
   artifact : string;  (** path of the compiled object/executable *)
   cached : bool;  (** the artifact came from the compile cache *)
@@ -94,6 +99,64 @@ type run_result = {
       (** e.g. the [KF0904] that made {!run} fall back from {!Dlopen}
           to {!Subprocess} *)
 }
+
+type run_result = (string * Image.t) list ran
+(** A run that returned the sink images. *)
+
+(** {1 Inputs, outputs and summaries} *)
+
+(** What a sink looked like without its pixels: min, max and the sum
+    of its pixels in row-major order, with a NaN never a min or max
+    (the loop is [if v < min then min <- v; if v > max then max <- v;
+    sum <- sum +. v], from [infinity], [neg_infinity] and [0.]). *)
+type summary = { width : int; height : int; min : float; max : float; sum : float }
+
+val mean : summary -> float
+(** [sum /. (width * height)]. *)
+
+val summarize : Image.t -> summary
+(** The summary of an image, by the same C loop that folds a
+    sandboxed run's outputs out of its arena. *)
+
+(** A run's inputs: images binding exactly the pipeline's inputs, or a
+    generator that draws them: each of [Pipeline.inputs] in order is
+    [Image.random rng ~lo ~hi] at the pipeline's extent, with [rng]
+    advanced as those calls would leave it.  A {!Subprocess} run draws
+    them straight into its runner's arena, never into an OCaml array. *)
+type input =
+  | Images of (string * Image.t) list
+  | Random of { rng : Kfuse_util.Rng.t; lo : float; hi : float }
+
+(** What a run returns of its outputs.  A {!Subprocess} run folds
+    {!Summaries} straight out of its runner's arena, in 64 KiB
+    chunks. *)
+type _ output =
+  | Pixels : (string * Image.t) list output
+  | Summaries : (string * summary) list output
+
+val materialize : Pipeline.t -> input -> (string * Image.t) list
+(** The images an {!input} stands for (drawing them advances [rng]). *)
+
+val write_random :
+  Unix.file_descr -> off:int -> count:int -> Kfuse_util.Rng.t -> lo:float -> hi:float -> unit
+(** [write_random fd ~off ~count rng ~lo ~hi] writes the [count]
+    values that {!Kfuse_util.Rng.fill_float}[ rng ~lo ~span:(hi -. lo)]
+    would put in an array, as native-endian float64s at byte [off] of
+    [fd], 64 KiB at a time, and advances [rng] as that call would.
+    This is how a {!Random} input reaches a runner's arena.
+    @raise Failure on an I/O error. *)
+
+val read_summary : Unix.file_descr -> off:int -> width:int -> height:int -> summary
+(** The summary of the [width * height] float64s at byte [off] of [fd],
+    read 64 KiB at a time.  This is how a {!Summaries} output leaves a
+    runner's arena.
+    @raise Failure on an I/O error or a short read. *)
+
+(** [check_limits limits p] refuses, with [KF0907], a request for [p]
+    that could never run under [limits]: outputs over [fsize_bytes], or
+    arena plus workspace over [mem_bytes].  It reads only [p]'s shape,
+    so a caller can refuse before compiling or allocating anything. *)
+val check_limits : Supervisor.limits -> Pipeline.t -> (unit, Diag.t) result
 
 (** [source ~mode p] is the complete C translation unit compiled for
     [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline} output
@@ -148,6 +211,22 @@ val run :
   Pipeline.t ->
   (string * Image.t) list ->
   (run_result, Diag.t) result
+
+(** [execute ?mode ?cache_dir ?params ?repeat ?deadline ?limits p
+    input output] is {!run} with its inputs given as an {!input} and
+    its outputs returned as [output] asks.  [run p inputs] is
+    [execute p (Images inputs) Pixels]. *)
+val execute :
+  ?mode:mode ->
+  ?cache_dir:string ->
+  ?params:(string * float) list ->
+  ?repeat:int ->
+  ?deadline:Deadline.t ->
+  ?limits:Supervisor.limits ->
+  Pipeline.t ->
+  input ->
+  'o output ->
+  ('o ran, Diag.t) result
 
 (** {1 Pinned plans}
 

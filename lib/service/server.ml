@@ -191,41 +191,32 @@ let check_deadline t deadline ~before =
       (Diag.errorf Diag.Request_timeout "request deadline expired after planning, before %s"
          before)
 
-let output_json ~return_pixels (name, img) =
-  let w = Image.width img and h = Image.height img in
-  let n = w * h in
-  let lo = ref Float.infinity and hi = ref Float.neg_infinity and sum = ref 0.0 in
-  (* The backing array is row-major, so [sum] adds in the same order as
-     a y-then-x walk and [mean] keeps its bits.  A plain loop (no
-     closure) keeps the float refs unboxed. *)
-  let data = Image.unsafe_data img in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get data i in
-    if v < !lo then lo := v;
-    if v > !hi then hi := v;
-    sum := !sum +. v
-  done;
-  let base =
-    [
-      ("name", Jsonx.Str name);
-      ("width", Jsonx.Num (float_of_int w));
-      ("height", Jsonx.Num (float_of_int h));
-      ("min", Jsonx.Num !lo);
-      ("max", Jsonx.Num !hi);
-      ("mean", Jsonx.Num (!sum /. float_of_int (max 1 n)));
-    ]
-  in
-  let pixels =
-    if not return_pixels then []
-    else
+let output_json ?pixels (name, (s : Native.summary)) =
+  Jsonx.Obj
+    ([
+       ("name", Jsonx.Str name);
+       ("width", Jsonx.Num (float_of_int s.Native.width));
+       ("height", Jsonx.Num (float_of_int s.Native.height));
+       ("min", Jsonx.Num s.Native.min);
+       ("max", Jsonx.Num s.Native.max);
+       ("mean", Jsonx.Num (Native.mean s));
+     ]
+    @
+    match pixels with
+    | None -> []
+    | Some img ->
       [
         ( "pixels",
           Jsonx.Arr
-            (List.init h (fun y ->
-                 Jsonx.Arr (List.init w (fun x -> Jsonx.Num (Image.get img x y))))) );
-      ]
-  in
-  Jsonx.Obj (base @ pixels)
+            (List.init s.Native.height (fun y ->
+                 Jsonx.Arr (List.init s.Native.width (fun x -> Jsonx.Num (Image.get img x y))))) );
+      ])
+
+let images_json ~return_pixels outputs =
+  List.map
+    (fun (name, img) ->
+      output_json ?pixels:(if return_pixels then Some img else None) (name, Native.summarize img))
+    outputs
 
 let warnings_json warns =
   Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
@@ -266,7 +257,7 @@ let quarantine_warning t qd ~served =
 let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
   Metrics.incr t.metrics "native_exec_fallbacks";
   let t0 = Unix.gettimeofday () in
-  let outputs = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+  let outputs = Ir.Eval.run_outputs p (Ir.Eval.env_of_list (Native.materialize p inputs)) in
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
   Protocol.ok
     (plan_fields served
@@ -283,7 +274,7 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
               ("samples_ms", Jsonx.Arr [ Jsonx.Num ms ]);
               ("warnings", warnings_json [ warning ]);
             ] );
-        ("outputs", Jsonx.Arr (List.map (output_json ~return_pixels) outputs));
+        ("outputs", Jsonx.Arr (images_json ~return_pixels outputs));
       ]
     (* The fallback *is* the interpreter, so a requested verify is
        trivially exact. *)
@@ -315,68 +306,87 @@ let is_supervised_failure (d : Diag.t) =
   | Diag.Exec_timeout | Diag.Exec_crashed | Diag.Exec_limit -> true
   | _ -> false
 
+(* A request is refused before anything is compiled or allocated when
+   its bytes could never fit the sandbox's limits; the refusal is the
+   request's fault, not the plan's, so it is neither a breaker strike
+   nor a crash artifact.  Only a request that asks for pixels
+   ([verify], [return_pixels]) or falls back to the interpreter has its
+   inputs drawn into images; otherwise the runner's arena is the only
+   place they ever exist. *)
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
-  match plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse with
-  | Error d -> Protocol.error d
-  | Ok ((r, _, _) as served) -> (
-    let p = r.F.Driver.fused in
-    let width = p.Ir.Pipeline.width and height = p.Ir.Pipeline.height in
-    let rng = Kfuse_util.Rng.create e.Protocol.seed in
-    let inputs =
-      List.map
-        (fun n -> (n, Image.random rng ~width ~height ~lo:0.0 ~hi:1.0))
-        p.Ir.Pipeline.inputs
+  let ( let* ) = Result.bind in
+  let checked =
+    let* ((r, _, _) as served) =
+      plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse
     in
-    match check_deadline t deadline ~before:"native execution" with
-    | Error d -> Protocol.error d
-    | Ok () -> (
-      let fp = Fingerprint.exact p in
-      match Supervisor.Breaker.check t.breaker fp with
-      | Supervisor.Breaker.Quarantined qd ->
-        interpreter_fallback t ~served
-          ~warning:(quarantine_warning t qd ~served:"served")
-          ~verify:e.Protocol.verify ~return_pixels:e.Protocol.return_pixels p inputs
-      | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
-        match
-          Native.run ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
-            ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p inputs
-        with
-        | Error d ->
-          if is_supervised_failure d then record_exec_failure t ~fp ~seed:e.Protocol.seed p d;
-          Protocol.error d
-        | Ok res ->
-          record_exec_success t fp;
-          let verify_fields =
-            if not e.Protocol.verify then []
-            else
-              let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
-              [ ("max_abs_diff", Jsonx.Num (max_diff reference res.Native.outputs)) ]
-          in
-          Protocol.ok
-            (plan_fields served
-            @ [
-                ( "exec",
-                  Jsonx.Obj
-                    [
-                      ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
-                      sandboxed_field t;
-                      ("quarantined", Jsonx.Bool false);
-                      ("artifact", Jsonx.Str res.Native.artifact);
-                      ("artifact_cached", Jsonx.Bool res.Native.cached);
-                      ("compile_ms", Jsonx.Num res.Native.compile_ms);
-                      ("exec_ms", Jsonx.Num res.Native.exec_ms);
-                      ( "samples_ms",
-                        Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms)
-                      );
-                      ("warnings", warnings_json res.Native.warnings);
-                    ] );
-                ( "outputs",
-                  Jsonx.Arr
-                    (List.map
-                       (output_json ~return_pixels:e.Protocol.return_pixels)
-                       res.Native.outputs) );
-              ]
-            @ verify_fields))))
+    let p = r.F.Driver.fused in
+    let* () = Native.check_limits t.exec_limits p in
+    let* () = check_deadline t deadline ~before:"native execution" in
+    Ok (served, p)
+  in
+  match checked with
+  | Error d -> Protocol.error d
+  | Ok (served, p) -> (
+    let input =
+      Native.Random { rng = Kfuse_util.Rng.create e.Protocol.seed; lo = 0.0; hi = 1.0 }
+    in
+    let return_pixels = e.Protocol.return_pixels in
+    let fp = Fingerprint.exact p in
+    match Supervisor.Breaker.check t.breaker fp with
+    | Supervisor.Breaker.Quarantined qd ->
+      interpreter_fallback t ~served
+        ~warning:(quarantine_warning t qd ~served:"served")
+        ~verify:e.Protocol.verify ~return_pixels p input
+    | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
+      let execute input output =
+        Native.execute ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
+          ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p input output
+      in
+      let ran =
+        if e.Protocol.verify || return_pixels then
+          let inputs = Native.materialize p input in
+          Result.map
+            (fun res ->
+              let verify_fields =
+                if not e.Protocol.verify then []
+                else
+                  let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+                  [ ("max_abs_diff", Jsonx.Num (max_diff reference res.Native.outputs)) ]
+              in
+              ({ res with Native.outputs = images_json ~return_pixels res.Native.outputs },
+               verify_fields))
+            (execute (Native.Images inputs) Native.Pixels)
+        else
+          Result.map
+            (fun res -> ({ res with Native.outputs = List.map output_json res.Native.outputs }, []))
+            (execute input Native.Summaries)
+      in
+      match ran with
+      | Error d ->
+        if is_supervised_failure d then record_exec_failure t ~fp ~seed:e.Protocol.seed p d;
+        Protocol.error d
+      | Ok (res, verify_fields) ->
+        record_exec_success t fp;
+        Protocol.ok
+          (plan_fields served
+          @ [
+              ( "exec",
+                Jsonx.Obj
+                  [
+                    ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
+                    sandboxed_field t;
+                    ("quarantined", Jsonx.Bool false);
+                    ("artifact", Jsonx.Str res.Native.artifact);
+                    ("artifact_cached", Jsonx.Bool res.Native.cached);
+                    ("compile_ms", Jsonx.Num res.Native.compile_ms);
+                    ("exec_ms", Jsonx.Num res.Native.exec_ms);
+                    ( "samples_ms",
+                      Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms) );
+                    ("warnings", warnings_json res.Native.warnings);
+                  ] );
+              ("outputs", Jsonx.Arr res.Native.outputs);
+            ]
+          @ verify_fields)))
 
 (* ---- sessions ---- *)
 
@@ -528,7 +538,7 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
              ("warnings", warnings_json warns);
            ] );
        ( "outputs",
-         Jsonx.Arr (List.map (output_json ~return_pixels:s.Protocol.return_pixels) outputs) );
+         Jsonx.Arr (images_json ~return_pixels:s.Protocol.return_pixels outputs) );
      ]
     @ match diff with
       | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]

@@ -19,6 +19,18 @@ let create seed =
 
 let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
 
+let save t =
+  let b = Bytes.create 32 in
+  List.iteri (fun i w -> Bytes.set_int64_ne b (8 * i) w) [ t.s0; t.s1; t.s2; t.s3 ];
+  b
+
+let restore t b =
+  if Bytes.length b <> 32 then invalid_arg "Rng.restore: expected 32 bytes";
+  t.s0 <- Bytes.get_int64_ne b 0;
+  t.s1 <- Bytes.get_int64_ne b 8;
+  t.s2 <- Bytes.get_int64_ne b 16;
+  t.s3 <- Bytes.get_int64_ne b 24
+
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =

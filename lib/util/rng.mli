@@ -15,6 +15,17 @@ val create : int -> t
 (** [copy t] is an independent generator with the same current state. *)
 val copy : t -> t
 
+(** [save t] is [t]'s state: the four xoshiro256** words [s0..s3] as
+    native-endian int64s in 32 bytes, for code outside OCaml that runs
+    the same generator and hands the advanced state back through
+    {!restore}. *)
+val save : t -> Bytes.t
+
+(** [restore t b] sets [t]'s state to the one [b] holds (as {!save}
+    lays it out).
+    @raise Invalid_argument unless [b] is 32 bytes. *)
+val restore : t -> Bytes.t -> unit
+
 (** [split t] derives a new, statistically independent generator from [t],
     advancing [t]. *)
 val split : t -> t

@@ -476,6 +476,108 @@ let test_exec_oom_limit () =
   Alcotest.(check int) "limit counted" 1 (counter server "native_exec_limits");
   expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.ping c))
 
+(* A request whose bytes can never fit the sandbox is refused after
+   planning, before anything is compiled, spawned or allocated: here
+   sobel at 1024² writes 8 MiB of output under a 1 MiB RLIMIT_FSIZE.
+   The refusal is the request's, not the plan's, so four of them strike
+   nothing: no quarantine, no interpreter fallback, no crash artifact. *)
+let contains needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
+  loop 0
+
+let test_exec_limit_refusal_no_strike () =
+  require_toolchain ();
+  let crash_dir = temp_dir "kfuse-chaos-crash" in
+  with_server ~crash_dir
+    ~exec_limits:{ Sup.default_limits with Sup.fsize_bytes = Some (1024 * 1024) }
+  @@ fun socket server ->
+  let compiles = Kfuse_exec.Native.compiles () in
+  let req = exec_req ~width:1024 ~height:1024 "sobel" in
+  List.iteri
+    (fun i req ->
+      match Svc.Client.with_connection ~socket (fun c -> Svc.Client.fuse_exec c req) with
+      | Ok _ -> Alcotest.failf "request %d: an output over RLIMIT_FSIZE was served" (i + 1)
+      | Error d ->
+        Alcotest.(check string)
+          (Printf.sprintf "request %d is KF0907" (i + 1))
+          "KF0907" (code_of d);
+        Alcotest.(check bool) "names RLIMIT_FSIZE" true
+          (contains "RLIMIT_FSIZE" (Diag.to_string d)))
+    [
+      req; req; req; req; { req with Protocol.verify = true };
+      { req with Protocol.return_pixels = true };
+    ];
+  Alcotest.(check int) "nothing quarantined" 0 (gauge server "quarantined_plans");
+  Alcotest.(check int) "no interpreter fallback" 0 (counter server "native_exec_fallbacks");
+  Alcotest.(check int) "no limit strike" 0 (counter server "native_exec_limits");
+  Alcotest.(check int) "nothing compiled" compiles (Kfuse_exec.Native.compiles ());
+  Alcotest.(check (list string)) "no crash artifact" [] (Array.to_list (Sys.readdir crash_dir))
+
+(* The summary a sandboxed fuse_exec folds out of its runner's arena is
+   the one its verified reply computes from pixels: for the six paper
+   apps, motion (two inputs), unsharp and enhance (parameters in the
+   arena) and a DSL pipeline with reductions, at an extent whose inputs
+   span more than one 64 KiB chunk. *)
+let test_exec_summary_equals_verify () =
+  require_toolchain ();
+  with_server @@ fun socket _server ->
+  let dsl =
+    "pipeline reds(in, prev) {\n\
+    \  size 130 70\n\
+    \  param gain = 2\n\
+    \  g = conv(in, gauss3, clamp) * gain\n\
+    \  d = g - prev\n\
+    \  total = reduce sum(d)\n\
+    \  peak = reduce max(g)\n\
+    \  edge = d * d\n\
+     }"
+  in
+  let apps = [ "sobel"; "unsharp"; "harris"; "shitomasi"; "enhance"; "night"; "motion" ] in
+  let dsl_req =
+    {
+      (exec_req ~seed:7 "dsl") with
+      Protocol.fuse = { (fuse_req "dsl") with Protocol.app = None; source = Some dsl };
+    }
+  in
+  let cases =
+    List.map (fun app -> (app, exec_req ~seed:7 ~width:130 ~height:70 app)) apps
+    @ [ ("DSL with reductions", dsl_req) ]
+  in
+  List.iter
+    (fun (what, req) ->
+      let call req =
+        expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.fuse_exec c req))
+      in
+      let summary = call req and verified = call { req with Protocol.verify = true } in
+      Alcotest.(check (float 0.0)) (what ^ ": verified exactly") 0.0
+        (num (field "max_abs_diff" verified));
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) (what ^ ": sandboxed") true
+            (Jsonx.member "mode" (field "exec" r) = Some (Jsonx.Str "subprocess")))
+        [ summary; verified ];
+      Alcotest.(check string) (what ^ ": summary equals the verified reply")
+        (Jsonx.to_string (field "outputs" verified))
+        (Jsonx.to_string (field "outputs" summary)))
+    cases;
+  (* The reductions are 1x1 in both. *)
+  let reply =
+    expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.fuse_exec c dsl_req))
+  in
+  match field "outputs" reply with
+  | Jsonx.Arr outs ->
+    let extent name =
+      match List.find_opt (fun o -> Jsonx.member "name" o = Some (Jsonx.Str name)) outs with
+      | Some o -> (num (field "width" o), num (field "height" o))
+      | None -> Alcotest.failf "no output %s" name
+    in
+    Alcotest.(check (pair (float 0.) (float 0.))) "sum reduction is 1x1" (1., 1.) (extent "total");
+    Alcotest.(check (pair (float 0.) (float 0.))) "max reduction is 1x1" (1., 1.) (extent "peak");
+    Alcotest.(check (pair (float 0.) (float 0.))) "map output is full size" (130., 70.)
+      (extent "edge")
+  | v -> Alcotest.failf "outputs is not an array: %s" (Jsonx.to_string v)
+
 let test_exec_crash_storm () =
   (* Concurrent clients under an every-2nd-execution crash storm: every
      call returns (a native answer or a typed KFxxxx), the daemon drains
@@ -644,6 +746,10 @@ let suite =
       test_exec_hang_watchdog;
     Alcotest.test_case "chaos: exec.oom classified as a KF0907 limit" `Slow
       test_exec_oom_limit;
+    Alcotest.test_case "chaos: a request over the limits is refused, not struck" `Slow
+      test_exec_limit_refusal_no_strike;
+    Alcotest.test_case "exec: summary replies equal verified replies" `Slow
+      test_exec_summary_equals_verify;
     Alcotest.test_case "chaos: concurrent exec.crash storm, daemon survives" `Slow
       test_exec_crash_storm;
   ]

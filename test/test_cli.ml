@@ -320,6 +320,57 @@ let test_serve_survives_emfile () =
   Alcotest.(check bool) "failed accepts are counted" true
     (match accept_errors with Some n -> n >= 1.0 | None -> false)
 
+(* A fuse_exec whose images could never fit the sandbox is a KF0907
+   before the daemon allocates any of them, whether it asks for a
+   summary, a verification or pixels; with one worker, a request that
+   killed it would leave every later one hanging.  The address-space cap
+   makes a daemon that did allocate 40000x40000 images fail the same way
+   on any host. *)
+let test_serve_refuses_oversized_exec () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "d.sock" in
+  let daemon =
+    match
+      Kfuse_exec.Supervisor.Child.spawn
+        ~argv:
+          [
+            "sh"; "-c";
+            Printf.sprintf
+              "ulimit -v 4194304; KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s -j 1 \
+               --max-conns 1"
+              kfusec (Filename.quote socket) (Filename.quote dir);
+          ]
+        ()
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
+  in
+  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
+  @@ fun () ->
+  let rec wait_socket n =
+    if not (Sys.file_exists socket) then
+      if n = 0 then Alcotest.fail "kfusec serve never listened"
+      else (Unix.sleepf 0.05; wait_socket (n - 1))
+  in
+  wait_socket 200;
+  List.iter
+    (fun flags ->
+      let code, text =
+        run_capture
+          ([ "query"; "--socket"; socket; "--timeout-ms"; "20000"; "--exec"; "-a"; "sobel";
+             "--width"; "40000"; "--height"; "40000" ]
+          @ flags)
+      in
+      let what = String.concat " " ("oversized fuse_exec" :: flags) in
+      Alcotest.(check bool) (what ^ " fails") true (code <> 0);
+      Alcotest.(check bool) (what ^ " is KF0907") true (contains "KF0907" text))
+    [ []; [ "--verify" ]; [ "--pixels" ] ];
+  let code, text =
+    run_capture [ "query"; "--socket"; socket; "--timeout-ms"; "5000"; "--ping" ]
+  in
+  Alcotest.(check int) "ping answers after the refusals" 0 code;
+  Alcotest.(check bool) "pong" true (contains "pong" text)
+
 (* Line-buffered kernels give each OpenMP thread one contiguous strip of
    rows.  Sandboxed runs with one and three threads (the runner inherits
    OMP_NUM_THREADS from kfusec), at extents whose strips are tiny or
@@ -518,6 +569,8 @@ let suite =
       test_serve_killed_leaves_no_runner;
     Alcotest.test_case "serve: accept survives descriptor exhaustion" `Quick
       test_serve_survives_emfile;
+    Alcotest.test_case "serve: an oversized fuse_exec is a KF0907, not a dead worker" `Quick
+      test_serve_refuses_oversized_exec;
     Alcotest.test_case "run --native without a toolchain" `Quick
       test_run_native_no_toolchain;
     Alcotest.test_case "fuzz --native smoke" `Slow test_fuzz_native_smoke;

@@ -258,11 +258,28 @@ let inputs_for (p : Ir.Pipeline.t) =
           ~lo:0.0 ~hi:1.0 ))
     p.Ir.Pipeline.inputs
 
-let with_cache_dir f =
+let fresh_cache_dir () =
   let dir = Filename.temp_file "kfuse_exec_cache" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  f dir
+  dir
+
+(* One artifact cache for the whole suite: a pipeline that several cases
+   run compiles once.  The cases that test the cache itself, or replace
+   an artifact in it, take a fresh one ([with_fresh_cache_dir]). *)
+let shared_cache_dir = lazy (fresh_cache_dir ())
+
+let with_cache_dir f = f (Lazy.force shared_cache_dir)
+let with_fresh_cache_dir f = f (fresh_cache_dir ())
+
+(* Compile a table's artifacts into the shared cache two at a time
+   before its rows run, so the C compiles that bound the table overlap;
+   each row still runs, and reports any compile failure, itself. *)
+let precompile jobs =
+  let cache_dir = Lazy.force shared_cache_dir in
+  let compile = List.iter (fun (mode, p) -> ignore (Exec.Native.compile ~cache_dir ~mode p)) in
+  let half r = List.filteri (fun i _ -> i mod 2 = r) jobs in
+  List.iter Thread.join [ Thread.create compile (half 0); Thread.create compile (half 1) ]
 
 let max_diff reference outputs =
   Alcotest.(check (list string))
@@ -323,7 +340,7 @@ let test_runner_layouts_exact () =
 let test_native_compile_cache () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:12 ~height:10 in
-  with_cache_dir @@ fun cache_dir ->
+  with_fresh_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for fused in
   let once () =
     match Exec.Native.run ~mode:Exec.Native.Dlopen ~cache_dir fused inputs with
@@ -376,16 +393,18 @@ let test_native_reach_beyond_radius () =
   Alcotest.(check (pair int int)) "reach 2, radius 1" (2, 1)
     (reach (body Img.Border.Clamp), radius (body Img.Border.Clamp));
   let extents = (1, 1) :: List.concat_map (fun w -> List.map (fun h -> (w, h)) [ 4; 5; 6 ]) [ 4; 5; 6 ] in
-  List.iter
-    (fun (width, height) ->
-      let p =
+  let pipelines =
+    List.map
+      (fun (width, height) ->
         Ir.Pipeline.create ~name:"reach" ~width ~height ~inputs:[ "a" ]
           (List.map
              (fun (name, border) -> Ir.Kernel.map ~name ~inputs:[ "a" ] (body border))
-             modes)
-      in
-      ignore (run_exact ~mode:Exec.Native.Dlopen p))
-    extents
+             modes))
+      extents
+  in
+  let _ = require_toolchain () in
+  precompile (List.map (fun p -> (Exec.Native.Dlopen, p)) pipelines);
+  List.iter (fun p -> ignore (run_exact ~mode:Exec.Native.Dlopen p)) pipelines
 
 (* Shrunk from [kfusec fuzz --cases 2 --seed 3 --native]: a global +
    reduction summed by an OpenMP team drifted from the interpreter's
@@ -731,7 +750,8 @@ let test_runner_workspace_limit () =
 let test_runner_short_output () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
-  with_cache_dir @@ fun cache_dir ->
+  (* The fixtures replace the plan's artifact: a cache of its own. *)
+  with_fresh_cache_dir @@ fun cache_dir ->
   match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
   | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
   | Ok plan ->
@@ -832,6 +852,8 @@ let test_runner_reuse_exact () =
   in
   List.iter
     (fun (name, p, params_per_request) ->
+      (* Other cases may have left this artifact's runner idle. *)
+      Exec.Native.shutdown_runners ();
       let before = (Exec.Native.runner_stats ()).Exec.Native.runner_spawns in
       List.iteri
         (fun seed params ->
@@ -1243,14 +1265,15 @@ let test_line_buffer_fires () =
    whose strips are tiny or uneven, bit-exact in process. *)
 let test_line_buffer_exact () =
   let _ = require_toolchain () in
-  List.iter
-    (fun (width, height) ->
-      let _, enhance = fused_app "enhance" ~width ~height in
-      ignore (run_exact ~mode:Exec.Native.Dlopen enhance);
-      List.iter
-        (fun border -> ignore (run_exact ~mode:Exec.Native.Dlopen (logbox ~border ~width ~height)))
-        logbox_borders)
-    strip_sizes
+  let pipelines =
+    List.concat_map
+      (fun (width, height) ->
+        snd (fused_app "enhance" ~width ~height)
+        :: List.map (fun border -> logbox ~border ~width ~height) logbox_borders)
+      strip_sizes
+  in
+  precompile (List.map (fun p -> (Exec.Native.Dlopen, p)) pipelines);
+  List.iter (fun p -> ignore (run_exact ~mode:Exec.Native.Dlopen p)) pipelines
 
 (* ---- the driver's workspace ---- *)
 
@@ -1333,6 +1356,176 @@ let test_workspace_threads () =
       hammer [| a; b |];
       hammer [| a; a |])
 
+(* ---- the streamed arena path ---- *)
+
+module Rng = Kfuse_util.Rng
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A NaN sum is NaN on both sides; which NaN is the hardware's choice. *)
+let same_sum a b = same_bits a b || (Float.is_nan a && Float.is_nan b)
+
+let same_summary (a : Exec.Native.summary) (b : Exec.Native.summary) =
+  a.Exec.Native.width = b.Exec.Native.width
+  && a.Exec.Native.height = b.Exec.Native.height
+  && same_bits a.Exec.Native.min b.Exec.Native.min
+  && same_bits a.Exec.Native.max b.Exec.Native.max
+  && same_sum a.Exec.Native.sum b.Exec.Native.sum
+
+(* Extents either side of the 64 KiB (8192-double) chunk, and odd ones. *)
+let arena_extents =
+  [ (1, 1); (7, 3); (1023, 517); (8191, 1); (8192, 1); (8193, 1); (4096, 2); (91, 90) ]
+
+let with_temp_fd f =
+  let path = Filename.temp_file "kfuse_arena" ".bin" in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Sys.remove path)
+    (fun () -> f fd)
+
+let read_floats fd ~off n =
+  let b = Bytes.create (8 * n) in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let rec fill k =
+    if k < Bytes.length b then
+      match Unix.read fd b k (Bytes.length b - k) with
+      | 0 -> Alcotest.failf "short read at %d of %d bytes" k (Bytes.length b)
+      | r -> fill (k + r)
+  in
+  fill 0;
+  Array.init n (fun i -> Int64.float_of_bits (Bytes.get_int64_ne b (8 * i)))
+
+let write_floats fd ~off a =
+  let b = Bytes.create (8 * Array.length a) in
+  Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.bits_of_float v)) a;
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let rec drain k = if k < Bytes.length b then drain (k + Unix.write fd b k (Bytes.length b - k)) in
+  drain 0
+
+(* [n] images drawn one after another, as a pipeline's inputs are. *)
+let random_images rng n ~width ~height ~lo ~hi =
+  let rec draw k acc =
+    if k = n then List.rev acc
+    else draw (k + 1) (Img.Image.random rng ~width ~height ~lo ~hi :: acc)
+  in
+  draw 0 []
+
+let bound_gen =
+  QCheck.Gen.(
+    oneof [ float_range (-1000.) 1000.; oneofl [ 0.0; -0.0; 1.0; -1e308; 1e308; 1e-300 ] ])
+
+let prop_synthesis_identity =
+  let gen =
+    QCheck.Gen.(
+      tup5 int (oneofl arena_extents) (int_range 1 3) (pair bound_gen bound_gen) (int_range 0 3))
+  in
+  let print (seed, (w, h), n, (lo, hi), off) =
+    Printf.sprintf "seed %d, %dx%d, %d inputs, lo %h hi %h, offset %d doubles" seed w h n lo hi off
+  in
+  QCheck.Test.make ~count:40 ~name:"arena synthesis = Image.random: bits and Rng state"
+    (QCheck.make ~print gen)
+    (fun (seed, (width, height), n_in, (lo, hi), off) ->
+      with_temp_fd @@ fun fd ->
+      let off = 8 * off and count = n_in * width * height in
+      let drawn = Rng.create seed and reference = Rng.create seed in
+      Exec.Native.write_random fd ~off ~count drawn ~lo ~hi;
+      let want =
+        Array.concat
+          (List.map Img.Image.unsafe_data (random_images reference n_in ~width ~height ~lo ~hi))
+      in
+      Array.for_all2 same_bits (read_floats fd ~off count) want
+      && Bytes.equal (Rng.save drawn) (Rng.save reference))
+
+(* The min/max/row-major-sum loop in OCaml: what the reply carried
+   before the C fold replaced it. *)
+let reference_summary ~width ~height a =
+  let lo = ref Float.infinity and hi = ref Float.neg_infinity and sum = ref 0.0 in
+  Array.iter
+    (fun v ->
+      if v < !lo then lo := v;
+      if v > !hi then hi := v;
+      sum := !sum +. v)
+    a;
+  { Exec.Native.width; height; min = !lo; max = !hi; sum = !sum }
+
+(* Pixels of mixed magnitude, so any other summation order shows, with
+   NaN, infinities and signed zeros at [specials] in 8. *)
+let summary_pixels ~seed ~specials n =
+  let rng = Rng.create seed in
+  let odd = [| Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0 |] in
+  Array.init n (fun _ ->
+      if Rng.int rng 8 < specials then odd.(Rng.int rng (Array.length odd))
+      else (Rng.float rng 2.0 -. 1.0) *. (10. ** float_of_int (Rng.int rng 24 - 12)))
+
+let prop_summary_identity =
+  let gen = QCheck.Gen.(triple int (oneofl arena_extents) (oneofl [ 0; 1; 8 ])) in
+  let print (seed, (w, h), specials) =
+    Printf.sprintf "seed %d, %dx%d, %d/8 special" seed w h specials
+  in
+  QCheck.Test.make ~count:40 ~name:"C summary = OCaml min/max/row-major sum, bit for bit"
+    (QCheck.make ~print gen)
+    (fun (seed, (width, height), specials) ->
+      let a = summary_pixels ~seed ~specials (width * height) in
+      let want = reference_summary ~width ~height a in
+      with_temp_fd @@ fun fd ->
+      write_floats fd ~off:24 a;
+      same_summary want (Exec.Native.summarize (Img.Image.unsafe_of_flat ~width ~height a))
+      && same_summary want (Exec.Native.read_summary fd ~off:24 ~width ~height))
+
+(* A seeded run through the real runner and the in-process entry point:
+   two inputs drawn straight into the arena are the pixels Image.random
+   draws from the same seed, the generator ends where it would, and the
+   summaries (a reduction's 1x1) are those of the pixel outputs. *)
+let test_seeded_run_exact () =
+  let _ = require_toolchain () in
+  let width = 130 and height = 70 and lo = -2.0 and hi = 3.0 in
+  let copy n = Ir.Kernel.map ~name:("k" ^ n) ~inputs:[ n ] Ir.Expr.(input n * Const 1.0) in
+  let p =
+    Ir.Pipeline.create ~name:"twin" ~width ~height ~inputs:[ "a"; "b" ]
+      [
+        copy "a";
+        copy "b";
+        Ir.Kernel.reduce ~name:"kr" ~inputs:[ "b" ] ~init:0.0 ~combine:Ir.Expr.Add
+          (Ir.Expr.input "b");
+      ]
+  in
+  let reference = Rng.create 5 in
+  let inputs = List.combine [ "a"; "b" ] (random_images reference 2 ~width ~height ~lo ~hi) in
+  let want = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+  with_cache_dir @@ fun cache_dir ->
+  List.iter
+    (fun mode ->
+      let what = Exec.Native.mode_to_string mode in
+      let run output =
+        let rng = Rng.create 5 in
+        match
+          Exec.Native.execute ~mode ~cache_dir p (Exec.Native.Random { rng; lo; hi }) output
+        with
+        | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+        | Ok r ->
+          Alcotest.(check bool) (what ^ ": the generator ends where Image.random leaves it") true
+            (Bytes.equal (Rng.save rng) (Rng.save reference));
+          r.Exec.Native.outputs
+      in
+      let pixels = run Exec.Native.Pixels in
+      List.iter
+        (fun (n, img) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s bit-exact" what n) true
+            (Img.Image.equal (List.assoc n want) img))
+        pixels;
+      Alcotest.(check (list (pair int int))) (what ^ ": input copies full size, reduction 1x1")
+        [ (width, height); (width, height); (1, 1) ]
+        (List.map (fun (_, img) -> (Img.Image.width img, Img.Image.height img)) pixels);
+      List.iter2
+        (fun (n, img) (m, s) ->
+          Alcotest.(check string) "same output order" n m;
+          Alcotest.(check bool) (Printf.sprintf "%s: %s summary" what n) true
+            (same_summary (Exec.Native.summarize img) s))
+        pixels (run Exec.Native.Summaries))
+    [ Exec.Native.Subprocess; Exec.Native.Dlopen ]
+
 (* ---- the opt-in fuzz oracle ---- *)
 
 let test_oracle_native_exec () =
@@ -1413,6 +1606,16 @@ let name_collision_rows () =
 
 let test_name_collisions_exact () =
   let _ = require_toolchain () in
+  let strategies = [ F.Driver.Baseline; F.Driver.Mincut ] in
+  let modes = [ Exec.Native.Dlopen; Exec.Native.Subprocess ] in
+  let fused strategy p = (F.Driver.run F.Config.default strategy p).F.Driver.fused in
+  precompile
+    (List.concat_map
+       (fun (_, p) ->
+         List.concat_map
+           (fun strategy -> List.map (fun mode -> (mode, fused strategy p)) modes)
+           strategies)
+       (name_collision_rows ()));
   with_cache_dir @@ fun cache_dir ->
   List.iter
     (fun (row, p) ->
@@ -1420,7 +1623,7 @@ let test_name_collisions_exact () =
       let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
       List.iter
         (fun strategy ->
-          let fused = (F.Driver.run F.Config.default strategy p).F.Driver.fused in
+          let fused = fused strategy p in
           List.iter
             (fun mode ->
               let what =
@@ -1432,8 +1635,8 @@ let test_name_collisions_exact () =
               | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
               | Ok r ->
                 Alcotest.(check (float 0.0)) what 0.0 (max_diff reference r.Exec.Native.outputs))
-            [ Exec.Native.Dlopen; Exec.Native.Subprocess ])
-        [ F.Driver.Baseline; F.Driver.Mincut ])
+            modes)
+        strategies)
     (name_collision_rows ())
 
 let suite =
@@ -1516,4 +1719,9 @@ let suite =
       test_workspace_calls_independent;
     Alcotest.test_case "workspace: two threads never share one" `Slow
       test_workspace_threads;
+    Alcotest.test_case "arena: a seeded run is Image.random's, pixels and summaries" `Slow
+      test_seeded_run_exact;
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]))
+      [ prop_synthesis_identity; prop_summary_identity ]
