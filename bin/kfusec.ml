@@ -6,13 +6,14 @@
      emit      - emit CUDA or C+OpenMP for a pipeline (fused or not)
      estimate  - estimate execution times / speedups on a GPU model
      run       - execute a pipeline on a PGM image via the interpreter
+     explain   - narrate every fusion decision for a pipeline
+     dot       - render a pipeline DAG as Graphviz DOT with its partition
+     unparse   - print a built-in application as DSL source text
      check     - validate a pipeline and print structured diagnostics
-     dsl-check - parse and validate a DSL file
      serve     - run the kfused fusion service on a Unix-domain socket
      shard-serve - run a supervised fleet of kfused shards behind a router
      query     - send one request to a running kfused
      repl      - edit a lazy pipeline; fusion is (re)planned on each flush
-     stream    - drive concurrent synthetic frame streams against kfused
      fuzz      - differential fuzzing campaign over generated pipelines
      bench-native - fused vs. unfused native wall-clock, checked bit for bit
 
@@ -54,6 +55,9 @@ let read_file path =
   | data -> Ok data
   | exception Sys_error msg -> Error (Diag.v ~file:path Diag.Io_error msg)
 
+let both_given = Diag.v Diag.Io_error "pass either --app or a FILE, not both"
+let none_given = Diag.v Diag.Io_error "pass --app NAME or a DSL FILE"
+
 let load_pipeline ~app ~file =
   match (app, file) with
   | Some name, None -> (
@@ -67,8 +71,19 @@ let load_pipeline ~app ~file =
     match read_file path with
     | Error _ as e -> e
     | Ok src -> Kfuse_dsl.Elaborate.parse_pipeline_diag ~file:path src)
-  | Some _, Some _ -> Error (Diag.v Diag.Io_error "pass either --app or a FILE, not both")
-  | None, None -> Error (Diag.v Diag.Io_error "pass --app NAME or a DSL FILE")
+  | Some _, Some _ -> Error both_given
+  | None, None -> Error none_given
+
+(* The wire form of --app/FILE, an [(app, source)] pair: a request
+   carries DSL source, not a path, so the server need not share a
+   filesystem view with the client.  [none] answers when neither is
+   given. *)
+let wire_pipeline ~none ~app ~file =
+  match (app, file) with
+  | Some _, Some _ -> Error both_given
+  | None, Some path -> Result.map (fun s -> (None, Some s)) (read_file path)
+  | (Some _ as app), None -> Ok (app, None)
+  | None, None -> none
 
 (* Validate before fusing: errors abort, warnings (e.g. an empty
    pipeline) are surfaced but not fatal. *)
@@ -677,23 +692,6 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(const run $ app_arg $ file_arg)
 
-(* ---- dsl-check ---- *)
-
-let dsl_check_cmd =
-  let doc = "Parse and validate a pipeline DSL file." in
-  let file_required =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Pipeline DSL file.")
-  in
-  let run path =
-    match load_validated ~app:None ~file:(Some path) with
-    | Ok p ->
-      Format.printf "%s: OK (%d kernels, %dx%dx%d)@." path (Ir.Pipeline.num_kernels p)
-        p.Ir.Pipeline.width p.Ir.Pipeline.height p.Ir.Pipeline.channels;
-      0
-    | Error d -> fail_diag d
-  in
-  Cmd.v (Cmd.info "dsl-check" ~doc) Term.(const run $ file_required)
-
 (* ---- serve / query: the kfused service ---- *)
 
 let default_socket () =
@@ -1201,16 +1199,7 @@ let query_cmd =
           | None -> print_json v)
         Svc.Protocol.Metrics
     | (`Fuse | `Exec) as which -> (
-      (* The request carries DSL source, not a path: the server need not
-         share a filesystem view with the client. *)
-      let source =
-        match (common.app, common.file) with
-        | None, Some path -> Result.map (fun s -> (None, Some s)) (read_file path)
-        | Some app, None -> Ok (Some app, None)
-        | Some _, Some _ -> Error (Diag.v Diag.Io_error "pass either --app or a FILE, not both")
-        | None, None -> Error (Diag.v Diag.Io_error "pass --app NAME or a DSL FILE")
-      in
-      match source with
+      match wire_pipeline ~none:(Error none_given) ~app:common.app ~file:common.file with
       | Error d -> fail_diag d
       | Ok (app, source) -> (
         let req =
@@ -1295,6 +1284,10 @@ let repl_print_show lp =
       (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%g" n v) ps)));
   let ks = List.map (fun k -> k.Ir.Kernel.name) (Lz.Lazy_pipeline.kernels lp) in
   Format.printf "kernels (%d): %s@." (List.length ks) (String.concat " " ks)
+
+let no_builder =
+  Diag.v Diag.Io_error
+    "pass --app NAME, a DSL FILE, or --width and --height for an empty builder"
 
 let repl_cmd =
   let doc = "Edit a pipeline interactively; fusion is (re)planned on each flush." in
@@ -1413,11 +1406,7 @@ let repl_cmd =
               try
                 Ok (Lz.Lazy_pipeline.create ~channels ~inputs ~width:w ~height:h common.config)
               with Invalid_argument m -> Error (Diag.v Diag.Config_invalid m))
-            | _ ->
-              Error
-                (Diag.v Diag.Io_error
-                   "pass --app NAME, a DSL FILE, or --width and --height for an \
-                    empty builder"))
+            | _ -> Error no_builder)
           | app, file ->
             Result.map (Lz.Lazy_pipeline.of_pipeline common.config)
               (load_validated ~app ~file)
@@ -1479,20 +1468,8 @@ let repl_cmd =
       | Some socket -> (
         (* Daemon mode: edit lines pass through verbatim as lazy_edit;
            only flush/plan/show/help/quit are interpreted client-side. *)
-        let seed =
-          match (common.app, common.file) with
-          | Some _, Some _ -> Error (Diag.v Diag.Io_error "pass either --app or a FILE, not both")
-          | None, Some path -> Result.map (fun s -> (None, Some s)) (read_file path)
-          | (Some _ as app), None -> Ok (app, None)
-          | None, None ->
-            if width = None || height = None then
-              Error
-                (Diag.v Diag.Io_error
-                   "pass --app NAME, a DSL FILE, or --width and --height for an \
-                    empty builder")
-            else Ok (None, None)
-        in
-        match seed with
+        let none = if width = None || height = None then Error no_builder else Ok (None, None) in
+        match wire_pipeline ~none ~app:common.app ~file:common.file with
         | Error d -> fail_diag d
         | Ok (app, source) -> (
           let openreq =
@@ -1591,302 +1568,6 @@ let repl_cmd =
     Term.(
       const run $ common_term $ script_arg $ socket_opt_arg $ timeout_arg $ width_arg
       $ height_arg $ channels_arg $ inputs_arg)
-
-(* ---- stream: sustained frame-rate streaming against kfused ---- *)
-
-(* One synthetic stream's worth of client work: open, push [frames]
-   paced frames, close.  Per-frame latency (including any shed-retry
-   backoff — the client-perceived number) goes through [record]. *)
-type stream_outcome = {
-  so_ok : int;
-  so_retried : int;  (* frames that needed at least one shed retry *)
-  so_failed : int;
-  so_wall_s : float;
-  so_error : Diag.t option;  (* first hard failure *)
-}
-
-let drive_stream ~socket ~timeout_ms ~retries ~backoff_ms ~fps ~frames ~verify ~record
-    (open_req : Svc.Protocol.stream_open_request) =
-  Svc.Client.with_connection ~socket ?timeout_ms @@ fun c ->
-  match Svc.Client.stream_open c open_req with
-  | Error _ as e -> e
-  | Ok reply -> (
-    match Svc.Jsonx.mem_str "id" reply with
-    | None -> Error (Diag.v Diag.Protocol_error "stream_open reply lacks \"id\"")
-    | Some id ->
-      let push_req = { Svc.Protocol.id; verify; return_pixels = false } in
-      let rng = Kfuse_util.Rng.create open_req.Svc.Protocol.seed in
-      let ok = ref 0 and retried = ref 0 and failed = ref 0 in
-      let first_err = ref None in
-      let t_start = Unix.gettimeofday () in
-      for f = 0 to frames - 1 do
-        (* Pace against the stream's epoch, not the previous frame, so a
-           slow frame is followed by catch-up rather than drift. *)
-        if fps > 0.0 then begin
-          let due = t_start +. (float_of_int f /. fps) in
-          let now = Unix.gettimeofday () in
-          if due > now then Thread.delay (due -. now)
-        end;
-        let t0 = Unix.gettimeofday () in
-        (* Retry only explicit sheds (KF0803/KF0805): the server rejects
-           those before touching temporal state, so the frame can be
-           re-pushed verbatim.  A KF0804 timeout may have been
-           processed; retrying could double-advance the stream. *)
-        let rec push attempt =
-          match Svc.Client.stream_push c push_req with
-          | Ok _ ->
-            if attempt > 0 then incr retried;
-            incr ok;
-            record ((Unix.gettimeofday () -. t0) *. 1000.)
-          | Error d -> (
-            match d.Diag.code with
-            | (Diag.Overloaded | Diag.Stream_backpressure) when attempt < retries ->
-              let step =
-                Float.min (backoff_ms *. (2.0 ** float_of_int attempt)) 2_000.0
-              in
-              Thread.delay (step *. (0.5 +. Kfuse_util.Rng.float rng 0.5) /. 1000.0);
-              push (attempt + 1)
-            | _ ->
-              incr failed;
-              if !first_err = None then first_err := Some d)
-        in
-        push 0
-      done;
-      let wall = Unix.gettimeofday () -. t_start in
-      (match Svc.Client.stream_close c id with
-      | Ok _ -> ()
-      | Error d -> if !first_err = None then first_err := Some d);
-      Ok
-        {
-          so_ok = !ok;
-          so_retried = !retried;
-          so_failed = !failed;
-          so_wall_s = wall;
-          so_error = !first_err;
-        })
-
-type stream_report = {
-  sr_streams : int;
-  sr_ok : int;
-  sr_retried : int;
-  sr_failed : int;
-  sr_wall_s : float;  (* slowest stream *)
-  sr_quantiles : Kfuse_util.Stats.quantiles option;
-  sr_error : Diag.t option;
-}
-
-let drive_streams ~socket ~timeout_ms ~retries ~backoff_ms ~fps ~frames ~streams ~verify
-    open_req =
-  let reservoir = Kfuse_util.Stats.reservoir ~seed:0 8192 in
-  let res_lock = Mutex.create () in
-  let record ms =
-    Mutex.lock res_lock;
-    Kfuse_util.Stats.add reservoir ms;
-    Mutex.unlock res_lock
-  in
-  let results = Array.make streams None in
-  let threads =
-    Array.init streams (fun i ->
-        Thread.create
-          (fun i ->
-            let r =
-              try
-                drive_stream ~socket ~timeout_ms ~retries ~backoff_ms ~fps ~frames
-                  ~verify ~record (open_req i)
-              with e -> Error (Diag.of_exn e)
-            in
-            results.(i) <- Some r)
-          i)
-  in
-  Array.iter Thread.join threads;
-  Array.fold_left
-    (fun acc r ->
-      match r with
-      | None | Some (Error _) ->
-        let d =
-          match r with
-          | Some (Error d) -> Some d
-          | _ -> Some (Diag.v Diag.Service_error "stream thread vanished")
-        in
-        {
-          acc with
-          sr_failed = acc.sr_failed + frames;
-          sr_error = (match acc.sr_error with Some _ as e -> e | None -> d);
-        }
-      | Some (Ok o) ->
-        {
-          acc with
-          sr_ok = acc.sr_ok + o.so_ok;
-          sr_retried = acc.sr_retried + o.so_retried;
-          sr_failed = acc.sr_failed + o.so_failed;
-          sr_wall_s = Float.max acc.sr_wall_s o.so_wall_s;
-          sr_error =
-            (match acc.sr_error with Some _ as e -> e | None -> o.so_error);
-        })
-    {
-      sr_streams = streams;
-      sr_ok = 0;
-      sr_retried = 0;
-      sr_failed = 0;
-      sr_wall_s = 0.0;
-      sr_quantiles = Kfuse_util.Stats.quantiles reservoir;
-      sr_error = None;
-    }
-    results
-
-let pp_stream_report ppf (r : stream_report) ~frames ~fps =
-  let aggregate = if r.sr_wall_s > 0.0 then float_of_int r.sr_ok /. r.sr_wall_s else 0.0 in
-  Format.fprintf ppf "pushed %d/%d frames (retried %d, failed %d) in %.2f s@,"
-    r.sr_ok (r.sr_streams * frames) r.sr_retried r.sr_failed r.sr_wall_s;
-  (match r.sr_quantiles with
-  | None -> ()
-  | Some q ->
-    Format.fprintf ppf
-      "frame latency ms: p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f (n=%d)@,"
-      q.Kfuse_util.Stats.p50 q.Kfuse_util.Stats.p90 q.Kfuse_util.Stats.p95
-      q.Kfuse_util.Stats.p99 q.Kfuse_util.Stats.q_max q.Kfuse_util.Stats.samples);
-  Format.fprintf ppf "sustained: %.1f fps/stream, %.1f fps aggregate%s"
-    (aggregate /. float_of_int (max 1 r.sr_streams))
-    aggregate
-    (if fps > 0.0 then Printf.sprintf " (target %.1f fps/stream)" fps else "")
-
-let stream_fuse_request (common : common) ~strategy ~app ~source =
-  {
-    Svc.Protocol.app;
-    source;
-    strategy;
-    c_mshared = Some common.config.F.Config.c_mshared;
-    gamma = Some common.config.F.Config.gamma;
-    tg = Some common.config.F.Config.tg;
-    optimize = false;
-    inline = false;
-    budget_ms = common.budget_ms;
-    no_cache = false;
-    strict = common.strict;
-  }
-
-let stream_cmd =
-  let doc = "Drive concurrent synthetic video streams against a running kfused." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Opens $(b,--streams) sessions on the server ($(b,stream_open): plan \
-         once, compile and pin the native artifact once), then pushes \
-         $(b,--frames) synthetic frames per stream paced at $(b,--fps) \
-         ($(b,stream_push): one frame against the session's temporal window — \
-         $(b,prev)/$(b,prevN) inputs read past frames).  Sheds (KF0803/KF0805) \
-         are retried with backoff; per-frame latency quantiles (including \
-         retry time) and the sustained frame rate are reported.";
-      `P
-        "Temporal apps: $(b,motion) (frame delta, Sobel, threshold) and \
-         $(b,tharris) (temporally smoothed Harris).  Non-temporal pipelines \
-         stream too, with an empty window.";
-    ]
-  in
-  let streams_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "streams" ] ~docv:"N" ~doc:"Concurrent streams (each on its own connection).")
-  in
-  let frames_arg =
-    Arg.(value & opt int 120 & info [ "frames" ] ~docv:"N" ~doc:"Frames per stream.")
-  in
-  let fps_arg =
-    Arg.(
-      value & opt float 30.0
-      & info [ "fps" ] ~docv:"FPS" ~doc:"Target frame rate per stream; 0 pushes unpaced.")
-  in
-  let width_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "width" ] ~docv:"W"
-          ~doc:"Override the pipeline extent (registry apps only; pair with $(b,--height)).")
-  in
-  let height_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "height" ] ~docv:"H" ~doc:"See $(b,--width).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Base seed; stream $(i,i) synthesizes its frames from SEED+$(i,i).")
-  in
-  let verify_arg =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "Ask the server to also run the reference interpreter on every \
-             frame and report the worst $(b,max_abs_diff).")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:"Bound the connect and every read/write on each connection.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a shed frame (KF0803/KF0805) up to N times with exponential \
-             backoff; sheds happen before the stream advances, so the retry \
-             is verbatim-safe.  Timeouts are never retried.")
-  in
-  let retry_backoff_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "retry-backoff-ms" ] ~docv:"MS"
-          ~doc:"First backoff step; doubles per retry (capped at 2s).")
-  in
-  let run common socket exec_mode streams frames fps width height seed verify timeout_ms
-      retries retry_backoff_ms strategy =
-    if streams < 1 || frames < 1 then begin
-      Format.eprintf "kfusec: --streams and --frames must be >= 1@.";
-      1
-    end
-    else begin
-      let source =
-        match (common.app, common.file) with
-        | None, Some path -> Result.map (fun s -> (None, Some s)) (read_file path)
-        | Some app, None -> Ok (Some app, None)
-        | Some _, Some _ ->
-          Error (Diag.v Diag.Io_error "pass either --app or a FILE, not both")
-        | None, None -> Error (Diag.v Diag.Io_error "pass --app NAME or a DSL FILE")
-      in
-      match source with
-      | Error d -> fail_diag d
-      | Ok (app, source) ->
-        let fuse = stream_fuse_request common ~strategy ~app ~source in
-        let open_req i =
-          { Svc.Protocol.fuse; exec_mode; width; height; seed = seed + i }
-        in
-        let r =
-          drive_streams ~socket ~timeout_ms ~retries ~backoff_ms:retry_backoff_ms ~fps
-            ~frames ~streams ~verify open_req
-        in
-        Format.printf "@[<v>stream: %d x %d frames, %s@,%a@]@." streams frames
-          (match app with
-          | Some a -> "app " ^ a
-          | None -> "DSL pipeline")
-          (fun ppf r -> pp_stream_report ppf r ~frames ~fps)
-          r;
-        (match r.sr_error with
-        | Some d ->
-          pp_diag d;
-          1
-        | None -> if r.sr_failed > 0 then 1 else 0)
-    end
-  in
-  Cmd.v (Cmd.info "stream" ~doc ~man)
-    Term.(
-      const run $ common_term $ socket_arg $ exec_mode_arg $ streams_arg $ frames_arg
-      $ fps_arg $ width_arg $ height_arg $ seed_arg $ verify_arg $ timeout_arg
-      $ retries_arg $ retry_backoff_arg $ strategy_arg)
 
 (* ---- fuzz: the differential fuzzing campaign ---- *)
 
@@ -2124,8 +1805,8 @@ let main =
     (Cmd.info "kfusec" ~version:"1.0.0" ~doc)
     [
       list_cmd; fuse_cmd; emit_cmd; estimate_cmd; run_cmd; explain_cmd; dot_cmd;
-      unparse_cmd; check_cmd; dsl_check_cmd; serve_cmd; shard_serve_cmd; query_cmd;
-      repl_cmd; stream_cmd; fuzz_cmd; bench_native_cmd;
+      unparse_cmd; check_cmd; serve_cmd; shard_serve_cmd; query_cmd; repl_cmd;
+      fuzz_cmd; bench_native_cmd;
     ]
 
 let () =

@@ -193,10 +193,9 @@ let op_name = function
   | Ping -> "ping"
   | Shutdown -> "shutdown"
 
+let opt name conv v fields = match v with None -> fields | Some v -> (name, conv v) :: fields
+
 let fuse_fields (f : fuse_request) =
-  let opt name conv v fields =
-    match v with None -> fields | Some v -> (name, conv v) :: fields
-  in
   let fields =
     []
     |> opt "budget_ms" (fun v -> Jsonx.Num v) f.budget_ms
@@ -212,6 +211,17 @@ let fuse_fields (f : fuse_request) =
   let fields = if f.no_cache then ("no_cache", Jsonx.Bool true) :: fields else fields in
   ("strategy", Jsonx.Str (Driver.strategy_to_string f.strategy)) :: fields
 
+(* The fields [fuse_exec] and [stream_open] share: what to plan, how to
+   run it natively, the extent override and the input seed.
+   [target_of_json] below is the one decoder for them. *)
+let target_fields ~fuse ~exec_mode ~width ~height ~seed =
+  let int v = Jsonx.Num (float_of_int v) in
+  ("seed", int seed)
+  :: (fuse_fields fuse
+     |> opt "exec_mode" (fun m -> Jsonx.Str (Kfuse_exec.Native.mode_to_string m)) exec_mode
+     |> opt "width" int width
+     |> opt "height" int height)
+
 let request_to_json = function
   | Stats -> Jsonx.Obj [ ("op", Jsonx.Str "stats") ]
   | Metrics -> Jsonx.Obj [ ("op", Jsonx.Str "metrics") ]
@@ -219,18 +229,10 @@ let request_to_json = function
   | Shutdown -> Jsonx.Obj [ ("op", Jsonx.Str "shutdown") ]
   | Fuse f -> Jsonx.Obj (("op", Jsonx.Str "fuse") :: fuse_fields f)
   | Fuse_exec e ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
     let fields =
-      fuse_fields e.fuse
-      |> opt "exec_mode"
-           (fun m -> Jsonx.Str (Kfuse_exec.Native.mode_to_string m))
-           e.exec_mode
-      |> opt "width" (fun v -> Jsonx.Num (float_of_int v)) e.width
-      |> opt "height" (fun v -> Jsonx.Num (float_of_int v)) e.height
+      target_fields ~fuse:e.fuse ~exec_mode:e.exec_mode ~width:e.width ~height:e.height
+        ~seed:e.seed
     in
-    let fields = ("seed", Jsonx.Num (float_of_int e.seed)) :: fields in
     let fields =
       if e.repeat <> 1 then ("repeat", Jsonx.Num (float_of_int e.repeat)) :: fields
       else fields
@@ -241,19 +243,10 @@ let request_to_json = function
     in
     Jsonx.Obj (("op", Jsonx.Str "fuse_exec") :: fields)
   | Stream_open o ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
-    let fields =
-      fuse_fields o.fuse
-      |> opt "exec_mode"
-           (fun m -> Jsonx.Str (Kfuse_exec.Native.mode_to_string m))
-           o.exec_mode
-      |> opt "width" (fun v -> Jsonx.Num (float_of_int v)) o.width
-      |> opt "height" (fun v -> Jsonx.Num (float_of_int v)) o.height
-    in
-    let fields = ("seed", Jsonx.Num (float_of_int o.seed)) :: fields in
-    Jsonx.Obj (("op", Jsonx.Str "stream_open") :: fields)
+    Jsonx.Obj
+      (("op", Jsonx.Str "stream_open")
+      :: target_fields ~fuse:o.fuse ~exec_mode:o.exec_mode ~width:o.width ~height:o.height
+           ~seed:o.seed)
   | Stream_push s ->
     let fields = [ ("id", Jsonx.Str s.id) ] in
     let fields = if s.verify then ("verify", Jsonx.Bool true) :: fields else fields in
@@ -263,9 +256,6 @@ let request_to_json = function
     Jsonx.Obj (("op", Jsonx.Str "stream_push") :: fields)
   | Stream_close id -> Jsonx.Obj [ ("op", Jsonx.Str "stream_close"); ("id", Jsonx.Str id) ]
   | Lazy_open o ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
     let num v = Jsonx.Num v in
     let fields =
       []
@@ -357,6 +347,27 @@ let int_field name v =
     if Float.is_integer f && f >= 1.0 && f <= 1e9 then Ok (Some (int_of_float f))
     else proto_error "field %S must be a positive integer" name
 
+let target_of_json v =
+  let* fuse = fuse_of_json v in
+  let* exec_mode_name = typed_field "exec_mode" Jsonx.str "string" v in
+  let* exec_mode =
+    match exec_mode_name with
+    | None | Some "auto" -> Ok None
+    | Some s -> (
+      match Kfuse_exec.Native.mode_of_string s with
+      | Some m -> Ok (Some m)
+      | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
+  in
+  let* width = int_field "width" v in
+  let* height = int_field "height" v in
+  let* () =
+    match (width, height) with
+    | Some _, None | None, Some _ -> proto_error "pass \"width\" and \"height\" together"
+    | _ -> Ok ()
+  in
+  let* seed = int_field "seed" v in
+  Ok (fuse, exec_mode, width, height, Option.value ~default:42 seed)
+
 let request_of_json v =
   match Jsonx.mem_str "op" v with
   | None -> proto_error "request must be an object with a string \"op\" field"
@@ -368,25 +379,7 @@ let request_of_json v =
     let* f = fuse_of_json v in
     Ok (Fuse f)
   | Some "fuse_exec" ->
-    let* fuse = fuse_of_json v in
-    let* exec_mode_name = typed_field "exec_mode" Jsonx.str "string" v in
-    let* exec_mode =
-      match exec_mode_name with
-      | None | Some "auto" -> Ok None
-      | Some s -> (
-        match Kfuse_exec.Native.mode_of_string s with
-        | Some m -> Ok (Some m)
-        | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
-    in
-    let* width = int_field "width" v in
-    let* height = int_field "height" v in
-    let* () =
-      match (width, height) with
-      | Some _, None | None, Some _ ->
-        proto_error "pass \"width\" and \"height\" together"
-      | _ -> Ok ()
-    in
-    let* seed = int_field "seed" v in
+    let* fuse, exec_mode, width, height, seed = target_of_json v in
     let* repeat = int_field "repeat" v in
     let* verify = typed_field "verify" Jsonx.bool "boolean" v in
     let* return_pixels = typed_field "return_pixels" Jsonx.bool "boolean" v in
@@ -397,34 +390,14 @@ let request_of_json v =
            exec_mode;
            width;
            height;
-           seed = Option.value ~default:42 seed;
+           seed;
            repeat = Option.value ~default:1 repeat;
            verify = Option.value ~default:false verify;
            return_pixels = Option.value ~default:false return_pixels;
          })
   | Some "stream_open" ->
-    let* fuse = fuse_of_json v in
-    let* exec_mode_name = typed_field "exec_mode" Jsonx.str "string" v in
-    let* exec_mode =
-      match exec_mode_name with
-      | None | Some "auto" -> Ok None
-      | Some s -> (
-        match Kfuse_exec.Native.mode_of_string s with
-        | Some m -> Ok (Some m)
-        | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
-    in
-    let* width = int_field "width" v in
-    let* height = int_field "height" v in
-    let* () =
-      match (width, height) with
-      | Some _, None | None, Some _ ->
-        proto_error "pass \"width\" and \"height\" together"
-      | _ -> Ok ()
-    in
-    let* seed = int_field "seed" v in
-    Ok
-      (Stream_open
-         { fuse; exec_mode; width; height; seed = Option.value ~default:42 seed })
+    let* fuse, exec_mode, width, height, seed = target_of_json v in
+    Ok (Stream_open { fuse; exec_mode; width; height; seed })
   | Some "stream_push" ->
     let* id = typed_field "id" Jsonx.str "string" v in
     let* id =

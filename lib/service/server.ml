@@ -407,6 +407,10 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
       plan t ~deadline ?size:(size_of o.Protocol.width o.Protocol.height) o.Protocol.fuse
     in
     let p = r.F.Driver.fused in
+    (* As in [handle_fuse_exec]: a stream whose frames could never fit
+       the sandbox is refused before anything compiles, and the error
+       releases its reserved slot. *)
+    let* () = Native.check_limits t.exec_limits p in
     let* session = Session.create p in
     let* () = check_deadline t deadline ~before:"the stream compile" in
     (* An interpreter-only stream keeps the daemon useful on hosts

@@ -66,7 +66,7 @@ type reservoir = {
   rng : Random.State.t;
 }
 
-let reservoir ?(seed = 0x5157) capacity =
+let reservoir capacity =
   if capacity < 1 then invalid_arg "Stats.reservoir: capacity must be >= 1";
   {
     capacity;
@@ -76,7 +76,7 @@ let reservoir ?(seed = 0x5157) capacity =
     sum = 0.0;
     rmin = infinity;
     rmax = neg_infinity;
-    rng = Random.State.make [| seed; capacity |];
+    rng = Random.State.make [| 0x5157; capacity |];
   }
 
 let add r x =

@@ -38,16 +38,16 @@ val pp_summary : Format.formatter -> summary -> unit
     A bounded reservoir (Vitter's algorithm R) over an unbounded stream:
     every value seen so far is in the sample with equal probability, so
     order statistics of the sample estimate those of the stream with a
-    fixed memory footprint.  Deterministic for a fixed [seed] and
+    fixed memory footprint.  Deterministic for a fixed capacity and
     insertion sequence.  The [kfused] service uses one per request kind
     for latency reporting; min/max/mean are tracked exactly over the
     whole stream.  Not thread-safe — callers synchronize. *)
 
 type reservoir
 
-(** [reservoir ?seed capacity] is an empty reservoir keeping at most
+(** [reservoir capacity] is an empty reservoir keeping at most
     [capacity] samples.  @raise Invalid_argument if [capacity < 1]. *)
-val reservoir : ?seed:int -> int -> reservoir
+val reservoir : int -> reservoir
 
 (** [add r x] observes one value. *)
 val add : reservoir -> float -> unit

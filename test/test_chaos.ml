@@ -28,7 +28,7 @@ let temp_dir prefix =
   dir
 
 let with_server ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms ?exec_limits
-    ?crash_dir ?breaker_threshold ?breaker_cooldown_ms f =
+    ?crash_dir ?breaker_threshold ?breaker_cooldown_ms ?max_streams f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create () in
   (* Exec chaos tests pass an explicit throwaway [crash_dir]; everything
@@ -41,7 +41,7 @@ let with_server ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms ?exec_li
       match
         Svc.Server.start ~socket ~cache ~pool ?max_conns ?queue ?request_timeout_ms
           ?drain_timeout_ms ?exec_limits ~crash_dir ?breaker_threshold
-          ?breaker_cooldown_ms ()
+          ?breaker_cooldown_ms ?max_streams ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
       | Ok server ->
@@ -514,6 +514,43 @@ let test_exec_limit_refusal_no_strike () =
   Alcotest.(check int) "nothing compiled" compiles (Kfuse_exec.Native.compiles ());
   Alcotest.(check (list string)) "no crash artifact" [] (Array.to_list (Sys.readdir crash_dir))
 
+(* The same refusal at stream_open: a stream whose frames could never
+   fit RLIMIT_FSIZE is a KF0907 before anything compiles, no strike and
+   no interpreter fallback, and under --max-streams 1 the next small
+   open proves the refused one released its slot. *)
+let test_stream_open_limit_refusal () =
+  with_server ~max_streams:1
+    ~exec_limits:{ Sup.default_limits with Sup.fsize_bytes = Some (1024 * 1024) }
+  @@ fun socket server ->
+  let compiles = Kfuse_exec.Native.compiles () in
+  let open_req extent =
+    {
+      Protocol.fuse = fuse_req "motion";
+      exec_mode = None;
+      width = Some extent;
+      height = Some extent;
+      seed = 42;
+    }
+  in
+  Svc.Client.with_connection ~socket (fun c ->
+      (match Svc.Client.stream_open c (open_req 1024) with
+      | Ok _ -> Alcotest.fail "a stream with outputs over RLIMIT_FSIZE was admitted"
+      | Error d ->
+        Alcotest.(check string) "open is KF0907" "KF0907" (code_of d);
+        Alcotest.(check bool) "names RLIMIT_FSIZE" true
+          (contains "RLIMIT_FSIZE" (Diag.to_string d)));
+      Alcotest.(check int) "no stream active" 0 (gauge server "streams_active");
+      Alcotest.(check int) "nothing compiled" compiles (Kfuse_exec.Native.compiles ());
+      Alcotest.(check int) "nothing quarantined" 0 (gauge server "quarantined_plans");
+      Alcotest.(check int) "no interpreter fallback" 0
+        (counter server "native_exec_fallbacks");
+      Alcotest.(check int) "no limit strike" 0 (counter server "native_exec_limits");
+      let small = expect_ok (Svc.Client.stream_open c (open_req 16)) in
+      match Jsonx.mem_str "id" small with
+      | Some id -> Svc.Client.stream_close c id
+      | None -> Alcotest.failf "stream_open reply lacks an id: %s" (Jsonx.to_string small))
+  |> expect_ok |> ignore
+
 (* The summary a sandboxed fuse_exec folds out of its runner's arena is
    the one its verified reply computes from pixels: for the six paper
    apps, motion (two inputs), unsharp and enhance (parameters in the
@@ -748,6 +785,8 @@ let suite =
       test_exec_oom_limit;
     Alcotest.test_case "chaos: a request over the limits is refused, not struck" `Slow
       test_exec_limit_refusal_no_strike;
+    Alcotest.test_case "chaos: a stream_open over the limits is refused, slot released"
+      `Slow test_stream_open_limit_refusal;
     Alcotest.test_case "exec: summary replies equal verified replies" `Slow
       test_exec_summary_equals_verify;
     Alcotest.test_case "chaos: concurrent exec.crash storm, daemon survives" `Slow

@@ -60,14 +60,6 @@ let test_estimate () =
     (run_capture [ "estimate"; "--app"; "unsharp"; "-d"; "gtx680" ])
     [ "baseline"; "mincut"; "speedup" ]
 
-let test_dsl_check_ok_and_error () =
-  check_contains "dsl-check"
-    (run_capture [ "dsl-check"; Filename.concat pipelines_dir "unsharp.pipe" ])
-    [ "OK (4 kernels" ];
-  let code, text = run_capture [ "fuse"; "--app"; "not_an_app" ] in
-  Alcotest.(check bool) "bad app fails" true (code <> 0);
-  Alcotest.(check bool) "helpful error" true (contains "unknown application" text)
-
 let test_explain_dot_unparse () =
   check_contains "explain"
     (run_capture [ "explain"; "--app"; "night" ])
@@ -106,9 +98,15 @@ let test_check () =
   check_contains "check built-in"
     (run_capture [ "check"; "--app"; "harris" ])
     [ "harris: OK (9 kernels" ];
-  check_contains "check DSL file"
-    (run_capture [ "check"; Filename.concat pipelines_dir "sobel.pipe" ])
-    [ "OK (3 kernels" ];
+  List.iter
+    (fun (file, want) ->
+      check_contains ("check " ^ file)
+        (run_capture [ "check"; Filename.concat pipelines_dir file ])
+        [ want ])
+    [ ("sobel.pipe", "OK (3 kernels"); ("unsharp.pipe", "OK (4 kernels") ];
+  let code, text = run_capture [ "fuse"; "--app"; "not_an_app" ] in
+  Alcotest.(check bool) "bad app fails" true (code <> 0);
+  Alcotest.(check bool) "helpful error" true (contains "unknown application" text);
   let bad = Filename.temp_file "kfusec_bad" ".pipe" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove bad with Sys_error _ -> ())
@@ -553,7 +551,6 @@ let suite =
     Alcotest.test_case "fuse DSL file" `Quick test_fuse_dsl_file;
     Alcotest.test_case "emit cuda + cpu" `Quick test_emit_cuda_and_cpu;
     Alcotest.test_case "estimate" `Quick test_estimate;
-    Alcotest.test_case "dsl-check + errors" `Quick test_dsl_check_ok_and_error;
     Alcotest.test_case "explain/dot/unparse" `Quick test_explain_dot_unparse;
     Alcotest.test_case "run on PGM image" `Quick test_run_on_pgm;
     Alcotest.test_case "check subcommand" `Quick test_check;

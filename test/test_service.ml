@@ -138,25 +138,19 @@ let test_protocol_roundtrip () =
   bad
     (Jsonx.Obj
        [ ("op", Jsonx.Str "fuse"); ("app", Jsonx.Str "x"); ("source", Jsonx.Str "y") ]);
-  (* fuse_exec validation: width and height must come together, sizes
-     must be positive integers, exec_mode must be a known mode. *)
-  bad
-    (Jsonx.Obj
-       [ ("op", Jsonx.Str "fuse_exec"); ("app", Jsonx.Str "sobel"); ("width", Jsonx.Num 16.0) ]);
-  bad
-    (Jsonx.Obj
-       [
-         ("op", Jsonx.Str "fuse_exec");
-         ("app", Jsonx.Str "sobel");
-         ("repeat", Jsonx.Num 2.5);
-       ]);
-  bad
-    (Jsonx.Obj
-       [
-         ("op", Jsonx.Str "fuse_exec");
-         ("app", Jsonx.Str "sobel");
-         ("exec_mode", Jsonx.Str "jit");
-       ]);
+  (* fuse_exec and stream_open share one validation: width and height
+     must come together, sizes and counts must be positive integers,
+     exec_mode must be a known mode. *)
+  let target op field =
+    Jsonx.Obj [ ("op", Jsonx.Str op); ("app", Jsonx.Str "sobel"); field ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun field -> bad (target op field))
+        [ ("width", Jsonx.Num 16.0); ("exec_mode", Jsonx.Str "jit"); ("seed", Jsonx.Num 2.5) ])
+    [ "fuse_exec"; "stream_open" ];
+  bad (target "fuse_exec" ("repeat", Jsonx.Num 2.5));
   (* lazy ops: an open needs a seed or an extent, edits need id and
      command, inputs must be an array of strings. *)
   List.iter

@@ -177,14 +177,14 @@ let temp_dir prefix =
   Unix.mkdir dir 0o700;
   dir
 
-let with_server ?cache_dir ?max_streams ?stream_queue ?stream_idle_ms
+let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_queue ?stream_idle_ms
     ?breaker_threshold f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create ?dir:cache_dir () in
   let crash_dir = temp_dir "kfuse-stream-crash" in
   Kfuse_util.Pool.with_pool 2 (fun pool ->
       match
-        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?breaker_threshold
+        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?breaker_threshold
           ?max_streams ?stream_queue ?stream_idle_ms ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
@@ -563,6 +563,74 @@ let test_stream_compile_once_bitexact () =
       Ok ())
   |> expect_ok
 
+(* The concurrency soak: 8 threads, each on its own connection, open a
+   512x512 motion stream, push 60 frames through the client's shed
+   retry and close.  Every frame lands natively, the registry and the
+   metrics text account for every stream and frame, and a stop drains
+   with the socket gone.  One artifact cache serves both policy rows. *)
+let soak_cache_dir = lazy (temp_dir "kfuse-stream-soak")
+
+let test_stream_soak exec_sandbox () =
+  require_toolchain ();
+  let streams = 8 and frames = 60 and extent = 512 in
+  let mode =
+    match exec_sandbox with
+    | Kfuse_exec.Supervisor.Sandboxed -> "subprocess"
+    | Kfuse_exec.Supervisor.Dlopen_trusted -> "dlopen"
+  in
+  with_server ~cache_dir:(Lazy.force soak_cache_dir) ~exec_sandbox @@ fun socket server ->
+  let retry = { Svc.Client.default_retry with attempts = 8; backoff_ms = 10.0 } in
+  let drive i =
+    Svc.Client.with_connection ~socket @@ fun c ->
+    let ( let* ) = Result.bind in
+    let* opened =
+      Svc.Client.stream_open c (open_req ~seed:(42 + i) ~width:extent ~height:extent "motion")
+    in
+    let id = stream_id opened in
+    let rec push n landed =
+      if n = frames then Ok landed
+      else
+        let* reply = Svc.Client.stream_push_retry ~retry c (push_req id) in
+        let native = Jsonx.member "mode" (field "exec" reply) = Some (Jsonx.Str mode) in
+        push (n + 1) (if native then landed + 1 else landed)
+    in
+    let* landed = push 0 0 in
+    let* closed = Svc.Client.stream_close c id in
+    Ok (str (field "mode" (field "exec" opened)), landed, num (field "frames" closed))
+  in
+  let results = Array.make streams (Error (Diag.v Diag.Service_error "stream never ran")) in
+  List.init streams (fun i ->
+      Thread.create (fun () -> results.(i) <- (try drive i with e -> Error (Diag.of_exn e))) ())
+  |> List.iter Thread.join;
+  Array.iteri
+    (fun i r ->
+      let opened_mode, landed, closed_frames = expect_ok r in
+      Alcotest.(check string) (Printf.sprintf "stream %d opened %s" i mode) mode opened_mode;
+      Alcotest.(check int) (Printf.sprintf "stream %d: every frame ran %s" i mode) frames landed;
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "stream %d closed at %d frames" i frames)
+        (float_of_int frames) closed_frames)
+    results;
+  let total = streams * frames in
+  Alcotest.(check int) "streams_opened" streams (counter server "streams_opened");
+  Alcotest.(check int) "streams_closed" streams (counter server "streams_closed");
+  Alcotest.(check int) "frames_pushed" total (counter server "frames_pushed");
+  Alcotest.(check int) "streams_active" 0 (gauge server "streams_active");
+  Alcotest.(check int) "no interpreter fallback" 0 (counter server "native_exec_fallbacks");
+  let text = expect_ok (Svc.Client.with_connection ~socket Svc.Client.metrics) in
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun line -> Alcotest.(check bool) ("metrics: " ^ line) true (List.mem line lines))
+    [
+      "kfused_streams_active 0";
+      Printf.sprintf "kfused_streams_opened_total %d" streams;
+      Printf.sprintf "kfused_streams_closed_total %d" streams;
+      Printf.sprintf "kfused_frames_pushed_total %d" total;
+    ];
+  Svc.Server.signal_stop server;
+  Svc.Server.wait server;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
+
 let suite =
   [
     Alcotest.test_case "temporal: naming convention and analysis" `Quick
@@ -593,4 +661,8 @@ let suite =
       test_stream_crash_quarantine_temporal;
     Alcotest.test_case "stream: one compile per stream, 10 frames bit-exact" `Slow
       test_stream_compile_once_bitexact;
+    Alcotest.test_case "stream: soak, 8 x 60 frames at 512x512, sandboxed" `Slow
+      (test_stream_soak Kfuse_exec.Supervisor.Sandboxed);
+    Alcotest.test_case "stream: soak, 8 x 60 frames at 512x512, dlopen-trusted" `Slow
+      (test_stream_soak Kfuse_exec.Supervisor.Dlopen_trusted);
   ]
