@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the compiler itself (not a paper table):
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
-   and DSL parsing, plus the daemon's half of a sandboxed fuse_exec.
+   DSL parsing, an incremental lazy replan, plus the daemon's half of a
+   sandboxed fuse_exec.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -63,6 +64,57 @@ let codegen_test =
   Test.make ~name:"codegen/harris"
     (Staged.stage (fun () -> ignore (Kfuse_codegen.Lower.emit_pipeline harris)))
 
+(* The planner's graph queries on kfbench lazy-edit's pipeline: 8
+   disconnected 6-kernel chains at 512x512, mixing stencils and point
+   kernels.  [replan/param+flush-48] is one [param] edit and one
+   incremental flush of a warm lazy session; a parameter edit dirties no
+   block, so every iteration does the same work.
+   [algorithm1/chains-48] is a scratch min-cut search of the same DAG. *)
+module Lz = Kfuse_lazy
+
+let chains_source =
+  let b = Buffer.create 4096 in
+  let inputs = List.init 8 (Printf.sprintf "in%d") in
+  Printf.bprintf b "pipeline edits(%s) {\n  size 512 512\n" (String.concat ", " inputs);
+  for c = 0 to 7 do
+    let k j = Printf.sprintf "c%d_%d" c j in
+    Printf.bprintf b "  %s = conv(in%d, gauss3, mirror)\n" (k 0) c;
+    Printf.bprintf b "  %s = %s * 1.25\n" (k 1) (k 0);
+    Printf.bprintf b "  %s = conv(%s, gauss5, mirror)\n" (k 2) (k 1);
+    Printf.bprintf b "  %s = %s + %s\n" (k 3) (k 2) (k 0);
+    Printf.bprintf b "  %s = conv(%s, sobelx, mirror)\n" (k 4) (k 3);
+    Printf.bprintf b "  %s = %s * 0.75 + %s\n" (k 5) (k 4) (k 2)
+  done;
+  Buffer.add_string b "}\n";
+  Buffer.contents b
+
+let chains =
+  lazy
+    (match Kfuse_dsl.Elaborate.parse_pipeline chains_source with
+    | Ok p -> p
+    | Error e -> failwith e)
+
+let ok = function Ok v -> v | Error d -> failwith (Kfuse_util.Diag.to_string d)
+
+let replan_test =
+  let session =
+    lazy
+      (let lp = Lz.Lazy_pipeline.of_pipeline Runner.config (Lazy.force chains) in
+       ignore (ok (Lz.Lazy_pipeline.flush lp));
+       lp)
+  in
+  Test.make ~name:"replan/param+flush-48"
+    (Staged.stage (fun () ->
+         let lp = Lazy.force session in
+         ignore
+           (ok (Result.bind (Lz.Command.parse lp "param gain0 1.5") (Lz.Command.apply lp)));
+         ignore (ok (Lz.Lazy_pipeline.flush lp))))
+
+let algorithm1_chains_test =
+  Test.make ~name:"algorithm1/chains-48"
+    (Staged.stage (fun () ->
+         ignore (F.Mincut_fusion.run Runner.config (Lazy.force chains))))
+
 (* The daemon's data path for a 1024x1024 request with one input and
    one output, alone, on a memfd like a runner's arena: what a sandboxed
    fuse_exec that wants no pixels costs the daemon besides the runner.
@@ -114,7 +166,8 @@ let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
-      benefit_test; dsl_test; codegen_test; arena_images_test; arena_chunked_test;
+      benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
+      arena_images_test; arena_chunked_test;
     ]
 
 let run () =

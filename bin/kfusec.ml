@@ -238,12 +238,12 @@ let common_term =
     $ strict_arg $ budget_arg $ cache_flag $ cache_dir_arg)
 
 (* Run a subcommand body with a -j sized domain pool. *)
-let with_jobs jobs f =
+let with_jobs ?defer jobs f =
   if jobs < 1 then begin
     Format.eprintf "kfusec: --jobs must be >= 1@.";
     1
   end
-  else Kfuse_util.Pool.with_pool jobs f
+  else Kfuse_util.Pool.with_pool ?defer jobs f
 
 (* The shared subcommand spine: load, validate, size the pool, and hand
    (pool, pipeline) to the body.  Every driver-backed subcommand used to
@@ -843,7 +843,9 @@ let serve_cmd =
       1
     end
     else
-      with_jobs common.jobs @@ fun pool ->
+      (* The daemon spawns its pool's domains at the first request that
+         can use them: lazy sessions and warm plans never do. *)
+      with_jobs ~defer:true common.jobs @@ fun pool ->
       let dir = Option.bind common.cache Cache.Plan_cache.dir in
       let cache = Cache.Plan_cache.create ~capacity ?dir () in
       match

@@ -63,7 +63,10 @@ let locked t f =
    header pins the OCaml version: a switch upgrade invalidates the store
    instead of crashing it. *)
 
-let magic = Printf.sprintf "kfuse-plan 1 %s %d" Sys.ocaml_version Sys.word_size
+(* Bump the format number whenever a marshaled type changes shape, since
+   reading a value back as a different layout is memory-unsafe.  2:
+   [Pipeline.t] gained its stored dependence DAG. *)
+let magic = Printf.sprintf "kfuse-plan 2 %s %d" Sys.ocaml_version Sys.word_size
 
 let path_of t key = Option.map (fun d -> Filename.concat d (key ^ ".plan")) t.dir
 

@@ -18,7 +18,12 @@
     detects truncation/corruption.  An unreadable, stale, or corrupt
     entry is deleted and treated as a miss — the disk tier can only ever
     cost a recompute, never wrongness ({!Kfuse_util.Diag.Cache_corrupt}
-    is surfaced in {!stats} as [disk_errors]). *)
+    is surfaced in {!stats} as [disk_errors]).
+
+    The header's format number changes whenever a marshaled type does
+    (it is [2] since {!Kfuse_ir.Pipeline.t} stores its DAG), so a store
+    written by an older build is dropped entry by entry, never read back
+    as the new layout. *)
 
 type t
 

@@ -10,6 +10,7 @@ type t = {
   inputs : string list;
   params : (string * float) list;
   kernels : Kernel.t array;
+  dag : Digraph.t;
 }
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
@@ -80,7 +81,7 @@ let create ~name ~width ~height ?(channels = 1) ?(params = []) ~inputs kernels =
         fail "Pipeline.create(%s): global kernel %S is consumed by another kernel" name
           k.name)
     sorted;
-  { name; width; height; channels; inputs; params; kernels = sorted }
+  { name; width; height; channels; inputs; params; kernels = sorted; dag = g }
 
 let num_kernels p = Array.length p.kernels
 
@@ -100,7 +101,7 @@ let index_of_exn p name =
   | Some i -> i
   | None -> fail "Pipeline.index_of_exn(%s): no kernel %S" p.name name
 
-let dag p = build_dag p.kernels
+let dag p = p.dag
 
 let producer p image = index_of p image
 

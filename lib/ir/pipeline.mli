@@ -20,6 +20,10 @@ type t = private {
   inputs : string list;  (** external input image names *)
   params : (string * float) list;  (** scalar parameters with defaults *)
   kernels : Kernel.t array;  (** in topological order *)
+  dag : Kfuse_graph.Digraph.t;
+      (** the dependence DAG over indices into [kernels], built once by
+          {!create}.  A plain immutable value, so pipelines stay
+          structurally comparable and marshalable. *)
 }
 
 (** [create ~name ~width ~height ?channels ?params ~inputs kernels]
@@ -56,7 +60,9 @@ val index_of : t -> string -> int option
 (** [index_of_exn p name] is [index_of] or [Invalid_argument]. *)
 val index_of_exn : t -> string -> int
 
-(** [dag p] is the dependence DAG over kernel indices. *)
+(** [dag p] is the dependence DAG over kernel indices: vertices
+    [0 .. num_kernels p - 1], and an edge [(u, v)] for each kernel [v]
+    reading kernel [u]'s image.  Built once by {!create}; O(1). *)
 val dag : t -> Kfuse_graph.Digraph.t
 
 (** [producer p image] is the index of the kernel producing [image], or

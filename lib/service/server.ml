@@ -697,12 +697,17 @@ let lazy_plan_fields ~id ~scratch ~replan_ms (pl : Lz.Replan.plan) =
         ] );
   ]
 
+(* A lazy flush plans on the request's own domain.  An incremental
+   flush decides a few blocks, one per wave, and a scratch flush is its
+   audit: too little to share, and a parallel batch would spawn the
+   pool's domains, which then stop with every minor collection of the
+   daemon for as long as it runs. *)
 let handle_lazy_flush t (f : Protocol.lazy_flush_request) =
   with_lazy t f.Protocol.id @@ fun lz ->
   let t0 = Unix.gettimeofday () in
   let planned =
-    if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch ~pool:t.pool lz.builder
-    else Lz.Lazy_pipeline.flush ~pool:t.pool lz.builder
+    if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch lz.builder
+    else Lz.Lazy_pipeline.flush lz.builder
   in
   match planned with
   | Error d -> Protocol.error d

@@ -11,6 +11,7 @@
 
     Points currently instrumented:
     - ["pool.spawn"]  — before each worker-domain spawn in {!Pool.create}
+      (a deferred pool spawns at its first parallel {!Pool.run})
     - ["pool.task"]   — before each task a pool worker executes
     - ["cut.stoer_wagner"] — entry of [Stoer_wagner.min_cut]
     - ["cut.block_legal"] — a {e corruption} point ({!fires}) in

@@ -24,6 +24,7 @@ type state = {
   mutable batch : batch option;
   mutable stop : bool;
   mutable workers : unit Domain.t array;
+  mutable unspawned : int;  (* deferred workers not spawned yet *)
 }
 
 type t = Serial | Pool of { n : int; st : state }
@@ -95,7 +96,26 @@ let join_all st workers =
       Atomic.decr live)
     workers
 
-let create n =
+(* Spawn up to [k] workers of [st] one at a time, so that a failure
+   partway (the runtime's domain limit, or an injected fault) leaves the
+   domains already running in hand instead of orphaning them.  Returns
+   them in spawn order, with the exception that stopped the loop. *)
+let spawn_workers st k =
+  let spawned = ref [] in
+  let failure =
+    try
+      for _ = 1 to k do
+        Faults.hit "pool.spawn";
+        let d = Domain.spawn (fun () -> worker st) in
+        Atomic.incr live;
+        spawned := d :: !spawned
+      done;
+      None
+    with exn -> Some (exn, Printexc.get_raw_backtrace ())
+  in
+  (List.rev !spawned, failure)
+
+let create ?(defer = false) n =
   if n < 1 then invalid_arg "Pool.create: size must be >= 1";
   if n = 1 then Serial
   else begin
@@ -107,24 +127,15 @@ let create n =
         batch = None;
         stop = false;
         workers = [||];
+        unspawned = (if defer then n - 1 else 0);
       }
     in
-    (* Spawn one at a time so a failure partway (the runtime's domain
-       limit, or an injected fault) can stop and join the domains already
-       running instead of orphaning them. *)
-    let spawned = ref [] in
-    (try
-       for _ = 1 to n - 1 do
-         Faults.hit "pool.spawn";
-         let d = Domain.spawn (fun () -> worker st) in
-         Atomic.incr live;
-         spawned := d :: !spawned
-       done
-     with exn ->
-       let bt = Printexc.get_raw_backtrace () in
-       join_all st !spawned;
-       Printexc.raise_with_backtrace exn bt);
-    st.workers <- Array.of_list (List.rev !spawned);
+    (if not defer then
+       match spawn_workers st (n - 1) with
+       | spawned, None -> st.workers <- Array.of_list spawned
+       | spawned, Some (exn, bt) ->
+         join_all st spawned;
+         Printexc.raise_with_backtrace exn bt);
     Pool { n; st }
   end
 
@@ -134,11 +145,12 @@ let shutdown = function
     Mutex.lock st.m;
     let workers = Array.to_list st.workers in
     st.workers <- [||];
+    st.unspawned <- 0;
     Mutex.unlock st.m;
     join_all st workers
 
-let with_pool n f =
-  let t = create n in
+let with_pool ?defer n f =
+  let t = create ?defer n in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let run_serial ~n body =
@@ -152,6 +164,10 @@ let run t ?(chunk = 1) ~n body =
   if n > 0 then
     match t with
     | Serial -> run_serial ~n body
+    | Pool _ when n <= chunk ->
+      (* One chunk has nothing to share: waking a worker would only move
+         the task to another core and make the caller wait for it. *)
+      run_serial ~n body
     | Pool { st; _ } ->
       Mutex.lock st.m;
       if st.stop || st.batch <> None then begin
@@ -162,6 +178,14 @@ let run t ?(chunk = 1) ~n body =
         run_serial ~n body
       end
       else begin
+        if st.unspawned > 0 then begin
+          (* A deferred pool's first batch with work to share.  A failed
+             spawn leaves fewer workers, not a failed batch: the
+             submitter drains whatever they do not take. *)
+          let spawned, _ = spawn_workers st st.unspawned in
+          st.unspawned <- 0;
+          st.workers <- Array.append st.workers (Array.of_list spawned)
+        end;
         let b = { body; total = n; chunk; next = 0; live = 0; failed = None } in
         st.batch <- Some b;
         Condition.broadcast st.work;

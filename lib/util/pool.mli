@@ -31,14 +31,22 @@ val serial : t
 val default_size : unit -> int
 (** [Domain.recommended_domain_count ()]: the [-j] default. *)
 
-val create : int -> t
+val create : ?defer:bool -> int -> t
 (** [create n] is a pool of total parallelism [n]: [n - 1] worker
     domains plus the submitting domain, which participates in every
     batch.  [create 1] (and below) spawns nothing and behaves like
     {!serial}.  If spawning fails partway (the runtime's domain limit,
     or an injected ["pool.spawn"] fault), the domains already spawned
     are stopped and joined before the exception propagates — creation
-    never leaks domains.  @raise Invalid_argument if [n < 1]. *)
+    never leaks domains.  @raise Invalid_argument if [n < 1].
+
+    [~defer:true] spawns the workers at the first {!run} that has more
+    than one chunk instead, so a process that never runs such a batch
+    never has them.  An OCaml 5 domain, even an idle one, takes part in
+    every stop-the-world minor collection of the process, so a
+    long-lived server should not keep domains it has no use for.  A
+    deferred spawn that fails runs the batch on the domains it did
+    spawn, the submitter included; it raises nothing. *)
 
 val live_domains : unit -> int
 (** Worker domains currently spawned but not yet joined, across all
@@ -52,9 +60,10 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; {!serial} ignores
     it.  Subsequent {!run} calls on the pool execute serially. *)
 
-val with_pool : int -> (t -> 'a) -> 'a
-(** [with_pool n f] runs [f] with a fresh pool of size [n] and shuts it
-    down afterwards, also on exception. *)
+val with_pool : ?defer:bool -> int -> (t -> 'a) -> 'a
+(** [with_pool n f] runs [f] with a fresh pool of size [n] (see
+    {!create} for [defer]) and shuts it down afterwards, also on
+    exception. *)
 
 val run : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [run pool ~n body] executes [body 0 .. body (n - 1)], distributing
@@ -62,7 +71,8 @@ val run : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
     finished.  If any task raised, re-raises the exception of the lowest
     failing index (with its backtrace).  [chunk] (default 1) hands out
     indices in runs of that length — raise it when tasks are tiny so the
-    shared counter is not the bottleneck. *)
+    shared counter is not the bottleneck.  A batch of one chunk
+    ([n <= chunk]) runs in the calling domain and wakes no worker. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f a] is [Array.map f a], computed in parallel. *)

@@ -249,6 +249,41 @@ let test_corrupt_disk_entry () =
   Alcotest.(check int) "corruption counted" 1 s.Cache.Plan_cache.disk_errors;
   Alcotest.(check bool) "corrupt file removed" false (Sys.file_exists path)
 
+(* A store written before [Pipeline.t] kept its DAG has a well-formed
+   header, digest and payload, but the payload is the old record layout.
+   Its format number alone must reject it: reading it back would hand the
+   planner a 7-field record typed as the 8-field one. *)
+let test_old_format_entry () =
+  with_temp_dir @@ fun dir ->
+  let p = Kfuse_apps.Sobel.pipeline () in
+  let key = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
+  Cache.Plan_cache.store (Cache.Plan_cache.create ~dir ()) key (fresh_report p);
+  let path = Filename.concat dir (key.Cache.Fingerprint.structural ^ ".plan") in
+  (* Keep everything after the first line: the digest and the payload. *)
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  let nl = String.index contents '\n' in
+  let rest = String.sub contents nl (String.length contents - nl) in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "kfuse-plan 1 %s %d%s" Sys.ocaml_version Sys.word_size rest);
+  let cache = Cache.Plan_cache.create ~dir () in
+  (match Cache.Plan_cache.find cache key with
+  | None -> ()
+  | Some _ -> Alcotest.fail "a format-1 entry must be a miss");
+  Alcotest.(check int) "old format counted" 1
+    (Cache.Plan_cache.stats cache).Cache.Plan_cache.disk_errors;
+  Alcotest.(check bool) "old file removed" false (Sys.file_exists path);
+  (match
+     Cache.Plan_cache.find_or_compute cache key (fun () ->
+         F.Driver.run_result config F.Driver.Mincut p)
+   with
+  | Ok (r, Cache.Plan_cache.Miss) ->
+    Alcotest.(check bool) "recomputed report is fresh" true
+      (String.equal (bytes_of (fresh_report p)) (bytes_of r))
+  | _ -> Alcotest.fail "expected a recompute");
+  Alcotest.(check string) "restored under format 2"
+    (Printf.sprintf "kfuse-plan 2 %s %d" Sys.ocaml_version Sys.word_size)
+    (In_channel.with_open_bin path input_line)
+
 let test_degraded_not_stored () =
   let p = Kfuse_apps.Harris.pipeline () in
   let key = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
@@ -342,6 +377,8 @@ let suite =
         test_iso_request_recomputed;
       Alcotest.test_case "corrupt disk entry degrades to a miss" `Quick
         test_corrupt_disk_entry;
+      Alcotest.test_case "format-1 disk entry is dropped and recomputed" `Quick
+        test_old_format_entry;
       Alcotest.test_case "degraded reports are not cached" `Quick test_degraded_not_stored;
       Alcotest.test_case "shared dir: concurrent stores stay atomic" `Quick
         test_shared_dir_concurrent_stores;

@@ -9,6 +9,7 @@ module Pipeline = Kfuse_ir.Pipeline
 module Cost = Kfuse_ir.Cost
 module Eval = Kfuse_ir.Eval
 module Iset = Kfuse_util.Iset
+module Digraph = Kfuse_graph.Digraph
 
 (* ---- Expr ---- *)
 
@@ -144,6 +145,71 @@ let test_pipeline_basics () =
   Alcotest.check Helpers.iset "consumers" (Helpers.set_of [ 1 ]) (Pipeline.consumers p 0);
   Alcotest.(check int) "IS" 64 (Pipeline.is_pixels p);
   Alcotest.(check string) "edge image" "a" (Pipeline.edge_image p 0 1)
+
+(* The DAG is built once by [create]: every planner query reads the same
+   value.  A reintroduced per-call rebuild fails here, with no timer. *)
+let test_pipeline_dag_stored () =
+  let p = two_stage () in
+  Alcotest.(check bool) "same DAG on every call" true (Pipeline.dag p == Pipeline.dag p);
+  let q = Kfuse_apps.Harris.pipeline () in
+  Alcotest.(check bool) "same DAG on every call (harris)" true
+    (Pipeline.dag q == Pipeline.dag q)
+
+(* The stored DAG over fuzz-campaign pipelines of up to 24 kernels:
+   exactly the producer -> consumer edges of the kernels it is stored
+   with, and unchanged by a marshal round trip (the plan cache's disk
+   tier) or by [with_kernels] over the same kernels.  A failure prints
+   the (max_kernels, seed, index) that replays it and the pipeline;
+   shrinking lowers the kernel bound and the index. *)
+let dag_case_arb =
+  let print (max_kernels, seed, index) =
+    Format.asprintf "max_kernels=%d seed=%d index=%d@.%a" max_kernels seed index
+      Pipeline.pp
+      (Kfuse_fuzz.Gen.case ~max_kernels ~seed index)
+  in
+  let shrink (max_kernels, seed, index) =
+    QCheck.Iter.(
+      (QCheck.Shrink.int max_kernels
+      |> filter (fun m -> m >= 2)
+      >|= fun m -> (m, seed, index))
+      <+> (QCheck.Shrink.int index >|= fun i -> (max_kernels, seed, i)))
+  in
+  QCheck.make ~print ~shrink
+    QCheck.Gen.(triple (int_range 2 24) (int_range 0 10_000) (int_range 0 200))
+
+(* The edges re-derived from the kernels' reads, by name lookup. *)
+let expected_dag (p : Pipeline.t) =
+  let g =
+    List.fold_left Digraph.add_vertex Digraph.empty
+      (List.init (Pipeline.num_kernels p) Fun.id)
+  in
+  Array.to_list p.Pipeline.kernels
+  |> List.mapi (fun j (k : Kernel.t) -> (j, k))
+  |> List.fold_left
+       (fun g (j, (k : Kernel.t)) ->
+         List.fold_left
+           (fun g img ->
+             match Pipeline.index_of p img with
+             | Some i -> Digraph.add_edge g i j
+             | None -> g)
+           g k.Kernel.inputs)
+       g
+
+let prop_stored_dag =
+  QCheck.Test.make ~count:300
+    ~name:"Pipeline dag: producer edges, kept by marshal and with_kernels" dag_case_arb
+    (fun (max_kernels, seed, index) ->
+      let p = Kfuse_fuzz.Gen.case ~max_kernels ~seed index in
+      let g = Pipeline.dag p in
+      let kernels = Array.to_list p.Pipeline.kernels in
+      let marshaled : Pipeline.t = Marshal.from_string (Marshal.to_string p []) 0 in
+      let reversed = Pipeline.with_kernels p (List.rev kernels) in
+      Iset.equal (Digraph.vertices g)
+        (Iset.of_list (List.init (Pipeline.num_kernels p) Fun.id))
+      && Digraph.equal g (expected_dag p)
+      && Digraph.equal g (Pipeline.dag marshaled)
+      && Digraph.equal g (Pipeline.dag (Pipeline.with_kernels p kernels))
+      && Digraph.equal (Pipeline.dag reversed) (expected_dag reversed))
 
 let test_pipeline_topo_reorder () =
   (* Kernels given out of order are stored topologically sorted. *)
@@ -422,6 +488,8 @@ let suite =
     Alcotest.test_case "Kernel validation" `Quick test_kernel_validation;
     Alcotest.test_case "Kernel input radii" `Quick test_kernel_input_radii;
     Alcotest.test_case "Pipeline basics" `Quick test_pipeline_basics;
+    Alcotest.test_case "Pipeline dag is stored, not rebuilt" `Quick test_pipeline_dag_stored;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]) prop_stored_dag;
     Alcotest.test_case "Pipeline topo reorder" `Quick test_pipeline_topo_reorder;
     Alcotest.test_case "Pipeline validation" `Quick test_pipeline_validation;
     Alcotest.test_case "Pipeline multi-output" `Quick test_pipeline_multi_output;

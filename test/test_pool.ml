@@ -93,6 +93,38 @@ let test_shutdown_idempotent () =
 let test_create_invalid () =
   Helpers.expect_invalid "zero size" (fun () -> Pool.create 0)
 
+let test_deferred_spawn () =
+  (* A deferred pool spawns its workers at the first batch with two
+     chunks, and shutdown joins them. *)
+  let before = Pool.live_domains () in
+  Pool.with_pool ~defer:true 3 (fun pool ->
+      Alcotest.(check int) "size" 3 (Pool.size pool);
+      Alcotest.(check int) "nothing spawned by create" before (Pool.live_domains ());
+      Pool.run pool ~n:1 ignore;
+      Pool.run pool ~chunk:8 ~n:8 ignore;
+      Alcotest.(check int) "single chunks spawn nothing" before (Pool.live_domains ());
+      Alcotest.(check (array int)) "first parallel batch" (Array.init 64 succ)
+        (Pool.init pool 64 succ);
+      Alcotest.(check int) "spawned at the first parallel batch" (before + 2)
+        (Pool.live_domains ()));
+  Alcotest.(check int) "joined at shutdown" before (Pool.live_domains ());
+  (* Shut down before any parallel batch: nothing was spawned, and later
+     batches run serially. *)
+  let pool = Pool.create ~defer:true 3 in
+  Pool.shutdown pool;
+  Alcotest.(check (array int)) "after shutdown" (Array.init 16 succ) (Pool.init pool 16 succ);
+  Alcotest.(check int) "never spawned" before (Pool.live_domains ())
+
+let test_deferred_spawn_fault () =
+  (* A deferred spawn that fails degrades the batch instead of failing
+     it: the results are whole and no domain leaks. *)
+  let before = Pool.live_domains () in
+  Pool.with_pool ~defer:true 4 (fun pool ->
+      Alcotest.(check (array int)) "batch completes" (Array.init 64 succ)
+        (Kfuse_util.Faults.with_spec "pool.spawn@2" (fun () -> Pool.init pool 64 succ));
+      Alcotest.(check int) "one worker before the fault" (before + 1) (Pool.live_domains ()));
+  Alcotest.(check int) "no leaked domains" before (Pool.live_domains ())
+
 (* ---- determinism properties (qcheck, random pipelines) ---- *)
 
 (* Same generator family as test_properties: chains of point kernels,
@@ -210,6 +242,10 @@ let suite =
     Alcotest.test_case "nested run degrades to serial" `Quick test_nested_run_degrades;
     Alcotest.test_case "shutdown is idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "create rejects size 0" `Quick test_create_invalid;
+    Alcotest.test_case "deferred pool spawns at its first parallel batch" `Quick
+      test_deferred_spawn;
+    Alcotest.test_case "deferred spawn fault degrades the batch" `Quick
+      test_deferred_spawn_fault;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260806 |]))

@@ -731,6 +731,55 @@ let test_lazy_open_seeded () =
       Ok ())
   |> expect_ok
 
+(* [kfusec serve] defers its pool's domains to the first request that
+   can share work.  Lazy flushes, scratch ones included, plan on the
+   request's domain and must not spawn them; a fuse does. *)
+let test_lazy_flushes_spawn_no_domain () =
+  let socket = temp_socket () in
+  let cache = Cache.Plan_cache.create () in
+  let before = Kfuse_util.Pool.live_domains () in
+  Kfuse_util.Pool.with_pool ~defer:true 2 (fun pool ->
+      match Svc.Server.start ~socket ~cache ~pool () with
+      | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
+      | Ok server ->
+        Fun.protect ~finally:(fun () -> Svc.Server.stop server) @@ fun () ->
+        Svc.Client.with_connection ~socket (fun c ->
+            let ( let* ) = Result.bind in
+            let* opened =
+              Svc.Client.request c
+                (Protocol.Lazy_open
+                   {
+                     Protocol.app = Some "harris";
+                     source = None;
+                     width = None;
+                     height = None;
+                     channels = None;
+                     inputs = [];
+                     c_mshared = None;
+                     gamma = None;
+                     tg = None;
+                   })
+            in
+            let id =
+              match field "id" opened with
+              | Jsonx.Str s -> s
+              | _ -> Alcotest.fail "lazy_open reply lacks an id"
+            in
+            let* _ = Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = false }) in
+            let* _ =
+              Svc.Client.request c (Protocol.Lazy_edit { Protocol.id; command = "param k 0.05" })
+            in
+            let* _ = Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = false }) in
+            let* _ = Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = true }) in
+            Alcotest.(check int) "lazy flushes spawn no domain" before
+              (Kfuse_util.Pool.live_domains ());
+            let* _ = Svc.Client.fuse c (fuse_req "harris") in
+            Alcotest.(check int) "a fuse spawns the worker" (before + 1)
+              (Kfuse_util.Pool.live_domains ());
+            Svc.Client.request c (Protocol.Lazy_close id))
+        |> expect_ok |> ignore);
+  Alcotest.(check int) "joined at shutdown" before (Kfuse_util.Pool.live_domains ())
+
 let test_shutdown_request () =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create () in
@@ -770,4 +819,6 @@ let suite =
       test_lazy_session_end_to_end;
     Alcotest.test_case "kfused: lazy_open seeded from a registry app" `Quick
       test_lazy_open_seeded;
+    Alcotest.test_case "kfused: lazy flushes spawn no pool domain" `Quick
+      test_lazy_flushes_spawn_no_domain;
   ]
