@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the compiler itself (not a paper table):
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
    DSL parsing, an incremental lazy replan, plus the daemon's half of a
-   sandboxed fuse_exec.
+   sandboxed fuse_exec and its request-to-plan-key step.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -162,12 +162,76 @@ let arena_chunked_test =
            (Sys.opaque_identity
               (Native.read_summary fd ~off:(8 * npix) ~width:side ~height:side))))
 
+(* The request-to-plan-key step of a planning-only [fuse], over texts
+   shaped like kfbench plan-mix's pool: one generated DAG of each size
+   from 2 to 24 kernels, unparsed to DSL.  Each run keys the next text.
+   [plan-key/cold] is what a first-seen text costs: parse, validate and
+   fingerprint.  [plan-key/memo-hit] is what a repeated one costs:
+   digest its fields and find the key in a warm memo. *)
+module Svc = Kfuse_service
+
+let plan_key_pool =
+  lazy
+    (Array.init 23 (fun i ->
+         let want = 2 + i in
+         let rec find j =
+           let p = Kfuse_fuzz.Gen.case ~max_kernels:24 ~seed:1 ((i * 1000) + j) in
+           if Kfuse_ir.Pipeline.num_kernels p = want || j >= 999 then p else find (j + 1)
+         in
+         match Kfuse_dsl.Unparse.pipeline (find 0) with
+         | Ok text ->
+           {
+             Svc.Protocol.app = None;
+             source = Some text;
+             strategy = F.Driver.Mincut;
+             c_mshared = None;
+             gamma = None;
+             tg = None;
+             optimize = false;
+             inline = false;
+             strict = false;
+             budget_ms = None;
+             no_cache = false;
+           }
+         | Error e -> failwith e))
+
+let cold_key (f : Svc.Protocol.fuse_request) =
+  Result.bind (Svc.Server.load_pipeline f) Kfuse_ir.Validate.result
+  |> Result.map
+       (Kfuse_cache.Fingerprint.plan_key ~config:F.Config.default ~strategy:F.Driver.Mincut)
+
+let cycling pool =
+  let next = ref 0 in
+  fun () ->
+    let pool = Lazy.force pool in
+    incr next;
+    pool.(!next mod Array.length pool)
+
+let plan_key_cold_test =
+  let next = cycling plan_key_pool in
+  Test.make ~name:"plan-key/cold" (Staged.stage (fun () -> ignore (ok (cold_key (next ())))))
+
+let plan_key_memo_test =
+  let memo =
+    lazy
+      (let memo = Svc.Key_memo.create () in
+       Array.iter
+         (fun f -> ignore (Svc.Key_memo.key memo f (fun () -> cold_key f)))
+         (Lazy.force plan_key_pool);
+       memo)
+  in
+  let next = cycling plan_key_pool in
+  Test.make ~name:"plan-key/memo-hit"
+    (Staged.stage (fun () ->
+         let f = next () in
+         ignore (ok (Svc.Key_memo.key (Lazy.force memo) f (fun () -> failwith "memo miss")))))
+
 let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
       benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
-      arena_images_test; arena_chunked_test;
+      arena_images_test; arena_chunked_test; plan_key_cold_test; plan_key_memo_test;
     ]
 
 let run () =

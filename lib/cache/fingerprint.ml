@@ -325,7 +325,7 @@ let config (c : Config.t) =
     c.Config.block.Kfuse_ir.Cost.by
     (match c.Config.is_unit with Config.Images -> "images" | Config.Pixels -> "pixels")
 
-type key = { structural : string; exact : string }
+type key = { structural : string; exact : string; shape : string }
 
 (* Bump when the rendering, the report type, or the driver semantics
    change incompatibly: old cache entries must stop matching.
@@ -341,9 +341,11 @@ let plan_key ~config:c ~strategy ?(exchange = true) ?(optimize = false) ?(inline
       (Driver.strategy_to_string strategy)
       exchange optimize inline
   in
+  let shape = structural p in
   {
-    structural = digest (structural p ^ "\n" ^ request);
+    structural = digest (shape ^ "\n" ^ request);
     exact = digest (exact p ^ "\n" ^ request);
+    shape;
   }
 
 (* ---- per-subgraph fingerprint (incremental replanning) ----

@@ -43,8 +43,12 @@ val structural : Kfuse_ir.Pipeline.t -> string
 val config : Kfuse_fusion.Config.t -> string
 
 (** A plan-cache address: [structural] names the entry (content
-    address), [exact] guards replay (bit-identical reports only). *)
-type key = private { structural : string; exact : string }
+    address), [exact] guards replay (bit-identical reports only).
+    [shape] is the pipeline's own {!structural} digest, unsalted by the
+    request, computed once on the way to [structural]: the sharded
+    router places a request by it.  The plan cache stores neither
+    [shape] nor the key itself. *)
+type key = private { structural : string; exact : string; shape : string }
 
 (** [plan_key ~config ~strategy ?exchange ?optimize ?inline p] combines
     both pipeline fingerprints with the config rendering, the strategy,

@@ -78,7 +78,7 @@ let requests t op =
   @@ fun () ->
   match Hashtbl.find_opt t.by_op op with Some p -> (p.total, p.errors) | None -> (0, 0)
 
-let render t ~cache ~uptime_s =
+let render ?cache t ~key_memo ~uptime_s =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
   line "# kfused metrics (text exposition)";
@@ -112,15 +112,22 @@ let render t ~cache ~uptime_s =
             line "kfused_request_latency_ms_max{op=%S} %.4f" op q.Stats.q_max;
             line "kfused_request_latency_ms_mean{op=%S} %.4f" op q.Stats.q_mean)
         ops);
-  let c = cache in
-  line "kfused_plan_cache_entries %d" c.Plan_cache.entries;
-  line "kfused_plan_cache_capacity %d" c.Plan_cache.capacity;
-  line "kfused_plan_cache_hits_total %d" c.Plan_cache.hits;
-  line "kfused_plan_cache_disk_hits_total %d" c.Plan_cache.disk_hits;
-  line "kfused_plan_cache_misses_total %d" c.Plan_cache.misses;
-  line "kfused_plan_cache_iso_misses_total %d" c.Plan_cache.iso_misses;
-  line "kfused_plan_cache_evictions_total %d" c.Plan_cache.evictions;
-  line "kfused_plan_cache_stores_total %d" c.Plan_cache.stores;
-  line "kfused_plan_cache_disk_errors_total %d" c.Plan_cache.disk_errors;
-  line "kfused_plan_cache_hit_rate %.4f" (Plan_cache.hit_rate c);
+  Option.iter
+    (fun c ->
+      line "kfused_plan_cache_entries %d" c.Plan_cache.entries;
+      line "kfused_plan_cache_capacity %d" c.Plan_cache.capacity;
+      line "kfused_plan_cache_hits_total %d" c.Plan_cache.hits;
+      line "kfused_plan_cache_disk_hits_total %d" c.Plan_cache.disk_hits;
+      line "kfused_plan_cache_misses_total %d" c.Plan_cache.misses;
+      line "kfused_plan_cache_iso_misses_total %d" c.Plan_cache.iso_misses;
+      line "kfused_plan_cache_evictions_total %d" c.Plan_cache.evictions;
+      line "kfused_plan_cache_stores_total %d" c.Plan_cache.stores;
+      line "kfused_plan_cache_disk_errors_total %d" c.Plan_cache.disk_errors;
+      line "kfused_plan_cache_hit_rate %.4f" (Plan_cache.hit_rate c))
+    cache;
+  let k = key_memo in
+  line "kfused_key_memo_entries %d" k.Key_memo.entries;
+  line "kfused_key_memo_capacity %d" k.Key_memo.capacity;
+  line "kfused_key_memo_hits_total %d" k.Key_memo.hits;
+  line "kfused_key_memo_misses_total %d" k.Key_memo.misses;
   Buffer.contents buf

@@ -43,7 +43,13 @@ val latency : t -> string -> Kfuse_util.Stats.quantiles option
 (** [requests t op] is [(total, errors)] for [op]. *)
 val requests : t -> string -> int * int
 
-(** [render t ~cache ~uptime_s] is a Prometheus-style text exposition:
-    [kfused_*] counters and gauges, cache stats, and per-op latency
-    quantiles. *)
-val render : t -> cache:Kfuse_cache.Plan_cache.stats -> uptime_s:float -> string
+(** [render ?cache t ~key_memo ~uptime_s] is a Prometheus-style text
+    exposition: [kfused_*] counters and gauges, per-op latency
+    quantiles, the plan-cache stats (when the process has a [cache]) and
+    the {!Key_memo} stats. *)
+val render :
+  ?cache:Kfuse_cache.Plan_cache.stats ->
+  t ->
+  key_memo:Key_memo.stats ->
+  uptime_s:float ->
+  string

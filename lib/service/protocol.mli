@@ -74,7 +74,7 @@
       ["fell_back"], wall-clock ["replan_ms"]).
     - [{"op":"lazy_close", "id":...}] — release the session; replies
       with the session's total ["flushes"].
-    - [{"op":"stats"}] — cache + latency counters as JSON.
+    - [{"op":"stats"}] — cache, key-memo and latency counters as JSON.
     - [{"op":"metrics"}] — Prometheus-style text exposition (in the
       ["text"] field of the response).
     - [{"op":"ping"}] — liveness.

@@ -1,6 +1,5 @@
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
-module Plan_cache = Kfuse_cache.Plan_cache
 module Fingerprint = Kfuse_cache.Fingerprint
 module Ir = Kfuse_ir
 
@@ -26,23 +25,10 @@ type fleet = {
   sf_lock : Mutex.t;
   sf_cond : Condition.t;
   sf_inflight : (string, sf_entry) Hashtbl.t;
+  (* The router's one cache: request bytes to plan key (and placement
+     digest).  Plans themselves live in the shards. *)
+  key_memo : Key_memo.t;
 }
-
-(* The router holds no plan cache of its own — plans live in the
-   shards.  [Metrics.render] wants cache stats; give it honest zeros. *)
-let no_cache_stats =
-  {
-    Plan_cache.hits = 0;
-    misses = 0;
-    iso_misses = 0;
-    evictions = 0;
-    entries = 0;
-    capacity = 0;
-    disk_hits = 0;
-    disk_misses = 0;
-    disk_errors = 0;
-    stores = 0;
-  }
 
 (* ---- keyspace ---- *)
 
@@ -184,28 +170,31 @@ let single_flight t key compute =
 
 (* ---- per-op handling ---- *)
 
-let pipeline_of (f : Protocol.fuse_request) =
-  Result.bind (Server.load_pipeline f) Ir.Validate.result
+(* A request's plan key, memoized on its bytes.  The router loads
+   without the extent override, as it always has: placement reads the
+   pipeline's [shape] and stays what it was. *)
+let plan_key t (f : Protocol.fuse_request) =
+  Key_memo.key t.key_memo f (fun () ->
+      Result.bind (Server.load_pipeline f) Ir.Validate.result
+      |> Result.map
+           (Fingerprint.plan_key
+              ~config:
+                (Server.request_config ~c_mshared:f.Protocol.c_mshared
+                   ~gamma:f.Protocol.gamma ~tg:f.Protocol.tg)
+              ~strategy:f.Protocol.strategy ~optimize:f.Protocol.optimize
+              ~inline:f.Protocol.inline))
 
 let handle_fuse t ~deadline req (f : Protocol.fuse_request) =
-  match pipeline_of f with
+  match plan_key t f with
   | Error d -> Protocol.error d
-  | Ok p ->
-    let structural = Fingerprint.structural p in
+  | Ok key ->
+    let structural = key.Fingerprint.shape in
     if f.Protocol.no_cache then forward_routed t ~deadline ~structural req
     else begin
       (* The coalescing key is the full plan key (structural + exact +
          config + strategy + flags) plus the knobs the cache key
          deliberately excludes but which shape {e this} reply: strict
          mode and the search budget. *)
-      let config =
-        Server.request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma
-          ~tg:f.Protocol.tg
-      in
-      let key =
-        Fingerprint.plan_key ~config ~strategy:f.Protocol.strategy
-          ~optimize:f.Protocol.optimize ~inline:f.Protocol.inline p
-      in
       let sf_key =
         Printf.sprintf "%s/%s/%b/%s" key.Fingerprint.structural key.Fingerprint.exact
           f.Protocol.strict
@@ -217,9 +206,9 @@ let handle_fuse t ~deadline req (f : Protocol.fuse_request) =
     end
 
 let handle_by_fingerprint t ~deadline ?rewrite req (f : Protocol.fuse_request) =
-  match pipeline_of f with
+  match plan_key t f with
   | Error d -> Protocol.error d
-  | Ok p -> forward_routed t ~deadline ?rewrite ~structural:(Fingerprint.structural p) req
+  | Ok key -> forward_routed t ~deadline ?rewrite ~structural:key.Fingerprint.shape req
 
 (* Stream ids cross the router prefixed with their shard: the server's
    ["st-3"] becomes ["s1-st-3"].  Pushes and closes are pinned — a
@@ -314,6 +303,7 @@ let stats_json t =
       ("requests_coalesced", c "requests_coalesced");
       ("requests_unroutable", c "requests_unroutable");
       ("shard_restarts", c "shard_restarts");
+      ("key_memo", Key_memo.stats_json (Key_memo.stats t.key_memo));
     ]
 
 (* [dispatch] never raises: a failing handler becomes an error response,
@@ -336,7 +326,7 @@ let dispatch t ~deadline v =
     | Protocol.Stats -> (op, stats_json t, false)
     | Protocol.Metrics ->
       let text =
-        Metrics.render t.metrics ~cache:no_cache_stats
+        Metrics.render t.metrics ~key_memo:(Key_memo.stats t.key_memo)
           ~uptime_s:(Unix.gettimeofday () -. t.started_at)
       in
       (op, Protocol.ok [ ("text", Jsonx.Str text) ], false)
@@ -468,6 +458,7 @@ let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_co
           sf_lock = Mutex.create ();
           sf_cond = Condition.create ();
           sf_inflight = Hashtbl.create 16;
+          key_memo = Key_memo.create ();
         }
       in
       match

@@ -35,6 +35,7 @@ type lazy_session = { builder : Lz.Lazy_pipeline.t; mutable flushes : int }
    in {!Listener}. *)
 type state = {
   cache : Plan_cache.t;
+  key_memo : Key_memo.t;
   pool : Pool.t;
   default_budget_ms : float option;
   metrics : Metrics.t;
@@ -116,44 +117,48 @@ let report_fields (r : F.Driver.report) =
       Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) r.F.Driver.warnings) );
   ]
 
-(* Shared planning path of [fuse], [fuse_exec] and [stream_open]: load,
-   validate, budget against the deadline, serve from the plan cache. *)
+(* Shared planning path of [fuse], [fuse_exec] and [stream_open]: key
+   the request (memoized on its bytes), budget against the deadline,
+   serve from the plan cache.  The pipeline is loaded and validated only
+   when the key is not memoized or a plan has to be computed. *)
 let plan t ~deadline ?size (f : Protocol.fuse_request) =
-  match Result.bind (load_pipeline ?size f) validated with
-  | Error _ as e -> e
-  | Ok p ->
-    let config =
-      request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma
-        ~tg:f.Protocol.tg
+  let config =
+    request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma ~tg:f.Protocol.tg
+  in
+  let strategy = f.Protocol.strategy in
+  let optimize = f.Protocol.optimize and inline = f.Protocol.inline in
+  let pipeline = lazy (Result.bind (load_pipeline ?size f) validated) in
+  (* The fusion-search budget is capped by what remains of the
+     request's wall-clock deadline: a request that already spent its
+     time queueing degrades (or fails under strict) immediately
+     instead of hanging in the search. *)
+  let budget_ms () =
+    let base =
+      match f.Protocol.budget_ms with Some b -> Some b | None -> t.default_budget_ms
     in
-    let strategy = f.Protocol.strategy in
-    let optimize = f.Protocol.optimize and inline = f.Protocol.inline in
-    (* The fusion-search budget is capped by what remains of the
-       request's wall-clock deadline: a request that already spent its
-       time queueing degrades (or fails under strict) immediately
-       instead of hanging in the search. *)
-    let budget_ms =
-      let base =
-        match f.Protocol.budget_ms with Some b -> Some b | None -> t.default_budget_ms
-      in
-      match (Deadline.remaining_ms deadline, base) with
-      | None, b -> b
-      | Some r, None -> Some r
-      | Some r, Some b -> Some (Float.min r b)
+    match (Deadline.remaining_ms deadline, base) with
+    | None, b -> b
+    | Some r, None -> Some r
+    | Some r, Some b -> Some (Float.min r b)
+  in
+  let compute () =
+    Result.bind (Lazy.force pipeline) (fun p ->
+        let t0 = Unix.gettimeofday () in
+        Result.map
+          (fun r -> (r, (Unix.gettimeofday () -. t0) *. 1000.))
+          (F.Driver.run_result ~optimize ~inline ~strict:f.Protocol.strict ~pool:t.pool
+             ?budget_ms:(budget_ms ()) config strategy p))
+  in
+  if f.Protocol.no_cache then Result.map (fun (r, ms) -> (r, "bypass", ms)) (compute ())
+  else
+    let key () =
+      Result.map
+        (Fingerprint.plan_key ~config ~strategy ~optimize ~inline)
+        (Lazy.force pipeline)
     in
-    let compute () =
-      let t0 = Unix.gettimeofday () in
-      match
-        F.Driver.run_result ~optimize ~inline ~strict:f.Protocol.strict ~pool:t.pool
-          ?budget_ms config strategy p
-      with
-      | Error _ as e -> e
-      | Ok r -> Ok (r, (Unix.gettimeofday () -. t0) *. 1000.)
-    in
-    if f.Protocol.no_cache then
-      Result.map (fun (r, ms) -> (r, "bypass", ms)) (compute ())
-    else begin
-      let key = Fingerprint.plan_key ~config ~strategy ~optimize ~inline p in
+    match Key_memo.key t.key_memo ?size f key with
+    | Error _ as e -> e
+    | Ok key -> (
       match Plan_cache.find t.cache key with
       | Some (r, outcome) -> Ok (r, Plan_cache.outcome_to_string outcome, 0.0)
       | None -> (
@@ -164,8 +169,7 @@ let plan t ~deadline ?size (f : Protocol.fuse_request) =
           (* find-then-store keeps the outcome (miss vs miss-iso)
              distinction out of the hot reply path; the distinction
              lives in the cache stats. *)
-          Ok (r, "miss", ms))
-    end
+          Ok (r, "miss", ms)))
 
 let plan_fields (r, outcome, plan_ms) =
   report_fields r
@@ -772,6 +776,7 @@ let stats_json t =
             ("disk_errors", Jsonx.Num (float_of_int c.Plan_cache.disk_errors));
             ("hit_rate", Jsonx.Num (Plan_cache.hit_rate c));
           ] );
+      ("key_memo", Key_memo.stats_json (Key_memo.stats t.key_memo));
       ( "requests",
         Jsonx.Obj (List.map (fun op -> (op, requests_json op)) (Metrics.ops t.metrics)) );
       ( "native_exec",
@@ -833,6 +838,7 @@ let dispatch t ~deadline v =
         let rs = Native.runner_stats () in
         let text =
           Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
+            ~key_memo:(Key_memo.stats t.key_memo)
             ~uptime_s:(Unix.gettimeofday () -. t.started_at)
           ^ Printf.sprintf
               "kfused_native_runners %d\nkfused_native_runner_spawns_total %d\n\
@@ -893,6 +899,7 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
     let state =
       {
         cache;
+        key_memo = Key_memo.create ();
         pool;
         default_budget_ms = budget_ms;
         metrics;

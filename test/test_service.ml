@@ -793,6 +793,236 @@ let test_shutdown_request () =
         Svc.Server.wait server;
         Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket))
 
+(* ---- key memo ----
+
+   A request's plan key is memoized on its plan-shaping fields.  The
+   scenarios take the socket of a [serve] or of a router, so both roles
+   run the same checks; [planner] is the socket of the process that
+   holds the plan cache (the server itself, or a router's shard). *)
+
+let unparse p =
+  match Kfuse_dsl.Unparse.pipeline p with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "unparse: %s" e
+
+let source_req src = { (fuse_req "harris") with Protocol.app = None; source = Some src }
+let call socket req = expect_ok (Svc.Client.call ~socket req)
+
+(* [stat socket ["cache"; "hits"]] reads one counter of [stats]. *)
+let stat socket path =
+  match Jsonx.num (List.fold_left (fun v k -> field k v) (call socket Protocol.Stats) path) with
+  | Some f -> int_of_float f
+  | None -> Alcotest.failf "stats field %s is not a number" (String.concat "." path)
+
+let memo_stat socket name = stat socket [ "key_memo"; name ]
+
+let plan_view reply =
+  Jsonx.Obj
+    (List.map
+       (fun k -> (k, field k reply))
+       [ "strategy"; "kernels_out"; "objective"; "partition"; "inlined" ])
+
+let exec_view reply =
+  let outputs =
+    match field "outputs" reply with
+    | Jsonx.Arr l -> List.map (fun o -> Jsonx.Arr [ field "width" o; field "height" o ]) l
+    | _ -> Alcotest.fail "fuse_exec reply lacks outputs"
+  in
+  Jsonx.Obj
+    [
+      ("plan", plan_view reply);
+      ("artifact", field "artifact" (field "exec" reply));
+      ("outputs", Jsonx.Arr outputs);
+    ]
+
+let exec_req ?(optimize = false) (width, height) =
+  {
+    Protocol.fuse = { (fuse_req "harris") with Protocol.optimize };
+    exec_mode = None;
+    width = Some width;
+    height = Some height;
+    seed = 3;
+    repeat = 1;
+    verify = false;
+    return_pixels = false;
+  }
+
+(* Each case differs from the first of its list in exactly one
+   plan-shaping field and plans differently from it, so a field missing
+   from the memo's digest would replay the first case's plan for it.
+   Every reply must equal the [no_cache] reply, computed fresh.  The
+   second pass of [fuse] cases runs concurrently, which is where a
+   router's single flight would merge two requests it keyed alike. *)
+let memo_field_coverage socket =
+  let no_cache = function
+    | Protocol.Fuse f -> Protocol.Fuse { f with Protocol.no_cache = true }
+    | Protocol.Fuse_exec e ->
+      Protocol.Fuse_exec
+        { e with Protocol.fuse = { e.Protocol.fuse with Protocol.no_cache = true } }
+    | r -> r
+  in
+  let check_cases ~name ~view ~concurrent cases =
+    let fresh = List.map (fun r -> view (call socket (no_cache r))) cases in
+    List.iteri
+      (fun i v ->
+        if i > 0 then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s case %d plans unlike case 0" name i)
+            false
+            (Jsonx.to_string v = Jsonx.to_string (List.hd fresh)))
+      fresh;
+    let replies = Array.make (List.length cases) Jsonx.Null in
+    let serve i r = replies.(i) <- view (call socket r) in
+    List.iter
+      (fun pass ->
+        if pass = 2 && concurrent then
+          List.iter Thread.join (List.mapi (fun i r -> Thread.create (serve i) r) cases)
+        else List.iteri serve cases;
+        List.iteri
+          (fun i want ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s case %d, pass %d, equals a fresh plan" name i pass)
+              (Jsonx.to_string want) (Jsonx.to_string replies.(i)))
+          fresh)
+      [ 1; 2 ]
+  in
+  let base = source_req (unparse (Kfuse_apps.Harris.pipeline ())) in
+  check_cases ~name:"fuse" ~view:plan_view ~concurrent:true
+    (List.map
+       (fun f -> Protocol.Fuse f)
+       [
+         base;
+         { base with Protocol.tg = Some 700. };
+         { base with Protocol.gamma = Some 50. };
+         { base with Protocol.c_mshared = Some 8. };
+         { base with Protocol.strategy = Kfuse_fusion.Driver.Baseline };
+         { base with Protocol.inline = true };
+       ]);
+  (* The extent override and [optimize] show only in what runs: the
+     outputs' extent and the compiled artifact. *)
+  match Kfuse_exec.Toolchain.find () with
+  | Error _ -> ()
+  | Ok _ ->
+    check_cases ~name:"fuse_exec" ~view:exec_view ~concurrent:false
+      (List.map
+         (fun e -> Protocol.Fuse_exec e)
+         [ exec_req (64, 48); exec_req (96, 40); exec_req ~optimize:true (64, 48) ])
+
+(* A bad source is never memoized: it is parsed again and answers with
+   its full diagnostic every time. *)
+let memo_errors socket =
+  let entries = memo_stat socket "entries" in
+  List.iter
+    (fun src ->
+      let diag () =
+        match Svc.Client.call ~socket (Protocol.Fuse (source_req src)) with
+        | Ok _ -> Alcotest.failf "bad source %S was planned" src
+        | Error d -> Diag.to_string d
+      in
+      let first = diag () in
+      Alcotest.(check string) "same diagnostic twice" first (diag ()))
+    [ "pipeline p(in) {\n  size 8 8\n  k = in +\n}"; "pipeline p(in) {\n  k = nope\n}" ];
+  Alcotest.(check int) "nothing memoized" entries (memo_stat socket "entries")
+
+(* N repeats of one text: one miss, then N-1 hits, in the replies and in
+   both the plan cache's and the memo's counters; a renamed copy is
+   still an iso-miss in the plan cache's counters. *)
+let memo_accounting socket ~planner =
+  let p = Kfuse_apps.Sobel.pipeline () in
+  let n = 5 in
+  let outcomes =
+    List.init n (fun _ -> field "outcome" (call socket (Protocol.Fuse (source_req (unparse p)))))
+  in
+  Alcotest.(check (list string)) "one miss, then hits"
+    ("miss" :: List.init (n - 1) (fun _ -> "hit"))
+    (List.map (function Jsonx.Str s -> s | _ -> "?") outcomes);
+  let cache name = stat planner [ "cache"; name ] in
+  Alcotest.(check int) "cache.hits" (n - 1) (cache "hits");
+  Alcotest.(check int) "key_memo.hits" (n - 1) (memo_stat socket "hits");
+  Alcotest.(check int) "key_memo.misses" 1 (memo_stat socket "misses");
+  let metrics = expect_ok (Svc.Client.with_connection ~socket Svc.Client.metrics) in
+  Alcotest.(check bool) "metrics carry the memo" true
+    (List.mem
+       (Printf.sprintf "kfused_key_memo_hits_total %d" (n - 1))
+       (String.split_on_char '\n' metrics));
+  let renamed =
+    let module P = Kfuse_ir.Pipeline in
+    let module K = Kfuse_ir.Kernel in
+    let rename n = if List.mem n p.P.inputs then n else "x_" ^ n in
+    let ren = Kfuse_ir.Expr.rename_images rename in
+    P.create ~name:p.P.name ~width:p.P.width ~height:p.P.height ~channels:p.P.channels
+      ~params:p.P.params ~inputs:p.P.inputs
+      (List.map
+         (fun (k : K.t) ->
+           let op =
+             match k.K.op with
+             | K.Map e -> K.Map (ren e)
+             | K.Reduce { init; combine; arg } -> K.Reduce { init; combine; arg = ren arg }
+           in
+           K.create ~name:(rename k.K.name) ~inputs:(List.map rename k.K.inputs) op)
+         (Array.to_list p.P.kernels))
+  in
+  (* A reply says [miss] for both kinds of miss; the cache counts which. *)
+  ignore (call socket (Protocol.Fuse (source_req (unparse renamed))));
+  Alcotest.(check int) "a renamed copy is an iso-miss" 1 (cache "iso_misses");
+  Alcotest.(check int) "and no further hit" (n - 1) (cache "hits")
+
+(* More distinct texts than the memo holds leave it full, not larger. *)
+let memo_bound socket =
+  let n = Svc.Key_memo.capacity + 8 in
+  let misses = memo_stat socket "misses" in
+  expect_ok
+    (Svc.Client.with_connection ~socket (fun c ->
+         let rec go i =
+           if i = n then Ok ()
+           else
+             let src = Printf.sprintf "pipeline p(in) {\n  size 8 8\n  k = in * %d\n}" i in
+             Result.bind (Svc.Client.fuse c (source_req src)) (fun _ -> go (i + 1))
+         in
+         go 0));
+  Alcotest.(check int) "memo at capacity" Svc.Key_memo.capacity (memo_stat socket "entries");
+  Alcotest.(check int) "every text keyed once" (misses + n) (memo_stat socket "misses")
+
+let test_key_memo_fields () = with_server @@ fun socket _ -> memo_field_coverage socket
+let test_key_memo_errors () = with_server @@ fun socket _ -> memo_errors socket
+
+let test_key_memo_accounting () =
+  with_server @@ fun socket _ -> memo_accounting socket ~planner:socket
+
+let test_key_memo_bound () = with_server @@ fun socket _ -> memo_bound socket
+
+(* The digest is injective on the plan-shaping fields: no two of these
+   requests share one, including pairs that plain concatenation or a
+   decimal float rendering would merge. *)
+let test_key_memo_digest () =
+  let base = fuse_req "ab" in
+  let reqs =
+    [
+      base;
+      { base with Protocol.app = Some "abc" };
+      { base with Protocol.source = Some "ab" };
+      { base with Protocol.app = Some "a"; source = Some "b" };
+      { base with Protocol.app = None; source = Some "ab" };
+      { base with Protocol.gamma = Some 0. };
+      { base with Protocol.gamma = Some (-0.) };
+      { base with Protocol.tg = Some 0. };
+      { base with Protocol.c_mshared = Some 0. };
+      { base with Protocol.strategy = Kfuse_fusion.Driver.Greedy };
+      { base with Protocol.optimize = true };
+      { base with Protocol.inline = true };
+    ]
+  in
+  let digests =
+    List.map (fun f -> Svc.Key_memo.digest f) reqs
+    @ [ Svc.Key_memo.digest ~size:(4, 3) base; Svc.Key_memo.digest ~size:(3, 4) base ]
+  in
+  Alcotest.(check int) "all distinct" (List.length digests)
+    (List.length (List.sort_uniq String.compare digests));
+  Alcotest.(check string) "fields outside the plan do not key"
+    (Svc.Key_memo.digest base)
+    (Svc.Key_memo.digest
+       { base with Protocol.strict = true; budget_ms = Some 5.; no_cache = true })
+
 let suite =
   [
     Alcotest.test_case "jsonx: encode/decode roundtrip" `Quick test_jsonx_roundtrip;
@@ -821,4 +1051,13 @@ let suite =
       test_lazy_open_seeded;
     Alcotest.test_case "kfused: lazy flushes spawn no pool domain" `Quick
       test_lazy_flushes_spawn_no_domain;
+    Alcotest.test_case "key memo: digest is injective" `Quick
+      test_key_memo_digest;
+    Alcotest.test_case "key memo: every plan-shaping field keys it" `Slow
+      test_key_memo_fields;
+    Alcotest.test_case "key memo: bad source re-diagnosed every time" `Quick
+      test_key_memo_errors;
+    Alcotest.test_case "key memo: repeats hit, renamed copies miss-iso" `Quick
+      test_key_memo_accounting;
+    Alcotest.test_case "key memo: bounded at its capacity" `Quick test_key_memo_bound;
   ]

@@ -370,6 +370,23 @@ let test_single_flight_distinct_keys () =
   Alcotest.(check int) "nothing coalesced" 0 (Svc.Metrics.counter m "requests_coalesced");
   Alcotest.(check int) "both routed" 2 (Svc.Metrics.counter m "requests_routed")
 
+(* ---- key memo ----
+
+   The router memoizes plan keys as [serve] does; the scenarios are
+   {!Test_service}'s.  Shard replies are slowed in the field-coverage
+   fleet so that its concurrent pass overlaps in the single flight. *)
+
+let test_key_memo_fields () =
+  with_fleet ~count:1 ~faults:"proto.slow_write/1" @@ fun socket _ ->
+  Test_service.memo_field_coverage socket
+
+let test_key_memo_accounting () =
+  with_fleet ~count:1 @@ fun socket router ->
+  let planner = Svc.Shard.socket (Svc.Router.shards router).(0) in
+  Test_service.memo_accounting socket ~planner;
+  Test_service.memo_errors socket;
+  Test_service.memo_bound socket
+
 (* ---- streams ---- *)
 
 let require_toolchain () =
@@ -460,4 +477,8 @@ let suite =
     Alcotest.test_case "single flight distinct keys" `Slow test_single_flight_distinct_keys;
     Alcotest.test_case "stream pinning" `Slow test_stream_pinning;
     Alcotest.test_case "fleet socket sweep" `Quick test_fleet_socket_sweep;
+    Alcotest.test_case "router key memo: every plan-shaping field keys it" `Slow
+      test_key_memo_fields;
+    Alcotest.test_case "router key memo: accounting, errors, bound" `Slow
+      test_key_memo_accounting;
   ]
