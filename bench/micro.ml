@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks of the compiler itself (not a paper table):
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
    DSL parsing, an incremental lazy replan, plus the daemon's half of a
-   sandboxed fuse_exec and its request-to-plan-key step.
+   sandboxed fuse_exec, its request-to-plan-key step and one synthetic
+   stream frame.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -226,12 +227,19 @@ let plan_key_memo_test =
          let f = next () in
          ignore (ok (Svc.Key_memo.key (Lazy.force memo) f (fun () -> failwith "memo miss")))))
 
+(* The server's per-push input: one motion-stream frame. *)
+let frames_test =
+  Test.make ~name:"frames/synthetic-512"
+    (Staged.stage (fun () ->
+         ignore (Kfuse_stream.Frames.synthetic ~seed:42 ~width:512 ~height:512 ~index:7)))
+
 let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
       benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
       arena_images_test; arena_chunked_test; plan_key_cold_test; plan_key_memo_test;
+      frames_test;
     ]
 
 let run () =

@@ -1,7 +1,10 @@
 type t = { width : int; height : int; data : float array }
 
+let check_extent ~width ~height =
+  if width <= 0 || height <= 0 then invalid_arg "Image.create: nonpositive extent"
+
 let create ~width ~height () =
-  if width <= 0 || height <= 0 then invalid_arg "Image.create: nonpositive extent";
+  check_extent ~width ~height;
   { width; height; data = Array.make (width * height) 0.0 }
 
 let width img = img.width
@@ -101,9 +104,11 @@ let equal_eps ~eps a b =
   a.width = b.width && a.height = b.height && max_abs_diff a b <= eps
 
 let random rng ~width ~height ~lo ~hi =
-  let img = create ~width ~height () in
-  Kfuse_util.Rng.fill_float rng ~lo ~span:(hi -. lo) img.data;
-  img
+  check_extent ~width ~height;
+  (* fill_float writes every element: no zero-fill first. *)
+  let data = Array.create_float (width * height) in
+  Kfuse_util.Rng.fill_float rng ~lo ~span:(hi -. lo) data;
+  { width; height; data }
 
 let pp ppf img =
   Format.fprintf ppf "@[<v>";

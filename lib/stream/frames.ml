@@ -1,15 +1,13 @@
 module Image = Kfuse_image.Image
 
-(* Integer hash for the noise term: a closed-form function of the cell
-   coordinates, not a sequential RNG, so frames are identical however
-   they are produced (client preview, server synthesis, fuzz replay). *)
-let[@inline] mix h v = (h lxor (v + 0x7f4a7c15 + (h lsl 6) + (h lsr 2))) land 0x3FFFFFFF
-
-let hash2 seed x y =
-  let h = seed lxor 0x9e3779b9 in
-  let h = mix h x in
-  let h = mix h (y * 0x85eb) in
-  mix h (x lxor (y lsl 8))
+(* The per-pixel loop (kfuse_frames_stubs.c): three rounds of a
+   closed-form integer hash of the cell coordinates -- not a sequential
+   RNG, so frames are identical however they are produced (client
+   preview, server synthesis, fuzz replay) -- plus the separable blob.
+   It writes every element of [data], which may be uninitialised. *)
+external fill : float array -> float array -> float array -> int -> unit
+  = "kfuse_frames_fill"
+[@@noalloc]
 
 let synthetic ~seed ~width ~height ~index =
   let fw = float_of_int width and fh = float_of_int height in
@@ -22,9 +20,9 @@ let synthetic ~seed ~width ~height ~index =
   let cy = fh *. (0.5 +. (0.3 *. cos ((fi *. 0.23) +. phase))) in
   let rx = 0.15 *. fw and ry = 0.15 *. fh in
   (* The Gaussian separates: exp(-(dx²+dy²)) = exp(-dx²)·exp(-dy²), so
-     one exp per row plus one per column replaces one per pixel.  At
-     streaming rates the generator runs once per pushed frame on the
-     server's single OCaml domain; this keeps it off the critical path. *)
+     one exp per row plus one per column replaces one per pixel.  The
+     server draws one frame per push, under the stream's session lock,
+     before the kernel runs: the whole generator is on a push's latency. *)
   let ex =
     Array.init width (fun x ->
         let dx = (float_of_int x -. cx) /. rx in
@@ -35,17 +33,6 @@ let synthetic ~seed ~width ~height ~index =
         let dy = (float_of_int y -. cy) /. ry in
         exp (-.(dy *. dy)))
   in
-  let frame_seed = seed + (index * 7919) in
-  (* Flat fill into the backing array: the per-pixel closure dispatch of
-     Image.init is measurable at 512x512 x 120 fps aggregate. *)
-  let data = Array.make (width * height) 0.0 in
-  for y = 0 to height - 1 do
-    let eyv = ey.(y) in
-    let row = y * width in
-    for x = 0 to width - 1 do
-      let blob = ex.(x) *. eyv in
-      let noise = float_of_int (hash2 frame_seed x y) /. 1073741824.0 in
-      data.(row + x) <- 0.15 +. (0.7 *. blob) +. (0.05 *. noise)
-    done
-  done;
+  let data = Array.create_float (width * height) in
+  fill data ex ey (seed + (index * 7919));
   Image.unsafe_of_flat ~width ~height data

@@ -6,5 +6,11 @@
     closed-form per-pixel hash noise.  Pure function of its arguments —
     the client, the server and the fuzz oracle all reconstruct exactly
     the same pixels from [(seed, index)], which is what lets
-    [stream_push] ship a seed instead of half a megabyte of pixels. *)
+    [stream_push] ship a seed instead of half a megabyte of pixels.
+
+    The per-row and per-column terms are computed here; the per-pixel
+    loop is a C stub ([kfuse_frames_stubs.c]).  Its OCaml reference lives
+    in [test/test_stream.ml], which checks the two bit for bit and pins
+    the pixels with golden digests.  Raises [Invalid_argument] on a
+    nonpositive extent. *)
 val synthetic : seed:int -> width:int -> height:int -> index:int -> Kfuse_image.Image.t

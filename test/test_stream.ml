@@ -58,6 +58,120 @@ let test_temporal_analysis () =
   | Ok n -> Alcotest.failf "ambiguous pipeline streamed via %S" n
   | Error _ -> ()
 
+(* ---- synthetic frames ---- *)
+
+(* The OCaml reference for [Frames.synthetic]: its per-pixel loop as it
+   was before it moved into a C stub.  The stub is trusted only because
+   the property below holds. *)
+let[@inline] mix h v = (h lxor (v + 0x7f4a7c15 + (h lsl 6) + (h lsr 2))) land 0x3FFFFFFF
+
+let hash2 seed x y =
+  let h = seed lxor 0x9e3779b9 in
+  let h = mix h x in
+  let h = mix h (y * 0x85eb) in
+  mix h (x lxor (y lsl 8))
+
+let synthetic_reference ~seed ~width ~height ~index =
+  let fw = float_of_int width and fh = float_of_int height in
+  let fi = float_of_int index in
+  let phase = float_of_int (seed land 1023) *. 0.0061359 in
+  let cx = fw *. (0.5 +. (0.3 *. sin ((fi *. 0.35) +. phase))) in
+  let cy = fh *. (0.5 +. (0.3 *. cos ((fi *. 0.23) +. phase))) in
+  let rx = 0.15 *. fw and ry = 0.15 *. fh in
+  let ex =
+    Array.init width (fun x ->
+        let dx = (float_of_int x -. cx) /. rx in
+        exp (-.(dx *. dx)))
+  in
+  let ey =
+    Array.init height (fun y ->
+        let dy = (float_of_int y -. cy) /. ry in
+        exp (-.(dy *. dy)))
+  in
+  let frame_seed = seed + (index * 7919) in
+  let data = Array.make (width * height) 0.0 in
+  for y = 0 to height - 1 do
+    let eyv = ey.(y) in
+    let row = y * width in
+    for x = 0 to width - 1 do
+      let blob = ex.(x) *. eyv in
+      let noise = float_of_int (hash2 frame_seed x y) /. 1073741824.0 in
+      data.(row + x) <- 0.15 +. (0.7 *. blob) +. (0.05 *. noise)
+    done
+  done;
+  Img.Image.unsafe_of_flat ~width ~height data
+
+let arb_frame =
+  let open QCheck in
+  let seed =
+    Gen.(frequency
+           [ (1, oneofl [ 0; -1; max_int; min_int; (1 lsl 30) - 1; 42 ]); (3, int) ])
+  in
+  let odd = Gen.map (fun n -> (2 * n) + 1) (Gen.int_bound 35) in
+  let extent =
+    Gen.(frequency
+           [
+             (1, return (1, 1));
+             (2, map (fun n -> (1, n)) (int_range 1 70));
+             (2, map (fun n -> (n, 1)) (int_range 1 70));
+             (6, pair odd odd);
+             (2, pair (int_range 1 70) (int_range 1 70));
+           ])
+  in
+  let index = Gen.int_bound 1_000_000 in
+  let positive = Shrink.filter (fun n -> n >= 1) Shrink.int in
+  make
+    ~print:(fun (seed, (w, h), index) -> Printf.sprintf "seed %d, %dx%d, index %d" seed w h index)
+    ~shrink:(Shrink.triple Shrink.int (Shrink.pair positive positive) Shrink.int)
+    (Gen.triple seed extent index)
+
+let bit_identical want got =
+  Img.Image.width want = Img.Image.width got
+  && Img.Image.height want = Img.Image.height got
+  && Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       (Img.Image.unsafe_data want) (Img.Image.unsafe_data got)
+
+let prop_synthetic_reference =
+  QCheck.Test.make ~count:400 ~name:"Frames.synthetic = the OCaml reference, bit for bit"
+    arb_frame (fun (seed, (width, height), index) ->
+      bit_identical
+        (synthetic_reference ~seed ~width ~height ~index)
+        (Frames.synthetic ~seed ~width ~height ~index))
+
+let test_synthetic_512 () =
+  List.iter
+    (fun (seed, index) ->
+      let want = synthetic_reference ~seed ~width:512 ~height:512 ~index in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, frame %d at 512x512" seed index)
+        true
+        (bit_identical want (Frames.synthetic ~seed ~width:512 ~height:512 ~index)))
+    [ (42, 3); (min_int, 999_999) ]
+
+(* MD5 of the frame's little-endian float64 bytes, row-major. *)
+let frame_digest img =
+  let d = Img.Image.unsafe_data img in
+  let b = Bytes.create (8 * Array.length d) in
+  Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v)) d;
+  Digest.to_hex (Digest.bytes b)
+
+(* Pinned across releases: the client, the server and the fuzz oracle
+   rebuild the same pixels from (seed, index), so these never change. *)
+let test_synthetic_golden () =
+  List.iter
+    (fun (seed, width, height, index, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %dx%d, frame %d" seed width height index)
+        want
+        (frame_digest (Frames.synthetic ~seed ~width ~height ~index)))
+    [
+      (42, 512, 512, 0, "bcdf185f222ae657e76502ad8970f86b");
+      (42, 512, 512, 1000, "96a6badd7d4dccbfad1b24fa6bdd16fa");
+      (-1, 130, 70, 7, "dc7edadc27c3afff247b82e29d486c8f");
+      (max_int, 3, 2, 0, "317f732fc09f0c4e58f950c7ac68b011");
+    ]
+
 (* ---- session window semantics ---- *)
 
 (* A lag-2 identity pipeline: the output IS the frame two steps back,
@@ -665,4 +779,8 @@ let suite =
       (test_stream_soak Kfuse_exec.Supervisor.Sandboxed);
     Alcotest.test_case "stream: soak, 8 x 60 frames at 512x512, dlopen-trusted" `Slow
       (test_stream_soak Kfuse_exec.Supervisor.Dlopen_trusted);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261018 |])
+      prop_synthetic_reference;
+    Alcotest.test_case "frames: 512x512 equals the reference" `Quick test_synthetic_512;
+    Alcotest.test_case "frames: golden digests" `Quick test_synthetic_golden;
   ]
