@@ -1,8 +1,8 @@
 (* Bechamel micro-benchmarks of the compiler itself (not a paper table):
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
    DSL parsing, an incremental lazy replan, plus the daemon's half of a
-   sandboxed fuse_exec, its request-to-plan-key step and one synthetic
-   stream frame.
+   sandboxed fuse_exec, its request-to-plan-key step, one synthetic
+   stream frame and the interpreter run of a stream's verify push.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -233,13 +233,33 @@ let frames_test =
     (Staged.stage (fun () ->
          ignore (Kfuse_stream.Frames.synthetic ~seed:42 ~width:512 ~height:512 ~index:7)))
 
+(* A motion stream's verify push: the reference interpreter on the
+   min-cut fused 512x512 motion plan, as the server runs it. *)
+let interp_test =
+  let case =
+    lazy
+      (let p = Kfuse_apps.Motion.pipeline ~width:512 ~height:512 () in
+       let fused = (F.Driver.run Runner.config F.Driver.Mincut p).F.Driver.fused in
+       let rng = Kfuse_util.Rng.create 7 in
+       let inputs =
+         List.map
+           (fun name -> (name, Image.random rng ~width:512 ~height:512 ~lo:0.0 ~hi:1.0))
+           fused.Kfuse_ir.Pipeline.inputs
+       in
+       (fused, Kfuse_ir.Eval.env_of_list inputs))
+  in
+  Test.make ~name:"interp/motion-fused-512"
+    (Staged.stage (fun () ->
+         let fused, env = Lazy.force case in
+         ignore (Kfuse_ir.Eval.run_outputs fused env)))
+
 let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
       benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
       arena_images_test; arena_chunked_test; plan_key_cold_test; plan_key_memo_test;
-      frames_test;
+      frames_test; interp_test;
     ]
 
 let run () =

@@ -27,6 +27,10 @@
 
 type t
 
+(** The disk format number in every entry's header.  It changes
+    whenever a marshaled type changes shape. *)
+val format_version : int
+
 (** Where a served report came from, or why it was computed. *)
 type outcome =
   | Hit_memory

@@ -27,13 +27,15 @@ let get_bordered img mode x y =
   | Border.Undef -> invalid_arg "Image.get_bordered: undefined border access"
 
 let init ~width ~height f =
-  let img = create ~width ~height () in
+  check_extent ~width ~height;
+  (* Every element is written below: no zero-fill first. *)
+  let data = Array.create_float (width * height) in
   for y = 0 to height - 1 do
     for x = 0 to width - 1 do
-      img.data.((y * width) + x) <- f x y
+      data.((y * width) + x) <- f x y
     done
   done;
-  img
+  { width; height; data }
 
 let to_flat img = Array.copy img.data
 
@@ -53,9 +55,8 @@ let unsafe_of_flat ~width ~height data =
   { width; height; data }
 
 let const ~width ~height v =
-  let img = create ~width ~height () in
-  Array.fill img.data 0 (width * height) v;
-  img
+  check_extent ~width ~height;
+  { width; height; data = Array.make (width * height) v }
 
 let of_rows rows =
   match rows with

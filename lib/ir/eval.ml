@@ -81,9 +81,10 @@ let eval_expr ~env ~params ~width ~height ~x ~y e =
   in
   go ~vars:[] ~x ~y e
 
-(* Kernel execution compiles the body to a closure once (see {!Compile})
-   instead of re-walking the AST per pixel; [eval_expr] above remains the
-   executable specification the compiler is property-tested against. *)
+(* Kernel execution compiles the body once (see {!Compile}) and runs it a
+   row at a time instead of re-walking the AST per pixel; [eval_expr]
+   above remains the executable specification the compiler is
+   property-tested against. *)
 let run_kernel ~env ~params ~width ~height (k : Kernel.t) =
   let lookup name =
     match Env.find_opt name env with
@@ -93,21 +94,21 @@ let run_kernel ~env ~params ~width ~height (k : Kernel.t) =
   match k.op with
   | Kernel.Map body ->
     let c = Compile.expr ~width ~height ~params ~lookup body in
-    let slots = Compile.scratch c in
-    Image.init ~width ~height (fun x y -> c.Compile.eval slots x y)
+    (* Every element is written below: no zero-fill first. *)
+    let data = Array.create_float (width * height) in
+    for y = 0 to height - 1 do
+      Array.blit (Compile.row c y) 0 data (y * width) width
+    done;
+    Image.unsafe_of_flat ~width ~height data
   | Kernel.Reduce { init; combine; arg } ->
+    (* Row-major, one [combine] per pixel: the scalar fold's order. *)
     let c = Compile.expr ~width ~height ~params ~lookup arg in
-    let slots = Compile.scratch c in
-    let f = apply_binop combine in
+    let fold = Compile.fold combine in
     let acc = ref init in
     for y = 0 to height - 1 do
-      for x = 0 to width - 1 do
-        acc := f !acc (c.Compile.eval slots x y)
-      done
+      acc := fold !acc (Compile.row c y) width
     done;
-    let out = Image.create ~width:1 ~height:1 () in
-    Image.set out 0 0 !acc;
-    out
+    Image.const ~width:1 ~height:1 !acc
 
 let check_inputs (p : Pipeline.t) env =
   List.iter

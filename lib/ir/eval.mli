@@ -30,7 +30,11 @@ val eval_expr :
 
 (** [run_kernel ~env ~params ~width ~height k] materializes the output
     image of kernel [k]: [width x height] for map kernels, [1 x 1] for
-    global reductions. *)
+    global reductions.  The body is compiled once ({!Compile}) and run a
+    row at a time, straight into the output's storage; a reduction folds
+    the rows in row-major order with [combine], one pixel at a time.
+    Either way the result equals {!eval_expr} at every pixel, bit for
+    bit, and raises [Invalid_argument] where it would. *)
 val run_kernel :
   env:env -> params:(string * float) list -> width:int -> height:int -> Kernel.t ->
   Kfuse_image.Image.t

@@ -21,14 +21,30 @@ let of_pipeline (p : Pipeline.t) =
     kernels = Array.to_list p.Pipeline.kernels;
   }
 
+let max_elements = 0x7fff_ffff
+
 let check_space t =
   let bad what v =
     Diag.errorf Diag.Empty_iteration_space
       "pipeline %S: empty iteration space (%s = %d, must be positive)" t.name what v
   in
-  (if t.width <= 0 then [ bad "width" t.width ] else [])
-  @ (if t.height <= 0 then [ bad "height" t.height ] else [])
-  @ if t.channels <= 0 then [ bad "channels" t.channels ] else []
+  let nonpositive =
+    (if t.width <= 0 then [ bad "width" t.width ] else [])
+    @ (if t.height <= 0 then [ bad "height" t.height ] else [])
+    @ if t.channels <= 0 then [ bad "channels" t.channels ] else []
+  in
+  (* Divide rather than multiply: the product itself may overflow. *)
+  if nonpositive = []
+     && (t.width > max_elements / t.height
+        || t.width * t.height > max_elements / t.channels)
+  then
+    [
+      Diag.errorf Diag.Empty_iteration_space
+        "pipeline %S: iteration space %dx%dx%d has more than %d elements, the most \
+         generated code can index"
+        t.name t.width t.height t.channels max_elements;
+    ]
+  else nonpositive
 
 (* Duplicate identifiers: kernel names must be unique and disjoint from
    input names; parameters share the reference namespace with images. *)

@@ -8,7 +8,8 @@
     list that may not be constructible at all — cyclic, dangling,
     duplicated) and returns every violation as a {!Kfuse_util.Diag.t}:
 
-    - nonpositive iteration space (width/height/channels);
+    - nonpositive iteration space (width/height/channels), or one of
+      more than {!max_elements} elements;
     - duplicate kernel/input/parameter identifiers;
     - dangling image references (read by a kernel, produced by nothing);
     - dependence cycles (reported with the kernel path);
@@ -35,6 +36,11 @@ type input = {
 }
 
 val of_pipeline : Pipeline.t -> input
+
+val max_elements : int
+(** [2^31 - 1]: the most elements (width x height x channels) an
+    iteration space may have, since generated C indexes images with
+    [int]. *)
 
 val check : input -> Diag.t list
 (** All diagnostics for the description, in deterministic order (space,

@@ -27,7 +27,8 @@ type code =
   | Cycle  (** KF0501: dependence cycle in the kernel graph *)
   | Dangling_ref  (** KF0502: kernel reads an image nothing produces *)
   | Duplicate_name  (** KF0503: duplicate kernel/input/parameter id *)
-  | Empty_iteration_space  (** KF0504: nonpositive width/height/channels *)
+  | Empty_iteration_space  (** KF0504: nonpositive width/height/channels, or
+      more than [2^31 - 1] elements *)
   | Mask_too_large  (** KF0505: stencil window exceeds the iteration space *)
   | Global_consumed  (** KF0506: 1x1 reduction output consumed downstream *)
   | Unbound_param  (** KF0507: kernel parameter without a default *)

@@ -284,6 +284,42 @@ let test_old_format_entry () =
     (Printf.sprintf "kfuse-plan 2 %s %d" Sys.ocaml_version Sys.word_size)
     (In_channel.with_open_bin path input_line)
 
+(* The memory layout of a marshaled report, data abstracted away: block
+   tags and sizes, with strings and floats reduced to their tag (their
+   length is data, not layout).  Walked on an unmarshaled copy, so it is
+   the layout the disk tier reads back. *)
+let shape_digest (r : F.Driver.report) =
+  let b = Buffer.create 4096 in
+  let rec walk v =
+    if Obj.is_int v then Buffer.add_char b 'i'
+    else
+      let tag = Obj.tag v in
+      if tag = Obj.string_tag then Buffer.add_char b 's'
+      else if tag = Obj.double_tag || tag = Obj.double_array_tag then Buffer.add_char b 'd'
+      else if tag >= Obj.no_scan_tag then Printf.bprintf b "<%d>" tag
+      else begin
+        Printf.bprintf b "(%d:%d" tag (Obj.size v);
+        for i = 0 to Obj.size v - 1 do
+          walk (Obj.field v i)
+        done;
+        Buffer.add_char b ')'
+      end
+  in
+  walk (Obj.repr (Marshal.from_string (bytes_of r) 0 : F.Driver.report));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A marshaled type that changes shape must bump the disk format number
+   (reading an old entry as the new layout is memory-unsafe).  Pinned
+   here: the format number and the layout digest of a canonical report,
+   the min-cut plan of a 16x16 Sobel.  A layout change fails this test;
+   bump [Plan_cache.format_version] and re-pin both values. *)
+let test_report_shape_pinned () =
+  let r = fresh_report (Kfuse_apps.Sobel.pipeline ~width:16 ~height:16 ()) in
+  Alcotest.(check (pair int string))
+    "format version and report layout (on a layout change: bump the format, re-pin)"
+    (2, "fa33b12336c9065e363830bc0b16253f")
+    (Cache.Plan_cache.format_version, shape_digest r)
+
 let test_degraded_not_stored () =
   let p = Kfuse_apps.Harris.pipeline () in
   let key = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
@@ -380,6 +416,8 @@ let suite =
       Alcotest.test_case "format-1 disk entry is dropped and recomputed" `Quick
         test_old_format_entry;
       Alcotest.test_case "degraded reports are not cached" `Quick test_degraded_not_stored;
+      Alcotest.test_case "report layout is pinned to the format number" `Quick
+        test_report_shape_pinned;
       Alcotest.test_case "shared dir: concurrent stores stay atomic" `Quick
         test_shared_dir_concurrent_stores;
     ]

@@ -483,6 +483,19 @@ let test_bench_native_bad_args () =
       ([ "--apps"; "nosuchapp" ], "KF0101");
     ]
 
+let test_emit_refuses_int_overflow () =
+  (* Generated C indexes with int: a 65536x65536 space (2^32 elements)
+     is refused at validation, before any planning or emission. *)
+  with_temp_dir @@ fun dir ->
+  let file = Filename.concat dir "huge.pipe" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc
+        "pipeline huge(in) {\n  size 65536 65536\n  dx = conv(in, sobelx, clamp)\n}\n");
+  let code, text = run_capture [ "emit"; "--backend"; "cpu"; file ] in
+  Alcotest.(check int) "emit exits 1" 1 code;
+  Alcotest.(check bool) "emit is KF0504" true (contains "error[KF0504]" text);
+  Alcotest.(check bool) "nothing emitted" false (contains "void k_dx" text)
+
 let test_repl_script () =
   (* The lazy-pipeline repl, batch mode: build a two-chain DAG, flush
      incrementally and from scratch, and check the two fingerprints the
@@ -558,6 +571,8 @@ let suite =
     Alcotest.test_case "fault injection end-to-end" `Quick test_fault_injection_e2e;
     Alcotest.test_case "budget end-to-end" `Quick test_budget_e2e;
     Alcotest.test_case "bench-native rejects bad arguments" `Quick test_bench_native_bad_args;
+    Alcotest.test_case "emit refuses a space past int indexing" `Quick
+      test_emit_refuses_int_overflow;
     Alcotest.test_case "repl --script end-to-end" `Quick test_repl_script;
     Alcotest.test_case "run --native end-to-end" `Slow test_run_native_e2e;
     Alcotest.test_case "run --native: line buffers on uneven strips, 1 and 3 threads" `Slow

@@ -459,6 +459,110 @@ let test_eval_let_scoping () =
   let out = Helpers.run_single p [ ("in", Image.const ~width:1 ~height:1 0.0) ] in
   Alcotest.check (Helpers.float_close ()) "shadowing" 3.0 (Image.get out 0 0)
 
+(* The row evaluator runs each Select branch only on the lanes that
+   take it.  A mask guards the last column off an Undefined read one
+   pixel to the right (a tap, then an index exchange): neither read
+   happens, as in the scalar interpreter. *)
+let test_eval_untaken_branch_never_reads () =
+  let width = 5 and height = 3 in
+  let mask = Image.init ~width ~height (fun x _ -> if x = width - 1 then 1.0 else 0.0) in
+  let env = Eval.env_of_list [ ("in", Helpers.ramp ~width ~height); ("mask", mask) ] in
+  List.iter
+    (fun right ->
+      let body =
+        Expr.(select Lt (input "mask") (Const 0.5) right (Const (-1.0)))
+      in
+      let p =
+        Pipeline.create ~name:"p" ~width ~height ~inputs:[ "in"; "mask" ]
+          [ Kernel.map ~name:"k" ~inputs:[ "in"; "mask" ] body ]
+      in
+      let out = Eval.Env.find "k" (Eval.run p env) in
+      for y = 0 to height - 1 do
+        for x = 0 to width - 1 do
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "(%d, %d)" x y)
+            (Eval.eval_expr ~env ~params:[] ~width ~height ~x ~y body)
+            (Image.get out x y)
+        done
+      done)
+    [
+      Expr.input ~border:Border.Undefined ~dx:1 "in";
+      Expr.Shift { dx = 1; dy = 0; exchange = Some Border.Undefined; body = Expr.input "in" };
+    ]
+
+(* An Undefined index exchange that some pixel reaches raises
+   Invalid_argument, whether its lanes are the whole row or a compacted
+   Select branch. *)
+let test_eval_reachable_undefined_exchange_raises () =
+  let off =
+    Expr.Shift { dx = 0; dy = 1; exchange = Some Border.Undefined; body = Expr.input "in" }
+  in
+  List.iter
+    (fun (what, body) ->
+      let p =
+        Pipeline.create ~name:"p" ~width:4 ~height:3 ~inputs:[ "in" ]
+          [ Kernel.map ~name:"k" ~inputs:[ "in" ] body ]
+      in
+      let env = Eval.env_of_list [ ("in", Helpers.ramp ~width:4 ~height:3) ] in
+      Helpers.expect_invalid (what ^ ": eval_expr") (fun () ->
+          Eval.eval_expr ~env ~params:[] ~width:4 ~height:3 ~x:3 ~y:2 body);
+      Helpers.expect_invalid (what ^ ": run") (fun () -> Eval.run p env))
+    [
+      ("whole row", off);
+      (* the ramp's last row reads 27, 34, 41, 48: two lanes take [off] *)
+      ("compacted branch", Expr.(select Lt (input "in") (Const 40.0) (Const 0.0) off));
+    ]
+
+(* A Reduce folds in row-major order with the same combine as a scalar
+   left fold over eval_expr: equal bit for bit, for every combine. *)
+let test_eval_reduce_bit_exact () =
+  let width = 7 and height = 5 in
+  let arg = Expr.(sqrt (input "in" + Const 0.1) * input "in") in
+  let img = Image.random (Kfuse_util.Rng.create 3) ~width ~height ~lo:0.5 ~hi:1.5 in
+  let env = Eval.env_of_list [ ("in", img) ] in
+  List.iter
+    (fun (combine, f) ->
+      let p =
+        Pipeline.create ~name:"p" ~width ~height ~inputs:[ "in" ]
+          [ Kernel.reduce ~name:"r" ~inputs:[ "in" ] ~init:0.75 ~combine arg ]
+      in
+      let acc = ref 0.75 in
+      for y = 0 to height - 1 do
+        for x = 0 to width - 1 do
+          acc := f !acc (Eval.eval_expr ~env ~params:[] ~width ~height ~x ~y arg)
+        done
+      done;
+      let got = Image.get (Eval.Env.find "r" (Eval.run p env)) 0 0 in
+      Alcotest.(check int64) "bits" (Int64.bits_of_float !acc) (Int64.bits_of_float got))
+    [
+      (Expr.Add, ( +. )); (Expr.Sub, ( -. )); (Expr.Mul, ( *. )); (Expr.Div, ( /. ));
+      (Expr.Min, Float.min); (Expr.Max, Float.max); (Expr.Pow, Float.pow);
+    ]
+
+(* The interpreter allocates per row, not per pixel: running the
+   min-cut fused motion plan at 64x64 (compilation included) stays
+   under 16 minor words per pixel; the per-pixel closure tree it
+   replaced took ~256. *)
+let test_eval_allocation_per_pixel () =
+  let size = 64 in
+  let p = Kfuse_apps.Motion.pipeline ~width:size ~height:size () in
+  let fused =
+    (Kfuse_fusion.Driver.run Kfuse_fusion.Config.default Kfuse_fusion.Driver.Mincut p)
+      .Kfuse_fusion.Driver.fused
+  in
+  let rng = Kfuse_util.Rng.create 5 in
+  let env =
+    Eval.env_of_list
+      (List.map
+         (fun name -> (name, Image.random rng ~width:size ~height:size ~lo:0.0 ~hi:1.0))
+         fused.Pipeline.inputs)
+  in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Eval.run fused env));
+  let per_pixel = (Gc.minor_words () -. before) /. float_of_int (size * size) in
+  if per_pixel >= 16.0 then
+    Alcotest.failf "Eval.run allocates %.1f minor words per pixel (bound 16)" per_pixel
+
 let test_eval_input_validation () =
   let p = two_stage ~width:3 ~height:2 () in
   Helpers.expect_invalid "missing input" (fun () ->
@@ -509,4 +613,10 @@ let suite =
     Alcotest.test_case "Eval shift constant exchange" `Quick test_eval_shift_constant_exchange;
     Alcotest.test_case "Eval let scoping" `Quick test_eval_let_scoping;
     Alcotest.test_case "Eval input validation" `Quick test_eval_input_validation;
+    Alcotest.test_case "Eval untaken Select branch never reads" `Quick
+      test_eval_untaken_branch_never_reads;
+    Alcotest.test_case "Eval reachable undefined exchange raises" `Quick
+      test_eval_reachable_undefined_exchange_raises;
+    Alcotest.test_case "Eval reduce is bit-exact" `Quick test_eval_reduce_bit_exact;
+    Alcotest.test_case "Eval allocation per pixel" `Quick test_eval_allocation_per_pixel;
   ]

@@ -235,45 +235,118 @@ let prop_stats_ordering =
       s.min <= s.p25 && s.p25 <= s.median && s.median <= s.p75 && s.p75 <= s.max
       && s.min <= s.mean && s.mean <= s.max)
 
+(* Random kernel bodies for the row evaluator, over inputs "a" and "b"
+   and parameter "p": taps in all five border modes, Select, Let (also
+   under Shift, where a Var must read the value bound at its own output
+   pixel) and Shifts with and without index exchange in every mode. *)
+let mode_gen =
+  (* Undefined is rarer: a case where some pixel raises compares only
+     that both evaluators raise. *)
+  QCheck.Gen.frequencyl
+    [ (3, Border.Clamp); (3, Border.Mirror); (3, Border.Repeat); (3, Border.Constant 0.25);
+      (1, Border.Undefined) ]
+
+let body_gen =
+  QCheck.Gen.(
+    let off = int_range (-2) 2 in
+    let rec gen depth vars =
+      let input =
+        map3
+          (fun image (dx, dy) border -> Expr.Input { image; dx; dy; border })
+          (oneofl [ "a"; "b" ]) (pair off off) mode_gen
+      in
+      let leaf =
+        frequency
+          ([ (1, map Expr.const (float_range (-2.0) 2.0)); (1, return (Expr.Param "p"));
+             (4, input) ]
+          @ if vars = [] then [] else [ (3, map (fun v -> Expr.Var v) (oneofl vars)) ])
+      in
+      if depth = 0 then leaf
+      else
+        let sub = gen (depth - 1) vars in
+        let var = Printf.sprintf "v%d" depth in
+        frequency
+          [
+            (2, leaf);
+            ( 1,
+              map2
+                (fun op a -> Expr.Unop (op, a))
+                (oneofl Expr.[ Neg; Abs; Sqrt; Floor; Sin ])
+                sub );
+            ( 3,
+              map3
+                (fun op a b -> Expr.Binop (op, a, b))
+                (oneofl Expr.[ Add; Sub; Mul; Div; Min; Max; Pow ])
+                sub sub );
+            ( 2,
+              let* cmp = oneofl Expr.[ Lt; Le; Eq ] in
+              (* lhs == rhs sometimes: Eq must hold on NaN, as Float.equal *)
+              let* lhs = sub and* rhs = sub and* same = bool in
+              let rhs = if same then lhs else rhs in
+              map2
+                (fun if_true if_false -> Expr.Select { cmp; lhs; rhs; if_true; if_false })
+                sub sub );
+            ( 2,
+              map2
+                (fun value body -> Expr.Let { var; value; body })
+                sub
+                (gen (depth - 1) (var :: vars)) );
+            ( 3,
+              map3
+                (fun (dx, dy) exchange body -> Expr.Shift { dx; dy; exchange; body })
+                (pair off off) (opt mode_gen) sub );
+          ]
+    in
+    let* depth = int_range 1 5 in
+    let* extent =
+      oneof
+        [ return (13, 11); map (fun k -> (1, k)) (int_range 1 6);
+          map (fun k -> (k, 1)) (int_range 1 6) ]
+    in
+    map (fun body -> (extent, body)) (gen depth []))
+
+let body_arb =
+  QCheck.make body_gen ~print:(fun ((w, h), e) ->
+      Format.asprintf "%dx%d: %a" w h Expr.pp e)
+
+(* [Ok image] or [Error ()] when any position raises Invalid_argument. *)
+let whole_image f =
+  match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let bits_equal a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
 let prop_compile_matches_interpreter =
-  (* The closure compiler against the tree-walking specification, on the
-     bodies of fused pipelines (which contain Shift/Let/exchange). *)
-  QCheck.Test.make ~count:100 ~name:"Compile.expr = Eval.eval_expr"
-    (QCheck.pair pipeline_arb QCheck.small_int) (fun (kernels, seed) ->
-      let p = pipeline_of_kernels kernels in
-      let fused = (F.Driver.run config F.Driver.Mincut p).F.Driver.fused in
+  (* The row evaluator against the tree-walking specification over whole
+     images: bit for bit where eval_expr returns, Invalid_argument
+     wherever eval_expr raises on some pixel. *)
+  QCheck.Test.make ~count:500 ~name:"Compile.expr = Eval.eval_expr"
+    (QCheck.pair body_arb QCheck.small_int) (fun (((width, height), body), seed) ->
       let rng = Kfuse_util.Rng.create (seed + 31) in
-      let img = Image.random rng ~width:13 ~height:11 ~lo:0.0 ~hi:1.0 in
-      let env = Eval.env_of_list [ ("in", img) ] in
-      (* Interpret stage by stage with the tree walker and compare the
-         compiled closure on a sample of positions. *)
-      let params = fused.Pipeline.params in
-      let full = Eval.run fused env in
-      Array.for_all
-        (fun (k : Kernel.t) ->
-          match k.Kernel.op with
-          | Kernel.Reduce _ -> true
-          | Kernel.Map body ->
-            let inputs_env =
-              List.fold_left
-                (fun acc name -> Eval.Env.add name (Eval.Env.find name full) acc)
-                Eval.Env.empty k.Kernel.inputs
-            in
+      let image () = Image.random rng ~width ~height ~lo:(-1.0) ~hi:1.0 in
+      let env = Eval.env_of_list [ ("a", image ()); ("b", image ()) ] in
+      let params = [ ("p", 0.125) ] in
+      let scalar =
+        whole_image (fun () ->
+            Array.init (width * height) (fun i ->
+                Eval.eval_expr ~env ~params ~width ~height ~x:(i mod width) ~y:(i / width)
+                  body))
+      in
+      let rows =
+        whole_image (fun () ->
             let c =
-              Kfuse_ir.Compile.expr ~width:13 ~height:11 ~params
-                ~lookup:(fun n -> Eval.Env.find n inputs_env)
+              Kfuse_ir.Compile.expr ~width ~height ~params
+                ~lookup:(fun n -> Eval.Env.find n env)
                 body
             in
-            let slots = Kfuse_ir.Compile.scratch c in
-            List.for_all
-              (fun (x, y) ->
-                let a = c.Kfuse_ir.Compile.eval slots x y in
-                let b =
-                  Eval.eval_expr ~env:inputs_env ~params ~width:13 ~height:11 ~x ~y body
-                in
-                Float.equal a b || Float.abs (a -. b) < 1e-12)
-              [ (0, 0); (12, 0); (0, 10); (12, 10); (6, 5); (3, 7) ])
-        fused.Pipeline.kernels)
+            Array.concat (List.init height (fun y -> Array.copy (Kfuse_ir.Compile.row c y))))
+      in
+      match (scalar, rows) with
+      | Ok a, Ok b -> bits_equal a b
+      | Error (), Error () -> true
+      | Ok _, Error () | Error (), Ok _ -> false)
 
 let prop_mincut_near_oracle =
   QCheck.Test.make ~count:60 ~name:"Algorithm 1 bounded by the exhaustive optimum"

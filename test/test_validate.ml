@@ -212,8 +212,43 @@ let prop_driver_never_crashes =
         && (* the registry is clean again for the next case *)
         not (Faults.active ()))
 
+(* The emitted C indexes with int: a space of more than 2^31 - 1
+   elements is KF0504, decided from the extent alone (nothing allocated,
+   no planning work). *)
+let test_int_index_bound () =
+  let sobel ~width ~height = Kfuse_apps.Sobel.pipeline ~width ~height () in
+  let kf0504 p =
+    match Validate.result p with
+    | Error d -> Diag.code_id d.Diag.code = "KF0504"
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "46340^2 fits" false (kf0504 (sobel ~width:46340 ~height:46340));
+  Alcotest.(check bool) "46341^2 is refused" true (kf0504 (sobel ~width:46341 ~height:46341));
+  Alcotest.(check bool) "channels count" true
+    (List.exists
+       (fun d -> Diag.code_id d.Diag.code = "KF0504")
+       (Validate.check
+          { (Validate.of_pipeline (sobel ~width:32768 ~height:32768)) with Validate.channels = 2 }));
+  Alcotest.(check bool) "max_int extent does not wrap" true
+    (List.exists
+       (fun d -> Diag.code_id d.Diag.code = "KF0504")
+       (Validate.check
+          {
+            (Validate.of_pipeline (sobel ~width:16 ~height:16)) with
+            Validate.width = max_int;
+            height = max_int;
+          }));
+  let before = Gc.allocated_bytes () in
+  (match F.Driver.run_result F.Config.default F.Driver.Mincut (sobel ~width:65536 ~height:65536) with
+  | Error d -> Alcotest.(check string) "driver refuses" "KF0504" (Diag.code_id d.Diag.code)
+  | Ok _ -> Alcotest.fail "a 65536x65536 pipeline was planned");
+  Alcotest.(check bool) "nothing image-sized allocated" true
+    (Gc.allocated_bytes () -. before < 1e6)
+
 let suite =
   [
+    Alcotest.test_case "iteration spaces past int indexing are KF0504" `Quick
+      test_int_index_bound;
     prop_valid_inputs_pass;
     prop_cycle_flagged;
     prop_dangling_flagged;
