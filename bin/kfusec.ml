@@ -756,7 +756,8 @@ let serve_cmd =
   let capacity_arg =
     Arg.(
       value & opt int 256
-      & info [ "cache-capacity" ] ~docv:"N" ~doc:"In-memory plan cache capacity.")
+      & info [ "cache-capacity" ] ~docv:"N"
+          ~doc:"In-memory plan cache capacity, in structures (each keeps up to four namings).")
   in
   let max_conns_arg =
     Arg.(
@@ -926,7 +927,9 @@ let shard_serve_cmd =
     Arg.(
       value & opt int 256
       & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Per-shard in-memory plan cache capacity.")
+          ~doc:
+            "Per-shard in-memory plan cache capacity, in structures (each keeps up to four \
+             namings).")
   in
   let max_conns_arg =
     Arg.(

@@ -89,6 +89,10 @@ let keys t =
   in
   go [] t.head
 
+let fold f t acc =
+  let rec go acc = function None -> acc | Some n -> go (f n.value acc) n.next in
+  go acc t.head
+
 let counters (t : 'a t) = { hits = t.hits; misses = t.misses; evictions = t.evictions }
 
 let clear t =

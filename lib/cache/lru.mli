@@ -29,6 +29,10 @@ val capacity : 'a t -> int
 (** [keys t] in most-recently-used-first order (for tests/inspection). *)
 val keys : 'a t -> string list
 
+(** [fold f t acc] folds [f] over every value, most recently used first,
+    without marking any of them used or counting a hit. *)
+val fold : ('a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+
 type counters = { hits : int; misses : int; evictions : int }
 
 val counters : 'a t -> counters

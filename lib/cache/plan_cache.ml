@@ -2,8 +2,13 @@ module Driver = Kfuse_fusion.Driver
 
 type entry = { exact : string; report : Driver.report }
 
+(* How many namings of one structure a memory slot keeps.  A renamed
+   copy shares its original's slot; with room for both, neither evicts
+   the other. *)
+let namings_per_slot = 4
+
 type t = {
-  mem : entry Lru.t;
+  mem : entry list Lru.t;  (* per structural key, most recently used first *)
   dir : string option;
   lock : Mutex.t;
   (* Cache-level counters: the LRU's own hit counter would misreport an
@@ -93,10 +98,14 @@ let read_entry path =
         raise (Corrupt "payload digest mismatch");
       (Marshal.from_string payload 0 : entry))
 
+(* Numbers this process's temp files: writers run outside the cache
+   lock, so no two of them may share a temp name. *)
+let tmp_seq = Atomic.make 0
+
 let write_entry path (e : entry) =
   mkdir_p (Filename.dirname path);
   let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Thread.id (Thread.self ()))
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) (Atomic.fetch_and_add tmp_seq 1)
   in
   let payload = Marshal.to_string e [] in
   Out_channel.with_open_bin tmp (fun oc ->
@@ -109,33 +118,24 @@ let write_entry path (e : entry) =
      one, never a torn write. *)
   Unix.rename tmp path
 
-let disk_find t (key : Fingerprint.key) =
+(* What the disk tier says about a key.  Read without the cache lock:
+   the file read, its digest and the unmarshal are the slow part. *)
+type disk_read = Disk_off | Disk_hit of entry | Disk_miss | Disk_corrupt
+
+let disk_read t (key : Fingerprint.key) =
   match path_of t key.Fingerprint.structural with
-  | None -> None
-  | Some path ->
-    if not (Sys.file_exists path) then begin
-      t.disk_misses <- t.disk_misses + 1;
-      None
-    end
-    else begin
+  | None -> Disk_off
+  | Some path -> (
+    if not (Sys.file_exists path) then Disk_miss
+    else
       match read_entry path with
-      | e ->
-        if String.equal e.exact key.Fingerprint.exact then begin
-          t.disk_hits <- t.disk_hits + 1;
-          Some e
-        end
-        else begin
-          t.disk_misses <- t.disk_misses + 1;
-          None
-        end
+      | e -> if String.equal e.exact key.Fingerprint.exact then Disk_hit e else Disk_miss
       | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
       | exception _ ->
         (* Unreadable or corrupt: drop it so the slot heals on the next
            store, and account for it (KF0701 territory, never fatal). *)
-        t.disk_errors <- t.disk_errors + 1;
         (try Sys.remove path with Sys_error _ -> ());
-        None
-    end
+        Disk_corrupt)
 
 let disk_store t (key : Fingerprint.key) (e : entry) =
   match path_of t key.Fingerprint.structural with
@@ -144,31 +144,62 @@ let disk_store t (key : Fingerprint.key) (e : entry) =
     try write_entry path e
     with
     | (Out_of_memory | Stack_overflow) as e -> raise e
-    | _ -> t.disk_errors <- t.disk_errors + 1)
+    | _ -> locked t (fun () -> t.disk_errors <- t.disk_errors + 1))
 
 (* ---- lookup / store ---- *)
 
-(* [Error outcome] is a miss, qualified: plain, or same-structure-
-   different-names (served only by recomputation, never by translation,
-   so replies stay bit-identical to a fresh run). *)
+(* [slot_add e slot] is [slot] with [e] first, any older entry under
+   [e]'s exact key dropped, and cut to [namings_per_slot]. *)
+let slot_add e slot =
+  let rest = List.filter (fun o -> not (String.equal o.exact e.exact)) slot in
+  List.filteri (fun i _ -> i < namings_per_slot) (e :: rest)
+
+(* Call with the lock held. *)
+let mem_add t structural e =
+  let slot = Option.value ~default:[] (Lru.find t.mem structural) in
+  Lru.put t.mem structural (slot_add e slot)
+
+(* [Error outcome] is a miss, qualified: plain, or a known structure
+   under a naming its slot does not hold (served only by recomputation,
+   never by translation, so replies stay bit-identical to a fresh run). *)
 let lookup t (key : Fingerprint.key) =
-  locked t @@ fun () ->
-  match Lru.find t.mem key.Fingerprint.structural with
-  | Some e when String.equal e.exact key.Fingerprint.exact ->
-    t.hits <- t.hits + 1;
-    Ok (e.report, Hit_memory)
-  | Some _ ->
-    t.iso_misses <- t.iso_misses + 1;
-    Error Miss_iso
+  let structural = key.Fingerprint.structural in
+  let in_memory =
+    locked t @@ fun () ->
+    match Lru.find t.mem structural with
+    | None -> None
+    | Some slot -> (
+      match List.find_opt (fun e -> String.equal e.exact key.Fingerprint.exact) slot with
+      | Some e ->
+        t.hits <- t.hits + 1;
+        if e != List.hd slot then Lru.put t.mem structural (slot_add e slot);
+        Some (Ok (e.report, Hit_memory))
+      | None ->
+        t.iso_misses <- t.iso_misses + 1;
+        Some (Error Miss_iso))
+  in
+  match in_memory with
+  | Some r -> r
   | None -> (
-    match disk_find t key with
-    | Some e ->
-      t.hits <- t.hits + 1;
-      Lru.put t.mem key.Fingerprint.structural e;
-      Ok (e.report, Hit_disk)
-    | None ->
+    let read = disk_read t key in
+    locked t @@ fun () ->
+    let miss () =
       t.misses <- t.misses + 1;
-      Error Miss)
+      Error Miss
+    in
+    match read with
+    | Disk_hit e ->
+      t.disk_hits <- t.disk_hits + 1;
+      t.hits <- t.hits + 1;
+      mem_add t structural e;
+      Ok (e.report, Hit_disk)
+    | Disk_off -> miss ()
+    | Disk_miss ->
+      t.disk_misses <- t.disk_misses + 1;
+      miss ()
+    | Disk_corrupt ->
+      t.disk_errors <- t.disk_errors + 1;
+      miss ())
 
 let find t key = match lookup t key with Ok r -> Some r | Error _ -> None
 
@@ -176,12 +207,15 @@ let store t (key : Fingerprint.key) (report : Driver.report) =
   (* A degraded report reflects a budget or an injected fault, not the
      pipeline's content — caching it would replay a transient accident
      forever.  Only clean runs are content-addressable. *)
-  if not report.Driver.degraded then
-    locked t @@ fun () ->
+  if not report.Driver.degraded then begin
     let e = { exact = key.Fingerprint.exact; report } in
-    Lru.put t.mem key.Fingerprint.structural e;
-    t.stores <- t.stores + 1;
+    locked t (fun () ->
+        mem_add t key.Fingerprint.structural e;
+        t.stores <- t.stores + 1);
+    (* Outside the lock: each writer renames its own temp file into
+       place, so racing stores need no serializing here. *)
     disk_store t key e
+  end
 
 let find_or_compute t key compute =
   match lookup t key with
@@ -216,7 +250,7 @@ let stats t =
     misses = t.misses;
     iso_misses = t.iso_misses;
     evictions = c.Lru.evictions;
-    entries = Lru.length t.mem;
+    entries = Lru.fold (fun slot n -> n + List.length slot) t.mem 0;
     capacity = Lru.capacity t.mem;
     disk_hits = t.disk_hits;
     disk_misses = t.disk_misses;
@@ -231,7 +265,7 @@ let hit_rate s =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "entries %d/%d  hits %d (disk %d)  misses %d (iso %d)  evictions %d  stores %d  disk errors %d  hit rate %.2f"
+    "plans %d (capacity %d structures)  hits %d (disk %d)  misses %d (iso %d)  evictions %d  stores %d  disk errors %d  hit rate %.2f"
     s.entries s.capacity s.hits s.disk_hits s.misses s.iso_misses s.evictions s.stores
     s.disk_errors (hit_rate s)
 

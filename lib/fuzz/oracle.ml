@@ -262,37 +262,6 @@ let same_report ~what (r1 : Driver.report) (r2 : Driver.report) =
     Error (Printf.sprintf "%s: replayed edge set differs" what)
   else Ok ()
 
-let cache_replay ~cache_dir config p =
-  match
-    let r1 = Driver.run config Driver.Mincut p in
-    if r1.Driver.degraded then
-      Error
-        (Printf.sprintf "driver degraded on a valid pipeline: %s"
-           (String.concat "; " (List.map Kfuse_util.Diag.to_string r1.Driver.warnings)))
-    else begin
-      let key = Fingerprint.plan_key ~config ~strategy:Driver.Mincut p in
-      let cache = Plan_cache.create ~capacity:4 ?dir:cache_dir () in
-      Plan_cache.store cache key r1;
-      match Plan_cache.find cache key with
-      | None -> Error "memory tier lost a just-stored plan"
-      | Some (r2, _) ->
-        Result.bind (same_report ~what:"memory" r1 r2) (fun () ->
-            match cache_dir with
-            | None -> Ok ()
-            | Some _ -> (
-              Plan_cache.clear cache;
-              match Plan_cache.find cache key with
-              | Some (r3, Plan_cache.Hit_disk) -> same_report ~what:"disk" r1 r3
-              | Some (_, o) ->
-                Error
-                  (Printf.sprintf "disk replay came back as %s"
-                     (Plan_cache.outcome_to_string o))
-              | None -> Error "disk tier missed a just-stored plan"))
-    end
-  with
-  | exception e -> Error (Printf.sprintf "cache replay raised: %s" (Printexc.to_string e))
-  | r -> r
-
 (* Fresh names that collide with nothing already in the pipeline's
    namespace (kernels, inputs, params share it). *)
 let namespace p =
@@ -315,31 +284,75 @@ let rebuild_kernel (k : Kernel.t) ~name ~ren =
     Kernel.reduce ~name ~inputs:(List.map ren k.Kernel.inputs) ~init ~combine
       (Expr.rename_images ren arg)
 
+(* [p] with every kernel given a fresh name: the same structure under
+   another naming. *)
+let renamed_copy p =
+  let taken = ref (namespace p) in
+  let tbl = Hashtbl.create 8 in
+  Array.iteri
+    (fun i (k : Kernel.t) ->
+      let n = fresh_name !taken (Printf.sprintf "rn%d" i) in
+      taken := n :: !taken;
+      Hashtbl.replace tbl k.Kernel.name n)
+    p.Pipeline.kernels;
+  let ren img = Option.value ~default:img (Hashtbl.find_opt tbl img) in
+  let kernels =
+    List.map
+      (fun (k : Kernel.t) -> rebuild_kernel k ~name:(ren k.Kernel.name) ~ren)
+      (Array.to_list p.Pipeline.kernels)
+  in
+  Pipeline.create ~name:p.Pipeline.name ~width:p.Pipeline.width ~height:p.Pipeline.height
+    ~channels:p.Pipeline.channels ~params:p.Pipeline.params ~inputs:p.Pipeline.inputs kernels
+
+(* The memory tier serves [p] and a renamed sibling, each its own
+   report; the disk tier, which keeps the naming stored last, serves
+   [p]. *)
+let cache_replay ~cache_dir config p =
+  match
+    let run q =
+      let r = Driver.run config Driver.Mincut q in
+      if r.Driver.degraded then
+        Error
+          (Printf.sprintf "driver degraded on a valid pipeline: %s"
+             (String.concat "; " (List.map Kfuse_util.Diag.to_string r.Driver.warnings)))
+      else Ok r
+    in
+    let sibling = renamed_copy p in
+    Result.bind (run p) @@ fun r1 ->
+    Result.bind (run sibling) @@ fun s1 ->
+    let key = Fingerprint.plan_key ~config ~strategy:Driver.Mincut p in
+    let skey = Fingerprint.plan_key ~config ~strategy:Driver.Mincut sibling in
+    let cache = Plan_cache.create ~capacity:4 ?dir:cache_dir () in
+    Plan_cache.store cache skey s1;
+    Plan_cache.store cache key r1;
+    let served ~what key r =
+      match Plan_cache.find cache key with
+      | None -> Error (Printf.sprintf "%s: memory tier lost a just-stored plan" what)
+      | Some (r2, _) -> same_report ~what r r2
+    in
+    Result.bind (served ~what:"memory" key r1) @@ fun () ->
+    Result.bind (served ~what:"memory, renamed sibling" skey s1) @@ fun () ->
+    match cache_dir with
+    | None -> Ok ()
+    | Some _ -> (
+      Plan_cache.clear cache;
+      match Plan_cache.find cache key with
+      | Some (r3, Plan_cache.Hit_disk) -> same_report ~what:"disk" r1 r3
+      | Some (_, o) ->
+        Error
+          (Printf.sprintf "disk replay came back as %s" (Plan_cache.outcome_to_string o))
+      | None -> Error "disk tier missed a just-stored plan")
+  with
+  | exception e -> Error (Printf.sprintf "cache replay raised: %s" (Printexc.to_string e))
+  | r -> r
+
 let mincut_sig config p =
   let r = Mincut_fusion.run config p in
   (r.Mincut_fusion.objective, r.Mincut_fusion.partition)
 
 let meta_rename config p =
   match
-    let taken = ref (namespace p) in
-    let tbl = Hashtbl.create 8 in
-    Array.iteri
-      (fun i (k : Kernel.t) ->
-        let n = fresh_name !taken (Printf.sprintf "rn%d" i) in
-        taken := n :: !taken;
-        Hashtbl.replace tbl k.Kernel.name n)
-      p.Pipeline.kernels;
-    let ren img = Option.value ~default:img (Hashtbl.find_opt tbl img) in
-    let kernels =
-      List.map
-        (fun (k : Kernel.t) -> rebuild_kernel k ~name:(ren k.Kernel.name) ~ren)
-        (Array.to_list p.Pipeline.kernels)
-    in
-    let renamed =
-      Pipeline.create ~name:p.Pipeline.name ~width:p.Pipeline.width
-        ~height:p.Pipeline.height ~channels:p.Pipeline.channels ~params:p.Pipeline.params
-        ~inputs:p.Pipeline.inputs kernels
-    in
+    let renamed = renamed_copy p in
     if Fingerprint.structural renamed <> Fingerprint.structural p then
       Error "kernel renaming changed the structural fingerprint"
     else begin

@@ -25,8 +25,10 @@
       {e bitwise}, for any strategy's partition.
     - {!constructor:Pool_determinism}: the min-cut search on a domain
       pool is bit-identical to the serial run.
-    - {!constructor:Cache_replay}: a plan stored to the disk cache and
-      replayed (memory tier cleared) equals the freshly computed plan.
+    - {!constructor:Cache_replay}: a plan and the plan of a renamed
+      sibling, stored side by side, are each served from the memory tier
+      as their own freshly computed plan; the plan stored last, replayed
+      from disk (memory tier cleared), equals it too.
     - {!constructor:Meta_rename}, {!constructor:Meta_permute_inputs},
       {!constructor:Meta_duplicate}: metamorphic invariances — kernel
       renaming and input-declaration permutation leave the structural

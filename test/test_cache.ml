@@ -193,26 +193,28 @@ let test_cached_bit_identical () =
   Alcotest.(check int) "one miss" 1 s.Cache.Plan_cache.misses;
   Alcotest.(check int) "one store" 1 s.Cache.Plan_cache.stores
 
+(* [p] with every kernel (and its uses) renamed [prefix ^ name]: the
+   same structural slot, a different exact key. *)
+let renamed ?(prefix = "x_") (p : Pipeline.t) =
+  let rename n = if List.mem n p.Pipeline.inputs then n else prefix ^ n in
+  Pipeline.create ~name:"renamed" ~width:p.Pipeline.width ~height:p.Pipeline.height
+    ~channels:p.Pipeline.channels ~params:p.Pipeline.params ~inputs:p.Pipeline.inputs
+    (List.map
+       (fun (k : Kernel.t) ->
+         let op =
+           match k.Kernel.op with
+           | Kernel.Map e -> Kernel.Map (Expr.rename_images rename e)
+           | Kernel.Reduce { init; combine; arg } ->
+             Kernel.Reduce { init; combine; arg = Expr.rename_images rename arg }
+         in
+         Kernel.create ~name:(rename k.Kernel.name) ~inputs:(List.map rename k.Kernel.inputs) op)
+       (Array.to_list p.Pipeline.kernels))
+
 let test_iso_request_recomputed () =
   let p = Kfuse_apps.Harris.pipeline () in
-  let q =
-    (* Same structure, different kernel names: lives under the same
-       structural slot but must not be served p's report. *)
-    Pipeline.create ~name:"renamed" ~width:p.Pipeline.width ~height:p.Pipeline.height
-      ~channels:p.Pipeline.channels ~params:p.Pipeline.params ~inputs:p.Pipeline.inputs
-      (List.map
-         (fun (k : Kernel.t) ->
-           let rename n = if List.mem n p.Pipeline.inputs then n else "x_" ^ n in
-           let op =
-             match k.Kernel.op with
-             | Kernel.Map e -> Kernel.Map (Expr.rename_images rename e)
-             | Kernel.Reduce { init; combine; arg } ->
-               Kernel.Reduce { init; combine; arg = Expr.rename_images rename arg }
-           in
-           Kernel.create ~name:(rename k.Kernel.name) ~inputs:(List.map rename k.Kernel.inputs)
-             op)
-         (Array.to_list p.Pipeline.kernels))
-  in
+  (* Same structure, different kernel names: lives under the same
+     structural slot but must not be served p's report. *)
+  let q = renamed p in
   let kp = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
   let kq = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut q in
   Alcotest.(check bool) "same structural slot" true
@@ -232,6 +234,162 @@ let test_iso_request_recomputed () =
     Alcotest.(check bool) "recomputed for q" true
       (String.equal (bytes_of (fresh_report q)) (bytes_of r))
   | _ -> Alcotest.fail "expected an iso-miss recompute"
+
+(* ---- a slot holds several namings of one structure ---- *)
+
+let small_sobel () = Kfuse_apps.Sobel.pipeline ~width:16 ~height:16 ()
+let key_of p = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p
+let compute_of p () = F.Driver.run_result config F.Driver.Mincut p
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o -> Format.pp_print_string ppf (Cache.Plan_cache.outcome_to_string o))
+    ( = )
+
+let check_hit cache p =
+  match Cache.Plan_cache.find cache (key_of p) with
+  | Some (r, Cache.Plan_cache.Hit_memory) ->
+    Alcotest.(check bool) "hit bit-identical to its own fresh run" true
+      (String.equal (bytes_of (fresh_report p)) (bytes_of r))
+  | Some (_, o) ->
+    Alcotest.failf "expected a memory hit, got %s" (Cache.Plan_cache.outcome_to_string o)
+  | None -> Alcotest.fail "expected a memory hit, got a miss"
+
+let outcome_of cache p =
+  match Cache.Plan_cache.find_or_compute cache (key_of p) (compute_of p) with
+  | Ok (_, o) -> o
+  | Error d -> Alcotest.failf "driver failed: %s" (Kfuse_util.Diag.to_string d)
+
+(* The first sight of a renamed copy is still an iso miss, counted once;
+   its recompute joins the original in the slot. *)
+let test_first_sight_iso () =
+  let p = small_sobel () in
+  let cache = Cache.Plan_cache.create () in
+  Alcotest.check outcome "original" Cache.Plan_cache.Miss (outcome_of cache p);
+  Alcotest.check outcome "renamed, first sight" Cache.Plan_cache.Miss_iso
+    (outcome_of cache (renamed p));
+  let s = Cache.Plan_cache.stats cache in
+  Alcotest.(check int) "one iso miss" 1 s.Cache.Plan_cache.iso_misses;
+  Alcotest.(check int) "both namings held" 2 s.Cache.Plan_cache.entries
+
+(* An original and its renamed copy, looked up in turn, are both served:
+   neither store evicts the other. *)
+let test_namings_alternate () =
+  let a = small_sobel () in
+  let b = renamed a in
+  let cache = Cache.Plan_cache.create () in
+  ignore (outcome_of cache a);
+  ignore (outcome_of cache b);
+  let before = Cache.Plan_cache.stats cache in
+  List.iter (check_hit cache) [ a; b; a; b ];
+  let after = Cache.Plan_cache.stats cache in
+  Alcotest.(check int) "no further iso miss" before.Cache.Plan_cache.iso_misses
+    after.Cache.Plan_cache.iso_misses;
+  Alcotest.(check int) "no further store" before.Cache.Plan_cache.stores
+    after.Cache.Plan_cache.stores;
+  Alcotest.(check int) "four hits" (before.Cache.Plan_cache.hits + 4)
+    after.Cache.Plan_cache.hits
+
+(* Five namings of one structure: the slot keeps four, and the least
+   recently used one is an iso miss again. *)
+let test_slot_cap () =
+  let base = small_sobel () in
+  let n = Array.init 5 (fun i -> renamed ~prefix:(Printf.sprintf "n%d_" i) base) in
+  let cache = Cache.Plan_cache.create () in
+  let entries () = (Cache.Plan_cache.stats cache).Cache.Plan_cache.entries in
+  Array.iteri
+    (fun i p ->
+      ignore (outcome_of cache p);
+      Alcotest.(check int) "entries" (min (i + 1) 4) (entries ()))
+    n;
+  (* Stored 0..4: naming 0 was pushed out. *)
+  Alcotest.check outcome "oldest naming" Cache.Plan_cache.Miss_iso (outcome_of cache n.(0));
+  Alcotest.(check int) "capped at four" 4 (entries ());
+  (* Now the slot is 0, 4, 3, 2 and naming 1 is out; a hit on 2 makes
+     3 the least recently used. *)
+  check_hit cache n.(2);
+  Alcotest.check outcome "pushed out by the re-store" Cache.Plan_cache.Miss_iso
+    (outcome_of cache n.(1));
+  Alcotest.check outcome "least recently used" Cache.Plan_cache.Miss_iso
+    (outcome_of cache n.(3));
+  List.iter (fun i -> check_hit cache n.(i)) [ 3; 1; 2 ];
+  Alcotest.(check int) "still four" 4 (entries ());
+  Alcotest.(check int) "iso misses" 7
+    (Cache.Plan_cache.stats cache).Cache.Plan_cache.iso_misses
+
+(* Random find/store sequences over 3 structures x 3 namings, against a
+   model: a lookup hits exactly when its own naming was stored (three
+   namings fit a slot), is an iso miss when only a sibling was, and a
+   hit returns the report stored under its exact key, never a
+   sibling's. *)
+type op = Find of int * int | Store of int * int
+
+let pp_op = function
+  | Find (s, n) -> Printf.sprintf "find %d/%d" s n
+  | Store (s, n) -> Printf.sprintf "store %d/%d" s n
+
+let ops_arb =
+  let op =
+    QCheck.Gen.(
+      map3
+        (fun find s n -> if find then Find (s, n) else Store (s, n))
+        bool (int_bound 2) (int_bound 2))
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 40) op)
+
+let namings =
+  lazy
+    (let structures =
+       [
+         small_sobel ();
+         Kfuse_apps.Unsharp.pipeline ~width:16 ~height:16 ();
+         Kfuse_apps.Harris.pipeline ~width:16 ~height:16 ();
+       ]
+     in
+     Array.of_list
+       (List.map
+          (fun p ->
+            Array.map
+              (fun p -> (key_of p, fresh_report p))
+              [| p; renamed ~prefix:"a_" p; renamed ~prefix:"b_" p |])
+          structures))
+
+let prop_slot_model =
+  QCheck.Test.make ~name:"plan cache: every hit is its own naming's report" ~count:200 ops_arb
+    (fun ops ->
+      let plans = Lazy.force namings in
+      let cache = Cache.Plan_cache.create () in
+      let stored = Hashtbl.create 9 in
+      let lookups = ref 0 in
+      let ok =
+        List.for_all
+          (function
+            | Store (s, n) ->
+              let key, report = plans.(s).(n) in
+              Cache.Plan_cache.store cache key report;
+              Hashtbl.replace stored (s, n) ();
+              true
+            | Find (s, n) -> (
+              incr lookups;
+              let key, report = plans.(s).(n) in
+              let held = Hashtbl.mem stored (s, n) in
+              let sibling = List.exists (fun m -> Hashtbl.mem stored (s, m)) [ 0; 1; 2 ] in
+              let iso () = (Cache.Plan_cache.stats cache).Cache.Plan_cache.iso_misses in
+              let before = iso () in
+              match Cache.Plan_cache.find cache key with
+              | Some (r, Cache.Plan_cache.Hit_memory) -> held && r == report
+              | Some _ -> false
+              | None -> (not held) && (iso () - before = 1) = sibling))
+          ops
+      in
+      let st = Cache.Plan_cache.stats cache in
+      ok
+      && st.Cache.Plan_cache.hits + st.Cache.Plan_cache.misses
+         + st.Cache.Plan_cache.iso_misses
+         = !lookups)
 
 let test_corrupt_disk_entry () =
   with_temp_dir @@ fun dir ->
@@ -420,4 +578,10 @@ let suite =
         test_report_shape_pinned;
       Alcotest.test_case "shared dir: concurrent stores stay atomic" `Quick
         test_shared_dir_concurrent_stores;
+      Alcotest.test_case "first sight of a renamed copy is an iso miss" `Quick
+        test_first_sight_iso;
+      Alcotest.test_case "original and renamed copy alternate as hits" `Quick
+        test_namings_alternate;
+      Alcotest.test_case "a slot keeps the four most recent namings" `Quick test_slot_cap;
     ]
+  @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261018 |]) prop_slot_model ]

@@ -925,8 +925,9 @@ let memo_errors socket =
   Alcotest.(check int) "nothing memoized" entries (memo_stat socket "entries")
 
 (* N repeats of one text: one miss, then N-1 hits, in the replies and in
-   both the plan cache's and the memo's counters; a renamed copy is
-   still an iso-miss in the plan cache's counters. *)
+   both the plan cache's and the memo's counters; a renamed copy is an
+   iso-miss in the plan cache's counters on first sight, and from then
+   on it and the original are both hits. *)
 let memo_accounting socket ~planner =
   let p = Kfuse_apps.Sobel.pipeline () in
   let n = 5 in
@@ -963,9 +964,20 @@ let memo_accounting socket ~planner =
          (Array.to_list p.P.kernels))
   in
   (* A reply says [miss] for both kinds of miss; the cache counts which. *)
-  ignore (call socket (Protocol.Fuse (source_req (unparse renamed))));
+  let send q =
+    match field "outcome" (call socket (Protocol.Fuse (source_req (unparse q)))) with
+    | Jsonx.Str s -> s
+    | _ -> "?"
+  in
+  Alcotest.(check string) "a renamed copy misses" "miss" (send renamed);
   Alcotest.(check int) "a renamed copy is an iso-miss" 1 (cache "iso_misses");
-  Alcotest.(check int) "and no further hit" (n - 1) (cache "hits")
+  Alcotest.(check int) "and no further hit" (n - 1) (cache "hits");
+  (* Both namings now share the structure's slot: neither evicts the
+     other. *)
+  Alcotest.(check string) "the renamed copy again" "hit" (send renamed);
+  Alcotest.(check string) "the original after it" "hit" (send p);
+  Alcotest.(check int) "no further iso-miss" 1 (cache "iso_misses");
+  Alcotest.(check int) "two more hits" (n + 1) (cache "hits")
 
 (* More distinct texts than the memo holds leave it full, not larger. *)
 let memo_bound socket =
