@@ -118,10 +118,11 @@ let device_conv =
 (* ---- the shared driver flag set ----
 
    Every driver-backed subcommand (fuse, emit, run, estimate, dot,
-   explain, serve, query) builds on this one term, so the flags behave
+   explain, query) builds on this one term, so the flags behave
    identically everywhere: pipeline selection (--app/FILE), the fusion
    model (--c-mshared/--gamma/--tg), execution (-j/--strict/--budget-ms),
-   and the plan cache (--cache/--cache-dir). *)
+   and the plan cache (--cache/--cache-dir).  [serve] takes only -j and
+   the plan-cache flags: clients send the rest per request. *)
 
 let app_arg =
   Arg.(value & opt (some string) None & info [ "a"; "app" ] ~docv:"NAME" ~doc:"Built-in application name.")
@@ -204,12 +205,11 @@ let cache_dir_arg =
           "On-disk plan cache directory (implies $(b,--cache); default \
            \\$XDG_CACHE_HOME/kfuse or ~/.cache/kfuse).")
 
-let plan_cache_of ~cache ~cache_dir =
+(* The plan cache's disk tier: none unless --cache or --cache-dir asks. *)
+let cache_dir_of ~cache ~cache_dir =
   match (cache, cache_dir) with
   | false, None -> None
-  | _, dir ->
-    let dir = Option.value ~default:(Cache.Plan_cache.default_dir ()) dir in
-    Some (Cache.Plan_cache.create ~dir ())
+  | _, dir -> Some (Option.value ~default:(Cache.Plan_cache.default_dir ()) dir)
 
 type common = {
   app : string option;
@@ -230,7 +230,8 @@ let common_term =
       jobs;
       strict;
       budget_ms;
-      cache = plan_cache_of ~cache ~cache_dir;
+      cache =
+        Option.map (fun dir -> Cache.Plan_cache.create ~dir ()) (cache_dir_of ~cache ~cache_dir);
     }
   in
   Term.(
@@ -732,8 +733,52 @@ let exec_sandbox_arg =
            and the daemon is unharmed.  \
            $(b,dlopen-trusted): allow the fast in-process dlopen path \
            (trusts codegen); subprocess runs keep their rlimits.  Both keep \
-           the per-plan circuit breaker.  Under $(b,shard-serve) the policy \
-           applies to every shard.")
+           the per-plan circuit breaker.")
+
+(* The connection front end both daemons share ({!Svc.Listener}): one
+   flag, one default. *)
+let max_conns_arg =
+  Arg.(
+    value
+    & opt int Svc.Listener.default_max_conns
+    & info [ "max-conns" ] ~docv:"N"
+        ~doc:
+          "Connections served concurrently (worker threads).  Connections \
+           beyond this wait in the bounded admission queue.  Under \
+           $(b,shard-serve) it is also each shard's own worker count.")
+
+let queue_arg =
+  Arg.(
+    value
+    & opt int Svc.Listener.default_queue
+    & info [ "queue" ] ~docv:"N"
+        ~doc:
+          "Admission queue bound: connections accepted while all $(b,--max-conns) \
+           workers are busy wait here; past it they are shed with a typed \
+           KF0803 overloaded reply instead of queueing forever.")
+
+let request_timeout_arg =
+  Arg.(
+    value
+    & opt float Svc.Listener.default_request_timeout_ms
+    & info [ "request-timeout-ms" ] ~docv:"MS"
+        ~doc:
+          "Per-request wall-clock deadline, also armed as the connection's \
+           socket receive/send timeout: a slow or vanished peer frees its \
+           worker slot with a KF0804 reply, and a fusion search is \
+           budget-capped to the remaining deadline.  Under $(b,shard-serve) \
+           it also bounds each forward to a shard, and every shard gets \
+           the same deadline.  0 disables.")
+
+let drain_timeout_arg =
+  Arg.(
+    value
+    & opt float Svc.Listener.default_drain_timeout_ms
+    & info [ "drain-timeout" ] ~docv:"MS"
+        ~doc:
+          "On SIGTERM/SIGINT or a shutdown request: stop accepting, let \
+           in-flight requests finish for up to MS milliseconds, then \
+           forcibly close the stragglers and remove the socket.")
 
 let serve_cmd =
   let doc = "Run kfused: serve fusion plans over a Unix-domain socket." in
@@ -743,7 +788,8 @@ let serve_cmd =
       `P
         "Starts the fusion service: a length-prefixed JSON protocol over a \
          Unix-domain socket.  Each request names a built-in application or \
-         carries pipeline DSL source; the reply is the fusion report.  Plans \
+         carries pipeline DSL source, with its own fusion-model parameters; \
+         the reply is the fusion report.  Plans \
          are memoized in the content-addressed plan cache, shared by every \
          client; $(b,--cache)/$(b,--cache-dir) add the on-disk tier so plans \
          survive restarts.  Concurrent clients are served on their own \
@@ -752,48 +798,6 @@ let serve_cmd =
         "Stop the server with a $(b,query --shutdown) request (or a signal; \
          a stale socket file left behind is replaced on the next start).";
     ]
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"In-memory plan cache capacity, in structures (each keeps up to four namings).")
-  in
-  let max_conns_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Connections served concurrently (worker threads).  Connections \
-             beyond this wait in the bounded admission queue.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission queue bound: connections accepted while all $(b,--max-conns) \
-             workers are busy wait here; past it they are shed with a typed \
-             KF0803 overloaded reply instead of queueing forever.")
-  in
-  let request_timeout_arg =
-    Arg.(
-      value & opt float 30_000.0
-      & info [ "request-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-request wall-clock deadline, also armed as the connection's \
-             socket receive/send timeout: a slow or vanished peer frees its \
-             worker slot with a KF0804 reply, and a fusion search is \
-             budget-capped to the remaining deadline.  0 disables.")
-  in
-  let drain_timeout_arg =
-    Arg.(
-      value & opt float 5_000.0
-      & info [ "drain-timeout" ] ~docv:"MS"
-          ~doc:
-            "On SIGTERM/SIGINT or a shutdown request: stop accepting, let \
-             in-flight requests finish for up to MS milliseconds, then \
-             forcibly close the stragglers and remove the socket.")
   in
   let crash_dir_arg =
     Arg.(
@@ -807,78 +811,42 @@ let serve_cmd =
              that $(b,kfusec fuzz --corpus DIR) can replay and shrink.  \
              Default: crash-corpus under the cache directory.")
   in
-  let max_streams_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "max-streams" ] ~docv:"N"
-          ~doc:
-            "Concurrently open sessions of each kind: at most N stream and, \
-             separately, N lazy sessions.  An open beyond the bound is shed \
-             with a typed KF0803 reply.")
-  in
-  let stream_queue_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "stream-queue" ] ~docv:"N"
-          ~doc:
-            "Per-session in-flight push bound; a stream_push beyond it is \
-             shed with KF0805 before touching the stream's temporal state, \
-             so the client can retry the frame verbatim.")
-  in
-  let stream_idle_arg =
-    Arg.(
-      value & opt float 60_000.0
-      & info [ "stream-idle-ms" ] ~docv:"MS"
-          ~doc:
-            "Idle-expiry horizon: sessions untouched for MS milliseconds are \
-             reaped lazily, releasing their pinned native plan.  0 disables.")
-  in
-  let run common socket capacity max_conns queue request_timeout_ms drain_timeout_ms
-      exec_sandbox crash_dir max_streams stream_queue stream_idle_ms =
-    if common.app <> None || common.file <> None then begin
-      Format.eprintf "kfusec: serve takes no pipeline; clients send them per request@.";
-      1
-    end
-    else if capacity < 1 then begin
-      Format.eprintf "kfusec: --cache-capacity must be >= 1@.";
-      1
-    end
-    else
-      (* The daemon spawns its pool's domains at the first request that
-         can use them: lazy sessions and warm plans never do. *)
-      with_jobs ~defer:true common.jobs @@ fun pool ->
-      let dir = Option.bind common.cache Cache.Plan_cache.dir in
-      let cache = Cache.Plan_cache.create ~capacity ?dir () in
-      match
-        Svc.Server.start ~socket ~cache ~pool ?budget_ms:common.budget_ms ~max_conns
-          ~queue ~request_timeout_ms ~drain_timeout_ms ~exec_sandbox ?crash_dir
-          ~max_streams ~stream_queue ~stream_idle_ms ()
-      with
-      | Error d -> fail_diag d
-      | Ok server ->
-        (* SIGTERM/SIGINT initiate a graceful drain: stop accepting,
-           finish in-flight requests up to --drain-timeout, remove the
-           socket.  [wait] below performs the drain on this thread. *)
-        let graceful = Sys.Signal_handle (fun _ -> Svc.Server.signal_stop server) in
-        List.iter
-          (fun s -> try Sys.set_signal s graceful with Invalid_argument _ | Sys_error _ -> ())
-          [ Sys.sigterm; Sys.sigint ];
-        Format.printf
-          "kfused: listening on %s (cache %d entries%s, %d workers + %d queue, exec \
-           sandbox %s)@."
-          socket capacity
-          (match dir with Some d -> ", disk tier " ^ d | None -> ", memory only")
-          max_conns queue
-          (Exec.Supervisor.policy_to_string exec_sandbox);
-        Svc.Server.wait server;
-        Format.printf "kfused: shut down@.";
-        0
+  let run jobs cache cache_dir socket max_conns queue request_timeout_ms drain_timeout_ms
+      exec_sandbox crash_dir =
+    (* The daemon spawns its pool's domains at the first request that
+       can use them: lazy sessions and warm plans never do. *)
+    with_jobs ~defer:true jobs @@ fun pool ->
+    let dir = cache_dir_of ~cache ~cache_dir in
+    let cache = Cache.Plan_cache.create ?dir () in
+    match
+      Svc.Server.start ~socket ~cache ~pool ~max_conns ~queue ~request_timeout_ms
+        ~drain_timeout_ms ~exec_sandbox ?crash_dir ()
+    with
+    | Error d -> fail_diag d
+    | Ok server ->
+      (* SIGTERM/SIGINT initiate a graceful drain: stop accepting,
+         finish in-flight requests up to --drain-timeout, remove the
+         socket.  [wait] below performs the drain on this thread. *)
+      let graceful = Sys.Signal_handle (fun _ -> Svc.Server.signal_stop server) in
+      List.iter
+        (fun s -> try Sys.set_signal s graceful with Invalid_argument _ | Sys_error _ -> ())
+        [ Sys.sigterm; Sys.sigint ];
+      Format.printf
+        "kfused: listening on %s (cache %d entries%s, %d workers + %d queue, exec \
+         sandbox %s)@."
+        socket (Cache.Plan_cache.stats cache).Cache.Plan_cache.capacity
+        (match dir with Some d -> ", disk tier " ^ d | None -> ", memory only")
+        max_conns queue
+        (Exec.Supervisor.policy_to_string exec_sandbox);
+      Svc.Server.wait server;
+      Format.printf "kfused: shut down@.";
+      0
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ common_term $ socket_arg $ capacity_arg $ max_conns_arg $ queue_arg
-      $ request_timeout_arg $ drain_timeout_arg $ exec_sandbox_arg $ crash_dir_arg
-      $ max_streams_arg $ stream_queue_arg $ stream_idle_arg)
+      const run $ jobs_arg $ cache_flag $ cache_dir_arg $ socket_arg $ max_conns_arg
+      $ queue_arg $ request_timeout_arg $ drain_timeout_arg $ exec_sandbox_arg
+      $ crash_dir_arg)
 
 (* ---- shard-serve: the sharded fleet ---- *)
 
@@ -923,169 +891,55 @@ let shard_serve_cmd =
       value & opt int 4
       & info [ "shards" ] ~docv:"K" ~doc:"Shard server processes to supervise.")
   in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:
-            "Per-shard in-memory plan cache capacity, in structures (each keeps up to four \
-             namings).")
-  in
-  let max_conns_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:
-            "Router connections served concurrently; also each shard's own \
-             worker count.")
-  in
-  let queue_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Router admission queue bound; past it connections are shed with \
-             a typed KF0803 reply.")
-  in
-  let request_timeout_arg =
-    Arg.(
-      value & opt float 30_000.0
-      & info [ "request-timeout-ms" ] ~docv:"MS"
-          ~doc:"Per-request wall-clock deadline at the router.  0 disables.")
-  in
-  let drain_timeout_arg =
-    Arg.(
-      value & opt float 5_000.0
-      & info [ "drain-timeout" ] ~docv:"MS"
-          ~doc:"Router in-flight drain budget on shutdown.")
-  in
-  let shard_grace_arg =
-    Arg.(
-      value & opt float 2_000.0
-      & info [ "shard-grace-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-shard SIGTERM grace during fleet drain; SIGKILL past it.")
-  in
   let health_interval_arg =
     Arg.(
       value & opt float 250.0
       & info [ "health-interval-ms" ] ~docv:"MS"
           ~doc:"Supervisor tick: ping every live shard this often.")
   in
-  let health_timeout_arg =
-    Arg.(
-      value & opt float 1_000.0
-      & info [ "health-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Ping deadline; $(b,--max-ping-misses) consecutive misses kill \
-             the hung shard (it then takes the normal restart path).")
-  in
-  let storm_threshold_arg =
-    Arg.(
-      value & opt int Svc.Shard.default_config.storm_threshold
-      & info [ "storm-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive rapid failures (each within \
-             $(b,--storm-window-ms) of its spawn) that mark a shard dead.")
-  in
-  let storm_window_arg =
-    Arg.(
-      value & opt float Svc.Shard.default_config.storm_window_ms
-      & info [ "storm-window-ms" ] ~docv:"MS"
-          ~doc:"A death within MS of its spawn counts toward the storm.")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float Svc.Shard.default_config.restart_backoff_ms
-      & info [ "restart-backoff-ms" ] ~docv:"MS"
-          ~doc:"Base respawn delay; doubles per rapid failure.")
-  in
-  let max_backoff_arg =
-    Arg.(
-      value & opt float Svc.Shard.default_config.max_restart_backoff_ms
-      & info [ "max-restart-backoff-ms" ] ~docv:"MS" ~doc:"Respawn delay cap.")
-  in
-  let cooldown_arg =
-    Arg.(
-      value & opt float Svc.Shard.default_config.dead_cooldown_ms
-      & info [ "dead-cooldown-ms" ] ~docv:"MS"
-          ~doc:
-            "Dead shard half-open probe interval: one respawn attempt per \
-             cooldown; a rapid failure re-marks it dead.  0 disables (dead \
-             stays dead until restart).")
-  in
-  let ping_misses_arg =
-    Arg.(
-      value & opt int Svc.Shard.default_config.max_ping_misses
-      & info [ "max-ping-misses" ] ~docv:"N"
-          ~doc:"Consecutive missed pings before a hung shard is killed.")
-  in
-  let run socket shard_dir shards cache_dir capacity max_conns queue request_timeout_ms
-      drain_timeout_ms shard_grace_ms health_interval_ms health_timeout_ms storm_threshold
-      storm_window_ms restart_backoff_ms max_restart_backoff_ms dead_cooldown_ms
-      max_ping_misses exec_sandbox =
-    if capacity < 1 then begin
-      Format.eprintf "kfusec: --cache-capacity must be >= 1@.";
-      1
-    end
-    else
-      let dir =
-        match shard_dir with
-        | Some d -> d
-        | None -> Filename.concat (Filename.dirname socket) "kfused-shards"
-      in
-      (* The shared disk tier is the point of the topology: every shard
-         stores and finds plans in one content-addressed directory, so a
-         rerouted request degrades to a disk hit, not a recompute. *)
-      let cache_dir =
-        match cache_dir with Some d -> d | None -> Filename.concat dir "cache"
-      in
-      let shard_argv ~index:_ ~socket =
-        [
-          Sys.executable_name; "serve"; "--socket"; socket; "--cache-dir"; cache_dir;
-          "--cache-capacity"; string_of_int capacity;
-          "--max-conns"; string_of_int max_conns;
-          "--request-timeout-ms"; string_of_float request_timeout_ms;
-          "--exec-sandbox"; Exec.Supervisor.policy_to_string exec_sandbox;
-        ]
-      in
-      let shard_config =
-        {
-          Svc.Shard.storm_threshold;
-          storm_window_ms;
-          restart_backoff_ms;
-          max_restart_backoff_ms;
-          dead_cooldown_ms;
-          max_ping_misses;
-        }
-      in
-      match
-        Svc.Router.start ~socket ~dir ~count:shards ~shard_argv ~shard_config
-          ~health_interval_ms ~health_timeout_ms ~max_conns ~queue
-          ~request_timeout_ms ~drain_timeout_ms ~shard_grace_ms ()
-      with
-      | Error d -> fail_diag d
-      | Ok router ->
-        let graceful = Sys.Signal_handle (fun _ -> Svc.Router.signal_stop router) in
-        List.iter
-          (fun s -> try Sys.set_signal s graceful with Invalid_argument _ | Sys_error _ -> ())
-          [ Sys.sigterm; Sys.sigint ];
-        Format.printf "kfused: router on %s, %d shards under %s (disk cache %s)@." socket
-          shards dir cache_dir;
-        if Svc.Router.await_ready router then Format.printf "kfused: fleet ready@."
-        else Format.printf "kfused: fleet partially ready (see shard logs in %s)@." dir;
-        Svc.Router.wait router;
-        Format.printf "kfused: fleet shut down@.";
-        0
+  let run socket shard_dir shards cache_dir max_conns queue request_timeout_ms
+      drain_timeout_ms health_interval_ms =
+    let dir =
+      match shard_dir with
+      | Some d -> d
+      | None -> Filename.concat (Filename.dirname socket) "kfused-shards"
+    in
+    (* The shared disk tier is the point of the topology: every shard
+       stores and finds plans in one content-addressed directory, so a
+       rerouted request degrades to a disk hit, not a recompute. *)
+    let cache_dir =
+      match cache_dir with Some d -> d | None -> Filename.concat dir "cache"
+    in
+    let shard_argv ~index:_ ~socket =
+      [
+        Sys.executable_name; "serve"; "--socket"; socket; "--cache-dir"; cache_dir;
+        "--max-conns"; string_of_int max_conns;
+        "--request-timeout-ms"; string_of_float request_timeout_ms;
+      ]
+    in
+    match
+      Svc.Router.start ~socket ~dir ~count:shards ~shard_argv ~health_interval_ms ~max_conns
+        ~queue ~request_timeout_ms ~drain_timeout_ms ()
+    with
+    | Error d -> fail_diag d
+    | Ok router ->
+      let graceful = Sys.Signal_handle (fun _ -> Svc.Router.signal_stop router) in
+      List.iter
+        (fun s -> try Sys.set_signal s graceful with Invalid_argument _ | Sys_error _ -> ())
+        [ Sys.sigterm; Sys.sigint ];
+      Format.printf "kfused: router on %s, %d shards under %s (disk cache %s)@." socket
+        shards dir cache_dir;
+      if Svc.Router.await_ready router then Format.printf "kfused: fleet ready@."
+      else Format.printf "kfused: fleet partially ready (see shard logs in %s)@." dir;
+      Svc.Router.wait router;
+      Format.printf "kfused: fleet shut down@.";
+      0
   in
   Cmd.v
     (Cmd.info "shard-serve" ~doc ~man)
     Term.(
-      const run $ socket_arg $ shard_dir_arg $ shards_arg $ cache_dir_arg $ capacity_arg
-      $ max_conns_arg $ queue_arg $ request_timeout_arg $ drain_timeout_arg
-      $ shard_grace_arg $ health_interval_arg $ health_timeout_arg $ storm_threshold_arg
-      $ storm_window_arg $ backoff_arg $ max_backoff_arg $ cooldown_arg $ ping_misses_arg
-      $ exec_sandbox_arg)
+      const run $ socket_arg $ shard_dir_arg $ shards_arg $ cache_dir_arg $ max_conns_arg
+      $ queue_arg $ request_timeout_arg $ drain_timeout_arg $ health_interval_arg)
 
 let query_cmd =
   let doc = "Send one request to a running kfused and print the reply." in

@@ -297,7 +297,11 @@ module Child = struct
     | Some st -> (st, false)
     | None -> (kill_and_wait t, true)
 
-  let terminate ?(grace_ms = 2_000.) t = fst (stop t ~grace_ms)
+  (* A long-lived child (a kfused shard) gets this long to drain its own
+     in-flight work on SIGTERM. *)
+  let terminate_grace_ms = 2_000.
+
+  let terminate t = fst (stop t ~grace_ms:terminate_grace_ms)
 end
 
 (* {1 Supervised run} *)
@@ -589,6 +593,8 @@ end
 
 (* {1 Crash forensics} *)
 
+let crash_tmp_seq = Atomic.make 0
+
 (* The artifact mirrors the fuzz-corpus file format ('#' header comments
    the DSL lexer skips, then the unparsed pipeline), so `kfusec fuzz
    --corpus <dir>` can replay and shrink a production crash.  Reusing
@@ -614,8 +620,15 @@ let save_crash_artifact ~dir ?seed ~toolchain ~diag (p : Pipeline.t) =
       let detail =
         clip 600 (one_line (Diag.to_string diag)) ^ " | toolchain: " ^ one_line toolchain
       in
+      (* A temp name of its own per writer: workers of one daemon, and
+         the shards of a fleet, share one crash directory and may save
+         the same artifact at once.  Each rename is atomic, so the file
+         is one whole artifact whichever lands last. *)
+      let tmp =
+        Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+          (Atomic.fetch_and_add crash_tmp_seq 1)
+      in
       match
-        let tmp = path ^ ".tmp" in
         let oc = open_out tmp in
         Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
             output_string oc "# kfuse-fuzz corpus entry\n";
@@ -628,7 +641,9 @@ let save_crash_artifact ~dir ?seed ~toolchain ~diag (p : Pipeline.t) =
         Sys.rename tmp path
       with
       | () -> Ok path
-      | exception Sys_error e -> Error e
+      | exception Sys_error e ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        Error e
     end
 
 (* {1 Per-fingerprint circuit breaker} *)

@@ -180,8 +180,8 @@ module Child : sig
   val kill : t -> unit
   (** [signal t Sys.sigkill]. *)
 
-  val terminate : ?grace_ms:float -> t -> Unix.process_status
-  (** SIGTERM, wait up to [grace_ms] (default 2000) for a clean exit,
+  val terminate : t -> Unix.process_status
+  (** SIGTERM, wait up to 2000 ms for a clean exit,
       SIGKILL past it, then reap.  Idempotent; returns the (possibly
       already latched) status. *)
 end

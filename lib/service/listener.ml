@@ -287,8 +287,14 @@ let claim_socket path =
       Error (Diag.errorf ~file:path Diag.Io_error "cannot probe socket: %s" (Unix.error_message e)))
   | _ -> Error (Diag.errorf ~file:path Diag.Io_error "exists and is not a socket")
 
-let start ~socket:path ~metrics ~max_conns ~queue ~request_timeout_ms ~drain_timeout_ms
-    handler =
+let default_max_conns = 16
+let default_queue = 64
+let default_request_timeout_ms = 30_000.
+let default_drain_timeout_ms = 5_000.
+
+let start ~socket:path ~metrics ?(max_conns = default_max_conns) ?(queue = default_queue)
+    ?(request_timeout_ms = default_request_timeout_ms)
+    ?(drain_timeout_ms = default_drain_timeout_ms) handler =
   if max_conns < 1 then
     Error (Diag.errorf Diag.Config_invalid "max_conns must be >= 1 (got %d)" max_conns)
   else if queue < 0 then

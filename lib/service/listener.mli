@@ -38,12 +38,22 @@ type handler = deadline:Deadline.t -> Jsonx.t -> string * Jsonx.t * bool
     fleet's socket files. *)
 val claim_socket : string -> (unit, Diag.t) result
 
-(** [start ~socket ~metrics ~max_conns ~queue ~request_timeout_ms
-    ~drain_timeout_ms handler] claims and binds [socket], seeds the
+(** The front end's defaults, one definition for [kfusec serve],
+    [kfusec shard-serve], {!Server.start} and {!Router.start}: 16
+    workers, a queue of 64, a 30 s request deadline and a 5 s drain. *)
+val default_max_conns : int
+
+val default_queue : int
+val default_request_timeout_ms : float
+val default_drain_timeout_ms : float
+
+(** [start ~socket ~metrics ?max_conns ?queue ?request_timeout_ms
+    ?drain_timeout_ms handler] claims and binds [socket], seeds the
     connection counters of [metrics] at 0, spawns the worker pool and
     the accept thread, and returns.  [max_conns] must be >= 1 and
     [queue] >= 0 ([KF0401] otherwise); [request_timeout_ms] <= 0
-    disables deadlines and socket timeouts.
+    disables deadlines and socket timeouts.  Each defaults to its
+    [default_*] value above.
 
     Every request is answered by [handler], timed into [metrics] under
     its operation name.  An ok ["stats"] reply gains the listener's own
@@ -53,10 +63,10 @@ val claim_socket : string -> (unit, Diag.t) result
 val start :
   socket:string ->
   metrics:Metrics.t ->
-  max_conns:int ->
-  queue:int ->
-  request_timeout_ms:float ->
-  drain_timeout_ms:float ->
+  ?max_conns:int ->
+  ?queue:int ->
+  ?request_timeout_ms:float ->
+  ?drain_timeout_ms:float ->
   handler ->
   (t, Diag.t) result
 

@@ -35,7 +35,7 @@
       ["exec_mode"], ["width"]/["height"] and ["seed"] (synthetic frame
       stream, default 42) as in [fuse_exec].  Replies with the session
       ["id"], the temporal ["depth"] and the plan/compile facts.  When
-      the server is at [--max-streams] the open is shed with [KF0803].
+      the server is at its [max_streams] bound the open is shed with [KF0803].
     - [{"op":"stream_push", "id":...}] — run the next synthetic frame of
       session ["id"] against the pinned plan and the session's temporal
       state.  Optional ["verify"] and ["return_pixels"] as in
@@ -48,14 +48,14 @@
       same bindings, so the stream's pixel history stays bit-exact.
     - [{"op":"stream_close", "id":...}] — release the session (plan
       handle, temporal window); replies with the total ["frames"].
-      Sessions idle longer than [--stream-idle-ms] are reaped lazily.
+      Sessions idle longer than [stream_idle_ms] are reaped lazily.
     - [{"op":"lazy_open", ...}] — open a lazy-pipeline editing session
       (see {!Kfuse_lazy.Lazy_pipeline}): either seed it from ["app"] /
       ["source"] (like [fuse]), or start an empty builder with
       ["width"]/["height"] (optional ["channels"] and ["inputs"], an
       array of input-image names).  Optional ["c_mshared"], ["gamma"],
       ["tg"] configure the session's fusion model.  Replies with the
-      session ["id"].  [--max-streams] bounds lazy sessions separately
+      session ["id"].  [max_streams] bounds lazy sessions separately
       from streams: at most that many of each kind are open, and a
       [lazy_open] beyond it is shed with [KF0803].  Lazy sessions
       idle-expire like streams, but never while an edit or flush runs.

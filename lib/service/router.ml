@@ -19,7 +19,6 @@ type fleet = {
   shard_cfg : Shard.config;
   health_interval_ms : float;
   health_timeout_ms : float;
-  shard_grace_ms : float;
   metrics : Metrics.t;
   started_at : float;
   sf_lock : Mutex.t;
@@ -386,7 +385,12 @@ let refresh_gauges t =
 
 let monitor_loop t listener =
   let stopping () = Listener.stopping listener in
-  let ping socket = Health.alive ~socket ~timeout_ms:t.health_timeout_ms in
+  (* A full protocol round trip, not a socket-file stat: a crashed shard
+     leaves its socket file behind, and a wedged one still accepts. *)
+  let ping socket =
+    Result.is_ok
+      (Client.with_connection ~socket ~timeout_ms:t.health_timeout_ms Client.ping)
+  in
   while not (stopping ()) do
     let now = Unix.gettimeofday () in
     Array.iter
@@ -418,9 +422,8 @@ let in_flight t = Listener.in_flight t.listener
 let signal_stop t = Listener.signal_stop t.listener
 
 let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_config)
-    ?(health_interval_ms = 250.) ?(health_timeout_ms = 1_000.) ?(max_conns = 16)
-    ?(queue = 64) ?(request_timeout_ms = 30_000.) ?(drain_timeout_ms = 5_000.)
-    ?(shard_grace_ms = 2_000.) () =
+    ?(health_interval_ms = 250.) ?(health_timeout_ms = 1_000.) ?max_conns ?queue
+    ?request_timeout_ms ?drain_timeout_ms () =
   if count < 1 then
     Error (Diag.errorf Diag.Config_invalid "shards must be >= 1 (got %d)" count)
   else begin
@@ -452,7 +455,6 @@ let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_co
           shard_cfg = shard_config;
           health_interval_ms;
           health_timeout_ms;
-          shard_grace_ms;
           metrics;
           started_at = Unix.gettimeofday ();
           sf_lock = Mutex.create ();
@@ -462,8 +464,8 @@ let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_co
         }
       in
       match
-        Listener.start ~socket:path ~metrics ~max_conns ~queue ~request_timeout_ms
-          ~drain_timeout_ms (dispatch fleet)
+        Listener.start ~socket:path ~metrics ?max_conns ?queue ?request_timeout_ms
+          ?drain_timeout_ms (dispatch fleet)
       with
       | Error _ as e -> e
       | Ok listener ->
@@ -502,11 +504,7 @@ let wait t =
   Thread.join t.monitor_thread;
   (* Graceful fleet drain, in parallel: SIGTERM (each shard drains its
      own in-flight work), escalate to SIGKILL past the grace period. *)
-  let stoppers =
-    Array.map
-      (fun s -> Thread.create (fun () -> Shard.stop ~grace_ms:t.fleet.shard_grace_ms s) ())
-      t.fleet.shards
-  in
+  let stoppers = Array.map (fun s -> Thread.create Shard.stop s) t.fleet.shards in
   Array.iter Thread.join stoppers;
   (try Unix.unlink (socket t) with Unix.Unix_error _ -> ());
   (* A SIGKILLed shard leaves its socket file behind; sweep so the next

@@ -35,7 +35,8 @@
     - {b Drain}: {!stop} (or {!signal_stop} from a signal handler)
       stops accepting, drains router workers, halts the monitor (so it
       stops respawning), then SIGTERMs the fleet in parallel with a
-      SIGKILL escalation, and finally sweeps the socket files. *)
+      SIGKILL escalation after 2 s, and finally sweeps the socket
+      files. *)
 
 module Diag := Kfuse_util.Diag
 
@@ -53,19 +54,20 @@ val start :
   ?queue:int ->
   ?request_timeout_ms:float ->
   ?drain_timeout_ms:float ->
-  ?shard_grace_ms:float ->
   unit ->
   (t, Diag.t) result
 (** [start ~socket ~dir ~count ~shard_argv ()] claims [socket] and every
     shard socket under [dir] (stale files are reclaimed, live listeners
     are a typed refusal), spawns the [count] shards with
     [shard_argv ~index ~socket], and starts the accept loop, worker
-    pool, and health monitor.  [max_conns], [queue],
-    [request_timeout_ms] and [drain_timeout_ms] configure its
-    {!Listener}, with {!Server.start}'s defaults; each router→shard call
-    is bounded by what remains of the request deadline.
-    [health_interval_ms]/[health_timeout_ms] pace the monitor's pings;
-    [shard_grace_ms] is the per-shard SIGTERM grace during drain. *)
+    pool, and health monitor.  A [count] below 1 is a [KF0401] error.
+    [max_conns], [queue], [request_timeout_ms] and [drain_timeout_ms]
+    configure its {!Listener}, with {!Listener}'s defaults; each
+    router→shard call is bounded by what remains of the request
+    deadline.  [health_interval_ms] (default 250) paces the monitor's
+    pings, each a protocol round trip bounded by [health_timeout_ms]
+    (default 1000); [shard_config] defaults to
+    {!Shard.default_config}. *)
 
 val wait : t -> unit
 (** Block until a stop is requested ({!stop}, {!signal_stop}, or a

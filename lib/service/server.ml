@@ -37,7 +37,6 @@ type state = {
   cache : Plan_cache.t;
   key_memo : Key_memo.t;
   pool : Pool.t;
-  default_budget_ms : float option;
   metrics : Metrics.t;
   (* Native-execution safety net: how generated code is run
      ([exec_sandbox]), the rlimits applied to sandboxed children, where
@@ -49,15 +48,17 @@ type state = {
   breaker : Supervisor.Breaker.t;
   started_at : float;
   (* Sessions, one table per kind.  [max_streams] bounds each kind's
-     open sessions ([KF0803] beyond it), [stream_queue] bounds each
-     stream's in-flight pushes ([KF0805] beyond it), [stream_idle_ms]
-     is both kinds' idle-expiry horizon (<= 0 disables). *)
+     open sessions ([KF0803] beyond it), [stream_idle_ms] is both
+     kinds' idle-expiry horizon (<= 0 disables). *)
   streams : stream Session_table.t;
   lazies : lazy_session Session_table.t;
   max_streams : int;
-  stream_queue : int;
   stream_idle_ms : float;
 }
+
+(* Each stream's in-flight push bound: a push beyond it is shed with
+   [KF0805] before it touches the stream's temporal state. *)
+let stream_queue = 4
 
 (* ---- request handling ---- *)
 
@@ -133,10 +134,7 @@ let plan t ~deadline ?size (f : Protocol.fuse_request) =
      time queueing degrades (or fails under strict) immediately
      instead of hanging in the search. *)
   let budget_ms () =
-    let base =
-      match f.Protocol.budget_ms with Some b -> Some b | None -> t.default_budget_ms
-    in
-    match (Deadline.remaining_ms deadline, base) with
+    match (Deadline.remaining_ms deadline, f.Protocol.budget_ms) with
     | None, b -> b
     | Some r, None -> Some r
     | Some r, Some b -> Some (Float.min r b)
@@ -404,7 +402,7 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
     Session_table.open_ t.streams
       ~shed:
         (Diag.errorf Diag.Overloaded
-           "server at --max-streams (%d): close a stream or retry with backoff")
+           "server at max_streams (%d): close a stream or retry with backoff")
     @@ fun () ->
     let ( let* ) = Result.bind in
     let* ((r, _, _) as served) =
@@ -567,7 +565,7 @@ let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
     Protocol.error
       (Diag.errorf Diag.Stream_backpressure
          "stream %S frame queue full (%d in flight of %d): frame dropped, retry with backoff"
-         s.Protocol.id n t.stream_queue)
+         s.Protocol.id n stream_queue)
 
 let handle_stream_close t id =
   match Session_table.close t.streams id (fun st -> Session.frames st.session) with
@@ -644,7 +642,7 @@ let handle_lazy_open t (o : Protocol.lazy_open_request) =
     Session_table.open_ t.lazies
       ~shed:
         (Diag.errorf Diag.Overloaded
-           "server at --max-streams (%d) lazy sessions: close one or retry with backoff")
+           "server at max_streams (%d) lazy sessions: close one or retry with backoff")
     @@ fun () ->
     let config =
       request_config ~c_mshared:o.Protocol.c_mshared ~gamma:o.Protocol.gamma ~tg:o.Protocol.tg
@@ -806,7 +804,7 @@ let stats_json t =
             ("frames_pushed", count "frames_pushed");
             ("frames_shed", count "frames_shed");
             ("max_streams", Jsonx.Num (float_of_int t.max_streams));
-            ("stream_queue", Jsonx.Num (float_of_int t.stream_queue));
+            ("stream_queue", Jsonx.Num (float_of_int stream_queue));
             ("stream_idle_ms", Jsonx.Num t.stream_idle_ms);
           ] );
       ( "lazy",
@@ -861,7 +859,11 @@ let dispatch t ~deadline v =
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
 
-let default_crash_dir () = Filename.concat (Plan_cache.default_dir ()) "crash-corpus"
+(* Crash artifacts go beside the plan cache's disk tier, or beside the
+   default one for a memory-only cache. *)
+let default_crash_dir cache =
+  let dir = Option.value (Plan_cache.dir cache) ~default:(Plan_cache.default_dir ()) in
+  Filename.concat dir "crash-corpus"
 
 type t = { state : state; listener : Listener.t }
 
@@ -871,15 +873,12 @@ let metrics t = t.state.metrics
 let in_flight t = Listener.in_flight t.listener
 let signal_stop t = Listener.signal_stop t.listener
 
-let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
-    ?(request_timeout_ms = 30_000.0) ?(drain_timeout_ms = 5_000.0)
-    ?(exec_sandbox = Supervisor.Sandboxed) ?(exec_limits = Supervisor.default_limits)
-    ?crash_dir ?(breaker_threshold = 3) ?(breaker_cooldown_ms = 60_000.0)
-    ?(max_streams = 64) ?(stream_queue = 4) ?(stream_idle_ms = 60_000.0) () =
+let start ~socket:path ~cache ~pool ?max_conns ?queue ?request_timeout_ms
+    ?drain_timeout_ms ?(exec_sandbox = Supervisor.Sandboxed)
+    ?(exec_limits = Supervisor.default_limits) ?crash_dir ?(breaker_threshold = 3)
+    ?(max_streams = 64) ?(stream_idle_ms = 60_000.0) () =
   if max_streams < 1 then
     Error (Diag.errorf Diag.Config_invalid "max_streams must be >= 1 (got %d)" max_streams)
-  else if stream_queue < 1 then
-    Error (Diag.errorf Diag.Config_invalid "stream_queue must be >= 1 (got %d)" stream_queue)
   else if breaker_threshold < 1 then
     Error
       (Diag.errorf Diag.Config_invalid "breaker_threshold must be >= 1 (got %d)"
@@ -901,26 +900,22 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
         cache;
         key_memo = Key_memo.create ();
         pool;
-        default_budget_ms = budget_ms;
         metrics;
         exec_sandbox;
         exec_limits;
-        crash_dir = (match crash_dir with Some d -> d | None -> default_crash_dir ());
-        breaker =
-          Supervisor.Breaker.create ~threshold:breaker_threshold
-            ~cooldown_ms:breaker_cooldown_ms ();
+        crash_dir = (match crash_dir with Some d -> d | None -> default_crash_dir cache);
+        breaker = Supervisor.Breaker.create ~threshold:breaker_threshold ();
         started_at = Unix.gettimeofday ();
         streams =
           sessions ~prefix:"streams" ~id_prefix:"st" ~max_in_flight:stream_queue
             (fun st -> Option.iter Native.release st.stream_plan);
         lazies = sessions ~prefix:"lazy" ~id_prefix:"lz" ignore;
         max_streams;
-        stream_queue;
         stream_idle_ms;
       }
     in
-    Listener.start ~socket:path ~metrics ~max_conns ~queue ~request_timeout_ms
-      ~drain_timeout_ms (dispatch state)
+    Listener.start ~socket:path ~metrics ?max_conns ?queue ?request_timeout_ms
+      ?drain_timeout_ms (dispatch state)
     |> Result.map (fun listener -> { state; listener })
   end
 

@@ -25,42 +25,41 @@
     plan is quarantined ([quarantined_plans] gauge) and subsequent
     requests degrade to the {!Kfuse_ir.Eval} interpreter
     (["mode" = "interpreter"] plus a warning in the reply) until a
-    half-open probe after [breaker_cooldown_ms] succeeds. *)
+    half-open probe after a 60 s cooldown succeeds. *)
 
 module Diag := Kfuse_util.Diag
 module Supervisor := Kfuse_exec.Supervisor
 
 type t
 
-(** [start ~socket ~cache ~pool ?budget_ms ?max_conns ?queue
-    ?request_timeout_ms ?drain_timeout_ms ()] binds [socket] (a stale
-    socket file left by a dead server is replaced; a live one is
-    refused), spawns the worker pool and the accept thread, and
-    returns.
+(** [start ~socket ~cache ~pool ?max_conns ?queue ?request_timeout_ms
+    ?drain_timeout_ms ()] binds [socket] (a stale socket file left by a
+    dead server is replaced; a live one is refused), spawns the worker
+    pool and the accept thread, and returns.
 
-    [budget_ms] is the default per-request fusion budget; a request's
-    own ["budget_ms"] overrides it, and both are capped by the
-    remaining request deadline.  [max_conns] (default 16),
-    [queue] (default 64), [request_timeout_ms] (default 30s) and
-    [drain_timeout_ms] (default 5s) configure its {!Listener}.
+    [max_conns], [queue], [request_timeout_ms] and [drain_timeout_ms]
+    configure its {!Listener}, with {!Listener}'s defaults.  A
+    request's own ["budget_ms"] bounds its fusion search, capped by the
+    remaining request deadline.
 
     [exec_sandbox] (default {!Supervisor.Sandboxed}) selects how
     [fuse_exec] and stream sessions run generated code; [exec_limits] (default
     {!Supervisor.default_limits}) are the rlimits for sandboxed
-    children.  [crash_dir] (default [crash-corpus] under
-    {!Kfuse_cache.Plan_cache.default_dir}) receives crash artifacts.
+    children.  [crash_dir] (default [crash-corpus] beside [cache]'s
+    disk tier, or under {!Kfuse_cache.Plan_cache.default_dir} for a
+    memory-only cache) receives crash artifacts.
     [breaker_threshold] (default 3, >= 1) consecutive supervised
-    failures quarantine a plan fingerprint; [breaker_cooldown_ms]
-    (default 60s) is the quarantine period before a half-open probe.
+    failures quarantine a plan fingerprint for 60 s, until a half-open
+    probe.
 
     Sessions ([stream_*] and [lazy_*], see {!Protocol}) live in one
     {!Session_table} per kind.  [max_streams] (default 64, >= 1) bounds
     the open sessions of each kind — at most that many streams and,
     separately, that many lazy sessions; an open beyond it is shed with
     [KF0803], and concurrent opens cannot overshoot it.
-    [stream_queue] (default 4, >= 1) bounds each stream's in-flight
-    pushes — a push beyond it is shed with [KF0805] {e before} touching
-    the session's temporal state, so the client can retry it verbatim.
+    Each stream takes at most 4 pushes in flight — a push beyond them is
+    shed with [KF0805] {e before} touching the session's temporal state,
+    so the client can retry it verbatim.
     [stream_idle_ms] (default 60s; <= 0 disables) is both kinds'
     idle-expiry horizon: sessions untouched for longer, and with no
     request in flight, are reaped lazily (on the next op of their kind
@@ -75,7 +74,6 @@ val start :
   socket:string ->
   cache:Kfuse_cache.Plan_cache.t ->
   pool:Kfuse_util.Pool.t ->
-  ?budget_ms:float ->
   ?max_conns:int ->
   ?queue:int ->
   ?request_timeout_ms:float ->
@@ -84,9 +82,7 @@ val start :
   ?exec_limits:Supervisor.limits ->
   ?crash_dir:string ->
   ?breaker_threshold:int ->
-  ?breaker_cooldown_ms:float ->
   ?max_streams:int ->
-  ?stream_queue:int ->
   ?stream_idle_ms:float ->
   unit ->
   (t, Diag.t) result

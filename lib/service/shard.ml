@@ -29,23 +29,20 @@ let sweep_sockets ~dir ~count =
 (* ---- supervision policy ---- *)
 
 type config = {
-  storm_threshold : int;
   storm_window_ms : float;
   restart_backoff_ms : float;
-  max_restart_backoff_ms : float;
   dead_cooldown_ms : float;
-  max_ping_misses : int;
 }
 
 let default_config =
-  {
-    storm_threshold = 5;
-    storm_window_ms = 2_000.;
-    restart_backoff_ms = 100.;
-    max_restart_backoff_ms = 5_000.;
-    dead_cooldown_ms = 10_000.;
-    max_ping_misses = 4;
-  }
+  { storm_window_ms = 2_000.; restart_backoff_ms = 100.; dead_cooldown_ms = 10_000. }
+
+(* The rest of the policy is fixed: consecutive rapid failures that
+   mark a shard dead, the backoff cap, and consecutive missed pings
+   before a hung shard is killed. *)
+let storm_threshold = 5
+let max_restart_backoff_ms = 5_000.
+let max_ping_misses = 4
 
 (* ---- one shard slot ---- *)
 
@@ -117,12 +114,12 @@ let backoff_delay_s cfg t =
   let step =
     cfg.restart_backoff_ms *. (2. ** float_of_int (max 0 (t.consecutive_failures - 1)))
   in
-  Float.min step cfg.max_restart_backoff_ms /. 1000.
+  Float.min step max_restart_backoff_ms /. 1000.
 
 let record_failure cfg t ~now ~what =
   t.last_exit <- Some what;
   t.consecutive_failures <- t.consecutive_failures + 1;
-  if t.consecutive_failures >= cfg.storm_threshold then begin
+  if t.consecutive_failures >= storm_threshold then begin
     t.state <- Dead { since = now };
     true
   end
@@ -196,7 +193,7 @@ let tick cfg t ~now ?ping () =
       end
       else begin
         t.ping_misses <- t.ping_misses + 1;
-        if t.ping_misses >= cfg.max_ping_misses then begin
+        if t.ping_misses >= max_ping_misses then begin
           (* Alive as a process, dead as a server: kill it and let the
              next tick's poll apply the normal crash/backoff path. *)
           Child.kill c;
@@ -207,10 +204,10 @@ let tick cfg t ~now ?ping () =
   | _ -> ());
   List.rev !events
 
-let stop ?(grace_ms = 2_000.) t =
+let stop t =
   (match t.child with
   | Some c ->
-    ignore (Child.terminate ~grace_ms c);
+    ignore (Child.terminate c);
     t.child <- None
   | None -> ());
   t.state <- Dead { since = Unix.gettimeofday () }

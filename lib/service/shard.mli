@@ -8,14 +8,14 @@
     plan fingerprints to server processes:
 
     - a crashed shard is respawned with exponential backoff
-      ([restart_backoff_ms] doubling per rapid failure, capped);
-    - a {e restart storm} — [storm_threshold] consecutive failures each
-      dying within [storm_window_ms] of its spawn — marks the shard
-      {!Dead}: its keyspace is rerouted to neighbors until a half-open
-      respawn probe after [dead_cooldown_ms] survives;
-    - a shard that is alive as a process but silent as a server
-      ([max_ping_misses] consecutive missed pings) is killed and takes
-      the normal crash path.
+      ([restart_backoff_ms] doubling per rapid failure, capped at 5 s);
+    - a {e restart storm} — 5 consecutive failures each dying within
+      [storm_window_ms] of its spawn — marks the shard {!Dead}: its
+      keyspace is rerouted to neighbors until a half-open respawn probe
+      after [dead_cooldown_ms] survives;
+    - a shard that is alive as a process but silent as a server (4
+      consecutive missed pings) is killed and takes the normal crash
+      path.
 
     All mutation happens on the router's monitor thread via {!tick};
     routing threads only read ({!routable}, {!state}), which is safe —
@@ -43,17 +43,13 @@ val sweep_sockets : dir:string -> count:int -> (unit, Diag.t) result
 (** {1 Supervision policy} *)
 
 type config = {
-  storm_threshold : int;  (** consecutive rapid failures that mark a shard dead *)
   storm_window_ms : float;  (** a death within this of its spawn is "rapid" *)
   restart_backoff_ms : float;  (** base respawn delay; doubles per rapid failure *)
-  max_restart_backoff_ms : float;  (** backoff cap *)
   dead_cooldown_ms : float;  (** dead → half-open respawn probe; <= 0 disables *)
-  max_ping_misses : int;  (** consecutive missed pings before a hung shard is killed *)
 }
 
 val default_config : config
-(** 5 rapid failures within 2 s windows → dead; 100 ms backoff doubling
-    to 5 s; 10 s dead cooldown; 4 missed pings kill a hung shard. *)
+(** 2 s storm window, 100 ms base backoff, 10 s dead cooldown. *)
 
 (** {1 One shard slot} *)
 
@@ -80,14 +76,14 @@ val tick : config -> t -> now:float -> ?ping:(string -> bool) -> unit -> event l
 (** One supervision step: reap a death (non-blocking), decide
     backoff/storm, respawn when due, and — when [ping] is given — run
     the health check, promoting [Starting] to [Up] on success and
-    killing the process after [max_ping_misses] consecutive misses.
-    [ping socket] must be bounded (the router passes {!Health.alive}
-    with its health timeout). *)
+    killing the process after 4 consecutive misses.  [ping socket] must
+    be bounded (the router's is one protocol ping under its health
+    timeout). *)
 
-val stop : ?grace_ms:float -> t -> unit
-(** Drain: SIGTERM, [grace_ms] (default 2000) to exit cleanly, SIGKILL
-    past it.  The slot is left [Dead] so a concurrent reader never
-    routes to it again. *)
+val stop : t -> unit
+(** Drain: {!Kfuse_exec.Supervisor.Child.terminate} — SIGTERM, 2 s to
+    exit cleanly, SIGKILL past it.  The slot is left [Dead] so a
+    concurrent reader never routes to it again. *)
 
 val index : t -> int
 val socket : t -> string

@@ -28,7 +28,7 @@ let temp_dir prefix =
   dir
 
 let with_server ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms ?exec_limits
-    ?crash_dir ?breaker_threshold ?breaker_cooldown_ms ?max_streams f =
+    ?crash_dir ?breaker_threshold ?max_streams f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create () in
   (* Exec chaos tests pass an explicit throwaway [crash_dir]; everything
@@ -40,8 +40,7 @@ let with_server ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms ?exec_li
   Kfuse_util.Pool.with_pool 2 (fun pool ->
       match
         Svc.Server.start ~socket ~cache ~pool ?max_conns ?queue ?request_timeout_ms
-          ?drain_timeout_ms ?exec_limits ~crash_dir ?breaker_threshold
-          ?breaker_cooldown_ms ?max_streams ()
+          ?drain_timeout_ms ?exec_limits ~crash_dir ?breaker_threshold ?max_streams ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
       | Ok server ->
@@ -516,7 +515,7 @@ let test_exec_limit_refusal_no_strike () =
 
 (* The same refusal at stream_open: a stream whose frames could never
    fit RLIMIT_FSIZE is a KF0907 before anything compiles, no strike and
-   no interpreter fallback, and under --max-streams 1 the next small
+   no interpreter fallback, and under max_streams 1 the next small
    open proves the refused one released its slot. *)
 let test_stream_open_limit_refusal () =
   with_server ~max_streams:1

@@ -546,6 +546,84 @@ let test_repl_script () =
   Alcotest.(check bool) "typed parse error" true (contains "error[KF0201]" text);
   Alcotest.(check bool) "line number reported" true (contains "repl:2" text)
 
+(* The long options a subcommand's --help lists under OPTIONS (the
+   section before cmdliner's COMMON OPTIONS: --help and --version). *)
+let long_options cmd =
+  let code, text = run_capture [ cmd; "--help=plain" ] in
+  Alcotest.(check int) (cmd ^ " --help exit code") 0 code;
+  let names line =
+    String.split_on_char ' ' line
+    |> List.filter_map (fun w ->
+           if String.starts_with ~prefix:"--" w then
+             let w = String.sub w 2 (String.length w - 2) in
+             Some (List.hd (String.split_on_char '=' (List.hd (String.split_on_char ',' w))))
+           else None)
+  in
+  let rec options acc = function
+    | [] -> acc
+    | l :: _ when String.length l > 0 && l.[0] <> ' ' -> acc
+    | l :: rest ->
+      let acc = if String.starts_with ~prefix:"       -" l then names l @ acc else acc in
+      options acc rest
+  in
+  let rec skip = function
+    | [] -> Alcotest.failf "%s --help has no OPTIONS section" cmd
+    | "OPTIONS" :: rest -> options [] rest
+    | _ :: rest -> skip rest
+  in
+  List.sort compare (skip (String.split_on_char '\n' text))
+
+(* The daemons take only the settings that something sets: the fusion
+   model and the search budget are per request, and the supervision
+   and session bounds are constants. *)
+let test_daemon_option_surface () =
+  Alcotest.(check (list string)) "serve options"
+    [
+      "cache"; "cache-dir"; "crash-dir"; "drain-timeout"; "exec-sandbox"; "jobs"; "max-conns";
+      "queue"; "request-timeout-ms"; "socket";
+    ]
+    (long_options "serve");
+  Alcotest.(check (list string)) "shard-serve options"
+    [
+      "cache-dir"; "drain-timeout"; "health-interval-ms"; "max-conns"; "queue";
+      "request-timeout-ms"; "shard-dir"; "shards"; "socket";
+    ]
+    (long_options "shard-serve")
+
+(* A fusion-model flag is a usage error for serve, reported before the
+   daemon binds its socket: a daemon that started would never exit. *)
+let test_serve_refuses_model_flag () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "d.sock" in
+  let daemon =
+    match
+      Kfuse_exec.Supervisor.Child.spawn
+        ~argv:
+          [
+            "sh"; "-c";
+            Printf.sprintf "KFUSE_FAULTS= exec %s serve --gamma 1 --socket %s --cache-dir %s"
+              kfusec (Filename.quote socket) (Filename.quote dir);
+          ]
+        ()
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
+  in
+  let rec await n =
+    match Kfuse_exec.Supervisor.Child.poll daemon with
+    | Some st -> st
+    | None when n = 0 ->
+      let bound = Sys.file_exists socket in
+      ignore (Kfuse_exec.Supervisor.Child.terminate daemon);
+      Alcotest.failf "serve --gamma 1 kept running (socket bound: %b)" bound
+    | None -> Unix.sleepf 0.05; await (n - 1)
+  in
+  (match await 200 with
+  | Unix.WEXITED 124 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "serve --gamma 1 exited %d, not the usage code 124" c
+  | _ -> Alcotest.fail "serve --gamma 1 died on a signal");
+  Alcotest.(check bool) "socket never bound" false (Sys.file_exists socket)
+
 let test_budget_e2e () =
   let code, text =
     run_capture [ "fuse"; "--app"; "harris"; "--budget-ms"; "0" ]
@@ -570,6 +648,10 @@ let suite =
     Alcotest.test_case "read_file diagnostic" `Quick test_read_file_diagnostic;
     Alcotest.test_case "fault injection end-to-end" `Quick test_fault_injection_e2e;
     Alcotest.test_case "budget end-to-end" `Quick test_budget_e2e;
+    Alcotest.test_case "serve and shard-serve option surface" `Quick
+      test_daemon_option_surface;
+    Alcotest.test_case "serve refuses a fusion-model flag" `Quick
+      test_serve_refuses_model_flag;
     Alcotest.test_case "bench-native rejects bad arguments" `Quick test_bench_native_bad_args;
     Alcotest.test_case "emit refuses a space past int indexing" `Quick
       test_emit_refuses_int_overflow;

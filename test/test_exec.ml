@@ -1155,6 +1155,47 @@ let test_crash_artifact_roundtrip () =
     Alcotest.(check string) "pipeline round-trips" (norm p)
       (norm entry.Fz.Corpus.pipeline)
 
+(* Workers of one daemon, and the shards of a fleet, share one crash
+   directory: concurrent saves of one artifact must not share a temp
+   file, or one can rename another's half-written file or find it gone. *)
+let test_crash_artifact_concurrent () =
+  let p =
+    Ir.Pipeline.create ~name:"racing" ~width:8 ~height:6 ~inputs:[ "src" ]
+      [ Ir.Kernel.map ~name:"m" ~inputs:[ "src" ] Ir.Expr.(input "src" + Const 1.0) ]
+  in
+  let diag = Kfuse_util.Diag.errorf Kfuse_util.Diag.Exec_crashed "fixture crashed" in
+  let dir = Filename.temp_file "kfuse_crashdir" "" in
+  Sys.remove dir;
+  let gate = Atomic.make 0 in
+  let results = Array.make 8 (Error "not run") in
+  let threads =
+    Array.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            Atomic.incr gate;
+            while Atomic.get gate < 8 do
+              Thread.yield ()
+            done;
+            results.(i) <- Sup.save_crash_artifact ~dir ~seed:i ~toolchain:"cc-fixture" ~diag p)
+          ())
+  in
+  Array.iter Thread.join threads;
+  let paths =
+    Array.to_list results
+    |> List.map (function
+         | Ok path -> path
+         | Error e -> Alcotest.failf "a concurrent save failed: %s" e)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check int) "one artifact path" 1 (List.length paths);
+  Alcotest.(check (list string)) "no temp file left" [ Filename.basename (List.hd paths) ]
+    (Array.to_list (Sys.readdir dir));
+  match Fz.Corpus.load_file (List.hd paths) with
+  | Error e -> Alcotest.failf "corpus cannot load the raced artifact: %s" e
+  | Ok entry ->
+    let norm q = Kfuse_cache.Fingerprint.structural (Fz.Corpus.normalize q) in
+    Alcotest.(check string) "pipeline round-trips" (norm p) (norm entry.Fz.Corpus.pipeline)
+
 let test_deadline_between_samples () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:12 ~height:10 in
@@ -1706,6 +1747,8 @@ let suite =
       test_breaker_lifecycle;
     Alcotest.test_case "supervisor: crash artifact is a corpus entry" `Quick
       test_crash_artifact_roundtrip;
+    Alcotest.test_case "supervisor: concurrent saves of one crash artifact" `Quick
+      test_crash_artifact_concurrent;
     Alcotest.test_case "native: deadline between timing samples" `Slow
       test_deadline_between_samples;
     Alcotest.test_case "sandbox policy string roundtrip" `Quick

@@ -239,6 +239,55 @@ let expect_ok = function
   | Ok v -> v
   | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d)
 
+(* The crash corpus goes beside the plan cache's disk tier, so moving
+   the cache moves it; a memory-only cache keeps the default place. *)
+let test_crash_dir_follows_cache () =
+  let crash_dir_of cache =
+    let socket = temp_socket () in
+    Kfuse_util.Pool.with_pool 1 (fun pool ->
+        match Svc.Server.start ~socket ~cache ~pool () with
+        | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
+        | Ok server ->
+          Fun.protect ~finally:(fun () -> Svc.Server.stop server) (fun () ->
+              let stats = expect_ok (Svc.Client.with_connection ~socket Svc.Client.stats) in
+              match Option.bind (Jsonx.member "native_exec" stats) (Jsonx.mem_str "crash_dir") with
+              | Some d -> d
+              | None -> Alcotest.failf "stats lacks native_exec.crash_dir: %s" (Jsonx.to_string stats)))
+  in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kfuse-cache-%d-%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  Alcotest.(check string) "beside the disk tier" (Filename.concat dir "crash-corpus")
+    (crash_dir_of (Cache.Plan_cache.create ~dir ()));
+  Alcotest.(check string) "memory-only cache"
+    (Filename.concat (Cache.Plan_cache.default_dir ()) "crash-corpus")
+    (crash_dir_of (Cache.Plan_cache.create ()))
+
+(* Settings outside their range are refused at start, as a typed error,
+   before the socket is bound. *)
+let test_start_rejects_bad_config () =
+  let socket = temp_socket () in
+  Kfuse_util.Pool.with_pool 1 (fun pool ->
+      List.iter
+        (fun (what, start) ->
+          match start () with
+          | Ok server ->
+            Svc.Server.stop server;
+            Alcotest.failf "%s accepted" what
+          | Error d ->
+            Alcotest.(check string) (what ^ " is KF0401") "KF0401" (Diag.code_id d.Diag.code);
+            Alcotest.(check bool) (what ^ ": socket never bound") false (Sys.file_exists socket))
+        [
+          ( "max_streams 0",
+            fun () ->
+              Svc.Server.start ~socket ~cache:(Cache.Plan_cache.create ()) ~pool ~max_streams:0 () );
+          ( "breaker_threshold 0",
+            fun () ->
+              Svc.Server.start ~socket ~cache:(Cache.Plan_cache.create ()) ~pool
+                ~breaker_threshold:0 () );
+        ])
+
 let field name v =
   match Jsonx.member name v with
   | Some f -> f
@@ -1072,4 +1121,8 @@ let suite =
     Alcotest.test_case "key memo: repeats hit, renamed copies miss-iso" `Quick
       test_key_memo_accounting;
     Alcotest.test_case "key memo: bounded at its capacity" `Quick test_key_memo_bound;
+    Alcotest.test_case "kfused: crash corpus follows the cache dir" `Quick
+      test_crash_dir_follows_cache;
+    Alcotest.test_case "kfused: bad settings are a typed start error" `Quick
+      test_start_rejects_bad_config;
   ]

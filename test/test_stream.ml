@@ -291,15 +291,14 @@ let temp_dir prefix =
   Unix.mkdir dir 0o700;
   dir
 
-let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_queue ?stream_idle_ms
-    ?breaker_threshold f =
+let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_idle_ms ?breaker_threshold f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create ?dir:cache_dir () in
   let crash_dir = temp_dir "kfuse-stream-crash" in
   Kfuse_util.Pool.with_pool 2 (fun pool ->
       match
         Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?breaker_threshold
-          ?max_streams ?stream_queue ?stream_idle_ms ()
+          ?max_streams ?stream_idle_ms ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
       | Ok server ->
@@ -457,7 +456,7 @@ let test_capacity_shed kind () =
   Svc.Client.with_connection ~socket (fun c ->
       let first = expect_ok (kind.open_ c) in
       (match kind.open_ c with
-      | Ok _ -> Alcotest.fail "second open must be shed at --max-streams 1"
+      | Ok _ -> Alcotest.fail "second open must be shed at max_streams 1"
       | Error d -> Alcotest.(check string) "shed typed KF0803" "KF0803" (code_of d));
       Alcotest.(check int) "shed counted" 1 (counter server (kind.prefix ^ "_shed"));
       (* Closing frees the slot: the next open is admitted. *)
@@ -485,7 +484,7 @@ let test_idle_expiry kind () =
       Ok ())
   |> expect_ok
 
-(* N concurrent cold opens against --max-streams 1: the slot is
+(* N concurrent cold opens against max_streams 1: the slot is
    reserved before the plan compiles, so exactly one open wins even
    though all of them arrive inside the compile window. *)
 let test_concurrent_open_bound () =
@@ -765,7 +764,7 @@ let suite =
       (test_capacity_shed lazy_kind);
     Alcotest.test_case "lazy: idle sessions are reaped lazily" `Quick
       (test_idle_expiry lazy_kind);
-    Alcotest.test_case "stream: concurrent cold opens respect --max-streams" `Slow
+    Alcotest.test_case "stream: concurrent cold opens respect max_streams" `Slow
       test_concurrent_open_bound;
     Alcotest.test_case "stream: backpressure shed retried exactly once" `Quick
       test_stream_backpressure_retry;

@@ -34,12 +34,7 @@ let temp_socket () =
 
 (* Small supervision knobs so crash → respawn → ready fits in test time. *)
 let fast_config =
-  {
-    Svc.Shard.default_config with
-    Svc.Shard.restart_backoff_ms = 50.;
-    storm_window_ms = 1_000.;
-    dead_cooldown_ms = 2_000.;
-  }
+  { Svc.Shard.restart_backoff_ms = 50.; storm_window_ms = 1_000.; dead_cooldown_ms = 2_000. }
 
 let with_fleet ?(count = 2) ?(faults = "") f =
   let dir = temp_dir () in
@@ -468,6 +463,25 @@ let test_fleet_socket_sweep () =
       | Ok () -> Alcotest.fail "sweep should refuse a live listener"
       | Error _ -> ())
 
+(* A fleet of no shards is a typed start error, before any socket or
+   directory is touched. *)
+let test_zero_shards_refused () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kfuse-topo-none-%d-%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  let socket = temp_socket () in
+  match
+    Svc.Router.start ~socket ~dir ~count:0 ~shard_argv:(fun ~index:_ ~socket:_ -> []) ()
+  with
+  | Ok router ->
+    Svc.Router.stop router;
+    Alcotest.fail "a 0-shard fleet started"
+  | Error d ->
+    Alcotest.(check string) "KF0401" "KF0401" (Diag.code_id d.Diag.code);
+    Alcotest.(check bool) "socket never bound" false (Sys.file_exists socket);
+    Alcotest.(check bool) "fleet dir never made" false (Sys.file_exists dir)
+
 let suite =
   [
     Alcotest.test_case "fleet basics" `Slow test_fleet_basics;
@@ -477,6 +491,7 @@ let suite =
     Alcotest.test_case "single flight distinct keys" `Slow test_single_flight_distinct_keys;
     Alcotest.test_case "stream pinning" `Slow test_stream_pinning;
     Alcotest.test_case "fleet socket sweep" `Quick test_fleet_socket_sweep;
+    Alcotest.test_case "zero shards is a typed start error" `Quick test_zero_shards_refused;
     Alcotest.test_case "router key memo: every plan-shaping field keys it" `Slow
       test_key_memo_fields;
     Alcotest.test_case "router key memo: accounting, errors, bound" `Slow
