@@ -116,14 +116,15 @@ let algorithm1_chains_test =
     (Staged.stage (fun () ->
          ignore (F.Mincut_fusion.run Runner.config (Lazy.force chains))))
 
-(* The daemon's data path for a 1024x1024 request with one input and
-   one output, alone, on a memfd like a runner's arena: what a sandboxed
-   fuse_exec that wants no pixels costs the daemon besides the runner.
-   [arena/images] is the path as it was: draw the input as an OCaml
-   image, pwrite it, pread the output into a fresh array and fold min,
-   max and sum over it in OCaml.  [arena/chunked] is the path as it is:
-   draw the input into the arena and fold the output out of it, 64 KiB
-   at a time. *)
+(* The data path of a 1024x1024 request with one input and one output.
+   [arena/images] is the daemon's path before runners drew and folded
+   in place, alone on a memfd like a runner's arena: draw the input as
+   an OCaml image, pwrite it, pread the output into a fresh array and
+   fold min, max and sum over it in OCaml.  [arena/runner] is a whole
+   sandboxed seeded request as the daemon makes it now, against the
+   warm runner of a copy kernel (the first run compiles it): the
+   artifact lookup, the frame, the runner's draw into its arena, the
+   kernel, its fold and the reply. *)
 module Native = Kfuse_exec.Native
 module Image = Kfuse_image.Image
 
@@ -154,14 +155,17 @@ let arena_images_test =
          done;
          ignore (Sys.opaque_identity (!lo, !hi, !sum))))
 
-let arena_chunked_test =
-  Test.make ~name:"arena/chunked"
+let copy_pipeline =
+  Kfuse_ir.Pipeline.create ~name:"copy" ~width:side ~height:side ~inputs:[ "a" ]
+    [ Kfuse_ir.Kernel.map ~name:"b" ~inputs:[ "a" ] Kfuse_ir.Expr.(input "a" * Const 1.0) ]
+
+let arena_runner_test =
+  Test.make ~name:"arena/runner"
     (Staged.stage (fun () ->
-         let fd = Lazy.force arena in
-         Native.write_random fd ~off:0 ~count:npix (Kfuse_util.Rng.create 1) ~lo:0.0 ~hi:1.0;
-         ignore
-           (Sys.opaque_identity
-              (Native.read_summary fd ~off:(8 * npix) ~width:side ~height:side))))
+         let input = Native.Random { rng = Kfuse_util.Rng.create 1; lo = 0.0; hi = 1.0 } in
+         match Native.execute ~mode:Native.Subprocess copy_pipeline input Native.Summaries with
+         | Ok r -> ignore (Sys.opaque_identity r.Native.outputs)
+         | Error d -> failwith (Kfuse_util.Diag.to_string d)))
 
 (* The request-to-plan-key step of a planning-only [fuse], over texts
    shaped like kfbench plan-mix's pool: one generated DAG of each size
@@ -258,7 +262,7 @@ let tests =
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
       benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
-      arena_images_test; arena_chunked_test; plan_key_cold_test; plan_key_memo_test;
+      arena_images_test; arena_runner_test; plan_key_cold_test; plan_key_memo_test;
       frames_test; interp_test;
     ]
 

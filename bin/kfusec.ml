@@ -504,7 +504,13 @@ let run_cmd =
                         Float.max acc (Kfuse_image.Image.max_abs_diff a b))
                       0.0 nr.Exec.Native.outputs reference
                   in
-                  Format.printf "native max-abs-diff vs interpreter: %g@." diff
+                  Format.printf "native max-abs-diff vs interpreter: %g@." diff;
+                  if
+                    not
+                      (List.for_all2
+                         (fun (_, a) (_, b) -> Kfuse_image.Image.equal a b)
+                         nr.Exec.Native.outputs reference)
+                  then Format.printf "native output is NOT bit-identical to the interpreter's@."
                 end;
                 Ok nr.Exec.Native.outputs
           in
@@ -1644,11 +1650,12 @@ let bench_native_cmd =
       match write_failed with
       | Some d -> fail_diag d
       | None ->
-        let worst = Exec.Bench_native.max_diff bench in
-        if worst = 0.0 then 0
+        if Exec.Bench_native.exact bench then 0
         else begin
-          Format.eprintf "kfusec: bench-native: max-abs-diff %g against the interpreter@."
-            worst;
+          Format.eprintf
+            "kfusec: bench-native: outputs not bit-identical to the interpreter's \
+             (max-abs-diff %g)@."
+            (Exec.Bench_native.max_diff bench);
           1
         end)
   in

@@ -57,6 +57,10 @@ let rec stmt_indent ppf (ind, s) =
        pragma, so guard them behind the _OPENMP feature macro. *)
     if String.length text >= 4 && String.sub text 0 4 = "omp " then
       Format.fprintf ppf "%s#ifdef _OPENMP@,%s#pragma %s@,%s#endif@," pad pad text pad
+    else if String.length text >= 4 && String.sub text 0 4 = "GCC " then
+      (* Likewise a GCC pragma under a compiler that is not gcc. *)
+      Format.fprintf ppf "%s#if defined(__GNUC__) && !defined(__clang__)@,%s#pragma %s@,%s#endif@,"
+        pad pad text pad
     else Format.fprintf ppf "%s#pragma %s@," pad text
   | Block body ->
     Format.fprintf ppf "%s{@," pad;

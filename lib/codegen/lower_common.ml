@@ -92,9 +92,18 @@ let binop_c prec = function
   | Expr.Sub -> `Infix "-"
   | Expr.Mul -> `Infix "*"
   | Expr.Div -> `Infix "/"
-  | Expr.Min -> `Fn (fn_for prec "fminf")
-  | Expr.Max -> `Fn (fn_for prec "fmaxf")
+  | Expr.Min -> `Fn "kf_min"
+  | Expr.Max -> `Fn "kf_max"
   | Expr.Pow -> `Fn (fn_for prec "powf")
+
+(* The math calls a compiler cannot vectorize at the generated C's
+   flags: no SIMD variants without -ffast-math, and [floor] needs
+   SSE4.1.  Square root, absolute value and the min/max helpers
+   vectorize. *)
+let scalar_calls =
+  List.concat_map (fun f -> [ f; f ^ "f" ]) [ "exp"; "log"; "sin"; "cos"; "floor"; "pow" ]
+
+let is_scalar_call = function Call (f, _) -> List.mem f scalar_calls | _ -> false
 
 let scalar_lit prec = match prec with Single -> float_lit | Double -> double_lit
 let scalar_ctype prec = match prec with Single -> "float" | Double -> "double"
@@ -116,8 +125,18 @@ type pos =
 
 let plus e d = if d = 0 then e else e +: int_lit d
 
-let rec lower_at ~prec ~tap ctx ~vars pos e =
-  let lower ctx ~vars pos e = lower_at ~prec ~tap ctx ~vars pos e in
+let rec lower_at ~prec ~tap ~bind_calls ctx ~vars pos e =
+  let lower ctx ~vars pos e = lower_at ~prec ~tap ~bind_calls ctx ~vars pos e in
+  (* With [bind_calls], a call no compiler vectorizes becomes its own
+     declaration [kf_c<n>], so a row can run it in a loop of its own. *)
+  let bind c =
+    if bind_calls && is_scalar_call c then begin
+      let name = fresh ctx "kf_c" in
+      emit ctx (Decl { ctype = "const " ^ scalar_ctype prec; name; init = Some c });
+      ident name
+    end
+    else c
+  in
   let tapped = match pos with Interior { ox; oy; _ } -> tap e ~ox ~oy | Resolved _ -> None in
   match tapped with
   | Some c -> c
@@ -156,11 +175,11 @@ let rec lower_at ~prec ~tap ctx ~vars pos e =
         call (read_fn border) args)
   | Expr.Unop (op, a) -> (
     let ca = lower ctx ~vars pos a in
-    match unop_c prec op with `Prefix s -> Unop (s, ca) | `Fn f -> call f [ ca ])
+    match unop_c prec op with `Prefix s -> Unop (s, ca) | `Fn f -> bind (call f [ ca ]))
   | Expr.Binop (op, a, b) -> (
     let ca = lower ctx ~vars pos a in
     let cb = lower ctx ~vars pos b in
-    match binop_c prec op with `Infix s -> Binop (s, ca, cb) | `Fn f -> call f [ ca; cb ])
+    match binop_c prec op with `Infix s -> Binop (s, ca, cb) | `Fn f -> bind (call f [ ca; cb ]))
   | Expr.Select { cmp; lhs; rhs; if_true; if_false } ->
     let cl = lower ctx ~vars pos lhs in
     let cr = lower ctx ~vars pos rhs in
@@ -228,15 +247,16 @@ let rec lower_at ~prec ~tap ctx ~vars pos e =
 let no_tap _ ~ox:_ ~oy:_ = None
 
 let lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
-  lower_at ~prec ~tap:no_tap ctx ~vars (Resolved { cx; cy; bounded }) e
+  lower_at ~prec ~tap:no_tap ~bind_calls:false ctx ~vars (Resolved { cx; cy; bounded }) e
 
-let lower_interior ?(prec = Single) ?(tap = no_tap) ctx ~vars ~cx ~cy e =
-  lower_at ~prec ~tap ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
+let lower_interior ?(prec = Single) ?(tap = no_tap) ?(bind_calls = false) ctx ~vars ~cx ~cy e =
+  lower_at ~prec ~tap ~bind_calls ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
 
 type features = {
   read_modes : Border.mode list;
   exchange_modes : Border.mode list;
   atomics : [ `Min | `Max ] list;
+  min_max : [ `Min | `Max ] list;
 }
 
 let mode_key = function
@@ -258,7 +278,17 @@ let used_features (p : Pipeline.t) =
     let m = canonical_mode m in
     if not (List.exists (fun x -> mode_key x = mode_key m) !lst) then lst := m :: !lst
   in
-  let add_atomic a = if not (List.mem a !atomics) then atomics := a :: !atomics in
+  let min_max = ref [] in
+  let add lst a = if not (List.mem a !lst) then lst := a :: !lst in
+  let add_atomic a =
+    add atomics a;
+    add min_max a
+  in
+  let add_binop = function
+    | Expr.Min -> add min_max `Min
+    | Expr.Max -> add min_max `Max
+    | Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Pow -> ()
+  in
   Array.iter
     (fun (k : Kernel.t) ->
       let body =
@@ -284,7 +314,8 @@ let used_features (p : Pipeline.t) =
           walk value;
           walk body
         | Expr.Unop (_, a) -> walk a
-        | Expr.Binop (_, a, b) ->
+        | Expr.Binop (op, a, b) ->
+          add_binop op;
           walk a;
           walk b
         | Expr.Select { lhs; rhs; if_true; if_false; _ } ->
@@ -297,6 +328,7 @@ let used_features (p : Pipeline.t) =
     read_modes = List.sort (fun a b -> compare (mode_key a) (mode_key b)) !modes;
     exchange_modes = List.sort (fun a b -> compare (mode_key a) (mode_key b)) !exchanges;
     atomics = List.sort compare !atomics;
+    min_max = List.sort compare !min_max;
   }
 
 let idx_helper_src ~q = function
@@ -339,6 +371,29 @@ let read_helper_src ~q ~s mode =
        }"
       q s s
 
+(* OCaml's [Float.min] and [Float.max], which the interpreter uses,
+   spelled as selects so that a loop calling them vectorizes: [-0.]
+   orders below [+0.], and a NaN operand is the result (of two NaNs,
+   [y] where only [x]'s sign bit is set, else [x]).  libm's
+   [fmin]/[fmax] return the other operand for one NaN and leave the
+   sign of a zero result open.  [copysign(1, v) < 0] reads the sign bit
+   where [signbit] would not vectorize. *)
+let min_max_helper_src ~q ~prec op =
+  let s = scalar_ctype prec and cs = fn_for prec "copysignf" in
+  let one = Format.asprintf "%a" Emit.expr (scalar_lit prec 1.0)
+  and zero = Format.asprintf "%a" Emit.expr (scalar_lit prec 0.0) in
+  let name, pick =
+    match op with
+    | `Min -> ("kf_min", "(y != y ? y : x) : (x != x ? x : y)")
+    | `Max -> ("kf_max", "(x != x ? x : y) : (y != y ? y : x)")
+  in
+  Printf.sprintf
+    "%s %s %s(%s x, %s y) {\n\
+    \  const int c = y > x || (%s(%s, y) > %s && %s(%s, x) < %s);\n\
+    \  return c ? %s;\n\
+     }"
+    q s name s s cs one zero cs one zero pick
+
 let helper_sources ~device_qualifier ?(prec = Single) features =
   let q = device_qualifier in
   let s = scalar_ctype prec in
@@ -349,6 +404,7 @@ let helper_sources ~device_qualifier ?(prec = Single) features =
   in
   List.map (idx_helper_src ~q) idx_needed
   @ List.map (read_helper_src ~q ~s) features.read_modes
+  @ List.map (min_max_helper_src ~q ~prec) features.min_max
 
 let atomic_helper_src name op =
   Printf.sprintf
@@ -367,8 +423,8 @@ let atomic_helper_src name op =
 let atomic_helper_sources features =
   List.map
     (function
-      | `Min -> atomic_helper_src "atomicMinFloat" "fminf"
-      | `Max -> atomic_helper_src "atomicMaxFloat" "fmaxf")
+      | `Min -> atomic_helper_src "atomicMinFloat" "kf_min"
+      | `Max -> atomic_helper_src "atomicMaxFloat" "kf_max")
     features.atomics
 
 let body_expr (k : Kernel.t) =

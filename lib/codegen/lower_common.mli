@@ -77,10 +77,17 @@ val lower :
     [tap] (default: never) is consulted at every node the lowering
     reaches, with the node's offset [(ox, oy)] from [(cx, cy)]; where it
     returns [Some c], [c] stands for the node's value and the lowering
-    does not descend.  A line buffer hands back its load this way. *)
+    does not descend.  A line buffer hands back its load this way.
+
+    With [bind_calls] (default [false]), every call {!is_scalar_call}
+    holds is emitted as a declaration of its own, [const <scalar>
+    kf_c<i> = f(args)], and the lowering refers to [kf_c<i>]: a row
+    lowering can then run each call in a loop of its own and the
+    arithmetic around it in loops free of calls. *)
 val lower_interior :
   ?prec:precision ->
   ?tap:(Kfuse_ir.Expr.t -> ox:int -> oy:int -> Cuda_ast.expr option) ->
+  ?bind_calls:bool ->
   ctx ->
   vars:(string * string) list ->
   cx:Cuda_ast.expr ->
@@ -88,11 +95,18 @@ val lower_interior :
   Kfuse_ir.Expr.t ->
   Cuda_ast.expr
 
+(** [is_scalar_call e] holds for a call of a math function that the
+    generated C's compiler flags leave scalar: [exp], [log], [sin],
+    [cos], [floor] and [pow], in either precision. *)
+val is_scalar_call : Cuda_ast.expr -> bool
+
 (** Features of a pipeline that require emitted helpers. *)
 type features = {
   read_modes : Kfuse_image.Border.mode list;  (** border readers used *)
   exchange_modes : Kfuse_image.Border.mode list;  (** index-exchange remappers *)
   atomics : [ `Min | `Max ] list;  (** float atomic reductions (CUDA only) *)
+  min_max : [ `Min | `Max ] list;
+      (** [kf_min]/[kf_max] helpers: a [Min]/[Max] operator or reduction *)
 }
 
 (** [used_features p] scans every kernel body. *)
@@ -102,7 +116,10 @@ val used_features : Kfuse_ir.Pipeline.t -> features
     helper function definitions needed by [features]; [device_qualifier]
     is prepended to each (e.g. ["__device__ __forceinline__"] for CUDA
     or ["static inline"] for C).  [prec] (default [Single]) selects the
-    buffer element and return type of the border readers. *)
+    buffer element and return type of the border readers and of
+    [kf_min]/[kf_max], which every [Min]/[Max] lowers to: OCaml's
+    [Float.min]/[Float.max] bit for bit ([-0.] below [+0.], a NaN
+    operand wins), written as selects so that they vectorize. *)
 val helper_sources : device_qualifier:string -> ?prec:precision -> features -> string list
 
 (** [atomic_helper_sources features] renders the CUDA float-atomic

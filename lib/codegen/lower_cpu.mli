@@ -6,16 +6,26 @@
     {!Lower_common}.
 
     A [Map] kernel of reach 0 ({!Kfuse_ir.Expr.reach}) iterates the
-    image under one OpenMP [parallel for] collapsed over both loop
-    dimensions.  A [Map] of reach [R > 0] follows the paper's region
+    image by rows under one OpenMP [parallel for], every pixel an
+    interior one.  A [Map] of reach [R > 0] follows the paper's region
     split (Section IV-B, Figs. 4–5) in one [parallel for] over rows: on
     rows [R <= y < height - R] the columns [R <= x < width - R] run a
     clamp-free interior body — raw loads at [(x + dx, y + dy)], every
     index exchange the identity — and every other pixel calls
-    [static __attribute__((noinline)) void k_<kernel>_halo(..., x, y)],
+    [static KF_HALO void k_<kernel>_halo(..., x, y)] ([noinline], and
+    compiled at [-O1] under gcc),
     which holds the body with full border handling and is emitted once
     per kernel.  Both bodies perform the same arithmetic in the same
     order, so the output is the same bit for bit.
+
+    Every interior row is lowered one way, so that gcc vectorizes it
+    at {!cc_flags}: each call it cannot vectorize ([exp], [log],
+    [pow], [sin], [cos], [floor]) runs in a loop of its own, in place
+    on a per-thread row temporary [kf_rt<i>] holding its argument, and
+    the arithmetic around the calls runs in call-free loops that pass
+    values on through row temporaries.  A call-free body is the single
+    loop.  [Min]/[Max] lower to the [kf_min]/[kf_max] selects
+    ({!Lower_common.helper_sources}).
 
     Where {!Line_buffer} hoists repeated costly taps out of a stencil's
     interior body, the entry point instead opens one [omp parallel]
@@ -28,10 +38,10 @@
     the output is still the same bit for bit.  The halo function does
     not change.
 
-    Global [min]/[max] reductions use OpenMP reduction clauses instead
-    of the CUDA backend's float atomics, while [+] reductions run
-    serially in row-major order, so their float sum does not depend on
-    the thread count.  Reductions always use the bordered body. *)
+    Reductions run serially in row-major order with the bordered
+    body, as the interpreter folds: a team-split [+] depends on the
+    thread count, and an OpenMP [min]/[max] clause has neither
+    [Float.min]'s signed zeros nor its NaN. *)
 
 (** [kernel_funcs pipeline kernel] lowers one kernel to C functions, in
     definition order: for a [Map] of reach [R > 0], the halo function,
@@ -49,7 +59,9 @@ val kernel_funcs :
 
 (** [cc_flags] are the compiler flags generated C needs to agree with the
     interpreter bit for bit ([-O2], no builtin [pow], no FP
-    contraction), without the OpenMP and linking flags. *)
+    contraction) and to vectorize ([-fno-math-errno],
+    [-fvect-cost-model=dynamic], [-fno-trapping-math], none of which
+    changes a value), without the OpenMP and linking flags. *)
 val cc_flags : string list
 
 (** [workspace_scalars pipeline] is the driver's workspace size in

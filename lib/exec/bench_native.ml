@@ -25,6 +25,8 @@ type app_report = {
   interp_ms : float;
   diff_unfused : float;
   diff_fused : float;
+  exact_unfused : bool;
+  exact_fused : bool;
 }
 
 type t = {
@@ -43,6 +45,8 @@ let speedup r = r.exec_ms_unfused /. r.exec_ms_fused
 let max_diff t =
   List.fold_left (fun acc r -> Float.max acc (Float.max r.diff_unfused r.diff_fused)) 0.0
     t.apps
+
+let exact t = List.for_all (fun r -> r.exact_unfused && r.exact_fused) t.apps
 
 (* Every variant sees the same pixels: one deterministic generator per
    app, seeded by a fixed constant, consumed input-by-input. *)
@@ -68,6 +72,16 @@ let diff_against reference outputs =
         if Image.width ref_img <> Image.width img then Float.infinity
         else Float.max acc (Image.max_abs_diff ref_img img))
     0.0 outputs
+
+(* The gate: every output, matched by name, bit for bit. *)
+let exact_against reference outputs =
+  List.length reference = List.length outputs
+  && List.for_all
+       (fun (name, img) ->
+         match List.assoc_opt name reference with
+         | None -> false
+         | Some ref_img -> Image.equal ref_img img)
+       outputs
 
 let median_iqr samples =
   let s = Stats.summarize (Array.of_list samples) in
@@ -109,6 +123,8 @@ let bench_app ~mode ~cache_dir ~runs ~size (entry : Registry.entry) =
       interp_ms;
       diff_unfused = diff_against reference run_unfused.Native.outputs;
       diff_fused = diff_against reference run_fused.Native.outputs;
+      exact_unfused = exact_against reference run_unfused.Native.outputs;
+      exact_fused = exact_against reference run_fused.Native.outputs;
     }
 
 let at_least_one code what = function
@@ -188,6 +204,8 @@ let app_to_json r =
       Printf.sprintf "\"samples_ms_fused\": %s" (jlist r.samples_fused);
       Printf.sprintf "\"speedup\": %s" (jf (speedup r));
       Printf.sprintf "\"interp_ms\": %s" (jf r.interp_ms);
+      Printf.sprintf "\"bit_exact_unfused\": %b" r.exact_unfused;
+      Printf.sprintf "\"bit_exact_fused\": %b" r.exact_fused;
       Printf.sprintf "\"max_abs_diff_unfused\": %s" (jf r.diff_unfused);
       Printf.sprintf "\"max_abs_diff_fused\": %s" (jf r.diff_fused);
     ]
@@ -222,8 +240,9 @@ let pp_summary ppf t =
     (fun r ->
       Format.fprintf ppf
         "  %-10s %4dx%-4d  %2d -> %-2d kernels  unfused %8.2f (%.2f) ms  fused %8.2f \
-         (%.2f) ms  speedup %.2fx  max-abs-diff %.2e@,"
+         (%.2f) ms  speedup %.2fx  max-abs-diff %.2e%s@,"
         r.app r.width r.height r.kernels_unfused r.kernels_fused r.exec_ms_unfused
         r.exec_iqr_ms_unfused r.exec_ms_fused r.exec_iqr_ms_fused (speedup r)
-        (Float.max r.diff_unfused r.diff_fused))
+        (Float.max r.diff_unfused r.diff_fused)
+        (if r.exact_unfused && r.exact_fused then "" else "  NOT BIT-EXACT"))
     t.apps

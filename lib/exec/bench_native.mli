@@ -31,8 +31,12 @@ type app_report = {
   samples_unfused : float list;
   samples_fused : float list;
   interp_ms : float;  (** interpreter reference *)
-  diff_unfused : float;  (** max abs diff vs. interpreter over all outputs *)
+  diff_unfused : float;
+      (** max abs diff vs. interpreter over all outputs
+          ({!Kfuse_image.Image.max_abs_diff}) *)
   diff_fused : float;
+  exact_unfused : bool;  (** every output bit-identical to the interpreter's *)
+  exact_fused : bool;
 }
 
 type t = {
@@ -49,9 +53,14 @@ type t = {
 val speedup : app_report -> float
 
 (** [max_diff t] is the worst interpreter-vs-native difference across
-    every app and variant.  The backend is bit-exact by design, so
-    anything but [0.] is a bug. *)
+    every app and variant, the report beside {!exact}. *)
 val max_diff : t -> float
+
+(** [exact t] holds when every output of every app and variant is bit
+    for bit the interpreter's ({!Kfuse_image.Image.equal}: a NaN, and
+    the sign of a zero, included).  The backend is bit-exact by design,
+    so [false] is a bug. *)
+val exact : t -> bool
 
 (** [run ()] benchmarks [apps] (default: every registry application,
     at the paper's evaluation sizes; [width]/[height] override the

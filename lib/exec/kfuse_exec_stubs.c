@@ -1,11 +1,12 @@
 /* Stubs for the native execution backend: the dlopen loader below, and
  * the sandbox's spawn plus the fd-level primitives of its persistent
  * runners (memfd arena, pwrite/pread on float arrays, a poll watchdog,
- * the per-request RLIMIT_CPU re-arm), and the chunked loops that draw
- * inputs into an arena and fold min/max/sum out of it.
+ * the per-request RLIMIT_CPU re-arm), and the seeded draw and the
+ * min/max/sum fold over float arrays (kfuse_arena.h, which the runners
+ * run on their arenas).
  *
  * The generated C for every pipeline is wrapped behind one fixed entry
- * point (ABI v6):
+ * point (since ABI v6):
  *
  *   void kfuse_entry(const double** ins, double** outs, const double* params,
  *                    double* workspace);
@@ -277,142 +278,45 @@ value kfuse_pread_floats(value vfd, value va, value voff)
   return kfuse_fd_floats(vfd, va, voff, 0);
 }
 
-/* {1 The daemon's streamed data path}
- *
- * A request that wants no pixels back never holds a whole image in the
- * daemon: its inputs are drawn straight into the arena and its outputs
- * folded straight out of it, one chunk of at most KFUSE_CHUNK doubles
- * at a time.  The arena is never mapped here: a map would count the
- * shared arena in the daemon's own resident set. */
+/* {1 The seeded draw and the fold (kfuse_arena.h)} */
 
-#define KFUSE_CHUNK 8192 /* doubles: 64 KiB */
+#include "kfuse_arena.h"
 
-static uint64_t kfuse_rotl(uint64_t x, int k)
+/* Fill float array [va] with draws of the generator whose state words
+ * [vstate] holds (32 bytes, Rng.save), each lo + u * span; the advanced
+ * state goes back into [vstate].  A long array is filled outside the
+ * runtime lock (see KFUSE_STABLE_LEN). */
+value kfuse_fill_floats(value vstate, value vlo, value vspan, value va)
 {
-  return (x << k) | (x >> (64 - k));
-}
-
-/* One xoshiro256** draw as Rng.fill_float makes it: lo + u * span with
- * u the top 53 bits over 2^53.  The stubs build with -ffp-contract=off,
- * so no compiler may fuse the multiply and add into an FMA and change
- * the rounding. */
-static double kfuse_draw(uint64_t s[4], double lo, double span)
-{
-  uint64_t r = kfuse_rotl(s[1] * 5, 7) * 9;
-  uint64_t t = s[1] << 17;
-  s[2] ^= s[0];
-  s[3] ^= s[1];
-  s[1] ^= s[2];
-  s[0] ^= s[3];
-  s[2] ^= t;
-  s[3] = kfuse_rotl(s[3], 45);
-  return lo + (double)(r >> 11) / 9007199254740992.0 * span;
-}
-
-/* [vcount] draws of the generator whose state words [vstate] holds (32
- * bytes, Rng.save), each lo + u * span, written as float64 at byte
- * offset [voff] of [vfd]; the advanced state goes back into [vstate].
- * The same values, in the same order, as Image.random would put in an
- * array.  Raises Failure on an I/O error. */
-value kfuse_synth_floats(value vfd, value vstate, value vlo, value vspan, value voff,
-                         value vcount)
-{
-  CAMLparam5(vfd, vstate, vlo, vspan, voff);
-  CAMLxparam1(vcount);
-  int fd = Int_val(vfd);
+  CAMLparam4(vstate, vlo, vspan, va);
   double lo = Double_val(vlo), span = Double_val(vspan);
-  off_t off = (off_t)Long_val(voff);
-  size_t count = (size_t)Long_val(vcount);
+  mlsize_t len = float_array_length(va);
   uint64_t s[4];
   memcpy(s, Bytes_val(vstate), sizeof s);
-  double *buf = malloc(KFUSE_CHUNK * sizeof(double));
-  if (buf == NULL) caml_failwith("out of memory");
-  int err = 0;
-  caml_enter_blocking_section();
-  for (size_t done = 0; err == 0 && done < count;) {
-    size_t n = count - done < KFUSE_CHUNK ? count - done : KFUSE_CHUNK;
-    for (size_t i = 0; i < n; i++) buf[i] = kfuse_draw(s, lo, span);
-    err = kfuse_pwrite_all(fd, (const char *)buf, n * sizeof(double),
-                           off + (off_t)(done * sizeof(double)));
-    done += n;
-  }
-  caml_leave_blocking_section();
-  free(buf);
-  if (err != 0) kfuse_fail_errno("pwrite", err);
+  double *p = (double *)Op_val(va);
+  int release = len > KFUSE_STABLE_LEN;
+  if (release) caml_enter_blocking_section();
+  kf_fill(p, len, s, lo, span);
+  if (release) caml_leave_blocking_section();
   memcpy(Bytes_val(vstate), s, sizeof s);
   CAMLreturn(Val_unit);
 }
 
-value kfuse_synth_floats_byte(value *argv, int argn)
-{
-  (void)argn;
-  return kfuse_synth_floats(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
-}
-
-/* The one min/max/sum loop: acc = {min, max, sum} folded over [n]
- * doubles in order.  A NaN is never a min or max but poisons the sum;
- * of two equal extremes (0.0 and -0.0) the first one stays. */
-static void kfuse_fold(const double *p, size_t n, double acc[3])
-{
-  double lo = acc[0], hi = acc[1], sum = acc[2];
-  for (size_t i = 0; i < n; i++) {
-    double v = p[i];
-    if (v < lo) lo = v;
-    if (v > hi) hi = v;
-    sum += v;
-  }
-  acc[0] = lo;
-  acc[1] = hi;
-  acc[2] = sum;
-}
-
-static value kfuse_fold_result(const double acc[3])
-{
-  value r = caml_alloc_float_array(3);
-  for (int i = 0; i < 3; i++) Store_double_flat_field(r, i, acc[i]);
-  return r;
-}
-
-/* [| min; max; row-major sum |] of the [vcount] float64s at byte offset
- * [voff] of [vfd].  Raises Failure on an I/O error or a short read. */
-value kfuse_fold_fd(value vfd, value voff, value vcount)
-{
-  CAMLparam3(vfd, voff, vcount);
-  int fd = Int_val(vfd);
-  off_t off = (off_t)Long_val(voff);
-  size_t count = (size_t)Long_val(vcount);
-  double acc[3] = { INFINITY, -INFINITY, 0.0 };
-  double *buf = malloc(KFUSE_CHUNK * sizeof(double));
-  if (buf == NULL) caml_failwith("out of memory");
-  int err = 0;
-  caml_enter_blocking_section();
-  for (size_t done = 0; err == 0 && done < count;) {
-    size_t n = count - done < KFUSE_CHUNK ? count - done : KFUSE_CHUNK;
-    err = kfuse_pread_all(fd, (char *)buf, n * sizeof(double),
-                          off + (off_t)(done * sizeof(double)));
-    if (err == 0) kfuse_fold(buf, n, acc);
-    done += n;
-  }
-  caml_leave_blocking_section();
-  free(buf);
-  if (err < 0) caml_failwith("pread: short read");
-  if (err > 0) kfuse_fail_errno("pread", err);
-  CAMLreturn(kfuse_fold_result(acc));
-}
-
-/* The same fold over a whole float array (see KFUSE_STABLE_LEN for why
- * a long one may be read outside the runtime lock). */
+/* [| min; max; row-major sum |] of a whole float array. */
 value kfuse_fold_floats(value va)
 {
   CAMLparam1(va);
+  CAMLlocal1(r);
   mlsize_t len = float_array_length(va);
   double acc[3] = { INFINITY, -INFINITY, 0.0 };
   const double *p = (const double *)Op_val(va);
   int release = len > KFUSE_STABLE_LEN;
   if (release) caml_enter_blocking_section();
-  kfuse_fold(p, len, acc);
+  kf_fold(p, len, acc);
   if (release) caml_leave_blocking_section();
-  CAMLreturn(kfuse_fold_result(acc));
+  r = caml_alloc_float_array(3);
+  for (int i = 0; i < 3; i++) Store_double_flat_field(r, i, acc[i]);
+  CAMLreturn(r);
 }
 
 /* Wait until [vfd] is readable (data or hang-up) for at most

@@ -23,8 +23,11 @@ module Lower_cpu = Kfuse_codegen.Lower_cpu
    frames over pipes on a memfd arena, not a one-shot IN OUT program.
    v6: the driver takes a workspace for its intermediates instead of
    allocating them per call: the runner allocates it at start-up, a
-   pinned dlopen plan at [prepare], and kfuse_entry takes it last. *)
-let abi_version = 6
+   pinned dlopen plan at [prepare], and kfuse_entry takes it last.
+   v7: a request can ask the runner to draw the inputs into its arena
+   and to fold the outputs; the reply carries the kernels' own time,
+   the generator state after the draw and the folds. *)
+let abi_version = 7
 
 type mode = Dlopen | Subprocess
 
@@ -124,27 +127,51 @@ let dlopen_wrapper (p : Pipeline.t) =
   w "}\n";
   Buffer.contents b
 
-(* The runner protocol, both sides: a request is [request_words]
-   native-endian int64s {ABI, input bytes, output bytes, fault code},
-   a reply [reply_words] {ABI, output bytes}. *)
-let request_words = 4
-let reply_words = 2
+(* The runner protocol, both sides.  A request is [request_words]
+   native-endian int64s {ABI, input bytes, output bytes, fault code,
+   flags, generator state s0..s3, lo, span}, lo and span as float64
+   bits.  Flag [draw_flag] has the runner draw the inputs into its arena
+   from that state before the kernels run ({!Rng.fill_float}'s values:
+   lo + u * span), [fold_flag] fold every output after.  A reply is
+   [reply_words] {ABI, output bytes, kernel nanoseconds, the state after
+   the draw, then the min, max and row-major sum of each output as
+   float64 bits}: with no draw the state is the request's, with no fold
+   the sums are zero. *)
+let request_words = 11
+let draw_flag = 1
+let fold_flag = 2
+let reply_words (p : Pipeline.t) = 7 + (3 * List.length (Pipeline.outputs p))
+
+(* A reduction materializes as a 1x1 image (the generated code
+   broadcasts the scalar over the full buffer; cell 0 is the value). *)
+let is_reduction (p : Pipeline.t) name =
+  match Pipeline.producer p name with
+  | None -> false
+  | Some i -> (
+    match (Pipeline.kernel p i).Kernel.op with
+    | Kernel.Reduce _ -> true
+    | Kernel.Map _ -> false)
 
 let subprocess_wrapper (p : Pipeline.t) =
-  let b = Buffer.create 2048 in
+  let b = Buffer.create 4096 in
   let w fmt = Printf.bprintf b fmt in
-  let n_in = List.length p.Pipeline.inputs and n_out = List.length (Pipeline.outputs p) in
+  let outputs = Pipeline.outputs p in
+  let n_in = List.length p.Pipeline.inputs and n_out = List.length outputs in
   let np = List.length p.Pipeline.params in
-  w "#include <errno.h>\n#include <signal.h>\n#include <stdint.h>\n#include <stdio.h>\n";
-  w "#include <stdlib.h>\n#include <sys/mman.h>\n#include <sys/resource.h>\n";
-  w "#include <unistd.h>\n\n";
+  w "#include <errno.h>\n#include <signal.h>\n#include <stddef.h>\n#include <stdint.h>\n";
+  w "#include <stdio.h>\n#include <stdlib.h>\n#include <string.h>\n#include <sys/mman.h>\n";
+  w "#include <sys/resource.h>\n#include <time.h>\n#include <unistd.h>\n\n";
+  w "%s\n" Arena_c.source;
   w "// Persistent runner (ABI v%d).  fd 3 is the arena: the packed\n" abi_version;
   w "// native-endian float64 inputs in declaration order, %d parameter\n" np;
   w "// value%s, then the outputs.  fd 4 carries requests {ABI, input\n"
     (if np = 1 then "" else "s");
-  w "// bytes, output bytes, fault}; the kernels run on the arena in place\n";
-  w "// and fd 5 gets the reply {ABI, output bytes}.  EOF on fd 4 ends it.\n";
-  w "// The intermediates live in one workspace allocated at start-up.\n\n";
+  w "// bytes, output bytes, fault, flags, state s0..s3, lo, span}: flag 1\n";
+  w "// draws the inputs into the arena, flag 2 folds the outputs.  The\n";
+  w "// kernels run on the arena in place and fd 5 gets the reply {ABI,\n";
+  w "// output bytes, kernel ns, state after the draw, min/max/sum of each\n";
+  w "// output}.  EOF on fd 4 ends it.  The intermediates live in one\n";
+  w "// workspace allocated at start-up.\n\n";
   w "static int kf_io(int fd, void* buf, size_t n, int out) {\n";
   w "  size_t done = 0;\n";
   w "  while (done < n) {\n";
@@ -170,7 +197,7 @@ let subprocess_wrapper (p : Pipeline.t) =
        supervisor types as an RLIMIT_AS failure (KF0907). *)
     w "  kf_scalar* kf_ws = kf_malloc((size_t)%d * sizeof(kf_scalar));\n" ws
   end;
-  if n_in + np > 0 then w "  const kf_scalar* kf_in = (const kf_scalar*)arena;\n";
+  if n_in + np > 0 then w "  kf_scalar* kf_in = (kf_scalar*)arena;\n";
   w "  kf_scalar* kf_out = (kf_scalar*)(arena + in_bytes);\n";
   w "  for (;;) {\n";
   w "    int64_t req[%d];\n" request_words;
@@ -193,12 +220,40 @@ let subprocess_wrapper (p : Pipeline.t) =
   w "      (void)setrlimit(RLIMIT_AS, &rl);\n";
   w "      for (;;) if (!malloc((size_t)4 << 20)) abort();\n";
   w "    }\n";
+  w "    int64_t rep[%d] = { %d, (int64_t)out_bytes };\n" (reply_words p) abi_version;
+  w "    memcpy(&rep[3], &req[5], 4 * sizeof(int64_t));\n";
+  if n_in > 0 then begin
+    w "    if (req[%d] & %d) {\n" 4 draw_flag;
+    w "      uint64_t s[4];\n";
+    w "      double lo, span;\n";
+    w "      memcpy(s, &req[5], sizeof s);\n";
+    w "      memcpy(&lo, &req[9], sizeof lo);\n";
+    w "      memcpy(&span, &req[10], sizeof span);\n";
+    w "      kf_fill(kf_in, (size_t)%d * npix, s, lo, span);\n" n_in;
+    w "      memcpy(&rep[3], s, sizeof s);\n";
+    w "    }\n"
+  end;
+  w "    struct timespec t0, t1;\n";
+  w "    clock_gettime(CLOCK_MONOTONIC, &t0);\n";
   w "    %s;\n"
     (runner_call p
        ~input:(Printf.sprintf "kf_in + %d * npix")
        ~output:(Printf.sprintf "kf_out + %d * npix")
        ~param:(Printf.sprintf "kf_in[%d * npix + %d]" n_in));
-  w "    int64_t rep[%d] = { %d, (int64_t)out_bytes };\n" reply_words abi_version;
+  w "    clock_gettime(CLOCK_MONOTONIC, &t1);\n";
+  w "    rep[2] = (int64_t)(t1.tv_sec - t0.tv_sec) * 1000000000 + (t1.tv_nsec - t0.tv_nsec);\n";
+  w "    if (req[4] & %d) {\n" fold_flag;
+  (* A reduction's value is cell 0 of its broadcast buffer. *)
+  List.iteri
+    (fun k name ->
+      w "      {\n";
+      w "        double acc[3] = { INFINITY, -INFINITY, 0.0 };\n";
+      w "        kf_fold(kf_out + %d * npix, %s, acc);\n" k
+        (if is_reduction p name then "1" else "npix");
+      w "        memcpy(&rep[%d], acc, sizeof acc);\n" (7 + (3 * k));
+      w "      }\n")
+    outputs;
+  w "    }\n";
   w "    if (kf_io(5, rep, sizeof rep, 1) != 0) return 0;\n";
   w "  }\n";
   w "}\n";
@@ -281,60 +336,86 @@ let single_flight ~dest build =
   in
   acquire ()
 
+(* The artifact of [p] in [dir]: emit, key, then find or build it. *)
+let build ~tc ~dir ~mode (p : Pipeline.t) =
+  mkdir_p dir;
+  let src = source ~mode p in
+  let key = artifact_key ~tc ~mode ~src p in
+  let ext = match mode with Dlopen -> ".so" | Subprocess -> ".bin" in
+  let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
+  if Sys.file_exists dest then Ok (dest, 0., true)
+  else
+    single_flight ~dest @@ fun () ->
+    (* The source is kept next to the artifact: a KF0903 message can
+       point at a file a human can feed to the compiler by hand. *)
+    let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
+    write_file src_path src;
+    let attempt = Toolchain.unique_suffix () in
+    let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
+    let err_path = Printf.sprintf "%s.log.%s" dest attempt in
+    let argv =
+      (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
+      @ [ "-o"; tmp; src_path; "-lm" ]
+    in
+    (* Supervised fork/exec — no shell — with a wall cap so a wedged
+       compiler cannot hang the daemon.  No rlimits: compilers
+       legitimately need memory. *)
+    let r =
+      Supervisor.run
+        ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
+        ~stderr_path:err_path ~argv ()
+    in
+    let log = r.Supervisor.stderr_tail in
+    (try Sys.remove err_path with Sys_error _ -> ());
+    match r.Supervisor.status with
+    | Error f ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      let reason =
+        match f with
+        | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
+        | Supervisor.Timeout { wall_ms; _ } ->
+          Printf.sprintf "timed out after %.0f ms" wall_ms
+        | Supervisor.Crashed { signal } -> "crashed with " ^ signal
+        | Supervisor.Limit { what; _ } -> "exceeded " ^ what
+        | Supervisor.Spawn_failed { reason } | Supervisor.Protocol { reason } -> reason
+      in
+      Error
+        (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
+           tc.Toolchain.cc reason src_path log)
+    | Ok () ->
+      (* Atomic publish: concurrent builders race benignly on rename. *)
+      Sys.rename tmp dest;
+      Atomic.incr compile_count;
+      Ok (dest, r.Supervisor.wall_ms, false)
+
+(* A warm request finds its artifact without emitting the source
+   again: the path is remembered per cache directory, toolchain, mode
+   and exact fingerprint, which pins the pipeline and so its source.
+   The file must still exist; past [artifact_memo_cap] paths the memo
+   starts over. *)
+let artifact_memo : (string, string) Hashtbl.t = Hashtbl.create 64
+let artifact_memo_lock = Mutex.create ()
+let artifact_memo_cap = 4096
+
 let compile ?cache_dir ~mode (p : Pipeline.t) =
   match Toolchain.find () with
   | Error d -> Error d
-  | Ok tc ->
+  | Ok tc -> (
     let dir = match cache_dir with Some d -> d | None -> default_cache_dir () in
-    mkdir_p dir;
-    let src = source ~mode p in
-    let key = artifact_key ~tc ~mode ~src p in
-    let ext = match mode with Dlopen -> ".so" | Subprocess -> ".bin" in
-    let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
-    if Sys.file_exists dest then Ok (dest, 0., true)
-    else
-      single_flight ~dest @@ fun () ->
-      (* The source is kept next to the artifact: a KF0903 message can
-         point at a file a human can feed to the compiler by hand. *)
-      let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
-      write_file src_path src;
-      let attempt = Toolchain.unique_suffix () in
-      let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
-      let err_path = Printf.sprintf "%s.log.%s" dest attempt in
-      let argv =
-        (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
-        @ [ "-o"; tmp; src_path; "-lm" ]
-      in
-      (* Supervised fork/exec — no shell — with a wall cap so a wedged
-         compiler cannot hang the daemon.  No rlimits: compilers
-         legitimately need memory. *)
-      let r =
-        Supervisor.run
-          ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
-          ~stderr_path:err_path ~argv ()
-      in
-      let log = r.Supervisor.stderr_tail in
-      (try Sys.remove err_path with Sys_error _ -> ());
-      match r.Supervisor.status with
-      | Error f ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        let reason =
-          match f with
-          | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
-          | Supervisor.Timeout { wall_ms; _ } ->
-            Printf.sprintf "timed out after %.0f ms" wall_ms
-          | Supervisor.Crashed { signal } -> "crashed with " ^ signal
-          | Supervisor.Limit { what; _ } -> "exceeded " ^ what
-          | Supervisor.Spawn_failed { reason } | Supervisor.Protocol { reason } -> reason
-        in
-        Error
-          (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
-             tc.Toolchain.cc reason src_path log)
-      | Ok () ->
-        (* Atomic publish: concurrent builders race benignly on rename. *)
-        Sys.rename tmp dest;
-        Atomic.incr compile_count;
-        Ok (dest, r.Supervisor.wall_ms, false)
+    let key =
+      String.concat "\n" [ dir; Toolchain.id tc; mode_to_string mode; Fingerprint.exact p ]
+    in
+    match Mutex.protect artifact_memo_lock (fun () -> Hashtbl.find_opt artifact_memo key) with
+    | Some dest when Sys.file_exists dest -> Ok (dest, 0., true)
+    | _ ->
+      let r = build ~tc ~dir ~mode p in
+      Result.iter
+        (fun (dest, _, _) ->
+          Mutex.protect artifact_memo_lock (fun () ->
+              if Hashtbl.length artifact_memo >= artifact_memo_cap then Hashtbl.reset artifact_memo;
+              Hashtbl.replace artifact_memo key dest))
+        r;
+      r)
 
 (* {1 Marshalling} *)
 
@@ -379,16 +460,6 @@ let param_values (p : Pipeline.t) overrides =
       match List.assoc_opt n overrides with Some v -> v | None -> default)
     p.Pipeline.params
 
-(* A reduction materializes as a 1x1 image (the generated code
-   broadcasts the scalar over the full buffer; cell 0 is the value). *)
-let is_reduction (p : Pipeline.t) name =
-  match Pipeline.producer p name with
-  | None -> false
-  | Some i -> (
-    match (Pipeline.kernel p i).Kernel.op with
-    | Kernel.Reduce _ -> true
-    | Kernel.Map _ -> false)
-
 let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
 let finish_outputs (p : Pipeline.t) out_names bufs =
@@ -403,38 +474,33 @@ let finish_outputs (p : Pipeline.t) out_names bufs =
     out_names (Array.to_list bufs)
   |> by_name
 
+(* {1 The seeded draw and the fold (kfuse_arena.h)}
+
+   One C text draws {!Rng.fill_float}'s values and folds min, max and
+   the row-major sum: these stubs run it on OCaml arrays, a sandboxed
+   runner on its arena. *)
+
+external fill_floats : Bytes.t -> float -> float -> float array -> unit = "kfuse_fill_floats"
+external fold_floats : float array -> float array = "kfuse_fold_floats"
+
 let materialize (p : Pipeline.t) = function
   | Images inputs -> inputs
   | Random { rng; lo; hi } ->
+    let width = p.Pipeline.width and height = p.Pipeline.height in
     List.map
-      (fun n -> (n, Image.random rng ~width:p.Pipeline.width ~height:p.Pipeline.height ~lo ~hi))
+      (fun n ->
+        let data = Array.create_float (width * height) in
+        let state = Rng.save rng in
+        fill_floats state lo (hi -. lo) data;
+        Rng.restore rng state;
+        (n, unflatten ~width ~height data))
       p.Pipeline.inputs
-
-(* {1 Summaries and the streamed arena path (kfuse_exec_stubs.c)}
-
-   One C loop folds min, max and the row-major sum, over a float array
-   or over float64s streamed out of an fd; another draws
-   {!Rng.fill_float}'s values into an fd.  Neither holds more than a
-   64 KiB chunk. *)
-
-external synth_floats : Unix.file_descr -> Bytes.t -> float -> float -> int -> int -> unit
-  = "kfuse_synth_floats_byte" "kfuse_synth_floats"
-
-external fold_fd : Unix.file_descr -> int -> int -> float array = "kfuse_fold_fd"
-external fold_floats : float array -> float array = "kfuse_fold_floats"
 
 let summary ~width ~height acc = { width; height; min = acc.(0); max = acc.(1); sum = acc.(2) }
 
 let summarize img =
   summary ~width:(Image.width img) ~height:(Image.height img)
     (fold_floats (Image.unsafe_data img))
-
-let write_random fd ~off ~count rng ~lo ~hi =
-  let state = Rng.save rng in
-  synth_floats fd state lo (hi -. lo) off count;
-  Rng.restore rng state
-
-let read_summary fd ~off ~width ~height = summary ~width ~height (fold_fd fd off (width * height))
 
 let deliver : type o. Pipeline.t -> string list -> float array array -> o output -> o =
  fun p out_names bufs want ->
@@ -631,11 +697,6 @@ let runner_stats () =
 let arena_io what f =
   try Ok (f ()) with Failure e -> Error (Diag.errorf Diag.Exec_failed "cannot %s: %s" what e)
 
-let frame words =
-  let b = Bytes.create (8 * Array.length words) in
-  Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.of_int v)) words;
-  b
-
 (* The request's bytes in a runner: its arena's input and parameter
    bytes, and its output bytes. *)
 let arena_bytes (p : Pipeline.t) =
@@ -663,11 +724,14 @@ let check_limits (limits : Supervisor.limits) (p : Pipeline.t) =
          what held m)
   | _ -> Ok ()
 
-(* The one runner exchange.  [input] reaches the arena as images
-   ([pwrite] of their arrays) or as a generator (drawn into it in
-   chunks); [want] leaves it as pixels ([pread] into fresh arrays) or
-   as summaries (folded out of it in chunks), so a request that wants
-   no pixels allocates nothing request-sized here. *)
+(* The one runner exchange.  [Images] reach the arena by [pwrite] of
+   their arrays; a [Random] input is drawn by the runner straight into
+   its arena at the first request, and the generator takes the state
+   the runner reports back.  [Pixels] leave it by [pread] into fresh
+   arrays; [Summaries] are folded by the runner at the last request and
+   travel in its reply, so a request that wants no pixels moves no
+   pixel through the caller.  Each sample is the kernel time the runner
+   measured around its own call. *)
 let exec_subprocess : type o.
     deadline:Deadline.t -> limits:Supervisor.limits -> artifact:string -> repeat:int ->
     Pipeline.t -> input -> float list -> o output -> (o * float list, Diag.t) result =
@@ -700,19 +764,41 @@ let exec_subprocess : type o.
                 (fun i n ->
                   pwrite_floats arena (flatten (List.assoc n inputs)) (8 * i * npix))
                 p.Pipeline.inputs
-            | Random { rng; lo; hi } -> write_random arena ~off:0 ~count:(n_in * npix) rng ~lo ~hi);
-            pwrite_floats arena (Array.of_list pvals) (8 * n_in * npix))
+            | Random _ -> ());
+            if pvals <> [] then pwrite_floats arena (Array.of_list pvals) (8 * n_in * npix))
       in
-      let reply = Bytes.create (8 * reply_words) in
+      let reply = Bytes.create (8 * reply_words p) in
+      let word i = Bytes.get_int64_ne reply (8 * i) in
+      let request i misbehave =
+        let draw = match input with Random _ when i = 1 -> true | _ -> false in
+        let fold = match want with Summaries -> i = repeat | Pixels -> false in
+        let state, lo, span =
+          match input with
+          | Random { rng; lo; hi } when draw -> (Rng.save rng, lo, hi -. lo)
+          | _ -> (Bytes.make 32 '\000', 0., 0.)
+        in
+        let b = Bytes.create (8 * request_words) in
+        List.iteri
+          (fun k v -> Bytes.set_int64_ne b (8 * k) (Int64.of_int v))
+          [
+            abi_version;
+            in_bytes;
+            out_bytes;
+            Supervisor.misbehave_code misbehave;
+            (if draw then draw_flag else 0) lor if fold then fold_flag else 0;
+          ];
+        Bytes.blit state 0 b (8 * 5) 32;
+        Bytes.set_int64_ne b (8 * 9) (Int64.bits_of_float lo);
+        Bytes.set_int64_ne b (8 * 10) (Int64.bits_of_float span);
+        (b, draw)
+      in
       let rec go i samples =
         if i > repeat then Ok (List.rev samples)
         else if i > 1 && Deadline.expired deadline then
           Error (`Keep (sample_deadline_diag ~artifact ~done_:(List.length samples) ~repeat))
         else
           let misbehave = Supervisor.draw_fault () in
-          let request =
-            frame [| abi_version; in_bytes; out_bytes; Supervisor.misbehave_code misbehave |]
-          in
+          let request, drew = request i misbehave in
           let run =
             Runner.exchange r ~wall_ms:(Supervisor.wall_cap ~deadline limits) ~misbehave ~request
               ~reply
@@ -720,35 +806,40 @@ let exec_subprocess : type o.
           match Supervisor.failure_diag ~what run with
           | Some d -> Error (`Kill d)
           | None ->
-            let abi = Int64.to_int (Bytes.get_int64_ne reply 0) in
-            let wrote = Int64.to_int (Bytes.get_int64_ne reply 8) in
+            let abi = Int64.to_int (word 0) and wrote = Int64.to_int (word 1) in
             if abi <> abi_version || wrote <> out_bytes then
               Error
                 (`Kill
                   (Diag.errorf Diag.Exec_failed "%s wrote %d bytes, expected %d (ABI %d)" what
                      wrote out_bytes abi))
-            else go (i + 1) (run.Supervisor.wall_ms :: samples)
+            else begin
+              (match input with
+              | Random { rng; _ } when drew -> Rng.restore rng (Bytes.sub reply 24 32)
+              | _ -> ());
+              go (i + 1) ((Int64.to_float (word 2) /. 1e6) :: samples)
+            end
       in
       let read () : (o, Diag.t) result =
-        let off k = in_bytes + (8 * k * npix) in
-        arena_io "read plan output" (fun () : o ->
-            match want with
-            | Pixels ->
+        match want with
+        | Pixels ->
+          let off k = in_bytes + (8 * k * npix) in
+          arena_io "read plan output" (fun () ->
               finish_outputs p out_names
                 (Array.init n_out (fun k ->
                      let buf = Array.create_float npix in
                      pread_floats arena buf (off k);
-                     buf))
-            | Summaries ->
-              (* A reduction's value is cell 0 of its broadcast buffer. *)
-              List.mapi
-                (fun k name ->
-                  let width, height =
-                    if is_reduction p name then (1, 1) else (p.Pipeline.width, p.Pipeline.height)
-                  in
-                  (name, read_summary arena ~off:(off k) ~width ~height))
-                out_names
-              |> by_name)
+                     buf)))
+        | Summaries ->
+          Ok
+            (List.mapi
+               (fun k name ->
+                 let width, height =
+                   if is_reduction p name then (1, 1) else (p.Pipeline.width, p.Pipeline.height)
+                 in
+                 let acc = Array.init 3 (fun j -> Int64.float_of_bits (word (7 + (3 * k) + j))) in
+                 (name, summary ~width ~height acc))
+               out_names
+            |> by_name)
       in
       (* [`Keep]: the runner is sound and goes back to the pool;
          [`Kill]: it failed, or may hold a failed request's state. *)

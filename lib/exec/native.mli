@@ -19,21 +19,22 @@
       artifact, kept warm between requests.  Images travel through a
       memfd arena: the inputs in declaration order, then the parameter
       values, then the outputs in {!Kfuse_ir.Pipeline.outputs} order,
-      all packed native-endian float64.  The parent writes the inputs,
-      sends a request frame over a pipe, and reads the outputs once the
-      reply arrives.  Images it [pwrite]s and [pread]s whole; a
-      {!Random} input it draws into the arena, and {!Summaries} it folds
-      out of it, through one reused 64 KiB buffer, so a request that
-      wants no pixels costs the caller no image-sized memory.  It never
-      maps the arena: an I/O error there is a [KF0904], never a fault in
-      the caller, and the arena never counts in the caller's resident
-      set.  A request frame whose byte counts disagree with the arena
-      stops the runner ([KF0904]); a reply that reports the wrong output
-      size or never arrives is a [KF0904] too.  Any failure kills the
-      runner; the next request spawns a fresh one.  Slower than
-      {!Dlopen} (a pipe round trip and a copy each way per run) but
-      survives environments where loading untrusted-at-build-time
-      objects into the host process is unwanted.
+      all packed native-endian float64.  The parent sends a request
+      frame over a pipe and the runner answers once its kernels have
+      run.  Images the parent [pwrite]s and [pread]s whole; a {!Random}
+      input the runner draws into its arena itself, and {!Summaries} it
+      folds out of it and sends back in the reply, so a request that
+      wants no pixels moves no pixel through the caller.  The caller
+      never maps the arena: an I/O error there is a [KF0904], never a
+      fault in the caller, and the arena never counts in the caller's
+      resident set.  A request frame whose byte counts disagree with the
+      arena stops the runner ([KF0904]); a reply that reports the wrong
+      output size or never arrives is a [KF0904] too.  Any failure kills
+      the runner; the next request spawns a fresh one.  Slower than
+      {!Dlopen} (a pipe round trip per run, and a copy each way for
+      images) but survives environments where loading
+      untrusted-at-build-time objects into the host process is
+      unwanted.
 
     Neither mode allocates the driver's intermediates per call: they
     live in a workspace ({!Kfuse_codegen.Lower_cpu.workspace_scalars})
@@ -74,10 +75,14 @@ type mode = Dlopen | Subprocess
 
 val abi_version : int
 (** Version of the generated entry points and the runner protocol,
-    folded into every artifact key.  A runner request is four
+    folded into every artifact key.  A runner request is eleven
     native-endian int64s [{abi_version; input bytes; output bytes;
-    fault code}] on its fd 4, a reply two [{abi_version; output bytes}]
-    on its fd 5. *)
+    fault code; flags; generator state s0..s3; lo; span}] on its fd 4:
+    flag 1 draws the inputs into the arena from that state, flag 2
+    folds the outputs.  The reply on its fd 5 is [{abi_version; output
+    bytes; kernel nanoseconds; generator state after the draw}] and the
+    min, max and row-major sum of each output, seven int64s plus three
+    float64s per output. *)
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
@@ -94,7 +99,10 @@ type 'o ran = {
   cached : bool;  (** the artifact came from the compile cache *)
   compile_ms : float;  (** wall-clock spent in the C compiler; 0 on a hit *)
   exec_ms : float;  (** fastest execution sample *)
-  samples_ms : float list;  (** every execution sample, in run order *)
+  samples_ms : float list;
+      (** every execution sample, in run order: the kernels' own time,
+          as a {!Subprocess} runner measures it around its call or the
+          caller around the {!Dlopen} call *)
   warnings : Diag.t list;
       (** e.g. the [KF0904] that made {!run} fall back from {!Dlopen}
           to {!Subprocess} *)
@@ -115,42 +123,29 @@ val mean : summary -> float
 (** [sum /. (width * height)]. *)
 
 val summarize : Image.t -> summary
-(** The summary of an image, by the same C loop that folds a
-    sandboxed run's outputs out of its arena. *)
+(** The summary of an image, by the same C loop that a sandboxed
+    runner folds its outputs with ([kfuse_arena.h]). *)
 
 (** A run's inputs: images binding exactly the pipeline's inputs, or a
     generator that draws them: each of [Pipeline.inputs] in order is
     [Image.random rng ~lo ~hi] at the pipeline's extent, with [rng]
-    advanced as those calls would leave it.  A {!Subprocess} run draws
-    them straight into its runner's arena, never into an OCaml array. *)
+    advanced as those calls would leave it.  A {!Subprocess} runner
+    draws them straight into its arena, never into an OCaml array; both
+    draw by the one C loop of [kfuse_arena.h]. *)
 type input =
   | Images of (string * Image.t) list
   | Random of { rng : Kfuse_util.Rng.t; lo : float; hi : float }
 
-(** What a run returns of its outputs.  A {!Subprocess} run folds
-    {!Summaries} straight out of its runner's arena, in 64 KiB
-    chunks. *)
+(** What a run returns of its outputs.  A {!Subprocess} runner folds
+    {!Summaries} out of its arena itself and returns them in its
+    reply. *)
 type _ output =
   | Pixels : (string * Image.t) list output
   | Summaries : (string * summary) list output
 
 val materialize : Pipeline.t -> input -> (string * Image.t) list
-(** The images an {!input} stands for (drawing them advances [rng]). *)
-
-val write_random :
-  Unix.file_descr -> off:int -> count:int -> Kfuse_util.Rng.t -> lo:float -> hi:float -> unit
-(** [write_random fd ~off ~count rng ~lo ~hi] writes the [count]
-    values that {!Kfuse_util.Rng.fill_float}[ rng ~lo ~span:(hi -. lo)]
-    would put in an array, as native-endian float64s at byte [off] of
-    [fd], 64 KiB at a time, and advances [rng] as that call would.
-    This is how a {!Random} input reaches a runner's arena.
-    @raise Failure on an I/O error. *)
-
-val read_summary : Unix.file_descr -> off:int -> width:int -> height:int -> summary
-(** The summary of the [width * height] float64s at byte [off] of [fd],
-    read 64 KiB at a time.  This is how a {!Summaries} output leaves a
-    runner's arena.
-    @raise Failure on an I/O error or a short read. *)
+(** The images an {!input} stands for (drawing them advances [rng]),
+    drawn by the C loop a sandboxed runner draws with. *)
 
 (** [check_limits limits p] refuses, with [KF0907], a request for [p]
     that could never run under [limits]: outputs over [fsize_bytes], or

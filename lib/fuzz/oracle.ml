@@ -183,9 +183,11 @@ let compare_outputs ~what ref_out out =
         match acc with
         | Error _ -> acc
         | Ok () ->
-          let d = Image.max_abs_diff a b in
-          if Float.equal d 0.0 then Ok ()
-          else Error (Printf.sprintf "%s: output %s differs (max |diff| = %.17g)" what name d))
+          if Image.equal a b then Ok ()
+          else
+            Error
+              (Printf.sprintf "%s: output %s differs in its bits (max |diff| = %.17g)" what name
+                 (Image.max_abs_diff a b)))
       (Ok ()) ref_out out
 
 let eval_exact config p =

@@ -96,8 +96,11 @@ let max_abs_diff a b =
   let worst = ref 0.0 in
   Array.iteri
     (fun i x ->
-      let d = Float.abs (x -. b.data.(i)) in
-      if d > !worst then worst := d)
+      let y = b.data.(i) in
+      if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) then begin
+        let d = if Float.is_nan x || Float.is_nan y then Float.infinity else Float.abs (x -. y) in
+        if d > !worst then worst := d
+      end)
     a.data;
   !worst
 

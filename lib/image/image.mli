@@ -79,7 +79,11 @@ val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
     pixels. *)
 val equal : t -> t -> bool
 
-(** [max_abs_diff a b] is the largest absolute pointwise difference.
+(** [max_abs_diff a b] is the largest absolute pointwise difference
+    over the pixels whose bits differ, a NaN against any other value
+    counting as [infinity]: [0.] for bit-equal images, and for images
+    that differ only in the sign of a zero.  A report; {!equal} is the
+    exactness check.
     @raise Invalid_argument on extent mismatch. *)
 val max_abs_diff : t -> t -> float
 

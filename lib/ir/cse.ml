@@ -64,23 +64,31 @@ let rec replace t v e =
           if_false = replace t v if_false;
         }
 
-let eligible min_size e =
+(* A subtree may be bound at the top of a frame when each variable it
+   reads is in [scope] (bound by a [Let] around the frame) and rebound
+   nowhere inside the frame ([rebound]), so that every occurrence reads
+   the same binding as the new [Let]'s value does. *)
+let eligible ~scope ~rebound min_size e =
   match e with
   | Expr.Const _ | Expr.Param _ | Expr.Var _ | Expr.Let _ -> false
   | Expr.Input _ | Expr.Unop _ | Expr.Binop _ | Expr.Select _ | Expr.Shift _ ->
-    Expr.size e >= min_size && Expr.free_vars e = []
+    Expr.size e >= min_size
+    && List.for_all (fun v -> List.mem v scope && not (List.mem v rebound)) (Expr.free_vars e)
 
 (* Process the top-level frame of [e] to a fixpoint: repeatedly bind the
    largest repeated eligible subtree.  Size ties break on first
    occurrence in traversal order, never on subtree contents — binding
-   order must not depend on what the images in scope are called. *)
-let rec bind_repeats ~min_size ~fresh e =
+   order must not depend on what the images in scope are called.  Then
+   the body of each [Let] in the frame is a frame of its own, with the
+   [Let]'s variable in scope: a repeat that reads it is bound there. *)
+let rec bind_repeats ~scope ~min_size ~fresh e =
   let tbl = ref Emap.empty in
   count_frame tbl (ref 0) e;
+  let rebound = if scope = [] then [] else bound_names e in
   let candidate =
     Emap.fold
       (fun sub (n, first) best ->
-        if n >= 2 && eligible min_size sub then
+        if n >= 2 && eligible ~scope ~rebound min_size sub then
           match best with
           | Some (b, bfirst) ->
             let s = Expr.size sub and bs = Expr.size b in
@@ -91,10 +99,22 @@ let rec bind_repeats ~min_size ~fresh e =
     |> Option.map fst
   in
   match candidate with
-  | None -> e
+  | None -> let_bodies ~scope ~min_size ~fresh e
   | Some t ->
     let v = fresh () in
-    bind_repeats ~min_size ~fresh (Expr.Let { var = v; value = t; body = replace t v e })
+    bind_repeats ~scope ~min_size ~fresh (Expr.Let { var = v; value = t; body = replace t v e })
+
+and let_bodies ~scope ~min_size ~fresh e =
+  let go = let_bodies ~scope ~min_size ~fresh in
+  match e with
+  | Expr.Const _ | Expr.Param _ | Expr.Input _ | Expr.Var _ | Expr.Shift _ -> e
+  | Expr.Let { var; value; body } ->
+    Expr.Let
+      { var; value = go value; body = bind_repeats ~scope:(var :: scope) ~min_size ~fresh body }
+  | Expr.Unop (op, a) -> Expr.Unop (op, go a)
+  | Expr.Binop (op, a, b) -> Expr.Binop (op, go a, go b)
+  | Expr.Select { cmp; lhs; rhs; if_true; if_false } ->
+    Expr.Select { cmp; lhs = go lhs; rhs = go rhs; if_true = go if_true; if_false = go if_false }
 
 (* Recurse into sub-frames (Shift bodies) first, then bind in this frame. *)
 let rec process ~min_size ~fresh e =
@@ -117,7 +137,7 @@ let rec process ~min_size ~fresh e =
           if_false = sub_frames if_false;
         }
   in
-  bind_repeats ~min_size ~fresh (sub_frames e)
+  bind_repeats ~scope:[] ~min_size ~fresh (sub_frames e)
 
 let expr ?(min_size = 1) e =
   let taken = ref (bound_names e) in

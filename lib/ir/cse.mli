@@ -5,8 +5,12 @@
     Value-numbering is {e frame-aware}: a [Shift] changes the evaluation
     position, so structurally equal subtrees in different shift frames
     denote different values and are never merged; each [Shift] body is
-    processed as its own frame.  Subtrees with free variables are also
-    left alone (hoisting would cross their binders).
+    processed as its own frame.  A subtree that reads a [Let]-bound
+    variable is bound inside that [Let]'s body, where every occurrence
+    reads the same binding: each [Let] body is a frame of its own with
+    the variable in scope, and a subtree is bound there only if none of
+    its variables is bound again anywhere in that body.  So fused
+    Night's scoto computes [exp (-. r /. 0.12)] once, not twice.
 
     This matters most for fused kernels: a consumer that reads the same
     image at the same offset in several arithmetic contexts, or a corner

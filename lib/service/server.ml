@@ -223,11 +223,22 @@ let images_json ~return_pixels outputs =
 let warnings_json warns =
   Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
 
-(* Both sides sort outputs by name, so positional zip holds. *)
-let max_diff reference outputs =
-  List.fold_left2
-    (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
-    0.0 reference outputs
+(* A verify reply's fields: [bit_exact] is the verdict, every output
+   bit for bit the interpreter's (NaNs and signed zeros included);
+   [max_abs_diff] the report.  Both sides sort outputs by name, so
+   positional zip holds. *)
+let verify_fields reference outputs =
+  [
+    ( "max_abs_diff",
+      Jsonx.Num
+        (List.fold_left2
+           (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
+           0.0 reference outputs) );
+    ( "bit_exact",
+      Jsonx.Bool (List.for_all2 (fun (_, a) (_, b) -> Image.equal a b) reference outputs) );
+  ]
+
+let exact_fields = [ ("max_abs_diff", Jsonx.Num 0.0); ("bit_exact", Jsonx.Bool true) ]
 
 (* ---- native execution policy ---- *)
 
@@ -280,7 +291,7 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
       ]
     (* The fallback *is* the interpreter, so a requested verify is
        trivially exact. *)
-    @ if verify then [ ("max_abs_diff", Jsonx.Num 0.0) ] else [])
+    @ if verify then exact_fields else [])
 
 (* Account a supervised-execution failure: counters, a crash artifact
    for the fuzzer to shrink, and a breaker strike that may quarantine
@@ -294,8 +305,13 @@ let record_exec_failure t ~fp ~seed p (d : Diag.t) =
   let toolchain =
     match Toolchain.find () with Ok tc -> Toolchain.id tc | Error _ -> "unknown"
   in
+  (* A save that fails (an unwritable or full crash directory) loses
+     this crash's forensics: count it and say so on stderr. *)
   (match Supervisor.save_crash_artifact ~dir:t.crash_dir ~seed ~toolchain ~diag:d p with
-  | Ok _ | Error _ -> ());
+  | Ok _ -> ()
+  | Error msg ->
+    Metrics.incr t.metrics "crash_save_failures";
+    Printf.eprintf "kfused: crash artifact not saved in %s: %s\n%!" t.crash_dir msg);
   if Supervisor.Breaker.record_failure t.breaker fp d then
     Metrics.incr_gauge t.metrics "quarantined_plans"
 
@@ -352,8 +368,9 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
               let verify_fields =
                 if not e.Protocol.verify then []
                 else
-                  let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
-                  [ ("max_abs_diff", Jsonx.Num (max_diff reference res.Native.outputs)) ]
+                  verify_fields
+                    (Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs))
+                    res.Native.outputs
               in
               ({ res with Native.outputs = images_json ~return_pixels res.Native.outputs },
                verify_fields))
@@ -492,24 +509,23 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
     | Some _ -> Supervisor.Breaker.check t.breaker st.stream_fp
   in
   (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
-     max_abs_diff when verify). *)
+     the verify fields when verify). *)
   let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
     match (verdict, st.stream_plan) with
     | _, None ->
       let outs, ms = interp () in
-      (outs, "interpreter", false, false, ms, [], Some 0.0)
+      (outs, "interpreter", false, false, ms, [], exact_fields)
     | Supervisor.Breaker.Quarantined qd, Some _ ->
       Metrics.incr t.metrics "native_exec_fallbacks";
       let outs, ms = interp () in
       ( outs, "interpreter", true, true, ms,
-        [ quarantine_warning t qd ~served:"frame served" ], Some 0.0 )
+        [ quarantine_warning t qd ~served:"frame served" ], exact_fields )
     | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
       match Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings with
       | Ok res ->
         record_exec_success t st.stream_fp;
         let diff =
-          if not s.Protocol.verify then None
-          else Some (max_diff (fst (interp ())) res.Native.outputs)
+          if not s.Protocol.verify then [] else verify_fields (fst (interp ())) res.Native.outputs
         in
         ( res.Native.outputs,
           Native.mode_to_string res.Native.mode_used,
@@ -524,7 +540,7 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
         Metrics.incr t.metrics "native_exec_fallbacks";
         let outs, ms = interp () in
         (outs, "interpreter", false, true, ms,
-         [ { d with Diag.severity = Diag.Warning } ], Some 0.0))
+         [ { d with Diag.severity = Diag.Warning } ], exact_fields))
   in
   Session.advance session frame;
   Metrics.incr t.metrics "frames_pushed";
@@ -546,9 +562,7 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
        ( "outputs",
          Jsonx.Arr (images_json ~return_pixels:s.Protocol.return_pixels outputs) );
      ]
-    @ match diff with
-      | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]
-      | _ -> [])
+    @ if s.Protocol.verify then diff else [])
 
 let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
   let busy =
@@ -792,6 +806,7 @@ let stats_json t =
             ("fallbacks", count "native_exec_fallbacks");
             ("quarantined", gauge "quarantined_plans");
             ("crash_dir", Jsonx.Str t.crash_dir);
+            ("crash_save_failures", count "crash_save_failures");
           ] );
       ( "streams",
         Jsonx.Obj
@@ -888,7 +903,8 @@ let start ~socket:path ~cache ~pool ?max_conns ?queue ?request_timeout_ms
     List.iter (Metrics.touch metrics)
       [
         "native_exec_crashes"; "native_exec_timeouts"; "native_exec_limits";
-        "native_exec_fallbacks"; "frames_pushed"; "frames_shed"; "lazy_edits"; "lazy_flushes";
+        "native_exec_fallbacks"; "crash_save_failures"; "frames_pushed"; "frames_shed";
+        "lazy_edits"; "lazy_flushes";
       ];
     Metrics.adjust_gauge metrics "quarantined_plans" 0;
     let sessions ~prefix ~id_prefix ?max_in_flight release =

@@ -435,6 +435,26 @@ let test_exec_crash_quarantine () =
   (* And the daemon never died. *)
   expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.ping c))
 
+(* A crash whose artifact cannot be written (the crash directory is a
+   plain file) is still a typed KF0906, and the lost save is counted in
+   the metrics and in [stats]' [native_exec.crash_save_failures]. *)
+let test_exec_crash_save_failure () =
+  require_toolchain ();
+  let blocked = Filename.temp_file "kfuse-chaos-crash" ".file" in
+  Fun.protect ~finally:(fun () -> try Sys.remove blocked with Sys_error _ -> ())
+  @@ fun () ->
+  let crash_dir = Filename.concat blocked "corpus" in
+  with_server ~crash_dir @@ fun socket server ->
+  let req = exec_req ~width:8 ~height:6 "sobel" in
+  Faults.with_spec "exec.crash/1" (fun () ->
+      match Svc.Client.with_connection ~socket (fun c -> Svc.Client.fuse_exec c req) with
+      | Ok _ -> Alcotest.fail "a crashing exec must be a typed error"
+      | Error d -> Alcotest.(check string) "crash typed" "KF0906" (code_of d));
+  Alcotest.(check int) "the lost save is counted" 1 (counter server "crash_save_failures");
+  let stats = expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.stats c)) in
+  Alcotest.(check (float 0.0)) "and shown in stats" 1.0
+    (num (field "crash_save_failures" (field "native_exec" stats)))
+
 let test_exec_hang_watchdog () =
   (* A hanging execution is reaped by the watchdog within the configured
      wall cap and surfaces as KF0905; the next (clean) request runs
@@ -778,6 +798,8 @@ let suite =
       test_chaos_hammer;
     Alcotest.test_case "chaos: exec.crash storm trips quarantine, interpreter answers"
       `Slow test_exec_crash_quarantine;
+    Alcotest.test_case "chaos: a crash artifact that cannot be saved is counted" `Slow
+      test_exec_crash_save_failure;
     Alcotest.test_case "chaos: exec.hang reaped by the watchdog as KF0905" `Slow
       test_exec_hang_watchdog;
     Alcotest.test_case "chaos: exec.oom classified as a KF0907 limit" `Slow

@@ -56,7 +56,8 @@ let test_emit_golden_map_reduce () =
       "typedef float kf_scalar;";
       "static inline void* kf_malloc(size_t n)";
       "if (!p) abort();";
-      "#pragma omp parallel for collapse(2) schedule(static)";
+      (* a point kernel runs by rows, so that its row loop vectorizes *)
+      "#pragma omp parallel for schedule(static)";
       (* neg of a negative literal must not paste into the "--" token *)
       "(- -0.25f)";
       "float acc = 0.0f;";
@@ -130,7 +131,7 @@ let test_emit_golden_region_split () =
         Alcotest.(check int)
           (halo ^ " defined once")
           1
-          (occurrences src ("static __attribute__((noinline)) void " ^ halo ^ "("));
+          (occurrences src ("static KF_HALO void " ^ halo ^ "("));
         check_fragments (name ^ " loop shape") entry
           [
             "#pragma omp parallel for schedule(static)";
@@ -149,8 +150,9 @@ let test_emit_golden_region_split () =
         check_fragments (name ^ " interior") interior [ out ^ "[((y * width) + x)] =" ]
       | Ir.Kernel.Map _ | Ir.Kernel.Reduce _ ->
         Alcotest.(check int) (name ^ " has no halo function") 0 (occurrences src halo);
-        check_fragments (name ^ " loop shape") entry
-          [ "#pragma omp parallel for collapse(2) schedule(static)" ])
+        (* by rows, so that the row loop vectorizes *)
+        check_fragments (name ^ " loop shape") entry [ "#pragma omp parallel for schedule(static)" ];
+        if contains "collapse" entry then Alcotest.failf "%s collapses:\n%s" name entry)
     fused.Ir.Pipeline.kernels;
   if !stencils = 0 then Alcotest.fail "fused harris has no stencil kernel"
 
@@ -301,9 +303,56 @@ let run_exact ~mode ?(repeat = 1) ?params p =
     Alcotest.(check int) "one sample per repeat" repeat
       (List.length r.Exec.Native.samples_ms);
     Alcotest.(check (float 0.0))
-      "bit-exact against the interpreter" 0.0
+      "no difference against the interpreter" 0.0
       (max_diff reference r.Exec.Native.outputs);
+    Alcotest.(check bool) "bit-exact against the interpreter" true
+      (List.for_all2 (fun (_, a) (_, b) -> Img.Image.equal a b) reference r.Exec.Native.outputs);
     r
+
+(* Every registry app, unfused (baseline) and min-cut fused under -O,
+   at extents whose interior rows end in a vector epilogue (37 and 70
+   columns) or hold a column or two at most (5 wide, 5 high), and one
+   column wide where the app's stencils allow it (validation refuses a
+   window wider than the space, KF0505), bit for bit against the
+   interpreter.  The dispatch mode alternates along the extents, so
+   each app and variant runs in both; the kernels are the same C in
+   either. *)
+let matrix_extents = [ (37, 23); (5, 70); (70, 5); (1, 9) ]
+
+let test_apps_matrix_exact () =
+  let _ = require_toolchain () in
+  let plans =
+    List.concat_map
+      (fun (e : Kfuse_apps.Registry.entry) ->
+        List.concat
+        @@ List.mapi
+          (fun i (width, height) ->
+            let what v = Printf.sprintf "%s %s %dx%d" e.Kfuse_apps.Registry.name v width height in
+            let p = e.Kfuse_apps.Registry.small ~width ~height in
+            let plan ?optimize strategy =
+              F.Driver.run_result ?optimize F.Config.default strategy p
+              |> Result.map (fun r -> r.F.Driver.fused)
+            in
+            let mode = if i mod 2 = 0 then Exec.Native.Dlopen else Exec.Native.Subprocess in
+            match (plan F.Driver.Baseline, plan ~optimize:true F.Driver.Mincut) with
+            | Ok base, Ok mincut ->
+              [ (what "baseline", mode, base); (what "mincut -O", mode, mincut) ]
+            | Error { Kfuse_util.Diag.code = Kfuse_util.Diag.Mask_too_large; _ }, _ -> []
+            | Error d, _ | _, Error d ->
+              Alcotest.failf "%s: %s" (what "plan") (Kfuse_util.Diag.to_string d))
+          matrix_extents)
+      Kfuse_apps.Registry.all
+  in
+  Alcotest.(check bool) "at least three extents per app and variant" true
+    (List.length plans >= 2 * 3 * List.length Kfuse_apps.Registry.all);
+  precompile (List.map (fun (_, mode, p) -> (mode, p)) plans);
+  List.iter
+    (fun (what, mode, p) ->
+      match run_exact ~mode p with
+      | _ -> ()
+      | exception e ->
+        Alcotest.failf "%s (%s): %s" what (Exec.Native.mode_to_string mode) (Printexc.to_string e))
+    plans
 
 let test_native_dlopen_exact () =
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -643,11 +692,14 @@ let with_runner ?(limits = Sup.no_limits) ~arena_bytes argv f =
 
 (* One request frame straight to a compiled runner; its reply's output
    byte count on success. *)
-let exchange_frame r ~abi ~in_bytes ~out_bytes =
-  let reply = Bytes.create 16 in
+(* A request frame (ABI v7: eleven words, here no flags, a zero
+   generator state and zero lo and span) for a plan of [n_out] outputs,
+   whose reply is seven words and three folds per output. *)
+let exchange_frame ?(n_out = 1) r ~abi ~in_bytes ~out_bytes =
+  let reply = Bytes.create (8 * (7 + (3 * n_out))) in
   let run =
     Sup.Runner.exchange r ~wall_ms:(Some 30_000.) ~misbehave:Sup.No_fault
-      ~request:(int64s [ abi; in_bytes; out_bytes; 0 ])
+      ~request:(int64s [ abi; in_bytes; out_bytes; 0; 0; 0; 0; 0; 0; 0; 0 ])
       ~reply
   in
   (run, Int64.to_int (Bytes.get_int64_ne reply 8))
@@ -756,12 +808,14 @@ let test_runner_short_output () =
   | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
   | Ok plan ->
     Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+    (* A request is eleven words; a reply seven and three per output. *)
+    let reply_words = 7 + (3 * List.length (Ir.Pipeline.outputs fused)) in
     let fixture name body =
       compile_fixture name
         (Printf.sprintf
            "#include <stdint.h>\n#include <unistd.h>\n\
             int main(void) {\n\
-           \  int64_t req[4];\n\
+           \  int64_t req[11];\n\
            \  if (read(4, req, sizeof req) != (ssize_t)sizeof req) return 1;\n\
            \  %s\n\
             }\n"
@@ -779,11 +833,11 @@ let test_runner_short_output () =
       [
         ( "shortout",
           Printf.sprintf
-            "int64_t rep[2] = { %d, 8 };\n\
+            "int64_t rep[%d] = { %d, 8 };\n\
             \  if (write(5, rep, sizeof rep) != (ssize_t)sizeof rep) return 1;\n\
             \  while (read(4, req, sizeof req) > 0) {}\n\
             \  return 0;"
-            Exec.Native.abi_version,
+            reply_words Exec.Native.abi_version,
           "wrote 8 bytes" );
         ("quitter", "return 0;", "exited 0 mid-request");
       ]
@@ -988,7 +1042,7 @@ let test_runner_no_leaks () =
     | Error e -> Alcotest.failf "runner spawn failed: %s" e
     | Ok r ->
       (* One exchange: past it, the runner has certainly exec'd. *)
-      let run, _ = exchange_frame r ~abi:Exec.Native.abi_version ~in_bytes ~out_bytes in
+      let run, _ = exchange_frame ~n_out r ~abi:Exec.Native.abi_version ~in_bytes ~out_bytes in
       (match run.Sup.status with
       | Ok () -> ()
       | Error _ -> Alcotest.failf "warm-up request failed: %s" run.Sup.stderr_tail);
@@ -1281,7 +1335,9 @@ let test_line_buffer_fires () =
       "static inline void kf_strip(int n, int* lo, int* hi)";
       "kf_strip(height, (&kf_y0), (&kf_y1));";
       "double* kf_lb = kf_malloc(((sizeof(double) * 3) * width));";
-      "kf_row[x] = log((img_in[((kf_yy * width) + x)] + 9.9999999999999995e-07));";
+      (* the fill's log runs in a loop of its own over a row temporary *)
+      "kf_rt0[x] = (img_in[((kf_yy * width) + x)] + 9.9999999999999995e-07);";
+      "kf_row[x] = log(kf_rt0[x]);";
       "kf_t0_0[(x - 1)]";
       "free(kf_lb);";
     ];
@@ -1294,7 +1350,8 @@ let test_line_buffer_fires () =
       let src = Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused in
       List.iter
         (fun bad -> if contains bad src then Alcotest.failf "%s emits %s:\n%s" name bad src)
-        [ "kf_strip(height"; "kf_lb"; "kf_malloc((" ])
+        (* night's scoto allocates row temporaries for its calls, no line buffer *)
+        [ "kf_strip(height"; "kf_lb" ])
     [ "sobel"; "unsharp"; "motion"; "night"; "harris"; "shitomasi" ];
   List.iter
     (fun border ->
@@ -1397,11 +1454,87 @@ let test_workspace_threads () =
       hammer [| a; b |];
       hammer [| a; a |])
 
-(* ---- the streamed arena path ---- *)
-
-module Rng = Kfuse_util.Rng
+(* ---- min and max: the generated helpers are Float.min and Float.max ---- *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Values where min and max semantics part ways: signed zeros,
+   infinities, NaNs of both signs with payloads (a signalling one too),
+   subnormals and ordinary numbers. *)
+let min_max_special =
+  let nan bits = Int64.float_of_bits bits in
+  [|
+    0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; nan 0xFFF8000000000000L;
+    nan 0x7FF8000000000123L; nan 0xFFF80000DEADBEEFL; nan 0x7FF0000000000001L; 5e-324; -5e-324;
+    1.0; -1.0; 2.5;
+  |]
+
+let min_max_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> min_max_special.(i)) (int_bound (Array.length min_max_special - 1));
+        float_range (-3.0) 3.0;
+      ])
+
+(* One pinned plan of [mn = min(a, b)], [mx = max(a, b)] and the
+   min/max reductions of [a] over a 61 x 3 space: the Map rows run the
+   vectorized body and its scalar epilogue, the reductions the serial
+   fold. *)
+let min_max_width = 61
+let min_max_height = 3
+
+let min_max_plan =
+  lazy
+    (let open Ir.Expr in
+     let p =
+       Ir.Pipeline.create ~name:"minmax" ~width:min_max_width ~height:min_max_height
+         ~inputs:[ "a"; "b" ]
+         [
+           Ir.Kernel.map ~name:"mn" ~inputs:[ "a"; "b" ] (Binop (Min, input "a", input "b"));
+           Ir.Kernel.map ~name:"mx" ~inputs:[ "a"; "b" ] (Binop (Max, input "a", input "b"));
+           Ir.Kernel.reduce ~name:"rmn" ~inputs:[ "a" ] ~init:Float.infinity ~combine:Min
+             (input "a");
+           Ir.Kernel.reduce ~name:"rmx" ~inputs:[ "a" ] ~init:Float.neg_infinity ~combine:Max
+             (input "a");
+         ]
+     in
+     let cache_dir = Lazy.force shared_cache_dir in
+     match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Dlopen p with
+     | Ok plan -> (p, plan)
+     | Error d -> failwith (Kfuse_util.Diag.to_string d))
+
+let prop_min_max_helpers =
+  let n = min_max_width * min_max_height in
+  let gen = QCheck.Gen.(pair (array_size (return n) min_max_value) (array_size (return n) min_max_value))
+  in
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let print (a, b) =
+    String.concat " " (Array.to_list (Array.map2 (fun x y -> "(" ^ bits x ^ "," ^ bits y ^ ")") a b))
+  in
+  QCheck.Test.make ~count:100 ~name:"kf_min/kf_max = Float.min/Float.max, bit for bit"
+    (QCheck.make ~print gen)
+    (fun (a, b) ->
+      match Exec.Toolchain.find () with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok _ ->
+        let p, plan = Lazy.force min_max_plan in
+        let img d =
+          Img.Image.unsafe_of_flat ~width:min_max_width ~height:min_max_height (Array.copy d)
+        in
+        let inputs = [ ("a", img a); ("b", img b) ] in
+        (match Exec.Native.run_plan plan inputs with
+        | Error d -> failwith (Kfuse_util.Diag.to_string d)
+        | Ok r ->
+          let out name = Img.Image.unsafe_data (List.assoc name r.Exec.Native.outputs) in
+          let want = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+          Array.for_all2 same_bits (out "mn") (Array.map2 Float.min a b)
+          && Array.for_all2 same_bits (out "mx") (Array.map2 Float.max a b)
+          && List.for_all2 (fun (_, w) (_, g) -> Img.Image.equal w g) want r.Exec.Native.outputs))
+
+(* ---- the seeded draw and the fold (kfuse_arena.h) ---- *)
+
+module Rng = Kfuse_util.Rng
 
 (* A NaN sum is NaN on both sides; which NaN is the hardware's choice. *)
 let same_sum a b = same_bits a b || (Float.is_nan a && Float.is_nan b)
@@ -1413,37 +1546,9 @@ let same_summary (a : Exec.Native.summary) (b : Exec.Native.summary) =
   && same_bits a.Exec.Native.max b.Exec.Native.max
   && same_sum a.Exec.Native.sum b.Exec.Native.sum
 
-(* Extents either side of the 64 KiB (8192-double) chunk, and odd ones. *)
+(* Extents either side of the stubs' stable-array length, and odd ones. *)
 let arena_extents =
-  [ (1, 1); (7, 3); (1023, 517); (8191, 1); (8192, 1); (8193, 1); (4096, 2); (91, 90) ]
-
-let with_temp_fd f =
-  let path = Filename.temp_file "kfuse_arena" ".bin" in
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close fd;
-      Sys.remove path)
-    (fun () -> f fd)
-
-let read_floats fd ~off n =
-  let b = Bytes.create (8 * n) in
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let rec fill k =
-    if k < Bytes.length b then
-      match Unix.read fd b k (Bytes.length b - k) with
-      | 0 -> Alcotest.failf "short read at %d of %d bytes" k (Bytes.length b)
-      | r -> fill (k + r)
-  in
-  fill 0;
-  Array.init n (fun i -> Int64.float_of_bits (Bytes.get_int64_ne b (8 * i)))
-
-let write_floats fd ~off a =
-  let b = Bytes.create (8 * Array.length a) in
-  Array.iteri (fun i v -> Bytes.set_int64_ne b (8 * i) (Int64.bits_of_float v)) a;
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let rec drain k = if k < Bytes.length b then drain (k + Unix.write fd b k (Bytes.length b - k)) in
-  drain 0
+  [ (1, 1); (7, 3); (1023, 517); (4095, 1); (4096, 1); (4097, 1); (4096, 2); (91, 90) ]
 
 (* [n] images drawn one after another, as a pipeline's inputs are. *)
 let random_images rng n ~width ~height ~lo ~hi =
@@ -1457,26 +1562,42 @@ let bound_gen =
   QCheck.Gen.(
     oneof [ float_range (-1000.) 1000.; oneofl [ 0.0; -0.0; 1.0; -1e308; 1e308; 1e-300 ] ])
 
+(* A pipeline of [n] inputs, each copied to an output, at [width] x
+   [height]. *)
+let copies ?(reduce = false) n ~width ~height =
+  let names = List.init n (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
+  let copy x = Ir.Kernel.map ~name:("k" ^ x) ~inputs:[ x ] Ir.Expr.(input x * Const 1.0) in
+  let last = List.nth names (n - 1) in
+  Ir.Pipeline.create ~name:"copies" ~width ~height ~inputs:names
+    (List.map copy names
+    @
+    if reduce then
+      [
+        Ir.Kernel.reduce ~name:"kr" ~inputs:[ last ] ~init:0.0 ~combine:Ir.Expr.Add
+          (Ir.Expr.input last);
+      ]
+    else [])
+
 let prop_synthesis_identity =
   let gen =
-    QCheck.Gen.(
-      tup5 int (oneofl arena_extents) (int_range 1 3) (pair bound_gen bound_gen) (int_range 0 3))
+    QCheck.Gen.(tup4 int (oneofl arena_extents) (int_range 1 3) (pair bound_gen bound_gen))
   in
-  let print (seed, (w, h), n, (lo, hi), off) =
-    Printf.sprintf "seed %d, %dx%d, %d inputs, lo %h hi %h, offset %d doubles" seed w h n lo hi off
+  let print (seed, (w, h), n, (lo, hi)) =
+    Printf.sprintf "seed %d, %dx%d, %d inputs, lo %h hi %h" seed w h n lo hi
   in
   QCheck.Test.make ~count:40 ~name:"arena synthesis = Image.random: bits and Rng state"
     (QCheck.make ~print gen)
-    (fun (seed, (width, height), n_in, (lo, hi), off) ->
-      with_temp_fd @@ fun fd ->
-      let off = 8 * off and count = n_in * width * height in
+    (fun (seed, (width, height), n_in, (lo, hi)) ->
       let drawn = Rng.create seed and reference = Rng.create seed in
-      Exec.Native.write_random fd ~off ~count drawn ~lo ~hi;
-      let want =
-        Array.concat
-          (List.map Img.Image.unsafe_data (random_images reference n_in ~width ~height ~lo ~hi))
+      let got =
+        Exec.Native.materialize (copies n_in ~width ~height)
+          (Exec.Native.Random { rng = drawn; lo; hi })
       in
-      Array.for_all2 same_bits (read_floats fd ~off count) want
+      let want = random_images reference n_in ~width ~height ~lo ~hi in
+      List.for_all2
+        (fun (_, a) b ->
+          Array.for_all2 same_bits (Img.Image.unsafe_data a) (Img.Image.unsafe_data b))
+        got want
       && Bytes.equal (Rng.save drawn) (Rng.save reference))
 
 (* The min/max/row-major-sum loop in OCaml: what the reply carried
@@ -1509,11 +1630,52 @@ let prop_summary_identity =
     (QCheck.make ~print gen)
     (fun (seed, (width, height), specials) ->
       let a = summary_pixels ~seed ~specials (width * height) in
-      let want = reference_summary ~width ~height a in
-      with_temp_fd @@ fun fd ->
-      write_floats fd ~off:24 a;
-      same_summary want (Exec.Native.summarize (Img.Image.unsafe_of_flat ~width ~height a))
-      && same_summary want (Exec.Native.read_summary fd ~off:24 ~width ~height))
+      same_summary
+        (reference_summary ~width ~height a)
+        (Exec.Native.summarize (Img.Image.unsafe_of_flat ~width ~height a)))
+
+(* The runner's own draw and fold against the OCaml reference: plans of
+   one and two inputs (one with a reduction) at odd pixel counts, drawn
+   in the runner's arena at each request's first exchange and folded at
+   its last, with repeat 1 and 3.  The pixels are Image.random's, the
+   generator ends where Image.random leaves it, and each summary is
+   fold_floats' of the interpreter's output. *)
+let test_runner_draw_fold_exact () =
+  let _ = require_toolchain () in
+  with_cache_dir @@ fun cache_dir ->
+  List.iter
+    (fun (n_in, (width, height), repeat) ->
+      let p = copies ~reduce:(n_in = 2) n_in ~width ~height in
+      let what = Printf.sprintf "%d inputs, %dx%d, repeat %d" n_in width height repeat in
+      let lo = -1.5 and hi = 2.5 in
+      let reference = Rng.create 11 in
+      let inputs = List.combine p.Ir.Pipeline.inputs (random_images reference n_in ~width ~height ~lo ~hi) in
+      let want = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+      let run output =
+        let rng = Rng.create 11 in
+        match
+          Exec.Native.execute ~mode:Exec.Native.Subprocess ~cache_dir ~repeat p
+            (Exec.Native.Random { rng; lo; hi }) output
+        with
+        | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+        | Ok r ->
+          Alcotest.(check bool) (what ^ ": the generator ends where Image.random leaves it") true
+            (Bytes.equal (Rng.save rng) (Rng.save reference));
+          Alcotest.(check int) (what ^ ": one kernel time per exchange") repeat
+            (List.length r.Exec.Native.samples_ms);
+          r.Exec.Native.outputs
+      in
+      List.iter
+        (fun (n, img) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s pixels" what n) true
+            (Img.Image.equal (List.assoc n want) img))
+        (run Exec.Native.Pixels);
+      List.iter
+        (fun (n, s) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s summary" what n) true
+            (same_summary (Exec.Native.summarize (List.assoc n want)) s))
+        (run Exec.Native.Summaries))
+    [ (1, (37, 23), 1); (1, (1, 9), 3); (2, (5, 71), 1); (2, (37, 23), 3) ]
 
 (* A seeded run through the real runner and the in-process entry point:
    two inputs drawn straight into the arena are the pixels Image.random
@@ -1693,6 +1855,8 @@ let suite =
       test_for_step_validated;
     Alcotest.test_case "generated C compiles under -Wall -Werror" `Slow
       test_emit_compiles_warning_free;
+    Alcotest.test_case "native: every app and variant bitwise at edge extents" `Slow
+      test_apps_matrix_exact;
     Alcotest.test_case "native dlopen matches interpreter bitwise" `Slow
       test_native_dlopen_exact;
     Alcotest.test_case "native subprocess matches interpreter bitwise" `Slow
@@ -1764,7 +1928,9 @@ let suite =
       test_workspace_threads;
     Alcotest.test_case "arena: a seeded run is Image.random's, pixels and summaries" `Slow
       test_seeded_run_exact;
+    Alcotest.test_case "runner: its draw and fold are Image.random's and fold_floats'" `Slow
+      test_runner_draw_fold_exact;
   ]
   @ List.map
       (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]))
-      [ prop_synthesis_identity; prop_summary_identity ]
+      [ prop_min_max_helpers; prop_synthesis_identity; prop_summary_identity ]

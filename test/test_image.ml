@@ -107,6 +107,22 @@ let test_image_diff () =
   Alcotest.(check bool) "eps pass" true (Image.equal_eps ~eps:0.5 a b);
   Alcotest.(check bool) "eps fail" false (Image.equal_eps ~eps:0.4 a b)
 
+(* Exactness is on bits: a NaN the other side lacks is an infinite
+   difference in the report, and a zero of the other sign is unequal
+   though its difference is 0. *)
+let test_image_diff_nan_zero () =
+  let img l = Image.of_rows [ l ] in
+  let a = img [ 1.0; Float.nan; 0.0 ] in
+  Alcotest.(check bool) "NaN equals its own bits" true (Image.equal a (Image.copy a));
+  Alcotest.(check (float 0.0)) "bit-equal: no difference" 0.0 (Image.max_abs_diff a (Image.copy a));
+  Alcotest.(check bool) "a lost NaN is infinite" true
+    (Image.max_abs_diff a (img [ 1.0; 0.0; 0.0 ]) = Float.infinity);
+  Alcotest.(check bool) "either side" true
+    (Image.max_abs_diff (img [ 1.0; 0.0; 0.0 ]) a = Float.infinity);
+  let z = img [ 1.0; Float.nan; -0.0 ] in
+  Alcotest.(check bool) "-0 is not +0" false (Image.equal a z);
+  Alcotest.(check (float 0.0)) "though 0 apart" 0.0 (Image.max_abs_diff a z)
+
 let test_image_get_bordered () =
   let img = Image.of_rows [ [ 1.; 2. ]; [ 3.; 4. ] ] in
   Alcotest.check (Helpers.float_close ()) "clamp" 1.0
@@ -283,6 +299,7 @@ let suite =
     Alcotest.test_case "Image map2" `Quick test_image_map2;
     Alcotest.test_case "Image copy" `Quick test_image_copy_independent;
     Alcotest.test_case "Image diff/eps" `Quick test_image_diff;
+    Alcotest.test_case "Image diff sees NaN, equal sees -0" `Quick test_image_diff_nan_zero;
     Alcotest.test_case "Image bordered reads" `Quick test_image_get_bordered;
     Alcotest.test_case "Mask basics" `Quick test_mask_basics;
     Alcotest.test_case "Mask invalid" `Quick test_mask_invalid;

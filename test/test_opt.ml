@@ -189,6 +189,38 @@ let test_cse_free_vars_untouched () =
   Alcotest.check Helpers.image_exact "no capture" (eval1 e [ ("a", img) ])
     (eval1 shared [ ("a", img) ])
 
+let rec count_exp = function
+  | Expr.Unop (Expr.Exp, a) -> 1 + count_exp a
+  | Expr.Const _ | Expr.Param _ | Expr.Input _ | Expr.Var _ -> 0
+  | Expr.Let { value; body; _ } -> count_exp value + count_exp body
+  | Expr.Unop (_, a) | Expr.Shift { body = a; _ } -> count_exp a
+  | Expr.Binop (_, a, b) -> count_exp a + count_exp b
+  | Expr.Select { lhs; rhs; if_true; if_false; _ } ->
+    count_exp lhs + count_exp rhs + count_exp if_true + count_exp if_false
+
+(* A repeat that reads a [let] variable is bound inside the [let]'s
+   body: [exp (-. v)] is computed once. *)
+let test_cse_under_let () =
+  let open Expr in
+  let t = exp (neg (var "v")) in
+  let e = let_ "v" (input "a" + Const 1.0) ((t * input "a") + t) in
+  let shared = Cse.expr ~min_size:2 e in
+  Alcotest.(check int) "one exp left" 1 (count_exp shared);
+  let img = Helpers.ramp ~width:4 ~height:3 in
+  Alcotest.check Helpers.image_exact "same result" (eval1 e [ ("a", img) ])
+    (eval1 shared [ ("a", img) ])
+
+(* Two [let]s of one name: [v * a] under the inner one reads the inner
+   binding, so it must not merge with the outer one's. *)
+let test_cse_shadowed_let () =
+  let open Expr in
+  let t = var "v" * input "a" in
+  let e = let_ "v" (input "a" + Const 1.0) (let_ "v" (input "a" * Const 3.0) t + t) in
+  let shared = Cse.expr ~min_size:2 e in
+  let img = Helpers.ramp ~width:4 ~height:3 in
+  Alcotest.check Helpers.image_exact "each binding read" (eval1 e [ ("a", img) ])
+    (eval1 shared [ ("a", img) ])
+
 let test_cse_on_harris_hc () =
   (* hc reuses gx and gy several times: CSE reduces its distinct loads to
      three. *)
@@ -252,6 +284,8 @@ let suite =
     Alcotest.test_case "cse shares whole shifts" `Quick test_cse_whole_shift_shared;
     Alcotest.test_case "cse leaves free vars" `Quick test_cse_free_vars_untouched;
     Alcotest.test_case "cse on Harris hc" `Quick test_cse_on_harris_hc;
+    Alcotest.test_case "cse binds a repeat under its let" `Quick test_cse_under_let;
+    Alcotest.test_case "cse keeps shadowed lets apart" `Quick test_cse_shadowed_let;
     Alcotest.test_case "driver optimize flag" `Quick test_optimize_flag_in_driver;
     Alcotest.test_case "passes reduce fused work" `Quick test_simplify_reduces_fused_ops;
   ]

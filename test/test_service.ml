@@ -367,6 +367,35 @@ let test_error_responses_keep_serving () =
       Result.map (fun _ -> ()) (Svc.Client.fuse c (fuse_req "sobel")))
   |> expect_ok
 
+(* A verify is a bitwise verdict.  [log(in - 2)] is NaN on every pixel
+   of a [0, 1) input, and [max(NaN, 0)] is NaN in the interpreter
+   ([Float.max]); libm's [fmax] would return 0 there, a difference the
+   absolute-difference report alone cannot see. *)
+let test_fuse_exec_verify_bitwise () =
+  (match Kfuse_exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok _ -> ());
+  with_server @@ fun socket _server ->
+  let source =
+    "pipeline nanmax(in) {\n  size 9 7\n  d = max(log(in - 2), 0)\n}\n"
+  in
+  let req =
+    {
+      Protocol.fuse = { (fuse_req "sobel") with Protocol.app = None; source = Some source };
+      exec_mode = None;
+      width = None;
+      height = None;
+      seed = 3;
+      repeat = 1;
+      verify = true;
+      return_pixels = false;
+    }
+  in
+  let reply =
+    expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.fuse_exec c req))
+  in
+  Alcotest.(check bool) "bit-exact against the interpreter" true
+    (field "bit_exact" reply = Jsonx.Bool true);
+  Alcotest.(check bool) "nothing to report" true (field "max_abs_diff" reply = Jsonx.Num 0.0)
+
 let test_fuse_exec_end_to_end () =
   (* Plan + compile + native execution over the wire; needs a C
      toolchain, so skip cleanly without one. *)
@@ -1096,6 +1125,8 @@ let suite =
       test_error_responses_keep_serving;
     Alcotest.test_case "kfused: fuse_exec plans, compiles and executes" `Slow
       test_fuse_exec_end_to_end;
+    Alcotest.test_case "kfused: fuse_exec verify is bitwise (NaN under max)" `Slow
+      test_fuse_exec_verify_bitwise;
     Alcotest.test_case "kfused: sandbox runners reused, counted, stopped" `Slow
       test_sandbox_runners_accounted;
     Alcotest.test_case "kfused: service.accept fault drops one connection" `Quick
