@@ -249,8 +249,8 @@ let no_tap _ ~ox:_ ~oy:_ = None
 let lower ?(prec = Single) ?(bounded = true) ctx ~vars ~cx ~cy e =
   lower_at ~prec ~tap:no_tap ~bind_calls:false ctx ~vars (Resolved { cx; cy; bounded }) e
 
-let lower_interior ?(prec = Single) ?(tap = no_tap) ?(bind_calls = false) ctx ~vars ~cx ~cy e =
-  lower_at ~prec ~tap ~bind_calls ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
+let lower_interior ?(prec = Single) ?(tap = no_tap) ctx ~vars ~cx ~cy e =
+  lower_at ~prec ~tap ~bind_calls:true ctx ~vars (Interior { cx; cy; ox = 0; oy = 0 }) e
 
 type features = {
   read_modes : Border.mode list;

@@ -79,15 +79,13 @@ val lower :
     returns [Some c], [c] stands for the node's value and the lowering
     does not descend.  A line buffer hands back its load this way.
 
-    With [bind_calls] (default [false]), every call {!is_scalar_call}
-    holds is emitted as a declaration of its own, [const <scalar>
-    kf_c<i> = f(args)], and the lowering refers to [kf_c<i>]: a row
-    lowering can then run each call in a loop of its own and the
-    arithmetic around it in loops free of calls. *)
+    Every call {!is_scalar_call} holds is emitted as a declaration of
+    its own, [const <scalar> kf_c<i> = f(args)], and the lowering refers
+    to [kf_c<i>]: a row lowering can then run each call in a loop of its
+    own and the arithmetic around it in loops free of calls. *)
 val lower_interior :
   ?prec:precision ->
   ?tap:(Kfuse_ir.Expr.t -> ox:int -> oy:int -> Cuda_ast.expr option) ->
-  ?bind_calls:bool ->
   ctx ->
   vars:(string * string) list ->
   cx:Cuda_ast.expr ->

@@ -51,7 +51,7 @@ let row_temp i = Printf.sprintf "kf_rt%d" i
    loops and the number of row temporaries they use. *)
 let row_loops ~prec ?tap ~cy ~from_ ~below ~store body =
   let ctx = C.create_ctx () in
-  let v = C.lower_interior ~prec ?tap ~bind_calls:true ctx ~vars:[] ~cx:(ident "x") ~cy body in
+  let v = C.lower_interior ~prec ?tap ctx ~vars:[] ~cx:(ident "x") ~cy body in
   let ready = Hashtbl.create 16 in
   let seg e =
     List.fold_left
@@ -123,15 +123,6 @@ let row_loops ~prec ?tap ~cy ~from_ ~below ~store body =
           Hashtbl.replace slots d.var (take ()))
     live;
   let at t = index (ident t) (ident "x") in
-  (* A body whose value is a call of the next-to-last segment, with
-     nothing left to compute after it, stores from that call's loop. *)
-  let stored_by_call =
-    match v with
-    | Ident n ->
-      List.exists (fun d -> d.var = n && d.call && d.seg = last - 1) live
-      && not (List.exists (fun d -> d.seg = last) live)
-    | _ -> false
-  in
   let decl name init = Decl { ctype = "const " ^ C.scalar_ctype prec; name; init = Some init } in
   (* An iteration writes column [x] of each buffer it writes and reads
      no buffer the loop writes at any other column: no loop-carried
@@ -175,19 +166,13 @@ let row_loops ~prec ?tap ~cy ~from_ ~below ~store body =
           | Call (f, _) when d.call && d.seg = sg ->
             let arg = function `Inline a -> a | `Stored (_, t) | `Direct t -> at t in
             let value = call f (List.map arg (Hashtbl.find call_args d.var)) in
-            Some
-              (columns
-                 [
-                   (if stored_by_call && v = Ident d.var then store value
-                    else Assign (at (Hashtbl.find slots d.var), value));
-                 ])
+            Some (columns [ Assign (at (Hashtbl.find slots d.var), value) ])
           | _ -> None)
         live
     in
     List.concat ((if here = [] then [] else [ columns (loads @ here) ]) @ calls)
   in
-  let segments = if stored_by_call then last else last + 1 in
-  (List.concat (List.init segments segment), !temps)
+  (List.concat (List.init (last + 1) segment), !temps)
 
 (* Each thread's row temporaries: [n] rows of [width] scalars. *)
 let row_temps ~prec n =

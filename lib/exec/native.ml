@@ -391,8 +391,10 @@ let build ~tc ~dir ~mode (p : Pipeline.t) =
 (* A warm request finds its artifact without emitting the source
    again: the path is remembered per cache directory, toolchain, mode
    and exact fingerprint, which pins the pipeline and so its source.
-   The file must still exist; past [artifact_memo_cap] paths the memo
-   starts over. *)
+   The file must still exist.  A daemon running paper-exec's six apps
+   holds six paths, at about 350 bytes of key and path each; past
+   [artifact_memo_cap] (some 1.5 MB) the memo starts over, so a daemon
+   fed new pipelines for ever does not grow without bound. *)
 let artifact_memo : (string, string) Hashtbl.t = Hashtbl.create 64
 let artifact_memo_lock = Mutex.create ()
 let artifact_memo_cap = 4096

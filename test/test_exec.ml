@@ -248,6 +248,64 @@ let test_emit_compiles_warning_free () =
               (In_channel.with_open_text log In_channel.input_all))
         [ "harris"; "night"; "shitomasi"; "enhance" ])
 
+(* The halo bodies' [optimize("O1")] attribute keeps the command line's
+   [-ffp-contract=off]: compiled for a CPU with FMA, with the one flag
+   that lets -O1 form an FMA, no multiply-add is fused anywhere.  The
+   same source with [-ffp-contract=fast] fuses some in a halo body, so
+   the check can see one there; a compiler that fuses none skips. *)
+let test_halo_keeps_fp_contract () =
+  let t = require_toolchain () in
+  let _, fused = fused_app "harris" ~width:32 ~height:24 in
+  let dir = Filename.temp_file "kfuse_fma" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let src_path = Filename.concat dir "gen.c" and asm_path = Filename.concat dir "gen.s" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src_path; asm_path ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text src_path (fun oc ->
+          output_string oc (Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused));
+      (* The fused multiply-adds in halo bodies and in all of the code,
+         or [None] where the compiler does not take the flags. *)
+      let fmas contract =
+        let flags =
+          List.map
+            (fun f -> if f = "-ffp-contract=off" then "-ffp-contract=" ^ contract else f)
+            Cg.Lower_cpu.cc_flags
+        in
+        let cmd =
+          Printf.sprintf "%s %s %s -mfma -fexpensive-optimizations -S -o %s %s > /dev/null 2>&1"
+            (Filename.quote t.Exec.Toolchain.cc) (String.concat " " flags)
+            (if t.Exec.Toolchain.openmp then "-fopenmp" else "")
+            (Filename.quote asm_path) (Filename.quote src_path)
+        in
+        if Sys.command cmd <> 0 then None
+        else
+          let halo = ref false and in_halo = ref 0 and total = ref 0 in
+          List.iter
+            (fun line ->
+              if String.length line > 0 && line.[0] <> '\t' && line.[0] <> '.' then
+                halo := contains "_halo" line
+              else if contains ".size" line then halo := false
+              else if contains "\tvfmadd" line || contains "\tvfmsub" line
+                      || contains "\tvfnm" line
+              then begin
+                incr total;
+                if !halo then incr in_halo
+              end)
+            (In_channel.with_open_text asm_path In_channel.input_lines);
+          Some (!in_halo, !total)
+      in
+      match fmas "fast" with
+      | None | Some (0, _) -> Alcotest.skip ()
+      | Some _ -> (
+        match fmas "off" with
+        | None -> Alcotest.fail "generated C does not compile for an FMA target"
+        | Some (_, total) ->
+          Alcotest.(check int) "multiply-adds fused under -ffp-contract=off" 0 total))
+
 (* ---- native execution end to end ---- *)
 
 let rng = Kfuse_util.Rng.create 9002
@@ -1335,9 +1393,12 @@ let test_line_buffer_fires () =
       "static inline void kf_strip(int n, int* lo, int* hi)";
       "kf_strip(height, (&kf_y0), (&kf_y1));";
       "double* kf_lb = kf_malloc(((sizeof(double) * 3) * width));";
-      (* the fill's log runs in a loop of its own over a row temporary *)
+      (* the fill's log runs in a loop of its own over a row temporary,
+         and a call-free loop copies the result into the ring *)
       "kf_rt0[x] = (img_in[((kf_yy * width) + x)] + 9.9999999999999995e-07);";
-      "kf_row[x] = log(kf_rt0[x]);";
+      "kf_rt0[x] = log(kf_rt0[x]);";
+      "const double kf_c1 = kf_rt0[x];";
+      "kf_row[x] = kf_c1;";
       "kf_t0_0[(x - 1)]";
       "free(kf_lb);";
     ];
@@ -1350,8 +1411,17 @@ let test_line_buffer_fires () =
       let src = Cg.Lower_cpu.emit_pipeline ~prec:Cg.Lower_common.Double fused in
       List.iter
         (fun bad -> if contains bad src then Alcotest.failf "%s emits %s:\n%s" name bad src)
-        (* night's scoto allocates row temporaries for its calls, no line buffer *)
-        [ "kf_strip(height"; "kf_lb" ])
+        [ "kf_strip(height"; "kf_lb" ];
+      (* Night's scoto calls exp and pow, so it allocates the per-thread
+         row temporaries of its call loops and nothing else; the other
+         apps call none of them and allocate nothing. *)
+      let allocs = occurrences src "kf_malloc((" in
+      let row_temps = occurrences src "double* kf_rt = kf_malloc((" in
+      if name = "night" && (row_temps = 0 || allocs <> row_temps) then
+        Alcotest.failf "night: %d allocations, %d of them row temporaries:\n%s" allocs row_temps
+          src
+      else if name <> "night" && allocs > 0 then
+        Alcotest.failf "%s allocates %d buffers:\n%s" name allocs src)
     [ "sobel"; "unsharp"; "motion"; "night"; "harris"; "shitomasi" ];
   List.iter
     (fun border ->
@@ -1855,6 +1925,7 @@ let suite =
       test_for_step_validated;
     Alcotest.test_case "generated C compiles under -Wall -Werror" `Slow
       test_emit_compiles_warning_free;
+    Alcotest.test_case "halo bodies keep -ffp-contract=off" `Slow test_halo_keeps_fp_contract;
     Alcotest.test_case "native: every app and variant bitwise at edge extents" `Slow
       test_apps_matrix_exact;
     Alcotest.test_case "native dlopen matches interpreter bitwise" `Slow
