@@ -69,7 +69,10 @@ let codegen_test =
    disconnected 6-kernel chains at 512x512, mixing stencils and point
    kernels.  [replan/param+flush-48] is one [param] edit and one
    incremental flush of a warm lazy session; a parameter edit dirties no
-   block, so every iteration does the same work.
+   block, so every iteration does the same work: the all-hit floor.
+   [replan/mixed-edit+flush-48] cycles the four edit kinds of kfbench
+   lazy-edit (param, retarget, add, del) over the chains, one edit and
+   one flush an iteration, so it times what an edit dirties.
    [algorithm1/chains-48] is a scratch min-cut search of the same DAG. *)
 module Lz = Kfuse_lazy
 
@@ -97,18 +100,41 @@ let chains =
 
 let ok = function Ok v -> v | Error d -> failwith (Kfuse_util.Diag.to_string d)
 
+let warm_session () =
+  let lp = Lz.Lazy_pipeline.of_pipeline Runner.config (Lazy.force chains) in
+  ignore (ok (Lz.Lazy_pipeline.flush lp));
+  lp
+
 let replan_test =
-  let session =
-    lazy
-      (let lp = Lz.Lazy_pipeline.of_pipeline Runner.config (Lazy.force chains) in
-       ignore (ok (Lz.Lazy_pipeline.flush lp));
-       lp)
-  in
+  let session = lazy (warm_session ()) in
   Test.make ~name:"replan/param+flush-48"
     (Staged.stage (fun () ->
          let lp = Lazy.force session in
          ignore
            (ok (Result.bind (Lz.Command.parse lp "param gain0 1.5") (Lz.Command.apply lp)));
+         ignore (ok (Lz.Lazy_pipeline.flush lp))))
+
+let mixed_edit_test =
+  let session = lazy (warm_session ()) in
+  let step = ref 0 and retargeted = Array.make 8 false in
+  let edit () =
+    let i = !step in
+    incr step;
+    let c = i / 4 mod 8 in
+    let k j = Printf.sprintf "c%d_%d" c j in
+    match i mod 4 with
+    | 0 -> Printf.sprintf "param gain%d %g" c (1. +. (float_of_int (i mod 50) /. 100.))
+    | 1 ->
+      let from_, to_ = if retargeted.(c) then (k 0, k 2) else (k 2, k 0) in
+      retargeted.(c) <- not retargeted.(c);
+      Printf.sprintf "retarget %s %s %s" (k 5) from_ to_
+    | 2 -> Printf.sprintf "add x%d = %s * 1.1" c (k 5)
+    | _ -> Printf.sprintf "del x%d" c
+  in
+  Test.make ~name:"replan/mixed-edit+flush-48"
+    (Staged.stage (fun () ->
+         let lp = Lazy.force session in
+         ignore (ok (Result.bind (Lz.Command.parse lp (edit ())) (Lz.Command.apply lp)));
          ignore (ok (Lz.Lazy_pipeline.flush lp))))
 
 let algorithm1_chains_test =
@@ -261,7 +287,8 @@ let tests =
   Test.make_grouped ~name:"kfuse"
     [
       mincut_test 8; mincut_test 32; mincut_test 128; algorithm1_test; transform_test;
-      benefit_test; dsl_test; codegen_test; replan_test; algorithm1_chains_test;
+      benefit_test; dsl_test; codegen_test; replan_test; mixed_edit_test;
+      algorithm1_chains_test;
       arena_images_test; arena_runner_test; plan_key_cold_test; plan_key_memo_test;
       frames_test; interp_test;
     ]

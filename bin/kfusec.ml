@@ -899,7 +899,7 @@ let shard_serve_cmd =
   in
   let health_interval_arg =
     Arg.(
-      value & opt float 250.0
+      value & opt float Svc.Router.default_health_interval_ms
       & info [ "health-interval-ms" ] ~docv:"MS"
           ~doc:"Supervisor tick: ping every live shard this often.")
   in

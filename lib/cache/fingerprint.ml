@@ -176,18 +176,20 @@ let render_header buf ~with_name ?(sort_inputs = false) (p : Pipeline.t) =
 
 (* ---- exact fingerprint ---- *)
 
-let exact (p : Pipeline.t) =
+let kernel_def (k : Kernel.t) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "(def ";
+  quote buf k.Kernel.name;
+  Buffer.add_char buf ' ';
+  render_kernel buf ~ren:Fun.id k;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
+
+let exact ?(def = kernel_def) (p : Pipeline.t) =
   let buf = Buffer.create 1024 in
   render_header buf ~with_name:true p;
   render_params buf ~sorted:false p.Pipeline.params;
-  Array.iter
-    (fun (k : Kernel.t) ->
-      Buffer.add_string buf "(def ";
-      quote buf k.Kernel.name;
-      Buffer.add_char buf ' ';
-      render_kernel buf ~ren:Fun.id k;
-      Buffer.add_string buf ")")
-    p.Pipeline.kernels;
+  Array.iter (fun k -> Buffer.add_string buf (def k)) p.Pipeline.kernels;
   digest (Buffer.contents buf)
 
 (* ---- canonical (structural) fingerprint ----
@@ -200,26 +202,36 @@ let exact (p : Pipeline.t) =
    which no user identifier can collide with (the prefix is a control
    character the DSL lexer cannot produce). *)
 
-let kernel_hashes (p : Pipeline.t) =
+let content_ref (h, t) = h ^ "." ^ string_of_int t
+
+let kernel_digest (k : Kernel.t) refs =
+  let refs = List.combine k.Kernel.inputs refs in
+  let buf = Buffer.create 256 in
+  render_kernel buf ~ren:(fun img -> List.assoc img refs) ~sort_inputs:true ~alpha:true k;
+  digest (Buffer.contents buf)
+
+let kernel_hashes ?(digest = kernel_digest) (p : Pipeline.t) =
   let n = Pipeline.num_kernels p in
-  let hash = Array.make n "" in
-  let twin = Array.make n 0 in
+  let index = Hashtbl.create (max 16 (2 * n)) in
+  Array.iteri (fun i (k : Kernel.t) -> Hashtbl.replace index k.Kernel.name i) p.Pipeline.kernels;
+  let hashes = Array.make n ("", 0) in
+  let cref = Array.make n "" in
   let counts = Hashtbl.create (max 16 n) in
   for i = 0 to n - 1 do
-    let ren img =
-      match Pipeline.producer p img with
-      | Some j -> Printf.sprintf "#%s.%d" hash.(j) twin.(j)
-      | None -> "$" ^ img
+    let k = Pipeline.kernel p i in
+    let refs =
+      List.map
+        (fun img ->
+          match Hashtbl.find_opt index img with Some j -> cref.(j) | None -> "$" ^ img)
+        k.Kernel.inputs
     in
-    let buf = Buffer.create 256 in
-    render_kernel buf ~ren ~sort_inputs:true ~alpha:true (Pipeline.kernel p i);
-    let h = digest (Buffer.contents buf) in
+    let h = digest k refs in
     let c = Option.value ~default:0 (Hashtbl.find_opt counts h) in
     Hashtbl.replace counts h (c + 1);
-    hash.(i) <- h;
-    twin.(i) <- c
+    hashes.(i) <- (h, c);
+    cref.(i) <- "#" ^ content_ref (h, c)
   done;
-  Array.init n (fun i -> (hash.(i), twin.(i)))
+  hashes
 
 let canonical_names (p : Pipeline.t) =
   let hashes = kernel_hashes p in
@@ -360,27 +372,41 @@ let plan_key ~config:c ~strategy ?(exchange = true) ?(optimize = false) ?(inline
    order-preserving isomorphism, which is what makes Stoer-Wagner's
    tie-breaks (dense ascending-index order) replay identically. *)
 
-let subgraph ?hashes (p : Pipeline.t) block =
-  let hashes = match hashes with Some h -> h | None -> kernel_hashes p in
+(* The index of [v] in the ascending array [verts], or -1. *)
+let position verts v =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let x = verts.(mid) in
+      if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length verts)
+
+let subgraph ~refs (p : Pipeline.t) block =
   let g = Pipeline.dag p in
   let verts = Array.of_list (Iset.elements block) in
-  let pos = Hashtbl.create (max 16 (2 * Array.length verts)) in
-  Array.iteri (fun i v -> Hashtbl.replace pos v i) verts;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "(sg %d %d %d %d" p.Pipeline.width p.Pipeline.height
-       p.Pipeline.channels (Array.length verts));
+  let buf = Buffer.create (64 * (Array.length verts + 1)) in
+  let add = Buffer.add_string buf in
+  add "(sg ";
+  add
+    (String.concat " "
+       (List.map string_of_int
+          [ p.Pipeline.width; p.Pipeline.height; p.Pipeline.channels; Array.length verts ]));
   Array.iter
     (fun v ->
-      let h, t = hashes.(v) in
       let succs = Digraph.succs g v in
       let leaving = Iset.is_empty succs || not (Iset.subset succs block) in
-      Buffer.add_string buf (Printf.sprintf "(k %s.%d %b" h t leaving);
+      add "(k ";
+      add refs.(v);
+      add (if leaving then " true" else " false");
       Iset.iter
         (fun s ->
-          match Hashtbl.find_opt pos s with
-          | Some j -> Buffer.add_string buf (Printf.sprintf " >%d" j)
-          | None -> ())
+          let j = position verts s in
+          if j >= 0 then begin
+            add " >";
+            add (string_of_int j)
+          end)
         succs;
       Buffer.add_char buf ')')
     verts;

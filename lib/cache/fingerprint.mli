@@ -30,8 +30,15 @@
     hit — correctness is guarded by {!exact} at lookup time. *)
 
 (** [exact p] is a hex digest of [p] exactly as constructed (kernel and
-    input names, declaration order, extents, parameter order). *)
-val exact : Kfuse_ir.Pipeline.t -> string
+    input names, declaration order, extents, parameter order): of its
+    header followed by each kernel's {!kernel_def} text.  [def] replaces
+    {!kernel_def}; a caller that memoizes the text passes it, and must
+    return what {!kernel_def} would. *)
+val exact : ?def:(Kfuse_ir.Kernel.t -> string) -> Kfuse_ir.Pipeline.t -> string
+
+(** [kernel_def k] is the [(def …)] text {!exact} renders for [k]: its
+    name, declared inputs and body.  A function of [k] alone. *)
+val kernel_def : Kfuse_ir.Kernel.t -> string
 
 (** [structural p] is the canonical structural hex digest described
     above.  Never raises: pipelines the normalization passes reject fall
@@ -70,21 +77,39 @@ val plan_key :
     external input's name), plus a twin index disambiguating
     byte-identical kernels in stored order.  Two kernels with equal
     [(hash, twin)] pairs — possibly in different pipelines — have
-    isomorphic transitive definitions. *)
-val kernel_hashes : Kfuse_ir.Pipeline.t -> (string * int) array
+    isomorphic transitive definitions.
 
-(** [subgraph ?hashes p block] is a rename-invariant fingerprint of the
+    [digest k refs] replaces {!kernel_digest} for each kernel; a caller
+    that memoizes it passes it, and must return what {!kernel_digest}
+    would. *)
+val kernel_hashes :
+  ?digest:(Kfuse_ir.Kernel.t -> string list -> string) ->
+  Kfuse_ir.Pipeline.t ->
+  (string * int) array
+
+(** [kernel_digest k refs] is the hash {!kernel_hashes} gives [k] (before
+    its twin index) when its declared inputs, in order, are rendered as
+    [refs]: ["#" ^ content_ref] of a producing kernel, or ["$" ^ name]
+    of an external input.  A function of [k] and [refs] alone. *)
+val kernel_digest : Kfuse_ir.Kernel.t -> string list -> string
+
+(** [content_ref (hash, twin)] is ["hash.twin"], how {!subgraph} renders
+    one kernel of a block. *)
+val content_ref : string * int -> string
+
+(** [subgraph ~refs p block] is a rename-invariant fingerprint of the
     subgraph induced by the kernel-index set [block]: the iteration
     space, each kernel's [(hash, twin)] content identity in ascending
     index order, whether its output leaves the block (consumed outside or
     a pipeline output), and the in-block edges by dense position.
+    [refs.(i)] is {!content_ref} of kernel [i]'s {!kernel_hashes} entry:
+    a caller fingerprinting many blocks of one pipeline renders each
+    kernel's identity once.
 
     These are exactly the facts one step of the min-cut recursion
     ({!Kfuse_fusion.Mincut_fusion.run}) depends on, so under a fixed
     {!Kfuse_fusion.Config}, blocks with equal subgraph fingerprints
     receive the same decision up to the order-preserving positional
     bijection — the invariant the incremental replanner's cross-flush
-    memo is built on.  [hashes] (from {!kernel_hashes}) avoids re-hashing
-    the whole pipeline per block. *)
-val subgraph :
-  ?hashes:(string * int) array -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> string
+    memo is built on. *)
+val subgraph : refs:string array -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> string

@@ -128,13 +128,25 @@ let plus e d = if d = 0 then e else e +: int_lit d
 let rec lower_at ~prec ~tap ~bind_calls ctx ~vars pos e =
   let lower ctx ~vars pos e = lower_at ~prec ~tap ~bind_calls ctx ~vars pos e in
   (* With [bind_calls], a call no compiler vectorizes becomes its own
-     declaration [kf_c<n>], so a row can run it in a loop of its own. *)
+     declaration [kf_c<n>], so a row can run it in a loop of its own.
+     The calls are pure and every declaration of an interior body shares
+     one scope, so a call already bound on the same argument is reused. *)
   let bind c =
-    if bind_calls && is_scalar_call c then begin
-      let name = fresh ctx "kf_c" in
-      emit ctx (Decl { ctype = "const " ^ scalar_ctype prec; name; init = Some c });
-      ident name
-    end
+    if bind_calls && is_scalar_call c then
+      match
+        List.find_map
+          (function
+            | Decl { name; init = Some c'; _ } when c' = c && String.starts_with ~prefix:"kf_c" name
+              ->
+              Some name
+            | _ -> None)
+          ctx.stmts
+      with
+      | Some name -> ident name
+      | None ->
+        let name = fresh ctx "kf_c" in
+        emit ctx (Decl { ctype = "const " ^ scalar_ctype prec; name; init = Some c });
+        ident name
     else c
   in
   let tapped = match pos with Interior { ox; oy; _ } -> tap e ~ox ~oy | Resolved _ -> None in

@@ -82,7 +82,10 @@ val lower :
     Every call {!is_scalar_call} holds is emitted as a declaration of
     its own, [const <scalar> kf_c<i> = f(args)], and the lowering refers
     to [kf_c<i>]: a row lowering can then run each call in a loop of its
-    own and the arithmetic around it in loops free of calls. *)
+    own and the arithmetic around it in loops free of calls.  A second
+    occurrence of a call on the same lowered arguments refers to the
+    first one's [kf_c<i>]: the calls are pure, so the value is the same
+    bit for bit. *)
 val lower_interior :
   ?prec:precision ->
   ?tap:(Kfuse_ir.Expr.t -> ox:int -> oy:int -> Cuda_ast.expr option) ->

@@ -57,7 +57,7 @@ let edge_report config (p : Pipeline.t) u v =
   let image = Pipeline.edge_image p u v in
   let sc = scenario config p u v in
   let is_ie = Config.is_of config p in
-  let cost_op_ks =
+  let cost_op_ks () =
     Cost.cost_op ~c_alu:config.Config.c_alu ~c_sfu:config.Config.c_sfu
       (Cost.kernel_op_counts (Pipeline.kernel p u))
   in
@@ -67,12 +67,12 @@ let edge_report config (p : Pipeline.t) u v =
     | Point_based -> (delta_reg config is_ie, 0.0)
     | Point_to_local ->
       let sz_kd = Kernel.mask_area (Pipeline.kernel p v) in
-      (delta_reg config is_ie, cost_op_ks *. is_ks config p u *. float_of_int sz_kd)
+      (delta_reg config is_ie, cost_op_ks () *. is_ks config p u *. float_of_int sz_kd)
     | Local_to_local ->
       let sz_ks = Kernel.mask_area (Pipeline.kernel p u) in
       let sz_kd = Kernel.mask_area (Pipeline.kernel p v) in
       let g = grown_mask_area ~sz_src:sz_ks ~sz_dst:sz_kd in
-      (delta_shared config is_ie, cost_op_ks *. is_ks config p u *. float_of_int g)
+      (delta_shared config is_ie, cost_op_ks () *. is_ks config p u *. float_of_int g)
   in
   let weight =
     match sc with

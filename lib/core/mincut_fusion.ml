@@ -29,17 +29,27 @@ let unprofitable (config : Config.t) (r : Benefit.edge_report) =
   | Benefit.Point_based | Benefit.Point_to_local | Benefit.Local_to_local ->
     r.delta -. r.phi +. config.gamma <= 0.0
 
-let block_legal config p edges block =
+(* Why Algorithm 1 splits [block]: [None] when it accepts the block,
+   [Some reason] when it splits it, [reason] being [None] for a legal
+   block with an unprofitable edge. *)
+let split_reason config p edges block =
   (* Corruption point for the differential fuzzer: a triggered
      "cut.block_legal" admits the block unconditionally, making the
      recursion emit an illegal partition the legality oracle must catch. *)
-  Kfuse_util.Faults.fires "cut.block_legal"
-  || (match Legality.check config p block with Ok () -> true | Error _ -> false)
-     && not
-          (List.exists
-             (fun (r : Benefit.edge_report) ->
-               Iset.mem r.src block && Iset.mem r.dst block && unprofitable config r)
-             edges)
+  if Kfuse_util.Faults.fires "cut.block_legal" then None
+  else
+    match Legality.check config p block with
+    | Error r -> Some (Some r)
+    | Ok () ->
+      if
+        List.exists
+          (fun (r : Benefit.edge_report) ->
+            Iset.mem r.src block && Iset.mem r.dst block && unprofitable config r)
+          edges
+      then Some None
+      else None
+
+let block_legal config p edges block = Option.is_none (split_reason config p edges block)
 
 let weight_table edges =
   let table = Hashtbl.create (List.length edges * 2) in
@@ -62,12 +72,10 @@ type decision =
       side_b : Iset.t;
     }
 
-let decide config p g ~weight_of ~legal block =
-  if Iset.cardinal block = 1 || legal block then Accepted
-  else begin
-    let reason =
-      match Legality.check config p block with Ok () -> None | Error r -> Some r
-    in
+let decide config p g ~weight_of ~edges block =
+  match if Iset.cardinal block = 1 then None else split_reason config p edges block with
+  | None -> Accepted
+  | Some reason ->
     let sub = Digraph.induced g block in
     match Topo.undirected_components sub with
     | [] -> assert false
@@ -80,7 +88,6 @@ let decide config p g ~weight_of ~legal block =
          split into weak components at zero cut cost. *)
       let side_b = List.fold_left Iset.union Iset.empty others in
       Split { reason; cut_weight = 0.0; side_a = first; side_b }
-  end
 
 let run ?(pool = Kfuse_util.Pool.serial) ?(deadline = Kfuse_util.Deadline.none) ?lookup
     ?record ?edges config (p : Pipeline.t) =
@@ -95,8 +102,7 @@ let run ?(pool = Kfuse_util.Pool.serial) ?(deadline = Kfuse_util.Deadline.none) 
     | Some w -> w
     | None -> invalid_arg "Mincut_fusion: missing edge weight"
   in
-  let legal = block_legal config p edges in
-  let decide = decide config p g ~weight_of ~legal in
+  let decide = decide config p g ~weight_of ~edges in
   (* Evaluate the recursion tree in breadth-first waves: all undecided
      blocks of a wave are independent, so they are decided in parallel.
      Decisions are memoized by block and the serial traversal below

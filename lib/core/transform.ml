@@ -85,11 +85,10 @@ let fuse_block ?(exchange = true) (p : Pipeline.t) block =
     Kernel.map ~name:sink_kernel.Kernel.name ~inputs:(Expr.images fused_body) fused_body
   end
 
-let apply ?(exchange = true) (p : Pipeline.t) partition =
+let apply ?(exchange = true) ?fuse (p : Pipeline.t) partition =
   let g = Pipeline.dag p in
   if not (Partition.is_valid g partition) then
     invalid_arg "Transform.apply: invalid partition";
-  let fused =
-    List.map (fun block -> fuse_block ~exchange p block) (Partition.normalize partition)
-  in
+  let fuse = match fuse with Some f -> f | None -> fuse_block ~exchange p in
+  let fused = List.map fuse (Partition.normalize partition) in
   Pipeline.with_kernels p fused

@@ -33,8 +33,15 @@ val fuse_block :
 
 (** [apply ?exchange pipeline partition] rebuilds [pipeline] with every
     multi-kernel block of [partition] fused.  [partition] must be a valid
-    partition of the pipeline DAG.
+    partition of the pipeline DAG.  [fuse] builds each block's kernel in
+    place of [fuse_block ?exchange pipeline]; a caller that reuses fused
+    kernels across plans passes it, and must return what [fuse_block]
+    would.
     @raise Invalid_argument on an invalid partition or an unfusible
     block. *)
 val apply :
-  ?exchange:bool -> Kfuse_ir.Pipeline.t -> Kfuse_graph.Partition.t -> Kfuse_ir.Pipeline.t
+  ?exchange:bool ->
+  ?fuse:(Kfuse_util.Iset.t -> Kfuse_ir.Kernel.t) ->
+  Kfuse_ir.Pipeline.t ->
+  Kfuse_graph.Partition.t ->
+  Kfuse_ir.Pipeline.t

@@ -663,7 +663,9 @@ module Breaker = struct
 
   type verdict = Allow | Probe | Quarantined of Diag.t
 
-  let create ?(threshold = 3) ?(cooldown_ms = 60_000.) () =
+  let default_threshold = 3
+
+  let create ?(threshold = default_threshold) ?(cooldown_ms = 60_000.) () =
     if threshold < 1 then invalid_arg "Breaker.create: threshold must be positive";
     {
       threshold;

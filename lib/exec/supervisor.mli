@@ -317,8 +317,13 @@ module Breaker : sig
         (** open: skip native, degrade to the interpreter; the payload
             is the diagnostic that tripped the breaker *)
 
+  val default_threshold : int
+  (** 3, the one default for {!create} and the service's
+      [breaker_threshold]. *)
+
   val create : ?threshold:int -> ?cooldown_ms:float -> unit -> t
-  (** [threshold] (default 3) consecutive failures trip the breaker;
+  (** [threshold] (default {!default_threshold}) consecutive failures
+      trip the breaker;
       [cooldown_ms] (default 60 000) is the quarantine period before a
       half-open probe ([<= 0.] disables probing entirely). *)
 

@@ -58,12 +58,14 @@ let in_degree g v = Iset.cardinal (preds g v)
 let num_vertices g = Imap.cardinal g.succ
 let num_edges g = fold_edges (fun _ _ n -> n + 1) g 0
 
+(* Visits only the kept vertices' adjacency, not every edge of [g]:
+   legality checks and block fusion take small blocks of large graphs. *)
 let induced g vs =
-  let keep = Iset.inter vs (vertices g) in
-  let base = Iset.fold (fun v acc -> add_vertex acc v) keep empty in
-  fold_edges
-    (fun u v acc -> if Iset.mem u keep && Iset.mem v keep then add_edge acc u v else acc)
-    g base
+  let keep = Iset.filter (mem_vertex g) vs in
+  let restrict m =
+    Iset.fold (fun v acc -> Imap.add v (Iset.inter (Imap.find v m) keep) acc) keep Imap.empty
+  in
+  { succ = restrict g.succ; pred = restrict g.pred }
 
 let equal a b =
   Imap.equal Iset.equal a.succ b.succ

@@ -13,49 +13,33 @@ type t = {
   mutable inputs : string list;
   mutable params : (string * float) list;
   mutable kernels : Kernel.t list;  (* insertion order *)
+  mutable built : (Pipeline.t, Diag.t) result;
+      (* the fields above, built; only [commit] changes them *)
   session : Replan.t;
   mutable generation : int;
 }
+
+let make (d : Validate.input) config =
+  {
+    name = d.Validate.name;
+    width = d.Validate.width;
+    height = d.Validate.height;
+    channels = d.Validate.channels;
+    inputs = d.Validate.inputs;
+    params = d.Validate.params;
+    kernels = d.Validate.kernels;
+    built = Validate.build d;
+    session = Replan.create config;
+    generation = 0;
+  }
 
 let create ?(name = "lazy") ?(channels = 1) ?(params = []) ?(inputs = []) ~width
     ~height config =
   if width <= 0 || height <= 0 || channels <= 0 then
     invalid_arg "Lazy_pipeline.create: nonpositive iteration space";
-  {
-    name;
-    width;
-    height;
-    channels;
-    inputs;
-    params;
-    kernels = [];
-    session = Replan.create config;
-    generation = 0;
-  }
+  make { Validate.name; width; height; channels; inputs; params; kernels = [] } config
 
-let of_pipeline config (p : Pipeline.t) =
-  {
-    name = p.Pipeline.name;
-    width = p.Pipeline.width;
-    height = p.Pipeline.height;
-    channels = p.Pipeline.channels;
-    inputs = p.Pipeline.inputs;
-    params = p.Pipeline.params;
-    kernels = Array.to_list p.Pipeline.kernels;
-    session = Replan.create config;
-    generation = 0;
-  }
-
-let raw t ~inputs ~params ~kernels =
-  {
-    Validate.name = t.name;
-    width = t.width;
-    height = t.height;
-    channels = t.channels;
-    inputs;
-    params;
-    kernels;
-  }
+let of_pipeline config p = make (Validate.of_pipeline p) config
 
 (* Trial-build the would-be state; commit only when the validator (and
    Pipeline.create behind it) accepts it, so the builder never holds an
@@ -64,12 +48,17 @@ let commit t ?inputs ?params ?kernels () =
   let inputs = Option.value ~default:t.inputs inputs in
   let params = Option.value ~default:t.params params in
   let kernels = Option.value ~default:t.kernels kernels in
-  match Validate.build (raw t ~inputs ~params ~kernels) with
+  match
+    Validate.build
+      { Validate.name = t.name; width = t.width; height = t.height; channels = t.channels;
+        inputs; params; kernels }
+  with
   | Error d -> Error d
-  | Ok _ ->
+  | Ok _ as built ->
     t.inputs <- inputs;
     t.params <- params;
     t.kernels <- kernels;
+    t.built <- built;
     t.generation <- t.generation + 1;
     Ok ()
 
@@ -135,8 +124,7 @@ let images t =
 
 let generation t = t.generation
 
-let pipeline t =
-  Validate.build (raw t ~inputs:t.inputs ~params:t.params ~kernels:t.kernels)
+let pipeline t = t.built
 
 let session t = t.session
 

@@ -76,7 +76,8 @@ val generation : t -> int
 (** Count of applied edits — cheap "did anything change" signal. *)
 
 val pipeline : t -> (Kfuse_ir.Pipeline.t, Kfuse_util.Diag.t) result
-(** Build the current state (without planning). *)
+(** The current state, built (without planning).  An applied edit builds
+    it once, to validate it, and keeps it: reading it costs nothing. *)
 
 val session : t -> Replan.t
 (** The builder's planning session (for memo introspection). *)
@@ -84,12 +85,12 @@ val session : t -> Replan.t
 (** {1 Flushing} *)
 
 val flush : ?pool:Kfuse_util.Pool.t -> t -> (Replan.plan, Kfuse_util.Diag.t) result
-(** Build the current state and plan it incrementally through the
+(** Plan the current state ({!pipeline}) incrementally through the
     session — the lazy frontend's only planning entry point. *)
 
 val flush_scratch :
   ?pool:Kfuse_util.Pool.t -> t -> (Replan.plan, Kfuse_util.Diag.t) result
-(** Build the current state and plan it from scratch (fresh session,
+(** Plan the current state from scratch (fresh session,
     nothing reused) — the differential reference.  Does not touch this
     builder's session or memos. *)
 

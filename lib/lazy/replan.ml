@@ -11,6 +11,8 @@ module Legality = Kfuse_fusion.Legality
 module Mincut = Kfuse_fusion.Mincut_fusion
 module Transform = Kfuse_fusion.Transform
 module Fingerprint = Kfuse_cache.Fingerprint
+module Lru = Kfuse_cache.Lru
+module Kernel = Kfuse_ir.Kernel
 
 let seam_fault = "lazy.seam"
 
@@ -38,14 +40,70 @@ type plan = {
    subgraph fingerprints guarantee an order-preserving isomorphism
    between the recorded block and the block being looked up, so mapping
    the positions through the new block's own enumeration reconstructs
-   exactly the side the fresh min cut would emit. *)
-type stored = S_accept | S_split of { cut_weight : float; side_a : int list }
+   exactly the side the fresh min cut would emit.  A split's legality
+   reason is kept the same way when it names only kernels of the block;
+   one that names a kernel or an image outside it ([R_recheck]) is
+   re-derived against the current pipeline on every hit. *)
+type reason =
+  | R_legal
+  | R_recheck
+  | R_not_connected
+  | R_sinks of int list
+  | R_global of int
+  | R_resource of { fused_bytes : int; base_bytes : int; ratio : float }
+
+type stored = S_accept | S_split of { cut_weight : float; side_a : int list; reason : reason }
+
+(* The most decisions, and the most edge weights, one session keeps.
+   Edits that keep drawing new kernels make new block fingerprints
+   forever; past the cap the least recently used entry goes.  A
+   2,000-edit session of kfbench's lazy-edit holds about 7,300
+   decisions, so it evicts none: an evicted block is decided again,
+   which changes a reply's [replan] counters. *)
+let memo_capacity = 8192
+
+(* Per-kernel memos are keyed by the kernel value itself, compared
+   physically: [Kernel.t] is an immutable private record, and the
+   builder hands every flush the same value until an edit replaces it.
+   A table keeps what this flush and the one before it used; [age],
+   once per flush, drops the rest, so it holds about two pipelines'
+   kernels whatever the session's length. *)
+module Phys = Hashtbl.Make (struct
+  type t = Kernel.t
+
+  let equal = ( == )
+  let hash (k : Kernel.t) = Hashtbl.hash k.Kernel.name
+end)
+
+type 'a recent = { mutable live : 'a Phys.t; mutable older : 'a Phys.t }
+
+let recent () = { live = Phys.create 64; older = Phys.create 1 }
+
+let age m =
+  m.older <- m.live;
+  m.live <- Phys.create (max 64 (Phys.length m.older))
+
+let find m k =
+  match Phys.find_opt m.live k with
+  | Some _ as v -> v
+  | None ->
+    let v = Phys.find_opt m.older k in
+    Option.iter (Phys.replace m.live k) v;
+    v
+
+(* A multi-kernel block's fused kernel is a function of its members, in
+   ascending index order (they fix the inlining order), and of which of
+   them leave the block (they fix the sink). *)
+type fused = { members : Kernel.t array; leaving : bool array; kernel : Kernel.t }
 
 type t = {
   config : Config.t;
-  decisions : (string, stored) Hashtbl.t;
+  decisions : stored Lru.t;
   (* key -> (scenario tag, delta, phi, weight); legal scenarios only *)
-  edge_memo : (string, int * float * float * float) Hashtbl.t;
+  edge_memo : (int * float * float * float) Lru.t;
+  digests : (string list * string) recent;  (* input refs, kernel_digest *)
+  defs : string recent;  (* kernel_def *)
+  fused : fused recent;  (* keyed by the block's last member *)
   mutable last : plan option;
 }
 
@@ -53,20 +111,70 @@ let create config =
   Config.validate config;
   {
     config;
-    decisions = Hashtbl.create 64;
-    edge_memo = Hashtbl.create 64;
+    decisions = Lru.create ~capacity:memo_capacity ();
+    edge_memo = Lru.create ~capacity:memo_capacity ();
+    digests = recent ();
+    defs = recent ();
+    fused = recent ();
     last = None;
   }
 
 let config t = t.config
 
+let forget m =
+  Phys.reset m.live;
+  Phys.reset m.older
+
 let clear t =
-  Hashtbl.reset t.decisions;
-  Hashtbl.reset t.edge_memo;
+  Lru.clear t.decisions;
+  Lru.clear t.edge_memo;
+  forget t.digests;
+  forget t.defs;
+  forget t.fused;
   t.last <- None
 
-let memo_size t = (Hashtbl.length t.decisions, Hashtbl.length t.edge_memo)
+let memo_size t = (Lru.length t.decisions, Lru.length t.edge_memo)
 let last t = t.last
+
+(* --- per-kernel memos ------------------------------------------------ *)
+
+let digest t k refs =
+  match find t.digests k with
+  | Some (refs', h) when List.equal String.equal refs refs' -> h
+  | _ ->
+    let h = Fingerprint.kernel_digest k refs in
+    Phys.replace t.digests.live k (refs, h);
+    h
+
+let def t k =
+  match find t.defs k with
+  | Some d -> d
+  | None ->
+    let d = Fingerprint.kernel_def k in
+    Phys.replace t.defs.live k d;
+    d
+
+let kernel_hashes t p = Fingerprint.kernel_hashes ~digest:(digest t) p
+let exact t p = Fingerprint.exact ~def:(def t) p
+
+let fuse t (p : Pipeline.t) block =
+  let verts = Array.of_list (Iset.elements block) in
+  if Array.length verts = 1 then Transform.fuse_block p block
+  else
+    let members = Array.map (Pipeline.kernel p) verts in
+    let sinks = Legality.block_sinks p block in
+    let leaving = Array.map (fun v -> Iset.mem v sinks) verts in
+    let key = members.(Array.length members - 1) in
+    match find t.fused key with
+    | Some f
+      when Array.length f.members = Array.length members
+           && Array.for_all2 ( == ) f.members members
+           && f.leaving = leaving ->
+      f.kernel
+    | _ ->
+      let kernel = Transform.fuse_block p block in
+      Phys.replace t.fused.live key { members; leaving; kernel };
+      kernel
 
 (* --- edge memo ------------------------------------------------------ *)
 
@@ -81,24 +189,27 @@ let scenario_of_tag = function
   | 1 -> Benefit.Point_to_local
   | _ -> Benefit.Local_to_local
 
-let edge_key (p : Pipeline.t) hashes u v =
+(* [refs.(i)] is kernel [i]'s [Fingerprint.content_ref], rendered once
+   per flush for every key below. *)
+let edge_key ~space (p : Pipeline.t) refs u v =
   (* Everything [Benefit.edge_report] reads besides the session config:
      the endpoints' transitive content (hash.twin renders every mask,
      border mode, offset and upstream definition), the iteration space,
      and whether the producer has a consumer other than [v] — the one
      graph fact pair-legality (fig. 2c) depends on. *)
-  let hu, tu = hashes.(u) and hv, tv = hashes.(v) in
   let other = Iset.cardinal (Pipeline.consumers p u) > 1 in
-  Printf.sprintf "%dx%dx%d|%s.%d>%s.%d|%b" p.Pipeline.width p.Pipeline.height
-    p.Pipeline.channels hu tu hv tv other
+  String.concat "" [ space; refs.(u); ">"; refs.(v); (if other then "|true" else "|false") ]
 
-let score_edges t (p : Pipeline.t) hashes =
+let score_edges t (p : Pipeline.t) refs =
+  let space =
+    Printf.sprintf "%dx%dx%d|" p.Pipeline.width p.Pipeline.height p.Pipeline.channels
+  in
   let reused = ref 0 and rescored = ref 0 in
   let reports =
     List.map
       (fun (u, v) ->
-        let key = edge_key p hashes u v in
-        match Hashtbl.find_opt t.edge_memo key with
+        let key = edge_key ~space p refs u v in
+        match Lru.find t.edge_memo key with
         | Some (tag, delta, phi, weight) ->
           incr reused;
           {
@@ -118,7 +229,7 @@ let score_edges t (p : Pipeline.t) hashes =
             (* an Illegal reason names kernels by pipeline index, which
                would be stale on replay — re-score these each flush *)
             ()
-          | s -> Hashtbl.replace t.edge_memo key (scenario_tag s, r.delta, r.phi, r.weight));
+          | s -> Lru.put t.edge_memo key (scenario_tag s, r.delta, r.phi, r.weight));
           r)
       (Digraph.edges (Pipeline.dag p))
   in
@@ -126,48 +237,72 @@ let score_edges t (p : Pipeline.t) hashes =
 
 (* --- decision memo --------------------------------------------------- *)
 
-let lookup t p hashes block =
-  match Hashtbl.find_opt t.decisions (Fingerprint.subgraph ~hashes p block) with
+let lookup t p key block =
+  match Lru.find t.decisions key with
   | None -> None
   | Some S_accept -> Some Mincut.Accepted
-  | Some (S_split { cut_weight; side_a }) ->
+  | Some (S_split { cut_weight; side_a; reason }) ->
     let verts = Array.of_list (Iset.elements block) in
     let a = List.fold_left (fun acc i -> Iset.add verts.(i) acc) Iset.empty side_a in
-    (* The stored reason would carry the recording pipeline's kernel
-       indices; one legality check re-derives it against this pipeline,
-       keeping the trace bit-identical to a fresh run. *)
     let reason =
-      match Legality.check t.config p block with Ok () -> None | Error r -> Some r
+      match reason with
+      | R_legal -> None
+      | R_not_connected -> Some Legality.Not_connected
+      | R_sinks ps -> Some (Legality.Multiple_sinks (List.map (Array.get verts) ps))
+      | R_global i -> Some (Legality.Global_kernel verts.(i))
+      | R_resource { fused_bytes; base_bytes; ratio } ->
+        Some (Legality.Resource { fused_bytes; base_bytes; ratio })
+      | R_recheck -> (
+        (* one legality check against this pipeline keeps the trace
+           bit-identical to a fresh run *)
+        match Legality.check t.config p block with Ok () -> None | Error r -> Some r)
     in
     Some (Mincut.Split { reason; cut_weight; side_a = a; side_b = Iset.diff block a })
 
-let record t p hashes block (d : Mincut.decision) =
-  let key = Fingerprint.subgraph ~hashes p block in
+let record t key block (d : Mincut.decision) =
   let stored =
     match d with
     | Mincut.Accepted -> S_accept
-    | Mincut.Split { cut_weight; side_a; _ } ->
+    | Mincut.Split { cut_weight; side_a; reason; _ } ->
       let pos = Hashtbl.create 16 in
       List.iteri (fun i v -> Hashtbl.replace pos v i) (Iset.elements block);
-      S_split
-        { cut_weight; side_a = List.filter_map (Hashtbl.find_opt pos) (Iset.elements side_a) }
+      let positions vs = List.filter_map (Hashtbl.find_opt pos) vs in
+      let reason =
+        match reason with
+        | None -> R_legal
+        | Some Legality.Not_connected -> R_not_connected
+        | Some (Legality.Multiple_sinks vs) -> R_sinks (positions vs)
+        | Some (Legality.Global_kernel v) -> R_global (Hashtbl.find pos v)
+        | Some (Legality.Resource { fused_bytes; base_bytes; ratio }) ->
+          R_resource { fused_bytes; base_bytes; ratio }
+        | Some (Legality.External_output _ | Legality.External_input _) -> R_recheck
+      in
+      S_split { cut_weight; side_a = positions (Iset.elements side_a); reason }
   in
-  Hashtbl.replace t.decisions key stored
+  Lru.put t.decisions key stored
 
 (* --- planning -------------------------------------------------------- *)
 
-let plan_fingerprint ~pipeline ~partition ~objective ~fused =
+let plan_fingerprint t ~pipeline ~partition ~objective ~fused =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fingerprint.exact pipeline);
+  Buffer.add_string buf (exact t pipeline);
+  (* each block as [Iset.pp] prints it *)
   List.iter
-    (fun b -> Buffer.add_string buf (Format.asprintf "|%a" Iset.pp b))
+    (fun b ->
+      Buffer.add_string buf "|{";
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf (string_of_int v))
+        (Iset.elements b);
+      Buffer.add_char buf '}')
     partition;
   Buffer.add_string buf (Printf.sprintf "|%h|" objective);
-  Buffer.add_string buf (Fingerprint.exact fused);
+  Buffer.add_string buf (exact t fused);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let finish t p (r : Mincut.result) ~stats =
-  match Transform.apply ~exchange:true p r.Mincut.partition with
+  match Transform.apply ~fuse:(fuse t p) p r.Mincut.partition with
   | exception Invalid_argument msg ->
     Error (Diag.errorf Diag.Invalid_partition "lazy replan: fused build failed: %s" msg)
   | fused ->
@@ -180,7 +315,7 @@ let finish t p (r : Mincut.result) ~stats =
         objective = r.Mincut.objective;
         fused;
         fingerprint =
-          plan_fingerprint ~pipeline:p ~partition:r.Mincut.partition
+          plan_fingerprint t ~pipeline:p ~partition:r.Mincut.partition
             ~objective:r.Mincut.objective ~fused;
         stats;
       }
@@ -193,21 +328,33 @@ let plan ?pool t p =
   | Error d -> Error d
   | Ok p -> (
     try
-      let hashes = Fingerprint.kernel_hashes p in
-      let edges, edges_reused, edges_rescored = score_edges t p hashes in
+      age t.digests;
+      age t.defs;
+      age t.fused;
+      let refs = Array.map Fingerprint.content_ref (kernel_hashes t p) in
+      (* A block that misses is looked up, decided, then recorded: keep
+         the few keys of this flush's misses for [record]. *)
+      let missed = ref [] in
+      let key block =
+        match List.find_opt (fun (b, _) -> Iset.equal b block) !missed with
+        | Some (_, k) -> k
+        | None -> Fingerprint.subgraph ~refs p block
+      in
+      let record block d = record t (key block) block d in
+      let edges, edges_reused, edges_rescored = score_edges t p refs in
       let blocks_reused = ref 0 and blocks_replanned = ref 0 in
       let lookup block =
-        match lookup t p hashes block with
+        let k = key block in
+        match lookup t p k block with
         | Some _ as d ->
           incr blocks_reused;
           d
         | None ->
           incr blocks_replanned;
+          missed := (block, k) :: !missed;
           None
       in
-      let result =
-        Mincut.run ?pool ~lookup ~record:(record t p hashes) ~edges t.config p
-      in
+      let result = Mincut.run ?pool ~lookup ~record ~edges t.config p in
       (* Seam re-check: reused decisions are provably equivalent, but an
          incremental planner that silently returns a stale plan is the
          exact failure mode this module exists to prevent — the
@@ -231,10 +378,11 @@ let plan ?pool t p =
       | Error _ ->
         (* Degrade: the memo can no longer be trusted.  Drop it and
            replan this flush from scratch (repopulating both memos). *)
-        Hashtbl.reset t.decisions;
-        Hashtbl.reset t.edge_memo;
-        let edges, _, edges_rescored = score_edges t p hashes in
-        let result = Mincut.run ?pool ~record:(record t p hashes) ~edges t.config p in
+        Lru.clear t.decisions;
+        Lru.clear t.edge_memo;
+        missed := [];
+        let edges, _, edges_rescored = score_edges t p refs in
+        let result = Mincut.run ?pool ~record ~edges t.config p in
         (match Legality.check_partition t.config p result.Mincut.partition with
         | Error d -> Error d
         | Ok () ->

@@ -61,7 +61,10 @@ type plan = {
 
 type t
 (** A planning session: a fusion-model configuration plus the decision
-    and edge memos.  Not thread-safe; confine a session to one domain. *)
+    and edge memos, and the per-kernel memos that make a flush cost what
+    the edit changed: each kernel's content hash and [(def …)] text, and
+    each fused block's kernel, keyed by the kernel values themselves.
+    Not thread-safe; confine a session to one domain. *)
 
 val create : Kfuse_fusion.Config.t -> t
 (** A fresh session with empty memos.
@@ -74,6 +77,19 @@ val clear : t -> unit
 
 val memo_size : t -> int * int
 (** [(decisions, edges)] currently memoized. *)
+
+val memo_capacity : int
+(** The most entries either memo holds (8192); past it the least
+    recently used goes.  Bounds a long-lived session's memory. *)
+
+val kernel_hashes : t -> Kfuse_ir.Pipeline.t -> (string * int) array
+(** {!Kfuse_cache.Fingerprint.kernel_hashes} through the session's
+    per-kernel memo: a kernel value seen by this flush or the one before,
+    with the same producer references, is not rendered again. *)
+
+val exact : t -> Kfuse_ir.Pipeline.t -> string
+(** {!Kfuse_cache.Fingerprint.exact} through the session's per-kernel
+    memo of [(def …)] texts. *)
 
 val last : t -> plan option
 (** The most recent successful plan of this session. *)

@@ -421,9 +421,11 @@ let shards t = t.fleet.shards
 let in_flight t = Listener.in_flight t.listener
 let signal_stop t = Listener.signal_stop t.listener
 
+let default_health_interval_ms = 250.
+
 let start ~socket:path ~dir ~count ~shard_argv ?(shard_config = Shard.default_config)
-    ?(health_interval_ms = 250.) ?(health_timeout_ms = 1_000.) ?max_conns ?queue
-    ?request_timeout_ms ?drain_timeout_ms () =
+    ?(health_interval_ms = default_health_interval_ms) ?(health_timeout_ms = 1_000.)
+    ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms () =
   if count < 1 then
     Error (Diag.errorf Diag.Config_invalid "shards must be >= 1 (got %d)" count)
   else begin

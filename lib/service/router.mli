@@ -42,6 +42,10 @@ module Diag := Kfuse_util.Diag
 
 type t
 
+val default_health_interval_ms : float
+(** 250: the health monitor's tick, one default for {!start} and
+    [kfusec shard-serve]. *)
+
 val start :
   socket:string ->
   dir:string ->
@@ -64,7 +68,7 @@ val start :
     [max_conns], [queue], [request_timeout_ms] and [drain_timeout_ms]
     configure its {!Listener}, with {!Listener}'s defaults; each
     router→shard call is bounded by what remains of the request
-    deadline.  [health_interval_ms] (default 250) paces the monitor's
+    deadline.  [health_interval_ms] (default {!default_health_interval_ms}) paces the monitor's
     pings, each a protocol round trip bounded by [health_timeout_ms]
     (default 1000); [shard_config] defaults to
     {!Shard.default_config}. *)

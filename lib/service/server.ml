@@ -890,7 +890,7 @@ let signal_stop t = Listener.signal_stop t.listener
 
 let start ~socket:path ~cache ~pool ?max_conns ?queue ?request_timeout_ms
     ?drain_timeout_ms ?(exec_sandbox = Supervisor.Sandboxed)
-    ?(exec_limits = Supervisor.default_limits) ?crash_dir ?(breaker_threshold = 3)
+    ?(exec_limits = Supervisor.default_limits) ?crash_dir ?(breaker_threshold = Supervisor.Breaker.default_threshold)
     ?(max_streams = 64) ?(stream_idle_ms = 60_000.0) () =
   if max_streams < 1 then
     Error (Diag.errorf Diag.Config_invalid "max_streams must be >= 1 (got %d)" max_streams)

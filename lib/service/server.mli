@@ -48,7 +48,8 @@ type t
     children.  [crash_dir] (default [crash-corpus] beside [cache]'s
     disk tier, or under {!Kfuse_cache.Plan_cache.default_dir} for a
     memory-only cache) receives crash artifacts.
-    [breaker_threshold] (default 3, >= 1) consecutive supervised
+    [breaker_threshold] (default
+    {!Kfuse_exec.Supervisor.Breaker.default_threshold}, >= 1) consecutive supervised
     failures quarantine a plan fingerprint for 60 s, until a half-open
     probe.
 

@@ -20,7 +20,6 @@
       partition.  Exists for the differential fuzzer: arming
       ["cut.block_legal/1"] seeds a legality bug the legality oracle
       must catch and shrink
-    - ["cut.karger"]  — entry of [Karger.min_cut]
     - ["sim.sample"]  — per measurement sample in [Sim.measure]
     - ["driver.strategy"] — before the driver runs the chosen strategy
     - the [kfused] connection front end's points, fired by

@@ -7,7 +7,6 @@ let () =
       ("pool", Test_pool.suite);
       ("graph", Test_graph.suite);
       ("stoer-wagner", Test_stoer_wagner.suite);
-      ("karger", Test_karger.suite);
       ("image", Test_image.suite);
       ("pgm", Test_pgm.suite);
       ("ir", Test_ir.suite);

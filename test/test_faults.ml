@@ -30,7 +30,7 @@ let test_parse_spec () =
     | Error msg -> Alcotest.failf "%s: unexpected parse error %s" spec msg
   in
   ok "pool.task@3" [ ("pool.task", Faults.Nth 3) ];
-  ok "cut.karger/2" [ ("cut.karger", Faults.Every 2) ];
+  ok "cut.stoer_wagner/2" [ ("cut.stoer_wagner", Faults.Every 2) ];
   ok "sim.sample~0.25:42" [ ("sim.sample", Faults.Prob (0.25, 42)) ];
   ok "driver.strategy" [ ("driver.strategy", Faults.Nth 1) ];
   ok " a@1 , b/2 " [ ("a", Faults.Nth 1); ("b", Faults.Every 2) ];

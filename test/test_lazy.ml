@@ -294,6 +294,106 @@ let test_chains_edit_round () =
       Alcotest.(check bool) (line ^ ": no fallback") false inc.stats.fell_back)
     edits
 
+(* ---- the session's memos ---- *)
+
+module Fingerprint = Kfuse_cache.Fingerprint
+
+(* One random edit of every kind the frontend has: the four of
+   [Edits.random] (add, del, retarget, param), and, one time in five, a
+   fresh input declaration.  Past 12 kernels appends are redrawn, so a
+   long session's DAG stays small and each flush cheap, while the
+   appends' random bodies keep making blocks the memo has not seen. *)
+let random_edit rng lp i =
+  let rec edit tries =
+    match Lz.Edits.random rng lp with
+    | Some (Lz.Edits.Append _) when tries > 0 && List.length (Lz.Lazy_pipeline.kernels lp) >= 12
+      ->
+      edit (tries - 1)
+    | e -> Option.iter (fun e -> ignore (Lz.Edits.apply lp e)) e
+  in
+  if Rng.int rng 5 = 0 then ignore (Lz.Lazy_pipeline.add_input lp (Printf.sprintf "qin%d" i))
+  else edit 20
+
+(* [(seed, index)] names a [Fuzz.Gen.case] pipeline, [edits] seeds the
+   edit stream. *)
+let memo_case_gen =
+  QCheck2.Gen.(triple (int_bound 1_000) (int_bound 1_000) (int_bound 1_000_000))
+
+let print_memo_case (seed, index, edits) =
+  Printf.sprintf "Gen.case seed %d index %d, edits seeded %d" seed index edits
+
+(* Drive a session through 12 random edits, calling [check] after every
+   flush with the flushed plan. *)
+let edit_session (seed, index, edits) check =
+  let p = Kfuse_fuzz.Gen.case ~max_kernels:8 ~seed index in
+  let lp = Lz.Lazy_pipeline.of_pipeline config p in
+  let rng = Rng.create edits in
+  let rec go i =
+    i > 12
+    || begin
+      random_edit rng lp i;
+      match Lz.Lazy_pipeline.flush lp with
+      | Error d -> QCheck2.Test.fail_reportf "flush %d: %s" i (Kfuse_util.Diag.to_string d)
+      | Ok plan -> check lp plan && go (i + 1)
+    end
+  in
+  go 0
+
+(* The per-kernel memos return what the fingerprints compute directly:
+   content hashes and exact text of the flushed pipeline and of its
+   fused pipeline.  A memo keyed by kernel name alone, or one that
+   ignores the producers' references, fails here after a retarget. *)
+let prop_memos_match_fingerprints =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"session memos equal direct fingerprints"
+       ~print:print_memo_case memo_case_gen (fun case ->
+         edit_session case (fun lp (plan : Lz.Replan.plan) ->
+             let session = Lz.Lazy_pipeline.session lp in
+             Lz.Replan.kernel_hashes session plan.pipeline
+             = Fingerprint.kernel_hashes plan.pipeline
+             && String.equal
+                  (Lz.Replan.exact session plan.pipeline)
+                  (Fingerprint.exact plan.pipeline)
+             && String.equal (Lz.Replan.exact session plan.fused)
+                  (Fingerprint.exact plan.fused))))
+
+(* Every memoized flush equals a scratch plan: fingerprint, partition,
+   objective and the fused pipeline's exact text.  A fused-kernel reuse
+   that does not compare the block's members fails here. *)
+let prop_memoized_flush_is_scratch =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"memoized flush equals scratch"
+       ~print:print_memo_case memo_case_gen (fun case ->
+         edit_session case (fun lp (plan : Lz.Replan.plan) ->
+             match Lz.Lazy_pipeline.flush_scratch lp with
+             | Error d -> QCheck2.Test.fail_reportf "scratch: %s" (Kfuse_util.Diag.to_string d)
+             | Ok scr ->
+               String.equal plan.fingerprint scr.fingerprint
+               && Partition.equal plan.partition scr.partition
+               && Printf.sprintf "%h" plan.objective = Printf.sprintf "%h" scr.objective
+               && String.equal (Fingerprint.exact plan.fused) (Fingerprint.exact scr.fused))))
+
+(* A long session's decision memo stays under its cap: 2,000 random
+   edits of one small DAG reach it, each flushed, every tenth checked
+   against scratch. *)
+let test_long_session_bounded () =
+  let lp = Lz.Lazy_pipeline.of_pipeline config (Kfuse_fuzz.Gen.case ~max_kernels:8 ~seed:7 3) in
+  let rng = Rng.create 11 in
+  let peak = ref 0 in
+  for i = 1 to 2_000 do
+    random_edit rng lp i;
+    let ctx = Printf.sprintf "edit %d" i in
+    let inc = ok (ctx ^ ": flush") (Lz.Lazy_pipeline.flush lp) in
+    if i mod 10 = 0 then
+      same_plan ~ctx inc (ok (ctx ^ ": scratch") (Lz.Lazy_pipeline.flush_scratch lp));
+    let decisions, edges = Lz.Replan.memo_size (Lz.Lazy_pipeline.session lp) in
+    peak := max !peak decisions;
+    if decisions > Lz.Replan.memo_capacity || edges > Lz.Replan.memo_capacity then
+      Alcotest.failf "%s: memo holds %d decisions and %d edges, over %d" ctx decisions edges
+        Lz.Replan.memo_capacity
+  done;
+  Alcotest.(check int) "the session reached the cap" Lz.Replan.memo_capacity !peak
+
 let suite =
   [
     Alcotest.test_case "differential: seeded edit sequences" `Slow
@@ -315,4 +415,8 @@ let suite =
     Alcotest.test_case "of_pipeline roundtrip" `Quick test_of_pipeline_roundtrip;
     Alcotest.test_case "48-kernel DAG: 32 edits equal scratch" `Slow
       test_chains_edit_round;
+    prop_memos_match_fingerprints;
+    prop_memoized_flush_is_scratch;
+    Alcotest.test_case "a 2,000-edit session stays under the memo cap" `Slow
+      test_long_session_bounded;
   ]

@@ -181,7 +181,7 @@ let fault_gen =
     [
       None;
       Some "cut.stoer_wagner@1";
-      Some "cut.karger@1";
+      Some "cut.stoer_wagner/2";
       Some "driver.strategy@1";
       Some "cut.stoer_wagner~0.5:77";
     ]
