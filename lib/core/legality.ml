@@ -41,8 +41,10 @@ let block_sinks (p : Pipeline.t) block =
    v's output) + D(c) (Minkowski sum — Eq. 9 in window form). *)
 let downstream_footprints (p : Pipeline.t) block =
   let module Fp = Kfuse_ir.Footprint in
-  let g = Digraph.induced (Pipeline.dag p) block in
-  let order = List.rev (Topo.sort g) in
+  let g = Pipeline.dag p in
+  (* Kernels are stored in topological order, so descending indices
+     visit every consumer before its producers. *)
+  let order = List.rev (Iset.elements block) in
   List.fold_left
     (fun acc v ->
       let d =
@@ -58,7 +60,7 @@ let downstream_footprints (p : Pipeline.t) block =
               | None -> Fp.point
             in
             Fp.union best (Fp.sum w (Imap.find_or ~default:Fp.point c acc)))
-          (Digraph.succs g v) Fp.point
+          (Iset.inter (Digraph.succs g v) block) Fp.point
       in
       Imap.add v d acc)
     Imap.empty order
@@ -95,6 +97,20 @@ let fused_shared_bytes (config : Config.t) (p : Pipeline.t) block =
     (fun total (_, window) -> total + Cost.tile_bytes_window config.Config.block window)
     0 tiles
 
+let source_inputs (p : Pipeline.t) sources =
+  Iset.fold (fun s acc -> (Pipeline.kernel p s).Kernel.inputs @ acc) sources []
+
+(* The first image kernel [v] reads that is neither made in [block] nor
+   read by one of its sources ([allowed]): Figure 2d. *)
+let foreign_input (p : Pipeline.t) block ~allowed v =
+  List.find_opt
+    (fun image ->
+      let produced_inside =
+        match Pipeline.producer p image with Some i -> Iset.mem i block | None -> false
+      in
+      not (produced_inside || List.mem image allowed))
+    (Pipeline.kernel p v).Kernel.inputs
+
 let check_dependence (p : Pipeline.t) block =
   let g = Pipeline.dag p in
   let leaving =
@@ -127,11 +143,7 @@ let check_dependence (p : Pipeline.t) block =
   end
   else begin
     let sources = block_sources p block in
-    let allowed =
-      Iset.fold
-        (fun s acc -> (Pipeline.kernel p s).Kernel.inputs @ acc)
-        sources []
-    in
+    let allowed = source_inputs p sources in
     let violation =
       Iset.fold
         (fun v acc ->
@@ -140,20 +152,16 @@ let check_dependence (p : Pipeline.t) block =
           | None ->
             if Iset.mem v sources then None
             else
-              List.find_map
-                (fun image ->
-                  let produced_inside =
-                    match Pipeline.producer p image with
-                    | Some i -> Iset.mem i block
-                    | None -> false
-                  in
-                  if produced_inside || List.mem image allowed then None
-                  else Some (External_input { kernel = v; image }))
-                (Pipeline.kernel p v).Kernel.inputs)
+              Option.map
+                (fun image -> External_input { kernel = v; image })
+                (foreign_input p block ~allowed v))
         block None
     in
     match violation with Some r -> Error r | None -> Ok ()
   end
+
+let external_input p block v =
+  foreign_input p block ~allowed:(source_inputs p (block_sources p block)) v
 
 let check_resource config (p : Pipeline.t) block =
   let shared_users =
@@ -172,21 +180,32 @@ let check_resource config (p : Pipeline.t) block =
     else Error (Resource { fused_bytes; base_bytes; ratio })
   end
 
-let check config (p : Pipeline.t) block =
+let first_global (p : Pipeline.t) block =
+  Iset.min_elt_opt (Iset.filter (fun v -> Kernel.is_global (Pipeline.kernel p v)) block)
+
+let disconnected_reason p block =
+  match first_global p block with Some v -> Global_kernel v | None -> Not_connected
+
+let check_with ~connected config (p : Pipeline.t) block =
   validate_block p block;
   if Iset.cardinal block = 1 then Ok ()
   else begin
-    let globals = Iset.filter (fun v -> Kernel.is_global (Pipeline.kernel p v)) block in
-    match Iset.min_elt_opt globals with
+    match first_global p block with
     | Some v -> Error (Global_kernel v)
     | None ->
-      if not (Topo.is_weakly_connected (Pipeline.dag p) block) then Error Not_connected
+      if not (connected ()) then Error Not_connected
       else begin
         match check_dependence p block with
         | Error _ as e -> e
         | Ok () -> check_resource config p block
       end
   end
+
+let check config p block =
+  let connected () = Topo.is_weakly_connected (Pipeline.dag p) block in
+  check_with ~connected config p block
+
+let check_connected config p block = check_with ~connected:(fun () -> true) config p block
 
 let is_legal config p block = match check config p block with Ok () -> true | Error _ -> false
 

@@ -32,6 +32,24 @@ type reason =
 val check :
   Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> (unit, reason) result
 
+(** [check_connected config pipeline block] is {!check} for a [block]
+    the caller knows to be weakly connected: it skips the connectivity
+    walk, which builds the block's induced graph. *)
+val check_connected :
+  Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> (unit, reason) result
+
+(** [disconnected_reason pipeline block] is the reason {!check} gives a
+    multi-kernel [block] that is not weakly connected: [Global_kernel]
+    of its smallest global kernel if it holds one, [Not_connected]
+    otherwise.  Reads only the kernels' patterns. *)
+val disconnected_reason : Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> reason
+
+(** [external_input pipeline block v] is the image {!check} would name
+    in an [External_input] reason for kernel [v] of [block]: the first
+    image [v] reads that is neither made in [block] nor read by one of
+    its sources; [None] when there is none. *)
+val external_input : Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> int -> string option
+
 (** [is_legal config pipeline block] is [check ... = Ok ()]. *)
 val is_legal : Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> bool
 

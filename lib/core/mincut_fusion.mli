@@ -43,9 +43,9 @@ val weight_table : Benefit.edge_report list -> (int * int, float) Hashtbl.t
 val block_legal :
   Config.t -> Kfuse_ir.Pipeline.t -> Benefit.edge_report list -> Kfuse_util.Iset.t -> bool
 
-(** What Algorithm 1 does to one block of the working set: accept it, or
-    split it along a min cut (or into weak components when it is already
-    disconnected).  A pure function of the block — given the config, the
+(** What Algorithm 1 does to one block of the working set: accept it,
+    split it along a min cut, or split a disconnected block into its weak
+    components.  A pure function of the block — given the config, the
     pipeline and the edge weights — which is what lets independent blocks
     be decided on separate domains, and decisions be replayed across runs
     by the incremental replanner. *)
@@ -57,6 +57,13 @@ type decision =
       side_a : Kfuse_util.Iset.t;
       side_b : Kfuse_util.Iset.t;
     }
+  | Components of Kfuse_util.Iset.t list
+      (** the block's weak components (at least two), ordered by
+          smallest vertex.  The trace shows them as the binary recursion
+          makes them: the first component against the union of the rest
+          at zero cut weight, then that union likewise, each with its
+          {!Legality.check} reason.  Those unions are never decided, or
+          offered to [lookup]/[record], on their own. *)
 
 (** [run ?pool ?deadline ?lookup ?record ?edges config pipeline] executes
     Algorithm 1 and returns the final partition with its trace.  With

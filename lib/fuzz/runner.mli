@@ -33,9 +33,9 @@ type options = {
           skips silently on toolchain-less hosts *)
   oracles : Oracle.name list option;
       (** run exactly these oracles, in this order, instead of the
-          default bank ([None]); overrides [native].  The CI
-          lazy-replan job uses [Some [Incremental_replan]] for a
-          focused differential smoke *)
+          default bank ([None]); overrides [native].  The tier-1
+          suite's pinned incremental-replan campaign uses
+          [Some [Incremental_replan]] *)
 }
 
 val default_options : options

@@ -103,9 +103,18 @@ let undirected_components g =
   in
   loop (Digraph.vertices g) []
 
+(* A walk from the smallest vertex over [g]'s own adjacency, kept inside
+   [vs]: no induced graph is built. *)
 let is_weakly_connected g vs =
-  if Iset.cardinal vs <= 1 then true
-  else
-    match undirected_components (Digraph.induced g vs) with
-    | [ _ ] -> true
-    | _ -> false
+  let vs = Iset.filter (Digraph.mem_vertex g) vs in
+  match Iset.min_elt_opt vs with
+  | None -> true
+  | Some v ->
+    let rec walk frontier seen =
+      match frontier with
+      | [] -> seen
+      | u :: rest ->
+        let fresh = Iset.diff (Iset.inter (neighbors g u) vs) seen in
+        walk (Iset.elements fresh @ rest) (Iset.union fresh seen)
+    in
+    Iset.equal (walk [ v ] (Iset.singleton v)) vs

@@ -52,7 +52,7 @@ let body k =
 
 let is_point k = match pattern k with Point -> true | Local _ | Global -> false
 let is_local k = match pattern k with Local _ -> true | Point | Global -> false
-let is_global k = match pattern k with Global -> true | Point | Local _ -> false
+let is_global k = match k.op with Reduce _ -> true | Map _ -> false
 
 let uses_shared_memory k = is_local k
 

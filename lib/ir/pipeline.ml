@@ -1,6 +1,7 @@
 module Iset = Kfuse_util.Iset
 module Digraph = Kfuse_graph.Digraph
 module Topo = Kfuse_graph.Topo
+module Names = Map.Make (String)
 
 type t = {
   name : string;
@@ -11,17 +12,17 @@ type t = {
   params : (string * float) list;
   kernels : Kernel.t array;
   dag : Digraph.t;
+  index : int Names.t;
 }
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
-let build_dag kernels =
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i (k : Kernel.t) -> Hashtbl.replace index k.name i) kernels;
+(* [find name] is the index of the kernel called [name]. *)
+let build_dag find kernels =
   let g = Array.to_list kernels |> List.mapi (fun i _ -> i) |> List.fold_left Digraph.add_vertex Digraph.empty in
   Array.to_list kernels
   |> List.mapi (fun j (k : Kernel.t) ->
-         List.filter_map (fun img -> Option.map (fun i -> (i, j)) (Hashtbl.find_opt index img)) k.inputs)
+         List.filter_map (fun img -> Option.map (fun i -> (i, j)) (find img)) k.inputs)
   |> List.concat
   |> List.fold_left (fun g (i, j) -> Digraph.add_edge g i j) g
 
@@ -64,7 +65,9 @@ let create ~name ~width ~height ?(channels = 1) ?(params = []) ~inputs kernels =
         | Kernel.Reduce { arg; _ } -> Expr.params arg))
     kernels;
   let arr = Array.of_list kernels in
-  let g = build_dag arr in
+  let unsorted = Hashtbl.create 16 in
+  Array.iteri (fun i (k : Kernel.t) -> Hashtbl.replace unsorted k.name i) arr;
+  let g = build_dag (Hashtbl.find_opt unsorted) arr in
   let order =
     match Topo.sort g with
     | order -> order
@@ -73,15 +76,18 @@ let create ~name ~width ~height ?(channels = 1) ?(params = []) ~inputs kernels =
         (String.concat " -> " (List.map (fun i -> arr.(i).Kernel.name) cyc))
   in
   let sorted = Array.of_list (List.map (fun i -> arr.(i)) order) in
+  let index = ref Names.empty in
+  Array.iteri (fun i (k : Kernel.t) -> index := Names.add k.name i !index) sorted;
+  let index = !index in
+  let g = build_dag (fun img -> Names.find_opt img index) sorted in
   (* Global kernels produce 1x1 images; forbid consuming them. *)
-  let g = build_dag sorted in
   Array.iteri
     (fun i (k : Kernel.t) ->
       if Kernel.is_global k && not (Iset.is_empty (Digraph.succs g i)) then
         fail "Pipeline.create(%s): global kernel %S is consumed by another kernel" name
           k.name)
     sorted;
-  { name; width; height; channels; inputs; params; kernels = sorted; dag = g }
+  { name; width; height; channels; inputs; params; kernels = sorted; dag = g; index }
 
 let num_kernels p = Array.length p.kernels
 
@@ -89,12 +95,7 @@ let kernel p i =
   if i < 0 || i >= Array.length p.kernels then fail "Pipeline.kernel: index %d out of range" i;
   p.kernels.(i)
 
-let index_of p name =
-  let found = ref None in
-  Array.iteri
-    (fun i (k : Kernel.t) -> if String.equal k.name name then found := Some i)
-    p.kernels;
-  !found
+let index_of p name = Names.find_opt name p.index
 
 let index_of_exn p name =
   match index_of p name with

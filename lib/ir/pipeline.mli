@@ -12,6 +12,9 @@
     interpreter runs per plane while cost models scale by the channel
     count. *)
 
+(** Maps keyed by kernel name. *)
+module Names : Map.S with type key = string
+
 type t = private {
   name : string;
   width : int;
@@ -24,6 +27,9 @@ type t = private {
       (** the dependence DAG over indices into [kernels], built once by
           {!create}.  A plain immutable value, so pipelines stay
           structurally comparable and marshalable. *)
+  index : int Names.t;
+      (** each kernel's index by name, built once by {!create} from
+          [kernels] alone, so equal kernel arrays give equal maps *)
 }
 
 (** [create ~name ~width ~height ?channels ?params ~inputs kernels]
@@ -54,7 +60,8 @@ val num_kernels : t -> int
     @raise Invalid_argument when out of range. *)
 val kernel : t -> int -> Kernel.t
 
-(** [index_of p name] is the index of the kernel called [name]. *)
+(** [index_of p name] is the index of the kernel called [name];
+    O(log n) in the number of kernels. *)
 val index_of : t -> string -> int option
 
 (** [index_of_exn p name] is [index_of] or [Invalid_argument]. *)

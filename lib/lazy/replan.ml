@@ -40,26 +40,71 @@ type plan = {
    subgraph fingerprints guarantee an order-preserving isomorphism
    between the recorded block and the block being looked up, so mapping
    the positions through the new block's own enumeration reconstructs
-   exactly the side the fresh min cut would emit.  A split's legality
-   reason is kept the same way when it names only kernels of the block;
-   one that names a kernel or an image outside it ([R_recheck]) is
-   re-derived against the current pipeline on every hit. *)
+   exactly the side the fresh min cut would emit.  A disconnected
+   block's components map the same way: the isomorphism keeps them
+   weak components, and keeps their order by smallest vertex.
+
+   A legality reason is kept the same way, the kernels it names as
+   positions in the block (or, for an edge, in the pair).  What else an
+   external dependence names is read off the current pipeline: an
+   external output's consumer is the kernel's smallest consumer outside
+   the block (fig. 2c), an external input's image the first image the
+   kernel reads from outside (fig. 2d).  The key fixes which kernel
+   that is, so a hit never runs a legality check. *)
 type reason =
   | R_legal
-  | R_recheck
   | R_not_connected
   | R_sinks of int list
+  | R_output of int
+  | R_input of int
   | R_global of int
   | R_resource of { fused_bytes : int; base_bytes : int; ratio : float }
 
-type stored = S_accept | S_split of { cut_weight : float; side_a : int list; reason : reason }
+type stored =
+  | S_accept
+  | S_split of { cut_weight : float; side_a : int list; reason : reason }
+  | S_components of int list list
+
+(* [pos v] is kernel [v]'s position in the block the reason is for. *)
+let encode_reason pos = function
+  | None -> R_legal
+  | Some Legality.Not_connected -> R_not_connected
+  | Some (Legality.Multiple_sinks vs) -> R_sinks (List.map pos vs)
+  | Some (Legality.External_output { kernel; _ }) -> R_output (pos kernel)
+  | Some (Legality.External_input { kernel; _ }) -> R_input (pos kernel)
+  | Some (Legality.Global_kernel v) -> R_global (pos v)
+  | Some (Legality.Resource { fused_bytes; base_bytes; ratio }) ->
+    R_resource { fused_bytes; base_bytes; ratio }
+
+(* [verts] enumerates [block] in ascending order. *)
+let decode_reason (p : Pipeline.t) verts block = function
+  | R_legal -> None
+  | R_not_connected -> Some Legality.Not_connected
+  | R_sinks ps -> Some (Legality.Multiple_sinks (List.map (Array.get verts) ps))
+  | R_output i ->
+    let kernel = verts.(i) in
+    let consumer = Iset.min_elt (Iset.diff (Pipeline.consumers p kernel) block) in
+    Some (Legality.External_output { kernel; consumer })
+  | R_input i ->
+    let kernel = verts.(i) in
+    Some
+      (Legality.External_input
+         { kernel; image = Option.get (Legality.external_input p block kernel) })
+  | R_global i -> Some (Legality.Global_kernel verts.(i))
+  | R_resource { fused_bytes; base_bytes; ratio } ->
+    Some (Legality.Resource { fused_bytes; base_bytes; ratio })
+
+(* An edge's memoized report: its scenario, an illegal one's reason in
+   pair positions, and the model's numbers. *)
+type scenario = Legal of Benefit.scenario | Illegal of reason
+type scored = { scenario : scenario; delta : float; phi : float; weight : float }
 
 (* The most decisions, and the most edge weights, one session keeps.
    Edits that keep drawing new kernels make new block fingerprints
    forever; past the cap the least recently used entry goes.  A
-   2,000-edit session of kfbench's lazy-edit holds about 7,300
-   decisions, so it evicts none: an evicted block is decided again,
-   which changes a reply's [replan] counters. *)
+   2,000-edit session of kfbench's lazy-edit holds about 2,700
+   decisions and 660 edges, so it evicts none: an evicted block is
+   decided again, which changes a reply's [replan] counters. *)
 let memo_capacity = 8192
 
 (* Per-kernel memos are keyed by the kernel value itself, compared
@@ -99,8 +144,7 @@ type fused = { members : Kernel.t array; leaving : bool array; kernel : Kernel.t
 type t = {
   config : Config.t;
   decisions : stored Lru.t;
-  (* key -> (scenario tag, delta, phi, weight); legal scenarios only *)
-  edge_memo : (int * float * float * float) Lru.t;
+  edge_memo : scored Lru.t;
   digests : (string list * string) recent;  (* input refs, kernel_digest *)
   defs : string recent;  (* kernel_def *)
   fused : fused recent;  (* keyed by the block's last member *)
@@ -178,17 +222,6 @@ let fuse t (p : Pipeline.t) block =
 
 (* --- edge memo ------------------------------------------------------ *)
 
-let scenario_tag = function
-  | Benefit.Point_based -> 0
-  | Benefit.Point_to_local -> 1
-  | Benefit.Local_to_local -> 2
-  | Benefit.Illegal _ -> invalid_arg "Replan: illegal scenarios are not memoized"
-
-let scenario_of_tag = function
-  | 0 -> Benefit.Point_based
-  | 1 -> Benefit.Point_to_local
-  | _ -> Benefit.Local_to_local
-
 (* [refs.(i)] is kernel [i]'s [Fingerprint.content_ref], rendered once
    per flush for every key below. *)
 let edge_key ~space (p : Pipeline.t) refs u v =
@@ -210,13 +243,20 @@ let score_edges t (p : Pipeline.t) refs =
       (fun (u, v) ->
         let key = edge_key ~space p refs u v in
         match Lru.find t.edge_memo key with
-        | Some (tag, delta, phi, weight) ->
+        | Some { scenario; delta; phi; weight } ->
           incr reused;
+          let scenario =
+            match scenario with
+            | Legal s -> s
+            | Illegal r ->
+              let pair = Iset.of_list [ u; v ] in
+              Benefit.Illegal (Option.get (decode_reason p [| u; v |] pair r))
+          in
           {
             Benefit.src = u;
             dst = v;
             image = Pipeline.edge_image p u v;
-            scenario = scenario_of_tag tag;
+            scenario;
             delta;
             phi;
             weight;
@@ -224,12 +264,14 @@ let score_edges t (p : Pipeline.t) refs =
         | None ->
           incr rescored;
           let r = Benefit.edge_report t.config p u v in
-          (match r.Benefit.scenario with
-          | Benefit.Illegal _ ->
-            (* an Illegal reason names kernels by pipeline index, which
-               would be stale on replay — re-score these each flush *)
-            ()
-          | s -> Lru.put t.edge_memo key (scenario_tag s, r.delta, r.phi, r.weight));
+          let scenario =
+            match r.Benefit.scenario with
+            | Benefit.Illegal reason ->
+              Illegal (encode_reason (fun k -> if k = u then 0 else 1) (Some reason))
+            | s -> Legal s
+          in
+          let { Benefit.delta; phi; weight; _ } = r in
+          Lru.put t.edge_memo key { scenario; delta; phi; weight };
           r)
       (Digraph.edges (Pipeline.dag p))
   in
@@ -237,47 +279,38 @@ let score_edges t (p : Pipeline.t) refs =
 
 (* --- decision memo --------------------------------------------------- *)
 
+let of_positions verts ps = List.fold_left (fun acc i -> Iset.add verts.(i) acc) Iset.empty ps
+
 let lookup t p key block =
   match Lru.find t.decisions key with
   | None -> None
   | Some S_accept -> Some Mincut.Accepted
   | Some (S_split { cut_weight; side_a; reason }) ->
     let verts = Array.of_list (Iset.elements block) in
-    let a = List.fold_left (fun acc i -> Iset.add verts.(i) acc) Iset.empty side_a in
-    let reason =
-      match reason with
-      | R_legal -> None
-      | R_not_connected -> Some Legality.Not_connected
-      | R_sinks ps -> Some (Legality.Multiple_sinks (List.map (Array.get verts) ps))
-      | R_global i -> Some (Legality.Global_kernel verts.(i))
-      | R_resource { fused_bytes; base_bytes; ratio } ->
-        Some (Legality.Resource { fused_bytes; base_bytes; ratio })
-      | R_recheck -> (
-        (* one legality check against this pipeline keeps the trace
-           bit-identical to a fresh run *)
-        match Legality.check t.config p block with Ok () -> None | Error r -> Some r)
-    in
+    let a = of_positions verts side_a in
+    let reason = decode_reason p verts block reason in
     Some (Mincut.Split { reason; cut_weight; side_a = a; side_b = Iset.diff block a })
+  | Some (S_components parts) ->
+    let verts = Array.of_list (Iset.elements block) in
+    Some (Mincut.Components (List.map (of_positions verts) parts))
+
+(* [position_of block v] is [v]'s index in [block]'s ascending order. *)
+let position_of block =
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace pos v i) (Iset.elements block);
+  Hashtbl.find pos
 
 let record t key block (d : Mincut.decision) =
   let stored =
     match d with
     | Mincut.Accepted -> S_accept
     | Mincut.Split { cut_weight; side_a; reason; _ } ->
-      let pos = Hashtbl.create 16 in
-      List.iteri (fun i v -> Hashtbl.replace pos v i) (Iset.elements block);
-      let positions vs = List.filter_map (Hashtbl.find_opt pos) vs in
-      let reason =
-        match reason with
-        | None -> R_legal
-        | Some Legality.Not_connected -> R_not_connected
-        | Some (Legality.Multiple_sinks vs) -> R_sinks (positions vs)
-        | Some (Legality.Global_kernel v) -> R_global (Hashtbl.find pos v)
-        | Some (Legality.Resource { fused_bytes; base_bytes; ratio }) ->
-          R_resource { fused_bytes; base_bytes; ratio }
-        | Some (Legality.External_output _ | Legality.External_input _) -> R_recheck
-      in
-      S_split { cut_weight; side_a = positions (Iset.elements side_a); reason }
+      let pos = position_of block in
+      let side_a = List.map pos (Iset.elements side_a) in
+      S_split { cut_weight; side_a; reason = encode_reason pos reason }
+    | Mincut.Components parts ->
+      let pos = position_of block in
+      S_components (List.map (fun c -> List.map pos (Iset.elements c)) parts)
   in
   Lru.put t.decisions key stored
 
@@ -382,6 +415,11 @@ let plan ?pool t p =
         Lru.clear t.edge_memo;
         missed := [];
         let edges, _, edges_rescored = score_edges t p refs in
+        let decided = ref 0 in
+        let record block d =
+          incr decided;
+          record block d
+        in
         let result = Mincut.run ?pool ~record ~edges t.config p in
         (match Legality.check_partition t.config p result.Mincut.partition with
         | Error d -> Error d
@@ -390,7 +428,7 @@ let plan ?pool t p =
             ~stats:
               {
                 blocks_reused = 0;
-                blocks_replanned = List.length result.Mincut.steps;
+                blocks_replanned = !decided;
                 edges_reused = 0;
                 edges_rescored;
                 fell_back = true;

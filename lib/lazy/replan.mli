@@ -6,7 +6,7 @@
 
     - a {e decision memo} keyed by the rename-invariant subgraph
       fingerprint ({!Kfuse_cache.Fingerprint.subgraph}) of each block
-      the recursion considers, replaying [Accepted]/[Split] decisions
+      the recursion considers, replaying [Accepted]/[Split]/[Components] decisions
       for blocks whose induced subgraph (content, iteration space,
       in-block edges, leaving flags) is unchanged since an earlier
       flush; and
@@ -25,18 +25,22 @@
     to prove the path) discards both memos and replans from scratch,
     reported via [stats.fell_back].
 
-    Only split {e reasons} are never replayed from the memo: a stored
-    reason would carry kernel indices of the pipeline it was computed
-    on.  On a split hit the reason is re-derived with one cheap
-    {!Kfuse_fusion.Legality.check} against the current pipeline, keeping
-    even the human-readable trace identical.  Likewise the edge memo
-    stores only legally-scored scenarios; [Illegal] edges are re-scored
-    each flush because their reasons also carry indices. *)
+    Legality reasons are replayed too, stored by the positions of the
+    kernels they name in the block (for an edge, in the pair).  What an
+    external dependence names besides its kernel — the consumer outside
+    the block, or the image read from outside — is read off the current
+    pipeline, so a hit runs no legality check.  A disconnected
+    block is one memo entry holding all its weak components: the unions
+    of its trailing components, which the trace shows as blocks of their
+    own, are never looked up or recorded. *)
 
 (** Work accounting for one {!plan} call. *)
 type stats = {
   blocks_reused : int;  (** recursion blocks replayed from the memo *)
-  blocks_replanned : int;  (** blocks decided fresh (legality + min-cut) *)
+  blocks_replanned : int;
+      (** blocks decided fresh (legality + min-cut).  A disconnected
+          block with [k] components counts once, though the trace shows
+          it as [k - 1] cuts *)
   edges_reused : int;  (** edge weights replayed from the memo *)
   edges_rescored : int;  (** edges re-scored by the benefit model *)
   fell_back : bool;

@@ -438,8 +438,8 @@ let test_old_format_entry () =
     Alcotest.(check bool) "recomputed report is fresh" true
       (String.equal (bytes_of (fresh_report p)) (bytes_of r))
   | _ -> Alcotest.fail "expected a recompute");
-  Alcotest.(check string) "restored under format 2"
-    (Printf.sprintf "kfuse-plan 2 %s %d" Sys.ocaml_version Sys.word_size)
+  Alcotest.(check string) "restored under format 3"
+    (Printf.sprintf "kfuse-plan 3 %s %d" Sys.ocaml_version Sys.word_size)
     (In_channel.with_open_bin path input_line)
 
 (* The memory layout of a marshaled report, data abstracted away: block
@@ -475,7 +475,7 @@ let test_report_shape_pinned () =
   let r = fresh_report (Kfuse_apps.Sobel.pipeline ~width:16 ~height:16 ()) in
   Alcotest.(check (pair int string))
     "format version and report layout (on a layout change: bump the format, re-pin)"
-    (2, "fa33b12336c9065e363830bc0b16253f")
+    (3, "e94c0acddc5b9aa179637f5e058f41b2")
     (Cache.Plan_cache.format_version, shape_digest r)
 
 let test_degraded_not_stored () =

@@ -295,6 +295,27 @@ let test_runner_replays_corpus () =
   Alcotest.(check bool) "replay of a healthy entry passes" false
     (Fz.Runner.failed summary)
 
+(* The incremental-replan oracle's pinned campaign: 200 generated
+   cases at seed 7, each edited in bursts and every memoized flush
+   compared with a scratch plan. *)
+let test_incremental_replan_campaign () =
+  with_temp_dir @@ fun cache_dir ->
+  let summary =
+    Fz.Runner.run
+      {
+        Fz.Runner.default_options with
+        Fz.Runner.cases = 200;
+        seed = 7;
+        oracles = Some [ Fz.Oracle.Incremental_replan ];
+        cache_dir = Some cache_dir;
+      }
+  in
+  Alcotest.(check int) "cases run" 200 summary.Fz.Runner.cases_run;
+  List.iter
+    (fun (f : Fz.Runner.failure_report) -> Alcotest.failf "%s" f.Fz.Runner.detail)
+    summary.Fz.Runner.failures;
+  Alcotest.(check bool) "campaign passes" false (Fz.Runner.failed summary)
+
 (* ---- the seeded-bug acceptance check ---- *)
 
 (* With the min-cut legality check corrupted via fault injection, the
@@ -455,6 +476,8 @@ let suite =
     Alcotest.test_case "corpus: save is idempotent" `Quick test_corpus_save_idempotent;
     Alcotest.test_case "runner: corpus replays before generation" `Quick
       test_runner_replays_corpus;
+    Alcotest.test_case "incremental-replan campaign: 200 cases at seed 7" `Slow
+      test_incremental_replan_campaign;
     Alcotest.test_case "fault-armed campaign catches the seeded bug" `Slow
       test_fault_armed_campaign_catches_legality_bug;
     Alcotest.test_case "pinned: negative literal round-trip" `Quick

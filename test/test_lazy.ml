@@ -30,8 +30,18 @@ let ok what = function
 let render_steps (p : Pipeline.t) steps =
   List.map (Format.asprintf "%a" (F.Mincut_fusion.pp_step p)) steps
 
-let render_edges edges =
-  List.map (Format.asprintf "%a" F.Benefit.pp_report) edges
+(* Each edge report, an illegal edge's with its reason: a replayed
+   reason that names the wrong kernel shows here. *)
+let render_edges (p : Pipeline.t) edges =
+  List.map
+    (fun (r : F.Benefit.edge_report) ->
+      let why =
+        match r.scenario with
+        | F.Benefit.Illegal reason -> "; " ^ F.Legality.reason_to_string p reason
+        | _ -> ""
+      in
+      Format.asprintf "%a%s" F.Benefit.pp_report r why)
+    edges
 
 (* Bit-identical across every observable of the plan. *)
 let same_plan ~ctx (a : Lz.Replan.plan) (b : Lz.Replan.plan) =
@@ -42,7 +52,7 @@ let same_plan ~ctx (a : Lz.Replan.plan) (b : Lz.Replan.plan) =
     (ctx ^ ": steps") (render_steps b.pipeline b.steps)
     (render_steps a.pipeline a.steps);
   Alcotest.(check (list string))
-    (ctx ^ ": edges") (render_edges b.edges) (render_edges a.edges);
+    (ctx ^ ": edges") (render_edges b.pipeline b.edges) (render_edges a.pipeline a.edges);
   Alcotest.(check string)
     (ctx ^ ": objective")
     (Printf.sprintf "%h" b.objective)
@@ -54,14 +64,17 @@ let new_builder ?(inputs = [ "in" ]) ?(params = [ ("gain", 1.25) ]) () =
 
 (* ---- the differential harness ---- *)
 
+(* Each seed drives two builders: one over a single input, and one
+   over four, whose DAGs fall apart into several weak components. *)
 let test_differential_sequences () =
   List.iter
-    (fun seed ->
+    (fun (seed, inputs) ->
       let rng = Rng.create seed in
-      let lp = new_builder () in
+      let lp = new_builder ~inputs () in
       for round = 1 to 6 do
         let edits = Lz.Edits.random_sequence rng lp 5 in
-        let ctx = Printf.sprintf "seed %d round %d (%s)" seed round
+        let ctx = Printf.sprintf "seed %d, %d inputs, round %d (%s)" seed
+            (List.length inputs) round
             (String.concat "; " (List.map Lz.Edits.to_string edits))
         in
         let inc = ok (ctx ^ " flush") (Lz.Lazy_pipeline.flush lp) in
@@ -70,7 +83,9 @@ let test_differential_sequences () =
         Alcotest.(check bool)
           (ctx ^ ": incremental flush never falls back") false inc.stats.fell_back
       done)
-    [ 1; 2; 3; 4; 5; 6 ]
+    (List.concat_map
+       (fun seed -> [ (seed, [ "in" ]); (seed, [ "in"; "in2"; "in3"; "in4" ]) ])
+       [ 1; 2; 3; 4; 5; 6 ])
 
 (* ---- directed cases ---- *)
 
@@ -249,8 +264,7 @@ let test_of_pipeline_roundtrip () =
    32 single-kernel edits (param, retarget, append, delete on each
    chain) dirties at most one chain, so the other seven must replay
    from the memo, and every incremental flush must equal scratch. *)
-let test_chains_edit_round () =
-  let chains = 8 in
+let chains_session chains =
   let lp = Lz.Lazy_pipeline.create ~name:"replan" ~width:64 ~height:48 config in
   let exec line =
     ignore
@@ -269,6 +283,11 @@ let test_chains_edit_round () =
         Printf.sprintf "add %s = %s * 0.5 + %s" (k 5) (k 4) (k 2);
       ]
   done;
+  (lp, exec)
+
+let test_chains_edit_round () =
+  let chains = 8 in
+  let lp, exec = chains_session chains in
   let _ = ok "cold flush" (Lz.Lazy_pipeline.flush lp) in
   let edits =
     List.concat_map
@@ -294,24 +313,107 @@ let test_chains_edit_round () =
       Alcotest.(check bool) (line ^ ": no fallback") false inc.stats.fell_back)
     edits
 
+(* The same 8 chains are 8 weak components, ordered by smallest vertex.
+   An append to the last one gives new keys to the top block, to blocks
+   of that chain, and to every union of trailing components the trace
+   shows.  The 6 unions of two or more components are never looked up,
+   so a flush makes one lookup per step but those 6, and only the top
+   block and the chain's own blocks are decided again. *)
+let test_last_chain_edit () =
+  let lp, exec = chains_session 8 in
+  let _ = ok "cold flush" (Lz.Lazy_pipeline.flush lp) in
+  exec "add x7 = c7_5 * 1.1";
+  let inc = ok "flush" (Lz.Lazy_pipeline.flush lp) in
+  same_plan ~ctx:"edit on the last chain" inc
+    (ok "scratch" (Lz.Lazy_pipeline.flush_scratch lp));
+  let p = inc.pipeline in
+  let chain7 =
+    Iset.filter
+      (fun i ->
+        let name = (Pipeline.kernel p i).Kernel.name in
+        String.starts_with ~prefix:"c7_" name || String.equal name "x7")
+      (Kfuse_graph.Digraph.vertices (Pipeline.dag p))
+  in
+  let block = function
+    | F.Mincut_fusion.Accept b | F.Mincut_fusion.Cut { block = b; _ } -> b
+  in
+  let own = List.filter (fun s -> Iset.subset (block s) chain7) inc.steps in
+  let { Lz.Replan.blocks_reused; blocks_replanned; _ } = inc.stats in
+  Alcotest.(check int) "one lookup per step but the 6 trailing unions"
+    (List.length inc.steps - 6) (blocks_reused + blocks_replanned);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d replanned: the top block and chain 7's own (%d blocks)"
+       blocks_replanned (List.length own))
+    true
+    (blocks_replanned >= 2 && blocks_replanned <= 1 + List.length own)
+
+(* A pinned trace of a DAG of four weak components, one holding a
+   global kernel: each union of trailing components is cut with the
+   reason a legality check gives it.  Pinned before components were
+   split in one step; planned from scratch and replayed from a
+   session's memo. *)
+let four_components () =
+  Pipeline.create ~name:"four" ~width:64 ~height:48 ~inputs:[ "a"; "b"; "c"; "d" ]
+    [
+      Kernel.map ~name:"a1" ~inputs:[ "a" ] (Expr.conv Mask.gaussian_3x3 "a");
+      Kernel.map ~name:"b1" ~inputs:[ "b" ] (Expr.conv Mask.gaussian_5x5 "b");
+      Kernel.map ~name:"c1" ~inputs:[ "c" ] Expr.(input "c" * const 2.0);
+      Kernel.map ~name:"d1" ~inputs:[ "d" ] (Expr.conv Mask.sobel_x "d");
+      Kernel.map ~name:"a2" ~inputs:[ "a1" ] Expr.((input "a1" * const 0.5) + const 1.0);
+      Kernel.reduce ~name:"b2" ~inputs:[ "b1" ] ~init:0.0 ~combine:Expr.Add (Expr.input "b1");
+      Kernel.map ~name:"c2" ~inputs:[ "c1" ] (Expr.conv Mask.gaussian_3x3 "c1");
+      Kernel.map ~name:"c3" ~inputs:[ "c2"; "c1" ] Expr.(input "c2" + input "c1");
+    ]
+
+let four_components_trace =
+  [
+    "cut {a1, b1, c1, d1, a2, b2, c2, c3} (w=0.000; global kernel b2 cannot be fused) -> \
+     {a1, a2} | {b1, c1, d1, b2, c2, c3}";
+    "accept {a1, a2}";
+    "cut {b1, c1, d1, b2, c2, c3} (w=0.000; global kernel b2 cannot be fused) -> {b1, b2} | \
+     {c1, d1, c2, c3}";
+    "cut {b1, b2} (w=0.001; global kernel b2 cannot be fused) -> {b2} | {b1}";
+    "accept {b2}";
+    "accept {b1}";
+    "cut {c1, d1, c2, c3} (w=0.000; block is not connected) -> {c1, c2, c3} | {d1}";
+    "accept {c1, c2, c3}";
+    "accept {d1}";
+  ]
+
+let test_four_components_trace () =
+  let p = four_components () in
+  let r = F.Mincut_fusion.run config p in
+  Alcotest.(check (list string))
+    "scratch trace" four_components_trace (render_steps p r.steps);
+  let lp = Lz.Lazy_pipeline.of_pipeline config p in
+  let _ = ok "flush" (Lz.Lazy_pipeline.flush lp) in
+  let again = ok "reflush" (Lz.Lazy_pipeline.flush lp) in
+  Alcotest.(check (list string))
+    "trace replayed from the memo" four_components_trace
+    (render_steps again.pipeline again.steps);
+  Alcotest.(check int) "every block but the 2 trailing unions looked up and reused" 7
+    again.stats.blocks_reused
+
 (* ---- the session's memos ---- *)
 
 module Fingerprint = Kfuse_cache.Fingerprint
 
 (* One random edit of every kind the frontend has: the four of
-   [Edits.random] (add, del, retarget, param), and, one time in five, a
-   fresh input declaration.  Past 12 kernels appends are redrawn, so a
-   long session's DAG stays small and each flush cheap, while the
-   appends' random bodies keep making blocks the memo has not seen. *)
-let random_edit rng lp i =
+   [Edits.random] (add, del, retarget, param), and, one time in five
+   unless [inputs] is false, a fresh input declaration.  Past
+   [max_kernels] appends are redrawn, so a long session's DAG stays
+   small and each flush cheap, while the appends' random bodies keep
+   making blocks the memo has not seen. *)
+let random_edit ?(inputs = true) ?(max_kernels = 12) rng lp i =
   let rec edit tries =
     match Lz.Edits.random rng lp with
-    | Some (Lz.Edits.Append _) when tries > 0 && List.length (Lz.Lazy_pipeline.kernels lp) >= 12
-      ->
+    | Some (Lz.Edits.Append _)
+      when tries > 0 && List.length (Lz.Lazy_pipeline.kernels lp) >= max_kernels ->
       edit (tries - 1)
     | e -> Option.iter (fun e -> ignore (Lz.Edits.apply lp e)) e
   in
-  if Rng.int rng 5 = 0 then ignore (Lz.Lazy_pipeline.add_input lp (Printf.sprintf "qin%d" i))
+  if inputs && Rng.int rng 5 = 0 then
+    ignore (Lz.Lazy_pipeline.add_input lp (Printf.sprintf "qin%d" i))
   else edit 20
 
 (* [(seed, index)] names a [Fuzz.Gen.case] pipeline, [edits] seeds the
@@ -374,14 +476,17 @@ let prop_memoized_flush_is_scratch =
                && String.equal (Fingerprint.exact plan.fused) (Fingerprint.exact scr.fused))))
 
 (* A long session's decision memo stays under its cap: 2,000 random
-   edits of one small DAG reach it, each flushed, every tenth checked
-   against scratch. *)
+   edits of one small DAG reach it (near edit 1,420), each flushed,
+   every tenth checked against scratch.  The edits declare no inputs:
+   those split the DAG into components, and a disconnected block is
+   one memo entry, so such a session makes too few new decisions to
+   reach the cap. *)
 let test_long_session_bounded () =
   let lp = Lz.Lazy_pipeline.of_pipeline config (Kfuse_fuzz.Gen.case ~max_kernels:8 ~seed:7 3) in
   let rng = Rng.create 11 in
   let peak = ref 0 in
   for i = 1 to 2_000 do
-    random_edit rng lp i;
+    random_edit ~inputs:false ~max_kernels:16 rng lp i;
     let ctx = Printf.sprintf "edit %d" i in
     let inc = ok (ctx ^ ": flush") (Lz.Lazy_pipeline.flush lp) in
     if i mod 10 = 0 then
@@ -415,6 +520,9 @@ let suite =
     Alcotest.test_case "of_pipeline roundtrip" `Quick test_of_pipeline_roundtrip;
     Alcotest.test_case "48-kernel DAG: 32 edits equal scratch" `Slow
       test_chains_edit_round;
+    Alcotest.test_case "48-kernel DAG: an edit on the last chain" `Quick
+      test_last_chain_edit;
+    Alcotest.test_case "four components: pinned trace" `Quick test_four_components_trace;
     prop_memos_match_fingerprints;
     prop_memoized_flush_is_scratch;
     Alcotest.test_case "a 2,000-edit session stays under the memo cap" `Slow
