@@ -1150,6 +1150,52 @@ let repl_print_show lp =
   let ks = List.map (fun k -> k.Ir.Kernel.name) (Lz.Lazy_pipeline.kernels lp) in
   Format.printf "kernels (%d): %s@." (List.length ks) (String.concat " " ks)
 
+(* What a repl command does in one back end: the local builder, or a
+   lazy session inside a daemon.  [close rc] ends the session. *)
+type 'r repl_backend = {
+  edit : string -> (unit, Diag.t) result;
+  flush : scratch:bool -> (unit, Diag.t) result;
+  show : unit -> unit;
+  plan : unit -> unit;
+  close : int -> 'r;
+}
+
+(* The one command loop of both back ends.  Blank and comment lines are
+   skipped, control commands are recognised here, and every other line
+   is an edit.  Under --script the first rejected command ends the
+   session with exit 1; interactively it is reported and the session
+   continues. *)
+let repl_loop ~interactive ~next_line b =
+  let rec loop n =
+    match next_line () with
+    | None -> b.close 0
+    | Some raw -> (
+      let line = String.trim raw in
+      if line = "" || line.[0] = '#' then loop (n + 1)
+      else
+        let step =
+          match Lz.Command.control line with
+          | Some Lz.Command.Quit -> None
+          | Some Lz.Command.Help -> Some (Ok (print_endline Lz.Command.help))
+          | Some Lz.Command.Show -> Some (Ok (b.show ()))
+          | Some Lz.Command.Plan -> Some (Ok (b.plan ()))
+          | Some (Lz.Command.Flush { scratch }) -> Some (b.flush ~scratch)
+          | _ -> Some (b.edit line)
+        in
+        match step with
+        | None -> b.close 0
+        | Some (Ok ()) -> loop (n + 1)
+        | Some (Error d) when interactive ->
+          Format.eprintf "kfusec: %a@." Diag.pp d;
+          loop (n + 1)
+        | Some (Error d) ->
+          Format.eprintf "kfusec: repl:%d: %a@." n Diag.pp d;
+          b.close 1)
+  in
+  loop 1
+
+let no_plan_yet () = print_endline "no plan yet (run: flush)"
+
 let no_builder =
   Diag.v Diag.Io_error
     "pass --app NAME, a DSL FILE, or --width and --height for an empty builder"
@@ -1255,11 +1301,6 @@ let repl_cmd =
             flush stderr;
             (try Some (input_line stdin) with End_of_file -> None)
       in
-      let tokens line =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun w -> w <> "")
-      in
       match socket with
       | None -> (
         (* Local mode: the builder and its planning session live here. *)
@@ -1280,59 +1321,29 @@ let repl_cmd =
         | Error d -> fail_diag d
         | Ok lp ->
           with_jobs common.jobs @@ fun pool ->
-          (* fail fast under --script, report-and-continue interactively *)
-          let on_error n d k =
-            if interactive then begin
-              Format.eprintf "kfusec: %a@." Diag.pp d;
-              k ()
-            end
-            else begin
-              Format.eprintf "kfusec: repl:%d: %a@." n Diag.pp d;
-              1
-            end
-          in
-          let rec loop n =
-            match next_line () with
-            | None -> 0
-            | Some raw -> (
-              let line = String.trim raw in
-              if line = "" || line.[0] = '#' then loop (n + 1)
-              else
-                match Lz.Command.parse lp line with
-                | Error d -> on_error n d (fun () -> loop (n + 1))
-                | Ok Lz.Command.Quit -> 0
-                | Ok Lz.Command.Help ->
-                  print_endline Lz.Command.help;
-                  loop (n + 1)
-                | Ok Lz.Command.Show ->
-                  repl_print_show lp;
-                  loop (n + 1)
-                | Ok Lz.Command.Plan ->
-                  (match Lz.Lazy_pipeline.last lp with
-                  | None -> print_endline "no plan yet (run: flush)"
+          repl_loop ~interactive ~next_line
+            {
+              edit =
+                (fun line ->
+                  Result.bind (Lz.Command.parse_edit lp line) (Lz.Command.apply lp)
+                  |> Result.map (Format.printf "applied: %s@."));
+              flush =
+                (fun ~scratch ->
+                  (if scratch then Lz.Lazy_pipeline.flush_scratch ~pool lp
+                   else Lz.Lazy_pipeline.flush ~pool lp)
+                  |> Result.map (repl_print_plan (if scratch then "flush scratch" else "flush")));
+              show = (fun () -> repl_print_show lp);
+              plan =
+                (fun () ->
+                  match Lz.Lazy_pipeline.last lp with
+                  | None -> no_plan_yet ()
                   | Some pl -> repl_print_plan "plan" pl);
-                  loop (n + 1)
-                | Ok (Lz.Command.Flush { scratch }) -> (
-                  let planned =
-                    if scratch then Lz.Lazy_pipeline.flush_scratch ~pool lp
-                    else Lz.Lazy_pipeline.flush ~pool lp
-                  in
-                  match planned with
-                  | Error d -> on_error n d (fun () -> loop (n + 1))
-                  | Ok pl ->
-                    repl_print_plan (if scratch then "flush scratch" else "flush") pl;
-                    loop (n + 1))
-                | Ok ((Lz.Command.Edit _ | Lz.Command.Add_input _) as c) -> (
-                  match Lz.Command.apply lp c with
-                  | Error d -> on_error n d (fun () -> loop (n + 1))
-                  | Ok desc ->
-                    Format.printf "applied: %s@." desc;
-                    loop (n + 1)))
-          in
-          loop 1)
+              close = Fun.id;
+            })
       | Some socket -> (
         (* Daemon mode: edit lines pass through verbatim as lazy_edit;
-           only flush/plan/show/help/quit are interpreted client-side. *)
+           flush becomes lazy_flush, and plan/show print the last
+           replies. *)
         let none = if width = None || height = None then Error no_builder else Ok (None, None) in
         match wire_pipeline ~none ~app:common.app ~file:common.file with
         | Error d -> fail_diag d
@@ -1361,68 +1372,38 @@ let repl_cmd =
               | None -> Error (Diag.v Diag.Protocol_error "lazy_open reply carries no \"id\"")
               | Some id ->
                 let last_state = ref opened and last_plan = ref None in
-                let close rc =
-                  match Svc.Client.request c (Svc.Protocol.Lazy_close id) with
-                  | Ok v ->
-                    print_json v;
-                    Ok rc
-                  | Error d ->
-                    Format.eprintf "kfusec: %a@." Diag.pp d;
-                    Ok (if rc = 0 then 1 else rc)
+                let send req keep =
+                  Svc.Client.request c req
+                  |> Result.map (fun v ->
+                         keep v;
+                         print_json v)
                 in
-                let rec loop n =
-                  match next_line () with
-                  | None -> close 0
-                  | Some raw -> (
-                    let line = String.trim raw in
-                    if line = "" || line.[0] = '#' then loop (n + 1)
-                    else
-                      let fail d =
-                        if interactive then begin
+                repl_loop ~interactive ~next_line
+                  {
+                    edit =
+                      (fun command ->
+                        send
+                          (Svc.Protocol.Lazy_edit { Svc.Protocol.id; command })
+                          (fun v -> last_state := v));
+                    flush =
+                      (fun ~scratch ->
+                        send
+                          (Svc.Protocol.Lazy_flush { Svc.Protocol.id; scratch })
+                          (fun v -> last_plan := Some v));
+                    show = (fun () -> print_json !last_state);
+                    plan =
+                      (fun () ->
+                        match !last_plan with Some v -> print_json v | None -> no_plan_yet ());
+                    close =
+                      (fun rc ->
+                        match Svc.Client.request c (Svc.Protocol.Lazy_close id) with
+                        | Ok v ->
+                          print_json v;
+                          Ok rc
+                        | Error d ->
                           Format.eprintf "kfusec: %a@." Diag.pp d;
-                          loop (n + 1)
-                        end
-                        else begin
-                          Format.eprintf "kfusec: repl:%d: %a@." n Diag.pp d;
-                          close 1
-                        end
-                      in
-                      match tokens line with
-                      | [ ("quit" | "exit") ] -> close 0
-                      | [ "help" ] ->
-                        print_endline Lz.Command.help;
-                        loop (n + 1)
-                      | [ "show" ] ->
-                        print_json !last_state;
-                        loop (n + 1)
-                      | [ "plan" ] ->
-                        (match !last_plan with
-                        | Some v -> print_json v
-                        | None -> print_endline "no plan yet (run: flush)");
-                        loop (n + 1)
-                      | ([ "flush" ] | [ "flush"; "scratch" ]) as t -> (
-                        let scratch = t = [ "flush"; "scratch" ] in
-                        match
-                          Svc.Client.request c
-                            (Svc.Protocol.Lazy_flush { Svc.Protocol.id; scratch })
-                        with
-                        | Error d -> fail d
-                        | Ok v ->
-                          last_plan := Some v;
-                          print_json v;
-                          loop (n + 1))
-                      | _ -> (
-                        match
-                          Svc.Client.request c
-                            (Svc.Protocol.Lazy_edit { Svc.Protocol.id; command = line })
-                        with
-                        | Error d -> fail d
-                        | Ok v ->
-                          last_state := v;
-                          print_json v;
-                          loop (n + 1)))
-                in
-                loop 1)
+                          Ok (if rc = 0 then 1 else rc));
+                  })
           in
           match session with
           | Error d -> fail_diag d

@@ -67,7 +67,17 @@ let words s =
 let strip_comment s =
   match String.index_opt s '#' with None -> s | Some i -> String.sub s 0 i
 
-let parse lp line =
+let control line =
+  match words (strip_comment line) with
+  | [ "flush" ] -> Some (Flush { scratch = false })
+  | [ "flush"; "scratch" ] -> Some (Flush { scratch = true })
+  | [ "plan" ] -> Some Plan
+  | [ "show" ] -> Some Show
+  | [ "help" ] -> Some Help
+  | [ ("quit" | "exit") ] -> Some Quit
+  | _ -> None
+
+let parse_edit lp line =
   let line = String.trim (strip_comment line) in
   match words line with
   | [] -> parse_error "empty command (try: help)"
@@ -92,13 +102,10 @@ let parse lp line =
     | Some v -> Ok (Edit (Edits.Set_param (name, v)))
     | None -> parse_error "param value %S is not a number" value)
   | [ "input"; name ] -> Ok (Add_input name)
-  | [ "flush" ] -> Ok (Flush { scratch = false })
-  | [ "flush"; "scratch" ] -> Ok (Flush { scratch = true })
-  | [ "plan" ] -> Ok Plan
-  | [ "show" ] -> Ok Show
-  | [ "help" ] -> Ok Help
-  | [ ("quit" | "exit") ] -> Ok Quit
   | verb :: _ -> parse_error "unknown or malformed command %S (try: help)" verb
+
+let parse lp line =
+  match control line with Some c -> Ok c | None -> parse_edit lp line
 
 let label = function
   | Edit _ -> "edit"

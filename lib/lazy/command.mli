@@ -31,11 +31,20 @@ type t =
 val help : string
 (** The grammar summary printed by the [help] command. *)
 
+val control : string -> t option
+(** [Some c] when the line is a control command ([Flush], [Plan],
+    [Show], [Help] or [Quit]), recognised without a builder; [None] for
+    anything else, including edits and malformed lines. *)
+
 val parse : Lazy_pipeline.t -> string -> (t, Kfuse_util.Diag.t) result
 (** Parse one command line in the context of [lp] (an [add] expression
     is elaborated against its images and params — but {b not} applied).
     Parse failures are [Parse_error], elaboration failures
     [Elab_error]/[Duplicate_name]/... diags. *)
+
+val parse_edit : Lazy_pipeline.t -> string -> (t, Kfuse_util.Diag.t) result
+(** {!parse} for a line {!control} did not recognise: an [Edit] or an
+    [Add_input], or the error naming what is wrong with the line. *)
 
 val apply : Lazy_pipeline.t -> t -> (string, Kfuse_util.Diag.t) result
 (** Apply an edit-like command ([Edit]/[Add_input]) to the builder,

@@ -4,7 +4,6 @@ module Faults = Kfuse_util.Faults
 module Digraph = Kfuse_graph.Digraph
 module Partition = Kfuse_graph.Partition
 module Pipeline = Kfuse_ir.Pipeline
-module Validate = Kfuse_ir.Validate
 module Config = Kfuse_fusion.Config
 module Benefit = Kfuse_fusion.Benefit
 module Legality = Kfuse_fusion.Legality
@@ -357,85 +356,82 @@ let finish t p (r : Mincut.result) ~stats =
     Ok plan
 
 let plan ?pool t p =
-  match Validate.result p with
-  | Error d -> Error d
-  | Ok p -> (
-    try
-      age t.digests;
-      age t.defs;
-      age t.fused;
-      let refs = Array.map Fingerprint.content_ref (kernel_hashes t p) in
-      (* A block that misses is looked up, decided, then recorded: keep
-         the few keys of this flush's misses for [record]. *)
-      let missed = ref [] in
-      let key block =
-        match List.find_opt (fun (b, _) -> Iset.equal b block) !missed with
-        | Some (_, k) -> k
-        | None -> Fingerprint.subgraph ~refs p block
+  try
+    age t.digests;
+    age t.defs;
+    age t.fused;
+    let refs = Array.map Fingerprint.content_ref (kernel_hashes t p) in
+    (* A block that misses is looked up, decided, then recorded: keep
+       the few keys of this flush's misses for [record]. *)
+    let missed = ref [] in
+    let key block =
+      match List.find_opt (fun (b, _) -> Iset.equal b block) !missed with
+      | Some (_, k) -> k
+      | None -> Fingerprint.subgraph ~refs p block
+    in
+    let record block d = record t (key block) block d in
+    let edges, edges_reused, edges_rescored = score_edges t p refs in
+    let blocks_reused = ref 0 and blocks_replanned = ref 0 in
+    let lookup block =
+      let k = key block in
+      match lookup t p k block with
+      | Some _ as d ->
+        incr blocks_reused;
+        d
+      | None ->
+        incr blocks_replanned;
+        missed := (block, k) :: !missed;
+        None
+    in
+    let result = Mincut.run ?pool ~lookup ~record ~edges t.config p in
+    (* Seam re-check: reused decisions are provably equivalent, but an
+       incremental planner that silently returns a stale plan is the
+       exact failure mode this module exists to prevent — the
+       invariant is enforced, not assumed. *)
+    let seam =
+      if Faults.fires seam_fault then
+        Error (Diag.errorf Diag.Fault_injected "seam re-check fault (%s)" seam_fault)
+      else Legality.check_partition t.config p result.Mincut.partition
+    in
+    match seam with
+    | Ok () ->
+      finish t p result
+        ~stats:
+          {
+            blocks_reused = !blocks_reused;
+            blocks_replanned = !blocks_replanned;
+            edges_reused;
+            edges_rescored;
+            fell_back = false;
+          }
+    | Error _ ->
+      (* Degrade: the memo can no longer be trusted.  Drop it and
+         replan this flush from scratch (repopulating both memos). *)
+      Lru.clear t.decisions;
+      Lru.clear t.edge_memo;
+      missed := [];
+      let edges, _, edges_rescored = score_edges t p refs in
+      let decided = ref 0 in
+      let record block d =
+        incr decided;
+        record block d
       in
-      let record block d = record t (key block) block d in
-      let edges, edges_reused, edges_rescored = score_edges t p refs in
-      let blocks_reused = ref 0 and blocks_replanned = ref 0 in
-      let lookup block =
-        let k = key block in
-        match lookup t p k block with
-        | Some _ as d ->
-          incr blocks_reused;
-          d
-        | None ->
-          incr blocks_replanned;
-          missed := (block, k) :: !missed;
-          None
-      in
-      let result = Mincut.run ?pool ~lookup ~record ~edges t.config p in
-      (* Seam re-check: reused decisions are provably equivalent, but an
-         incremental planner that silently returns a stale plan is the
-         exact failure mode this module exists to prevent — the
-         invariant is enforced, not assumed. *)
-      let seam =
-        if Faults.fires seam_fault then
-          Error (Diag.errorf Diag.Fault_injected "seam re-check fault (%s)" seam_fault)
-        else Legality.check_partition t.config p result.Mincut.partition
-      in
-      match seam with
+      let result = Mincut.run ?pool ~record ~edges t.config p in
+      (match Legality.check_partition t.config p result.Mincut.partition with
+      | Error d -> Error d
       | Ok () ->
         finish t p result
           ~stats:
             {
-              blocks_reused = !blocks_reused;
-              blocks_replanned = !blocks_replanned;
-              edges_reused;
+              blocks_reused = 0;
+              blocks_replanned = !decided;
+              edges_reused = 0;
               edges_rescored;
-              fell_back = false;
-            }
-      | Error _ ->
-        (* Degrade: the memo can no longer be trusted.  Drop it and
-           replan this flush from scratch (repopulating both memos). *)
-        Lru.clear t.decisions;
-        Lru.clear t.edge_memo;
-        missed := [];
-        let edges, _, edges_rescored = score_edges t p refs in
-        let decided = ref 0 in
-        let record block d =
-          incr decided;
-          record block d
-        in
-        let result = Mincut.run ?pool ~record ~edges t.config p in
-        (match Legality.check_partition t.config p result.Mincut.partition with
-        | Error d -> Error d
-        | Ok () ->
-          finish t p result
-            ~stats:
-              {
-                blocks_reused = 0;
-                blocks_replanned = !decided;
-                edges_reused = 0;
-                edges_rescored;
-                fell_back = true;
-              })
-    with
-    | Faults.Fault { point; hit } ->
-      Error (Diag.errorf Diag.Fault_injected "fault at %s (hit %d)" point hit)
-    | Invalid_argument msg -> Error (Diag.errorf Diag.Strategy_failed "lazy replan: %s" msg))
+              fell_back = true;
+            })
+  with
+  | Faults.Fault { point; hit } ->
+    Error (Diag.errorf Diag.Fault_injected "fault at %s (hit %d)" point hit)
+  | Invalid_argument msg -> Error (Diag.errorf Diag.Strategy_failed "lazy replan: %s" msg)
 
 let scratch ?pool config p = plan ?pool (create config) p

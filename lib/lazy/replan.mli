@@ -103,9 +103,11 @@ val plan :
   t ->
   Kfuse_ir.Pipeline.t ->
   (plan, Kfuse_util.Diag.t) result
-(** [plan t p] validates [p] and runs the memoized min-cut recursion as
-    described above.  Never raises: validation failures, fusion faults
-    and transform failures come back as diagnostics. *)
+(** [plan t p] runs the memoized min-cut recursion as described above.
+    Precondition: [p] is valid ({!Kfuse_ir.Validate.result} accepts it),
+    as every {!Lazy_pipeline} state is; [plan] does not check it again.
+    Never raises: fusion faults and transform failures come back as
+    diagnostics. *)
 
 val scratch :
   ?pool:Kfuse_util.Pool.t ->

@@ -15,60 +15,9 @@ module Faults = Kfuse_util.Faults
 module Diag = Kfuse_util.Diag
 module Sup = Kfuse_exec.Supervisor
 
+open Support
+
 let code_of (d : Diag.t) = Diag.code_id d.Diag.code
-
-let temp_socket () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "kfused-chaos-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
-
-let temp_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  dir
-
-let with_server ?max_conns ?queue ?request_timeout_ms ?drain_timeout_ms ?exec_limits
-    ?crash_dir ?breaker_threshold ?max_streams f =
-  let socket = temp_socket () in
-  let cache = Cache.Plan_cache.create () in
-  (* Exec chaos tests pass an explicit throwaway [crash_dir]; everything
-     else gets one too, so no test pollutes the operator's real
-     crash-corpus directory. *)
-  let crash_dir =
-    match crash_dir with Some d -> d | None -> temp_dir "kfuse-chaos-crash"
-  in
-  Kfuse_util.Pool.with_pool 2 (fun pool ->
-      match
-        Svc.Server.start ~socket ~cache ~pool ?max_conns ?queue ?request_timeout_ms
-          ?drain_timeout_ms ?exec_limits ~crash_dir ?breaker_threshold ?max_streams ()
-      with
-      | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
-      | Ok server ->
-        Fun.protect ~finally:(fun () -> Svc.Server.stop server) (fun () -> f socket server))
-
-let fuse_req ?budget_ms ?(strict = false) app =
-  {
-    Protocol.app = Some app;
-    source = None;
-    strategy = Kfuse_fusion.Driver.Mincut;
-    c_mshared = None;
-    gamma = None;
-    tg = None;
-    optimize = false;
-    inline = false;
-    strict;
-    budget_ms;
-    no_cache = false;
-  }
-
-let expect_ok = function
-  | Ok v -> v
-  | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d)
-
-let field name v =
-  match Jsonx.member name v with
-  | Some f -> f
-  | None -> Alcotest.failf "response lacks %S: %s" name (Jsonx.to_string v)
 
 (* ---- admission control ---- *)
 
@@ -315,9 +264,6 @@ module Ir = Kfuse_ir
 module Img = Kfuse_image
 module F = Kfuse_fusion
 
-let require_toolchain () =
-  match Kfuse_exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok _ -> ()
-
 let exec_req ?(seed = 42) ?(repeat = 1) ?(verify = false) ?(return_pixels = false) ?width
     ?height app =
   {
@@ -500,11 +446,6 @@ let test_exec_oom_limit () =
    sobel at 1024² writes 8 MiB of output under a 1 MiB RLIMIT_FSIZE.
    The refusal is the request's, not the plan's, so four of them strike
    nothing: no quarantine, no interpreter fallback, no crash artifact. *)
-let contains needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
-  loop 0
-
 let test_exec_limit_refusal_no_strike () =
   require_toolchain ();
   let crash_dir = temp_dir "kfuse-chaos-crash" in
@@ -767,6 +708,137 @@ let test_chaos_hammer () =
   | v -> Alcotest.failf "stats lack limits: %s" (Jsonx.to_string v));
   ignore server
 
+(* ---- the kfusec serve binary ---- *)
+
+(* Protocol chaos armed in a live daemon (torn frames, dropped and
+   delayed replies, forced sheds) under 8 retrying clients; then a
+   slow-loris peer draws the request deadline's KF0804, the metrics and
+   stats account for the sheds and the timeout, and SIGTERM drains. *)
+let test_binary_chaos_storm () =
+  with_daemon
+    ~env:[ "KFUSE_FAULTS=proto.torn_frame/6,proto.drop_reply/9,proto.slow_write/4,service.shed/7" ]
+    "serve"
+    [ "-j"; "2"; "--max-conns"; "2"; "--queue"; "2"; "--request-timeout-ms"; "500";
+      "--drain-timeout"; "3000" ]
+  @@ fun d ->
+  let retrying args =
+    query d ([ "--timeout-ms"; "2000"; "--retries"; "3"; "--retry-backoff-ms"; "20" ] @ args)
+  in
+  (* Sheds and timeouts are retried away; torn and dropped replies fail
+     fast and typed.  Either way every call returns. *)
+  List.init 8 (fun _ -> Thread.create (fun () -> for _ = 1 to 5 do ignore (retrying [ "--ping" ]) done) ())
+  |> List.iter Thread.join;
+  (* Two header bytes, then silence.  The connection may draw a chaos
+     shed (KF0803) first, so the loris retries until the deadline is what
+     answers it. *)
+  let loris () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    Unix.connect fd (Unix.ADDR_UNIX d.socket);
+    (* The reply's header and payload are two writes: read the frame. *)
+    match
+      ignore (Unix.write_substring fd "\000\000" 0 2);
+      Protocol.recv fd
+    with
+    | Ok (Some reply) -> (
+      match Protocol.result reply with Error dg -> code_of dg = "KF0804" | Ok _ -> false)
+    | Ok None | Error _ | (exception Unix.Unix_error _) -> false
+  in
+  let rec attempt n =
+    if n = 0 then Alcotest.fail "the slow loris never drew a KF0804 reply"
+    else if not (loris ()) then attempt (n - 1)
+  in
+  attempt 10;
+  let rec answered n args =
+    match retrying args with
+    | 0, text -> text
+    | _, text when n = 0 -> Alcotest.failf "query %s kept failing: %s" (String.concat " " args) text
+    | _ -> Unix.sleepf 0.2; answered (n - 1) args
+  in
+  let text = answered 10 [ "--metrics" ] in
+  Alcotest.(check bool) "sheds counted" true (metric text "kfused_requests_shed_total" >= 1.0);
+  Alcotest.(check bool) "timeout counted" true
+    (metric text "kfused_requests_timed_out_total" >= 1.0);
+  Alcotest.(check (float 0.0)) "only the metrics connection is active" 1.0
+    (metric text "kfused_connections_active");
+  let stats = json_of "stats" (answered 10 [ "--stats" ]) in
+  Alcotest.(check bool) "stats: shed" true (num_at stats [ "connections"; "shed" ] >= 1.0);
+  Alcotest.(check bool) "stats: timed out" true (num_at stats [ "connections"; "timed_out" ] >= 1.0);
+  Alcotest.(check (float 0.0)) "limits: max_conns" 2.0 (num_at stats [ "limits"; "max_conns" ]);
+  Alcotest.(check (float 0.0)) "limits: queue" 2.0 (num_at stats [ "limits"; "queue" ]);
+  stop d
+
+(* exec.crash armed on every supervised execution in the daemon: each
+   fuse_exec is a typed KF0906 and respawns the runner, the third strike
+   quarantines the plan, which then answers through the interpreter,
+   bit-exact; the counters, the gauge and the crash artifact follow, and
+   no runner outlives the shutdown. *)
+let test_binary_crash_storm () =
+  require_toolchain ();
+  with_temp_dir @@ fun crash_dir ->
+  with_daemon ~env:[ "KFUSE_FAULTS=exec.crash/1" ] "serve" [ "-j"; "2"; "--crash-dir"; crash_dir ]
+  @@ fun d ->
+  let exec = [ "--exec"; "-a"; "sobel"; "--width"; "8"; "--height"; "6" ] in
+  for n = 1 to 3 do
+    let code, text = query d exec in
+    if code = 0 then Alcotest.failf "strike %d: a crashing execution must fail typed" n;
+    Alcotest.(check bool) (Printf.sprintf "strike %d is KF0906" n) true (contains "KF0906" text)
+  done;
+  let quarantined = query_json d (exec @ [ "--verify" ]) in
+  Alcotest.(check (option string)) "answered by the interpreter" (Some "interpreter")
+    (Jsonx.mem_str "mode" (field "exec" quarantined));
+  Alcotest.(check (option bool)) "visibly quarantined" (Some true)
+    (Jsonx.mem_bool "quarantined" (field "exec" quarantined));
+  Alcotest.(check (float 0.0)) "still bit-exact" 0.0 (num_at quarantined [ "max_abs_diff" ]);
+  let text = metrics d in
+  Alcotest.(check (float 0.0)) "three crashes" 3.0 (metric text "kfused_native_exec_crashes_total");
+  Alcotest.(check (float 0.0)) "one quarantined plan" 1.0 (metric text "kfused_quarantined_plans");
+  Alcotest.(check bool) "a runner spawn per strike" true
+    (metric text "kfused_native_runner_spawns_total" >= 3.0);
+  Alcotest.(check bool) "a crash artifact for the fuzzer" true
+    (Array.exists (fun f -> Filename.check_suffix f ".pipe") (Sys.readdir crash_dir));
+  shutdown d
+
+(* The six paper apps at 1024²: a summary reply, folded from the
+   runner's arena, equals the verified reply computed from pixels, and
+   the verified run is bit-exact against the interpreter. *)
+let test_binary_summary_equals_verify_1024 () =
+  require_toolchain ();
+  with_daemon "serve" [ "-j"; "2" ] @@ fun d ->
+  let outputs reply =
+    match Jsonx.arr (field "outputs" reply) with
+    | Some os ->
+      List.map
+        (fun o ->
+          Jsonx.to_string
+            (Jsonx.Obj
+               (List.map (fun k -> (k, field k o)) [ "name"; "width"; "height"; "min"; "max"; "mean" ])))
+        os
+    | None -> Alcotest.failf "outputs is not an array: %s" (Jsonx.to_string reply)
+  in
+  (* Two clients, so the daemon's two workers overlap one app's compile
+     with another's interpreter run; the slowest apps to verify go first,
+     so the clients finish together. *)
+  map2_threads
+    (fun app ->
+      let exec = [ "--exec"; "-a"; app; "--width"; "1024"; "--height"; "1024" ] in
+      (app, query d exec, query d ("--verify" :: exec)))
+    [ "harris"; "shitomasi"; "night"; "enhance"; "unsharp"; "sobel" ]
+  |> List.iter (fun (app, summary, verified) ->
+         let reply what (code, text) =
+           if code <> 0 then Alcotest.failf "%s %s exited %d: %s" app what code text;
+           json_of (app ^ " " ^ what) text
+         in
+         let summary = reply "summary" summary and verified = reply "--verify" verified in
+         Alcotest.(check (option bool)) (app ^ ": bit-exact") (Some true)
+           (Jsonx.mem_bool "bit_exact" verified);
+         Alcotest.(check (float 0.0)) (app ^ ": max_abs_diff") 0.0
+           (num_at verified [ "max_abs_diff" ]);
+         Alcotest.(check (list string)) (app ^ ": summary equals verified") (outputs verified)
+           (outputs summary));
+  shutdown d
+
 let suite =
   [
     Alcotest.test_case "chaos: full slots + full queue shed with KF0803" `Quick
@@ -812,4 +884,10 @@ let suite =
       test_exec_summary_equals_verify;
     Alcotest.test_case "chaos: concurrent exec.crash storm, daemon survives" `Slow
       test_exec_crash_storm;
+    Alcotest.test_case "kfusec serve: chaos storm, slow loris, SIGTERM drain" `Slow
+      test_binary_chaos_storm;
+    Alcotest.test_case "kfusec serve: sandboxed crash storm, quarantine answers" `Slow
+      test_binary_crash_storm;
+    Alcotest.test_case "kfusec serve: summary replies equal verified replies at 1024²" `Slow
+      test_binary_summary_equals_verify_1024;
   ]

@@ -2,27 +2,9 @@
    binary on real DSL files and check outputs.  The binary and the
    example pipelines are declared as dune test dependencies. *)
 
-let kfusec = "../bin/kfusec.exe"
+open Support
+
 let pipelines_dir = "../examples/pipelines"
-
-(* [env] is a shell prefix like "KFUSE_FAULTS=cut.stoer_wagner@1" for
-   the fault-injection end-to-end tests.  The default empty assignment
-   insulates the regular tests from a KFUSE_FAULTS inherited from the
-   environment (CI sets one for the fault matrix job). *)
-let run_capture ?(env = "KFUSE_FAULTS=") args =
-  let out = Filename.temp_file "kfusec_out" ".txt" in
-  let cmd =
-    Printf.sprintf "%s %s %s > %s 2>&1" env kfusec (String.concat " " args) out
-  in
-  let code = Sys.command cmd in
-  let text = In_channel.with_open_text out In_channel.input_all in
-  (try Sys.remove out with Sys_error _ -> ());
-  (code, text)
-
-let contains needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
-  loop 0
 
 let check_contains what (code, text) needles =
   Alcotest.(check int) (what ^ " exit code") 0 code;
@@ -147,14 +129,6 @@ let cc_available = lazy (Sys.command "cc --version > /dev/null 2>&1" = 0)
 
 let require_cc () = if not (Lazy.force cc_available) then Alcotest.skip ()
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "kfusec_native" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () -> ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () -> f dir)
-
 let test_run_native_e2e () =
   (* The full --native flow: plan, compile, execute, verify against the
      interpreter, write the result image. *)
@@ -215,46 +189,13 @@ let test_run_native_e2e () =
 let test_serve_killed_leaves_no_runner () =
   require_cc ();
   with_temp_dir @@ fun dir ->
-  let socket = Filename.concat dir "d.sock" in
-  let daemon =
-    match
-      (* [exec] keeps the daemon at the child's pid; the empty
-         KFUSE_FAULTS keeps a fault-matrix run's faults out of it. *)
-      Kfuse_exec.Supervisor.Child.spawn
-        ~argv:
-          [
-            "sh"; "-c";
-            Printf.sprintf "KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s" kfusec
-              (Filename.quote socket) (Filename.quote dir);
-          ]
-        ()
-    with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
-  in
-  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
-  @@ fun () ->
-  let rec wait_socket n =
-    if not (Sys.file_exists socket) then
-      if n = 0 then Alcotest.fail "kfusec serve never listened"
-      else (Unix.sleepf 0.05; wait_socket (n - 1))
-  in
-  wait_socket 200;
-  let code, text =
-    run_capture [ "query"; "--socket"; socket; "--exec"; "-a"; "sobel"; "--width"; "8"; "--height"; "6" ]
-  in
+  with_daemon "serve" [ "--cache-dir"; dir ] @@ fun d ->
+  let code, text = query d [ "--exec"; "-a"; "sobel"; "--width"; "8"; "--height"; "6" ] in
   Alcotest.(check int) "sandboxed exec answers" 0 code;
   Alcotest.(check bool) "through a runner" true (contains "\"mode\":\"subprocess\"" text);
-  let native = Filename.concat dir "native" in
-  let runners () =
-    Array.to_list (Sys.readdir "/proc")
-    |> List.filter (fun pid ->
-           match In_channel.with_open_bin ("/proc/" ^ pid ^ "/cmdline") In_channel.input_all with
-           | cmd -> String.starts_with ~prefix:native cmd
-           | exception Sys_error _ -> false)
-  in
+  let runners () = processes_mentioning (Filename.concat dir "native") in
   Alcotest.(check int) "one warm runner" 1 (List.length (runners ()));
-  Kfuse_exec.Supervisor.Child.kill daemon;
+  kill d;
   let rec gone n =
     match runners () with
     | [] -> ()
@@ -268,45 +209,21 @@ let test_serve_killed_leaves_no_runner () =
    closed, the daemon answers again and has counted the failed accepts. *)
 let test_serve_survives_emfile () =
   with_temp_dir @@ fun dir ->
-  let socket = Filename.concat dir "d.sock" in
-  let daemon =
-    match
-      Kfuse_exec.Supervisor.Child.spawn
-        ~argv:
-          [
-            "sh"; "-c";
-            Printf.sprintf
-              "ulimit -n 24; KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s -j 1 \
-               --request-timeout-ms 0"
-              kfusec (Filename.quote socket) (Filename.quote dir);
-          ]
-        ()
-    with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
-  in
-  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
-  @@ fun () ->
-  let rec wait_socket n =
-    if not (Sys.file_exists socket) then
-      if n = 0 then Alcotest.fail "kfusec serve never listened"
-      else (Unix.sleepf 0.05; wait_socket (n - 1))
-  in
-  wait_socket 200;
+  with_daemon ~ulimit:"-n 24" "serve"
+    [ "--cache-dir"; dir; "-j"; "1"; "--request-timeout-ms"; "0" ]
+  @@ fun d ->
   let held =
     List.init 40 (fun _ ->
         let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX socket);
+        Unix.connect fd (Unix.ADDR_UNIX d.socket);
         fd)
   in
   Unix.sleepf 0.3;
   List.iter Unix.close held;
-  let code, text =
-    run_capture [ "query"; "--socket"; socket; "--timeout-ms"; "5000"; "--ping" ]
-  in
+  let code, text = query d [ "--timeout-ms"; "5000"; "--ping" ] in
   Alcotest.(check int) "ping answers after the burst" 0 code;
   Alcotest.(check bool) "pong" true (contains "pong" text);
-  let code, text = run_capture [ "query"; "--socket"; socket; "--stats" ] in
+  let code, text = query d [ "--stats" ] in
   Alcotest.(check int) "stats answers" 0 code;
   let accept_errors =
     match Kfuse_service.Jsonx.of_string text with
@@ -326,46 +243,21 @@ let test_serve_survives_emfile () =
    on any host. *)
 let test_serve_refuses_oversized_exec () =
   with_temp_dir @@ fun dir ->
-  let socket = Filename.concat dir "d.sock" in
-  let daemon =
-    match
-      Kfuse_exec.Supervisor.Child.spawn
-        ~argv:
-          [
-            "sh"; "-c";
-            Printf.sprintf
-              "ulimit -v 4194304; KFUSE_FAULTS= exec %s serve --socket %s --cache-dir %s -j 1 \
-               --max-conns 1"
-              kfusec (Filename.quote socket) (Filename.quote dir);
-          ]
-        ()
-    with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "cannot start kfusec serve: %s" e
-  in
-  Fun.protect ~finally:(fun () -> ignore (Kfuse_exec.Supervisor.Child.terminate daemon))
-  @@ fun () ->
-  let rec wait_socket n =
-    if not (Sys.file_exists socket) then
-      if n = 0 then Alcotest.fail "kfusec serve never listened"
-      else (Unix.sleepf 0.05; wait_socket (n - 1))
-  in
-  wait_socket 200;
+  with_daemon ~ulimit:"-v 4194304" "serve" [ "--cache-dir"; dir; "-j"; "1"; "--max-conns"; "1" ]
+  @@ fun d ->
   List.iter
     (fun flags ->
       let code, text =
-        run_capture
-          ([ "query"; "--socket"; socket; "--timeout-ms"; "20000"; "--exec"; "-a"; "sobel";
-             "--width"; "40000"; "--height"; "40000" ]
+        query d
+          ([ "--timeout-ms"; "20000"; "--exec"; "-a"; "sobel"; "--width"; "40000";
+             "--height"; "40000" ]
           @ flags)
       in
       let what = String.concat " " ("oversized fuse_exec" :: flags) in
       Alcotest.(check bool) (what ^ " fails") true (code <> 0);
       Alcotest.(check bool) (what ^ " is KF0907") true (contains "KF0907" text))
     [ []; [ "--verify" ]; [ "--pixels" ] ];
-  let code, text =
-    run_capture [ "query"; "--socket"; socket; "--timeout-ms"; "5000"; "--ping" ]
-  in
+  let code, text = query d [ "--timeout-ms"; "5000"; "--ping" ] in
   Alcotest.(check int) "ping answers after the refusals" 0 code;
   Alcotest.(check bool) "pong" true (contains "pong" text)
 
@@ -385,35 +277,47 @@ let test_run_native_strips () =
         \  l   = log(in + 0.5)\n\
         \  out = conv(l, mean3, mirror)\n\
          }\n");
-  List.iter
-    (fun (width, height) ->
-      let input = Filename.concat dir (Printf.sprintf "in%dx%d.pgm" width height) in
-      Kfuse_image.Pgm.write input
-        (Kfuse_image.Image.init ~width ~height (fun x y ->
-             0.05 +. (0.9 *. float_of_int (((7 * x) + (13 * y)) mod 17) /. 17.0)));
-      List.iter
-        (fun threads ->
-          List.iter
-            (fun target ->
-              let code, text =
-                run_capture
-                  ~env:(Printf.sprintf "KFUSE_FAULTS= OMP_NUM_THREADS=%d" threads)
-                  (("run" :: target)
-                  @ [
-                      "--native"; "--exec-mode"; "subprocess"; "--cache-dir"; dir; "-i"; input;
-                      "-o"; Filename.concat dir "out.pgm";
-                    ])
-              in
-              let what =
-                Printf.sprintf "%s %dx%d, %d thread(s)" (List.hd (List.rev target)) width height
-                  threads
-              in
-              Alcotest.(check int) (what ^ " exits 0") 0 code;
-              if not (contains "native max-abs-diff vs interpreter: 0\n" text) then
-                Alcotest.failf "%s is not bit-exact:\n%s" what text)
-            [ [ "-a"; "enhance" ]; [ logbox ] ])
-        [ 1; 3 ])
-    [ (3, 3); (5, 17); (1023, 7) ]
+  let inputs =
+    List.map
+      (fun (width, height) ->
+        let input = Filename.concat dir (Printf.sprintf "in%dx%d.pgm" width height) in
+        Kfuse_image.Pgm.write input
+          (Kfuse_image.Image.init ~width ~height (fun x y ->
+               0.05 +. (0.9 *. float_of_int (((7 * x) + (13 * y)) mod 17) /. 17.0)));
+        (width, height, input))
+      [ (3, 3); (5, 17); (1023, 7) ]
+  in
+  (* One thread count after the other: the two runs of an artifact
+     never compile it at once. *)
+  let runs =
+    List.concat_map
+      (fun threads ->
+        List.concat_map
+          (fun (width, height, input) ->
+            List.map (fun target -> (width, height, input, threads, target))
+              [ [ "-a"; "enhance" ]; [ logbox ] ])
+          inputs)
+      [ 1; 3 ]
+  in
+  map2_threads
+    (fun (width, height, input, threads, target) ->
+      let out = Filename.concat dir (Printf.sprintf "out-%dx%d-%d-%s.pgm" width height threads
+          (Filename.basename (List.hd (List.rev target)))) in
+      let code, text =
+        run_capture
+          ~env:(Printf.sprintf "KFUSE_FAULTS= OMP_NUM_THREADS=%d" threads)
+          (("run" :: target)
+          @ [ "--native"; "--exec-mode"; "subprocess"; "--cache-dir"; dir; "-i"; input; "-o"; out ])
+      in
+      let what =
+        Printf.sprintf "%s %dx%d, %d thread(s)" (List.hd (List.rev target)) width height threads
+      in
+      (what, code, text))
+    runs
+  |> List.iter (fun (what, code, text) ->
+         Alcotest.(check int) (what ^ " exits 0") 0 code;
+         if not (contains "native max-abs-diff vs interpreter: 0\n" text) then
+           Alcotest.failf "%s is not bit-exact:\n%s" what text)
 
 let test_run_native_no_toolchain () =
   (* KFUSE_CC pointing nowhere must surface as a typed KF0902, not a
@@ -546,6 +450,85 @@ let test_repl_script () =
   Alcotest.(check bool) "typed parse error" true (contains "error[KF0201]" text);
   Alcotest.(check bool) "line number reported" true (contains "repl:2" text)
 
+(* A one-shot dlopen run with a full OpenMP team used to dlclose libgomp
+   under its own pool threads and segfault a dlopen-trusted daemon: the
+   reply is clean, the daemon still answers, and SIGTERM drains it. *)
+let test_serve_dlopen_full_team () =
+  require_cc ();
+  with_daemon "serve" [ "--exec-sandbox"; "dlopen-trusted" ] @@ fun d ->
+  let reply = query_json d [ "--exec"; "-a"; "harris"; "--width"; "1024"; "--height"; "1024" ] in
+  Alcotest.(check (option string)) "status ok" (Some "ok") (Kfuse_service.Jsonx.mem_str "status" reply);
+  Alcotest.(check (option string)) "in process" (Some "dlopen")
+    (Kfuse_service.Jsonx.mem_str "mode" (field "exec" reply));
+  Alcotest.(check (pair int string)) "still answering" (0, "pong\n") (query d [ "--ping" ]);
+  stop d
+
+(* The same edit script through the local repl and through a live
+   daemon's lazy session prints the same plan fingerprints: the retarget
+   changes the plan, its incremental flush equals the scratch one and
+   reuses the untouched chain's blocks, and the daemon accounts for the
+   one session. *)
+let test_repl_local_vs_daemon () =
+  with_temp_dir @@ fun dir ->
+  let script = Filename.concat dir "edit.kf" in
+  Out_channel.with_open_text script (fun oc ->
+      output_string oc
+        "# two weakly-connected chains; the retarget dirties only one\n\
+         input in\n\
+         add blur = conv(in, gauss3, mirror)\n\
+         param gain 1.5\n\
+         add mag = blur * gain + in\n\
+         input aux\n\
+         add a1 = conv(aux, gauss5, mirror)\n\
+         add a2 = a1 * 2.0\n\
+         add mix = mag - blur\n\
+         flush\n\
+         retarget mix blur in\n\
+         flush  # a trailing comment is no part of the command\n\
+         flush scratch\n\
+         quit\n");
+  let repl extra = run_capture ([ "repl"; "--width"; "64"; "--height"; "48" ] @ extra @ [ "--script"; script ]) in
+  let code, text = repl [] in
+  Alcotest.(check int) "local repl exits 0" 0 code;
+  let local =
+    String.split_on_char '\n' text
+    |> List.filter_map (fun l ->
+           match String.split_on_char ' ' l with [ "fingerprint"; fp ] -> Some fp | _ -> None)
+  in
+  with_daemon "serve" [ "-j"; "2" ] @@ fun d ->
+  let code, text = repl [ "--socket"; d.socket ] in
+  Alcotest.(check int) "remote repl exits 0" 0 code;
+  let remote =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.map (json_of "repl --socket line")
+  in
+  let module J = Kfuse_service.Jsonx in
+  let fps = List.filter_map (J.mem_str "fingerprint") remote in
+  Alcotest.(check (list string)) "same fingerprints" local fps;
+  (match fps with
+  | [ first; incr; scratch ] ->
+    Alcotest.(check string) "incremental = scratch" scratch incr;
+    Alcotest.(check bool) "the retarget changed the plan" true (first <> incr)
+  | _ -> Alcotest.failf "expected three flushes, got %d" (List.length fps));
+  let flushes = List.filter (fun v -> J.member "replan" v <> None) remote in
+  Alcotest.(check (list (option bool))) "which flushes bypass the memos"
+    [ Some false; Some false; Some true ]
+    (List.map (J.mem_bool "scratch") flushes);
+  (match flushes with
+  | _ :: second :: _ ->
+    Alcotest.(check bool) "the retarget flush reused blocks" true
+      (num_at second [ "replan"; "blocks_reused" ] > 0.0)
+  | _ -> Alcotest.fail "fewer than two flush replies");
+  (match List.rev (List.filter (fun v -> J.member "flushes" v <> None) remote) with
+  | close :: _ -> Alcotest.(check (float 0.0)) "close counts 3 flushes" 3.0 (num_at close [ "flushes" ])
+  | [] -> Alcotest.fail "no lazy_close reply");
+  let lazy_ = field "lazy" (query_json d [ "--stats" ]) in
+  List.iter
+    (fun (k, want) -> Alcotest.(check (float 0.0)) ("lazy " ^ k) want (num_at lazy_ [ k ]))
+    [ ("opened", 1.0); ("closed", 1.0); ("active", 0.0) ];
+  shutdown d
+
 (* The long options a subcommand's --help lists under OPTIONS (the
    section before cmdliner's COMMON OPTIONS: --help and --version). *)
 let long_options cmd =
@@ -669,4 +652,8 @@ let suite =
       test_run_native_no_toolchain;
     Alcotest.test_case "fuzz --native smoke" `Slow test_fuzz_native_smoke;
     Alcotest.test_case "bench-native is bit-exact" `Slow test_bench_native_small;
+    Alcotest.test_case "serve --exec-sandbox dlopen-trusted survives a full OpenMP team" `Slow
+      test_serve_dlopen_full_team;
+    Alcotest.test_case "repl --script: local and --socket transcripts agree" `Slow
+      test_repl_local_vs_daemon;
   ]

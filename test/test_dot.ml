@@ -2,17 +2,12 @@
 
 module F = Kfuse_fusion
 
-let contains needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
-  loop 0
-
 let test_plain_dag () =
   let p = Kfuse_apps.Sobel.pipeline ~width:32 ~height:32 () in
   let dot = Kfuse_codegen.Dot.emit p in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (contains needle dot))
+      Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (Support.contains needle dot))
     [
       "digraph \"sobel\"";
       "label=\"dx\\nlocal(r=1)\"";
@@ -29,7 +24,7 @@ let test_partition_clusters () =
   let r = F.Mincut_fusion.run F.Config.default p in
   let dot = Kfuse_codegen.Dot.emit ~partition:r.F.Mincut_fusion.partition p in
   (* Three fused pairs -> three clusters. *)
-  Alcotest.(check bool) "cluster 0" true (contains "subgraph cluster_" dot);
+  Alcotest.(check bool) "cluster 0" true (Support.contains "subgraph cluster_" dot);
   let count_clusters =
     let rec loop i n =
       if i + 17 > String.length dot then n
@@ -47,8 +42,8 @@ let test_edge_labels () =
     Some (Printf.sprintf "%.0f" (F.Benefit.edge_weight config p u v))
   in
   let dot = Kfuse_codegen.Dot.emit ~edge_labels:labels p in
-  Alcotest.(check bool) "weight 328 label" true (contains "label=\"328\"" dot);
-  Alcotest.(check bool) "weight 256 label" true (contains "label=\"256\"" dot)
+  Alcotest.(check bool) "weight 328 label" true (Support.contains "label=\"328\"" dot);
+  Alcotest.(check bool) "weight 256 label" true (Support.contains "label=\"256\"" dot)
 
 let test_global_kernel_shape () =
   let p =
@@ -58,7 +53,7 @@ let test_global_kernel_shape () =
           ~combine:Kfuse_ir.Expr.Add (Kfuse_ir.Expr.input "in");
       ]
   in
-  Alcotest.(check bool) "hexagon" true (contains "shape=hexagon" (Kfuse_codegen.Dot.emit p))
+  Alcotest.(check bool) "hexagon" true (Support.contains "shape=hexagon" (Kfuse_codegen.Dot.emit p))
 
 (* Every ID and label is a quoted DOT string: inputs [a.b] and [a_b]
    stay two nodes, and a quote or backslash in a name cannot end the
@@ -74,7 +69,7 @@ let test_names_quoted () =
   let dot = Kfuse_codegen.Dot.emit p in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (contains needle dot))
+      Alcotest.(check bool) (Printf.sprintf "has %S" needle) true (Support.contains needle dot))
     [
       "digraph \"q\\\"uote\" {";
       "\"input_a.b\" [label=\"a.b\"";

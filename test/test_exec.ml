@@ -15,10 +15,7 @@ module Cg = Kfuse_codegen
 module Exec = Kfuse_exec
 module Fz = Kfuse_fuzz
 
-let contains needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
-  loop 0
+open Support
 
 let check_fragments what text fragments =
   List.iter
@@ -26,9 +23,6 @@ let check_fragments what text fragments =
       if not (contains frag text) then
         Alcotest.failf "%s: expected fragment %S in:\n%s" what frag text)
     fragments
-
-let require_toolchain () =
-  match Exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok t -> t
 
 (* A two-kernel pipeline exercising the tricky emissions at once: a
    negated negative literal (the "--" token-pasting regression), a
@@ -217,7 +211,7 @@ let test_for_step_validated () =
 (* ---- toolchain-guarded: generated C compiles warning-free ---- *)
 
 let test_emit_compiles_warning_free () =
-  let t = require_toolchain () in
+  let t = toolchain () in
   let dir = Filename.temp_file "kfuse_warn" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -227,8 +221,8 @@ let test_emit_compiles_warning_free () =
         (try Sys.readdir dir with Sys_error _ -> [||]);
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
-      List.iteri
-        (fun i name ->
+      map2_threads
+        (fun (i, name) ->
           let _, fused = fused_app name ~width:32 ~height:24 in
           let src_path = Filename.concat dir (Printf.sprintf "gen%d.c" i) in
           let obj_path = Filename.concat dir (Printf.sprintf "gen%d.o" i) in
@@ -242,11 +236,12 @@ let test_emit_compiles_warning_free () =
               (if t.Exec.Toolchain.openmp then "-fopenmp" else "")
               (Filename.quote obj_path) (Filename.quote src_path) (Filename.quote log)
           in
-          if Sys.command cmd <> 0 then
-            Alcotest.failf "%s: generated C does not compile under -Wall -Werror:\n%s"
-              name
-              (In_channel.with_open_text log In_channel.input_all))
-        [ "harris"; "night"; "shitomasi"; "enhance" ])
+          (name, Sys.command cmd, log))
+        (List.mapi (fun i name -> (i, name)) [ "harris"; "night"; "shitomasi"; "enhance" ])
+      |> List.iter (fun (name, code, log) ->
+             if code <> 0 then
+               Alcotest.failf "%s: generated C does not compile under -Wall -Werror:\n%s" name
+                 (In_channel.with_open_text log In_channel.input_all)))
 
 (* The halo bodies' [optimize("O1")] attribute keeps the command line's
    [-ffp-contract=off]: compiled for a CPU with FMA, with the one flag
@@ -254,15 +249,18 @@ let test_emit_compiles_warning_free () =
    same source with [-ffp-contract=fast] fuses some in a halo body, so
    the check can see one there; a compiler that fuses none skips. *)
 let test_halo_keeps_fp_contract () =
-  let t = require_toolchain () in
+  let t = toolchain () in
   let _, fused = fused_app "harris" ~width:32 ~height:24 in
   let dir = Filename.temp_file "kfuse_fma" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let src_path = Filename.concat dir "gen.c" and asm_path = Filename.concat dir "gen.s" in
+  let src_path = Filename.concat dir "gen.c" in
+  let asm_path contract = Filename.concat dir ("gen-" ^ contract ^ ".s") in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ src_path; asm_path ];
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ src_path; asm_path "fast"; asm_path "off" ];
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () ->
       Out_channel.with_open_text src_path (fun oc ->
@@ -279,7 +277,7 @@ let test_halo_keeps_fp_contract () =
           Printf.sprintf "%s %s %s -mfma -fexpensive-optimizations -S -o %s %s > /dev/null 2>&1"
             (Filename.quote t.Exec.Toolchain.cc) (String.concat " " flags)
             (if t.Exec.Toolchain.openmp then "-fopenmp" else "")
-            (Filename.quote asm_path) (Filename.quote src_path)
+            (Filename.quote (asm_path contract)) (Filename.quote src_path)
         in
         if Sys.command cmd <> 0 then None
         else
@@ -295,16 +293,15 @@ let test_halo_keeps_fp_contract () =
                 incr total;
                 if !halo then incr in_halo
               end)
-            (In_channel.with_open_text asm_path In_channel.input_lines);
+            (In_channel.with_open_text (asm_path contract) In_channel.input_lines);
           Some (!in_halo, !total)
       in
-      match fmas "fast" with
-      | None | Some (0, _) -> Alcotest.skip ()
-      | Some _ -> (
-        match fmas "off" with
-        | None -> Alcotest.fail "generated C does not compile for an FMA target"
-        | Some (_, total) ->
-          Alcotest.(check int) "multiply-adds fused under -ffp-contract=off" 0 total))
+      match map2_threads fmas [ "fast"; "off" ] with
+      | [ (None | Some (0, _)); _ ] -> Alcotest.skip ()
+      | [ _; None ] -> Alcotest.fail "generated C does not compile for an FMA target"
+      | [ _; Some (_, total) ] ->
+        Alcotest.(check int) "multiply-adds fused under -ffp-contract=off" 0 total
+      | _ -> assert false)
 
 (* ---- native execution end to end ---- *)
 
@@ -318,11 +315,7 @@ let inputs_for (p : Ir.Pipeline.t) =
           ~lo:0.0 ~hi:1.0 ))
     p.Ir.Pipeline.inputs
 
-let fresh_cache_dir () =
-  let dir = Filename.temp_file "kfuse_exec_cache" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  dir
+let fresh_cache_dir () = temp_dir "kfuse_exec_cache"
 
 (* One artifact cache for the whole suite: a pipeline that several cases
    run compiles once.  The cases that test the cache itself, or replace
@@ -332,14 +325,21 @@ let shared_cache_dir = lazy (fresh_cache_dir ())
 let with_cache_dir f = f (Lazy.force shared_cache_dir)
 let with_fresh_cache_dir f = f (fresh_cache_dir ())
 
-(* Compile a table's artifacts into the shared cache two at a time
-   before its rows run, so the C compiles that bound the table overlap;
+(* Compile a case's artifacts into the shared cache two at a time
+   before it runs them, so the C compiles that bound the case overlap;
    each row still runs, and reports any compile failure, itself. *)
 let precompile jobs =
   let cache_dir = Lazy.force shared_cache_dir in
-  let compile = List.iter (fun (mode, p) -> ignore (Exec.Native.compile ~cache_dir ~mode p)) in
-  let half r = List.filteri (fun i _ -> i mod 2 = r) jobs in
-  List.iter Thread.join [ Thread.create compile (half 0); Thread.create compile (half 1) ]
+  (* One job per distinct source: a second one would only wait for the
+     other thread's compile of the same file. *)
+  let seen = Hashtbl.create 64 in
+  let distinct (mode, p) =
+    let src = Exec.Native.source ~mode p in
+    (not (Hashtbl.mem seen src)) && (Hashtbl.add seen src (); true)
+  in
+  List.filter distinct jobs
+  |> map2_threads (fun (mode, p) -> ignore (Exec.Native.compile ~cache_dir ~mode p))
+  |> ignore
 
 let max_diff reference outputs =
   Alcotest.(check (list string))
@@ -349,7 +349,7 @@ let max_diff reference outputs =
     0.0 reference outputs
 
 let run_exact ~mode ?(repeat = 1) ?params p =
-  let _ = require_toolchain () in
+  require_toolchain ();
   with_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for p in
   let reference = Ir.Eval.run_outputs ?params p (Ir.Eval.env_of_list inputs) in
@@ -378,7 +378,7 @@ let run_exact ~mode ?(repeat = 1) ?params p =
 let matrix_extents = [ (37, 23); (5, 70); (70, 5); (1, 9) ]
 
 let test_apps_matrix_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let plans =
     List.concat_map
       (fun (e : Kfuse_apps.Registry.entry) ->
@@ -430,22 +430,25 @@ let test_runner_layouts_exact () =
   in
   Alcotest.(check (pair int int)) "night_rgb is 3-in/3-out" (3, 3)
     (List.length night_rgb.Ir.Pipeline.inputs, List.length (Ir.Pipeline.outputs night_rgb));
+  let _, harris = fused_app "harris" ~width:15 ~height:11 in
+  let constant =
+    Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
+      [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const 2.5) ]
+  in
+  precompile
+    (List.map (fun p -> (Exec.Native.Subprocess, p))
+       [ night_rgb; neg_reduce_pipeline (); harris; constant ]);
   let r = run_exact ~mode:Exec.Native.Subprocess night_rgb in
   Alcotest.(check int) "three outputs" 3 (List.length r.Exec.Native.outputs);
   (* no params, and a reduction output *)
   ignore (run_exact ~mode:Exec.Native.Subprocess (neg_reduce_pipeline ()));
   (* a param override lands in the file's tail *)
-  let _, harris = fused_app "harris" ~width:15 ~height:11 in
   ignore (run_exact ~mode:Exec.Native.Subprocess ~params:[ ("k", 0.07) ] harris);
   (* no inputs and no params: an empty input file, never mapped *)
-  let constant =
-    Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
-      [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const 2.5) ]
-  in
   ignore (run_exact ~mode:Exec.Native.Subprocess constant)
 
 let test_native_compile_cache () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "sobel" ~width:12 ~height:10 in
   with_fresh_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for fused in
@@ -475,6 +478,7 @@ let test_native_pow_faithful () =
           Ir.Expr.(Binop (Pow, (input "a" * input "b") + neg (input "a"), Const 2.0));
       ]
   in
+  precompile [ (Exec.Native.Dlopen, p); (Exec.Native.Subprocess, p) ];
   ignore (run_exact ~mode:Exec.Native.Dlopen p);
   ignore (run_exact ~mode:Exec.Native.Subprocess p)
 
@@ -509,7 +513,7 @@ let test_native_reach_beyond_radius () =
              modes))
       extents
   in
-  let _ = require_toolchain () in
+  require_toolchain ();
   precompile (List.map (fun p -> (Exec.Native.Dlopen, p)) pipelines);
   List.iter (fun p -> ignore (run_exact ~mode:Exec.Native.Dlopen p)) pipelines
 
@@ -537,9 +541,10 @@ let test_native_sum_reduce_order () =
   let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
   Alcotest.(check (float 0.0)) "row-major sum" 22.5
     (Img.Image.get (List.assoc "k5" reference) 0 0);
+  require_toolchain ();
+  precompile [ (Exec.Native.Dlopen, p); (Exec.Native.Subprocess, p) ];
   List.iter
     (fun mode ->
-      let _ = require_toolchain () in
       with_cache_dir @@ fun cache_dir ->
       match Exec.Native.run ~mode ~cache_dir p inputs with
       | Error d -> Alcotest.failf "native run failed: %s" (Kfuse_util.Diag.to_string d)
@@ -551,11 +556,11 @@ let test_native_sum_reduce_order () =
     [ Exec.Native.Dlopen; Exec.Native.Subprocess ]
 
 let test_native_bad_calls_raise () =
-  let _ = require_toolchain () in
-  let _, fused = fused_app "sobel" ~width:10 ~height:8 in
+  require_toolchain ();
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   with_cache_dir @@ fun cache_dir ->
   let wrong_extent =
-    [ ("in", Img.Image.const ~width:9 ~height:8 0.5) ]
+    [ ("in", Img.Image.const ~width:15 ~height:12 0.5) ]
   in
   (match Exec.Native.run ~cache_dir fused wrong_extent with
   | exception Invalid_argument _ -> ()
@@ -596,7 +601,7 @@ let diag_code (r : Sup.run) =
    toolchain — through the supervisor itself, so no shell appears
    anywhere in the test. *)
 let compile_fixture name source =
-  let t = require_toolchain () in
+  let t = toolchain () in
   let dir = Filename.temp_file "kfuse_sup" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -766,7 +771,7 @@ let exchange_frame ?(n_out = 1) r ~abi ~in_bytes ~out_bytes =
    runner: a short image, a missing parameter, a short output region
    and a stale ABI are each a typed KF0904 that names the mismatch. *)
 let test_runner_truncated_input () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
   Alcotest.(check (pair int int)) "one input, one param" (1, 1)
     (List.length fused.Ir.Pipeline.inputs, List.length fused.Ir.Pipeline.params);
@@ -799,7 +804,7 @@ let test_runner_truncated_input () =
 (* RLIMIT_FSIZE is checked against the arena's output region before any
    runner is spawned. *)
 let test_runner_fsize_limit () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   with_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for fused in
@@ -827,7 +832,7 @@ let test_runner_fsize_limit () =
    typed KF0907.  Sixteen 8 MiB intermediates make a 128 MiB workspace
    beside a 16 MiB arena. *)
 let test_runner_workspace_limit () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let stage i = if i = 0 then "src" else Printf.sprintf "k%d" (i - 1) in
   let p =
     Ir.Pipeline.create ~name:"deep" ~width:1024 ~height:1024 ~inputs:[ "src" ]
@@ -858,7 +863,7 @@ let test_runner_workspace_limit () =
    in full: a runner that reports a short output, or exits 0 in the
    middle of a request, is a typed KF0904. *)
 let test_runner_short_output () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   (* The fixtures replace the plan's artifact: a cache of its own. *)
   with_fresh_cache_dir @@ fun cache_dir ->
@@ -904,7 +909,7 @@ let test_runner_short_output () =
    runner, so they exercise the real kill-and-respawn path: each is its
    typed failure, and the next request succeeds on a fresh runner. *)
 let test_exec_fault_points () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   with_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for fused in
@@ -943,7 +948,7 @@ let test_exec_fault_points () =
    harris, different parameters), each bit-exact against the
    interpreter: nothing of the first request leaks into the second. *)
 let test_runner_reuse_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   with_cache_dir @@ fun cache_dir ->
   let night_rgb =
     let p = Kfuse_apps.Extra.night_rgb_pipeline ~width:17 ~height:13 () in
@@ -1085,8 +1090,15 @@ let proc_links pid =
    sibling's pipe), the idle pool is capped, and a pool shutdown leaves
    none alive. *)
 let test_runner_no_leaks () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  let _, unsharp = fused_app "unsharp" ~width:16 ~height:12 in
+  let konst i =
+    Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
+      [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const (float_of_int i)) ]
+  in
+  precompile
+    (List.map (fun p -> (Exec.Native.Subprocess, p)) (fused :: unsharp :: List.init 9 (fun i -> konst (i + 1))));
   with_cache_dir @@ fun cache_dir ->
   let artifact = compile_runner ~cache_dir fused in
   let npix = 16 * 12 in
@@ -1126,7 +1138,6 @@ let test_runner_no_leaks () =
   | _ -> Alcotest.fail "a runner must exit 0 on EOF of its request pipe");
   ignore (Sup.Runner.close second);
   (* Through the pool: two artifacts served, then shutdown. *)
-  let _, unsharp = fused_app "unsharp" ~width:16 ~height:12 in
   List.iter
     (fun p ->
       match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir p (inputs_for p) with
@@ -1138,11 +1149,7 @@ let test_runner_no_leaks () =
   (* Nine more plans, each its own artifact: the least recently used
      idle runners retire, and 8 stay. *)
   for i = 1 to 9 do
-    let p =
-      Ir.Pipeline.create ~name:"konst" ~width:5 ~height:3 ~inputs:[]
-        [ Ir.Kernel.map ~name:"c" ~inputs:[] (Ir.Expr.Const (float_of_int i)) ]
-    in
-    match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir p [] with
+    match Exec.Native.run ~mode:Exec.Native.Subprocess ~cache_dir (konst i) [] with
     | Ok _ -> ()
     | Error d -> Alcotest.failf "pooled run failed: %s" (Kfuse_util.Diag.to_string d)
   done;
@@ -1309,8 +1316,8 @@ let test_crash_artifact_concurrent () =
     Alcotest.(check string) "pipeline round-trips" (norm p) (norm entry.Fz.Corpus.pipeline)
 
 let test_deadline_between_samples () =
-  let _ = require_toolchain () in
-  let _, fused = fused_app "sobel" ~width:12 ~height:10 in
+  require_toolchain ();
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
   with_cache_dir @@ fun cache_dir ->
   let inputs = inputs_for fused in
   (* Warm the artifact cache so the deadline check hits the sampling
@@ -1366,6 +1373,22 @@ let logbox ~border ~width ~height =
   | Ok p -> (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused
 
 let logbox_borders = [ "clamp"; "mirror"; "repeat"; "constant(0.25)" ]
+
+(* The log-box under every border mode side by side, one output each:
+   the four fused kernels of an extent compile as one file. *)
+let logboxes ~width ~height =
+  let src =
+    Printf.sprintf "pipeline logboxes(in) {\n  size 64 64\n%s}\n"
+      (String.concat ""
+         (List.mapi
+            (fun i border ->
+              Printf.sprintf "  l%d = log(in + 0.5)\n  out%d = conv(l%d, mean3, %s)\n" i i i
+                border)
+            logbox_borders))
+  in
+  match Kfuse_dsl.Elaborate.parse_pipeline ~width ~height src with
+  | Error e -> Alcotest.failf "logboxes: %s" e
+  | Ok p -> (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused
 
 (* Extents whose rows split into tiny or uneven strips. *)
 let strip_sizes = [ (3, 3); (5, 17); (1023, 7) ]
@@ -1436,12 +1459,15 @@ let test_line_buffer_fires () =
 (* Enhance and the fused log-box under every border mode, at extents
    whose strips are tiny or uneven, bit-exact in process. *)
 let test_line_buffer_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let pipelines =
     List.concat_map
       (fun (width, height) ->
-        snd (fused_app "enhance" ~width ~height)
-        :: List.map (fun border -> logbox ~border ~width ~height) logbox_borders)
+        let boxes = logboxes ~width ~height in
+        Alcotest.(check (pair int int)) "a fused log-box per border, each hoisting its log"
+          (List.length logbox_borders, List.length logbox_borders)
+          (Ir.Pipeline.num_kernels boxes, List.length (hoists boxes));
+        [ snd (fused_app "enhance" ~width ~height); boxes ])
       strip_sizes
   in
   precompile (List.map (fun p -> (Exec.Native.Dlopen, p)) pipelines);
@@ -1475,8 +1501,8 @@ let run_plan_diff plan inputs reference =
 (* A pinned plan keeps its intermediates in one workspace across calls:
    a second call on other inputs must not see the first call's state. *)
 let test_workspace_calls_independent () =
-  let _ = require_toolchain () in
-  let _, fused = fused_app "harris" ~width:40 ~height:30 in
+  require_toolchain ();
+  let _, fused = fused_app "harris" ~width:384 ~height:256 in
   Alcotest.(check bool) "harris keeps intermediates" true
     (Cg.Lower_cpu.workspace_scalars fused > 0);
   with_cache_dir @@ fun cache_dir ->
@@ -1495,7 +1521,7 @@ let test_workspace_calls_independent () =
    own (one artifact, two workspaces), then both on one shared plan,
    whose calls take turns on its workspace. *)
 let test_workspace_threads () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   (* Large enough that the two threads' calls overlap. *)
   let _, fused = fused_app "harris" ~width:384 ~height:256 in
   with_cache_dir @@ fun cache_dir ->
@@ -1715,7 +1741,13 @@ let prop_summary_identity =
    generator ends where Image.random leaves it, and each summary is
    fold_floats' of the interpreter's output. *)
 let test_runner_draw_fold_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
+  let rows = [ (1, (37, 23), 1); (1, (1, 9), 3); (2, (5, 71), 1); (2, (37, 23), 3) ] in
+  precompile
+    (List.map
+       (fun (n_in, (width, height), _) ->
+         (Exec.Native.Subprocess, copies ~reduce:(n_in = 2) n_in ~width ~height))
+       rows);
   with_cache_dir @@ fun cache_dir ->
   List.iter
     (fun (n_in, (width, height), repeat) ->
@@ -1749,14 +1781,14 @@ let test_runner_draw_fold_exact () =
           Alcotest.(check bool) (Printf.sprintf "%s: %s summary" what n) true
             (same_summary (Exec.Native.summarize (List.assoc n want)) s))
         (run Exec.Native.Summaries))
-    [ (1, (37, 23), 1); (1, (1, 9), 3); (2, (5, 71), 1); (2, (37, 23), 3) ]
+    rows
 
 (* A seeded run through the real runner and the in-process entry point:
    two inputs drawn straight into the arena are the pixels Image.random
    draws from the same seed, the generator ends where it would, and the
    summaries (a reduction's 1x1) are those of the pixel outputs. *)
 let test_seeded_run_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let width = 130 and height = 70 and lo = -2.0 and hi = 3.0 in
   let copy n = Ir.Kernel.map ~name:("k" ^ n) ~inputs:[ n ] Ir.Expr.(input n * Const 1.0) in
   let p =
@@ -1771,6 +1803,7 @@ let test_seeded_run_exact () =
   let reference = Rng.create 5 in
   let inputs = List.combine [ "a"; "b" ] (random_images reference 2 ~width ~height ~lo ~hi) in
   let want = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+  precompile [ (Exec.Native.Dlopen, p); (Exec.Native.Subprocess, p) ];
   with_cache_dir @@ fun cache_dir ->
   List.iter
     (fun mode ->
@@ -1806,7 +1839,7 @@ let test_seeded_run_exact () =
 (* ---- the opt-in fuzz oracle ---- *)
 
 let test_oracle_native_exec () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let p =
     Ir.Pipeline.create ~name:"orc" ~width:11 ~height:9 ~inputs:[ "src" ]
       [
@@ -1882,7 +1915,7 @@ let name_collision_rows () =
     ]
 
 let test_name_collisions_exact () =
-  let _ = require_toolchain () in
+  require_toolchain ();
   let strategies = [ F.Driver.Baseline; F.Driver.Mincut ] in
   let modes = [ Exec.Native.Dlopen; Exec.Native.Subprocess ] in
   let fused strategy p = (F.Driver.run F.Config.default strategy p).F.Driver.fused in

@@ -23,15 +23,7 @@ let with_temp_dir f =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "kfuse-test-fuzz-%d-%d" (Unix.getpid ()) (Random.bits ()))
   in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | exception Unix.Unix_error _ -> ()
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+  Fun.protect ~finally:(fun () -> Support.remove_tree dir) (fun () -> f dir)
 
 (* ---- generator ---- *)
 

@@ -11,6 +11,8 @@ module Cache = Kfuse_cache
 module Faults = Kfuse_util.Faults
 module Diag = Kfuse_util.Diag
 
+open Support
+
 (* ---- jsonx ---- *)
 
 let roundtrip v =
@@ -207,38 +209,6 @@ let test_protocol_roundtrip () =
 
 (* ---- end-to-end server ---- *)
 
-let temp_socket () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "kfused-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
-
-let with_server f =
-  let socket = temp_socket () in
-  let cache = Cache.Plan_cache.create () in
-  Kfuse_util.Pool.with_pool 2 (fun pool ->
-      match Svc.Server.start ~socket ~cache ~pool () with
-      | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
-      | Ok server ->
-        Fun.protect ~finally:(fun () -> Svc.Server.stop server) (fun () -> f socket server))
-
-let fuse_req app =
-  {
-    Protocol.app = Some app;
-    source = None;
-    strategy = Kfuse_fusion.Driver.Mincut;
-    c_mshared = None;
-    gamma = None;
-    tg = None;
-    optimize = false;
-    inline = false;
-    strict = false;
-    budget_ms = None;
-    no_cache = false;
-  }
-
-let expect_ok = function
-  | Ok v -> v
-  | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d)
-
 (* The crash corpus goes beside the plan cache's disk tier, so moving
    the cache moves it; a memory-only cache keeps the default place. *)
 let test_crash_dir_follows_cache () =
@@ -287,11 +257,6 @@ let test_start_rejects_bad_config () =
               Svc.Server.start ~socket ~cache:(Cache.Plan_cache.create ()) ~pool
                 ~breaker_threshold:0 () );
         ])
-
-let field name v =
-  match Jsonx.member name v with
-  | Some f -> f
-  | None -> Alcotest.failf "response lacks %S: %s" name (Jsonx.to_string v)
 
 let test_concurrent_clients () =
   with_server @@ fun socket _server ->
@@ -542,11 +507,6 @@ let test_accept_fault_degrades () =
     (Svc.Metrics.counter (Svc.Server.metrics server) "connections_dropped");
   let text =
     expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.metrics c))
-  in
-  let contains needle haystack =
-    let nl = String.length needle and hl = String.length haystack in
-    let rec loop i = i + nl <= hl && (String.sub haystack i nl = needle || loop (i + 1)) in
-    loop 0
   in
   Alcotest.(check bool) "metrics expose the drop" true
     (contains "kfused_connections_dropped_total 1" text)
@@ -1113,6 +1073,130 @@ let test_key_memo_digest () =
     (Svc.Key_memo.digest
        { base with Protocol.strict = true; budget_ms = Some 5.; no_cache = true })
 
+(* ---- the kfusec serve binary ---- *)
+
+let paper_apps = [ "harris"; "sobel"; "unsharp"; "shitomasi"; "enhance"; "night" ]
+
+let outcome reply =
+  match Jsonx.mem_str "outcome" reply with
+  | Some o -> o
+  | None -> Alcotest.failf "reply lacks an outcome: %s" (Jsonx.to_string reply)
+
+(* Two waves of the six paper apps against a live daemon: the first
+   concurrent, the second (the same requests again) all plan-cache hits
+   keyed from the key memo, with the daemon's stats and metrics agreeing;
+   then --shutdown drains it. *)
+let test_binary_waves () =
+  with_daemon "serve" [ "-j"; "2" ] @@ fun d ->
+  let first = Array.make (List.length paper_apps) (-1, "") in
+  List.mapi (fun i app -> Thread.create (fun () -> first.(i) <- query d [ "-a"; app ]) ()) paper_apps
+  |> List.iter Thread.join;
+  Array.iteri
+    (fun i (code, text) ->
+      if code <> 0 then Alcotest.failf "wave 1, %s: exit %d: %s" (List.nth paper_apps i) code text)
+    first;
+  List.iter
+    (fun app ->
+      Alcotest.(check string) ("wave 2 " ^ app) "hit" (outcome (query_json d [ "-a"; app ])))
+    paper_apps;
+  let stats = query_json d [ "--stats" ] in
+  Alcotest.(check bool) "cache hits >= 6" true (num_at stats [ "cache"; "hits" ] >= 6.0);
+  Alcotest.(check bool) "positive hit rate" true (num_at stats [ "cache"; "hit_rate" ] > 0.0);
+  let fuse = [ "requests"; "fuse" ] in
+  Alcotest.(check (float 0.0)) "12 fuse requests" 12.0 (num_at stats (fuse @ [ "total" ]));
+  Alcotest.(check (float 0.0)) "none failed" 0.0 (num_at stats (fuse @ [ "errors" ]));
+  Alcotest.(check (float 0.0)) "12 latency samples" 12.0
+    (num_at stats (fuse @ [ "latency"; "samples" ]));
+  Alcotest.(check (float 0.0)) "wave 2 keyed from the memo" 6.0
+    (num_at stats [ "key_memo"; "hits" ]);
+  let text = metrics d in
+  Alcotest.(check (float 0.0)) "plan cache hits metric" 6.0
+    (metric text "kfused_plan_cache_hits_total");
+  Alcotest.(check (float 0.0)) "key memo hits metric" 6.0 (metric text "kfused_key_memo_hits_total");
+  shutdown d
+
+(* [text] with every identifier token in [names] renamed. *)
+let rename_words names text =
+  let ident c = c = '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9') in
+  let buf = Buffer.create (String.length text) in
+  let n = String.length text in
+  let rec go i =
+    if i < n then
+      if ident text.[i] then begin
+        let j = ref i in
+        while !j < n && ident text.[!j] do incr j done;
+        let w = String.sub text i (!j - i) in
+        Buffer.add_string buf (Option.value ~default:w (List.assoc_opt w names));
+        go !j
+      end
+      else (Buffer.add_char buf text.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents buf
+
+(* Sobel and a copy with every kernel renamed, each twice, against one
+   daemon: the copy is an iso miss, then both hit one slot. *)
+let test_binary_renamed_copy_slot () =
+  with_temp_dir @@ fun dir ->
+  let original = "../examples/pipelines/sobel.pipe" in
+  let renamed = Filename.concat dir "sobel-renamed.pipe" in
+  let src = In_channel.with_open_text original In_channel.input_all in
+  Out_channel.with_open_text renamed (fun oc ->
+      output_string oc (rename_words [ ("dx", "gx"); ("dy", "gy"); ("mag", "norm") ] src));
+  Alcotest.(check bool) "the copy is renamed" true
+    (contains "norm" (In_channel.with_open_text renamed In_channel.input_all));
+  with_daemon "serve" [] @@ fun d ->
+  Alcotest.(check (list string)) "outcomes" [ "miss"; "miss"; "hit"; "hit" ]
+    (List.map (fun f -> outcome (query_json d [ f ])) [ original; renamed; original; renamed ]);
+  let stats = query_json d [ "--stats" ] in
+  Alcotest.(check (float 0.0)) "one iso miss" 1.0 (num_at stats [ "cache"; "iso_misses" ]);
+  Alcotest.(check (float 0.0)) "two entries" 2.0 (num_at stats [ "cache"; "entries" ]);
+  shutdown d
+
+(* A store whose plans carry an older build's format header: a fresh
+   daemon drops each entry (one disk error), recomputes, and serves the
+   recomputed plan as a hit. *)
+let test_binary_old_format_store () =
+  with_temp_dir @@ fun store ->
+  let sobel d = outcome (query_json d [ "-a"; "sobel" ]) in
+  with_daemon "serve" [ "--cache-dir"; store ] (fun d ->
+      Alcotest.(check string) "cold store" "miss" (sobel d);
+      shutdown d);
+  let plans =
+    Sys.readdir store |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".plan")
+    |> List.map (Filename.concat store)
+  in
+  Alcotest.(check bool) "a plan was stored" true (plans <> []);
+  let current = "kfuse-plan 3 " in
+  List.iter
+    (fun path ->
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      if not (String.starts_with ~prefix:current data) then
+        Alcotest.failf "%s: unexpected header %S" path (String.sub data 0 (min 40 (String.length data)));
+      let body = String.sub data (String.length current) (String.length data - String.length current) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc ("kfuse-plan 2 " ^ body)))
+    plans;
+  with_daemon "serve" [ "--cache-dir"; store ] @@ fun d ->
+  Alcotest.(check string) "old entry recomputed" "miss" (sobel d);
+  Alcotest.(check (float 0.0)) "one disk error" 1.0
+    (num_at (query_json d [ "--stats" ]) [ "cache"; "disk_errors" ]);
+  Alcotest.(check string) "recomputed plan served" "hit" (sobel d);
+  Alcotest.(check int) "ping answers" 0 (fst (query d [ "--ping" ]));
+  shutdown d
+
+(* An injected accept fault costs the first connection, not the daemon. *)
+let test_binary_accept_fault () =
+  with_daemon ~env:[ "KFUSE_FAULTS=service.accept@1" ] "serve" [ "-j"; "2" ] @@ fun d ->
+  let code, _ = query d [ "--ping" ] in
+  Alcotest.(check bool) "the dropped connection fails" true (code <> 0);
+  let code, text = query d [ "-a"; "harris" ] in
+  Alcotest.(check int) "then it serves" 0 code;
+  Alcotest.(check bool) "status ok" true (contains "\"status\":\"ok\"" text);
+  Alcotest.(check (float 0.0)) "drop in the metrics" 1.0
+    (metric (metrics d) "kfused_connections_dropped_total");
+  shutdown d
+
 let suite =
   [
     Alcotest.test_case "jsonx: encode/decode roundtrip" `Quick test_jsonx_roundtrip;
@@ -1156,4 +1240,12 @@ let suite =
       test_crash_dir_follows_cache;
     Alcotest.test_case "kfused: bad settings are a typed start error" `Quick
       test_start_rejects_bad_config;
+    Alcotest.test_case "kfusec serve: two waves, stats, metrics, shutdown" `Slow
+      test_binary_waves;
+    Alcotest.test_case "kfusec serve: a renamed copy shares its original's slot" `Slow
+      test_binary_renamed_copy_slot;
+    Alcotest.test_case "kfusec serve: an old-format plan store is recomputed" `Slow
+      test_binary_old_format_store;
+    Alcotest.test_case "kfusec serve: an accept fault drops one connection" `Slow
+      test_binary_accept_fault;
   ]

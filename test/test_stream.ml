@@ -22,6 +22,8 @@ module Session = Kfuse_stream.Session
 module Frames = Kfuse_stream.Frames
 module Native = Kfuse_exec.Native
 
+open Support
+
 let code_of (d : Diag.t) = Diag.code_id d.Diag.code
 
 (* ---- temporal analysis ---- *)
@@ -241,21 +243,6 @@ let test_session_matches_manual_eval () =
 
 (* ---- protocol round-trips ---- *)
 
-let fuse_req ?budget_ms ?(strict = false) app =
-  {
-    Protocol.app = Some app;
-    source = None;
-    strategy = Kfuse_fusion.Driver.Mincut;
-    c_mshared = None;
-    gamma = None;
-    tg = None;
-    optimize = false;
-    inline = false;
-    strict;
-    budget_ms;
-    no_cache = false;
-  }
-
 let open_req ?(seed = 42) ?width ?height app =
   { Protocol.fuse = fuse_req app; exec_mode = None; width; height; seed }
 
@@ -281,38 +268,6 @@ let test_protocol_roundtrip () =
 
 (* ---- live daemon ---- *)
 
-let temp_socket () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "kfused-stream-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
-
-let temp_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  dir
-
-let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_idle_ms ?breaker_threshold f =
-  let socket = temp_socket () in
-  let cache = Cache.Plan_cache.create ?dir:cache_dir () in
-  let crash_dir = temp_dir "kfuse-stream-crash" in
-  Kfuse_util.Pool.with_pool 2 (fun pool ->
-      match
-        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?breaker_threshold
-          ?max_streams ?stream_idle_ms ()
-      with
-      | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
-      | Ok server ->
-        Fun.protect ~finally:(fun () -> Svc.Server.stop server) (fun () -> f socket server))
-
-let expect_ok = function
-  | Ok v -> v
-  | Error d -> Alcotest.failf "request failed: %s" (Diag.to_string d)
-
-let field name v =
-  match Jsonx.member name v with
-  | Some f -> f
-  | None -> Alcotest.failf "response lacks %S: %s" name (Jsonx.to_string v)
-
 let num = function
   | Jsonx.Num n -> n
   | v -> Alcotest.failf "expected a number, got %s" (Jsonx.to_string v)
@@ -323,9 +278,6 @@ let str = function
 
 let counter server name = Svc.Metrics.counter (Svc.Server.metrics server) name
 let gauge server name = Svc.Metrics.gauge (Svc.Server.metrics server) name
-
-let require_toolchain () =
-  match Kfuse_exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok _ -> ()
 
 let stream_id reply = str (field "id" reply)
 

@@ -18,26 +18,14 @@ module Protocol = Svc.Protocol
 module Cache = Kfuse_cache
 module Diag = Kfuse_util.Diag
 
-let kfusec = "../bin/kfusec.exe"
-
-let temp_dir () =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-topo-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir d 0o700;
-  d
-
-let temp_socket () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "kfuse-topo-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+open Support
 
 (* Small supervision knobs so crash → respawn → ready fits in test time. *)
 let fast_config =
   { Svc.Shard.restart_backoff_ms = 50.; storm_window_ms = 1_000.; dead_cooldown_ms = 2_000. }
 
 let with_fleet ?(count = 2) ?(faults = "") f =
-  let dir = temp_dir () in
+  let dir = temp_dir "kfuse-topo" in
   let socket = temp_socket () in
   (* Shards are real kfusec-serve processes; they inherit the
      environment, so KFUSE_FAULTS arms fault points in the shards
@@ -64,38 +52,13 @@ let with_fleet ?(count = 2) ?(faults = "") f =
           Alcotest.fail "fleet did not become ready";
         f socket router)
 
-let fuse_req app =
-  {
-    Protocol.app = Some app;
-    source = None;
-    strategy = Kfuse_fusion.Driver.Mincut;
-    c_mshared = None;
-    gamma = None;
-    tg = None;
-    optimize = false;
-    inline = false;
-    strict = false;
-    budget_ms = None;
-    no_cache = false;
-  }
-
-let field name v =
-  match Jsonx.member name v with
-  | Some f -> f
-  | None -> Alcotest.failf "response lacks %S: %s" name (Jsonx.to_string v)
-
 (* Strip the fields that legitimately differ between a single server
    and a (possibly rerouted) fleet reply: cache provenance and timing,
    plus the router's reroute annotation.  Everything else — partition,
    objective, warnings — must be bit-identical. *)
-let normalize reply =
+let normalize ?(volatile = [ "plan_ms"; "cached"; "outcome"; "router" ]) reply =
   match reply with
-  | Jsonx.Obj fields ->
-    Jsonx.Obj
-      (List.filter
-         (fun (k, _) ->
-           not (List.mem k [ "plan_ms"; "cached"; "outcome"; "router" ]))
-         fields)
+  | Jsonx.Obj fields -> Jsonx.Obj (List.filter (fun (k, _) -> not (List.mem k volatile)) fields)
   | v -> v
 
 (* The router's keyspace map, reproduced from its documented contract:
@@ -384,9 +347,6 @@ let test_key_memo_accounting () =
 
 (* ---- streams ---- *)
 
-let require_toolchain () =
-  match Kfuse_exec.Toolchain.find () with Error _ -> Alcotest.skip () | Ok _ -> ()
-
 let test_stream_pinning () =
   require_toolchain ();
   with_fleet ~count:2 @@ fun socket _router ->
@@ -435,7 +395,7 @@ let test_stream_pinning () =
 (* ---- stale socket reclaim ---- *)
 
 let test_fleet_socket_sweep () =
-  let dir = temp_dir () in
+  let dir = temp_dir "kfuse-topo" in
   (* A crashed fleet's leavings: stale bound-but-dead sockets for the
      shards we will reuse, plus one from a previously larger fleet. *)
   List.iter
@@ -482,6 +442,112 @@ let test_zero_shards_refused () =
     Alcotest.(check bool) "socket never bound" false (Sys.file_exists socket);
     Alcotest.(check bool) "fleet dir never made" false (Sys.file_exists dir)
 
+(* ---- the kfusec shard-serve binary ---- *)
+
+(* The same DSL source twice through a live router: the second is keyed
+   from its memo, and the replies agree apart from timing and cache
+   provenance. *)
+let test_binary_router_memo () =
+  with_daemon "shard-serve" [ "--shards"; "2" ] @@ fun d ->
+  let source = "../examples/pipelines/unsharp.pipe" in
+  let first = query_json d [ source ] and second = query_json d [ source ] in
+  let stats = query_json d [ "--stats" ] in
+  Alcotest.(check (float 0.0)) "memo hits" 1.0 (num_at stats [ "key_memo"; "hits" ]);
+  Alcotest.(check (float 0.0)) "memo misses" 1.0 (num_at stats [ "key_memo"; "misses" ]);
+  Alcotest.(check (option string)) "first misses" (Some "miss") (Jsonx.mem_str "outcome" first);
+  Alcotest.(check (option string)) "second hits" (Some "hit") (Jsonx.mem_str "outcome" second);
+  let norm = normalize ~volatile:[ "plan_ms"; "cached"; "outcome" ] in
+  Alcotest.(check string) "replies agree" (Jsonx.to_string (norm first))
+    (Jsonx.to_string (norm second));
+  Alcotest.(check (float 0.0)) "memo hit metric" 1.0 (metric (metrics d) "kfused_key_memo_hits_total");
+  stop d;
+  Alcotest.(check bool) "fleet shut down" true (contains "fleet shut down" (log_text d))
+
+(* A 4-shard fleet under 8 retrying clients has the shard that owns the
+   request SIGKILLed a quarter into the storm: every call still succeeds with a
+   single server's reply (modulo provenance), the supervisor restarts
+   the shard, requests reroute meanwhile, and SIGTERM drains it all. *)
+let test_binary_fleet_kill_under_storm () =
+  let reference =
+    with_daemon "serve" [] (fun d -> normalize (query_json d [ "--app"; "harris" ]))
+  in
+  with_daemon "shard-serve" [ "--shards"; "4"; "--health-interval-ms"; "100" ] @@ fun d ->
+  let fleet = Option.get d.fleet in
+  let retrying =
+    [ "--timeout-ms"; "5000"; "--retries"; "8"; "--retry-backoff-ms"; "30"; "--app"; "harris" ]
+  in
+  ignore (query_json d retrying);
+  let stats = query_json d [ "--stats" ] in
+  let connections = [ "connections" ] in
+  Alcotest.(check (float 0.0)) "no shed" 0.0 (num_at stats (connections @ [ "shed" ]));
+  Alcotest.(check (float 0.0)) "no accept errors" 0.0
+    (num_at stats (connections @ [ "accept_errors" ]));
+  Alcotest.(check (float 0.0)) "router max_conns" 16.0 (num_at stats [ "limits"; "max_conns" ]);
+  (* The victim is the shard that served the warm-up: harris's home. *)
+  let served i =
+    let shard = Filename.concat fleet (Printf.sprintf "shard-%d.sock" i) in
+    let code, text = run_capture [ "query"; "--socket"; shard; "--stats" ] in
+    if code <> 0 then Alcotest.failf "shard %d stats: %s" i text;
+    match Jsonx.member "requests" (json_of "shard stats" text) with
+    | Some r -> (
+      match Option.bind (Jsonx.member "fuse" r) (Jsonx.mem_num "total") with
+      | Some n -> n > 0.0
+      | None -> false)
+    | None -> false
+  in
+  let home =
+    match List.find_opt served [ 0; 1; 2; 3 ] with
+    | Some i -> i
+    | None -> Alcotest.fail "no shard served the warm-up"
+  in
+  let victim =
+    match Jsonx.arr (field "shards" stats) with
+    | Some shards -> int_of_float (num_at (List.nth shards home) [ "pid" ])
+    | None -> Alcotest.fail "router stats lack a shards array"
+  in
+  let clients = 8 and per_client = 12 in
+  let replies = Array.make clients [] and answered = Atomic.make 0 in
+  let threads =
+    List.init clients (fun c ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to per_client do
+              replies.(c) <- query d retrying :: replies.(c);
+              Atomic.incr answered
+            done)
+          ())
+  in
+  (* Mid-storm: a quarter of the calls answered, the rest to come. *)
+  while Atomic.get answered < clients * per_client / 4 do
+    Unix.sleepf 0.005
+  done;
+  Unix.kill victim Sys.sigkill;
+  List.iter Thread.join threads;
+  let all = List.concat (Array.to_list replies) in
+  Alcotest.(check int) "every call answered" (clients * per_client) (List.length all);
+  let want = Jsonx.to_string reference in
+  List.iter
+    (fun (code, text) ->
+      if code <> 0 then Alcotest.failf "a client call failed (exit %d): %s" code text;
+      Alcotest.(check string) "a single server's reply" want
+        (Jsonx.to_string (normalize (json_of "storm reply" text))))
+    all;
+  let rec settled n =
+    let text = metrics d in
+    if (metric text "kfused_shard_restarts_total" >= 1.0 && metric text "kfused_shards_up" = 4.0)
+       || n = 0
+    then text
+    else (Unix.sleepf 0.2; settled (n - 1))
+  in
+  let text = settled 50 in
+  Alcotest.(check bool) "the shard was restarted" true
+    (metric text "kfused_shard_restarts_total" >= 1.0);
+  Alcotest.(check bool) "requests were rerouted" true
+    (metric text "kfused_requests_rerouted_total" >= 1.0);
+  Alcotest.(check (float 0.0)) "all shards up" 4.0 (metric text "kfused_shards_up");
+  stop d;
+  Alcotest.(check bool) "fleet shut down" true (contains "fleet shut down" (log_text d))
+
 let suite =
   [
     Alcotest.test_case "fleet basics" `Slow test_fleet_basics;
@@ -496,4 +562,8 @@ let suite =
       test_key_memo_fields;
     Alcotest.test_case "router key memo: accounting, errors, bound" `Slow
       test_key_memo_accounting;
+    Alcotest.test_case "kfusec shard-serve: the router memoizes a repeated source" `Slow
+      test_binary_router_memo;
+    Alcotest.test_case "kfusec shard-serve: SIGKILL a shard under storm, then drain" `Slow
+      test_binary_fleet_kill_under_storm;
   ]
