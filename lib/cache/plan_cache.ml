@@ -264,10 +264,4 @@ let hit_rate s =
   let total = served + s.misses + s.iso_misses in
   if total = 0 then 0.0 else float_of_int served /. float_of_int total
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "plans %d (capacity %d structures)  hits %d (disk %d)  misses %d (iso %d)  evictions %d  stores %d  disk errors %d  hit rate %.2f"
-    s.entries s.capacity s.hits s.disk_hits s.misses s.iso_misses s.evictions s.stores
-    s.disk_errors (hit_rate s)
-
 let clear t = locked t @@ fun () -> Lru.clear t.mem

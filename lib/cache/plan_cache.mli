@@ -110,7 +110,5 @@ val stats : t -> stats
     ([0.] before any lookup). *)
 val hit_rate : stats -> float
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** [clear t] empties the memory tier (the disk tier is left alone). *)
 val clear : t -> unit

@@ -340,6 +340,10 @@ let split_loops ~prec ~out ~halo ~reach body =
         @ free);
     ])
 
+(* One kernel's C functions, in definition order: for a [Map] of reach
+   [R > 0], the halo function, then the entry point; otherwise the entry
+   point alone.  [prec] is the scalar type of buffers and per-pixel
+   arithmetic alike. *)
 let kernel_funcs ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
   let scalar_lit = match prec with C.Single -> float_lit | C.Double -> double_lit in
   let out = C.ident C.Image k.Kernel.name in

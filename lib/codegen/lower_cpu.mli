@@ -43,20 +43,6 @@
     thread count, and an OpenMP [min]/[max] clause has neither
     [Float.min]'s signed zeros nor its NaN. *)
 
-(** [kernel_funcs pipeline kernel] lowers one kernel to C functions, in
-    definition order: for a [Map] of reach [R > 0], the halo function,
-    then the entry point; otherwise the entry point alone.  Names come
-    from {!Lower_common.ident}.
-
-    [prec] (default {!Lower_common.Single}) selects the scalar type of
-    buffers and per-pixel arithmetic alike.  {!Lower_common.Double}
-    makes the compiled kernels agree with the float64 reference
-    interpreter in every operation and inter-kernel store — the native
-    execution backend uses it so its interpreter-vs-native gate holds
-    at tolerance 0. *)
-val kernel_funcs :
-  ?prec:Lower_common.precision -> Kfuse_ir.Pipeline.t -> Kfuse_ir.Kernel.t -> Cuda_ast.func list
-
 (** [cc_flags] are the compiler flags generated C needs to agree with the
     interpreter bit for bit ([-O2], no builtin [pow], no FP
     contraction) and to vectorize ([-fno-math-errno],

@@ -10,8 +10,10 @@
     how the Enhancement pipeline fuses fully while Sobel and Unsharp are
     rejected (Section V-C). *)
 
-(** [pair_fusible config pipeline a b] decides whether blocks [a] and [b]
-    may be merged under the basic rules:
+(** [partition config pipeline] runs basic fusion: starting from
+    singletons, repeatedly merge the first fusible producer/consumer
+    block pair (in topological edge order) until a fixpoint.  Two blocks
+    are fusible under the basic rules when:
     - the merged block is weakly connected with a unique sink and no
       external output;
     - it has exactly {e one} source kernel, and only that source reads
@@ -19,10 +21,4 @@
     - no internal edge is local-to-local (consumer reads an in-block
       intermediate with a window while its producer is local);
     - no global kernels; the resource constraint of Eq. 2 holds. *)
-val pair_fusible :
-  Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t -> Kfuse_util.Iset.t -> bool
-
-(** [partition config pipeline] runs basic fusion: starting from
-    singletons, repeatedly merge the first fusible producer/consumer
-    block pair (in topological edge order) until a fixpoint. *)
 val partition : Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_graph.Partition.t

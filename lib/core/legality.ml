@@ -228,8 +228,6 @@ let reason_to_string p = function
       "shared memory would grow from %d to %d bytes (x%.2f, above c_Mshared)"
       base_bytes fused_bytes ratio
 
-let pp_reason p ppf r = Format.pp_print_string ppf (reason_to_string p r)
-
 (* Whole-partition invariant: structurally a partition of the DAG
    (disjoint, covering, no empties) and every block legal to fuse —
    the contract any strategy's output must meet before the transform is

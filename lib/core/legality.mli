@@ -84,5 +84,3 @@ val fused_shared_bytes : Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_util.Iset.t ->
 
 (** [reason_to_string pipeline r] renders [r] with kernel names. *)
 val reason_to_string : Kfuse_ir.Pipeline.t -> reason -> string
-
-val pp_reason : Kfuse_ir.Pipeline.t -> Format.formatter -> reason -> unit

@@ -1,4 +1,5 @@
 module Diag = Kfuse_util.Diag
+module Jsonx = Kfuse_util.Jsonx
 module Stats = Kfuse_util.Stats
 module Image = Kfuse_image.Image
 module Pipeline = Kfuse_ir.Pipeline
@@ -179,54 +180,50 @@ let run ?(mode = Native.Dlopen) ?cache_dir ?(runs = 5) ?width ?height ?apps () =
       apps;
     }
 
-(* {1 JSON rendering} — flat enough that hand-rolled emission beats a
-   dependency; floats render as %.6g (finite) or null. *)
+(* {1 JSON rendering} — floats keep 6 significant digits; a non-finite
+   one is written null. *)
 
-let jf f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-let jlist fs = "[" ^ String.concat ", " (List.map jf fs) ^ "]"
+let num f = Jsonx.Num (float_of_string (Printf.sprintf "%.6g" f))
+let int n = Jsonx.Num (float_of_int n)
 
 let app_to_json r =
-  String.concat ",\n      "
+  Jsonx.Obj
     [
-      Printf.sprintf "\"app\": %S" r.app;
-      Printf.sprintf "\"width\": %d" r.width;
-      Printf.sprintf "\"height\": %d" r.height;
-      Printf.sprintf "\"channels\": %d" r.channels;
-      Printf.sprintf "\"kernels_unfused\": %d" r.kernels_unfused;
-      Printf.sprintf "\"kernels_fused\": %d" r.kernels_fused;
-      Printf.sprintf "\"compile_ms_unfused\": %s" (jf r.compile_ms_unfused);
-      Printf.sprintf "\"compile_ms_fused\": %s" (jf r.compile_ms_fused);
-      Printf.sprintf "\"exec_ms_unfused\": %s" (jf r.exec_ms_unfused);
-      Printf.sprintf "\"exec_ms_fused\": %s" (jf r.exec_ms_fused);
-      Printf.sprintf "\"exec_iqr_ms_unfused\": %s" (jf r.exec_iqr_ms_unfused);
-      Printf.sprintf "\"exec_iqr_ms_fused\": %s" (jf r.exec_iqr_ms_fused);
-      Printf.sprintf "\"samples_ms_unfused\": %s" (jlist r.samples_unfused);
-      Printf.sprintf "\"samples_ms_fused\": %s" (jlist r.samples_fused);
-      Printf.sprintf "\"speedup\": %s" (jf (speedup r));
-      Printf.sprintf "\"interp_ms\": %s" (jf r.interp_ms);
-      Printf.sprintf "\"bit_exact_unfused\": %b" r.exact_unfused;
-      Printf.sprintf "\"bit_exact_fused\": %b" r.exact_fused;
-      Printf.sprintf "\"max_abs_diff_unfused\": %s" (jf r.diff_unfused);
-      Printf.sprintf "\"max_abs_diff_fused\": %s" (jf r.diff_fused);
+      ("app", Jsonx.Str r.app);
+      ("width", int r.width);
+      ("height", int r.height);
+      ("channels", int r.channels);
+      ("kernels_unfused", int r.kernels_unfused);
+      ("kernels_fused", int r.kernels_fused);
+      ("compile_ms_unfused", num r.compile_ms_unfused);
+      ("compile_ms_fused", num r.compile_ms_fused);
+      ("exec_ms_unfused", num r.exec_ms_unfused);
+      ("exec_ms_fused", num r.exec_ms_fused);
+      ("exec_iqr_ms_unfused", num r.exec_iqr_ms_unfused);
+      ("exec_iqr_ms_fused", num r.exec_iqr_ms_fused);
+      ("samples_ms_unfused", Jsonx.Arr (List.map num r.samples_unfused));
+      ("samples_ms_fused", Jsonx.Arr (List.map num r.samples_fused));
+      ("speedup", num (speedup r));
+      ("interp_ms", num r.interp_ms);
+      ("bit_exact_unfused", Jsonx.Bool r.exact_unfused);
+      ("bit_exact_fused", Jsonx.Bool r.exact_fused);
+      ("max_abs_diff_unfused", num r.diff_unfused);
+      ("max_abs_diff_fused", num r.diff_fused);
     ]
 
 let to_json t =
-  let apps = List.map (fun r -> "    {\n      " ^ app_to_json r ^ "\n    }") t.apps in
-  String.concat "\n"
-    [
-      "{";
-      "  \"schema\": \"kfuse-bench-native/v2\",";
-      Printf.sprintf "  \"generated_at_unix\": %.0f," t.generated_at;
-      Printf.sprintf "  \"toolchain\": { \"cc\": %S, \"openmp\": %b }," t.cc t.openmp;
-      Printf.sprintf "  \"mode\": %S," (Native.mode_to_string t.mode);
-      Printf.sprintf "  \"runs\": %d," t.runs;
-      Printf.sprintf "  \"host_cores\": %d," t.host_cores;
-      "  \"apps\": [";
-      String.concat ",\n" apps;
-      "  ]";
-      "}";
-      "";
-    ]
+  Jsonx.to_string
+    (Jsonx.Obj
+       [
+         ("schema", Jsonx.Str "kfuse-bench-native/v2");
+         ("generated_at_unix", Jsonx.Num t.generated_at);
+         ("toolchain", Jsonx.Obj [ ("cc", Jsonx.Str t.cc); ("openmp", Jsonx.Bool t.openmp) ]);
+         ("mode", Jsonx.Str (Native.mode_to_string t.mode));
+         ("runs", int t.runs);
+         ("host_cores", int t.host_cores);
+         ("apps", Jsonx.Arr (List.map app_to_json t.apps));
+       ])
+  ^ "\n"
 
 let pp_summary ppf t =
   Format.fprintf ppf "native bench: %s%s, %d core%s, median (IQR) of %d run%s per variant@,"

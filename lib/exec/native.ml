@@ -919,7 +919,6 @@ let plan_artifact plan = plan.plan_artifact
 let plan_cached plan = plan.plan_cached
 let plan_compile_ms plan = plan.plan_compile_ms
 let plan_warnings plan = plan.plan_warnings
-let plan_pipeline plan = plan.plan_pipeline
 
 let release plan =
   if not plan.plan_released then begin

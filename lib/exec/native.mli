@@ -263,8 +263,6 @@ val plan_compile_ms : plan -> float
 val plan_warnings : plan -> Diag.t list
 (** The [KF0904] that made {!prepare} fall back to {!Subprocess}, if any. *)
 
-val plan_pipeline : plan -> Pipeline.t
-
 (** [run_plan ?params ?repeat ?deadline ?limits plan inputs] executes
     the pinned plan; contract as {!run} ([inputs] binds exactly the
     pipeline's inputs, failures are typed [KF0904..KF0907]), except

@@ -54,18 +54,15 @@ type summary = {
   feature_counts : (string * int) list;
 }
 
-(* A fresh scratch directory for the cache-replay oracle: plans written
-   by an older build under the same keys would show up as bogus replay
-   mismatches, so never share a directory across runs. *)
-let fresh_cache_dir () =
-  let base = Filename.concat (Filename.get_temp_dir_name ()) "kfuse-fuzz-cache" in
-  let rec probe k =
-    let dir = Printf.sprintf "%s.%d.%d" base (Unix.getpid ()) k in
-    match Sys.mkdir dir 0o700 with
-    | () -> dir
-    | exception Sys_error _ -> if k > 1000 then base else probe (k + 1)
-  in
-  probe 0
+(* [rm -rf path]: the fuzz run's own scratch cache, plans and native
+   artifacts included. *)
+let rec remove_tree path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
 
 let origin_label = function
   | Generated i -> Printf.sprintf "case %d" i
@@ -73,10 +70,15 @@ let origin_label = function
 
 let run ?(log = fun _ -> ()) (o : options) =
   let config = Config.default in
-  let pool = if o.jobs > 1 then Some (Pool.create o.jobs) else None in
-  let cache_dir =
-    match o.cache_dir with Some d -> d | None -> fresh_cache_dir ()
+  (* The cache-replay oracle gets a fresh scratch directory unless the
+     caller names one: plans written by an older build under the same
+     keys would show up as bogus replay mismatches. *)
+  let cache_dir, scratch =
+    match o.cache_dir with
+    | Some d -> (d, false)
+    | None -> (Filename.temp_dir "kfuse-fuzz-cache" "", true)
   in
+  let pool = if o.jobs > 1 then Some (Pool.create o.jobs) else None in
   let bank =
     match o.oracles with
     | Some which -> which
@@ -87,7 +89,10 @@ let run ?(log = fun _ -> ()) (o : options) =
   let check ?(which = bank) p =
     Oracle.check ~which ?pool ~cache_dir ~strict_optimal:o.strict_optimal config p
   in
-  let finally () = Option.iter Pool.shutdown pool in
+  let finally () =
+    Option.iter Pool.shutdown pool;
+    if scratch then remove_tree cache_dir
+  in
   Fun.protect ~finally @@ fun () ->
   let failures = ref [] in
   let optimal = ref 0 and gaps = ref 0 and max_gap = ref 0.0 and unchecked = ref 0 in

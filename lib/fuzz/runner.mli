@@ -21,8 +21,8 @@ type options = {
   max_failures : int;  (** stop the campaign after this many failures *)
   cache_dir : string option;
       (** disk tier for the cache-replay oracle and the native oracle's
-          compile cache; [None] probes a fresh directory under the
-          system temp dir *)
+          compile cache; [None] makes a fresh directory under the
+          system temp dir, removed when {!run} returns *)
   native : bool;
       (** append the opt-in {!Oracle.Native_exec} and
           {!Oracle.Stream_exec} oracles to the bank: compile each fused

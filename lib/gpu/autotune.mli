@@ -15,13 +15,11 @@ type choice = {
   default_ms : float;  (** time under the default 32x4 shape *)
 }
 
-(** The default search space: power-of-two shapes from 128 to 512 threads
-    with width at least 16 (warp-coalescing floor). *)
-val default_candidates : Kfuse_ir.Cost.block list
-
 (** [tune_kernel ?params ?candidates device ~quality ~fused pipeline
     kernel] picks the candidate minimizing the modeled time (ties to the
-    earlier candidate). *)
+    earlier candidate).  [candidates] defaults to the power-of-two
+    shapes from 128 to 512 threads with width at least 16
+    (warp-coalescing floor). *)
 val tune_kernel :
   ?params:Perf_model.params ->
   ?candidates:Kfuse_ir.Cost.block list ->

@@ -138,11 +138,3 @@ let pipeline_time ?(params = default_params) ?block d ~quality ~fused_kernels
 let quality_to_string = function
   | Optimized -> "optimized"
   | Basic_codegen -> "basic"
-
-let pp_kernel_time ppf kt =
-  Format.fprintf ppf
-    "%-12s %s mem=%.4fms comp=%.4fms total=%.4fms (%.2f acc/px, %.1f ops/px, occ=%.2f)"
-    kt.kernel_name
-    (if kt.fused then "[fused]" else "       ")
-    kt.t_mem_ms kt.t_comp_ms kt.t_ms kt.global_accesses_per_px kt.ops_per_px
-    kt.occupancy

@@ -81,4 +81,3 @@ val pipeline_time :
   kernel_time list * float
 
 val quality_to_string : quality -> string
-val pp_kernel_time : Format.formatter -> kernel_time -> unit

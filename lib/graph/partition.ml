@@ -66,8 +66,6 @@ let crossing_weight weight g p =
       if same then acc else acc +. weight u v)
     g 0.0
 
-let stitch parts = normalize (List.concat parts)
-
 let restrict p vs =
   normalize (List.map (fun b -> Iset.inter b vs) p)
 

@@ -49,14 +49,6 @@ val objective : (int -> int -> float) -> Digraph.t -> t -> float
     [objective + crossing_weight = total edge weight] (Eq. 13). *)
 val crossing_weight : (int -> int -> float) -> Digraph.t -> t -> float
 
-(** [stitch parts] reassembles one partition from per-region partitions
-    (incremental replanning: reused plans for clean regions + fresh
-    min-cut results for dirty ones), in canonical form.  The result is a
-    valid partition of a graph iff the regions were disjoint and covering
-    — check with {!validate} (the replanner follows with a full legality
-    re-check at the seams). *)
-val stitch : t list -> t
-
 (** [restrict p vs] is the partition [p] cut down to the vertex set [vs]:
     every block intersected with [vs], empties dropped, canonical form.
     Restricting a valid partition of [g] to a union of weak components of

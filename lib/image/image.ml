@@ -37,14 +37,6 @@ let init ~width ~height f =
   done;
   { width; height; data }
 
-let to_flat img = Array.copy img.data
-
-let of_flat ~width ~height data =
-  if width <= 0 || height <= 0 then invalid_arg "Image.of_flat: nonpositive extent";
-  if Array.length data <> width * height then
-    invalid_arg "Image.of_flat: length does not match extent";
-  { width; height; data = Array.copy data }
-
 let unsafe_data img = img.data
 
 let unsafe_of_flat ~width ~height data =

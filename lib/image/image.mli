@@ -42,19 +42,10 @@ val set : t -> int -> int -> float -> unit
 (** [copy img] is a deep copy. *)
 val copy : t -> t
 
-(** [to_flat img] is a fresh row-major copy of the pixels (row 0 first).
-    A bulk [Array.copy], not a per-pixel loop: this is the per-frame
-    marshalling path of the native execution backend. *)
-val to_flat : t -> float array
-
-(** [of_flat ~width ~height data] builds an image from a row-major
-    array (copied).  @raise Invalid_argument on a length mismatch. *)
-val of_flat : width:int -> height:int -> float array -> t
-
 (** [unsafe_data img] is the image's backing array itself — row-major,
     NOT a copy.  Mutating it mutates the image.  For zero-copy read-only
     marshalling on the per-frame native execution path; everything else
-    should use {!to_flat}. *)
+    should copy it. *)
 val unsafe_data : t -> float array
 
 (** [unsafe_of_flat ~width ~height data] wraps [data] as an image

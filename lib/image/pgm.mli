@@ -18,11 +18,6 @@ val to_string : ?maxval:int -> Image.t -> string
     @raise Invalid_argument on malformed input. *)
 val of_string : string -> Image.t
 
-(** [of_string_result ?file data] is {!of_string} with malformed input
-    reported as a {!Kfuse_util.Diag.Pgm_format} diagnostic ([file] only
-    annotates the diagnostic context).  Never raises on bad data. *)
-val of_string_result : ?file:string -> string -> (Image.t, Kfuse_util.Diag.t) result
-
 (** [write ?maxval path img] writes [to_string img] to [path]. *)
 val write : ?maxval:int -> string -> Image.t -> unit
 

@@ -26,7 +26,3 @@ let zone_equal a b =
   match (a, b) with
   | Interior, Interior | Halo, Halo | Exterior, Exterior -> true
   | (Interior | Halo | Exterior), _ -> false
-
-let pp_zone ppf z =
-  Format.pp_print_string ppf
-    (match z with Interior -> "interior" | Halo -> "halo" | Exterior -> "exterior")

@@ -41,4 +41,3 @@ val interior_count : width:int -> height:int -> radius:int -> int
 val halo_count : width:int -> height:int -> radius:int -> int
 
 val zone_equal : zone -> zone -> bool
-val pp_zone : Format.formatter -> zone -> unit

@@ -8,7 +8,7 @@
     into a preallocated unboxed [float array].  Image lookups, parameter
     values, operators and the offsets of [Shift]s without exchange are
     resolved at compile time; an in-bounds tap reads the image's storage
-    directly.  {!Eval.run_kernel} drives it row by row.
+    directly.  {!Eval.run} drives it row by row.
 
     The result is bit-identical to {!Eval.eval_expr} at every pixel,
     including where that raises:

@@ -82,9 +82,12 @@ let eval_expr ~env ~params ~width ~height ~x ~y e =
   go ~vars:[] ~x ~y e
 
 (* Kernel execution compiles the body once (see {!Compile}) and runs it a
-   row at a time instead of re-walking the AST per pixel; [eval_expr]
-   above remains the executable specification the compiler is
-   property-tested against. *)
+   row at a time, straight into the output's storage, instead of
+   re-walking the AST per pixel; a reduction folds the rows in row-major
+   order with [combine], one pixel at a time.  [eval_expr] above remains
+   the executable specification the compiler is property-tested
+   against: the result equals it at every pixel, bit for bit, and raises
+   [Invalid_argument] where it would. *)
 let run_kernel ~env ~params ~width ~height (k : Kernel.t) =
   let lookup name =
     match Env.find_opt name env with

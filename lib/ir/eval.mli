@@ -28,17 +28,6 @@ val eval_expr :
   Expr.t ->
   float
 
-(** [run_kernel ~env ~params ~width ~height k] materializes the output
-    image of kernel [k]: [width x height] for map kernels, [1 x 1] for
-    global reductions.  The body is compiled once ({!Compile}) and run a
-    row at a time, straight into the output's storage; a reduction folds
-    the rows in row-major order with [combine], one pixel at a time.
-    Either way the result equals {!eval_expr} at every pixel, bit for
-    bit, and raises [Invalid_argument] where it would. *)
-val run_kernel :
-  env:env -> params:(string * float) list -> width:int -> height:int -> Kernel.t ->
-  Kfuse_image.Image.t
-
 (** [run p inputs] executes all kernels of [p] in topological order on
     one image plane.  [inputs] must bind exactly the pipeline inputs,
     each of the pipeline's extent.  The result binds inputs and every

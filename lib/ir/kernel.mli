@@ -68,5 +68,4 @@ val uses_shared_memory : t -> bool
 val input_radii : t -> (string * int) list
 
 val pattern_to_string : pattern -> string
-val pp_pattern : Format.formatter -> pattern -> unit
 val pp : Format.formatter -> t -> unit

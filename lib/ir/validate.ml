@@ -21,6 +21,8 @@ let of_pipeline (p : Pipeline.t) =
     kernels = Array.to_list p.Pipeline.kernels;
   }
 
+(* 2^31 - 1: the most elements (width x height x channels) an iteration
+   space may have, since generated C indexes images with [int]. *)
 let max_elements = 0x7fff_ffff
 
 let check_space t =

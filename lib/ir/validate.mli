@@ -37,11 +37,6 @@ type input = {
 
 val of_pipeline : Pipeline.t -> input
 
-val max_elements : int
-(** [2^31 - 1]: the most elements (width x height x channels) an
-    iteration space may have, since generated C indexes images with
-    [int]. *)
-
 val check : input -> Diag.t list
 (** All diagnostics for the description, in deterministic order (space,
     then naming, then references, then cycles, then header/mask sanity).

@@ -2,11 +2,14 @@ module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
 module Faults = Kfuse_util.Faults
 
-type handler = deadline:Deadline.t -> Jsonx.t -> string * Jsonx.t * bool
+type handler = deadline:Deadline.t -> Protocol.request -> Jsonx.t
 
 type t = {
   socket_path : string;
   listen_fd : Unix.file_descr;
+  (* The device and inode of the socket file [bind] made: [wait] removes
+     the path only while it still names this file. *)
+  socket_id : int * int;
   metrics : Metrics.t;
   handler : handler;
   max_conns : int;
@@ -16,7 +19,7 @@ type t = {
   stopping : bool Atomic.t;
   (* Set by [signal_stop] — possibly from a signal handler, so it must
      stay a bare atomic store: [wait]'s polling loop notices it and runs
-     the real stop work (locks, broadcast, accept poke) in a normal
+     the real stop work (locks, broadcast, shutdown) in a normal
      thread context. *)
   stop_requested : bool Atomic.t;
   mutable accept_thread : Thread.t option;
@@ -49,15 +52,13 @@ let initiate_stop t =
     Mutex.lock t.q_lock;
     Condition.broadcast t.q_cond;
     Mutex.unlock t.q_lock;
-    (* Wake the accept loop: on Linux, closing a listener from another
-       thread does not interrupt a blocked accept(2), so poke it with a
-       throwaway connection.  The loop rechecks [stopping] after every
-       accept and owns closing the listener. *)
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-      (try Unix.connect fd (Unix.ADDR_UNIX t.socket_path) with Unix.Unix_error _ -> ());
-      close_quietly fd
+    (* Wake the accept loop: closing a listener from another thread does
+       not interrupt a blocked accept(2), but shutdown(2) makes it fail
+       at once, and every later one too, without going through the
+       socket's path, which may be gone or another daemon's by now.  New
+       connections are refused from here on.  [wait] closes the
+       descriptor once the accept thread is joined. *)
+    try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   end
 
 let signal_stop t = Atomic.set t.stop_requested true
@@ -65,6 +66,26 @@ let signal_stop t = Atomic.set t.stop_requested true
 let request_deadline t =
   if t.request_timeout_ms > 0.0 then Deadline.after_ms t.request_timeout_ms
   else Deadline.none
+
+(* Decode, answer [ping] and [shutdown], and run the handler for every
+   other op: the operation name (the metrics key), the reply, and
+   whether to stop after sending it.  Never raises: a frame that does
+   not decode, or a handler that fails, becomes an error reply. *)
+let respond t ~deadline v =
+  match Protocol.request_of_json v with
+  | Error d -> ("invalid", Protocol.error d, false)
+  | Ok req ->
+    let resp =
+      match req with
+      | Protocol.Ping -> Protocol.ok [ ("pong", Jsonx.Bool true) ]
+      | Protocol.Shutdown -> Protocol.ok [ ("stopping", Jsonx.Bool true) ]
+      | req -> (
+        match t.handler ~deadline req with
+        | resp -> resp
+        | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+        | exception exn -> Protocol.error (Diag.of_exn exn))
+    in
+    (Protocol.op_name req, resp, req = Protocol.Shutdown)
 
 let is_ok resp = match Jsonx.mem_str "status" resp with Some "ok" -> true | _ -> false
 
@@ -151,7 +172,7 @@ let handle_conn t fd =
     | Ok (Some v) ->
       let deadline = request_deadline t in
       let t0 = Unix.gettimeofday () in
-      let op, resp, stop = t.handler ~deadline v in
+      let op, resp, stop = respond t ~deadline v in
       let resp = if op = "stats" then with_front_end_stats t resp else resp in
       Metrics.observe t.metrics ~op ~ok:(is_ok resp) ((Unix.gettimeofday () -. t0) *. 1000.);
       let keep = send_reply t fd ~deadline resp in
@@ -191,19 +212,23 @@ let admit t fd =
   in
   Mutex.lock t.q_lock;
   let busy = t.busy and queued = Queue.length t.queue in
+  (* Read under [q_lock], as the workers read it, so nothing is queued
+     after the last worker has left. *)
+  let stopping = Atomic.get t.stopping in
   (* Every admitted connection is either served or queued, so the two
      bounds are one sum.  [queued] includes connections no worker has
      woken to take yet: a burst into an idle server fills the queue, not
      past it.  Shed beyond the sum, or when the ["service.shed"] chaos
      point fires. *)
-  if (not forced) && busy + queued < t.max_conns + t.queue_bound then begin
+  if (not stopping) && (not forced) && busy + queued < t.max_conns + t.queue_bound then begin
     Queue.push fd t.queue;
     Condition.signal t.q_cond;
     Mutex.unlock t.q_lock
   end
   else begin
     Mutex.unlock t.q_lock;
-    shed t fd ~busy ~queued
+    (* A client that raced the stop is closed, not shed. *)
+    if stopping then close_quietly fd else shed t fd ~busy ~queued
   end
 
 let rec worker_loop t slot =
@@ -238,10 +263,6 @@ let accept_loop t =
   let rec loop () =
     if not (Atomic.get t.stopping) then
       match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ when Atomic.get t.stopping ->
-        (* The wake-up poke from [initiate_stop], or a client racing the
-           shutdown: either way, the listener is closing. *)
-        close_quietly fd
       | fd, _ ->
         (match Faults.hit "service.accept" with
         | () ->
@@ -254,7 +275,9 @@ let accept_loop t =
           close_quietly fd);
         loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping -> ()
+      | exception Unix.Unix_error _ when Atomic.get t.stopping ->
+        (* [initiate_stop]'s shutdown: EINVAL. *)
+        ()
       | exception Unix.Unix_error _ ->
         (* EMFILE, ENFILE, ENOBUFS...: the pending connection stays in
            the backlog, and a worker closing its connection frees the
@@ -263,8 +286,7 @@ let accept_loop t =
         Thread.delay 0.01;
         loop ()
   in
-  loop ();
-  close_quietly t.listen_fd
+  loop ()
 
 (* ---- lifecycle ---- *)
 
@@ -305,17 +327,18 @@ let start ~socket:path ~metrics ?(max_conns = default_max_conns) ?(queue = defau
     | Ok () -> (
       match
         let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 64
-         with e ->
-           close_quietly fd;
-           raise e);
-        fd
+        try
+          Unix.bind fd (Unix.ADDR_UNIX path);
+          let st = Unix.lstat path in
+          Unix.listen fd 64;
+          (fd, (st.Unix.st_dev, st.Unix.st_ino))
+        with e ->
+          close_quietly fd;
+          raise e
       with
       | exception Unix.Unix_error (e, _, _) ->
         Error (Diag.errorf ~file:path Diag.Io_error "cannot listen: %s" (Unix.error_message e))
-      | listen_fd ->
+      | listen_fd, socket_id ->
         List.iter (Metrics.touch metrics)
           [
             "connections_accepted"; "connections_dropped"; "accept_errors"; "requests_shed";
@@ -326,6 +349,7 @@ let start ~socket:path ~metrics ?(max_conns = default_max_conns) ?(queue = defau
           {
             socket_path = path;
             listen_fd;
+            socket_id;
             metrics;
             handler;
             max_conns;
@@ -382,4 +406,13 @@ let wait t =
     end
   in
   drain false;
-  Array.iter Thread.join t.workers
+  Array.iter Thread.join t.workers;
+  (* Remove the socket file only if it is still the one [bind] made: once
+     its path was removed, another daemon may have bound the same path.
+     The descriptor, open until after this check, keeps the inode from
+     being reused. *)
+  (match Unix.lstat t.socket_path with
+  | { Unix.st_dev; st_ino; _ } when (st_dev, st_ino) = t.socket_id -> (
+    try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
+  | _ | (exception Unix.Unix_error _) -> ());
+  close_quietly t.listen_fd

@@ -1,6 +1,7 @@
 (** The connection front end shared by the [kfused] server ({!Server})
-    and the sharded router ({!Router}); each supplies one request
-    handler and keeps only what is its own.
+    and the sharded router ({!Router}); each supplies one handler for
+    its own ops and keeps only what is its own.  The listener owns the
+    rest of a request's life, and its socket.
 
     One accept thread admits connections to [max_conns] long-lived
     worker threads through an admission queue.  While [max_conns +
@@ -15,6 +16,12 @@
     ([requests_timed_out]).  A reply that would overrun
     {!Protocol.max_frame} becomes a typed [KF0801] reply.
 
+    Each frame is decoded once ({!Protocol.request_of_json}); one that
+    does not decode gets a typed [KF0801] reply, counted under the op
+    ["invalid"].  The listener answers [ping] and [shutdown] itself, and
+    a handler's exception becomes an error reply ({!Diag.of_exn}), so
+    neither the connection nor the daemon dies of it.
+
     Chaos fault points ({!Kfuse_util.Faults.hit}) fire on every accepted
     connection (dropping it: [connections_dropped]), at admission
     (forcing a shed), and on every reply (swallowing, delaying or
@@ -25,10 +32,10 @@ module Deadline := Kfuse_util.Deadline
 
 type t
 
-(** A request handler: given the request's deadline and its decoded
-    frame, the operation name (the metrics key), the reply, and whether
-    the listener should stop after sending it.  It must not raise. *)
-type handler = deadline:Deadline.t -> Jsonx.t -> string * Jsonx.t * bool
+(** A request handler: given the request's deadline and a decoded
+    request other than [Ping] and [Shutdown], the reply.  An exception
+    it raises becomes an error reply. *)
+type handler = deadline:Deadline.t -> Protocol.request -> Jsonx.t
 
 (** [claim_socket path] prepares [path] for a fresh [bind]: absent is
     fine; an existing socket file is probed with a connect — no listener
@@ -71,7 +78,10 @@ val start :
   (t, Diag.t) result
 
 (** [initiate_stop t] stops accepting and wakes idle workers, without
-    blocking.  Idempotent. *)
+    blocking.  It wakes the accept thread with [shutdown(2)] on the
+    listening descriptor, not through the socket's path, so it works
+    after the path was removed or taken by another daemon.
+    Idempotent. *)
 val initiate_stop : t -> unit
 
 (** [signal_stop t] requests a stop with a single atomic store — no
@@ -79,11 +89,12 @@ val initiate_stop : t -> unit
     handler.  The thread blocked in {!wait} notices it within ~20ms. *)
 val signal_stop : t -> unit
 
-(** [wait t] blocks until a stop is initiated or signalled, closes the
-    listener, lets in-flight handlers finish for up to
+(** [wait t] blocks until a stop is initiated or signalled, stops
+    accepting, lets in-flight handlers finish for up to
     [drain_timeout_ms] — past it, their connections and the queued ones
-    are forcibly shut down — and joins every worker thread.  The socket
-    file stays: the caller unlinks it once its own teardown is done. *)
+    are forcibly shut down — and joins every worker thread.  It then
+    removes the socket file, but only if the path still names the file
+    its own [bind] made, and closes the listening descriptor. *)
 val wait : t -> unit
 
 (** [stopping t] is [true] once a stop was initiated. *)

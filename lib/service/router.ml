@@ -305,57 +305,37 @@ let stats_json t =
       ("key_memo", Key_memo.stats_json (Key_memo.stats t.key_memo));
     ]
 
-(* [dispatch] never raises: a failing handler becomes an error response,
-   keeping the connection and the router alive. *)
-let dispatch t ~deadline v =
-  match Protocol.request_of_json v with
-  | Error d -> ("invalid", Protocol.error d, false)
-  | Ok req -> (
-    let op = Protocol.op_name req in
-    let guarded f =
-      match f () with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false)
+(* The router's ops.  {!Listener} decodes each frame, turns an exception
+   raised here into an error reply, and answers [ping] and [shutdown]
+   itself: those two never reach this handler. *)
+let dispatch t ~deadline req =
+  let session_op ?kind id rebuild = handle_stream_op ?kind t ~deadline ~id ~rebuild in
+  match req with
+  | Protocol.Stats -> stats_json t
+  | Protocol.Metrics ->
+    let text =
+      Metrics.render t.metrics ~key_memo:(Key_memo.stats t.key_memo)
+        ~uptime_s:(Unix.gettimeofday () -. t.started_at)
     in
-    let session_op ?kind id rebuild = handle_stream_op ?kind t ~deadline ~id ~rebuild in
-    match req with
-    | Protocol.Ping -> (op, Protocol.ok [ ("pong", Jsonx.Bool true) ], false)
-    | Protocol.Shutdown -> (op, Protocol.ok [ ("stopping", Jsonx.Bool true) ], true)
-    | Protocol.Stats -> (op, stats_json t, false)
-    | Protocol.Metrics ->
-      let text =
-        Metrics.render t.metrics ~key_memo:(Key_memo.stats t.key_memo)
-          ~uptime_s:(Unix.gettimeofday () -. t.started_at)
-      in
-      (op, Protocol.ok [ ("text", Jsonx.Str text) ], false)
-    | Protocol.Fuse f -> guarded (fun () -> handle_fuse t ~deadline req f)
-    | Protocol.Fuse_exec e ->
-      guarded (fun () -> handle_by_fingerprint t ~deadline req e.Protocol.fuse)
-    | Protocol.Stream_open o ->
-      guarded (fun () ->
-          handle_by_fingerprint t ~deadline ~rewrite:rewrite_reply_id req o.Protocol.fuse)
-    | Protocol.Stream_push s ->
-      guarded (fun () ->
-          session_op s.Protocol.id (fun orig ->
-              Protocol.Stream_push { s with Protocol.id = orig }))
-    | Protocol.Stream_close id ->
-      guarded (fun () -> session_op id (fun orig -> Protocol.Stream_close orig))
-    | Protocol.Lazy_open o ->
-      guarded (fun () ->
-          forward_routed t ~deadline ~rewrite:rewrite_reply_id ~structural:(lazy_affinity o)
-            req)
-    | Protocol.Lazy_edit e ->
-      guarded (fun () ->
-          session_op ~kind:"lazy session" e.Protocol.id (fun orig ->
-              Protocol.Lazy_edit { e with Protocol.id = orig }))
-    | Protocol.Lazy_flush f ->
-      guarded (fun () ->
-          session_op ~kind:"lazy session" f.Protocol.id (fun orig ->
-              Protocol.Lazy_flush { f with Protocol.id = orig }))
-    | Protocol.Lazy_close id ->
-      guarded (fun () ->
-          session_op ~kind:"lazy session" id (fun orig -> Protocol.Lazy_close orig)))
+    Protocol.ok [ ("text", Jsonx.Str text) ]
+  | Protocol.Fuse f -> handle_fuse t ~deadline req f
+  | Protocol.Fuse_exec e -> handle_by_fingerprint t ~deadline req e.Protocol.fuse
+  | Protocol.Stream_open o ->
+    handle_by_fingerprint t ~deadline ~rewrite:rewrite_reply_id req o.Protocol.fuse
+  | Protocol.Stream_push s ->
+    session_op s.Protocol.id (fun orig -> Protocol.Stream_push { s with Protocol.id = orig })
+  | Protocol.Stream_close id -> session_op id (fun orig -> Protocol.Stream_close orig)
+  | Protocol.Lazy_open o ->
+    forward_routed t ~deadline ~rewrite:rewrite_reply_id ~structural:(lazy_affinity o) req
+  | Protocol.Lazy_edit e ->
+    session_op ~kind:"lazy session" e.Protocol.id (fun orig ->
+        Protocol.Lazy_edit { e with Protocol.id = orig })
+  | Protocol.Lazy_flush f ->
+    session_op ~kind:"lazy session" f.Protocol.id (fun orig ->
+        Protocol.Lazy_flush { f with Protocol.id = orig })
+  | Protocol.Lazy_close id ->
+    session_op ~kind:"lazy session" id (fun orig -> Protocol.Lazy_close orig)
+  | _ -> assert false
 
 (* ---- fleet monitor ---- *)
 
@@ -508,7 +488,6 @@ let wait t =
      own in-flight work), escalate to SIGKILL past the grace period. *)
   let stoppers = Array.map (fun s -> Thread.create Shard.stop s) t.fleet.shards in
   Array.iter Thread.join stoppers;
-  (try Unix.unlink (socket t) with Unix.Unix_error _ -> ());
   (* A SIGKILLed shard leaves its socket file behind; sweep so the next
      fleet starts clean even after a forced drain. *)
   Array.iter

@@ -30,13 +30,15 @@
       shard ([s<i>-<id>]) and pinned — session state lives in one
       process, so a dead shard means "reopen the session", not silent
       rebinding.
-    - {b Front end}: connections, admission, deadlines and the first
-      drain step are {!Listener}'s, exactly as for a single server.
+    - {b Front end}: connections, admission, deadlines, decoding,
+      [ping], [shutdown], the guard against a handler's exception, the
+      first drain step and the router's socket file are {!Listener}'s,
+      exactly as for a single server.
     - {b Drain}: {!stop} (or {!signal_stop} from a signal handler)
       stops accepting, drains router workers, halts the monitor (so it
       stops respawning), then SIGTERMs the fleet in parallel with a
-      SIGKILL escalation after 2 s, and finally sweeps the socket
-      files. *)
+      SIGKILL escalation after 2 s, and finally sweeps the shards'
+      socket files. *)
 
 module Diag := Kfuse_util.Diag
 

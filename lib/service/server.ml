@@ -835,44 +835,33 @@ let stats_json t =
           ] );
     ]
 
-(* [dispatch] never raises: a failing handler becomes an error response
-   (counted per-op), keeping the connection and the server alive. *)
-let dispatch t ~deadline v =
-  match Protocol.request_of_json v with
-  | Error d -> ("invalid", Protocol.error d, false)
-  | Ok req -> (
-    let op = Protocol.op_name req in
-    let handle () =
-      match req with
-      | Protocol.Ping -> Protocol.ok [ ("pong", Jsonx.Bool true) ]
-      | Protocol.Shutdown -> Protocol.ok [ ("stopping", Jsonx.Bool true) ]
-      | Protocol.Stats -> stats_json t
-      | Protocol.Metrics ->
-        let rs = Native.runner_stats () in
-        let text =
-          Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
-            ~key_memo:(Key_memo.stats t.key_memo)
-            ~uptime_s:(Unix.gettimeofday () -. t.started_at)
-          ^ Printf.sprintf
-              "kfused_native_runners %d\nkfused_native_runner_spawns_total %d\n\
-               kfused_native_runner_kills_total %d\n"
-              rs.Native.runners rs.Native.runner_spawns rs.Native.runner_kills
-        in
-        Protocol.ok [ ("text", Jsonx.Str text) ]
-      | Protocol.Fuse f -> handle_fuse t ~deadline f
-      | Protocol.Fuse_exec e -> handle_fuse_exec t ~deadline e
-      | Protocol.Stream_open o -> handle_stream_open t ~deadline o
-      | Protocol.Stream_push s -> handle_stream_push t ~deadline s
-      | Protocol.Stream_close id -> handle_stream_close t id
-      | Protocol.Lazy_open o -> handle_lazy_open t o
-      | Protocol.Lazy_edit e -> handle_lazy_edit t e
-      | Protocol.Lazy_flush f -> handle_lazy_flush t f
-      | Protocol.Lazy_close id -> handle_lazy_close t id
+(* The server's ops.  {!Listener} decodes each frame, turns an exception
+   raised here into an error reply, and answers [ping] and [shutdown]
+   itself: those two never reach this handler. *)
+let dispatch t ~deadline = function
+  | Protocol.Stats -> stats_json t
+  | Protocol.Metrics ->
+    let rs = Native.runner_stats () in
+    let text =
+      Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
+        ~key_memo:(Key_memo.stats t.key_memo)
+        ~uptime_s:(Unix.gettimeofday () -. t.started_at)
+      ^ Printf.sprintf
+          "kfused_native_runners %d\nkfused_native_runner_spawns_total %d\n\
+           kfused_native_runner_kills_total %d\n"
+          rs.Native.runners rs.Native.runner_spawns rs.Native.runner_kills
     in
-    match handle () with
-    | resp -> (op, resp, req = Protocol.Shutdown)
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
+    Protocol.ok [ ("text", Jsonx.Str text) ]
+  | Protocol.Fuse f -> handle_fuse t ~deadline f
+  | Protocol.Fuse_exec e -> handle_fuse_exec t ~deadline e
+  | Protocol.Stream_open o -> handle_stream_open t ~deadline o
+  | Protocol.Stream_push s -> handle_stream_push t ~deadline s
+  | Protocol.Stream_close id -> handle_stream_close t id
+  | Protocol.Lazy_open o -> handle_lazy_open t o
+  | Protocol.Lazy_edit e -> handle_lazy_edit t e
+  | Protocol.Lazy_flush f -> handle_lazy_flush t f
+  | Protocol.Lazy_close id -> handle_lazy_close t id
+  | _ -> assert false
 
 (* Crash artifacts go beside the plan cache's disk tier, or beside the
    default one for a memory-only cache. *)
@@ -943,8 +932,7 @@ let wait t =
   Session_table.drain t.state.lazies;
   (* No request is in flight: every sandbox runner is idle, and none
      outlives the server. *)
-  Native.shutdown_runners ();
-  try Unix.unlink (socket t) with Unix.Unix_error _ -> ()
+  Native.shutdown_runners ()
 
 let stop t =
   Listener.initiate_stop t.listener;

@@ -3,8 +3,10 @@
 
     Connections, admission ([max_conns] workers, a [queue]-bounded
     admission queue, [KF0803] sheds), request deadlines, chaos fault
-    points and the drain are {!Listener}'s; this module is its request
-    handler.  All workers share one {!Kfuse_cache.Plan_cache} and one
+    points, the drain and the socket file are {!Listener}'s, and so are
+    decoding each frame, [ping], [shutdown] and turning a handler's
+    exception into an error reply; this module handles the other ops.
+    All workers share one {!Kfuse_cache.Plan_cache} and one
     {!Kfuse_util.Pool}: the pool is batch-exclusive, so concurrent plans
     degrade gracefully to serial execution inside their own thread
     rather than queueing behind each other.  A fusion search is
@@ -88,8 +90,9 @@ val start :
   unit ->
   (t, Diag.t) result
 
-(** [wait t] runs {!Listener.wait}, then releases every session's
-    pinned plan and the sandbox runners, and removes the socket file. *)
+(** [wait t] runs {!Listener.wait}, which removes the socket file while
+    it is still this server's, then releases every session's pinned plan
+    and the sandbox runners. *)
 val wait : t -> unit
 
 (** [stop t] initiates shutdown and {!wait}s.  Idempotent. *)

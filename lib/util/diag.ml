@@ -90,8 +90,6 @@ let all_codes =
 
 let code_of_id id = List.find_opt (fun c -> code_id c = id) all_codes
 
-let no_context = { file = None; line = None; col = None }
-
 let v ?(severity = Error) ?file ?line ?col code message =
   { code; severity; message; context = { file; line; col } }
 

@@ -110,8 +110,6 @@ val code_of_id : string -> code option
     {!code_id}, used to fold wire-level error codes back into typed
     diagnostics on the [kfused] client side. *)
 
-val no_context : context
-
 val v : ?severity:severity -> ?file:string -> ?line:int -> ?col:int -> code -> string -> t
 
 val errorf :

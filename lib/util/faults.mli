@@ -95,9 +95,6 @@ val parse_spec : string -> ((string * trigger) list, string) result
     - ["point~P:SEED"] for [Prob (P, SEED)] (e.g. ["pool.task~0.01:42"])
     - ["point"] alone for [Nth 1]. *)
 
-val arm_spec : string -> (unit, string) result
-(** Parse and arm a spec string. *)
-
 val env_var : string
 (** ["KFUSE_FAULTS"]. *)
 

@@ -1,4 +1,5 @@
-(** A minimal JSON codec for the [kfused] wire protocol.
+(** A minimal JSON codec: the [kfused] wire protocol's, and the one
+    writer of the [BENCH_native.json] snapshot.
 
     Self-contained (the container ships no JSON library) and small on
     purpose: values, an encoder, a strict recursive-descent parser, and

@@ -126,10 +126,6 @@ let quantiles r =
       }
   end
 
-let pp_quantiles ppf q =
-  Format.fprintf ppf "n=%d p50=%.4f p90=%.4f p95=%.4f p99=%.4f min=%.4f max=%.4f"
-    q.samples q.p50 q.p90 q.p95 q.p99 q.q_min q.q_max
-
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d min=%.4f p25=%.4f med=%.4f p75=%.4f max=%.4f" s.n
     s.min s.p25 s.median s.p75 s.max

@@ -71,5 +71,3 @@ type quantiles = {
 
 (** [quantiles r] is [None] until at least one value was observed. *)
 val quantiles : reservoir -> quantiles option
-
-val pp_quantiles : Format.formatter -> quantiles -> unit

@@ -187,8 +187,10 @@ let check_no_silent_death d =
 (* Wait for [d] to exit (sending SIGTERM first unless [term] is false,
    for a daemon already asked to shut down) and check it drained: exit
    0, "shut down" logged, its socket removed, no thread died silently,
-   and nothing it started (shards, sandbox runners) outlives it. *)
-let stop ?(term = true) d =
+   and nothing it started (shards, sandbox runners) outlives it.  With
+   [taken], another daemon has since bound [d.socket]: the file must
+   stay. *)
+let stop ?(term = true) ?(taken = false) d =
   if not d.ended then begin
     d.ended <- true;
     if term then Child.signal d.child Sys.sigterm;
@@ -205,7 +207,9 @@ let stop ?(term = true) d =
     | Unix.WEXITED c -> Alcotest.failf "daemon exited %d:\n%s" c (log_text d)
     | _ -> Alcotest.failf "daemon died on a signal:\n%s" (log_text d));
     Alcotest.(check bool) "daemon logged its shutdown" true (contains "shut down" (log_text d));
-    Alcotest.(check bool) "socket removed" false (Sys.file_exists d.socket);
+    if taken then
+      Alcotest.(check bool) "the other daemon's socket kept" true (Sys.file_exists d.socket)
+    else Alcotest.(check bool) "socket removed" false (Sys.file_exists d.socket);
     check_no_silent_death d;
     Alcotest.(check (list string)) "nothing outlives the daemon" []
       (processes_mentioning d.dir)
@@ -222,13 +226,14 @@ let kill d =
 
 (* Run [f] against a live [kfusec serve] or [kfusec shard-serve] with
    [args], listening on [d.socket] once [f] runs (for shard-serve: once
-   the fleet is ready, with shards under [d.fleet]).  The daemon gets an
-   empty KFUSE_FAULTS, then [env] ("NAME=value" items), and its default
-   cache under [d.dir].  [ulimit] ("-n 24") runs it under that shell
-   limit.  On return, [stop] checks the drain unless [f] did. *)
-let with_daemon ?(env = []) ?ulimit cmd args f =
+   the fleet is ready, with shards under [d.fleet]).  [socket] defaults
+   to one under [d.dir].  The daemon gets an empty KFUSE_FAULTS, then
+   [env] ("NAME=value" items), and its default cache under [d.dir].
+   [ulimit] ("-n 24") runs it under that shell limit.  On return, [stop]
+   checks the drain unless [f] did. *)
+let with_daemon ?(env = []) ?ulimit ?socket cmd args f =
   let dir = temp_dir "kfuse-daemon" in
-  let socket = Filename.concat dir "d.sock" in
+  let socket = Option.value socket ~default:(Filename.concat dir "d.sock") in
   let log = Filename.concat dir "daemon.log" in
   let fleet = if cmd = "shard-serve" then Some (Filename.concat dir "fleet") else None in
   let argv =

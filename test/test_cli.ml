@@ -204,6 +204,39 @@ let test_serve_killed_leaves_no_runner () =
   in
   gone 100
 
+(* SIGTERM stops a daemon whose socket file is gone: waking the accept
+   thread must not go through the socket's path.  The warm runner and
+   the default cache live under [d.dir], so [stop] sees any runner left. *)
+let test_serve_stops_without_socket_file () =
+  require_cc ();
+  with_daemon "serve" [] @@ fun d ->
+  let code, _ = query d [ "--exec"; "-a"; "sobel"; "--width"; "8"; "--height"; "6" ] in
+  Alcotest.(check int) "sandboxed exec answers" 0 code;
+  Alcotest.(check int) "one warm runner" 1
+    (List.length (processes_mentioning (Filename.concat d.dir "xdg")));
+  Sys.remove d.socket;
+  stop d
+
+(* The same for a router, once its fleet is ready: no shard is left. *)
+let test_shard_serve_stops_without_socket_file () =
+  with_daemon "shard-serve" [ "--shards"; "2" ] @@ fun d ->
+  Sys.remove d.socket;
+  stop d
+
+(* A second daemon binds the path of a first whose socket file was
+   removed.  SIGTERM stops the first, which must leave the second's
+   socket alone; the second keeps answering and drains as usual. *)
+let test_serve_spares_a_successors_socket () =
+  with_temp_dir @@ fun shared ->
+  let socket = Filename.concat shared "d.sock" in
+  with_daemon ~socket "serve" [] @@ fun first ->
+  Sys.remove socket;
+  with_daemon ~socket "serve" [] @@ fun second ->
+  stop ~taken:true first;
+  let code, text = query second [ "--ping" ] in
+  Alcotest.(check int) "the second answers" 0 code;
+  Alcotest.(check bool) "pong" true (contains "pong" text)
+
 (* Descriptor exhaustion must not kill the accept loop.  Under a 24-fd
    limit, 40 held connections drive accept(2) into EMFILE; once they are
    closed, the daemon answers again and has counted the failed accepts. *)
@@ -356,13 +389,20 @@ let test_bench_native_small () =
   (* Exit 0 means every output matched the interpreter exactly. *)
   Alcotest.(check int) "bench-native exits 0" 0 code;
   Alcotest.(check bool) "summary table printed" true (contains "sobel" text);
-  let json = In_channel.with_open_text out In_channel.input_all in
-  Alcotest.(check bool) "versioned schema" true (contains "kfuse-bench-native/v2" json);
-  Alcotest.(check bool) "both apps present" true
-    (contains "\"sobel\"" json && contains "\"unsharp\"" json);
-  Alcotest.(check bool) "spread reported" true (contains "\"exec_iqr_ms_fused\"" json);
-  Alcotest.(check bool) "exact difference recorded" true
-    (contains "\"max_abs_diff_fused\": 0\n" json)
+  let json = json_of "BENCH_native.json" (read_file out) in
+  Alcotest.(check (option string)) "versioned schema" (Some "kfuse-bench-native/v2")
+    (Jsonx.mem_str "schema" json);
+  let apps = Option.value ~default:[] (Option.bind (Jsonx.member "apps" json) Jsonx.arr) in
+  Alcotest.(check (list (option string))) "both apps present"
+    [ Some "sobel"; Some "unsharp" ]
+    (List.map (Jsonx.mem_str "app") apps);
+  List.iter
+    (fun app ->
+      Alcotest.(check bool) "spread reported" true
+        (Option.is_some (Jsonx.mem_num "exec_iqr_ms_fused" app));
+      Alcotest.(check (option (float 0.))) "exact difference recorded" (Some 0.)
+        (Jsonx.mem_num "max_abs_diff_fused" app))
+    apps
 
 let test_bench_native_bad_args () =
   (* Bad sizes and names are rejected before the toolchain is probed:
@@ -644,6 +684,12 @@ let suite =
       test_run_native_strips;
     Alcotest.test_case "serve: a killed daemon leaves no runner" `Slow
       test_serve_killed_leaves_no_runner;
+    Alcotest.test_case "serve: SIGTERM stops it after its socket file is removed" `Quick
+      test_serve_stops_without_socket_file;
+    Alcotest.test_case "shard-serve: SIGTERM stops it after its socket file is removed" `Quick
+      test_shard_serve_stops_without_socket_file;
+    Alcotest.test_case "serve: a stopping daemon spares the socket a successor bound" `Quick
+      test_serve_spares_a_successors_socket;
     Alcotest.test_case "serve: accept survives descriptor exhaustion" `Quick
       test_serve_survives_emfile;
     Alcotest.test_case "serve: an oversized fuse_exec is a KF0907, not a dead worker" `Quick

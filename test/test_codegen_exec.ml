@@ -58,9 +58,8 @@ let emit_main buf (p : Ir.Pipeline.t) inputs =
   b "  return 0;\n}\n"
 
 let run_generated (p : Ir.Pipeline.t) inputs =
-  let dir = Filename.temp_file "kfuse_cc" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = Support.temp_dir "kfuse_cc" in
+  Fun.protect ~finally:(fun () -> Support.remove_tree dir) @@ fun () ->
   let src = Filename.concat dir "gen.c" in
   let exe = Filename.concat dir "gen.exe" in
   let out_file = Filename.concat dir "out.txt" in

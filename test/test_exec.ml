@@ -1949,6 +1949,58 @@ let test_name_collisions_exact () =
         strategies)
     (name_collision_rows ())
 
+(* The snapshot is JSON for any toolchain path: a non-ASCII byte in
+   [cc] parses back unchanged, and a non-finite time is null. *)
+let test_bench_native_json_escapes () =
+  let r =
+    {
+      Exec.Bench_native.app = "sobel";
+      width = 32;
+      height = 24;
+      channels = 1;
+      kernels_unfused = 3;
+      kernels_fused = 1;
+      compile_ms_unfused = 1.5;
+      compile_ms_fused = 1.25;
+      exec_ms_unfused = 0.5;
+      exec_ms_fused = 0.;
+      exec_iqr_ms_unfused = 0.1;
+      exec_iqr_ms_fused = 0.;
+      samples_unfused = [ 0.5; 0.6 ];
+      samples_fused = [ 0.; 0. ];
+      interp_ms = 2.;
+      diff_unfused = 0.;
+      diff_fused = 0.;
+      exact_unfused = true;
+      exact_fused = true;
+    }
+  in
+  let cc = "toolchains/cc-\xc3\xa9/bin/gcc \"-O2\"\t" in
+  let t =
+    {
+      Exec.Bench_native.cc;
+      openmp = true;
+      mode = Exec.Native.Dlopen;
+      runs = 2;
+      host_cores = 2;
+      generated_at = 1792225287.;
+      apps = [ r ];
+    }
+  in
+  let v = json_of "bench-native JSON" (Exec.Bench_native.to_json t) in
+  Alcotest.(check (option string)) "schema" (Some "kfuse-bench-native/v2")
+    (Jsonx.mem_str "schema" v);
+  Alcotest.(check (option string)) "cc round-trips" (Some cc)
+    (Option.bind (Jsonx.member "toolchain" v) (Jsonx.mem_str "cc"));
+  match Jsonx.member "apps" v with
+  | Some (Jsonx.Arr [ app ]) ->
+    Alcotest.(check (option string)) "app" (Some "sobel") (Jsonx.mem_str "app" app);
+    Alcotest.(check bool) "an infinite speedup is null" true
+      (Jsonx.member "speedup" app = Some Jsonx.Null);
+    Alcotest.(check (option (float 0.))) "exact difference" (Some 0.)
+      (Jsonx.mem_num "max_abs_diff_fused" app)
+  | _ -> Alcotest.failf "one app expected: %s" (Jsonx.to_string v)
+
 let suite =
   [
     Alcotest.test_case "emit golden: map + reduce + broadcast" `Quick
@@ -1956,6 +2008,8 @@ let suite =
     Alcotest.test_case "emit golden: region split, double" `Quick
       test_emit_golden_region_split;
     Alcotest.test_case "emit golden: border helpers" `Quick test_emit_border_helpers;
+    Alcotest.test_case "bench-native JSON escapes the toolchain path" `Quick
+      test_bench_native_json_escapes;
     Alcotest.test_case "emit: non-finite and negative literals" `Quick
       test_emit_nonfinite_literals;
     Alcotest.test_case "emit: nonpositive for-step rejected" `Quick

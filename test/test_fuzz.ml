@@ -287,6 +287,28 @@ let test_runner_replays_corpus () =
   Alcotest.(check bool) "replay of a healthy entry passes" false
     (Fz.Runner.failed summary)
 
+(* A run given no [cache_dir] makes a scratch cache and removes it. *)
+let test_runner_removes_its_scratch_cache () =
+  let tmp = Support.temp_dir "kfuse-test-fuzz-tmp" in
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Support.remove_tree tmp)
+  @@ fun () ->
+  let summary =
+    Fz.Runner.run
+      {
+        Fz.Runner.default_options with
+        Fz.Runner.cases = 3;
+        seed = 3;
+        oracles = Some [ Fz.Oracle.Cache_replay ];
+      }
+  in
+  Alcotest.(check int) "cases run" 3 summary.Fz.Runner.cases_run;
+  Alcotest.(check bool) "campaign passes" false (Fz.Runner.failed summary);
+  Alcotest.(check (array string)) "no scratch cache left" [||] (Sys.readdir tmp)
+
 (* The incremental-replan oracle's pinned campaign: 200 generated
    cases at seed 7, each edited in bursts and every memoized flush
    compared with a scratch plan. *)
@@ -468,6 +490,8 @@ let suite =
     Alcotest.test_case "corpus: save is idempotent" `Quick test_corpus_save_idempotent;
     Alcotest.test_case "runner: corpus replays before generation" `Quick
       test_runner_replays_corpus;
+    Alcotest.test_case "runner: removes the scratch cache it made" `Quick
+      test_runner_removes_its_scratch_cache;
     Alcotest.test_case "incremental-replan campaign: 200 cases at seed 7" `Slow
       test_incremental_replan_campaign;
     Alcotest.test_case "fault-armed campaign catches the seeded bug" `Slow
