@@ -239,12 +239,12 @@ let common_term =
     $ strict_arg $ budget_arg $ cache_flag $ cache_dir_arg)
 
 (* Run a subcommand body with a -j sized domain pool. *)
-let with_jobs ?defer jobs f =
+let with_jobs jobs f =
   if jobs < 1 then begin
     Format.eprintf "kfusec: --jobs must be >= 1@.";
     1
   end
-  else Kfuse_util.Pool.with_pool ?defer jobs f
+  else Kfuse_util.Pool.with_pool jobs f
 
 (* The shared subcommand spine: load, validate, size the pool, and hand
    (pool, pipeline) to the body.  Every driver-backed subcommand used to
@@ -497,20 +497,15 @@ let run_cmd =
                   (if nr.Exec.Native.cached then " (cached)" else "")
                   nr.Exec.Native.exec_ms;
                 if not no_verify then begin
-                  let reference = Ir.Eval.run_outputs r.F.Driver.fused env in
-                  let diff =
-                    List.fold_left2
-                      (fun acc (_, a) (_, b) ->
-                        Float.max acc (Kfuse_image.Image.max_abs_diff a b))
-                      0.0 nr.Exec.Native.outputs reference
+                  let v =
+                    Kfuse_image.Image.verdict
+                      ~reference:(Ir.Eval.run_outputs r.F.Driver.fused env)
+                      nr.Exec.Native.outputs
                   in
-                  Format.printf "native max-abs-diff vs interpreter: %g@." diff;
-                  if
-                    not
-                      (List.for_all2
-                         (fun (_, a) (_, b) -> Kfuse_image.Image.equal a b)
-                         nr.Exec.Native.outputs reference)
-                  then Format.printf "native output is NOT bit-identical to the interpreter's@."
+                  Format.printf "native max-abs-diff vs interpreter: %g@."
+                    v.Kfuse_image.Image.max_abs_diff;
+                  if not (Kfuse_image.Image.bit_exact v) then
+                    Format.printf "native output is NOT bit-identical to the interpreter's@."
                 end;
                 Ok nr.Exec.Native.outputs
           in
@@ -819,9 +814,9 @@ let serve_cmd =
   in
   let run jobs cache cache_dir socket max_conns queue request_timeout_ms drain_timeout_ms
       exec_sandbox crash_dir =
-    (* The daemon spawns its pool's domains at the first request that
-       can use them: lazy sessions and warm plans never do. *)
-    with_jobs ~defer:true jobs @@ fun pool ->
+    (* The pool spawns its domains at the first request that can use
+       them: lazy sessions and warm plans never do. *)
+    with_jobs jobs @@ fun pool ->
     let dir = cache_dir_of ~cache ~cache_dir in
     let cache = Cache.Plan_cache.create ?dir () in
     match

@@ -71,10 +71,10 @@ let locked t f =
 (* Bump the format number whenever a marshaled type changes shape, since
    reading a value back as a different layout is memory-unsafe.  2:
    [Pipeline.t] gained its stored dependence DAG.  3: and its index of
-   kernels by name.  A test pins the
+   kernels by name.  4: [Kernel.t] stores its radius.  A test pins the
    number next to a shape digest of a canonical report, so a layout
    change that forgets the bump fails there. *)
-let format_version = 3
+let format_version = 4
 let magic = Printf.sprintf "kfuse-plan %d %s %d" format_version Sys.ocaml_version Sys.word_size
 
 let path_of t key = Option.map (fun d -> Filename.concat d (key ^ ".plan")) t.dir

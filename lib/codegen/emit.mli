@@ -7,8 +7,5 @@ val expr : Format.formatter -> Cuda_ast.expr -> unit
 (** [stmt ppf s] prints a statement (with trailing newline). *)
 val stmt : Format.formatter -> Cuda_ast.stmt -> unit
 
-(** [func ppf f] prints a function definition. *)
-val func : Format.formatter -> Cuda_ast.func -> unit
-
-(** [func_to_string f] is [func] rendered to a string. *)
+(** [func_to_string f] is a function definition rendered to a string. *)
 val func_to_string : Cuda_ast.func -> string

@@ -60,30 +60,6 @@ let inputs_for (p : Pipeline.t) =
           ~hi:1.0 ))
     p.Pipeline.inputs
 
-(* Interpreter-vs-native: worst absolute difference over all outputs,
-   matched by name.  A missing name is an infinite difference — it can
-   only mean fusion renamed a sink, which the exactness gate must not
-   silently pass. *)
-let diff_against reference outputs =
-  List.fold_left
-    (fun acc (name, img) ->
-      match List.assoc_opt name reference with
-      | None -> Float.infinity
-      | Some ref_img ->
-        if Image.width ref_img <> Image.width img then Float.infinity
-        else Float.max acc (Image.max_abs_diff ref_img img))
-    0.0 outputs
-
-(* The gate: every output, matched by name, bit for bit. *)
-let exact_against reference outputs =
-  List.length reference = List.length outputs
-  && List.for_all
-       (fun (name, img) ->
-         match List.assoc_opt name reference with
-         | None -> false
-         | Some ref_img -> Image.equal ref_img img)
-       outputs
-
 let median_iqr samples =
   let s = Stats.summarize (Array.of_list samples) in
   (s.Stats.median, s.Stats.p75 -. s.Stats.p25)
@@ -105,6 +81,8 @@ let bench_app ~mode ~cache_dir ~runs ~size (entry : Registry.entry) =
   let interp_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let exec_ms_unfused, exec_iqr_ms_unfused = median_iqr run_unfused.Native.samples_ms in
   let exec_ms_fused, exec_iqr_ms_fused = median_iqr run_fused.Native.samples_ms in
+  let unfused_v = Image.verdict ~reference run_unfused.Native.outputs in
+  let fused_v = Image.verdict ~reference run_fused.Native.outputs in
   Ok
     {
       app = entry.Registry.name;
@@ -122,10 +100,10 @@ let bench_app ~mode ~cache_dir ~runs ~size (entry : Registry.entry) =
       samples_unfused = run_unfused.Native.samples_ms;
       samples_fused = run_fused.Native.samples_ms;
       interp_ms;
-      diff_unfused = diff_against reference run_unfused.Native.outputs;
-      diff_fused = diff_against reference run_fused.Native.outputs;
-      exact_unfused = exact_against reference run_unfused.Native.outputs;
-      exact_fused = exact_against reference run_fused.Native.outputs;
+      diff_unfused = unfused_v.Image.max_abs_diff;
+      diff_fused = fused_v.Image.max_abs_diff;
+      exact_unfused = Image.bit_exact unfused_v;
+      exact_fused = Image.bit_exact fused_v;
     }
 
 let at_least_one code what = function

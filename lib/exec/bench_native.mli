@@ -32,8 +32,8 @@ type app_report = {
   samples_fused : float list;
   interp_ms : float;  (** interpreter reference *)
   diff_unfused : float;
-      (** max abs diff vs. interpreter over all outputs
-          ({!Kfuse_image.Image.max_abs_diff}) *)
+      (** max abs diff vs. interpreter over all outputs, matched by name
+          ({!Kfuse_image.Image.verdict}) *)
   diff_fused : float;
   exact_unfused : bool;  (** every output bit-identical to the interpreter's *)
   exact_fused : bool;
@@ -57,7 +57,7 @@ val speedup : app_report -> float
 val max_diff : t -> float
 
 (** [exact t] holds when every output of every app and variant is bit
-    for bit the interpreter's ({!Kfuse_image.Image.equal}: a NaN, and
+    for bit the interpreter's ({!Kfuse_image.Image.bit_exact}: a NaN, and
     the sign of a zero, included).  The backend is bit-exact by design,
     so [false] is a bug. *)
 val exact : t -> bool

@@ -6,6 +6,7 @@ module Kernel = Kfuse_ir.Kernel
 module Pipeline = Kfuse_ir.Pipeline
 module Fingerprint = Kfuse_cache.Fingerprint
 module Plan_cache = Kfuse_cache.Plan_cache
+module Lru = Kfuse_cache.Lru
 module C = Kfuse_codegen.Lower_common
 module Lower_cpu = Kfuse_codegen.Lower_cpu
 
@@ -392,12 +393,11 @@ let build ~tc ~dir ~mode (p : Pipeline.t) =
    again: the path is remembered per cache directory, toolchain, mode
    and exact fingerprint, which pins the pipeline and so its source.
    The file must still exist.  A daemon running paper-exec's six apps
-   holds six paths, at about 350 bytes of key and path each; past
-   [artifact_memo_cap] (some 1.5 MB) the memo starts over, so a daemon
-   fed new pipelines for ever does not grow without bound. *)
-let artifact_memo : (string, string) Hashtbl.t = Hashtbl.create 64
+   holds six paths, at about 350 bytes of key and path each; the memo
+   keeps the 4,096 most recently used (some 1.5 MB), so a daemon fed new
+   pipelines for ever does not grow without bound. *)
+let artifact_memo : string Lru.t = Lru.create ~capacity:4096 ()
 let artifact_memo_lock = Mutex.create ()
-let artifact_memo_cap = 4096
 
 let compile ?cache_dir ~mode (p : Pipeline.t) =
   match Toolchain.find () with
@@ -407,15 +407,13 @@ let compile ?cache_dir ~mode (p : Pipeline.t) =
     let key =
       String.concat "\n" [ dir; Toolchain.id tc; mode_to_string mode; Fingerprint.exact p ]
     in
-    match Mutex.protect artifact_memo_lock (fun () -> Hashtbl.find_opt artifact_memo key) with
+    match Mutex.protect artifact_memo_lock (fun () -> Lru.find artifact_memo key) with
     | Some dest when Sys.file_exists dest -> Ok (dest, 0., true)
     | _ ->
       let r = build ~tc ~dir ~mode p in
       Result.iter
         (fun (dest, _, _) ->
-          Mutex.protect artifact_memo_lock (fun () ->
-              if Hashtbl.length artifact_memo >= artifact_memo_cap then Hashtbl.reset artifact_memo;
-              Hashtbl.replace artifact_memo key dest))
+          Mutex.protect artifact_memo_lock (fun () -> Lru.put artifact_memo key dest))
         r;
       r)
 

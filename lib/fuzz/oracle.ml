@@ -172,23 +172,16 @@ let eval_inputs p =
 let eval_env p = Eval.env_of_list (eval_inputs p)
 
 let compare_outputs ~what ref_out out =
-  if List.map fst ref_out <> List.map fst out then
+  let names l = List.sort String.compare (List.map fst l) in
+  match (Image.verdict ~reference:ref_out out).Image.differing with
+  | [] -> Ok ()
+  | _ when names ref_out <> names out ->
     Error
       (Printf.sprintf "%s: output set changed: [%s] vs [%s]" what
          (String.concat ", " (List.map fst ref_out))
          (String.concat ", " (List.map fst out)))
-  else
-    List.fold_left2
-      (fun acc (name, a) (_, b) ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-          if Image.equal a b then Ok ()
-          else
-            Error
-              (Printf.sprintf "%s: output %s differs in its bits (max |diff| = %.17g)" what name
-                 (Image.max_abs_diff a b)))
-      (Ok ()) ref_out out
+  | (name, diff) :: _ ->
+    Error (Printf.sprintf "%s: output %s differs in its bits (max |diff| = %.17g)" what name diff)
 
 let eval_exact config p =
   match

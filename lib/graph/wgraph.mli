@@ -32,9 +32,6 @@ val num_vertices : t -> int
 (** [weight g u v] is the weight of edge [{u, v}], or [0.] if absent. *)
 val weight : t -> int -> int -> float
 
-(** [neighbors g v] is the set of vertices adjacent to [v]. *)
-val neighbors : t -> int -> Kfuse_util.Iset.t
-
 (** [edges g] lists undirected edges as [(u, v, w)] with [u < v]. *)
 val edges : t -> (int * int * float) list
 

@@ -96,6 +96,24 @@ let max_abs_diff a b =
     a.data;
   !worst
 
+type verdict = { max_abs_diff : float; differing : (string * float) list }
+
+let verdict ~reference outputs =
+  let against others (name, img) =
+    match List.assoc_opt name others with
+    | Some other when equal other img -> None
+    | Some other when other.width = img.width && other.height = img.height ->
+      Some (name, max_abs_diff other img)
+    | Some _ | None -> Some (name, Float.infinity)
+  in
+  let extra (name, _) =
+    if List.mem_assoc name reference then None else Some (name, Float.infinity)
+  in
+  let differing = List.filter_map (against outputs) reference @ List.filter_map extra outputs in
+  { max_abs_diff = List.fold_left (fun acc (_, d) -> Float.max acc d) 0.0 differing; differing }
+
+let bit_exact v = v.differing = []
+
 let equal_eps ~eps a b =
   a.width = b.width && a.height = b.height && max_abs_diff a b <= eps
 

@@ -78,6 +78,26 @@ val equal : t -> t -> bool
     @raise Invalid_argument on extent mismatch. *)
 val max_abs_diff : t -> t -> float
 
+(** The verdict on named outputs against a named reference: every
+    bit-exactness check of native output against the interpreter is
+    this one function, so all of them match outputs the same way. *)
+type verdict = {
+  max_abs_diff : float;  (** the worst |diff| over every output *)
+  differing : (string * float) list;
+      (** the outputs whose bits differ, each with its own worst |diff|:
+          the reference's names in order, then any extra names *)
+}
+
+(** [verdict ~reference outputs] matches [outputs] to [reference] by
+    name, in both directions, and compares each pair with {!equal} and
+    {!max_abs_diff}.  A missing or extra output, or one of another
+    extent, differs by [infinity]. *)
+val verdict : reference:(string * t) list -> (string * t) list -> verdict
+
+(** [bit_exact v] holds when no output differs in its bits; it never
+    reads the diff, since [+0.] against [-0.] differs by [0.]. *)
+val bit_exact : verdict -> bool
+
 (** [equal_eps ~eps a b] tests equality up to absolute tolerance [eps]. *)
 val equal_eps : eps:float -> t -> t -> bool
 

@@ -99,9 +99,9 @@ let images e =
     (accesses e)
 
 let radius e =
-  List.fold_left
-    (fun acc (_, dx, dy) -> Stdlib.max acc (Stdlib.max (Stdlib.abs dx) (Stdlib.abs dy)))
-    0 (accesses e)
+  fold_accesses
+    (fun acc _ dx dy -> Stdlib.max acc (Stdlib.max (Stdlib.abs dx) (Stdlib.abs dy)))
+    (0, 0) 0 e
 
 (* Unlike [radius], every Shift's own (cumulative) offset counts too:
    [Shift(+r){Input(-r)}] reads at total offset 0, yet evaluating it

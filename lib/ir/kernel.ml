@@ -4,7 +4,7 @@ type op =
   | Map of Expr.t
   | Reduce of { init : float; combine : Expr.binop; arg : Expr.t }
 
-type t = { name : string; inputs : string list; op : op }
+type t = { name : string; inputs : string list; op : op; radius : int }
 
 let expr_of_op = function Map e -> e | Reduce { arg; _ } -> arg
 
@@ -23,26 +23,25 @@ let create ~name ~inputs op =
     invalid_arg (Printf.sprintf "Kernel.create(%s): declared input %S is never read" name i)
   | _, i :: _ ->
     invalid_arg (Printf.sprintf "Kernel.create(%s): body reads undeclared image %S" name i));
+  let radius = Expr.radius (expr_of_op op) in
   (match op with
-  | Reduce { arg; _ } when Expr.radius arg > 0 ->
+  | Reduce _ when radius > 0 ->
     invalid_arg
       (Printf.sprintf "Kernel.create(%s): reduction argument must be a point expression" name)
   | Reduce _ | Map _ -> ());
-  { name; inputs; op }
+  { name; inputs; op; radius }
 
 let map ~name ~inputs body = create ~name ~inputs (Map body)
 
 let reduce ~name ~inputs ~init ~combine arg =
   create ~name ~inputs (Reduce { init; combine; arg })
 
-let radius k = match k.op with Map e -> Expr.radius e | Reduce _ -> 0
+let radius k = k.radius
 
 let pattern k =
-  match k.op with
-  | Reduce _ -> Global
-  | Map e -> ( match Expr.radius e with 0 -> Point | r -> Local r)
+  match k.op with Reduce _ -> Global | Map _ -> if k.radius = 0 then Point else Local k.radius
 
-let mask_width k = (2 * radius k) + 1
+let mask_width k = (2 * k.radius) + 1
 let mask_area k = mask_width k * mask_width k
 
 let body k =
@@ -51,7 +50,7 @@ let body k =
   | Reduce _ -> invalid_arg (Printf.sprintf "Kernel.body(%s): global kernel" k.name)
 
 let is_point k = match pattern k with Point -> true | Local _ | Global -> false
-let is_local k = match pattern k with Local _ -> true | Point | Global -> false
+let is_local k = k.radius > 0
 let is_global k = match k.op with Reduce _ -> true | Map _ -> false
 
 let uses_shared_memory k = is_local k

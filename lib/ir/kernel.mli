@@ -18,7 +18,12 @@ type op =
           pixel, starting from [init]; produces a 1x1 image.  [arg] must
           be a point expression (radius 0). *)
 
-type t = private { name : string; inputs : string list; op : op }
+type t = private {
+  name : string;
+  inputs : string list;
+  op : op;
+  radius : int;  (** the body's stencil radius, computed once by {!create} *)
+}
 
 (** [create ~name ~inputs op] builds a kernel, checking that the body
     reads exactly the images in [inputs] (each declared input must be
@@ -38,7 +43,8 @@ val reduce :
 (** [pattern k] derives the compute pattern from the body. *)
 val pattern : t -> pattern
 
-(** [radius k] is the stencil radius: 0 for point and global kernels. *)
+(** [radius k] is the stencil radius: 0 for point and global kernels.
+    Stored, so it and the pattern queries below never walk the body. *)
 val radius : t -> int
 
 (** [mask_width k] is [2 * radius k + 1], the side length [l_k] of the

@@ -220,23 +220,11 @@ let images_json ~return_pixels outputs =
       output_json ?pixels:(if return_pixels then Some img else None) (name, Native.summarize img))
     outputs
 
-let warnings_json warns =
-  Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
-
-(* A verify reply's fields: [bit_exact] is the verdict, every output
-   bit for bit the interpreter's (NaNs and signed zeros included);
-   [max_abs_diff] the report.  Both sides sort outputs by name, so
-   positional zip holds. *)
+(* A verify reply's fields: {!Image.verdict} against the interpreter's
+   outputs. *)
 let verify_fields reference outputs =
-  [
-    ( "max_abs_diff",
-      Jsonx.Num
-        (List.fold_left2
-           (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
-           0.0 reference outputs) );
-    ( "bit_exact",
-      Jsonx.Bool (List.for_all2 (fun (_, a) (_, b) -> Image.equal a b) reference outputs) );
-  ]
+  let v = Image.verdict ~reference outputs in
+  [ ("max_abs_diff", Jsonx.Num v.Image.max_abs_diff); ("bit_exact", Jsonx.Bool (Image.bit_exact v)) ]
 
 let exact_fields = [ ("max_abs_diff", Jsonx.Num 0.0); ("bit_exact", Jsonx.Bool true) ]
 
@@ -255,7 +243,29 @@ let exec_mode t requested =
 let native_cache_dir t =
   Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
 
-let sandboxed_field t = ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed))
+let sandboxed t = t.exec_sandbox = Supervisor.Sandboxed
+
+(* A reply's ["exec"] object.  Each op passes the fields it reports, and
+   they appear in this one order. *)
+let exec_field ~mode ?sandboxed ?quarantined ?fallback ?artifact ?compile_ms ?exec_ms
+    ?samples_ms warnings =
+  let field name json v = Option.map (fun v -> (name, json v)) v in
+  let bool b = Jsonx.Bool b and num f = Jsonx.Num f in
+  ( "exec",
+    Jsonx.Obj
+      (List.filter_map Fun.id
+         [
+           Some ("mode", Jsonx.Str mode);
+           field "sandboxed" bool sandboxed;
+           field "quarantined" bool quarantined;
+           field "fallback" bool fallback;
+           field "artifact" (fun (path, _) -> Jsonx.Str path) artifact;
+           field "artifact_cached" (fun (_, cached) -> bool cached) artifact;
+           field "compile_ms" num compile_ms;
+           field "exec_ms" num exec_ms;
+           field "samples_ms" (fun l -> Jsonx.Arr (List.map num l)) samples_ms;
+           Some ("warnings", Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warnings));
+         ]) )
 
 let quarantine_warning t qd ~served =
   Diag.warningf Diag.Exec_failed
@@ -263,35 +273,19 @@ let quarantine_warning t qd ~served =
     (Supervisor.Breaker.threshold t.breaker)
     (Diag.to_string qd) served
 
-(* A quarantined plan still answers: the interpreter computes the
-   pixels, the reply carries ["mode" = "interpreter"] plus a warning, so
-   degradation is visible but not fatal — PR 2's degradation contract
-   applied to native execution. *)
-let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
-  Metrics.incr t.metrics "native_exec_fallbacks";
+(* The interpreter's answer on [inputs]: its outputs and its wall time.
+   Exact by construction, so a requested verify is [exact_fields]. *)
+let interpret ?params p inputs =
   let t0 = Unix.gettimeofday () in
-  let outputs = Ir.Eval.run_outputs p (Ir.Eval.env_of_list (Native.materialize p inputs)) in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  Protocol.ok
-    (plan_fields served
-    @ [
-        ( "exec",
-          Jsonx.Obj
-            [
-              ("mode", Jsonx.Str "interpreter");
-              ("quarantined", Jsonx.Bool true);
-              ("artifact", Jsonx.Str "");
-              ("artifact_cached", Jsonx.Bool false);
-              ("compile_ms", Jsonx.Num 0.0);
-              ("exec_ms", Jsonx.Num ms);
-              ("samples_ms", Jsonx.Arr [ Jsonx.Num ms ]);
-              ("warnings", warnings_json [ warning ]);
-            ] );
-        ("outputs", Jsonx.Arr (images_json ~return_pixels outputs));
-      ]
-    (* The fallback *is* the interpreter, so a requested verify is
-       trivially exact. *)
-    @ if verify then exact_fields else [])
+  let outputs = Ir.Eval.run_outputs ?params p (Ir.Eval.env_of_list inputs) in
+  (outputs, (Unix.gettimeofday () -. t0) *. 1000.)
+
+(* The interpreter answering in place of a native run: a quarantined
+   plan, or a failed stream frame, still answers, so degradation is
+   visible in the reply and the counter but not fatal. *)
+let fall_back t ?params p inputs =
+  Metrics.incr t.metrics "native_exec_fallbacks";
+  interpret ?params p inputs
 
 (* Account a supervised-execution failure: counters, a crash artifact
    for the fuzzer to shrink, and a breaker strike that may quarantine
@@ -315,14 +309,28 @@ let record_exec_failure t ~fp ~seed p (d : Diag.t) =
   if Supervisor.Breaker.record_failure t.breaker fp d then
     Metrics.incr_gauge t.metrics "quarantined_plans"
 
-let record_exec_success t fp =
-  if Supervisor.Breaker.record_success t.breaker fp then
-    Metrics.decr_gauge t.metrics "quarantined_plans"
+type 'a guarded = Ran of 'a | Quarantined of Diag.t | Failed of Diag.t
 
-let is_supervised_failure (d : Diag.t) =
-  match d.Diag.code with
-  | Diag.Exec_timeout | Diag.Exec_crashed | Diag.Exec_limit -> true
-  | _ -> false
+(* Every native run of plan [p] (exact fingerprint [fp]) passes this
+   guard: a quarantined plan is not run; a run that succeeds clears the
+   plan's strikes; a supervised failure (timeout, crash, limit) is
+   recorded against it.  What a failure or a quarantine answers is the
+   caller's policy. *)
+let guard t ~fp ~seed p run =
+  match Supervisor.Breaker.check t.breaker fp with
+  | Supervisor.Breaker.Quarantined qd -> Quarantined qd
+  | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
+    match run () with
+    | Ok r ->
+      if Supervisor.Breaker.record_success t.breaker fp then
+        Metrics.decr_gauge t.metrics "quarantined_plans";
+      Ran r
+    | Error (d : Diag.t) ->
+      (match d.Diag.code with
+      | Diag.Exec_timeout | Diag.Exec_crashed | Diag.Exec_limit ->
+        record_exec_failure t ~fp ~seed p d
+      | _ -> ());
+      Failed d)
 
 (* A request is refused before anything is compiled or allocated when
    its bytes could never fit the sandbox's limits; the refusal is the
@@ -330,7 +338,7 @@ let is_supervised_failure (d : Diag.t) =
    nor a crash artifact.  Only a request that asks for pixels
    ([verify], [return_pixels]) or falls back to the interpreter has its
    inputs drawn into images; otherwise the runner's arena is the only
-   place they ever exist. *)
+   place they ever exist.  A native failure is the reply's error. *)
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
   let ( let* ) = Result.bind in
   let checked =
@@ -348,64 +356,46 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
     let input =
       Native.Random { rng = Kfuse_util.Rng.create e.Protocol.seed; lo = 0.0; hi = 1.0 }
     in
-    let return_pixels = e.Protocol.return_pixels in
-    let fp = Fingerprint.exact p in
-    match Supervisor.Breaker.check t.breaker fp with
-    | Supervisor.Breaker.Quarantined qd ->
-      interpreter_fallback t ~served
-        ~warning:(quarantine_warning t qd ~served:"served")
-        ~verify:e.Protocol.verify ~return_pixels p input
-    | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
-      let execute input output =
-        Native.execute ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
-          ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p input output
-      in
-      let ran =
-        if e.Protocol.verify || return_pixels then
-          let inputs = Native.materialize p input in
-          Result.map
-            (fun res ->
-              let verify_fields =
-                if not e.Protocol.verify then []
-                else
-                  verify_fields
-                    (Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs))
-                    res.Native.outputs
-              in
-              ({ res with Native.outputs = images_json ~return_pixels res.Native.outputs },
-               verify_fields))
-            (execute (Native.Images inputs) Native.Pixels)
-        else
-          Result.map
-            (fun res -> ({ res with Native.outputs = List.map output_json res.Native.outputs }, []))
-            (execute input Native.Summaries)
-      in
-      match ran with
-      | Error d ->
-        if is_supervised_failure d then record_exec_failure t ~fp ~seed:e.Protocol.seed p d;
-        Protocol.error d
-      | Ok (res, verify_fields) ->
-        record_exec_success t fp;
-        Protocol.ok
-          (plan_fields served
-          @ [
-              ( "exec",
-                Jsonx.Obj
-                  [
-                    ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
-                    sandboxed_field t;
-                    ("quarantined", Jsonx.Bool false);
-                    ("artifact", Jsonx.Str res.Native.artifact);
-                    ("artifact_cached", Jsonx.Bool res.Native.cached);
-                    ("compile_ms", Jsonx.Num res.Native.compile_ms);
-                    ("exec_ms", Jsonx.Num res.Native.exec_ms);
-                    ( "samples_ms",
-                      Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms) );
-                    ("warnings", warnings_json res.Native.warnings);
-                  ] );
-              ("outputs", Jsonx.Arr res.Native.outputs);
-            ]
-          @ verify_fields)))
+    let verify = e.Protocol.verify and return_pixels = e.Protocol.return_pixels in
+    let execute input output =
+      Native.execute ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
+        ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p input output
+    in
+    let run () =
+      if verify || return_pixels then
+        let inputs = Native.materialize p input in
+        Result.map
+          (fun res ->
+            ( { res with Native.outputs = images_json ~return_pixels res.Native.outputs },
+              if verify then verify_fields (fst (interpret p inputs)) res.Native.outputs else [] ))
+          (execute (Native.Images inputs) Native.Pixels)
+      else
+        Result.map
+          (fun res -> ({ res with Native.outputs = List.map output_json res.Native.outputs }, []))
+          (execute input Native.Summaries)
+    in
+    let reply exec outputs verified =
+      Protocol.ok (plan_fields served @ [ exec; ("outputs", Jsonx.Arr outputs) ] @ verified)
+    in
+    match guard t ~fp:(Fingerprint.exact p) ~seed:e.Protocol.seed p run with
+    | Failed d -> Protocol.error d
+    | Quarantined qd ->
+      let outputs, ms = fall_back t p (Native.materialize p input) in
+      reply
+        (exec_field ~mode:"interpreter" ~quarantined:true ~artifact:("", false) ~compile_ms:0.0
+           ~exec_ms:ms ~samples_ms:[ ms ]
+           [ quarantine_warning t qd ~served:"served" ])
+        (images_json ~return_pixels outputs)
+        (if verify then exact_fields else [])
+    | Ran (res, verified) ->
+      reply
+        (exec_field
+           ~mode:(Native.mode_to_string res.Native.mode_used)
+           ~sandboxed:(sandboxed t) ~quarantined:false
+           ~artifact:(res.Native.artifact, res.Native.cached)
+           ~compile_ms:res.Native.compile_ms ~exec_ms:res.Native.exec_ms
+           ~samples_ms:res.Native.samples_ms res.Native.warnings)
+        res.Native.outputs verified)
 
 (* ---- sessions ---- *)
 
@@ -458,13 +448,12 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
   | Error d -> Protocol.error d
   | Ok (id, (served, st, warns)) ->
     let p = Session.pipeline st.session in
-    let mode, artifact, cached, compile_ms =
+    let mode, artifact, compile_ms =
       match st.stream_plan with
-      | None -> ("interpreter", "", false, 0.0)
+      | None -> ("interpreter", ("", false), 0.0)
       | Some pl ->
         ( Native.mode_to_string (Native.plan_mode pl),
-          Native.plan_artifact pl,
-          Native.plan_cached pl,
+          (Native.plan_artifact pl, Native.plan_cached pl),
           Native.plan_compile_ms pl )
     in
     Protocol.ok
@@ -475,19 +464,14 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
           ("width", Jsonx.Num (float_of_int p.Ir.Pipeline.width));
           ("height", Jsonx.Num (float_of_int p.Ir.Pipeline.height));
           ("seed", Jsonx.Num (float_of_int o.Protocol.seed));
-          ( "exec",
-            Jsonx.Obj
-              [
-                ("mode", Jsonx.Str mode);
-                sandboxed_field t;
-                ("artifact", Jsonx.Str artifact);
-                ("artifact_cached", Jsonx.Bool cached);
-                ("compile_ms", Jsonx.Num compile_ms);
-                ("warnings", warnings_json warns);
-              ] );
+          exec_field ~mode ~sandboxed:(sandboxed t) ~artifact ~compile_ms warns;
         ])
 
-(* One frame of stream [s], run under the stream's session lock. *)
+(* One frame of stream [s], run under the stream's session lock.  A
+   frame always ships: when its native run is quarantined or fails, the
+   interpreter answers on the SAME bindings before the stream advances,
+   so the stream's pixel history is identical to an all-interpreter
+   run, which is exactly what the chaos oracle asserts. *)
 let push_frame t ~deadline (s : Protocol.stream_push_request) st =
   let session = st.session in
   let p = Session.pipeline session in
@@ -498,49 +482,28 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
       ~height:p.Ir.Pipeline.height ~index:seq
   in
   let bindings = Session.bindings session frame in
-  let interp () =
-    let t0 = Unix.gettimeofday () in
-    let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
-    (outs, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
-  let verdict =
+  (* ((outputs, exec_ms), mode, quarantined, fallback, warnings, the
+     verify fields when verify). *)
+  let (outputs, exec_ms), mode, quarantined, fallback, warns, verified =
     match st.stream_plan with
-    | None -> Supervisor.Breaker.Allow
-    | Some _ -> Supervisor.Breaker.check t.breaker st.stream_fp
-  in
-  (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
-     the verify fields when verify). *)
-  let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
-    match (verdict, st.stream_plan) with
-    | _, None ->
-      let outs, ms = interp () in
-      (outs, "interpreter", false, false, ms, [], exact_fields)
-    | Supervisor.Breaker.Quarantined qd, Some _ ->
-      Metrics.incr t.metrics "native_exec_fallbacks";
-      let outs, ms = interp () in
-      ( outs, "interpreter", true, true, ms,
-        [ quarantine_warning t qd ~served:"frame served" ], exact_fields )
-    | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
-      match Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings with
-      | Ok res ->
-        record_exec_success t st.stream_fp;
-        let diff =
-          if not s.Protocol.verify then [] else verify_fields (fst (interp ())) res.Native.outputs
+    | None -> (interpret ~params p bindings, "interpreter", false, false, [], exact_fields)
+    | Some pl -> (
+      let native () = Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings in
+      match guard t ~fp:st.stream_fp ~seed:st.stream_seed p native with
+      | Ran res ->
+        let verified =
+          if not s.Protocol.verify then []
+          else verify_fields (fst (interpret ~params p bindings)) res.Native.outputs
         in
-        ( res.Native.outputs,
+        ( (res.Native.outputs, res.Native.exec_ms),
           Native.mode_to_string res.Native.mode_used,
-          false, false, res.Native.exec_ms, [], diff )
-      | Error d ->
-        (* The frame still ships: fall back to the interpreter on the
-           SAME bindings, then advance — the stream's pixel history is
-           identical to an all-interpreter run, which is exactly what
-           the chaos oracle asserts. *)
-        if is_supervised_failure d then
-          record_exec_failure t ~fp:st.stream_fp ~seed:st.stream_seed p d;
-        Metrics.incr t.metrics "native_exec_fallbacks";
-        let outs, ms = interp () in
-        (outs, "interpreter", false, true, ms,
-         [ { d with Diag.severity = Diag.Warning } ], exact_fields))
+          false, false, [], verified )
+      | Quarantined qd ->
+        ( fall_back t ~params p bindings, "interpreter", true, true,
+          [ quarantine_warning t qd ~served:"frame served" ], exact_fields )
+      | Failed d ->
+        ( fall_back t ~params p bindings, "interpreter", false, true,
+          [ { d with Diag.severity = Diag.Warning } ], exact_fields ))
   in
   Session.advance session frame;
   Metrics.incr t.metrics "frames_pushed";
@@ -549,20 +512,11 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
        ("id", Jsonx.Str s.Protocol.id);
        ("seq", Jsonx.Num (float_of_int seq));
        ("frames", Jsonx.Num (float_of_int (seq + 1)));
-       ( "exec",
-         Jsonx.Obj
-           [
-             ("mode", Jsonx.Str mode);
-             sandboxed_field t;
-             ("quarantined", Jsonx.Bool quarantined);
-             ("fallback", Jsonx.Bool fallback);
-             ("exec_ms", Jsonx.Num exec_ms);
-             ("warnings", warnings_json warns);
-           ] );
+       exec_field ~mode ~sandboxed:(sandboxed t) ~quarantined ~fallback ~exec_ms warns;
        ( "outputs",
          Jsonx.Arr (images_json ~return_pixels:s.Protocol.return_pixels outputs) );
      ]
-    @ if s.Protocol.verify then diff else [])
+    @ if s.Protocol.verify then verified else [])
 
 let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
   let busy =

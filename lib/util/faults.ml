@@ -28,11 +28,6 @@ let arm point trigger =
       Hashtbl.replace observed point 0;
       Atomic.set armed_any true)
 
-let disarm point =
-  locked (fun () ->
-      Hashtbl.remove points point;
-      if Hashtbl.length points = 0 then Atomic.set armed_any false)
-
 let clear () =
   locked (fun () ->
       Hashtbl.reset points;

@@ -10,8 +10,9 @@
     shuts down cleanly and the driver degrades instead of dying.
 
     Points currently instrumented:
-    - ["pool.spawn"]  — before each worker-domain spawn in {!Pool.create}
-      (a deferred pool spawns at its first parallel {!Pool.run})
+    - ["pool.spawn"]  — before each worker-domain spawn, at a pool's
+      first parallel {!Pool.run}; a triggered fault leaves the pool with
+      the workers it had spawned, and the batch still completes
     - ["pool.task"]   — before each task a pool worker executes
     - ["cut.stoer_wagner"] — entry of [Stoer_wagner.min_cut]
     - ["cut.block_legal"] — a {e corruption} point ({!fires}) in
@@ -62,11 +63,6 @@ type trigger =
                              [p], drawn from a per-point generator seeded
                              with [seed] — deterministic across runs *)
 
-val arm : string -> trigger -> unit
-(** [arm point trigger] arms [point], resetting its hit counter. *)
-
-val disarm : string -> unit
-
 val clear : unit -> unit
 (** Disarm every point and reset all counters. *)
 
@@ -85,8 +81,8 @@ val fires : string -> bool
     when unarmed. *)
 
 val hits : string -> int
-(** Hits observed at [point] since it was last armed (0 if never armed;
-    counting stops when a point is disarmed). *)
+(** Hits observed at [point] since it was last armed (0 if never armed,
+    or since {!clear}). *)
 
 val parse_spec : string -> ((string * trigger) list, string) result
 (** Parse a spec string: comma-separated clauses of the form

@@ -24,7 +24,7 @@ type state = {
   mutable batch : batch option;
   mutable stop : bool;
   mutable workers : unit Domain.t array;
-  mutable unspawned : int;  (* deferred workers not spawned yet *)
+  mutable unspawned : int;  (* workers not spawned yet *)
 }
 
 type t = Serial | Pool of { n : int; st : state }
@@ -35,7 +35,7 @@ let size = function Serial -> 1 | Pool { n; _ } -> n
 
 (* Worker domains spawned but not yet joined, across all pools.  Tests
    use this to prove no domain outlives its [with_pool] bracket, even
-   when creation fails halfway or a task raises. *)
+   when a spawn fails halfway or a task raises. *)
 let live = Atomic.make 0
 let live_domains () = Atomic.get live
 
@@ -99,45 +99,37 @@ let join_all st workers =
 (* Spawn up to [k] workers of [st] one at a time, so that a failure
    partway (the runtime's domain limit, or an injected fault) leaves the
    domains already running in hand instead of orphaning them.  Returns
-   them in spawn order, with the exception that stopped the loop. *)
+   them in spawn order. *)
 let spawn_workers st k =
   let spawned = ref [] in
-  let failure =
-    try
-      for _ = 1 to k do
-        Faults.hit "pool.spawn";
-        let d = Domain.spawn (fun () -> worker st) in
-        Atomic.incr live;
-        spawned := d :: !spawned
-      done;
-      None
-    with exn -> Some (exn, Printexc.get_raw_backtrace ())
-  in
-  (List.rev !spawned, failure)
+  (try
+     for _ = 1 to k do
+       Faults.hit "pool.spawn";
+       let d = Domain.spawn (fun () -> worker st) in
+       Atomic.incr live;
+       spawned := d :: !spawned
+     done
+   with _ -> ());
+  List.rev !spawned
 
-let create ?(defer = false) n =
+let create n =
   if n < 1 then invalid_arg "Pool.create: size must be >= 1";
   if n = 1 then Serial
-  else begin
-    let st =
+  else
+    Pool
       {
-        m = Mutex.create ();
-        work = Condition.create ();
-        finished = Condition.create ();
-        batch = None;
-        stop = false;
-        workers = [||];
-        unspawned = (if defer then n - 1 else 0);
+        n;
+        st =
+          {
+            m = Mutex.create ();
+            work = Condition.create ();
+            finished = Condition.create ();
+            batch = None;
+            stop = false;
+            workers = [||];
+            unspawned = n - 1;
+          };
       }
-    in
-    (if not defer then
-       match spawn_workers st (n - 1) with
-       | spawned, None -> st.workers <- Array.of_list spawned
-       | spawned, Some (exn, bt) ->
-         join_all st spawned;
-         Printexc.raise_with_backtrace exn bt);
-    Pool { n; st }
-  end
 
 let shutdown = function
   | Serial -> ()
@@ -149,8 +141,8 @@ let shutdown = function
     Mutex.unlock st.m;
     join_all st workers
 
-let with_pool ?defer n f =
-  let t = create ?defer n in
+let with_pool n f =
+  let t = create n in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let run_serial ~n body =
@@ -179,12 +171,11 @@ let run t ?(chunk = 1) ~n body =
       end
       else begin
         if st.unspawned > 0 then begin
-          (* A deferred pool's first batch with work to share.  A failed
-             spawn leaves fewer workers, not a failed batch: the
-             submitter drains whatever they do not take. *)
-          let spawned, _ = spawn_workers st st.unspawned in
-          st.unspawned <- 0;
-          st.workers <- Array.append st.workers (Array.of_list spawned)
+          (* The pool's first batch with work to share.  A failed spawn
+             leaves fewer workers, not a failed batch: the submitter
+             drains whatever they do not take. *)
+          st.workers <- Array.of_list (spawn_workers st st.unspawned);
+          st.unspawned <- 0
         end;
         let b = { body; total = n; chunk; next = 0; live = 0; failed = None } in
         st.batch <- Some b;

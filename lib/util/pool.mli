@@ -31,22 +31,19 @@ val serial : t
 val default_size : unit -> int
 (** [Domain.recommended_domain_count ()]: the [-j] default. *)
 
-val create : ?defer:bool -> int -> t
+val create : int -> t
 (** [create n] is a pool of total parallelism [n]: [n - 1] worker
     domains plus the submitting domain, which participates in every
-    batch.  [create 1] (and below) spawns nothing and behaves like
-    {!serial}.  If spawning fails partway (the runtime's domain limit,
-    or an injected ["pool.spawn"] fault), the domains already spawned
-    are stopped and joined before the exception propagates — creation
-    never leaks domains.  @raise Invalid_argument if [n < 1].
+    batch.  [create 1] spawns nothing and behaves like {!serial}.
+    @raise Invalid_argument if [n < 1].
 
-    [~defer:true] spawns the workers at the first {!run} that has more
-    than one chunk instead, so a process that never runs such a batch
-    never has them.  An OCaml 5 domain, even an idle one, takes part in
-    every stop-the-world minor collection of the process, so a
-    long-lived server should not keep domains it has no use for.  A
-    deferred spawn that fails runs the batch on the domains it did
-    spawn, the submitter included; it raises nothing. *)
+    The workers are spawned at the first {!run} that has more than one
+    chunk, so a process that never runs such a batch never has them: an
+    OCaml 5 domain, even an idle one, takes part in every stop-the-world
+    minor collection of the process.  A spawn that fails partway (the
+    runtime's domain limit, or an injected ["pool.spawn"] fault) runs
+    the batch on the domains it did spawn, the submitter included; it
+    raises nothing and leaks nothing. *)
 
 val live_domains : unit -> int
 (** Worker domains currently spawned but not yet joined, across all
@@ -60,10 +57,9 @@ val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent; {!serial} ignores
     it.  Subsequent {!run} calls on the pool execute serially. *)
 
-val with_pool : ?defer:bool -> int -> (t -> 'a) -> 'a
-(** [with_pool n f] runs [f] with a fresh pool of size [n] (see
-    {!create} for [defer]) and shuts it down afterwards, also on
-    exception. *)
+val with_pool : int -> (t -> 'a) -> 'a
+(** [with_pool n f] runs [f] with a fresh pool of size [n] and shuts it
+    down afterwards, also on exception. *)
 
 val run : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [run pool ~n body] executes [body 0 .. body (n - 1)], distributing

@@ -430,8 +430,8 @@ let test_old_format_entry () =
     Alcotest.(check bool) "recomputed report is fresh" true
       (String.equal (bytes_of (fresh_report p)) (bytes_of r))
   | _ -> Alcotest.fail "expected a recompute");
-  Alcotest.(check string) "restored under format 3"
-    (Printf.sprintf "kfuse-plan 3 %s %d" Sys.ocaml_version Sys.word_size)
+  Alcotest.(check string) "restored under format 4"
+    (Printf.sprintf "kfuse-plan 4 %s %d" Sys.ocaml_version Sys.word_size)
     (In_channel.with_open_bin path input_line)
 
 (* The memory layout of a marshaled report, data abstracted away: block
@@ -467,7 +467,7 @@ let test_report_shape_pinned () =
   let r = fresh_report (Kfuse_apps.Sobel.pipeline ~width:16 ~height:16 ()) in
   Alcotest.(check (pair int string))
     "format version and report layout (on a layout change: bump the format, re-pin)"
-    (3, "e94c0acddc5b9aa179637f5e058f41b2")
+    (4, "47a77a44355ef708c6a6efdb4ad60c4b")
     (Cache.Plan_cache.format_version, shape_digest r)
 
 let test_degraded_not_stored () =

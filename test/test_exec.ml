@@ -341,12 +341,10 @@ let precompile jobs =
   |> map2_threads (fun (mode, p) -> ignore (Exec.Native.compile ~cache_dir ~mode p))
   |> ignore
 
-let max_diff reference outputs =
-  Alcotest.(check (list string))
-    "same output set" (List.map fst reference) (List.map fst outputs);
-  List.fold_left2
-    (fun acc (_, a) (_, b) -> Float.max acc (Img.Image.max_abs_diff a b))
-    0.0 reference outputs
+(* The verdict's worst |diff|: a missing or extra output is infinite. *)
+let max_diff reference outputs = (Img.Image.verdict ~reference outputs).Img.Image.max_abs_diff
+
+let bit_exact reference outputs = Img.Image.bit_exact (Img.Image.verdict ~reference outputs)
 
 let run_exact ~mode ?(repeat = 1) ?params p =
   require_toolchain ();
@@ -364,7 +362,7 @@ let run_exact ~mode ?(repeat = 1) ?params p =
       "no difference against the interpreter" 0.0
       (max_diff reference r.Exec.Native.outputs);
     Alcotest.(check bool) "bit-exact against the interpreter" true
-      (List.for_all2 (fun (_, a) (_, b) -> Img.Image.equal a b) reference r.Exec.Native.outputs);
+      (bit_exact reference r.Exec.Native.outputs);
     r
 
 (* Every registry app, unfused (baseline) and min-cut fused under -O,
@@ -465,6 +463,32 @@ let test_native_compile_cache () =
     second.Exec.Native.compile_ms;
   Alcotest.(check string) "same artifact" first.Exec.Native.artifact
     second.Exec.Native.artifact
+
+(* [run] with no mode tries dlopen first.  An artifact that will not
+   load falls back to the subprocess runner, with the load failure as
+   its one warning, and still computes the interpreter's bits. *)
+let test_prepare_falls_back_to_subprocess () =
+  require_toolchain ();
+  let _, fused = fused_app "sobel" ~width:12 ~height:10 in
+  with_fresh_cache_dir @@ fun cache_dir ->
+  (match Exec.Native.compile ~cache_dir ~mode:Exec.Native.Dlopen fused with
+  | Error d -> Alcotest.failf "compile failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok (so, _, _) ->
+    Sys.remove so;
+    Out_channel.with_open_bin so (fun oc -> output_string oc "not an ELF object\n"));
+  let inputs = inputs_for fused in
+  let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+  match Exec.Native.run ~cache_dir fused inputs with
+  | Error d -> Alcotest.failf "native run failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok r ->
+    Alcotest.(check string) "fell back to the subprocess runner" "subprocess"
+      (Exec.Native.mode_to_string r.Exec.Native.mode_used);
+    Alcotest.(check (list string)) "one KF0904 warning" [ "KF0904" ]
+      (List.map
+         (fun (d : Kfuse_util.Diag.t) -> Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code)
+         r.Exec.Native.warnings);
+    Alcotest.(check bool) "bit-exact against the interpreter" true
+      (bit_exact reference r.Exec.Native.outputs)
 
 (* pow with a literal exponent of 2: the optimizer's pow(x,2) -> x*x
    strength reduction is 1 ulp off glibc's pow, which the interpreter
@@ -1492,11 +1516,7 @@ let prepare_dlopen ~cache_dir p =
 let run_plan_diff plan inputs reference =
   match Exec.Native.run_plan plan inputs with
   | Error d -> Error (Kfuse_util.Diag.to_string d)
-  | Ok r ->
-    Ok
-      (List.fold_left2
-         (fun acc (_, a) (_, b) -> Float.max acc (Img.Image.max_abs_diff a b))
-         0.0 reference r.Exec.Native.outputs)
+  | Ok r -> Ok (max_diff reference r.Exec.Native.outputs)
 
 (* A pinned plan keeps its intermediates in one workspace across calls:
    a second call on other inputs must not see the first call's state. *)
@@ -1630,7 +1650,7 @@ let prop_min_max_helpers =
           let want = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
           Array.for_all2 same_bits (out "mn") (Array.map2 Float.min a b)
           && Array.for_all2 same_bits (out "mx") (Array.map2 Float.max a b)
-          && List.for_all2 (fun (_, w) (_, g) -> Img.Image.equal w g) want r.Exec.Native.outputs))
+          && bit_exact want r.Exec.Native.outputs))
 
 (* ---- the seeded draw and the fold (kfuse_arena.h) ---- *)
 
@@ -2026,6 +2046,8 @@ let suite =
     Alcotest.test_case "sandbox runner: 3-in/3-out, params, reduction, no inputs" `Slow
       test_runner_layouts_exact;
     Alcotest.test_case "native compile cache hits" `Slow test_native_compile_cache;
+    Alcotest.test_case "native: an artifact dlopen refuses falls back to subprocess" `Slow
+      test_prepare_falls_back_to_subprocess;
     Alcotest.test_case "pow(x,2) stays on libm (regression)" `Slow
       test_native_pow_faithful;
     Alcotest.test_case "interior margin is the reach, not the radius" `Slow

@@ -1,5 +1,5 @@
 (* Deterministic fault injection: prove the pool never leaks domains
-   when workers or spawns die, that the driver degrades to the baseline
+   when workers die, that the driver degrades to the baseline
    partition when a search stage faults or overruns its budget, and that
    strict mode restores fail-fast.  All faults are armed through
    [Faults.with_spec], so the registry is clean again after each test
@@ -92,14 +92,6 @@ let test_pool_task_fault_no_leak () =
     Alcotest.(check string) "fault point" "pool.task" point);
   Alcotest.(check int) "no leaked domains after worker fault" before (Pool.live_domains ())
 
-let test_pool_spawn_fault_no_leak () =
-  let before = Pool.live_domains () in
-  (match Faults.with_spec "pool.spawn@2" (fun () -> Pool.create 4) with
-  | _pool -> Alcotest.fail "expected creation to fail on the second spawn"
-  | exception Faults.Fault { point; _ } ->
-    Alcotest.(check string) "fault point" "pool.spawn" point);
-  Alcotest.(check int) "partial spawn joined every domain" before (Pool.live_domains ())
-
 let test_pool_batch_completes_after_fault () =
   (* Every task of the batch still runs even when one faults: the slots
      of the non-faulting indices are all written. *)
@@ -189,7 +181,6 @@ let suite =
     Alcotest.test_case "trigger semantics" `Quick test_triggers;
     Alcotest.test_case "Prob is seed-deterministic" `Quick test_prob_determinism;
     Alcotest.test_case "worker fault leaks no domains" `Quick test_pool_task_fault_no_leak;
-    Alcotest.test_case "spawn fault leaks no domains" `Quick test_pool_spawn_fault_no_leak;
     Alcotest.test_case "batch completes around a fault" `Quick test_pool_batch_completes_after_fault;
     Alcotest.test_case "driver degrades on cut fault" `Quick test_driver_degrades_on_cut_fault;
     Alcotest.test_case "strict mode fails fast" `Quick test_driver_strict_fails_fast;

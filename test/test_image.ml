@@ -123,6 +123,33 @@ let test_image_diff_nan_zero () =
   Alcotest.(check bool) "-0 is not +0" false (Image.equal a z);
   Alcotest.(check (float 0.0)) "though 0 apart" 0.0 (Image.max_abs_diff a z)
 
+(* The one verdict on named output lists: matched by name both ways,
+   exactness from the bits, never from a zero diff. *)
+let test_verdict () =
+  let img l = Image.of_rows [ l ] in
+  let check what ~diff ~differing v =
+    Alcotest.(check (float 0.0)) (what ^ ": worst diff") diff v.Image.max_abs_diff;
+    Alcotest.(check (list string)) (what ^ ": differing") differing (List.map fst v.Image.differing);
+    Alcotest.(check bool) (what ^ ": bit-exact") (differing = []) (Image.bit_exact v)
+  in
+  let a = img [ 1.0; 0.0 ] and b = img [ 2.0; 3.5 ] in
+  check "equal, in any order" ~diff:0.0 ~differing:[]
+    (Image.verdict ~reference:[ ("a", a); ("b", b) ] [ ("b", Image.copy b); ("a", Image.copy a) ]);
+  check "signed zero" ~diff:0.0 ~differing:[ "a" ]
+    (Image.verdict ~reference:[ ("a", a) ] [ ("a", img [ 1.0; -0.0 ]) ]);
+  check "a missing output" ~diff:Float.infinity ~differing:[ "b" ]
+    (Image.verdict ~reference:[ ("a", a); ("b", b) ] [ ("a", a) ]);
+  check "an extra output" ~diff:Float.infinity ~differing:[ "c" ]
+    (Image.verdict ~reference:[ ("a", a) ] [ ("a", a); ("c", b) ]);
+  check "NaN against a number" ~diff:Float.infinity ~differing:[ "a" ]
+    (Image.verdict ~reference:[ ("a", a) ] [ ("a", img [ Float.nan; 0.0 ]) ]);
+  check "a wrong extent" ~diff:Float.infinity ~differing:[ "a" ]
+    (Image.verdict ~reference:[ ("a", a) ] [ ("a", img [ 1.0 ]) ]);
+  let v = Image.verdict ~reference:[ ("a", a); ("b", b) ] [ ("a", img [ 1.5; 0.0 ]); ("b", img [ 2.0; 3.25 ]) ] in
+  check "worst over the outputs" ~diff:0.5 ~differing:[ "a"; "b" ] v;
+  Alcotest.(check (list (float 0.0))) "each output's own diff" [ 0.5; 0.25 ]
+    (List.map snd v.Image.differing)
+
 let test_image_get_bordered () =
   let img = Image.of_rows [ [ 1.; 2. ]; [ 3.; 4. ] ] in
   Alcotest.check (Helpers.float_close ()) "clamp" 1.0
@@ -300,6 +327,7 @@ let suite =
     Alcotest.test_case "Image copy" `Quick test_image_copy_independent;
     Alcotest.test_case "Image diff/eps" `Quick test_image_diff;
     Alcotest.test_case "Image diff sees NaN, equal sees -0" `Quick test_image_diff_nan_zero;
+    Alcotest.test_case "Image verdict: by name, from the bits" `Quick test_verdict;
     Alcotest.test_case "Image bordered reads" `Quick test_image_get_bordered;
     Alcotest.test_case "Mask basics" `Quick test_mask_basics;
     Alcotest.test_case "Mask invalid" `Quick test_mask_invalid;

@@ -94,10 +94,10 @@ let test_create_invalid () =
   Helpers.expect_invalid "zero size" (fun () -> Pool.create 0)
 
 let test_deferred_spawn () =
-  (* A deferred pool spawns its workers at the first batch with two
-     chunks, and shutdown joins them. *)
+  (* A pool spawns its workers at the first batch with two chunks, and
+     shutdown joins them. *)
   let before = Pool.live_domains () in
-  Pool.with_pool ~defer:true 3 (fun pool ->
+  Pool.with_pool 3 (fun pool ->
       Alcotest.(check int) "size" 3 (Pool.size pool);
       Alcotest.(check int) "nothing spawned by create" before (Pool.live_domains ());
       Pool.run pool ~n:1 ignore;
@@ -110,16 +110,16 @@ let test_deferred_spawn () =
   Alcotest.(check int) "joined at shutdown" before (Pool.live_domains ());
   (* Shut down before any parallel batch: nothing was spawned, and later
      batches run serially. *)
-  let pool = Pool.create ~defer:true 3 in
+  let pool = Pool.create 3 in
   Pool.shutdown pool;
   Alcotest.(check (array int)) "after shutdown" (Array.init 16 succ) (Pool.init pool 16 succ);
   Alcotest.(check int) "never spawned" before (Pool.live_domains ())
 
 let test_deferred_spawn_fault () =
-  (* A deferred spawn that fails degrades the batch instead of failing
-     it: the results are whole and no domain leaks. *)
+  (* A spawn that fails degrades the batch instead of failing it: the
+     results are whole and no domain leaks. *)
   let before = Pool.live_domains () in
-  Pool.with_pool ~defer:true 4 (fun pool ->
+  Pool.with_pool 4 (fun pool ->
       Alcotest.(check (array int)) "batch completes" (Array.init 64 succ)
         (Kfuse_util.Faults.with_spec "pool.spawn@2" (fun () -> Pool.init pool 64 succ));
       Alcotest.(check int) "one worker before the fault" (before + 1) (Pool.live_domains ()));

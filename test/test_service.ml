@@ -776,7 +776,7 @@ let test_lazy_flushes_spawn_no_domain () =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create () in
   let before = Kfuse_util.Pool.live_domains () in
-  Kfuse_util.Pool.with_pool ~defer:true 2 (fun pool ->
+  Kfuse_util.Pool.with_pool 2 (fun pool ->
       match Svc.Server.start ~socket ~cache ~pool () with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
       | Ok server ->
@@ -1168,7 +1168,7 @@ let test_binary_old_format_store () =
     |> List.map (Filename.concat store)
   in
   Alcotest.(check bool) "a plan was stored" true (plans <> []);
-  let current = "kfuse-plan 3 " in
+  let current = Printf.sprintf "kfuse-plan %d " Cache.Plan_cache.format_version in
   List.iter
     (fun path ->
       let data = In_channel.with_open_bin path In_channel.input_all in
