@@ -2,7 +2,8 @@
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
    DSL parsing, an incremental lazy replan, plus the daemon's half of a
    sandboxed fuse_exec, its request-to-plan-key step, one synthetic
-   stream frame and the interpreter run of a stream's verify push.
+   stream frame, one stream push and the interpreter run of a stream's
+   verify push.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -263,6 +264,31 @@ let frames_test =
     (Staged.stage (fun () ->
          ignore (Kfuse_stream.Frames.synthetic ~seed:42 ~width:512 ~height:512 ~index:7)))
 
+(* A motion-stream push that asks for no pixels, as the server runs
+   it on a warm 512x512 min-cut plan: the frame drawn into the
+   session's ring, the pinned dlopen plan run for its summaries, the
+   window advanced. *)
+let stream_push_test =
+  let case =
+    lazy
+      (let p = Kfuse_apps.Motion.pipeline ~width:512 ~height:512 () in
+       let fused = (F.Driver.run Runner.config F.Driver.Mincut p).F.Driver.fused in
+       (ok (Kfuse_stream.Session.create fused), ok (Native.prepare ~mode:Native.Dlopen fused)))
+  in
+  Test.make ~name:"stream/push-512"
+    (Staged.stage (fun () ->
+         let session, plan = Lazy.force case in
+         let module Session = Kfuse_stream.Session in
+         let frame = Session.draw session ~seed:42 in
+         let r =
+           ok
+             (Native.execute_plan ~params:(Session.params session) plan
+                (Native.Images (Session.bindings session frame))
+                Native.Summaries)
+         in
+         Session.advance session frame;
+         ignore (Sys.opaque_identity r.Native.outputs)))
+
 (* A motion stream's verify push: the reference interpreter on the
    min-cut fused 512x512 motion plan, as the server runs it. *)
 let interp_test =
@@ -290,7 +316,7 @@ let tests =
       benefit_test; dsl_test; codegen_test; replan_test; mixed_edit_test;
       algorithm1_chains_test;
       arena_images_test; arena_runner_test; plan_key_cold_test; plan_key_memo_test;
-      frames_test; interp_test;
+      frames_test; stream_push_test; interp_test;
     ]
 
 let run () =

@@ -302,12 +302,14 @@ value kfuse_fill_floats(value vstate, value vlo, value vspan, value va)
   CAMLreturn(Val_unit);
 }
 
-/* [| min; max; row-major sum |] of a whole float array. */
-value kfuse_fold_floats(value va)
+/* [| min; max; row-major sum |] of the first [vlen] elements of a
+ * float array (at most all of them). */
+value kfuse_fold_floats(value va, value vlen)
 {
-  CAMLparam1(va);
+  CAMLparam2(va, vlen);
   CAMLlocal1(r);
   mlsize_t len = float_array_length(va);
+  if (Long_val(vlen) >= 0 && (mlsize_t)Long_val(vlen) < len) len = (mlsize_t)Long_val(vlen);
   double acc[3] = { INFINITY, -INFINITY, 0.0 };
   const double *p = (const double *)Op_val(va);
   int release = len > KFUSE_STABLE_LEN;

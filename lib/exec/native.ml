@@ -308,34 +308,7 @@ let compiles () = Atomic.get compile_count
    a cold cache), exactly one invokes the compiler and the rest wait for
    the publish.  Cross-process races stay benign through the per-attempt
    tmp name and the atomic rename. *)
-let compile_lock = Mutex.create ()
-let compile_inflight : (string, Condition.t) Hashtbl.t = Hashtbl.create 8
-
-let single_flight ~dest build =
-  Mutex.lock compile_lock;
-  let rec acquire () =
-    if Sys.file_exists dest then begin
-      Mutex.unlock compile_lock;
-      Ok (dest, 0., true)
-    end
-    else
-      match Hashtbl.find_opt compile_inflight dest with
-      | Some cond ->
-        Condition.wait cond compile_lock;
-        acquire ()
-      | None ->
-        let cond = Condition.create () in
-        Hashtbl.replace compile_inflight dest cond;
-        Mutex.unlock compile_lock;
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.lock compile_lock;
-            Hashtbl.remove compile_inflight dest;
-            Condition.broadcast cond;
-            Mutex.unlock compile_lock)
-          build
-  in
-  acquire ()
+let compiles_in_flight : string Kfuse_util.Single_flight.t = Kfuse_util.Single_flight.create ()
 
 (* The artifact of [p] in [dir]: emit, key, then find or build it. *)
 let build ~tc ~dir ~mode (p : Pipeline.t) =
@@ -344,50 +317,49 @@ let build ~tc ~dir ~mode (p : Pipeline.t) =
   let key = artifact_key ~tc ~mode ~src p in
   let ext = match mode with Dlopen -> ".so" | Subprocess -> ".bin" in
   let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
-  if Sys.file_exists dest then Ok (dest, 0., true)
-  else
-    single_flight ~dest @@ fun () ->
-    (* The source is kept next to the artifact: a KF0903 message can
-       point at a file a human can feed to the compiler by hand. *)
-    let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
-    write_file src_path src;
-    let attempt = Toolchain.unique_suffix () in
-    let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
-    let err_path = Printf.sprintf "%s.log.%s" dest attempt in
-    let argv =
-      (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
-      @ [ "-o"; tmp; src_path; "-lm" ]
+  let find () = if Sys.file_exists dest then Some (Ok (dest, 0., true)) else None in
+  Kfuse_util.Single_flight.run compiles_in_flight dest ~find @@ fun () ->
+  (* The source is kept next to the artifact: a KF0903 message can
+     point at a file a human can feed to the compiler by hand. *)
+  let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
+  write_file src_path src;
+  let attempt = Toolchain.unique_suffix () in
+  let tmp = Printf.sprintf "%s.tmp.%s" dest attempt in
+  let err_path = Printf.sprintf "%s.log.%s" dest attempt in
+  let argv =
+    (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
+    @ [ "-o"; tmp; src_path; "-lm" ]
+  in
+  (* Supervised fork/exec — no shell — with a wall cap so a wedged
+     compiler cannot hang the daemon.  No rlimits: compilers
+     legitimately need memory. *)
+  let r =
+    Supervisor.run
+      ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
+      ~stderr_path:err_path ~argv ()
+  in
+  let log = r.Supervisor.stderr_tail in
+  (try Sys.remove err_path with Sys_error _ -> ());
+  match r.Supervisor.status with
+  | Error f ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    let reason =
+      match f with
+      | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
+      | Supervisor.Timeout { wall_ms; _ } ->
+        Printf.sprintf "timed out after %.0f ms" wall_ms
+      | Supervisor.Crashed { signal } -> "crashed with " ^ signal
+      | Supervisor.Limit { what; _ } -> "exceeded " ^ what
+      | Supervisor.Spawn_failed { reason } | Supervisor.Protocol { reason } -> reason
     in
-    (* Supervised fork/exec — no shell — with a wall cap so a wedged
-       compiler cannot hang the daemon.  No rlimits: compilers
-       legitimately need memory. *)
-    let r =
-      Supervisor.run
-        ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
-        ~stderr_path:err_path ~argv ()
-    in
-    let log = r.Supervisor.stderr_tail in
-    (try Sys.remove err_path with Sys_error _ -> ());
-    match r.Supervisor.status with
-    | Error f ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      let reason =
-        match f with
-        | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
-        | Supervisor.Timeout { wall_ms; _ } ->
-          Printf.sprintf "timed out after %.0f ms" wall_ms
-        | Supervisor.Crashed { signal } -> "crashed with " ^ signal
-        | Supervisor.Limit { what; _ } -> "exceeded " ^ what
-        | Supervisor.Spawn_failed { reason } | Supervisor.Protocol { reason } -> reason
-      in
-      Error
-        (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
-           tc.Toolchain.cc reason src_path log)
-    | Ok () ->
-      (* Atomic publish: concurrent builders race benignly on rename. *)
-      Sys.rename tmp dest;
-      Atomic.incr compile_count;
-      Ok (dest, r.Supervisor.wall_ms, false)
+    Error
+      (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
+         tc.Toolchain.cc reason src_path log)
+  | Ok () ->
+    (* Atomic publish: concurrent builders race benignly on rename. *)
+    Sys.rename tmp dest;
+    Atomic.incr compile_count;
+    Ok (dest, r.Supervisor.wall_ms, false)
 
 (* A warm request finds its artifact without emitting the source
    again: the path is remembered per cache directory, toolchain, mode
@@ -481,7 +453,7 @@ let finish_outputs (p : Pipeline.t) out_names bufs =
    runner on its arena. *)
 
 external fill_floats : Bytes.t -> float -> float -> float array -> unit = "kfuse_fill_floats"
-external fold_floats : float array -> float array = "kfuse_fold_floats"
+external fold_floats : float array -> int -> float array = "kfuse_fold_floats"
 
 let materialize (p : Pipeline.t) = function
   | Images inputs -> inputs
@@ -499,15 +471,22 @@ let materialize (p : Pipeline.t) = function
 let summary ~width ~height acc = { width; height; min = acc.(0); max = acc.(1); sum = acc.(2) }
 
 let summarize img =
+  let data = Image.unsafe_data img in
   summary ~width:(Image.width img) ~height:(Image.height img)
-    (fold_floats (Image.unsafe_data img))
+    (fold_floats data (Array.length data))
 
-let deliver : type o. Pipeline.t -> string list -> float array array -> o output -> o =
- fun p out_names bufs want ->
-  let images = finish_outputs p out_names bufs in
-  match want with
-  | Pixels -> images
-  | Summaries -> List.map (fun (n, img) -> (n, summarize img)) images
+(* The summaries of [p]'s outputs, sorted by name, [fold k n] folding
+   the first [n] cells of output [k] (in {!Pipeline.outputs} order): a
+   reduction's 1x1 is cell 0 of its broadcast buffer. *)
+let summaries (p : Pipeline.t) fold =
+  List.mapi
+    (fun k name ->
+      let width, height =
+        if is_reduction p name then (1, 1) else (p.Pipeline.width, p.Pipeline.height)
+      in
+      (name, summary ~width ~height (fold k (width * height))))
+    (Pipeline.outputs p)
+  |> by_name
 
 (* {1 Execution} *)
 
@@ -526,8 +505,17 @@ let sample_deadline_diag ~artifact ~done_ ~repeat =
    paying the loader per call.  The workspace for the driver's
    intermediates comes with it, so repeated calls reuse warm pages
    instead of faulting fresh ones in; [ws_lock] is held by the one call
-   using it. *)
-type loaded = { handle : nativeint; entry : nativeint; ws : nativeint; ws_lock : Mutex.t }
+   using it.  So are [outs], the output buffers a {!Summaries} call
+   runs into and folds before it lets go of the lock: allocated at the
+   first such call, they stay the plan's, and a later call overwrites
+   them. *)
+type loaded = {
+  handle : nativeint;
+  entry : nativeint;
+  ws : nativeint;
+  ws_lock : Mutex.t;
+  mutable outs : float array array;
+}
 
 let workspace_bytes p = 8 * Lower_cpu.workspace_scalars p
 
@@ -545,15 +533,28 @@ let load_artifact artifact p =
       | exception Failure msg ->
         dl_close handle;
         Error (Diag.errorf Diag.Exec_failed "workspace of compiled plan %s: %s" artifact msg)
-      | ws -> Ok { handle; entry; ws; ws_lock = Mutex.create () }))
+      | ws -> Ok { handle; entry; ws; ws_lock = Mutex.create (); outs = [||] }))
 
-let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pvals want =
+(* One pinned call, under [l.ws_lock].  [Pixels] run into fresh arrays
+   that become the caller's images; [Summaries] into the plan's own
+   [l.outs], folded here. *)
+let exec_entry : type o.
+    deadline:Deadline.t -> l:loaded -> artifact:string -> repeat:int -> Pipeline.t ->
+    (string * Image.t) list -> float list -> o output -> (o * float list, Diag.t) result =
+ fun ~deadline ~l ~artifact ~repeat p inputs pvals want ->
   let npix = p.Pipeline.width * p.Pipeline.height in
   let out_names = Pipeline.outputs p in
+  let fresh () = Array.of_list (List.map (fun _ -> Array.make npix 0.) out_names) in
   let ins =
     Array.of_list (List.map (fun n -> flatten (List.assoc n inputs)) p.Pipeline.inputs)
   in
-  let outs = Array.of_list (List.map (fun _ -> Array.make npix 0.) out_names) in
+  let outs =
+    match want with
+    | Pixels -> fresh ()
+    | Summaries ->
+      if Array.length l.outs = 0 then l.outs <- fresh ();
+      l.outs
+  in
   let pars = Array.of_list pvals in
   let samples = ref [] in
   let expired = ref false in
@@ -562,13 +563,19 @@ let exec_entry ~deadline ~entry ~ws ~artifact ~repeat (p : Pipeline.t) inputs pv
       if i > 1 && Deadline.expired deadline then expired := true
       else begin
         let t0 = now_ms () in
-        dl_call entry ins outs pars ws;
+        dl_call l.entry ins outs pars l.ws;
         samples := (now_ms () -. t0) :: !samples
       end
   done;
   if !expired then
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
-  else Ok (deliver p out_names outs want, List.rev !samples)
+  else
+    let outputs : o =
+      match want with
+      | Pixels -> finish_outputs p out_names outs
+      | Summaries -> summaries p (fun k n -> fold_floats outs.(k) n)
+    in
+    Ok (outputs, List.rev !samples)
 
 (* {1 Persistent sandboxed runners} *)
 
@@ -831,15 +838,8 @@ let exec_subprocess : type o.
                      buf)))
         | Summaries ->
           Ok
-            (List.mapi
-               (fun k name ->
-                 let width, height =
-                   if is_reduction p name then (1, 1) else (p.Pipeline.width, p.Pipeline.height)
-                 in
-                 let acc = Array.init 3 (fun j -> Int64.float_of_bits (word (7 + (3 * k) + j))) in
-                 (name, summary ~width ~height acc))
-               out_names
-            |> by_name)
+            (summaries p (fun k _ ->
+                 Array.init 3 (fun j -> Int64.float_of_bits (word (7 + (3 * k) + j)))))
       in
       (* [`Keep]: the runner is sound and goes back to the pool;
          [`Kill]: it failed, or may hold a failed request's state. *)
@@ -924,7 +924,9 @@ let release plan =
     match plan.plan_loaded with
     | None -> ()
     | Some l ->
-      Mutex.protect l.ws_lock (fun () -> ws_free l.ws);
+      Mutex.protect l.ws_lock (fun () ->
+          ws_free l.ws;
+          l.outs <- [||]);
       dl_close l.handle
   end
 
@@ -948,7 +950,7 @@ let execute_plan : type o.
       (* Calls on one plan queue for its workspace: two in flight never
          share one. *)
       Mutex.protect l.ws_lock (fun () ->
-          exec_entry ~deadline ~entry:l.entry ~ws:l.ws ~artifact ~repeat p inputs pvals want)
+          exec_entry ~deadline ~l ~artifact ~repeat p inputs pvals want)
     | None -> exec_subprocess ~deadline ~limits ~artifact ~repeat p input pvals want
   in
   match exec with

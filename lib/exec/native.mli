@@ -41,8 +41,15 @@
     that a runner allocates once at start-up and a pinned {!Dlopen}
     plan at {!prepare}, freeing it at {!release}.  A one-shot {!run}
     is a {!prepare}, a call and a {!release}, so it gets one of its
-    own.  Two calls in flight never share a workspace: {!run_plan}
+    own.  Two calls in flight never share a workspace: {!execute_plan}
     calls on one plan from several threads take turns on it.
+
+    Nor does a {!Summaries} call allocate its outputs more than once:
+    a runner's live in its arena, and a pinned {!Dlopen} plan's in
+    buffers the plan allocates at its first {!Summaries} call and keeps,
+    which each such call overwrites and folds before the next call may
+    start.  {!Pixels} always come back in fresh arrays that belong to
+    the caller.
 
     Artifacts are content-addressed in a cache directory: the key folds
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),
@@ -138,7 +145,8 @@ type input =
 
 (** What a run returns of its outputs.  A {!Subprocess} runner folds
     {!Summaries} out of its arena itself and returns them in its
-    reply. *)
+    reply; a pinned {!Dlopen} plan folds them out of its own output
+    buffers ({!execute_plan}). *)
 type _ output =
   | Pixels : (string * Image.t) list output
   | Summaries : (string * summary) list output
@@ -228,16 +236,17 @@ val execute :
     A {!plan} amortizes the per-call setup of {!run} across many
     executions of the same pipeline — the unit of work of a stream
     session.  {!prepare} pays for the compile-cache lookup (and, in
-    {!Dlopen} mode, the [dlopen]+[dlsym]) exactly once; {!run_plan} is
-    then a bare entry-point call ({!Dlopen}) or a request to a warm
+    {!Dlopen} mode, the [dlopen]+[dlsym]) exactly once; {!execute_plan}
+    is then a bare entry-point call ({!Dlopen}) or a request to a warm
     runner of the already-built executable ({!Subprocess}), with no
     cache lookup, no loader traffic and no compiler anywhere on the
     per-frame path. *)
 
 type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
-    {!Dlopen} mode, the loaded handle, the resolved entry point and the
-    workspace for its intermediates. *)
+    {!Dlopen} mode, the loaded handle, the resolved entry point, the
+    workspace for its intermediates and, once a {!Summaries} call has
+    run, its output buffers. *)
 
 (** [prepare ?cache_dir ?mode p] compiles (or reuses) the artifact
     for [p] and pins it.  In {!Dlopen} mode the shared object is loaded,
@@ -263,11 +272,31 @@ val plan_compile_ms : plan -> float
 val plan_warnings : plan -> Diag.t list
 (** The [KF0904] that made {!prepare} fall back to {!Subprocess}, if any. *)
 
-(** [run_plan ?params ?repeat ?deadline ?limits plan inputs] executes
-    the pinned plan; contract as {!run} ([inputs] binds exactly the
-    pipeline's inputs, failures are typed [KF0904..KF0907]), except
-    nothing is compiled or loaded: [compile_ms] is always [0] and
-    [cached] reports what {!prepare} saw.
+(** [execute_plan ?params ?repeat ?deadline ?limits plan input output]
+    executes the pinned plan; contract as {!execute} ([input] binds
+    exactly the pipeline's inputs, failures are typed
+    [KF0904..KF0907]), except nothing is compiled or loaded:
+    [compile_ms] is always [0] and [cached] reports what {!prepare} saw.
+
+    {!Summaries} move no output pixel to the caller.  A {!Dlopen} plan
+    runs the kernels into output buffers it owns, as it owns its
+    workspace, and folds them under the same lock; a {!Subprocess} plan
+    has its runner fold its arena.  Either way the summaries are those
+    {!summarize} gives of the {!Pixels} outputs, bit for bit, as the
+    kernels write every output pixel on every call.
+    @raise Invalid_argument after {!release}. *)
+val execute_plan :
+  ?params:(string * float) list ->
+  ?repeat:int ->
+  ?deadline:Deadline.t ->
+  ?limits:Supervisor.limits ->
+  plan ->
+  input ->
+  'o output ->
+  ('o ran, Diag.t) result
+
+(** [run_plan ?params ?repeat ?deadline ?limits plan inputs] is
+    [execute_plan plan (Images inputs) Pixels].
     @raise Invalid_argument after {!release}. *)
 val run_plan :
   ?params:(string * float) list ->
@@ -279,8 +308,9 @@ val run_plan :
   (run_result, Diag.t) result
 
 val release : plan -> unit
-(** Drop the pinned handle ([dlclose] and free the workspace in
-    {!Dlopen} mode, after any call using it returns).  Idempotent.
+(** Drop the pinned handle ([dlclose] and free the workspace and the
+    output buffers in {!Dlopen} mode, after any call using them
+    returns).  Idempotent.
     A {!Subprocess} plan's runners belong to the process-wide pool and
     stay warm for the next plan of the same artifact. *)
 

@@ -183,6 +183,27 @@ let compare_outputs ~what ref_out out =
   | (name, diff) :: _ ->
     Error (Printf.sprintf "%s: output %s differs in its bits (max |diff| = %.17g)" what name diff)
 
+(* The summaries [sums] against those of the reference images, every
+   field bit for bit. *)
+let compare_summaries ~what ref_out sums =
+  let bits (s : Native.summary) =
+    Native.(s.width, s.height, Int64.bits_of_float s.min, Int64.bits_of_float s.max,
+            Int64.bits_of_float s.sum)
+  in
+  let want = List.map (fun (n, img) -> (n, Native.summarize img)) ref_out in
+  if List.map fst want <> List.map fst sums then
+    Error
+      (Printf.sprintf "%s: output set changed: [%s] vs [%s]" what
+         (String.concat ", " (List.map fst want))
+         (String.concat ", " (List.map fst sums)))
+  else
+    match List.find_opt (fun ((_, a), (_, b)) -> bits a <> bits b) (List.combine want sums) with
+    | None -> Ok ()
+    | Some ((name, a), (_, b)) ->
+      Error
+        (Printf.sprintf "%s: summary of %s differs: min/max/sum %.17g/%.17g/%.17g, want %.17g/%.17g/%.17g"
+           what name b.Native.min b.Native.max b.Native.sum a.Native.min a.Native.max a.Native.sum)
+
 let eval_exact config p =
   match
     let env = eval_env p in
@@ -564,15 +585,20 @@ let native_exec ~cache_dir config p =
     | r -> r)
 
 (* Multi-frame streaming differential: window the same pipeline two
-   ways — the interpreter via {!Session.push}, and the natively compiled
-   fused plan pinned {e once} ({!Native.prepare}) and run per frame —
-   and demand bitwise agreement on every frame of a short synthetic
-   sequence.  The state carried between frames (the sliding input
-   window) is part of the oracle: a lag clamped wrong at cold start, a
-   window advanced twice, or a pinned artifact gone stale would break
-   frame k > 0 even when frame 0 agrees.  Skips cleanly on
-   non-streamable pipelines (zero or several current inputs) and on
-   toolchain-less hosts. *)
+   ways — the interpreter via {!Session.push} on freshly allocated
+   frames, and the natively compiled fused plan pinned {e once}
+   ({!Native.prepare}) and run per frame on frames drawn into its
+   session's ring ({!Session.draw}) — and demand bitwise agreement on
+   every frame of a short synthetic sequence, both of the pixels and of
+   the plan's {!Native.Summaries}.  The summaries run first, into the
+   plan's own output buffers, which still hold the previous frame's
+   pixels: an output pixel the kernels leave unwritten shows there.
+   The state carried between frames (the sliding input window) is part
+   of the oracle: a lag clamped wrong at cold start, a window advanced
+   twice, a ring slot drawn over while the window still binds it, or a
+   pinned artifact gone stale would break frame k > 0 even when frame
+   0 agrees.  Skips cleanly on non-streamable pipelines (zero or
+   several current inputs) and on toolchain-less hosts. *)
 let stream_frames = 6
 
 let stream_exec ~cache_dir config p =
@@ -608,21 +634,24 @@ let stream_exec ~cache_dir config p =
                     ~height:p.Pipeline.height ~index:i
                 in
                 let ref_out = Session.push ref_session frame in
-                let bindings = Session.bindings native_session frame in
-                match Native.run_plan plan bindings with
-                | Error d ->
-                  Error
-                    (Printf.sprintf "frame %d: native execution failed: %s" i
-                       (Kfuse_util.Diag.to_string d))
-                | Ok res -> (
-                  Session.advance native_session frame;
-                  match
-                    compare_outputs
-                      ~what:(Printf.sprintf "frame %d native vs interpreter" i)
+                let drawn = Session.draw native_session ~seed in
+                let bindings = Session.bindings native_session drawn in
+                let run what output check =
+                  match Native.execute_plan plan (Native.Images bindings) output with
+                  | Error d ->
+                    Error
+                      (Printf.sprintf "frame %d: native execution (%s) failed: %s" i what
+                         (Kfuse_util.Diag.to_string d))
+                  | Ok res ->
+                    check
+                      ~what:(Printf.sprintf "frame %d native %s vs interpreter" i what)
                       ref_out res.Native.outputs
-                  with
-                  | Ok () -> frames (i + 1)
-                  | Error _ as e -> e)
+                in
+                let ( let* ) = Result.bind in
+                let* () = run "summaries" Native.Summaries compare_summaries in
+                let* () = run "pixels" Native.Pixels compare_outputs in
+                Session.advance native_session drawn;
+                frames (i + 1)
             in
             frames 0)
       with

@@ -59,13 +59,17 @@
       and runs only when [which] names it.
     - {!constructor:Stream_exec}: the multi-frame streaming
       differential.  The same pipeline is windowed two ways — the
-      {!Kfuse_stream.Session} interpreter backend, and the fused plan
-      compiled and pinned {e once} ({!Kfuse_exec.Native.prepare}) then
-      run per frame — over a short synthetic frame sequence, and every
-      frame must agree {e bitwise}.  The temporal state carried between
-      frames is part of the oracle: a mis-clamped cold-start lag, a
-      double-advanced window, or a stale pinned artifact breaks later
-      frames even when frame 0 agrees.  Skips cleanly on
+      {!Kfuse_stream.Session} interpreter backend on fresh frames, and
+      the fused plan compiled and pinned {e once}
+      ({!Kfuse_exec.Native.prepare}) then run per frame on frames drawn
+      into its session's ring — over a short synthetic frame sequence,
+      and every frame must agree {e bitwise}, pixels and the plan's
+      summaries both.  The summaries come out of the plan's reused
+      output buffers, so an output pixel the kernels leave unwritten
+      shows.  The temporal state carried between frames is part of the
+      oracle: a mis-clamped cold-start lag, a double-advanced window, a
+      ring slot drawn over too early, or a stale pinned artifact breaks
+      later frames even when frame 0 agrees.  Skips cleanly on
       non-streamable pipelines and toolchain-less hosts; opt-in like
       {!constructor:Native_exec}. *)
 

@@ -3,6 +3,7 @@ module Deadline = Kfuse_util.Deadline
 module Faults = Kfuse_util.Faults
 module Pool = Kfuse_util.Pool
 module Iset = Kfuse_util.Iset
+module Single_flight = Kfuse_util.Single_flight
 module Plan_cache = Kfuse_cache.Plan_cache
 module Fingerprint = Kfuse_cache.Fingerprint
 module F = Kfuse_fusion
@@ -12,7 +13,6 @@ module Native = Kfuse_exec.Native
 module Supervisor = Kfuse_exec.Supervisor
 module Toolchain = Kfuse_exec.Toolchain
 module Session = Kfuse_stream.Session
-module Frames = Kfuse_stream.Frames
 module Lz = Kfuse_lazy
 
 (* One open stream: the per-stream temporal state plus the pinned
@@ -35,6 +35,9 @@ type lazy_session = { builder : Lz.Lazy_pipeline.t; mutable flushes : int }
    in {!Listener}. *)
 type state = {
   cache : Plan_cache.t;
+  (* The plan keys being computed: a cold request waits for an identical
+     one already planning rather than planning it again. *)
+  planning : Fingerprint.key Single_flight.t;
   key_memo : Key_memo.t;
   pool : Pool.t;
   metrics : Metrics.t;
@@ -120,8 +123,10 @@ let report_fields (r : F.Driver.report) =
 
 (* Shared planning path of [fuse], [fuse_exec] and [stream_open]: key
    the request (memoized on its bytes), budget against the deadline,
-   serve from the plan cache.  The pipeline is loaded and validated only
-   when the key is not memoized or a plan has to be computed. *)
+   serve from the plan cache, and compute a missing plan once however
+   many requests for it arrive together: the others wait and then hit.
+   The pipeline is loaded and validated only when the key is not
+   memoized or a plan has to be computed. *)
 let plan t ~deadline ?size (f : Protocol.fuse_request) =
   let config =
     request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma ~tg:f.Protocol.tg
@@ -157,17 +162,20 @@ let plan t ~deadline ?size (f : Protocol.fuse_request) =
     match Key_memo.key t.key_memo ?size f key with
     | Error _ as e -> e
     | Ok key -> (
-      match Plan_cache.find t.cache key with
-      | Some (r, outcome) -> Ok (r, Plan_cache.outcome_to_string outcome, 0.0)
-      | None -> (
-        match compute () with
-        | Error _ as e -> e
-        | Ok (r, ms) ->
-          Plan_cache.store t.cache key r;
-          (* find-then-store keeps the outcome (miss vs miss-iso)
-             distinction out of the hot reply path; the distinction
-             lives in the cache stats. *)
-          Ok (r, "miss", ms)))
+      let find () =
+        Option.map
+          (fun (r, outcome) -> Ok (r, Plan_cache.outcome_to_string outcome, 0.0))
+          (Plan_cache.find t.cache key)
+      in
+      Single_flight.run t.planning key ~find @@ fun () ->
+      match compute () with
+      | Error _ as e -> e
+      | Ok (r, ms) ->
+        Plan_cache.store t.cache key r;
+        (* find-then-store keeps the outcome (miss vs miss-iso)
+           distinction out of the hot reply path; the distinction
+           lives in the cache stats. *)
+        Ok (r, "miss", ms))
 
 let plan_fields (r, outcome, plan_ms) =
   report_fields r
@@ -227,6 +235,24 @@ let verify_fields reference outputs =
   [ ("max_abs_diff", Jsonx.Num v.Image.max_abs_diff); ("bit_exact", Jsonx.Bool (Image.bit_exact v)) ]
 
 let exact_fields = [ ("max_abs_diff", Jsonx.Num 0.0); ("bit_exact", Jsonx.Bool true) ]
+
+(* A native run's reply outputs and verify fields.  Only a request that
+   asks for pixels ([verify], [return_pixels]) runs for [pixels ()];
+   any other runs for [summaries ()], so no output image is built for
+   its reply.  Both fold the same pixels by the same loop
+   ({!Native.summarize}), so the reply's bytes do not depend on which
+   ran. *)
+let native_reply ~verify ~return_pixels ~reference ~pixels ~summaries =
+  if verify || return_pixels then
+    Result.map
+      (fun res ->
+        ( { res with Native.outputs = images_json ~return_pixels res.Native.outputs },
+          if verify then verify_fields (reference ()) res.Native.outputs else [] ))
+      (pixels ())
+  else
+    Result.map
+      (fun res -> ({ res with Native.outputs = List.map output_json res.Native.outputs }, []))
+      (summaries ())
 
 (* ---- native execution policy ---- *)
 
@@ -362,17 +388,11 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
         ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p input output
     in
     let run () =
-      if verify || return_pixels then
-        let inputs = Native.materialize p input in
-        Result.map
-          (fun res ->
-            ( { res with Native.outputs = images_json ~return_pixels res.Native.outputs },
-              if verify then verify_fields (fst (interpret p inputs)) res.Native.outputs else [] ))
-          (execute (Native.Images inputs) Native.Pixels)
-      else
-        Result.map
-          (fun res -> ({ res with Native.outputs = List.map output_json res.Native.outputs }, []))
-          (execute input Native.Summaries)
+      let inputs = lazy (Native.materialize p input) in
+      native_reply ~verify ~return_pixels
+        ~reference:(fun () -> fst (interpret p (Lazy.force inputs)))
+        ~pixels:(fun () -> execute (Native.Images (Lazy.force inputs)) Native.Pixels)
+        ~summaries:(fun () -> execute input Native.Summaries)
     in
     let reply exec outputs verified =
       Protocol.ok (plan_fields served @ [ exec; ("outputs", Jsonx.Arr outputs) ] @ verified)
@@ -467,42 +487,50 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
           exec_field ~mode ~sandboxed:(sandboxed t) ~artifact ~compile_ms warns;
         ])
 
-(* One frame of stream [s], run under the stream's session lock.  A
-   frame always ships: when its native run is quarantined or fails, the
-   interpreter answers on the SAME bindings before the stream advances,
-   so the stream's pixel history is identical to an all-interpreter
-   run, which is exactly what the chaos oracle asserts. *)
+(* One frame of stream [s], run under the stream's session lock.  The
+   frame is drawn into the session's ring, and a push that asks for no
+   pixels takes only the plan's summaries, so a warm push allocates no
+   frame-sized array.  A frame always ships: when its native run is
+   quarantined or fails, the interpreter answers on the SAME bindings
+   before the stream advances, so the stream's pixel history is
+   identical to an all-interpreter run, which is exactly what the chaos
+   oracle asserts. *)
 let push_frame t ~deadline (s : Protocol.stream_push_request) st =
   let session = st.session in
   let p = Session.pipeline session in
   let params = Session.params session in
   let seq = Session.frames session in
-  let frame =
-    Frames.synthetic ~seed:st.stream_seed ~width:p.Ir.Pipeline.width
-      ~height:p.Ir.Pipeline.height ~index:seq
-  in
+  let frame = Session.draw session ~seed:st.stream_seed in
   let bindings = Session.bindings session frame in
+  let verify = s.Protocol.verify and return_pixels = s.Protocol.return_pixels in
+  let interpreted (outputs, ms) = (images_json ~return_pixels outputs, ms) in
   (* ((outputs, exec_ms), mode, quarantined, fallback, warnings, the
      verify fields when verify). *)
   let (outputs, exec_ms), mode, quarantined, fallback, warns, verified =
     match st.stream_plan with
-    | None -> (interpret ~params p bindings, "interpreter", false, false, [], exact_fields)
+    | None ->
+      (interpreted (interpret ~params p bindings), "interpreter", false, false, [], exact_fields)
     | Some pl -> (
-      let native () = Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings in
+      let run output =
+        Native.execute_plan ~params ~deadline ~limits:t.exec_limits pl (Native.Images bindings)
+          output
+      in
+      let native () =
+        native_reply ~verify ~return_pixels
+          ~reference:(fun () -> fst (interpret ~params p bindings))
+          ~pixels:(fun () -> run Native.Pixels)
+          ~summaries:(fun () -> run Native.Summaries)
+      in
       match guard t ~fp:st.stream_fp ~seed:st.stream_seed p native with
-      | Ran res ->
-        let verified =
-          if not s.Protocol.verify then []
-          else verify_fields (fst (interpret ~params p bindings)) res.Native.outputs
-        in
+      | Ran (res, verified) ->
         ( (res.Native.outputs, res.Native.exec_ms),
           Native.mode_to_string res.Native.mode_used,
           false, false, [], verified )
       | Quarantined qd ->
-        ( fall_back t ~params p bindings, "interpreter", true, true,
+        ( interpreted (fall_back t ~params p bindings), "interpreter", true, true,
           [ quarantine_warning t qd ~served:"frame served" ], exact_fields )
       | Failed d ->
-        ( fall_back t ~params p bindings, "interpreter", false, true,
+        ( interpreted (fall_back t ~params p bindings), "interpreter", false, true,
           [ { d with Diag.severity = Diag.Warning } ], exact_fields ))
   in
   Session.advance session frame;
@@ -513,10 +541,9 @@ let push_frame t ~deadline (s : Protocol.stream_push_request) st =
        ("seq", Jsonx.Num (float_of_int seq));
        ("frames", Jsonx.Num (float_of_int (seq + 1)));
        exec_field ~mode ~sandboxed:(sandboxed t) ~quarantined ~fallback ~exec_ms warns;
-       ( "outputs",
-         Jsonx.Arr (images_json ~return_pixels:s.Protocol.return_pixels outputs) );
+       ("outputs", Jsonx.Arr outputs);
      ]
-    @ if s.Protocol.verify then verified else [])
+    @ if verify then verified else [])
 
 let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
   let busy =
@@ -857,6 +884,7 @@ let start ~socket:path ~cache ~pool ?max_conns ?queue ?request_timeout_ms
     let state =
       {
         cache;
+        planning = Single_flight.create ();
         key_memo = Key_memo.create ();
         pool;
         metrics;

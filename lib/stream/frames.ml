@@ -9,7 +9,8 @@ external fill : float array -> float array -> float array -> int -> unit
   = "kfuse_frames_fill"
 [@@noalloc]
 
-let synthetic ~seed ~width ~height ~index =
+let draw ~seed ~index img =
+  let width = Image.width img and height = Image.height img in
   let fw = float_of_int width and fh = float_of_int height in
   let fi = float_of_int index in
   let phase = float_of_int (seed land 1023) *. 0.0061359 in
@@ -33,6 +34,9 @@ let synthetic ~seed ~width ~height ~index =
         let dy = (float_of_int y -. cy) /. ry in
         exp (-.(dy *. dy)))
   in
-  let data = Array.create_float (width * height) in
-  fill data ex ey (seed + (index * 7919));
-  Image.unsafe_of_flat ~width ~height data
+  fill (Image.unsafe_data img) ex ey (seed + (index * 7919))
+
+let synthetic ~seed ~width ~height ~index =
+  let img = Image.unsafe_of_flat ~width ~height (Array.create_float (width * height)) in
+  draw ~seed ~index img;
+  img

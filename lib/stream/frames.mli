@@ -14,3 +14,10 @@
     the pixels with golden digests.  Raises [Invalid_argument] on a
     nonpositive extent. *)
 val synthetic : seed:int -> width:int -> height:int -> index:int -> Kfuse_image.Image.t
+
+(** [draw ~seed ~index img] overwrites every pixel of [img] with frame
+    [index] of stream [seed] at [img]'s extent: [synthetic] is a fresh
+    image and a [draw] into it.  A stream session draws each frame into
+    a buffer of its own ring ({!Session.draw}), so a push allocates no
+    frame. *)
+val draw : seed:int -> index:int -> Kfuse_image.Image.t -> unit

@@ -9,20 +9,35 @@ type t = {
   analysis : Temporal.t;
   stream_input : string;
   params : (string * float) list;
-  (* Past frames, newest first, capped at [analysis.depth].  The ring
+  (* Past frames, newest first, capped at [analysis.depth].  The window
      holds pipeline INPUTS, not outputs: the compiled plan stays a pure
      per-frame function, so native and interpreter backends see exactly
      the same bindings and bit-exactness across backends (including the
      mid-stream quarantine fallback) needs no state reconciliation. *)
   mutable history : Image.t list;
   mutable frames : int;
+  (* The frame buffers {!draw} fills: frame [n] goes to slot
+     [n mod (depth + 1)].  The window holds at most the [depth] frames
+     before it, which sit in the other [depth] slots, so a draw never
+     overwrites a frame the window still binds.  A slot is allocated at
+     its first draw. *)
+  ring : Image.t option array;
 }
 
 let create ?(params = []) (pipeline : Pipeline.t) =
   let analysis = Temporal.analyze pipeline in
   match Temporal.stream_input analysis with
   | Error d -> Error d
-  | Ok stream_input -> Ok { pipeline; analysis; stream_input; params; history = []; frames = 0 }
+  | Ok stream_input -> Ok
+      {
+        pipeline;
+        analysis;
+        stream_input;
+        params;
+        history = [];
+        frames = 0;
+        ring = Array.make (analysis.Temporal.depth + 1) None;
+      }
 
 let pipeline t = t.pipeline
 let analysis t = t.analysis
@@ -65,6 +80,20 @@ let advance t frame =
   if d > 0 then
     t.history <- List.filteri (fun i _ -> i < d) (frame :: t.history);
   t.frames <- t.frames + 1
+
+let draw t ~seed =
+  let slot = t.frames mod Array.length t.ring in
+  let img =
+    match t.ring.(slot) with
+    | Some img -> img
+    | None ->
+      let width = t.pipeline.Pipeline.width and height = t.pipeline.Pipeline.height in
+      let img = Image.unsafe_of_flat ~width ~height (Array.create_float (width * height)) in
+      t.ring.(slot) <- Some img;
+      img
+  in
+  Frames.draw ~seed ~index:t.frames img;
+  img
 
 let eval t frame =
   Eval.run_outputs ~params:t.params t.pipeline (Eval.env_of_list (bindings t frame))

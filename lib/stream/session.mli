@@ -13,6 +13,13 @@
     frame itself on frame 0 — a motion stream's first frame reports a
     zero delta rather than reading an arbitrary boundary value.
 
+    Frames drawn by {!draw} live in the session's ring of [depth + 1]
+    buffers, allocated once: frame [n] is drawn into slot
+    [n mod (depth + 1)], which no frame of the window holds, so a
+    stream of synthetic frames allocates no frame after its first
+    [depth + 1].  A frame the caller passes in itself ({!push},
+    {!advance}) stays the caller's.
+
     Sessions are not thread-safe; callers (the [kfused] server)
     serialize pushes per session. *)
 
@@ -34,6 +41,15 @@ val depth : t -> int
 
 val frames : t -> int
 (** Frames pushed (i.e. {!advance}d) so far. *)
+
+val draw : t -> seed:int -> Kfuse_image.Image.t
+(** [draw t ~seed] is frame [frames t] of the synthetic stream [seed]
+    ({!Frames.synthetic}'s pixels), drawn into the session's ring slot
+    [frames t mod (depth t + 1)].  The image is the session's: its
+    pixels stay valid while it is the current frame and, once
+    {!advance}d, for as long as the window holds it, and a later draw
+    overwrites them.  Drawing twice before an {!advance} draws the same
+    frame into the same slot. *)
 
 val bindings : t -> Kfuse_image.Image.t -> (string * Kfuse_image.Image.t) list
 (** [bindings t frame] binds exactly the pipeline's inputs: the current

@@ -317,13 +317,21 @@ let inputs_for (p : Ir.Pipeline.t) =
 
 let fresh_cache_dir () = temp_dir "kfuse_exec_cache"
 
-(* One artifact cache for the whole suite: a pipeline that several cases
-   run compiles once.  The cases that test the cache itself, or replace
-   an artifact in it, take a fresh one ([with_fresh_cache_dir]). *)
-let shared_cache_dir = lazy (fresh_cache_dir ())
+(* One artifact cache for the whole suite, removed at exit: a pipeline
+   that several cases run compiles once.  The cases that test the cache
+   itself, or replace an artifact in it, take a fresh one
+   ([with_fresh_cache_dir]), removed when the case ends. *)
+let shared_cache_dir =
+  lazy
+    (let dir = fresh_cache_dir () in
+     at_exit (fun () -> remove_tree dir);
+     dir)
 
 let with_cache_dir f = f (Lazy.force shared_cache_dir)
-let with_fresh_cache_dir f = f (fresh_cache_dir ())
+
+let with_fresh_cache_dir f =
+  let dir = fresh_cache_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 (* Compile a case's artifacts into the shared cache two at a time
    before it runs them, so the C compiles that bound the case overlap;
@@ -626,9 +634,9 @@ let diag_code (r : Sup.run) =
    anywhere in the test. *)
 let compile_fixture name source =
   let t = toolchain () in
-  let dir = Filename.temp_file "kfuse_sup" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
+  let dir = temp_dir "kfuse_sup" in
+  (* The fixture outlives this call: its case runs it. *)
+  at_exit (fun () -> remove_tree dir);
   let src = Filename.concat dir (name ^ ".c") in
   let bin = Filename.concat dir name in
   Out_channel.with_open_text src (fun oc -> output_string oc source);
@@ -1272,6 +1280,7 @@ let test_crash_artifact_roundtrip () =
   let diag = Kfuse_util.Diag.errorf Kfuse_util.Diag.Exec_crashed "fixture crashed with SIGSEGV" in
   let dir = Filename.temp_file "kfuse_crashdir" "" in
   Sys.remove dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   let path =
     match Sup.save_crash_artifact ~dir ~seed:7 ~toolchain:"cc-fixture" ~diag p with
     | Ok path -> path
@@ -1309,6 +1318,7 @@ let test_crash_artifact_concurrent () =
   let diag = Kfuse_util.Diag.errorf Kfuse_util.Diag.Exec_crashed "fixture crashed" in
   let dir = Filename.temp_file "kfuse_crashdir" "" in
   Sys.remove dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   let gate = Atomic.make 0 in
   let results = Array.make 8 (Error "not run") in
   let threads =
@@ -1856,6 +1866,74 @@ let test_seeded_run_exact () =
         pixels (run Exec.Native.Summaries))
     [ Exec.Native.Subprocess; Exec.Native.Dlopen ]
 
+(* A plan's [Summaries] run into buffers it keeps: a pinned dlopen
+   plan's own output buffers, a runner's arena.  Every registry app
+   under three strategies, and a fuzz case whose sink is a reduction,
+   run for summaries on input A and then on input B in both modes; B's
+   must be the summaries of a fresh [Pixels] run on B, bit for bit.  A
+   pixel some kernel leaves unwritten would still hold A's value. *)
+let reduce_case =
+  lazy
+    (let rec find i =
+       let p = Fz.Gen.case ~seed:42 i in
+       if (Fz.Gen.features p).Fz.Gen.reduce then
+         (F.Driver.run F.Config.default F.Driver.Mincut p).F.Driver.fused
+       else find (i + 1)
+     in
+     find 0)
+
+let test_summaries_reuse_buffers () =
+  require_toolchain ();
+  let width = 37 and height = 23 in
+  let plans =
+    List.concat_map
+      (fun (e : Kfuse_apps.Registry.entry) ->
+        let p = e.Kfuse_apps.Registry.small ~width ~height in
+        List.map
+          (fun (v, strategy) ->
+            let what = Printf.sprintf "%s %s" e.Kfuse_apps.Registry.name v in
+            match F.Driver.run_result F.Config.default strategy p with
+            | Ok r -> (what, r.F.Driver.fused)
+            | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d))
+          [ ("baseline", F.Driver.Baseline); ("basic", F.Driver.Basic); ("mincut", F.Driver.Mincut) ])
+      Kfuse_apps.Registry.all
+    @ [ ("fuzz case with a reduction", Lazy.force reduce_case) ]
+  in
+  let modes = [ Exec.Native.Dlopen; Exec.Native.Subprocess ] in
+  precompile (List.concat_map (fun (_, p) -> List.map (fun m -> (m, p)) modes) plans);
+  with_cache_dir @@ fun cache_dir ->
+  List.iter
+    (fun (what, p) ->
+      let a = inputs_for p and b = inputs_for p in
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s (%s)" what (Exec.Native.mode_to_string mode) in
+          let plan =
+            match Exec.Native.prepare ~cache_dir ~mode p with
+            | Ok plan -> plan
+            | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+          in
+          Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+          let exec inputs output =
+            match Exec.Native.execute_plan plan (Exec.Native.Images inputs) output with
+            | Ok r -> r.Exec.Native.outputs
+            | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+          in
+          ignore (exec a Exec.Native.Summaries);
+          let got = exec b Exec.Native.Summaries in
+          let want =
+            List.map (fun (n, img) -> (n, Exec.Native.summarize img)) (exec b Exec.Native.Pixels)
+          in
+          Alcotest.(check (list string)) (what ^ ": outputs") (List.map fst want)
+            (List.map fst got);
+          List.iter2
+            (fun (n, w) (_, g) ->
+              Alcotest.(check bool) (Printf.sprintf "%s: %s summary" what n) true
+                (same_summary w g))
+            want got)
+        modes)
+    plans
+
 (* ---- the opt-in fuzz oracle ---- *)
 
 let test_oracle_native_exec () =
@@ -2118,3 +2196,7 @@ let suite =
   @ List.map
       (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]))
       [ prop_min_max_helpers; prop_synthesis_identity; prop_summary_identity ]
+  @ [
+      Alcotest.test_case "plan: summaries from reused buffers equal a fresh run's" `Slow
+        test_summaries_reuse_buffers;
+    ]

@@ -294,14 +294,13 @@ let test_concurrent_clients () =
               (match field "outcome" reply with Jsonx.Str s -> s | _ -> "?") :: !outcomes)
           [ first; second ])
     results;
-  (* 4 fuse requests for one plan: at least one computed it, and at
-     least one was served from the cache (the second wave at the
-     latest; racing first requests may both miss). *)
+  (* 4 fuse requests for one plan: exactly one computed it, and the
+     rest were served from the cache.  Racing first requests do not
+     both plan: the second waits for the first and then hits. *)
   let hits = List.length (List.filter (String.equal "hit") !outcomes) in
   let misses = List.length (List.filter (String.equal "miss") !outcomes) in
-  Alcotest.(check bool) "some request computed the plan" true (misses >= 1);
-  Alcotest.(check bool) "some request hit the cache" true (hits >= 1);
-  Alcotest.(check int) "every request accounted" 4 (hits + misses);
+  Alcotest.(check int) "one request computed the plan" 1 misses;
+  Alcotest.(check int) "every other request hit the cache" 3 hits;
   (* The stats request agrees with the per-request outcomes. *)
   let stats =
     expect_ok (Svc.Client.with_connection ~socket (fun c -> Svc.Client.stats c))
@@ -309,6 +308,8 @@ let test_concurrent_clients () =
   let cache_stats = field "cache" stats in
   Alcotest.(check bool) "stats count the hits" true
     (field "hits" cache_stats = Jsonx.Num (float_of_int hits));
+  Alcotest.(check bool) "the plan was stored once" true
+    (field "stores" cache_stats = Jsonx.Num 1.0);
   match field "fuse" (field "requests" stats) with
   | Jsonx.Obj _ as fuse_stats ->
     Alcotest.(check bool) "4 fuse requests" true (field "total" fuse_stats = Jsonx.Num 4.0);

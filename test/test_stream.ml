@@ -241,6 +241,43 @@ let test_session_matches_manual_eval () =
       manual got
   done
 
+(* The frame ring: tharris (depth 2, prev and prev2) drawn through its
+   session's ring for 10 frames.  Every drawn frame, and every frame the
+   window binds, is [Frames.synthetic] of its index (the cold start
+   clamps to frame 0), so no draw overwrote a frame still in the
+   window; and the outputs are an all-interpreter session's on
+   allocated frames. *)
+let test_session_ring () =
+  let width = 11 and height = 7 and seed = 5 in
+  let p =
+    (Option.get (Kfuse_apps.Registry.find "tharris")).Kfuse_apps.Registry.small ~width ~height
+  in
+  let create () =
+    match Session.create p with
+    | Ok s -> s
+    | Error d -> Alcotest.failf "create: %s" (Diag.to_string d)
+  in
+  let ring = create () and reference = create () in
+  Alcotest.(check int) "tharris streams at depth 2" 2 (Session.depth ring);
+  let synthetic i = Frames.synthetic ~seed ~width ~height ~index:(max 0 i) in
+  for i = 0 to 9 do
+    let frame = Session.draw ring ~seed in
+    check_image (Printf.sprintf "frame %d drawn" i) (synthetic i) frame;
+    List.iter
+      (fun (name, img) ->
+        let lag = Option.value ~default:0 (Temporal.lag_of_name name) in
+        check_image (Printf.sprintf "frame %d binds %s" i name) (synthetic (i - lag)) img)
+      (Session.bindings ring frame);
+    let want = Session.push reference (synthetic i) in
+    let got = Session.eval ring frame in
+    Session.advance ring frame;
+    List.iter2
+      (fun (wn, w) (gn, g) ->
+        Alcotest.(check string) "output name" wn gn;
+        check_image (Printf.sprintf "frame %d output %s" i wn) w g)
+      want got
+  done
+
 (* ---- protocol round-trips ---- *)
 
 let open_req ?(seed = 42) ?width ?height app =
@@ -585,6 +622,98 @@ let test_stream_crash_quarantine_temporal () =
       Ok ())
   |> expect_ok
 
+(* A reply output's summary fields, each as the reply encodes it. *)
+let summary_fields out =
+  List.map (fun k -> (k, Jsonx.to_string (field k out))) [ "width"; "height"; "min"; "max"; "mean" ]
+
+let expected_fields (name, img) =
+  let s = Native.summarize img in
+  let num f = Jsonx.to_string (Jsonx.Num f) in
+  ( name,
+    [
+      ("width", num (float_of_int s.Native.width));
+      ("height", num (float_of_int s.Native.height));
+      ("min", num s.Native.min);
+      ("max", num s.Native.max);
+      ("mean", num (Native.mean s));
+    ] )
+
+(* Pushes that ask for no pixels, through the ring and the plan's
+   summaries: tharris (depth 2) for 10 frames under both sandbox
+   policies, each reply's summaries those of an all-interpreter session,
+   also on the two frames whose native run crashes (exec.crash; a
+   sandboxed runner acts it out) and fall back to the interpreter. *)
+let test_stream_ring_summaries exec_sandbox () =
+  require_toolchain ();
+  let width = 24 and height = 18 in
+  let sandboxed = exec_sandbox = Kfuse_exec.Supervisor.Sandboxed in
+  with_server ~exec_sandbox ~breaker_threshold:3 @@ fun socket _server ->
+  let reference = reference_session ~app:"tharris" ~width ~height in
+  Svc.Client.with_connection ~socket (fun c ->
+      let opened = expect_ok (Svc.Client.stream_open c (open_req ~width ~height "tharris")) in
+      Alcotest.(check (float 0.0)) "tharris streams at depth 2" 2.0 (num (field "depth" opened));
+      let id = stream_id opened in
+      for i = 0 to 9 do
+        let crash = i = 4 || i = 5 in
+        let push () = expect_ok (Svc.Client.stream_push c (push_req id)) in
+        let reply = if crash then Faults.with_spec "exec.crash/1" push else push () in
+        let frame = Frames.synthetic ~seed:42 ~width ~height ~index:i in
+        let want = List.map expected_fields (Session.push reference frame) in
+        let got =
+          match field "outputs" reply with
+          | Jsonx.Arr outs ->
+            List.map
+              (fun out ->
+                Alcotest.(check bool) "no pixels" true (Jsonx.member "pixels" out = None);
+                (str (field "name" out), summary_fields out))
+              outs
+          | v -> Alcotest.failf "outputs is not an array: %s" (Jsonx.to_string v)
+        in
+        Alcotest.(check (list (pair string (list (pair string string)))))
+          (Printf.sprintf "frame %d summaries" i) want got;
+        Alcotest.(check bool) (Printf.sprintf "frame %d fell back" i) (sandboxed && crash)
+          (Jsonx.member "fallback" (field "exec" reply) = Some (Jsonx.Bool true))
+      done;
+      ignore (expect_ok (Svc.Client.stream_close c id));
+      Ok ())
+  |> expect_ok
+
+(* A warm push that asks for no pixels allocates no frame-sized array:
+   its frame is drawn into the session's ring, and the pinned plan runs
+   into output buffers it keeps.  Server and client share this process
+   and its domain, so the major-heap words allocated across a push are
+   the push's, and they stay far below one 512x512 image. *)
+let test_push_allocates_no_frame () =
+  require_toolchain ();
+  let extent = 512 in
+  let npix = extent * extent in
+  with_server ~exec_sandbox:Kfuse_exec.Supervisor.Dlopen_trusted @@ fun socket _server ->
+  Svc.Client.with_connection ~socket (fun c ->
+      let opened =
+        expect_ok (Svc.Client.stream_open c (open_req ~width:extent ~height:extent "motion"))
+      in
+      let id = stream_id opened in
+      let push () =
+        let reply = expect_ok (Svc.Client.stream_push c (push_req id)) in
+        Alcotest.(check bool) "pushed natively" true
+          (Jsonx.member "mode" (field "exec" reply) = Some (Jsonx.Str "dlopen"))
+      in
+      for _ = 1 to 3 do
+        push ()
+      done;
+      for i = 1 to 3 do
+        Gc.minor ();
+        let before = (Gc.quick_stat ()).Gc.major_words in
+        push ();
+        Gc.minor ();
+        let words = (Gc.quick_stat ()).Gc.major_words -. before in
+        if words >= float_of_int (npix / 16) then
+          Alcotest.failf "warm push %d allocated %.0f major words (bound %d)" i words (npix / 16)
+      done;
+      ignore (expect_ok (Svc.Client.stream_close c id));
+      Ok ())
+  |> expect_ok
+
 let test_stream_compile_once_bitexact () =
   (* The per-frame overhead contract: opening a stream compiles exactly
      once (a real compiler invocation, the cache dir is fresh), pushes
@@ -734,4 +863,11 @@ let suite =
       prop_synthetic_reference;
     Alcotest.test_case "frames: 512x512 equals the reference" `Quick test_synthetic_512;
     Alcotest.test_case "frames: golden digests" `Quick test_synthetic_golden;
+    Alcotest.test_case "session: frames drawn through the ring" `Quick test_session_ring;
+    Alcotest.test_case "stream: ring summaries, sandboxed" `Slow
+      (test_stream_ring_summaries Kfuse_exec.Supervisor.Sandboxed);
+    Alcotest.test_case "stream: ring summaries, dlopen-trusted" `Slow
+      (test_stream_ring_summaries Kfuse_exec.Supervisor.Dlopen_trusted);
+    Alcotest.test_case "stream: a warm summary push allocates no frame" `Slow
+      test_push_allocates_no_frame;
   ]
