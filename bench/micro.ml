@@ -228,9 +228,7 @@ let plan_key_pool =
          | Error e -> failwith e))
 
 let cold_key (f : Svc.Protocol.fuse_request) =
-  Result.bind (Svc.Server.load_pipeline f) Kfuse_ir.Validate.result
-  |> Result.map
-       (Kfuse_cache.Fingerprint.plan_key ~config:F.Config.default ~strategy:F.Driver.Mincut)
+  Result.map (Svc.Planner.plan_key f) (Svc.Planner.pipeline (f.app, f.source))
 
 let cycling pool =
   let next = ref 0 in
@@ -248,7 +246,7 @@ let plan_key_memo_test =
     lazy
       (let memo = Svc.Key_memo.create () in
        Array.iter
-         (fun f -> ignore (Svc.Key_memo.key memo f (fun () -> cold_key f)))
+         (fun f -> ignore (Svc.Key_memo.key memo f))
          (Lazy.force plan_key_pool);
        memo)
   in
@@ -256,7 +254,7 @@ let plan_key_memo_test =
   Test.make ~name:"plan-key/memo-hit"
     (Staged.stage (fun () ->
          let f = next () in
-         ignore (ok (Svc.Key_memo.key (Lazy.force memo) f (fun () -> failwith "memo miss")))))
+         ignore (ok (Svc.Key_memo.key (Lazy.force memo) f))))
 
 (* The server's per-push input: one motion-stream frame. *)
 let frames_test =

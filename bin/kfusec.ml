@@ -58,21 +58,10 @@ let read_file path =
 let both_given = Diag.v Diag.Io_error "pass either --app or a FILE, not both"
 let none_given = Diag.v Diag.Io_error "pass --app NAME or a DSL FILE"
 
-let load_pipeline ~app ~file =
-  match (app, file) with
-  | Some name, None -> (
-    match Kfuse_apps.Registry.find name with
-    | Some e -> Ok (e.Kfuse_apps.Registry.pipeline ())
-    | None ->
-      Error
-        (Diag.errorf Diag.Io_error "unknown application %S (try: %s)" name
-           (String.concat ", " Kfuse_apps.Registry.names)))
-  | None, Some path -> (
-    match read_file path with
-    | Error _ as e -> e
-    | Ok src -> Kfuse_dsl.Elaborate.parse_pipeline_diag ~file:path src)
-  | Some _, Some _ -> Error both_given
-  | None, None -> Error none_given
+(* A DSL FILE, parsed here rather than by {!Svc.Planner.pipeline} so
+   that its parse errors name the file.  Not yet validated. *)
+let parse_file path =
+  Result.bind (read_file path) (Kfuse_dsl.Elaborate.parse_pipeline_diag ~file:path)
 
 (* The wire form of --app/FILE, an [(app, source)] pair: a request
    carries DSL source, not a path, so the server need not share a
@@ -85,17 +74,18 @@ let wire_pipeline ~none ~app ~file =
   | (Some _ as app), None -> Ok (app, None)
   | None, None -> none
 
-(* Validate before fusing: errors abort, warnings (e.g. an empty
-   pipeline) are surfaced but not fatal. *)
+(* The validated pipeline --app or FILE names: an app through the
+   daemon's loader, a FILE parsed here and validated with its warnings
+   (an empty pipeline) surfaced but not fatal. *)
 let load_validated ~app ~file =
-  match load_pipeline ~app ~file with
-  | Error _ as e -> e
-  | Ok p -> (
+  match (app, file) with
+  | _, None | Some _, _ ->
+    Result.bind (wire_pipeline ~none:(Error none_given) ~app ~file) Svc.Planner.pipeline
+  | None, Some path ->
+    Result.bind (parse_file path) @@ fun p ->
     let diags = Ir.Validate.pipeline p in
     List.iter pp_diag (List.filter (fun d -> not (Diag.is_error d)) diags);
-    match List.filter Diag.is_error diags with
-    | [] -> Ok p
-    | d :: _ -> Error d)
+    (match List.filter Diag.is_error diags with [] -> Ok p | d :: _ -> Error d)
 
 let strategy_conv =
   let parse s =
@@ -154,9 +144,6 @@ let tg_arg =
     value
     & opt float F.Config.default.F.Config.tg
     & info [ "tg" ] ~docv:"CYCLES" ~doc:"Global-memory latency used by the benefit model.")
-
-let config_of ~c_mshared ~gamma ~tg =
-  { F.Config.default with F.Config.c_mshared; gamma; tg }
 
 let jobs_arg =
   Arg.(
@@ -226,7 +213,8 @@ let common_term =
     {
       app;
       file;
-      config = config_of ~c_mshared ~gamma ~tg;
+      config =
+        Svc.Planner.config ~c_mshared:(Some c_mshared) ~gamma:(Some gamma) ~tg:(Some tg);
       jobs;
       strict;
       budget_ms;
@@ -254,23 +242,35 @@ let with_loaded (c : common) k =
   | Error d -> fail_diag d
   | Ok p -> with_jobs c.jobs (fun pool -> k pool p)
 
-(* Driver entry shared by every subcommand: consult the plan cache when
-   enabled (the outcome goes to stderr so stdout stays the report), run
-   the search otherwise. *)
-let run_driver ?(optimize = false) ?(inline = false) ~pool ~strategy (c : common) p =
-  let compute () =
-    F.Driver.run_result ~optimize ~inline ~pool ~strict:c.strict ?budget_ms:c.budget_ms
-      c.config strategy p
-  in
-  match c.cache with
-  | None -> compute ()
-  | Some pc -> (
-    let key = Cache.Fingerprint.plan_key ~config:c.config ~strategy ~optimize ~inline p in
-    match Cache.Plan_cache.find_or_compute pc key compute with
-    | Error _ as e -> e
-    | Ok (r, outcome) ->
-      Format.eprintf "kfusec: plan cache: %s@." (Cache.Plan_cache.outcome_to_string outcome);
-      Ok r)
+(* The request the daemon would get for [(app, source)] under [c]'s
+   fusion model and search settings. *)
+let request (c : common) ~strategy ~optimize ~inline ~no_cache (app, source) =
+  {
+    Svc.Protocol.app;
+    source;
+    strategy;
+    c_mshared = Some c.config.F.Config.c_mshared;
+    gamma = Some c.config.F.Config.gamma;
+    tg = Some c.config.F.Config.tg;
+    optimize;
+    inline;
+    budget_ms = c.budget_ms;
+    no_cache;
+    strict = c.strict;
+  }
+
+(* Plan [p] as the daemon plans a request, through the plan cache when
+   enabled (its outcome to stderr, so stdout stays the report). *)
+let plan ?(optimize = false) ?(inline = false) ~pool ~strategy (c : common) p =
+  let f = request c ~strategy ~optimize ~inline ~no_cache:false (c.app, None) in
+  Svc.Planner.plan ~pool ~deadline:Kfuse_util.Deadline.none f
+    (Option.map (fun pc -> (pc, Svc.Planner.plan_key f p)) c.cache)
+    (Lazy.from_val (Ok p))
+  |> Result.map (fun (r, outcome, _) ->
+         Option.iter
+           (fun o -> Format.eprintf "kfusec: plan cache: %s@." (Cache.Plan_cache.outcome_to_string o))
+           outcome;
+         r)
 
 let optimize_arg =
   Arg.(
@@ -339,7 +339,7 @@ let fuse_cmd =
     with_loaded common @@ fun pool p ->
     let p, split = if distribute then F.Distribute.split_all p else (p, []) in
     if split <> [] then Format.printf "distributed: %s@." (String.concat ", " split);
-    match run_driver ~inline ~pool ~strategy common p with
+    match plan ~inline ~pool ~strategy common p with
     | Error d -> fail_diag d
     | Ok r ->
       report_warnings r;
@@ -359,7 +359,7 @@ let emit_cmd =
   in
   let run common strategy optimize backend output =
     with_loaded common @@ fun pool p ->
-    match run_driver ~optimize ~pool ~strategy common p with
+    match plan ~optimize ~pool ~strategy common p with
     | Error d -> fail_diag d
     | Ok r -> (
       report_warnings r;
@@ -474,7 +474,7 @@ let run_cmd =
             ~inputs:p.Ir.Pipeline.inputs
             (Array.to_list p.Ir.Pipeline.kernels)
         in
-        match run_driver ~pool ~strategy common p with
+        match plan ~pool ~strategy common p with
         | Error d -> fail_diag d
         | Ok r -> (
           report_warnings r;
@@ -564,7 +564,7 @@ let estimate_cmd =
           match acc with
           | Error _ as e -> e
           | Ok acc -> (
-            match run_driver ~pool ~strategy:s common p with
+            match plan ~pool ~strategy:s common p with
             | Error d -> Error d
             | Ok r ->
               report_warnings r;
@@ -624,7 +624,7 @@ let dot_cmd =
   in
   let run common strategy weights =
     with_loaded common @@ fun pool p ->
-    match run_driver ~pool ~strategy common p with
+    match plan ~pool ~strategy common p with
     | Error d -> fail_diag d
     | Ok r ->
       report_warnings r;
@@ -652,11 +652,9 @@ let unparse_cmd =
       & info [ "a"; "app" ] ~docv:"NAME" ~doc:"Built-in application name.")
   in
   let run app =
-    match Kfuse_apps.Registry.find app with
-    | None ->
-      Format.eprintf "kfusec: unknown application %S@." app;
-      1
-    | Some e -> (
+    match Kfuse_apps.Registry.lookup app with
+    | Error d -> fail_diag d
+    | Ok e -> (
       match Kfuse_dsl.Unparse.pipeline (e.Kfuse_apps.Registry.pipeline ()) with
       | Ok text ->
         print_string text;
@@ -676,7 +674,10 @@ let check_cmd =
      oversized stencil masks, header incompatibilities."
   in
   let run app file =
-    match load_pipeline ~app ~file with
+    let loaded =
+      match (app, file) with None, Some path -> parse_file path | _ -> load_validated ~app ~file
+    in
+    match loaded with
     | Error d -> fail_diag d
     | Ok p ->
       let diags = Ir.Validate.pipeline p in
@@ -1062,21 +1063,7 @@ let query_cmd =
       match wire_pipeline ~none:(Error none_given) ~app:common.app ~file:common.file with
       | Error d -> fail_diag d
       | Ok (app, source) -> (
-        let req =
-          {
-            Svc.Protocol.app;
-            source;
-            strategy;
-            c_mshared = Some common.config.F.Config.c_mshared;
-            gamma = Some common.config.F.Config.gamma;
-            tg = Some common.config.F.Config.tg;
-            optimize;
-            inline;
-            budget_ms = common.budget_ms;
-            no_cache;
-            strict = common.strict;
-          }
-        in
+        let req = request common ~strategy ~optimize ~inline ~no_cache (app, source) in
         match which with
         | `Fuse -> exec print_json (Svc.Protocol.Fuse req)
         | `Exec ->
@@ -1296,66 +1283,57 @@ let repl_cmd =
             flush stderr;
             (try Some (input_line stdin) with End_of_file -> None)
       in
-      match socket with
-      | None -> (
-        (* Local mode: the builder and its planning session live here. *)
-        let builder =
-          match (common.app, common.file) with
-          | None, None -> (
-            match (width, height) with
-            | Some w, Some h -> (
-              try
-                Ok (Lz.Lazy_pipeline.create ~channels ~inputs ~width:w ~height:h common.config)
-              with Invalid_argument m -> Error (Diag.v Diag.Config_invalid m))
-            | _ -> Error no_builder)
-          | app, file ->
-            Result.map (Lz.Lazy_pipeline.of_pipeline common.config)
-              (load_validated ~app ~file)
+      (* Both modes open one request: seeded here as the daemon seeds it,
+         or sent to the daemon. *)
+      let none = if width = None || height = None then Error no_builder else Ok (None, None) in
+      match wire_pipeline ~none ~app:common.app ~file:common.file with
+      | Error d -> fail_diag d
+      | Ok (app, source) -> (
+        let openreq =
+          {
+            Svc.Protocol.app;
+            source;
+            width;
+            height;
+            channels = (if app = None && source = None then Some channels else None);
+            inputs;
+            c_mshared = Some common.config.F.Config.c_mshared;
+            gamma = Some common.config.F.Config.gamma;
+            tg = Some common.config.F.Config.tg;
+          }
         in
-        match builder with
-        | Error d -> fail_diag d
-        | Ok lp ->
-          with_jobs common.jobs @@ fun pool ->
-          repl_loop ~interactive ~next_line
-            {
-              edit =
-                (fun line ->
-                  Result.bind (Lz.Command.parse_edit lp line) (Lz.Command.apply lp)
-                  |> Result.map (Format.printf "applied: %s@."));
-              flush =
-                (fun ~scratch ->
-                  (if scratch then Lz.Lazy_pipeline.flush_scratch ~pool lp
-                   else Lz.Lazy_pipeline.flush ~pool lp)
-                  |> Result.map (repl_print_plan (if scratch then "flush scratch" else "flush")));
-              show = (fun () -> repl_print_show lp);
-              plan =
-                (fun () ->
-                  match Lz.Lazy_pipeline.last lp with
-                  | None -> no_plan_yet ()
-                  | Some pl -> repl_print_plan "plan" pl);
-              close = Fun.id;
-            })
-      | Some socket -> (
-        (* Daemon mode: edit lines pass through verbatim as lazy_edit;
-           flush becomes lazy_flush, and plan/show print the last
-           replies. *)
-        let none = if width = None || height = None then Error no_builder else Ok (None, None) in
-        match wire_pipeline ~none ~app:common.app ~file:common.file with
-        | Error d -> fail_diag d
-        | Ok (app, source) -> (
-          let openreq =
-            {
-              Svc.Protocol.app;
-              source;
-              width;
-              height;
-              channels = (if app = None && source = None then Some channels else None);
-              inputs;
-              c_mshared = Some common.config.F.Config.c_mshared;
-              gamma = Some common.config.F.Config.gamma;
-              tg = Some common.config.F.Config.tg;
-            }
-          in
+        match socket with
+        | None -> (
+          (* Local mode: the builder and its planning session live here.
+             A FILE is parsed here first, so that its parse errors name it. *)
+          let parsed = Option.fold ~none:(Ok ()) ~some:(fun f -> Result.map ignore (parse_file f)) in
+          match Result.bind (parsed common.file) (fun () -> Svc.Planner.lazy_builder openreq) with
+          | Error d -> fail_diag d
+          | Ok lp ->
+            with_jobs common.jobs @@ fun pool ->
+            repl_loop ~interactive ~next_line
+              {
+                edit =
+                  (fun line ->
+                    Result.bind (Lz.Command.parse_edit lp line) (Lz.Command.apply lp)
+                    |> Result.map (Format.printf "applied: %s@."));
+                flush =
+                  (fun ~scratch ->
+                    (if scratch then Lz.Lazy_pipeline.flush_scratch ~pool lp
+                     else Lz.Lazy_pipeline.flush ~pool lp)
+                    |> Result.map (repl_print_plan (if scratch then "flush scratch" else "flush")));
+                show = (fun () -> repl_print_show lp);
+                plan =
+                  (fun () ->
+                    match Lz.Lazy_pipeline.last lp with
+                    | None -> no_plan_yet ()
+                    | Some pl -> repl_print_plan "plan" pl);
+                close = Fun.id;
+              })
+        | Some socket -> (
+          (* Daemon mode: edit lines pass through verbatim as lazy_edit;
+             flush becomes lazy_flush, and plan/show print the last
+             replies. *)
           let print_json v = print_endline (Svc.Jsonx.to_string v) in
           let session =
             Svc.Client.with_connection ~socket ?timeout_ms @@ fun c ->

@@ -59,3 +59,11 @@ let all =
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
 let names = List.map (fun e -> e.name) all
+
+let lookup name =
+  match find name with
+  | Some e -> Ok e
+  | None ->
+    Error
+      (Kfuse_util.Diag.errorf Kfuse_util.Diag.Io_error "unknown application %S (try: %s)" name
+         (String.concat ", " names))

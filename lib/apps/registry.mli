@@ -19,3 +19,7 @@ val find : string -> entry option
 
 (** [names] is the list of application names in table order. *)
 val names : string list
+
+(** [lookup name] is {!find} with a typed miss: the one "unknown
+    application" diagnostic, listing {!names}. *)
+val lookup : string -> (entry, Kfuse_util.Diag.t) result

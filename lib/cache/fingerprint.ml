@@ -346,12 +346,13 @@ type key = { structural : string; exact : string; shape : string }
    the fuzzer's metamorphic oracles). *)
 let format_version = 2
 
-let plan_key ~config:c ~strategy ?(exchange = true) ?(optimize = false) ?(inline = false)
-    (p : Pipeline.t) =
+let plan_key ~config:c ~strategy ?(optimize = false) ?(inline = false) (p : Pipeline.t) =
+  (* The driver always fuses with index exchange; "ex=true" stays so
+     that stored keys still match. *)
   let request =
-    Printf.sprintf "v%d %s strat=%s ex=%b opt=%b inl=%b" format_version (config c)
+    Printf.sprintf "v%d %s strat=%s ex=true opt=%b inl=%b" format_version (config c)
       (Driver.strategy_to_string strategy)
-      exchange optimize inline
+      optimize inline
   in
   let shape = structural p in
   {

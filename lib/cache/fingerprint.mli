@@ -57,14 +57,13 @@ val config : Kfuse_fusion.Config.t -> string
     [shape] nor the key itself. *)
 type key = private { structural : string; exact : string; shape : string }
 
-(** [plan_key ~config ~strategy ?exchange ?optimize ?inline p] combines
+(** [plan_key ~config ~strategy ?optimize ?inline p] combines
     both pipeline fingerprints with the config rendering, the strategy,
     and the report-shaping driver flags (defaults mirror
     {!Kfuse_fusion.Driver.run}). *)
 val plan_key :
   config:Kfuse_fusion.Config.t ->
   strategy:Kfuse_fusion.Driver.strategy ->
-  ?exchange:bool ->
   ?optimize:bool ->
   ?inline:bool ->
   Kfuse_ir.Pipeline.t ->

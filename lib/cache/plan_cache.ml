@@ -11,6 +11,8 @@ type t = {
   mem : entry list Lru.t;  (* per structural key, most recently used first *)
   dir : string option;
   lock : Mutex.t;
+  (* The keys being computed by [find_or_compute]. *)
+  planning : Fingerprint.key Kfuse_util.Single_flight.t;
   (* Cache-level counters: the LRU's own hit counter would misreport an
      entry found under the structural key but rejected by the exact
      guard, so lookups are accounted here. *)
@@ -45,6 +47,7 @@ let create ?(capacity = 256) ?dir () =
     mem = Lru.create ~capacity ();
     dir;
     lock = Mutex.create ();
+    planning = Kfuse_util.Single_flight.create ();
     hits = 0;
     misses = 0;
     iso_misses = 0;
@@ -218,17 +221,22 @@ let store t (key : Fingerprint.key) (report : Driver.report) =
     disk_store t key e
   end
 
+(* [why] is the last lookup's miss: the outcome of a computed plan. *)
 let find_or_compute t key compute =
-  match lookup t key with
-  | Ok (report, outcome) -> Ok (report, outcome)
-  | Error why -> (
-    (* Not under the lock: plans can take seconds, and concurrent misses
-       on the same key are merely redundant (stores are idempotent). *)
-    match compute () with
-    | Error _ as e -> e
-    | Ok report ->
-      store t key report;
-      Ok (report, why))
+  let why = ref Miss in
+  let find () =
+    match lookup t key with
+    | Ok r -> Some (Ok r)
+    | Error w ->
+      why := w;
+      None
+  in
+  Kfuse_util.Single_flight.run t.planning key ~find @@ fun () ->
+  match compute () with
+  | Error _ as e -> e
+  | Ok report ->
+    store t key report;
+    Ok (report, !why)
 
 type stats = {
   hits : int;

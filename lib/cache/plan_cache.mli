@@ -82,9 +82,15 @@ val find : t -> Fingerprint.key -> (Kfuse_fusion.Driver.report * outcome) option
     forever. *)
 val store : t -> Fingerprint.key -> Kfuse_fusion.Driver.report -> unit
 
-(** [find_or_compute t key compute] is the memoized entry point:
-    served from cache when possible, otherwise [compute ()] is run
-    {e outside} the cache lock and stored on success. *)
+(** [find_or_compute t key compute] is the cached report for [key],
+    else [compute ()], stored on success and returned with the miss's
+    outcome ([Miss] or [Miss_iso]).  At most one computation per key
+    runs at a time: a caller that misses while [key] is being computed
+    waits for that computation and is then served what it stored
+    ([Hit_memory]), so concurrent misses compute once.  A computation
+    that stores nothing (an error, or a degraded report) leaves each
+    waiter to compute its own.  [compute] runs outside the cache lock.
+    The only find-compute-store sequence of the planner's front ends. *)
 val find_or_compute :
   t ->
   Fingerprint.key ->

@@ -61,7 +61,7 @@ let protect ~strategy ~stage f =
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception exn -> Error (diag_of_failure ~strategy ~stage exn)
 
-let run ?(exchange = true) ?(optimize = false) ?(inline = false)
+let run ?(optimize = false) ?(inline = false)
     ?(pool = Kfuse_util.Pool.serial) ?(strict = false) ?budget_ms config strategy
     (p : Pipeline.t) =
   (* Invalid configuration or a structurally broken pipeline is a caller
@@ -87,7 +87,7 @@ let run ?(exchange = true) ?(optimize = false) ?(inline = false)
     if not inline then (p, [])
     else
       match
-        protect ~strategy ~stage:"inline" (fun () -> Inline_fusion.greedy ~exchange config p)
+        protect ~strategy ~stage:"inline" (fun () -> Inline_fusion.greedy config p)
       with
       | Ok r -> r
       | Error d -> degrade d (fun () -> (p, []))
@@ -136,7 +136,7 @@ let run ?(exchange = true) ?(optimize = false) ?(inline = false)
     match Hashtbl.find_opt weights (u, v) with Some w -> w | None -> 0.0
   in
   let transform part =
-    protect ~strategy ~stage:"transform" (fun () -> Transform.apply ~exchange p part)
+    protect ~strategy ~stage:"transform" (fun () -> Transform.apply p part)
   in
   let partition, steps, fused =
     match transform partition with
@@ -178,9 +178,9 @@ let run ?(exchange = true) ?(optimize = false) ?(inline = false)
     warnings;
   }
 
-let run_result ?exchange ?optimize ?inline ?pool ?strict ?budget_ms config strategy p =
+let run_result ?optimize ?inline ?pool ?strict ?budget_ms config strategy p =
   Diag.catch (fun () ->
-      run ?exchange ?optimize ?inline ?pool ?strict ?budget_ms config strategy p)
+      run ?optimize ?inline ?pool ?strict ?budget_ms config strategy p)
 
 let fused_kernel_count r = Pipeline.num_kernels r.fused
 

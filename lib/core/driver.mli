@@ -32,10 +32,10 @@ type report = {
           empty on a clean run *)
 }
 
-(** [run ?exchange ?optimize ?inline config strategy pipeline]
-    partitions and fuses.  [exchange] (default [true]) selects
-    border-correct index-exchange fusion; disable it only to reproduce
-    the incorrect naive fusion of Figure 4b.  [optimize] (default
+(** [run ?optimize ?inline config strategy pipeline] partitions and
+    fuses, always with border-correct index exchange
+    ({!Transform.apply}; the naive fusion of Figure 4b is
+    [Transform.apply ~exchange:false]).  [optimize] (default
     [false]) runs the {!Kfuse_ir.Simplify} and {!Kfuse_ir.Cse} cleanup
     passes over the fused kernels ("enlarging the scope for further
     optimizations such as common sub-expression elimination", Section
@@ -65,7 +65,6 @@ type report = {
     them: an invalid [config] ({!Config.validate_result}) and a
     structurally broken pipeline ({!Kfuse_ir.Validate.result}). *)
 val run :
-  ?exchange:bool ->
   ?optimize:bool ->
   ?inline:bool ->
   ?pool:Kfuse_util.Pool.t ->
@@ -80,7 +79,6 @@ val run :
     mode degradation failures — returned as [Error diag] instead of a
     raised {!Kfuse_util.Diag.Fatal}. *)
 val run_result :
-  ?exchange:bool ->
   ?optimize:bool ->
   ?inline:bool ->
   ?pool:Kfuse_util.Pool.t ->

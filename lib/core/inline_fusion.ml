@@ -134,7 +134,7 @@ let judge (config : Config.t) (p : Pipeline.t) image =
     end
   end
 
-let greedy ?(exchange = true) config (p : Pipeline.t) =
+let greedy config (p : Pipeline.t) =
   Config.validate config;
   let rec loop p applied =
     let candidates =
@@ -146,7 +146,7 @@ let greedy ?(exchange = true) config (p : Pipeline.t) =
     in
     match List.sort (fun (_, a) (_, b) -> Float.compare b a) candidates with
     | [] -> (p, List.rev applied)
-    | (image, _) :: _ -> loop (inline_image ~exchange p image) (image :: applied)
+    | (image, _) :: _ -> loop (inline_image p image) (image :: applied)
   in
   loop p []
 

@@ -41,10 +41,10 @@ val judge : Config.t -> Kfuse_ir.Pipeline.t -> string -> verdict
     @raise Invalid_argument when the rewrite is impossible. *)
 val inline_image : ?exchange:bool -> Kfuse_ir.Pipeline.t -> string -> Kfuse_ir.Pipeline.t
 
-(** [greedy ?exchange config pipeline] repeatedly inlines the most
-    profitable candidate until none remains; returns the rewritten
-    pipeline and the inlined image names in application order. *)
-val greedy :
-  ?exchange:bool -> Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_ir.Pipeline.t * string list
+(** [greedy config pipeline] repeatedly inlines the most profitable
+    candidate, with index exchange, until none remains; returns the
+    rewritten pipeline and the inlined image names in application
+    order. *)
+val greedy : Config.t -> Kfuse_ir.Pipeline.t -> Kfuse_ir.Pipeline.t * string list
 
 val verdict_to_string : verdict -> string

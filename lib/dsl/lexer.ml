@@ -24,6 +24,7 @@ exception Lex_error of { pos : Ast.position; msg : string }
 let is_digit c = c >= '0' && c <= '9'
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || is_digit c
+let is_ident s = s <> "" && is_ident_start s.[0] && String.for_all is_ident_char s
 
 let tokenize src =
   let n = String.length src in

@@ -34,3 +34,6 @@ exception Lex_error of { pos : Ast.position; msg : string }
 val tokenize : string -> spanned list
 
 val token_to_string : token -> string
+
+(** [is_ident s] is true when [s] is one identifier. *)
+val is_ident : string -> bool

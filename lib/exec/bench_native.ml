@@ -116,12 +116,8 @@ let select = function
     List.fold_left
       (fun acc n ->
         let* l = acc in
-        match Registry.find n with
-        | None ->
-          Error
-            (Diag.errorf Diag.Io_error "unknown application %s (known: %s)" n
-               (String.concat ", " Registry.names))
-        | Some e -> Ok (l @ [ e ]))
+        let* e = Registry.lookup n in
+        Ok (l @ [ e ]))
       (Ok []) names
 
 (* Arguments are checked before the toolchain is probed, so a bad

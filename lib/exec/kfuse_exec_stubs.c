@@ -43,6 +43,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
@@ -69,6 +70,9 @@
  *                                  pipes); every other fd above 2 is
  *                                  closed in the child, so it holds
  *                                  nothing of the parent's but these.
+ *   vdie   : bool                — SIGTERM the child when the
+ *                                  spawning *thread* dies
+ *                                  (PR_SET_PDEATHSIG, kept across exec).
  *
  * Returns the child pid; raises Failure when fork itself fails.  A
  * failed setrlimit is deliberately non-fatal in the child: the parent's
@@ -85,9 +89,9 @@ static void kfuse_child_rlimit(int resource, long lim)
 
 #define KFUSE_MAX_EXTRA 8
 
-value kfuse_spawn(value vargv, value vfds, value vlimits, value vextra)
+value kfuse_spawn(value vargv, value vfds, value vlimits, value vextra, value vdie)
 {
-  CAMLparam4(vargv, vfds, vlimits, vextra);
+  CAMLparam5(vargv, vfds, vlimits, vextra, vdie);
   mlsize_t nargs = Wosize_val(vargv);
   mlsize_t nextra = Wosize_val(vextra);
   if (nextra > KFUSE_MAX_EXTRA) caml_invalid_argument("kfuse_spawn: too many fds");
@@ -109,6 +113,8 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vextra)
   long cpu_s = Long_val(Field(vlimits, 0));
   long mem_bytes = Long_val(Field(vlimits, 1));
   long fsize_bytes = Long_val(Field(vlimits, 2));
+  int die_with_parent = Bool_val(vdie);
+  pid_t parent = getpid();
 
   pid_t pid = fork();
   if (pid == 0) {
@@ -126,6 +132,10 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vextra)
     (void)signal(SIGSEGV, SIG_DFL);
     (void)signal(SIGABRT, SIG_DFL);
     (void)signal(SIGPIPE, SIG_DFL);
+    if (die_with_parent) {
+      (void)prctl(PR_SET_PDEATHSIG, SIGTERM);
+      if (getppid() != parent) _exit(127); /* died before the prctl */
+    }
     if (dup2(fd_in, 0) < 0 || dup2(fd_out, 1) < 0 || dup2(fd_err, 2) < 0)
       _exit(127);
     /* Extra fds land on 3, 4, ...: lift them above that range first so

@@ -70,13 +70,13 @@ let signal_name s =
    and a misbehaving child can write arbitrarily much. *)
 let stderr_tail_limit = 4096
 
-let read_tail ?(limit = stderr_tail_limit) path =
+let read_tail path =
   match open_in_bin path with
   | exception Sys_error _ -> ""
   | ic ->
     Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
         let n = in_channel_length ic in
-        let keep = min n limit in
+        let keep = min n stderr_tail_limit in
         seek_in ic (n - keep);
         let s = really_input_string ic keep in
         if keep < n then "[... truncated ...]\n" ^ s else s)
@@ -108,13 +108,15 @@ let misbehave_code = function
    only async-signal-safe libc calls and never re-enters the OCaml
    runtime is fine.  Limits are [RLIMIT_CPU (s); RLIMIT_AS;
    RLIMIT_FSIZE], -1 for unlimited; the extra fds land on 3, 4, ... in
-   the child, which inherits no other fd above 2.  Returns the child
-   pid; raises [Failure] when the fork itself fails. *)
+   the child, which inherits no other fd above 2, and which gets SIGTERM
+   when the spawning thread dies if the last argument says so.  Returns
+   the child pid; raises [Failure] when the fork itself fails. *)
 external raw_spawn :
   string array ->
   Unix.file_descr * Unix.file_descr * Unix.file_descr ->
   int array ->
   Unix.file_descr array ->
+  bool ->
   int = "kfuse_spawn"
 
 (* SIGTERM→SIGKILL escalation delay of the watchdogs. *)
@@ -179,9 +181,11 @@ module Child = struct
       Some (Unix.openfile path flags 0o600)
 
   (* [stderr_fd] (kept by the caller) overrides [stderr_path]; [extra]
-     land on fds 3, 4, ... of the child.  Only [Runner] needs either. *)
-  let spawn_fds ?(limits = no_limits) ?stdout_path ?stderr_path ?stderr_fd ?(extra = [||])
-      ?(append = true) ~argv () =
+     land on fds 3, 4, ... of the child.  Only [Runner] needs either, and
+     only its children may outlive the spawning thread, so only they
+     are spawned without [die_with_parent]. *)
+  let spawn_fds ~die_with_parent ?(limits = no_limits) ?stdout_path ?stderr_path ?stderr_fd
+      ?(extra = [||]) ?(append = true) ~argv () =
     match argv with
     | [] -> Error "empty argv"
     | _ -> (
@@ -214,7 +218,7 @@ module Child = struct
         let lim = function None -> -1 | Some v -> v in
         let lims = [| lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes |] in
         let r =
-          match raw_spawn (Array.of_list argv) (devnull, out, err) lims extra with
+          match raw_spawn (Array.of_list argv) (devnull, out, err) lims extra die_with_parent with
           | pid -> Ok { pid; reaped = None; lock = Mutex.create () }
           | exception Failure reason -> Error reason
         in
@@ -222,7 +226,7 @@ module Child = struct
         r)
 
   let spawn ?limits ?stdout_path ?stderr_path ?append ~argv () =
-    spawn_fds ?limits ?stdout_path ?stderr_path ?append ~argv ()
+    spawn_fds ~die_with_parent:true ?limits ?stdout_path ?stderr_path ?append ~argv ()
 
   (* Non-blocking reap: [None] while the child is still running, the
      latched exit status once it is gone.  Never raises — an ECHILD
@@ -308,14 +312,9 @@ end
 
 (* The watchdog's cap: the tighter of the request deadline and the
    configured wall limit. *)
-let wall_cap ~deadline (limits : limits) =
-  match (Deadline.remaining_ms deadline, limits.wall_ms) with
-  | None, w -> w
-  | Some r, None -> Some r
-  | Some r, Some w -> Some (Float.min r w)
+let wall_cap ~deadline (limits : limits) = Deadline.cap deadline limits.wall_ms
 
-let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = term_grace_ms)
-    ?stdout_path ?stderr_path ~argv () =
+let run ?(deadline = Deadline.none) ?(limits = no_limits) ?stdout_path ?stderr_path ~argv () =
   match wall_cap ~deadline limits with
   | Some w when w <= 0. ->
     (* The deadline is already gone: don't even spawn. *)
@@ -338,7 +337,7 @@ let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = term_grac
             | None -> (Child.wait c, false, false)
             | Some (Some st) -> (st, false, false)
             | Some None ->
-              let st, escalated = Child.stop c ~grace_ms in
+              let st, escalated = Child.stop c ~grace_ms:term_grace_ms in
               (st, true, escalated)
           in
           let wall = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -456,7 +455,7 @@ module Runner = struct
           { limits with cpu_s = Option.map (fun c -> c * (request_cap + 1)) limits.cpu_s }
         in
         let r =
-          Child.spawn_fds ~limits:spawn_limits ~stderr_fd:stderr
+          Child.spawn_fds ~die_with_parent:false ~limits:spawn_limits ~stderr_fd:stderr
             ~extra:[| arena; req_r; rep_w |] ~argv ()
         in
         List.iter close_noerr [ req_r; rep_w ];

@@ -98,7 +98,6 @@ val wall_cap : deadline:Deadline.t -> limits -> float option
 val run :
   ?deadline:Deadline.t ->
   ?limits:limits ->
-  ?grace_ms:float ->
   ?stdout_path:string ->
   ?stderr_path:string ->
   argv:string list ->
@@ -108,8 +107,8 @@ val run :
     shell) and waits for it under the watchdog.  The effective wall cap
     is the minimum of [Deadline.remaining_ms deadline] and
     [limits.wall_ms]; when the deadline is already expired the child is
-    not spawned at all and the result is a {!Timeout}.  [grace_ms]
-    (default 500) is the SIGTERM→SIGKILL escalation delay.  stdout goes
+    not spawned at all and the result is a {!Timeout}.  SIGKILL follows
+    SIGTERM after 500 ms.  stdout goes
     to [stdout_path] (default [/dev/null]); stderr is captured to
     [stderr_path] (default: a private temp file, removed afterwards) and
     returned as a capped tail.  The [exec.*] chaos points never fire
@@ -131,9 +130,9 @@ val signal_name : int -> string
 val stderr_tail_limit : int
 (** 4096: the stderr capture cap, in bytes. *)
 
-val read_tail : ?limit:int -> string -> string
-(** Last [limit] (default {!stderr_tail_limit}) bytes of a file, with a
-    truncation marker when shortened; [""] when unreadable. *)
+val read_tail : string -> string
+(** Last {!stderr_tail_limit} bytes of a file, with a truncation marker
+    when shortened; [""] when unreadable. *)
 
 (** {1 Long-lived supervised children}
 
@@ -161,8 +160,10 @@ module Child : sig
       [~append:false] truncates), both defaulting to [/dev/null] —
       [stderr_path] equal to [stdout_path] shares one fd.  [limits]
       (default {!no_limits}) applies the usual rlimits between fork and
-      exec.  Chaos misbehaviours never fire here: a supervised server is
-      made to misbehave through its own fault points, not the spawn. *)
+      exec.  The child gets SIGTERM when the calling {e thread} dies
+      ([PR_SET_PDEATHSIG]): a SIGKILLed router takes its shards along.
+      Chaos misbehaviours never fire here: a supervised server is made
+      to misbehave through its own fault points, not the spawn. *)
 
   val pid : t -> int
 

@@ -181,7 +181,10 @@ let halve_offsets p () =
 
 let moves = [ drop_sinks; bypass; shrink_bodies; inline_params; drop_unused_inputs; halve_extent; halve_offsets ]
 
-let run ?(max_attempts = 1000) ~still_fails p0 =
+(* The most candidates one shrink tries. *)
+let max_attempts = 1000
+
+let run ~still_fails p0 =
   let attempts = ref 0 in
   let rec improve p =
     let next =

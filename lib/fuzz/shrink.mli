@@ -22,7 +22,6 @@
     - halve all tap offsets (pulling stencils toward point kernels). *)
 
 val run :
-  ?max_attempts:int ->
   still_fails:(Kfuse_ir.Pipeline.t -> bool) ->
   Kfuse_ir.Pipeline.t ->
   Kfuse_ir.Pipeline.t

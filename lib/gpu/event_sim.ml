@@ -100,8 +100,8 @@ let simulate_kernel (d : Device.t) ~resident_per_sm ~ops_rate ~mem_rate ~block_w
   done;
   (!time, !events)
 
-let run ?(params = Perf_model.default_params) (d : Device.t) ~quality ~fused_kernels
-    (p : Pipeline.t) =
+let run (d : Device.t) ~quality ~fused_kernels (p : Pipeline.t) =
+  let params = Perf_model.default_params in
   let block = { Kfuse_ir.Cost.bx = 32; by = params.Perf_model.threads_per_block / 32 } in
   let kernels =
     Array.to_list p.Pipeline.kernels

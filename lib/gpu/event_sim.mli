@@ -30,11 +30,11 @@ type result = {
   kernels : kernel_result list;
 }
 
-(** [run ?params device ~quality ~fused_kernels pipeline] simulates the
-    pipeline's kernels back to back.  Parameters mirror
+(** [run device ~quality ~fused_kernels pipeline] simulates the
+    pipeline's kernels back to back under
+    {!Perf_model.default_params}.  Parameters mirror
     {!Perf_model.pipeline_time}. *)
 val run :
-  ?params:Perf_model.params ->
   Device.t ->
   quality:Perf_model.quality ->
   fused_kernels:string list ->

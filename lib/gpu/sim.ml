@@ -13,12 +13,12 @@ type measurement = {
 let default_seed (d : Device.t) (p : Kfuse_ir.Pipeline.t) quality =
   Hashtbl.hash (d.Device.name, p.Kfuse_ir.Pipeline.name, Perf_model.quality_to_string quality)
 
-let measure ?(params = Perf_model.default_params) ?(runs = 500) ?seed
+let measure ?(runs = 500) ?seed
     ?(pool = Kfuse_util.Pool.serial) d ~quality ~fused_kernels pipeline =
   if runs <= 0 then invalid_arg "Sim.measure: runs must be positive";
   let seed = match seed with Some s -> s | None -> default_seed d pipeline quality in
   let breakdown, model_ms =
-    Perf_model.pipeline_time ~params d ~quality ~fused_kernels pipeline
+    Perf_model.pipeline_time d ~quality ~fused_kernels pipeline
   in
   (* One generator per run, split serially from the master seed: run [i]
      draws the same numbers whether the sampling loop below executes on

@@ -16,15 +16,15 @@ type measurement = {
   summary : Kfuse_util.Stats.summary;
 }
 
-(** [measure ?params ?runs ?seed ?pool device ~quality ~fused_kernels
-    pipeline] prices the pipeline and simulates [runs] (default 500)
+(** [measure ?runs ?seed ?pool device ~quality ~fused_kernels pipeline]
+    prices the pipeline under {!Perf_model.default_params} and simulates
+    [runs] (default 500)
     measurements.  The default [seed] hashes the device and pipeline
     names so each experiment cell gets an independent, reproducible
     stream.  Each run draws from its own generator split off the seed,
     so with [pool] the runs are sampled in parallel and the samples are
     bit-identical to a serial measurement. *)
 val measure :
-  ?params:Perf_model.params ->
   ?runs:int ->
   ?seed:int ->
   ?pool:Kfuse_util.Pool.t ->

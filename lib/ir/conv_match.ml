@@ -48,7 +48,10 @@ let extract e =
 
 let tap_count s = List.length (List.filter (fun (_, c) -> not (Float.equal c 0.0)) s.taps)
 
-let separate ?(tolerance = 1e-9) s =
+(* The relative error below which a tap counts as reconstructed. *)
+let tolerance = 1e-9
+
+let separate s =
   match s.taps with
   | [] -> None
   | _ ->

@@ -29,9 +29,9 @@ type factorization = {
 }
 
 (** [separate s] factorizes the stencil when its coefficient matrix has
-    rank 1 (up to [tolerance], relative).  The factor product
+    rank 1 (up to a relative tolerance of 1e-9).  The factor product
     reconstructs every tap exactly within the tolerance. *)
-val separate : ?tolerance:float -> stencil -> factorization option
+val separate : stencil -> factorization option
 
 (** [tap_count s] is the number of nonzero taps. *)
 val tap_count : stencil -> int

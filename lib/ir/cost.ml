@@ -79,6 +79,6 @@ let rec register_estimate e =
     max (register_estimate value) (1 + register_estimate body)
   | Expr.Shift { body; _ } -> register_estimate body
 
-let kernel_registers ?(base = 10) (k : Kernel.t) =
+let kernel_registers (k : Kernel.t) =
   let body = match k.Kernel.op with Kernel.Map e -> e | Kernel.Reduce { arg; _ } -> arg in
-  min 255 (base + register_estimate body)
+  min 255 (10 + register_estimate body)

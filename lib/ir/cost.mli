@@ -57,7 +57,7 @@ val kernel_shared_bytes : block -> Kernel.t -> int
     live register per forwarded producer, matching that observation. *)
 val register_estimate : Expr.t -> int
 
-(** [kernel_registers ?base k] is [register_estimate] of the body plus a
-    fixed overhead [base] (default 10) for index arithmetic and
-    bookkeeping, clamped to the CUDA per-thread maximum of 255. *)
-val kernel_registers : ?base:int -> Kernel.t -> int
+(** [kernel_registers k] is [register_estimate] of the body plus a
+    fixed overhead of 10 for index arithmetic and bookkeeping, clamped
+    to the CUDA per-thread maximum of 255. *)
+val kernel_registers : Kernel.t -> int

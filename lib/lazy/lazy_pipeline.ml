@@ -33,11 +33,23 @@ let make (d : Validate.input) config =
     generation = 0;
   }
 
+(* Input names reach DSL source later (the [add] command's expression
+   scope), so anything that is not an identifier is refused up front. *)
 let create ?(name = "lazy") ?(channels = 1) ?(params = []) ?(inputs = []) ~width
     ~height config =
-  if width <= 0 || height <= 0 || channels <= 0 then
-    invalid_arg "Lazy_pipeline.create: nonpositive iteration space";
-  make { Validate.name; width; height; channels; inputs; params; kernels = [] } config
+  let rec dup = function [] -> None | x :: rest -> if List.mem x rest then Some x else dup rest in
+  let d = { Validate.name; width; height; channels; inputs; params; kernels = [] } in
+  match
+    ( Config.validate_result config,
+      List.find_opt (fun i -> not (Kfuse_dsl.Lexer.is_ident i)) inputs,
+      dup inputs,
+      Validate.errors d )
+  with
+  | Error e, _, _, _ -> Error e
+  | Ok (), Some bad, _, _ -> Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
+  | Ok (), None, Some n, _ -> Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" n)
+  | Ok (), None, None, e :: _ -> Error e
+  | Ok (), None, None, [] -> Ok (make d config)
 
 let of_pipeline config p = make (Validate.of_pipeline p) config
 

@@ -23,9 +23,11 @@ val create :
   width:int ->
   height:int ->
   Kfuse_fusion.Config.t ->
-  t
-(** An empty builder over a [width x height x channels] iteration space.
-    @raise Invalid_argument on an invalid config or nonpositive space. *)
+  (t, Kfuse_util.Diag.t) result
+(** An empty builder over a [width x height x channels] iteration space,
+    or the first broken precondition of: a valid config ([KF0401]),
+    identifier inputs ([KF0202]), no duplicate input ([KF0503]), and a
+    valid empty pipeline (a positive, indexable space: [KF0504]). *)
 
 val of_pipeline : Kfuse_fusion.Config.t -> Kfuse_ir.Pipeline.t -> t
 (** Seed a builder (and a fresh planning session) from an existing

@@ -38,14 +38,16 @@ let digest ?size (f : Protocol.fuse_request) =
   field (string_of_bool f.Protocol.inline);
   Digest.string (Buffer.contents buf)
 
-let key t ?size f compute =
+let key t ?size (f : Protocol.fuse_request) =
   let d = digest ?size f in
   match locked t (fun () -> Lru.find t.lru d) with
-  | Some k -> Ok k
+  | Some k -> Ok (k, lazy (Planner.pipeline ?size (f.app, f.source)))
   | None ->
-    let r = compute () in
-    Result.iter (fun k -> locked t (fun () -> Lru.put t.lru d k)) r;
-    r
+    Planner.pipeline ?size (f.app, f.source)
+    |> Result.map (fun p ->
+           let k = Planner.plan_key f p in
+           locked t (fun () -> Lru.put t.lru d k);
+           (k, Lazy.from_val (Ok p)))
 
 type stats = { hits : int; misses : int; entries : int; capacity : int }
 

@@ -2,7 +2,7 @@
 
     A [fuse] request reaches the plan cache only after its pipeline has
     been loaded (a registry app, or DSL text parsed and elaborated),
-    validated and fingerprinted ({!Kfuse_cache.Fingerprint.plan_key}).
+    validated and fingerprinted ({!Planner}).
     All of that is a pure function of the request's plan-shaping fields:
     [app], [source], the extent override, [c_mshared], [gamma] and [tg]
     (bit-exact), [strategy], [optimize] and [inline].  This memo maps an
@@ -34,14 +34,16 @@ val create : unit -> t
     equal. *)
 val digest : ?size:int * int -> Protocol.fuse_request -> string
 
-(** [key t ?size f compute] is the memoized key of [f], else [compute ()],
-    stored when it succeeds.  [compute] runs outside the memo's lock. *)
+(** [key t ?size f] is the plan key of [f] at extent [size] —
+    {!Planner.plan_key} of {!Planner.pipeline} — from the memo, else
+    computed and stored when it succeeds, outside the memo's lock.  It
+    comes with [f]'s pipeline: the one just loaded on a miss, loaded
+    when first forced on a hit. *)
 val key :
   t ->
   ?size:int * int ->
   Protocol.fuse_request ->
-  (unit -> (Fingerprint.key, Diag.t) result) ->
-  (Fingerprint.key, Diag.t) result
+  (Fingerprint.key * (Kfuse_ir.Pipeline.t, Diag.t) result Lazy.t, Diag.t) result
 
 type stats = {
   hits : int;  (** lookups answered by the memo *)

@@ -1,7 +1,6 @@
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
 module Fingerprint = Kfuse_cache.Fingerprint
-module Ir = Kfuse_ir
 
 (* Single-flight bookkeeping: concurrent identical fuse requests (same
    plan key) become one upstream computation.  Waiters hold the entry
@@ -128,60 +127,44 @@ let forward_routed t ~deadline ?(rewrite = fun ~shard:_ reply -> reply) ~structu
 (* ---- single flight ---- *)
 
 let single_flight t key compute =
+  (* The leader drops the entry before it broadcasts: followers hold it,
+     and a request arriving after that starts a flight of its own. *)
+  let publish e r =
+    Mutex.protect t.sf_lock (fun () ->
+        e.sf_reply <- Some r;
+        Hashtbl.remove t.sf_inflight key;
+        Condition.broadcast t.sf_cond)
+  in
   Mutex.lock t.sf_lock;
   match Hashtbl.find_opt t.sf_inflight key with
   | Some e ->
     (* Follower: block until the leader publishes, then share its
        reply verbatim — N identical cold requests, one computation. *)
-    let rec wait () =
-      match e.sf_reply with
-      | Some r -> r
-      | None ->
-        Condition.wait t.sf_cond t.sf_lock;
-        wait ()
-    in
-    let r = wait () in
+    while e.sf_reply = None do
+      Condition.wait t.sf_cond t.sf_lock
+    done;
     Mutex.unlock t.sf_lock;
     Metrics.incr t.metrics "requests_coalesced";
-    r
-  | None ->
+    Option.get e.sf_reply
+  | None -> (
     let e = { sf_reply = None } in
     Hashtbl.replace t.sf_inflight key e;
     Mutex.unlock t.sf_lock;
-    let r =
-      match compute () with
-      | r -> r
-      | exception exn ->
-        (* Never leave followers parked on a dead flight. *)
-        Mutex.lock t.sf_lock;
-        e.sf_reply <- Some (Protocol.error (Diag.of_exn exn));
-        Hashtbl.remove t.sf_inflight key;
-        Condition.broadcast t.sf_cond;
-        Mutex.unlock t.sf_lock;
-        raise exn
-    in
-    Mutex.lock t.sf_lock;
-    e.sf_reply <- Some r;
-    Hashtbl.remove t.sf_inflight key;
-    Condition.broadcast t.sf_cond;
-    Mutex.unlock t.sf_lock;
-    r
+    match compute () with
+    | r ->
+      publish e r;
+      r
+    | exception exn ->
+      (* Never leave followers parked on a dead flight. *)
+      publish e (Protocol.error (Diag.of_exn exn));
+      raise exn)
 
 (* ---- per-op handling ---- *)
 
 (* A request's plan key, memoized on its bytes.  The router loads
    without the extent override, as it always has: placement reads the
    pipeline's [shape] and stays what it was. *)
-let plan_key t (f : Protocol.fuse_request) =
-  Key_memo.key t.key_memo f (fun () ->
-      Result.bind (Server.load_pipeline f) Ir.Validate.result
-      |> Result.map
-           (Fingerprint.plan_key
-              ~config:
-                (Server.request_config ~c_mshared:f.Protocol.c_mshared
-                   ~gamma:f.Protocol.gamma ~tg:f.Protocol.tg)
-              ~strategy:f.Protocol.strategy ~optimize:f.Protocol.optimize
-              ~inline:f.Protocol.inline))
+let plan_key t f = Result.map fst (Key_memo.key t.key_memo f)
 
 let handle_fuse t ~deadline req (f : Protocol.fuse_request) =
   match plan_key t f with

@@ -3,7 +3,6 @@ module Deadline = Kfuse_util.Deadline
 module Faults = Kfuse_util.Faults
 module Pool = Kfuse_util.Pool
 module Iset = Kfuse_util.Iset
-module Single_flight = Kfuse_util.Single_flight
 module Plan_cache = Kfuse_cache.Plan_cache
 module Fingerprint = Kfuse_cache.Fingerprint
 module F = Kfuse_fusion
@@ -35,9 +34,6 @@ type lazy_session = { builder : Lz.Lazy_pipeline.t; mutable flushes : int }
    in {!Listener}. *)
 type state = {
   cache : Plan_cache.t;
-  (* The plan keys being computed: a cold request waits for an identical
-     one already planning rather than planning it again. *)
-  planning : Fingerprint.key Single_flight.t;
   key_memo : Key_memo.t;
   pool : Pool.t;
   metrics : Metrics.t;
@@ -65,43 +61,6 @@ let stream_queue = 4
 
 (* ---- request handling ---- *)
 
-let load_pipeline ?size (f : Protocol.fuse_request) =
-  match (f.Protocol.app, f.Protocol.source) with
-  | Some name, _ -> (
-    match Kfuse_apps.Registry.find name with
-    | Some e -> (
-      match size with
-      | None -> Ok (e.Kfuse_apps.Registry.pipeline ())
-      | Some (width, height) -> Ok (e.Kfuse_apps.Registry.small ~width ~height))
-    | None ->
-      Error
-        (Diag.errorf Diag.Io_error "unknown application %S (try: %s)" name
-           (String.concat ", " Kfuse_apps.Registry.names)))
-  | None, Some src ->
-    if size <> None then
-      Error
-        (Diag.v Diag.Protocol_error
-           "width/height overrides apply to registry apps only, not DSL source")
-    else Kfuse_dsl.Elaborate.parse_pipeline_diag src
-  | None, None -> Error (Diag.v Diag.Protocol_error "fuse without app or source")
-
-let validated p =
-  match Ir.Validate.result p with Ok p -> Ok p | Error d -> Error d
-
-let size_of width height =
-  match (width, height) with Some w, Some h -> Some (w, h) | _ -> None
-
-(* The per-request fusion model: the defaults under the request's
-   overrides. *)
-let request_config ~c_mshared ~gamma ~tg =
-  let d = F.Config.default in
-  {
-    d with
-    F.Config.c_mshared = Option.value ~default:d.F.Config.c_mshared c_mshared;
-    gamma = Option.value ~default:d.F.Config.gamma gamma;
-    tg = Option.value ~default:d.F.Config.tg tg;
-  }
-
 let block_names (p : Ir.Pipeline.t) block =
   List.map (fun i -> Jsonx.Str (Ir.Pipeline.kernel p i).Ir.Kernel.name) (Iset.elements block)
 
@@ -121,61 +80,31 @@ let report_fields (r : F.Driver.report) =
       Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) r.F.Driver.warnings) );
   ]
 
-(* Shared planning path of [fuse], [fuse_exec] and [stream_open]: key
-   the request (memoized on its bytes), budget against the deadline,
-   serve from the plan cache, and compute a missing plan once however
-   many requests for it arrive together: the others wait and then hit.
-   The pipeline is loaded and validated only when the key is not
-   memoized or a plan has to be computed. *)
+(* Shared planning path of [fuse], [fuse_exec] and [stream_open]: the
+   request's key from {!Key_memo}, then {!Planner.plan} through the
+   cache, which computes a missing plan once however many requests for
+   it arrive together.  The pipeline is loaded only when the key is not
+   memoized or a plan has to be computed.  The reply reads ["miss"] for
+   every computed plan (the renamed-copy distinction lives in the cache
+   stats) and ["bypass"] without the cache. *)
 let plan t ~deadline ?size (f : Protocol.fuse_request) =
-  let config =
-    request_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma ~tg:f.Protocol.tg
+  let planned =
+    if f.Protocol.no_cache then
+      Planner.plan ~pool:t.pool ~deadline f None
+        (lazy (Planner.pipeline ?size (f.Protocol.app, f.Protocol.source)))
+    else
+      Result.bind (Key_memo.key t.key_memo ?size f) @@ fun (key, pipeline) ->
+      Planner.plan ~pool:t.pool ~deadline f (Some (t.cache, key)) pipeline
   in
-  let strategy = f.Protocol.strategy in
-  let optimize = f.Protocol.optimize and inline = f.Protocol.inline in
-  let pipeline = lazy (Result.bind (load_pipeline ?size f) validated) in
-  (* The fusion-search budget is capped by what remains of the
-     request's wall-clock deadline: a request that already spent its
-     time queueing degrades (or fails under strict) immediately
-     instead of hanging in the search. *)
-  let budget_ms () =
-    match (Deadline.remaining_ms deadline, f.Protocol.budget_ms) with
-    | None, b -> b
-    | Some r, None -> Some r
-    | Some r, Some b -> Some (Float.min r b)
-  in
-  let compute () =
-    Result.bind (Lazy.force pipeline) (fun p ->
-        let t0 = Unix.gettimeofday () in
-        Result.map
-          (fun r -> (r, (Unix.gettimeofday () -. t0) *. 1000.))
-          (F.Driver.run_result ~optimize ~inline ~strict:f.Protocol.strict ~pool:t.pool
-             ?budget_ms:(budget_ms ()) config strategy p))
-  in
-  if f.Protocol.no_cache then Result.map (fun (r, ms) -> (r, "bypass", ms)) (compute ())
-  else
-    let key () =
-      Result.map
-        (Fingerprint.plan_key ~config ~strategy ~optimize ~inline)
-        (Lazy.force pipeline)
-    in
-    match Key_memo.key t.key_memo ?size f key with
-    | Error _ as e -> e
-    | Ok key -> (
-      let find () =
-        Option.map
-          (fun (r, outcome) -> Ok (r, Plan_cache.outcome_to_string outcome, 0.0))
-          (Plan_cache.find t.cache key)
-      in
-      Single_flight.run t.planning key ~find @@ fun () ->
-      match compute () with
-      | Error _ as e -> e
-      | Ok (r, ms) ->
-        Plan_cache.store t.cache key r;
-        (* find-then-store keeps the outcome (miss vs miss-iso)
-           distinction out of the hot reply path; the distinction
-           lives in the cache stats. *)
-        Ok (r, "miss", ms))
+  Result.map
+    (fun (r, outcome, ms) ->
+      ( r,
+        (match outcome with
+        | None -> "bypass"
+        | Some (Plan_cache.Miss | Plan_cache.Miss_iso) -> "miss"
+        | Some o -> Plan_cache.outcome_to_string o),
+        ms ))
+    planned
 
 let plan_fields (r, outcome, plan_ms) =
   report_fields r
@@ -184,6 +113,14 @@ let plan_fields (r, outcome, plan_ms) =
       ("outcome", Jsonx.Str outcome);
       ("plan_ms", Jsonx.Num plan_ms);
     ]
+
+(* A native request's plan at its extent and its fused pipeline, which
+   must fit the sandbox's limits ({!handle_fuse_exec}). *)
+let plan_native t ~deadline ~width ~height f =
+  let size = match (width, height) with Some w, Some h -> Some (w, h) | _ -> None in
+  Result.bind (plan t ~deadline ?size f) @@ fun ((r, _, _) as served) ->
+  let p = r.F.Driver.fused in
+  Result.map (fun () -> (served, p)) (Native.check_limits t.exec_limits p)
 
 let handle_fuse t ~deadline (f : Protocol.fuse_request) =
   match plan t ~deadline f with
@@ -368,11 +305,9 @@ let guard t ~fp ~seed p run =
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
   let ( let* ) = Result.bind in
   let checked =
-    let* ((r, _, _) as served) =
-      plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse
+    let* served, p =
+      plan_native t ~deadline ~width:e.Protocol.width ~height:e.Protocol.height e.Protocol.fuse
     in
-    let p = r.F.Driver.fused in
-    let* () = Native.check_limits t.exec_limits p in
     let* () = check_deadline t deadline ~before:"native execution" in
     Ok (served, p)
   in
@@ -432,14 +367,10 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
            "server at max_streams (%d): close a stream or retry with backoff")
     @@ fun () ->
     let ( let* ) = Result.bind in
-    let* ((r, _, _) as served) =
-      plan t ~deadline ?size:(size_of o.Protocol.width o.Protocol.height) o.Protocol.fuse
+    (* A refusal releases the stream's reserved slot. *)
+    let* served, p =
+      plan_native t ~deadline ~width:o.Protocol.width ~height:o.Protocol.height o.Protocol.fuse
     in
-    let p = r.F.Driver.fused in
-    (* As in [handle_fuse_exec]: a stream whose frames could never fit
-       the sandbox is refused before anything compiles, and the error
-       releases its reserved slot. *)
-    let* () = Native.check_limits t.exec_limits p in
     let* session = Session.create p in
     let* () = check_deadline t deadline ~before:"the stream compile" in
     (* An interpreter-only stream keeps the daemon useful on hosts
@@ -583,55 +514,6 @@ let lazy_state_fields builder =
            (Lz.Lazy_pipeline.kernels builder)) );
   ]
 
-(* Input names reach DSL source later (the [add] command's expression
-   scope), so reject anything that is not an identifier at the door. *)
-let valid_ident s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-       s
-
-let seed_builder config (o : Protocol.lazy_open_request) =
-  match (o.Protocol.app, o.Protocol.source) with
-  | None, None -> (
-    (* The codec guarantees width/height for an empty builder. *)
-    let width = Option.get o.Protocol.width and height = Option.get o.Protocol.height in
-    let rec dup = function
-      | [] -> None
-      | x :: rest -> if List.mem x rest then Some x else dup rest
-    in
-    match
-      (List.find_opt (fun i -> not (valid_ident i)) o.Protocol.inputs, dup o.Protocol.inputs)
-    with
-    | Some bad, _ -> Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
-    | None, Some d -> Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" d)
-    | None, None ->
-      Ok
-        (Lz.Lazy_pipeline.create
-           ~channels:(Option.value ~default:1 o.Protocol.channels)
-           ~inputs:o.Protocol.inputs ~width ~height config))
-  | app, source ->
-    let fr =
-      {
-        Protocol.app;
-        source;
-        strategy = F.Driver.Mincut;
-        c_mshared = None;
-        gamma = None;
-        tg = None;
-        optimize = false;
-        inline = false;
-        strict = false;
-        budget_ms = None;
-        no_cache = false;
-      }
-    in
-    Result.map (Lz.Lazy_pipeline.of_pipeline config)
-      (Result.bind
-         (load_pipeline ?size:(size_of o.Protocol.width o.Protocol.height) fr)
-         validated)
-
 let handle_lazy_open t (o : Protocol.lazy_open_request) =
   let opened =
     Session_table.open_ t.lazies
@@ -639,11 +521,7 @@ let handle_lazy_open t (o : Protocol.lazy_open_request) =
         (Diag.errorf Diag.Overloaded
            "server at max_streams (%d) lazy sessions: close one or retry with backoff")
     @@ fun () ->
-    let config =
-      request_config ~c_mshared:o.Protocol.c_mshared ~gamma:o.Protocol.gamma ~tg:o.Protocol.tg
-    in
-    Result.bind (F.Config.validate_result config) @@ fun () ->
-    Result.map (fun builder -> ({ builder; flushes = 0 }, builder)) (seed_builder config o)
+    Result.map (fun builder -> ({ builder; flushes = 0 }, builder)) (Planner.lazy_builder o)
   in
   match opened with
   | Error d -> Protocol.error d
@@ -884,7 +762,6 @@ let start ~socket:path ~cache ~pool ?max_conns ?queue ?request_timeout_ms
     let state =
       {
         cache;
-        planning = Single_flight.create ();
         key_memo = Key_memo.create ();
         pool;
         metrics;

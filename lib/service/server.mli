@@ -108,19 +108,3 @@ val in_flight : t -> int
 val socket : t -> string
 val cache : t -> Kfuse_cache.Plan_cache.t
 val metrics : t -> Metrics.t
-
-(** [load_pipeline f] resolves a fuse request to its pipeline exactly
-    the way request handling does: a registry app by name (optionally
-    re-instantiated at [size]), or parsed+elaborated DSL [source].
-    Exposed so the sharded router maps a request to the {e same}
-    pipeline — and hence the same rename-invariant fingerprint keyspace
-    — as the shard that will serve it. *)
-val load_pipeline :
-  ?size:int * int -> Protocol.fuse_request -> (Kfuse_ir.Pipeline.t, Diag.t) result
-
-(** [request_config ~c_mshared ~gamma ~tg] is the fusion model a request
-    plans under: {!Kfuse_fusion.Config.default} with the request's
-    optional overrides.  Exposed so the sharded router keys its
-    coalescing on the same config as the shard. *)
-val request_config :
-  c_mshared:float option -> gamma:float option -> tg:float option -> Kfuse_fusion.Config.t

@@ -8,8 +8,9 @@
     the same pixels from [(seed, index)], which is what lets
     [stream_push] ship a seed instead of half a megabyte of pixels.
 
-    The per-row and per-column terms are computed here; the per-pixel
-    loop is a C stub ([kfuse_frames_stubs.c]).  Its OCaml reference lives
+    The blob's centre is computed here; its per-row and per-column
+    terms and the per-pixel loop are a C stub
+    ([kfuse_frames_stubs.c]) that allocates nothing on the heap.  Its OCaml reference lives
     in [test/test_stream.ml], which checks the two bit for bit and pins
     the pixels with golden digests.  Raises [Invalid_argument] on a
     nonpositive extent. *)

@@ -16,6 +16,12 @@ let remaining_ms = function
   | No_deadline -> None
   | At { at; _ } -> Some (Float.max 0.0 ((at -. Unix.gettimeofday ()) *. 1000.0))
 
+let cap t bound =
+  match (remaining_ms t, bound) with
+  | None, b -> b
+  | r, None -> r
+  | Some r, Some b -> Some (Float.min r b)
+
 let check = function
   | No_deadline -> ()
   | At { at; budget_ms } -> if Unix.gettimeofday () > at then raise (Expired { budget_ms })

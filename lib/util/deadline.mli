@@ -24,9 +24,12 @@ val expired : t -> bool
 
 val remaining_ms : t -> float option
 (** Milliseconds left before expiry (clamped at [0.]), or [None] for
-    {!none}.  Lets a caller cap a nested budget — e.g. the [kfused]
-    server shrinks a request's fusion-search budget to what is left of
-    its wall-clock deadline. *)
+    {!none}. *)
+
+val cap : t -> float option -> float option
+(** [cap t bound] is the tighter of {!remaining_ms} and [bound], or
+    [None] when neither bounds: a nested budget, such as a request's
+    fusion search, shrunk to what is left of its deadline. *)
 
 val check : t -> unit
 (** @raise Expired when the deadline has passed. *)

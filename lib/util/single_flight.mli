@@ -4,8 +4,8 @@
     pipeline opening against a cold artifact cache, two clients planning
     one pipeline), exactly one of them computes and the rest wait for it
     to finish, then find what it published.  The native compile cache
-    keys its compiles by artifact path, the daemon its plans by plan
-    key. *)
+    keys its compiles by artifact path, the plan cache its plans by
+    plan key. *)
 
 type 'k t
 

@@ -145,12 +145,7 @@ let test_lru () =
 
 (* ---- the cache proper ---- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-test-cache-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Fun.protect ~finally:(fun () -> Support.remove_tree dir) (fun () -> f dir)
+let with_temp_dir = Support.with_temp_dir
 
 let fresh_report p =
   match F.Driver.run_result config F.Driver.Mincut p with
@@ -160,7 +155,9 @@ let fresh_report p =
 let bytes_of (r : F.Driver.report) = Marshal.to_string r []
 
 let test_cached_bit_identical () =
-  with_temp_dir @@ fun dir ->
+  with_temp_dir @@ fun tmp ->
+  (* A directory that does not exist yet: the first store creates it. *)
+  let dir = Filename.concat tmp "plans" in
   let p = Kfuse_apps.Harris.pipeline () in
   let key = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
   let cache = Cache.Plan_cache.create ~dir () in
@@ -168,6 +165,7 @@ let test_cached_bit_identical () =
   (match Cache.Plan_cache.find_or_compute cache key compute with
   | Ok (_, Cache.Plan_cache.Miss) -> ()
   | _ -> Alcotest.fail "first lookup should be a plain miss");
+  Alcotest.(check bool) "the first store created the directory" true (Sys.file_exists dir);
   let fresh = fresh_report p in
   (match Cache.Plan_cache.find_or_compute cache key compute with
   | Ok (r, Cache.Plan_cache.Hit_memory) ->
@@ -550,6 +548,47 @@ let test_shared_dir_concurrent_stores () =
     rs.Cache.Plan_cache.disk_hits;
   Alcotest.(check int) "reader recorded no memory hits" 0 rs.Cache.Plan_cache.hits
 
+(* Eight threads miss one key together while its plan takes 50 ms to
+   compute: the plan is computed once, and the seven that waited are
+   served what it stored. *)
+let test_concurrent_misses_compute_once () =
+  let p = Kfuse_apps.Sobel.pipeline () in
+  let key = Cache.Fingerprint.plan_key ~config ~strategy:F.Driver.Mincut p in
+  let report = fresh_report p in
+  let cache = Cache.Plan_cache.create () in
+  let computed = Atomic.make 0 and go = Atomic.make false in
+  let compute () =
+    Atomic.incr computed;
+    Unix.sleepf 0.05;
+    Ok report
+  in
+  let results = Array.make 8 None in
+  let threads =
+    List.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            while not (Atomic.get go) do
+              Thread.yield ()
+            done;
+            results.(i) <- Some (Cache.Plan_cache.find_or_compute cache key compute))
+          ())
+  in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  Alcotest.(check int) "computed once" 1 (Atomic.get computed);
+  let outcomes =
+    Array.to_list results
+    |> List.map (function
+         | Some (Ok (r, o)) ->
+           Alcotest.(check string) "the computed report" (bytes_of report) (bytes_of r);
+           Cache.Plan_cache.outcome_to_string o
+         | Some (Error d) -> Alcotest.failf "find_or_compute failed: %s" (Kfuse_util.Diag.to_string d)
+         | None -> Alcotest.fail "a thread returned nothing")
+  in
+  Alcotest.(check (list string)) "one miss, seven memory hits"
+    ("miss" :: List.init 7 (fun _ -> "hit"))
+    (List.sort (fun a b -> compare (a <> "miss") (b <> "miss")) outcomes)
+
 let suite =
   List.map
     (fun t -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260806 |]) t)
@@ -577,3 +616,7 @@ let suite =
       Alcotest.test_case "a slot keeps the four most recent namings" `Quick test_slot_cap;
     ]
   @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261018 |]) prop_slot_model ]
+  @ [
+      Alcotest.test_case "concurrent misses on one key compute once" `Quick
+        test_concurrent_misses_compute_once;
+    ]

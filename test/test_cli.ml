@@ -658,6 +658,59 @@ let test_budget_e2e () =
   in
   Alcotest.(check bool) "strict budget exits nonzero" true (code <> 0)
 
+(* A local repl and a --socket one seed the same builder: an app at an
+   extent override, and an empty builder's inputs refused for the same
+   reason with the same message.  [show] prints the local builder; the
+   daemon's lazy_open reply carries the same fields. *)
+let test_repl_local_and_socket_seed_alike () =
+  with_temp_dir @@ fun dir ->
+  let script = Filename.concat dir "show.kf" in
+  Out_channel.with_open_text script (fun oc -> output_string oc "show\nquit\n");
+  let module J = Kfuse_service.Jsonx in
+  with_daemon "serve" [] @@ fun d ->
+  let repl args = run_capture ([ "repl" ] @ args @ [ "--script"; script ]) in
+  let local args =
+    let code, text = repl args in
+    if code <> 0 then Alcotest.failf "local repl %s exited %d: %s" (String.concat " " args) code text;
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"applied" l))
+  in
+  (* The opening reply, rendered as [show] renders a builder. *)
+  let remote args =
+    let code, text = repl (args @ [ "--socket"; d.socket ]) in
+    if code <> 0 then Alcotest.failf "repl --socket %s exited %d: %s" (String.concat " " args) code text;
+    let opened = json_of "lazy_open reply" (List.hd (String.split_on_char '\n' text)) in
+    let int k = int_of_float (num_at opened [ k ]) in
+    let strs k =
+      match Option.bind (J.member k opened) J.arr with
+      | Some l -> String.concat " " (List.filter_map J.str l)
+      | None -> Alcotest.failf "lazy_open reply lacks %S" k
+    in
+    let kernels = Option.value ~default:[] (Option.bind (J.member "kernels" opened) J.arr) in
+    [
+      Printf.sprintf "pipeline %s: %dx%dx%d, generation %d"
+        (Option.get (J.mem_str "name" opened))
+        (int "width") (int "height") (int "channels") (int "generation");
+      "inputs: " ^ strs "inputs";
+      Printf.sprintf "kernels (%d): %s" (List.length kernels) (strs "kernels");
+    ]
+  in
+  let at_extent = [ "-a"; "sobel"; "--width"; "40"; "--height"; "30" ] in
+  let seeded = local at_extent in
+  Alcotest.(check bool) "local builder at 40x30" true
+    (contains ": 40x30x1," (List.hd seeded));
+  Alcotest.(check (list string)) "an app at an extent override" seeded (remote at_extent);
+  List.iter
+    (fun (inputs, code) ->
+      let args = [ "--width"; "8"; "--height"; "8"; "--inputs"; inputs ] in
+      let lcode, ltext = repl args and rcode, rtext = repl (args @ [ "--socket"; d.socket ]) in
+      Alcotest.(check (pair int int)) ("--inputs " ^ inputs ^ " exits 1 in both") (1, 1)
+        (lcode, rcode);
+      Alcotest.(check bool) ("--inputs " ^ inputs ^ " is " ^ code) true (contains code ltext);
+      Alcotest.(check string) ("--inputs " ^ inputs ^ ": the same refusal") rtext ltext)
+    [ ("1x,a", "error[KF0202]"); ("a,a", "error[KF0503]") ];
+  shutdown d
+
 let suite =
   [
     Alcotest.test_case "list" `Quick test_list;
@@ -702,4 +755,6 @@ let suite =
       test_serve_dlopen_full_team;
     Alcotest.test_case "repl --script: local and --socket transcripts agree" `Slow
       test_repl_local_vs_daemon;
+    Alcotest.test_case "repl: local and --socket sessions seed the same builder" `Slow
+      test_repl_local_and_socket_seed_alike;
   ]

@@ -18,12 +18,7 @@ module Faults = Kfuse_util.Faults
 
 let config = F.Config.default
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-test-fuzz-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Fun.protect ~finally:(fun () -> Support.remove_tree dir) (fun () -> f dir)
+let with_temp_dir = Support.with_temp_dir
 
 (* ---- generator ---- *)
 

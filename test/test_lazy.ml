@@ -61,6 +61,7 @@ let same_plan ~ctx (a : Lz.Replan.plan) (b : Lz.Replan.plan) =
 
 let new_builder ?(inputs = [ "in" ]) ?(params = [ ("gain", 1.25) ]) () =
   Lz.Lazy_pipeline.create ~name:"lazy" ~width:64 ~height:48 ~inputs ~params config
+  |> Result.get_ok
 
 (* ---- the differential harness ---- *)
 
@@ -265,7 +266,7 @@ let test_of_pipeline_roundtrip () =
    chain) dirties at most one chain, so the other seven must replay
    from the memo, and every incremental flush must equal scratch. *)
 let chains_session chains =
-  let lp = Lz.Lazy_pipeline.create ~name:"replan" ~width:64 ~height:48 config in
+  let lp = Lz.Lazy_pipeline.create ~name:"replan" ~width:64 ~height:48 config |> Result.get_ok in
   let exec line =
     ignore
       (ok line (Result.bind (Lz.Command.parse lp line) (Lz.Command.apply lp)))

@@ -531,6 +531,7 @@ let lazy_builder seed edits =
       ~inputs:[ "in"; "aux" ]
       ~params:[ ("gain", 1.5) ]
       config
+    |> Result.get_ok
   in
   let rng = Kfuse_util.Rng.create seed in
   (* two flush points exercise the cross-flush memo, not just one plan *)

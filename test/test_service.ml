@@ -602,6 +602,7 @@ let test_lazy_session_end_to_end () =
   let lp =
     Kfuse_lazy.Lazy_pipeline.create ~inputs:[ "in" ] ~width:48 ~height:32
       Kfuse_fusion.Config.default
+    |> Result.get_ok
   in
   List.iter
     (fun line ->

@@ -682,7 +682,9 @@ let test_stream_ring_summaries exec_sandbox () =
    its frame is drawn into the session's ring, and the pinned plan runs
    into output buffers it keeps.  Server and client share this process
    and its domain, so the major-heap words allocated across a push are
-   the push's, and they stay far below one 512x512 image. *)
+   the push's.  Nor does drawing the frame allocate its blob terms: 51
+   warm pushes run alone measured 43-331 words, and one push in a full
+   test run 2,317, so the bound is npix/32 (8,192). *)
 let test_push_allocates_no_frame () =
   require_toolchain ();
   let extent = 512 in
@@ -707,8 +709,8 @@ let test_push_allocates_no_frame () =
         push ();
         Gc.minor ();
         let words = (Gc.quick_stat ()).Gc.major_words -. before in
-        if words >= float_of_int (npix / 16) then
-          Alcotest.failf "warm push %d allocated %.0f major words (bound %d)" i words (npix / 16)
+        if words >= float_of_int (npix / 32) then
+          Alcotest.failf "warm push %d allocated %.0f major words (bound %d)" i words (npix / 32)
       done;
       ignore (expect_ok (Svc.Client.stream_close c id));
       Ok ())

@@ -63,8 +63,8 @@ let normalize ?(volatile = [ "plan_ms"; "cached"; "outcome"; "router" ]) reply =
 
 (* The router's keyspace map, reproduced from its documented contract:
    leading 32 bits of the structural fingerprint, mod the fleet size. *)
-let home_shard req ~count =
-  match Svc.Server.load_pipeline req with
+let home_shard (req : Svc.Protocol.fuse_request) ~count =
+  match Svc.Planner.pipeline (req.app, req.source) with
   | Error d -> Alcotest.failf "load_pipeline: %s" (Diag.to_string d)
   | Ok p ->
     let s = Cache.Fingerprint.structural p in
@@ -548,6 +548,39 @@ let test_binary_fleet_kill_under_storm () =
   stop d;
   Alcotest.(check bool) "fleet shut down" true (contains "fleet shut down" (log_text d))
 
+(* A SIGKILLed router runs no drain, yet takes its shards with it:
+   each was spawned to get SIGTERM when the router dies, so none is
+   left serving a fleet that nothing routes to.  A shard still running
+   after 5 s fails the test, and is killed so it does not outlive it. *)
+let test_binary_router_sigkill_takes_shards () =
+  with_daemon "shard-serve" [ "--shards"; "2" ] @@ fun d ->
+  let pids =
+    match Jsonx.arr (field "shards" (query_json d [ "--stats" ])) with
+    | Some shards -> List.map (fun s -> int_of_float (num_at s [ "pid" ])) shards
+    | None -> Alcotest.fail "router stats lack a shards array"
+  in
+  Alcotest.(check int) "two shard pids" 2 (List.length pids);
+  (* Gone, or a zombie waiting for init to reap it. *)
+  let running pid =
+    match In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+    | stat -> (
+      match String.rindex_opt stat ')' with
+      | Some i -> String.length stat > i + 2 && stat.[i + 2] <> 'Z'
+      | None -> true)
+    | exception Sys_error _ -> false
+  in
+  Alcotest.(check (list int)) "shards run before the kill" [] (List.filter (fun p -> not (running p)) pids);
+  kill d;
+  let rec await n =
+    match List.filter running pids with
+    | [] -> []
+    | left when n = 0 -> left
+    | _ -> Unix.sleepf 0.02; await (n - 1)
+  in
+  let left = await 250 in
+  List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) left;
+  Alcotest.(check (list int)) "no shard outlives its router by 5 s" [] left
+
 let suite =
   [
     Alcotest.test_case "fleet basics" `Slow test_fleet_basics;
@@ -566,4 +599,6 @@ let suite =
       test_binary_router_memo;
     Alcotest.test_case "kfusec shard-serve: SIGKILL a shard under storm, then drain" `Slow
       test_binary_fleet_kill_under_storm;
+    Alcotest.test_case "kfusec shard-serve: a SIGKILLed router takes its shards" `Slow
+      test_binary_router_sigkill_takes_shards;
   ]
