@@ -2,8 +2,9 @@
    Stoer-Wagner min cut, Algorithm 1 end-to-end, the fusion transform,
    DSL parsing, an incremental lazy replan, plus the daemon's half of a
    sandboxed fuse_exec, its request-to-plan-key step, one synthetic
-   stream frame, one stream push and the interpreter run of a stream's
-   verify push.
+   stream frame, one stream push and its two layers (the draw into the
+   ring and the pinned plan's summaries), and the interpreter run of a
+   stream's verify push.
    One Test.make per subject, all in one executable. *)
 
 open Bechamel
@@ -266,16 +267,16 @@ let frames_test =
    it on a warm 512x512 min-cut plan: the frame drawn into the
    session's ring, the pinned dlopen plan run for its summaries, the
    window advanced. *)
+let stream_case =
+  lazy
+    (let p = Kfuse_apps.Motion.pipeline ~width:512 ~height:512 () in
+     let fused = (F.Driver.run Runner.config F.Driver.Mincut p).F.Driver.fused in
+     (ok (Kfuse_stream.Session.create fused), ok (Native.prepare ~mode:Native.Dlopen fused)))
+
 let stream_push_test =
-  let case =
-    lazy
-      (let p = Kfuse_apps.Motion.pipeline ~width:512 ~height:512 () in
-       let fused = (F.Driver.run Runner.config F.Driver.Mincut p).F.Driver.fused in
-       (ok (Kfuse_stream.Session.create fused), ok (Native.prepare ~mode:Native.Dlopen fused)))
-  in
   Test.make ~name:"stream/push-512"
     (Staged.stage (fun () ->
-         let session, plan = Lazy.force case in
+         let session, plan = Lazy.force stream_case in
          let module Session = Kfuse_stream.Session in
          let frame = Session.draw session ~seed:42 in
          let r =
@@ -285,6 +286,34 @@ let stream_push_test =
                 Native.Summaries)
          in
          Session.advance session frame;
+         ignore (Sys.opaque_identity r.Native.outputs)))
+
+(* The two layers of that push on its own path: the frame drawn into
+   the ring, and the pinned plan run for summaries over one frame. *)
+let stream_draw_test =
+  Test.make ~name:"stream/draw-512"
+    (Staged.stage (fun () ->
+         let session, _ = Lazy.force stream_case in
+         ignore (Sys.opaque_identity (Kfuse_stream.Session.draw session ~seed:42))))
+
+let stream_summaries_test =
+  let frame =
+    lazy
+      (let session, _ = Lazy.force stream_case in
+       let frame = Kfuse_stream.Session.draw session ~seed:42 in
+       Kfuse_stream.Session.advance session frame;
+       frame)
+  in
+  Test.make ~name:"stream/summaries-512"
+    (Staged.stage (fun () ->
+         let session, plan = Lazy.force stream_case in
+         let module Session = Kfuse_stream.Session in
+         let r =
+           ok
+             (Native.execute_plan ~params:(Session.params session) plan
+                (Native.Images (Session.bindings session (Lazy.force frame)))
+                Native.Summaries)
+         in
          ignore (Sys.opaque_identity r.Native.outputs)))
 
 (* A motion stream's verify push: the reference interpreter on the
@@ -314,7 +343,7 @@ let tests =
       benefit_test; dsl_test; codegen_test; replan_test; mixed_edit_test;
       algorithm1_chains_test;
       arena_images_test; arena_runner_test; plan_key_cold_test; plan_key_memo_test;
-      frames_test; stream_push_test; interp_test;
+      frames_test; stream_draw_test; stream_summaries_test; stream_push_test; interp_test;
     ]
 
 let run () =

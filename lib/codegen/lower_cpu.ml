@@ -457,7 +457,8 @@ let emit_runner buf (p : Pipeline.t) =
    pow is not correctly rounded for squares, so the rewrite diverges
    from the interpreter's libm call by 1 ulp on ~0.1% of inputs —
    and [-ffp-contract=off] forbids fusing [a*b+c] into fma on targets
-   that have one (free on baseline x86-64, load-bearing on aarch64).
+   that have one (every x86-64-v3 host and aarch64, so every host
+   target a plan is built for).
    Vectorization: [-fno-math-errno] lets [sqrt] be an instruction,
    [-fvect-cost-model=dynamic] accepts the loops that need a runtime
    alias check or an epilogue (the -O2 default refuses them), and
@@ -473,6 +474,13 @@ let cc_flags =
     "-fvect-cost-model=dynamic";
     "-fno-trapping-math";
   ]
+
+(* Plans are compiled on the host they run on, for its full vector
+   unit.  Without -ffast-math glibc declares no vector variants of
+   [exp]/[log]/[pow], so they stay scalar libm calls, and with no
+   reassociation allowed no FP reduction is vectorized: the wider
+   target changes no value either. *)
+let host_target_flag = "-march=native"
 
 (* The calling thread's contiguous share of rows, as [schedule(static)]
    would deal them: a line buffer only pays when a thread's rows are
@@ -510,7 +518,7 @@ let emit_pipeline ?(prec = C.Single) (p : Pipeline.t) =
   let funcs = Array.to_list p.Pipeline.kernels |> List.concat_map (kernel_funcs ~prec p) in
   b "// Generated by kfuse: %s (%dx%dx%d), C + OpenMP backend\n"
     (C.ident C.Runner p.Pipeline.name) p.Pipeline.width p.Pipeline.height p.Pipeline.channels;
-  b "// Compile with: cc %s -fopenmp -lm\n\n" (String.concat " " cc_flags);
+  b "// Compile with: cc %s %s -fopenmp -lm\n\n" (String.concat " " cc_flags) host_target_flag;
   b "#include <stdlib.h>\n#include <math.h>\n";
   b "#ifdef _OPENMP\n#include <omp.h>\n#endif\n\n";
   b "// Scalar type of buffers and arithmetic alike.\n";

@@ -50,6 +50,12 @@
     changes a value), without the OpenMP and linking flags. *)
 val cc_flags : string list
 
+(** [host_target_flag] ([-march=native]) builds for the compiling
+    host's own target, its full vector unit included.  It changes no
+    value under {!cc_flags}: no FMA contraction, no reassociation, and
+    [exp]/[log]/[pow] stay libm calls. *)
+val host_target_flag : string
+
 (** [workspace_scalars pipeline] is the driver's workspace size in
     scalars: [width * height] for every kernel output that is not a
     pipeline output. *)

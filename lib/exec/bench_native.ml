@@ -33,6 +33,7 @@ type app_report = {
 type t = {
   cc : string;
   openmp : bool;
+  target : string;
   mode : Native.mode;
   runs : int;
   host_cores : int;
@@ -147,6 +148,7 @@ let run ?(mode = Native.Dlopen) ?cache_dir ?(runs = 5) ?width ?height ?apps () =
     {
       cc = tc.Toolchain.cc;
       openmp = tc.Toolchain.openmp;
+      target = (match tc.Toolchain.target with Some g -> g.Toolchain.isa | None -> "default");
       mode;
       runs;
       host_cores = Domain.recommended_domain_count ();
@@ -191,7 +193,13 @@ let to_json t =
        [
          ("schema", Jsonx.Str "kfuse-bench-native/v2");
          ("generated_at_unix", Jsonx.Num t.generated_at);
-         ("toolchain", Jsonx.Obj [ ("cc", Jsonx.Str t.cc); ("openmp", Jsonx.Bool t.openmp) ]);
+         ( "toolchain",
+           Jsonx.Obj
+             [
+               ("cc", Jsonx.Str t.cc);
+               ("openmp", Jsonx.Bool t.openmp);
+               ("target", Jsonx.Str t.target);
+             ] );
          ("mode", Jsonx.Str (Native.mode_to_string t.mode));
          ("runs", int t.runs);
          ("host_cores", int t.host_cores);
@@ -200,9 +208,10 @@ let to_json t =
   ^ "\n"
 
 let pp_summary ppf t =
-  Format.fprintf ppf "native bench: %s%s, %d core%s, median (IQR) of %d run%s per variant@,"
-    t.cc
+  Format.fprintf ppf
+    "native bench: %s%s, target %s, %d core%s, median (IQR) of %d run%s per variant@," t.cc
     (if t.openmp then " (openmp)" else " (no openmp)")
+    t.target
     t.host_cores
     (if t.host_cores = 1 then "" else "s")
     t.runs

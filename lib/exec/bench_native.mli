@@ -42,6 +42,9 @@ type app_report = {
 type t = {
   cc : string;
   openmp : bool;
+  target : string;
+      (** the ISA plans were built for ({!Toolchain.target}'s [isa]), or
+          ["default"] *)
   mode : Native.mode;
   runs : int;
   host_cores : int;  (** [Domain.recommended_domain_count ()] *)

@@ -169,6 +169,12 @@ val check_limits : Supervisor.limits -> Pipeline.t -> (unit, Diag.t) result
     wrappers pass float64 buffers to the pipeline in place. *)
 val source : mode:mode -> Pipeline.t -> string
 
+(** [artifact_key ~tc ~mode ~src p] names the artifact of [p] built
+    from [src] in [mode] by [tc]: a digest of the ABI version, the
+    exact fingerprint, the mode, {!Toolchain.id} (the target
+    fingerprint included) and the source. *)
+val artifact_key : tc:Toolchain.t -> mode:mode -> src:string -> Pipeline.t -> string
+
 (** [compile ?cache_dir ~mode p] ensures a compiled artifact for
     [p] exists and returns [(path, compile_ms, cached)].  [cache_dir]
     defaults to a [native] directory under

@@ -1,6 +1,7 @@
 module Diag = Kfuse_util.Diag
 
-type t = { cc : string; openmp : bool }
+type target = { isa : string; macros_md5 : string }
+type t = { cc : string; openmp : bool; target : target option }
 
 let probe_source =
   "int main(void) {\n\
@@ -57,14 +58,58 @@ let compiles cc extra_flags =
 let core_count () =
   match Domain.recommended_domain_count () with n when n >= 1 -> n | _ -> 1
 
+(* The C macros [cc -march=native] predefines, or [None] when it
+   refuses the option: they name every ISA extension the host target
+   turns on, so their digest tells one target from another. *)
+let host_macros cc =
+  with_temp_dir (fun dir ->
+      let out = Filename.concat dir "macros.h" in
+      let cmd =
+        Filename.quote_command cc
+          [ Kfuse_codegen.Lower_cpu.host_target_flag; "-E"; "-dM"; "-x"; "c"; Filename.null ]
+          ~stdout:out ~stderr:Filename.null
+      in
+      if Sys.command cmd = 0 then Some (In_channel.with_open_bin out In_channel.input_all)
+      else None)
+
+(* The widest x86-64 micro-architecture level the macros reach (the
+   psABI's v2/v3/v4), the architecture for other hosts: a label for
+   reports.  The digest is what tells targets apart. *)
+let isa_label macros =
+  let has m = List.mem ("#define " ^ m ^ " 1") (String.split_on_char '\n' macros) in
+  let avx512 = [ "__AVX512F__"; "__AVX512BW__"; "__AVX512CD__"; "__AVX512DQ__"; "__AVX512VL__" ] in
+  if has "__x86_64__" then
+    if List.for_all has avx512 then "x86-64-v4"
+    else if List.for_all has [ "__AVX2__"; "__FMA__"; "__BMI2__" ] then "x86-64-v3"
+    else if List.for_all has [ "__SSE4_2__"; "__POPCNT__" ] then "x86-64-v2"
+    else "x86-64"
+  else if has "__aarch64__" then "aarch64"
+  else "native"
+
 let probe_count = Atomic.make 0
 let probes () = Atomic.get probe_count
 
+(* Plans are built for the host's own target when the compiler takes
+   the flag and its probe links; otherwise for the compiler's default
+   one.  OpenMP is asked for first, and only on a multi-core host. *)
 let probe cc =
   Atomic.incr probe_count;
-  if core_count () > 1 && compiles cc [ "-O2"; "-fopenmp" ] then Some { cc; openmp = true }
-  else if compiles cc [ "-O2" ] then Some { cc; openmp = false }
-  else None
+  let openmp = if core_count () > 1 then [ true; false ] else [ false ] in
+  List.find_map
+    (fun (openmp, native) ->
+      let flags =
+        ("-O2" :: (if openmp then [ "-fopenmp" ] else []))
+        @ if native then [ Kfuse_codegen.Lower_cpu.host_target_flag ] else []
+      in
+      if not (compiles cc flags) then None
+      else if not native then Some { cc; openmp; target = None }
+      else
+        Option.map
+          (fun m ->
+            let md5 = Digest.to_hex (Digest.string m) in
+            { cc; openmp; target = Some { isa = isa_label m; macros_md5 = md5 } })
+          (host_macros cc))
+    (List.concat_map (fun o -> [ (o, true); (o, false) ]) openmp)
 
 (* Single-flight: kfused's worker threads all reach [find], and the
    whole probe runs under the lock, so a cold memo is probed once. *)
@@ -106,12 +151,16 @@ let find () =
    the same one. *)
 let flags t ~shared =
   Kfuse_codegen.Lower_cpu.cc_flags
+  @ (if t.target <> None then [ Kfuse_codegen.Lower_cpu.host_target_flag ] else [])
   @ (if t.openmp then [ "-fopenmp" ] else [])
   @ if shared then [ "-shared"; "-fPIC" ] else []
 
 (* The flag set is folded in so a flag change never replays a stale
-   artifact compiled under the old semantics. *)
+   artifact compiled under the old semantics, and the target's
+   fingerprint so that a cache directory shared by two hosts never
+   hands one the other's instructions. *)
 let id t =
-  Printf.sprintf "%s%s %s" t.cc
+  Printf.sprintf "%s%s %s%s" t.cc
     (if t.openmp then "+openmp" else "-openmp")
     (String.concat " " (flags t ~shared:false))
+    (match t.target with Some g -> Printf.sprintf " target=%s:%s" g.isa g.macros_md5 | None -> "")

@@ -34,22 +34,21 @@ let make (d : Validate.input) config =
   }
 
 (* Input names reach DSL source later (the [add] command's expression
-   scope), so anything that is not an identifier is refused up front. *)
+   scope), so anything that is not an identifier is refused up front,
+   as is a second input of one name: at [create] and at [add_input]. *)
+let check_inputs inputs =
+  let rec dup = function [] -> None | x :: rest -> if List.mem x rest then Some x else dup rest in
+  match (List.find_opt (fun i -> not (Kfuse_dsl.Lexer.is_ident i)) inputs, dup inputs) with
+  | Some bad, _ -> Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
+  | None, Some n -> Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" n)
+  | None, None -> Ok ()
+
 let create ?(name = "lazy") ?(channels = 1) ?(params = []) ?(inputs = []) ~width
     ~height config =
-  let rec dup = function [] -> None | x :: rest -> if List.mem x rest then Some x else dup rest in
   let d = { Validate.name; width; height; channels; inputs; params; kernels = [] } in
-  match
-    ( Config.validate_result config,
-      List.find_opt (fun i -> not (Kfuse_dsl.Lexer.is_ident i)) inputs,
-      dup inputs,
-      Validate.errors d )
-  with
-  | Error e, _, _, _ -> Error e
-  | Ok (), Some bad, _, _ -> Error (Diag.errorf Diag.Elab_error "input %S is not an identifier" bad)
-  | Ok (), None, Some n, _ -> Error (Diag.errorf Diag.Duplicate_name "duplicate input %S" n)
-  | Ok (), None, None, e :: _ -> Error e
-  | Ok (), None, None, [] -> Ok (make d config)
+  match (Config.validate_result config, check_inputs inputs, Validate.errors d) with
+  | (Error e, _, _ | Ok (), Error e, _ | Ok (), Ok (), e :: _) -> Error e
+  | Ok (), Ok (), [] -> Ok (make d config)
 
 let of_pipeline config p = make (Validate.of_pipeline p) config
 
@@ -121,7 +120,9 @@ let set_param t name v =
   in
   commit t ~params ()
 
-let add_input t name = commit t ~inputs:(t.inputs @ [ name ]) ()
+let add_input t name =
+  let inputs = t.inputs @ [ name ] in
+  Result.bind (check_inputs inputs) (commit t ~inputs)
 
 let name t = t.name
 let width t = t.width

@@ -57,7 +57,9 @@ val set_param : t -> string -> float -> (unit, Kfuse_util.Diag.t) result
     parameter values, so the next [flush] replays entirely from memo. *)
 
 val add_input : t -> string -> (unit, Kfuse_util.Diag.t) result
-(** Declare an external input image.  Rejected on a duplicate name. *)
+(** Declare an external input image.  Refused, as {!create} refuses
+    them, on a name that is not an identifier ([KF0202]) or is already
+    an input ([KF0503]). *)
 
 (** {1 Inspection} *)
 

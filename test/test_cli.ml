@@ -711,6 +711,55 @@ let test_repl_local_and_socket_seed_alike () =
     [ ("1x,a", "error[KF0202]"); ("a,a", "error[KF0503]") ];
   shutdown d
 
+(* An [input] line is held to the rules [--inputs] is: a name that is
+   not an identifier, or one already an input, is refused with the
+   same diagnostic by the local builder and by a daemon's session, and
+   an interactive session goes on to take the next input. *)
+let test_repl_input_refused_alike () =
+  with_temp_dir @@ fun dir ->
+  let lines = Filename.concat dir "lines.kf" in
+  Out_channel.with_open_text lines (fun oc ->
+      output_string oc "input 1x\ninput a\ninput b\nshow\nquit\n");
+  with_daemon "serve" [] @@ fun d ->
+  let repl extra =
+    let code, text =
+      run_capture
+        ([ "repl"; "--width"; "8"; "--height"; "8"; "--inputs"; "a" ] @ extra
+        @ [ "<"; Filename.quote lines ])
+    in
+    Alcotest.(check int) (String.concat " " ("repl" :: extra) ^ " exits 0") 0 code;
+    let out =
+      String.split_on_char '\n' text
+      |> List.map (fun l ->
+             let p = "kfuse> " in
+             if String.starts_with ~prefix:p l then
+               String.sub l (String.length p) (String.length l - String.length p)
+             else l)
+    in
+    (List.filter (contains "error[") out, out)
+  in
+  let lrefused, local = repl [] and rrefused, remote = repl [ "--socket"; d.socket ] in
+  Alcotest.(check (list string)) "refused in order, for its own reason"
+    [
+      "kfusec: error[KF0202]: input \"1x\" is not an identifier";
+      "kfusec: error[KF0503]: duplicate input \"a\"";
+    ]
+    lrefused;
+  Alcotest.(check (list string)) "the daemon refuses alike" lrefused rrefused;
+  Alcotest.(check bool) "the local session takes the next input" true
+    (List.mem "inputs: a b" local);
+  let shown =
+    List.filter_map
+      (fun l ->
+        if String.starts_with ~prefix:"{" l then
+          Option.bind (Jsonx.member "inputs" (json_of "repl --socket reply" l)) Jsonx.arr
+        else None)
+      remote
+  in
+  Alcotest.(check (list string)) "the daemon's session takes the next input" [ "a"; "b" ]
+    (List.filter_map Jsonx.str (List.nth shown (List.length shown - 1)));
+  shutdown d
+
 let suite =
   [
     Alcotest.test_case "list" `Quick test_list;
@@ -757,4 +806,6 @@ let suite =
       test_repl_local_vs_daemon;
     Alcotest.test_case "repl: local and --socket sessions seed the same builder" `Slow
       test_repl_local_and_socket_seed_alike;
+    Alcotest.test_case "repl: an input line is refused alike locally and by --socket" `Slow
+      test_repl_input_refused_alike;
   ]

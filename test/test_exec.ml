@@ -244,10 +244,12 @@ let test_emit_compiles_warning_free () =
                  (In_channel.with_open_text log In_channel.input_all)))
 
 (* The halo bodies' [optimize("O1")] attribute keeps the command line's
-   [-ffp-contract=off]: compiled for a CPU with FMA, with the one flag
-   that lets -O1 form an FMA, no multiply-add is fused anywhere.  The
-   same source with [-ffp-contract=fast] fuses some in a halo body, so
-   the check can see one there; a compiler that fuses none skips. *)
+   [-ffp-contract=off]: compiled with the flags artifacts are built
+   with, for the host target they ship on, plus the one flag that lets
+   -O1 form an FMA, no multiply-add is fused anywhere.  The same source
+   with [-ffp-contract=fast] fuses some in a halo body, so the check
+   can see one there; a target without FMA, or a compiler that fuses
+   none, skips. *)
 let test_halo_keeps_fp_contract () =
   let t = toolchain () in
   let _, fused = fused_app "harris" ~width:32 ~height:24 in
@@ -271,12 +273,11 @@ let test_halo_keeps_fp_contract () =
         let flags =
           List.map
             (fun f -> if f = "-ffp-contract=off" then "-ffp-contract=" ^ contract else f)
-            Cg.Lower_cpu.cc_flags
+            (Exec.Toolchain.flags t ~shared:false)
         in
         let cmd =
-          Printf.sprintf "%s %s %s -mfma -fexpensive-optimizations -S -o %s %s > /dev/null 2>&1"
+          Printf.sprintf "%s %s -fexpensive-optimizations -S -o %s %s > /dev/null 2>&1"
             (Filename.quote t.Exec.Toolchain.cc) (String.concat " " flags)
-            (if t.Exec.Toolchain.openmp then "-fopenmp" else "")
             (Filename.quote (asm_path contract)) (Filename.quote src_path)
         in
         if Sys.command cmd <> 0 then None
@@ -298,7 +299,7 @@ let test_halo_keeps_fp_contract () =
       in
       match map2_threads fmas [ "fast"; "off" ] with
       | [ (None | Some (0, _)); _ ] -> Alcotest.skip ()
-      | [ _; None ] -> Alcotest.fail "generated C does not compile for an FMA target"
+      | [ _; None ] -> Alcotest.fail "generated C does not compile with the artifacts' flags"
       | [ _; Some (_, total) ] ->
         Alcotest.(check int) "multiply-adds fused under -ffp-contract=off" 0 total
       | _ -> assert false)
@@ -1191,6 +1192,65 @@ let test_runner_no_leaks () =
   Alcotest.(check int) "no runner after shutdown" 0
     (Exec.Native.runner_stats ()).Exec.Native.runners
 
+(* The target fingerprint is part of the toolchain's id and so of
+   every artifact key: a cache directory two hosts share never hands
+   one the other's instructions.  One host finds one id, so artifacts
+   on disk stay reusable across processes. *)
+let test_toolchain_target_keys_artifacts () =
+  let t = toolchain () in
+  let _, p = fused_app "sobel" ~width:32 ~height:24 in
+  let src = Exec.Native.source ~mode:Exec.Native.Dlopen p in
+  let key tc = Exec.Native.artifact_key ~tc ~mode:Exec.Native.Dlopen ~src p in
+  let v3 md5 =
+    { t with Exec.Toolchain.target = Some { Exec.Toolchain.isa = "x86-64-v3"; macros_md5 = md5 } }
+  in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check bool) (what ^ ": ids differ") true
+        (Exec.Toolchain.id a <> Exec.Toolchain.id b);
+      Alcotest.(check bool) (what ^ ": artifact keys differ") true (key a <> key b))
+    [
+      ("two fingerprints", v3 "00", v3 "01");
+      ("a target and none", v3 "00", { t with Exec.Toolchain.target = None });
+    ];
+  Exec.Toolchain.forget ();
+  match Exec.Toolchain.find () with
+  | Error d -> Alcotest.failf "second find: %s" (Diag.to_string d)
+  | Ok t' ->
+    Alcotest.(check string) "one host, one id" (Exec.Toolchain.id t) (Exec.Toolchain.id t');
+    Alcotest.(check string) "one host, one artifact key" (key t) (key t')
+
+(* A compiler that refuses -march=native still builds plans: the probe
+   falls back to the compiler's default target, no compile asks for the
+   host's, and every output is still the interpreter's bit for bit
+   (bench-native exits 0 only then). *)
+let test_toolchain_without_host_target () =
+  let t = toolchain () in
+  with_temp_dir @@ fun dir ->
+  let cc = Filename.concat dir "cc-no-march" and log = Filename.concat dir "argv.log" in
+  Out_channel.with_open_text cc (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\necho \"$*\" >> %s\ncase \" $* \" in *\" -march=native \"*) exit 1;; esac\nexec %s \"$@\"\n"
+        (Filename.quote log) (Filename.quote t.Exec.Toolchain.cc));
+  Unix.chmod cc 0o755;
+  let code, text =
+    run_capture
+      ~env:("KFUSE_FAULTS= KFUSE_CC=" ^ Filename.quote cc)
+      [
+        "bench-native"; "-o"; "-"; "--runs"; "1"; "--width"; "40"; "--height"; "30";
+        "--apps"; "harris,night"; "--cache-dir"; Filename.concat dir "cache";
+      ]
+  in
+  Alcotest.(check int) ("bench-native exits 0: " ^ text) 0 code;
+  Alcotest.(check bool) "the summary names the default target" true
+    (contains "target default" text);
+  let calls = String.split_on_char '\n' (read_file log) |> List.filter (( <> ) "") in
+  let asks l = contains "-march=native" l and builds l = contains "-ffp-contract=off" l in
+  Alcotest.(check bool) "the probe asked for the host target" true (List.exists asks calls);
+  Alcotest.(check int) "four plans built" 4 (List.length (List.filter builds calls));
+  Alcotest.(check (list string)) "no plan built for the host target" []
+    (List.filter (fun l -> builds l && asks l) calls)
+
 (* Toolchain discovery is single-flight: threads racing on a cold memo
    probe exactly as often as one caller does, and agree. *)
 let test_toolchain_find_single_flight () =
@@ -1198,6 +1258,18 @@ let test_toolchain_find_single_flight () =
   let p0 = Exec.Toolchain.probes () in
   let serial = Exec.Toolchain.find () in
   let per_find = Exec.Toolchain.probes () - p0 in
+  (* One probe per candidate tried: [KFUSE_CC], or cc, gcc, clang in
+     order up to the one that worked. *)
+  (match serial with
+  | Ok t when Sys.getenv_opt "KFUSE_CC" = None ->
+    let rec tried n = function
+      | [] -> n
+      | c :: rest -> if c = t.Exec.Toolchain.cc then n + 1 else tried (n + 1) rest
+    in
+    Alcotest.(check int) "one probe per candidate tried" (tried 0 [ "cc"; "gcc"; "clang" ])
+      per_find
+  | Ok _ -> Alcotest.(check int) "one probe of KFUSE_CC" 1 per_find
+  | Error _ -> ());
   Exec.Toolchain.forget ();
   let p1 = Exec.Toolchain.probes () in
   let results = Array.make 8 None in
@@ -2078,6 +2150,7 @@ let test_bench_native_json_escapes () =
     {
       Exec.Bench_native.cc;
       openmp = true;
+      target = "x86-64-v3";
       mode = Exec.Native.Dlopen;
       runs = 2;
       host_cores = 2;
@@ -2090,6 +2163,8 @@ let test_bench_native_json_escapes () =
     (Jsonx.mem_str "schema" v);
   Alcotest.(check (option string)) "cc round-trips" (Some cc)
     (Option.bind (Jsonx.member "toolchain" v) (Jsonx.mem_str "cc"));
+  Alcotest.(check (option string)) "the target is named" (Some "x86-64-v3")
+    (Option.bind (Jsonx.member "toolchain" v) (Jsonx.mem_str "target"));
   match Jsonx.member "apps" v with
   | Some (Jsonx.Arr [ app ]) ->
     Alcotest.(check (option string)) "app" (Some "sobel") (Jsonx.mem_str "app" app);
@@ -2169,6 +2244,10 @@ let suite =
       test_runner_stderr_per_request;
     Alcotest.test_case "toolchain: find is single-flight across threads" `Slow
       test_toolchain_find_single_flight;
+    Alcotest.test_case "toolchain: the target fingerprint keys artifacts" `Slow
+      test_toolchain_target_keys_artifacts;
+    Alcotest.test_case "toolchain: a compiler refusing -march=native still builds" `Slow
+      test_toolchain_without_host_target;
     Alcotest.test_case "supervisor: circuit breaker lifecycle" `Quick
       test_breaker_lifecycle;
     Alcotest.test_case "supervisor: crash artifact is a corpus entry" `Quick
